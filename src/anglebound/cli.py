@@ -286,8 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, seeded=False):
         sp.add_argument("--out", help="write output to this file (plus a manifest)")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="parallelism cap (reserved; current build is single-threaded)")
         if seeded:
             sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
 

@@ -7,6 +7,7 @@ construction so downstream code can trust the invariants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,28 +74,31 @@ def as_unit(v) -> np.ndarray:
     return u
 
 
-def normalize(v) -> np.ndarray:
-    v = _as_point(v)
-    nrm = float(np.linalg.norm(v))
-    if nrm <= DISTINCTNESS_TOL:
-        raise DegenerateTriple("cannot normalize a (near-)zero vector")
-    return v / nrm
-
-
 def angle_at(x, y, z) -> float:
     """Angle in [0, pi] at vertex y between rays toward x and z.
 
     Symmetric in x and z. The normalized dot product is clamped to [-1, 1]
     before arccos to absorb floating-point overshoot near 0 and pi.
     """
-    x, y, z = _as_point(x), _as_point(y), _as_point(z)
-    u = x - y
-    v = z - y
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
+    # One array and one finiteness check for the whole triple: brute-force
+    # scans call this once per triple, so validation must stay cheap.
+    try:
+        p = np.array((x, y, z), dtype=float)
+    except ValueError:  # ragged: name a point that is not a vector, else the mismatch
+        for q in (x, y, z):
+            _as_point(q)
+        raise OutOfRange("the three points have different dimensions") from None
+    if p.ndim != 2 or p.shape[1] < 1:
+        raise OutOfRange(f"point must be a 1-D coordinate vector, got shape {p.shape[1:]}")
+    if not np.isfinite(p).all():
+        raise OutOfRange("point has non-finite coordinates")
+    u = p[0] - p[1]
+    v = p[2] - p[1]
+    nu = math.sqrt(u.dot(u))
+    nv = math.sqrt(v.dot(v))
     if nu <= DISTINCTNESS_TOL or nv <= DISTINCTNESS_TOL:
         raise DegenerateTriple("angle vertex coincides with one of its ray endpoints")
-    c = float(np.dot(u, v)) / (nu * nv)
+    c = float(u.dot(v)) / (nu * nv)
     return float(np.arccos(min(1.0, max(-1.0, c))))
 
 

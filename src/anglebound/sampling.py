@@ -4,13 +4,15 @@ Uniform directions come from normalized Gaussian vectors. Gaussians are
 produced by inverse-CDF from counter-based Philox uniforms, so sample i is a
 pure function of (seed, i): generating samples [0, n) in one call or in
 chunks with `start` offsets yields bit-identical results.
+
+scipy is imported inside the functions that use it: `scipy.special` costs
+about 0.3 s and `scipy.stats` about 1 s at start-up, and most CLI calls
+need neither.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 # Philox emits 4 doubles per counter block; each sample is padded to whole
 # blocks so chunk boundaries never split a sample.
@@ -23,6 +25,8 @@ def _blocks_per_sample(dim: int) -> int:
 
 def unit_directions(dim: int, n: int, seed: int, start: int = 0) -> np.ndarray:
     """n uniform unit vectors on S^{dim-1}, samples indexed from `start`."""
+    from scipy.special import ndtri
+
     if dim < 1 or n < 0 or start < 0:
         raise ValueError("dim >= 1, n >= 0, start >= 0 required")
     if n == 0:
@@ -60,6 +64,9 @@ def quasi_uniform_lines(dim: int, n: int, seed: int) -> np.ndarray:
     Scrambled Sobol points mapped through the inverse normal CDF and
     normalized; suitable as a dense probe set for covering checks.
     """
+    from scipy.special import ndtri
+    from scipy.stats import qmc
+
     if dim < 2 or n < 1:
         raise ValueError("dim >= 2 and n >= 1 required")
     m = max(1, int(np.ceil(np.log2(n))))

@@ -50,6 +50,16 @@ class TestAngleAt:
         with pytest.raises(DegenerateTriple):
             angle_at([1, 0], [1e-12, 0], [0, 0])
 
+    def test_malformed_points_rejected(self):
+        with pytest.raises(OutOfRange):
+            angle_at([1, 0], [0, 0], [[0, 1]])
+        with pytest.raises(OutOfRange):
+            angle_at([1, 0], [0, 0], [0, 1, 0])
+        with pytest.raises(OutOfRange):
+            angle_at(1.0, 0.0, 2.0)
+        with pytest.raises(OutOfRange):
+            angle_at([1, 0], [0, 0], [np.nan, 1])
+
 
 class TestMaxAngle:
     def test_unit_square(self):
