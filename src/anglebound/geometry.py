@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,6 +20,10 @@ from .errors import DegenerateTriple, OutOfRange
 DISTINCTNESS_TOL = 1e-9
 
 UNIT_NORM_TOL = 1e-12
+
+# Entries per block of the pairwise scans (ray Grams, PointSet distances): a
+# block holds a few arrays of about this many float64s, whatever n is.
+_BLOCK_ENTRIES = 1 << 16
 
 
 def _as_point(x) -> np.ndarray:
@@ -44,15 +49,20 @@ class PointSet:
         if not np.all(np.isfinite(pts)):
             raise OutOfRange("point set has non-finite coordinates")
         n = pts.shape[0]
-        if n > 1:
-            d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-            iu = np.triu_indices(n, k=1)
-            if np.min(d2[iu]) <= DISTINCTNESS_TOL**2:
-                i, j = map(int, np.unravel_index(int(np.argmin(np.where(
-                    np.eye(n, dtype=bool), np.inf, d2))), d2.shape))
-                raise OutOfRange(
-                    f"points {i} and {j} are closer than {DISTINCTNESS_TOL}"
-                )
+        # Closest pair, first in row-major order on ties, over one block of
+        # rows of the squared-distance matrix at a time.
+        best_d2, best_pair = math.inf, (-1, -1)
+        step = max(1, _BLOCK_ENTRIES // n)
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            d2 = np.sum((pts[lo:hi, None, :] - pts[None, :, :]) ** 2, axis=-1)
+            d2.reshape(-1)[lo :: n + 1] = np.inf  # entries (i, i) of these rows
+            a, b = divmod(int(np.argmin(d2)), n)
+            if d2[a, b] < best_d2:
+                best_d2, best_pair = float(d2[a, b]), (lo + a, b)
+        if best_d2 <= DISTINCTNESS_TOL**2:
+            i, j = best_pair
+            raise OutOfRange(f"points {i} and {j} are closer than {DISTINCTNESS_TOL}")
         pts = pts.copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -102,35 +112,80 @@ def angle_at(x, y, z) -> float:
     return float(np.arccos(min(1.0, max(-1.0, c))))
 
 
+@lru_cache(maxsize=16)
+def _others(n: int) -> np.ndarray:
+    """(n, n-1) array whose row j lists the indices other than j, ascending."""
+    cols = np.arange(n - 1)
+    others = cols + (cols >= np.arange(n)[:, None])
+    others.setflags(write=False)
+    return others
+
+
+def _ray_grams(pts: np.ndarray):
+    """Yield (lo, gram) over blocks of vertices lo, lo+1, ...: gram[b] is the
+    Gram matrix of the unit rays from vertex lo+b toward _others(n)[lo+b].
+
+    The one kernel behind every max-angle scan. A block holds at most
+    _BLOCK_ENTRIES Gram entries, or one vertex's Gram where that alone is
+    larger, so working memory does not grow with the number of blocks. Each
+    vertex's Gram equals, bit for bit, the one a per-vertex scan would build.
+    Raises DegenerateTriple when two points lie within DISTINCTNESS_TOL of
+    each other, before any division by their distance, and OutOfRange on
+    non-finite coordinates.
+    """
+    if not np.isfinite(pts).all():
+        raise OutOfRange("point set has non-finite coordinates")
+    n = pts.shape[0]
+    others = _others(n)
+    step = max(1, _BLOCK_ENTRIES // (n - 1) ** 2)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        rays = pts[others[lo:hi]] - pts[lo:hi, None]
+        norms = np.linalg.norm(rays, axis=2)
+        if norms.min() <= DISTINCTNESS_TOL:
+            b, a = map(int, np.argwhere(norms <= DISTINCTNESS_TOL)[0])
+            raise DegenerateTriple(
+                f"points {lo + b} and {int(others[lo + b, a])} are closer than "
+                f"{DISTINCTNESS_TOL}: no angle at vertex {lo + b}"
+            )
+        rays /= norms[:, :, None]
+        yield lo, rays @ rays.transpose(0, 2, 1)
+
+
 def max_angle_triple(points: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     """Return (max angle, (i, j, k)) over all triples with vertex j.
 
-    Direct O(n^3 * dim) scan, vectorized per vertex; the winning triple's
-    angle is recomputed with angle_at so the result is bit-identical to a
-    scalar triple enumeration. For n <= 2 there is no triple and the result
-    is (0.0, (-1, -1, -1)).
+    Direct O(n^3 * dim) scan over the ray Grams of _ray_grams. Ties go to the
+    first vertex j, then to the first (i, k) in row-major order of its Gram;
+    the winning triple's angle is recomputed with angle_at so the result is
+    bit-identical to a scalar triple enumeration. For n <= 2 there is no
+    triple and the result is (0.0, (-1, -1, -1)). Raises DegenerateTriple if
+    two points are closer than DISTINCTNESS_TOL, OutOfRange if a coordinate
+    is not finite.
     """
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
     if n <= 2:
         return 0.0, (-1, -1, -1)
+    m = n - 1
+    others = _others(n)
     best = -1.0
     best_triple = (-1, -1, -1)
-    idx = np.arange(n)
-    for j in range(n):
-        others = idx[idx != j]
-        rays = pts[others] - pts[j]
-        norms = np.linalg.norm(rays, axis=1)
-        rays = rays / norms[:, None]
-        gram = rays @ rays.T
-        np.fill_diagonal(gram, 1.0)
-        flat = int(np.argmin(gram))
-        a, b = divmod(flat, gram.shape[0])
-        c = float(gram[a, b])
-        ang = float(np.arccos(min(1.0, max(-1.0, c))))
-        if ang > best:
-            best = ang
-            best_triple = (int(others[a]), j, int(others[b]))
+    for lo, gram in _ray_grams(pts):
+        flat = gram.reshape(gram.shape[0], m * m)
+        flat[:, :: m + 1] = 1.0
+        pos = np.argmin(flat, axis=1)
+        c = flat[np.arange(flat.shape[0]), pos]
+        ang = np.arccos(np.clip(c, -1.0, 1.0))
+        b = int(np.argmax(ang))
+        if ang[b] > best:
+            best = float(ang[b])
+            a, k = divmod(int(pos[b]), m)
+            j = lo + b
+            best_triple = (int(others[j, a]), j, int(others[j, k]))
+        # Free this Gram before the kernel builds the next one, so that
+        # large-n scans reuse one buffer while it is still in cache.
+        del gram, flat
     i, j, k = best_triple
     return angle_at(pts[i], pts[j], pts[k]), best_triple
 

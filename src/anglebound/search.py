@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import OutOfRange
-from .geometry import PointSet, max_angle_triple
+from .geometry import PointSet, _ray_grams, max_angle_triple
 from .sampling import rng_stream
 
 
@@ -80,25 +81,41 @@ def _structured_starts(n: int, D: int) -> list[np.ndarray]:
     return starts
 
 
+@lru_cache(maxsize=16)
+def _upper_flat(m: int) -> np.ndarray:
+    """Row-major flat positions of the strict upper triangle of an m x m matrix."""
+    rows, cols = np.triu_indices(m, k=1)
+    flat = rows * m + cols
+    flat.setflags(write=False)
+    return flat
+
+
 def _angle_lse(pts: np.ndarray, beta: float) -> float:
-    """Soft maximum (1/beta) log sum exp(beta * angle) over all triples."""
+    """Soft maximum (1/beta) log sum exp(beta * angle) over all triples.
+
+    Streams over the vertices in order: each vertex's terms are summed
+    relative to the running maximum up to and including that vertex, and the
+    running sum is rescaled whenever that maximum grows.
+    """
     n = pts.shape[0]
     if n <= 2:
         return 0.0
-    idx = np.arange(n)
-    mx = -np.inf
+    m = n - 1
+    upper = _upper_flat(m)
+    mx = -math.inf
     acc = 0.0
-    for j in range(n):
-        rays = pts[idx != j] - pts[j]
-        rays = rays / np.linalg.norm(rays, axis=1)[:, None]
-        gram = np.clip(rays @ rays.T, -1.0, 1.0)
-        iu = np.triu_indices(n - 1, k=1)
-        angles = np.arccos(gram[iu])
-        m = float(np.max(angles))
-        if m > mx:
-            acc = acc * math.exp(beta * (mx - m)) if np.isfinite(mx) else 0.0
-            mx = m
-        acc += float(np.sum(np.exp(beta * (angles - mx))))
+    for _, gram in _ray_grams(pts):
+        # np.take keeps rows C-contiguous, so each row's sum below is the
+        # same pairwise sum as a per-vertex np.sum.
+        pairs = np.take(gram.reshape(gram.shape[0], m * m), upper, axis=1)
+        angles = np.arccos(np.clip(pairs, -1.0, 1.0))
+        running = np.maximum.accumulate(np.maximum(angles.max(axis=1), mx))
+        sums = np.sum(np.exp(beta * (angles - running[:, None])), axis=1)
+        for top, s in zip(running.tolist(), sums.tolist()):
+            if top > mx:
+                acc = acc * math.exp(beta * (mx - top)) if math.isfinite(mx) else 0.0
+                mx = top
+            acc += s
     return mx + math.log(acc) / beta
 
 

@@ -2,7 +2,8 @@
 
 Oracles here deliberately avoid the library's vectorized code paths: hull
 membership is decided by exhaustive subset enumeration with least-squares
-barycentric solves, and maximum angles by a scalar triple loop.
+barycentric solves, and maximum angles by a scalar triple loop or by the
+one-vertex-at-a-time scan the blocked ray-Gram kernel replaced.
 """
 
 import itertools
@@ -24,6 +25,35 @@ def brute_max_angle(points) -> float:
         if i < k:  # angle_at is symmetric in the outer points
             best = max(best, angle_at(pts[i], pts[j], pts[k]))
     return best
+
+
+def loop_max_angle_triple(points):
+    """max_angle_triple as a per-vertex loop: one Gram of unit rays per vertex,
+    its first row-major minimum off the diagonal, strictly better vertices
+    only, and the winner recomputed with angle_at."""
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0]
+    if n <= 2:
+        return 0.0, (-1, -1, -1)
+    best = -1.0
+    best_triple = (-1, -1, -1)
+    idx = np.arange(n)
+    for j in range(n):
+        others = idx[idx != j]
+        rays = pts[others] - pts[j]
+        norms = np.linalg.norm(rays, axis=1)
+        rays = rays / norms[:, None]
+        gram = rays @ rays.T
+        np.fill_diagonal(gram, 1.0)
+        flat = int(np.argmin(gram))
+        a, b = divmod(flat, gram.shape[0])
+        c = float(gram[a, b])
+        ang = float(np.arccos(min(1.0, max(-1.0, c))))
+        if ang > best:
+            best = ang
+            best_triple = (int(others[a]), j, int(others[b]))
+    i, j, k = best_triple
+    return angle_at(pts[i], pts[j], pts[k]), best_triple
 
 
 def oracle_in_hull(p, S, tol: float = 1e-9) -> bool:

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from anglebound.geometry import (
     max_angle_triple,
     rays_from,
 )
-from conftest import brute_max_angle, random_rotation, unit_simplex
+from anglebound.search import _structured_starts
+from conftest import brute_max_angle, loop_max_angle_triple, random_rotation, unit_simplex
 
 
 class TestAngleAt:
@@ -105,6 +108,52 @@ class TestMaxAngle:
         val, (i, j, k) = max_angle_triple(pts)
         assert val == angle_at(pts[i], pts[j], pts[k])
 
+    def test_bad_points_raise_without_warnings(self):
+        pts = [[0.0, 0.0], [1.0, 0.0], [2.0, 1.0], [1.0, 0.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateTriple, match="points 1 and 3"):
+                max_angle_triple(pts)
+            with pytest.raises(DegenerateTriple, match="points 0 and 2"):
+                max_angle_triple([[0.0, 0.0], [1.0, 0.0], [5e-10, 0.0]])
+            with pytest.raises(OutOfRange, match="non-finite"):
+                max_angle_triple([[0.0, 0.0], [math.inf, 0.0], [1.0, 1.0]])
+
+
+class TestMaxAngleKernelAgainstLoop:
+    """The blocked ray-Gram kernel returns exactly what the per-vertex loop did."""
+
+    def test_random_sets(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            n = int(rng.integers(3, 14))
+            d = int(rng.integers(1, 9))
+            pts = rng.normal(size=(n, d))
+            assert max_angle_triple(pts) == loop_max_angle_triple(pts)
+
+    def test_lattice_sets_with_exact_ties(self):
+        rng = np.random.default_rng(22)
+        checked = 0
+        while checked < 200:
+            n = int(rng.integers(3, 12))
+            d = int(rng.integers(1, 5))
+            pts = rng.integers(-2, 3, size=(n, d)).astype(float)
+            if len(np.unique(pts, axis=0)) < n:
+                continue
+            assert max_angle_triple(pts) == loop_max_angle_triple(pts)
+            checked += 1
+
+    def test_structured_search_starts(self):
+        for n in range(3, 11):
+            for d in range(1, 5):
+                for pts in _structured_starts(n, d):
+                    assert max_angle_triple(pts) == loop_max_angle_triple(pts)
+
+    @pytest.mark.parametrize("n, d", [(100, 3), (300, 3)])
+    def test_sets_spanning_several_blocks(self, n, d):
+        pts = np.random.default_rng(n).normal(size=(n, d))
+        assert max_angle_triple(pts) == loop_max_angle_triple(pts)
+
 
 class TestGeodesicDiameter:
     def test_antipodal_pair(self):
@@ -161,6 +210,27 @@ class TestPointSet:
     def test_rejects_non_finite(self):
         with pytest.raises(OutOfRange):
             PointSet([[0, 0], [math.inf, 0]])
+
+    def test_names_the_closest_pair_across_row_blocks(self):
+        pts = np.random.default_rng(31).normal(size=(3000, 3))
+        pts[2500] = pts[40] + [5e-10, 0.0, 0.0]
+        pts[2999] = pts[2900] + [0.0, 2e-10, 0.0]
+        with pytest.raises(OutOfRange, match=r"^points 2900 and 2999 are closer than 1e-09$"):
+            PointSet(pts)
+        pts[2999] = pts[2900]
+        pts[2500] = pts[40]
+        with pytest.raises(OutOfRange, match=r"^points 40 and 2500 are closer than 1e-09$"):
+            PointSet(pts)
+
+    def test_distinctness_check_memory_is_not_quadratic(self):
+        pts = np.random.default_rng(32).normal(size=(3000, 3))
+        tracemalloc.start()
+        try:
+            PointSet(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
     def test_points_are_immutable(self):
         ps = PointSet([[0, 0], [1, 0]])

@@ -5,8 +5,9 @@ import pytest
 
 from anglebound.bounds import cardinality_bound, theta_d
 from anglebound.errors import OutOfRange
-from anglebound.geometry import max_angle
+from anglebound.geometry import angle_at, max_angle
 from anglebound.search import (
+    _angle_lse,
     cross_polytope_vertices,
     hypercube_vertices,
     max_cardinality_search,
@@ -32,6 +33,23 @@ class TestStructuredConfigurations:
     def test_cross_polytope_prefix(self):
         pts = cross_polytope_vertices(3, 4)
         np.testing.assert_array_equal(pts, [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]])
+
+
+class TestAngleLse:
+    def test_matches_direct_log_sum_exp_over_all_triples(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            n = int(rng.integers(3, 9))
+            pts = rng.normal(size=(n, int(rng.integers(2, 5))))
+            theta = np.array([
+                angle_at(pts[i], pts[j], pts[k])
+                for j in range(n) for i in range(n) for k in range(i + 1, n)
+                if j not in (i, k)
+            ])
+            top = float(np.max(theta))
+            for beta in (5.0, 20.0, 100.0, 500.0):
+                direct = top + math.log(float(np.sum(np.exp(beta * (theta - top))))) / beta
+                assert _angle_lse(pts, beta) == pytest.approx(direct, rel=1e-12, abs=0)
 
 
 class TestMinimizeMaxAngle:
