@@ -50,13 +50,13 @@ def read_pointset(path: str) -> PointSet:
             for row in csv.reader(fh):
                 if row:
                     rows.append([float(x) for x in row])
-        return PointSet(np.asarray(rows, dtype=float))
+        return PointSet(rows)
     with open(p) as fh:
         data = json.load(fh)
-    pts = np.asarray(data["points"], dtype=float)
-    if "dim" in data and int(data["dim"]) != pts.shape[1]:
-        raise OutOfRange(f"file says dim={data['dim']} but points have {pts.shape[1]} columns")
-    return PointSet(pts)
+    ps = PointSet(data["points"])
+    if "dim" in data and int(data["dim"]) != ps.dim:
+        raise OutOfRange(f"file says dim={data['dim']} but points have {ps.dim} columns")
+    return ps
 
 
 def pointset_payload(ps: PointSet) -> dict:

@@ -59,13 +59,7 @@ class LineArrangement:
         vecs = np.array([canonical_line(v / n) for v, n in zip(vecs, norms)])
         vecs.setflags(write=False)
         object.__setattr__(self, "lines", vecs)
-        m = vecs.shape[0]
-        if m < 2:
-            ang = 0.5 * math.pi
-        else:
-            gram = np.abs(vecs @ vecs.T)
-            iu = np.triu_indices(m, k=1)
-            ang = float(np.arccos(min(1.0, float(np.max(gram[iu])))))
+        ang = 0.5 * math.pi if vecs.shape[0] < 2 else _min_line_angle(vecs)
         object.__setattr__(self, "min_pairwise_angle", ang)
 
     def __len__(self) -> int:

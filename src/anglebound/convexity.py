@@ -6,13 +6,14 @@ negative verdict comes with a witness: the offending point together with an
 affinely independent subset (at most dim+1 points) of the others whose hull
 contains it, from which an obtuse-angle witness can be extracted.
 
-Hull-membership questions are solved by a small dense phase-1 simplex method
-on the convex-combination system; problem sizes here are tiny, so no
-external solver is used.
+Every hull question here, and the enclosing caps in `curvature`, reduces to
+one primitive: the point of a polytope nearest a given point, found by
+Wolfe's algorithm in plain numpy. Its answers are re-checked after the solve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,8 +25,14 @@ from .geometry import PointSet, angle_at, rays_from
 # Barycentric/convex coefficients above -1e-10 count as nonnegative; strict
 # interiority requires them above +1e-10.
 COEFF_TOL = 1e-10
+# Relative residual of the barycentric checks. p also counts as inside conv(S)
+# when its distance to it is at most FEAS_TOL times the largest |q - p|.
 FEAS_TOL = 1e-9
-PIVOT_TOL = 1e-11
+# Wolfe's algorithm stops once |x| exceeds the lower bound min_j P_j . x / |x|
+# on the distance by at most this fraction of the largest |P_j|.
+NEAREST_GAP_TOL = 1e-12
+# Major plus minor cycles allowed per row of P before the solver gives up.
+NEAREST_STEPS_PER_POINT = 50
 
 
 @dataclass(frozen=True)
@@ -53,71 +60,55 @@ def min_pairwise_dot(W) -> float:
     return float(np.min(gram[iu]))
 
 
-def _phase1_simplex(A: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
-    """Find x >= 0 with A x = b, or None if infeasible.
+def _nearest_point(P: np.ndarray, stage: str):
+    """Min-norm point of conv(rows of P) by Wolfe's algorithm (1976).
 
-    Dense phase-1 simplex with Bland's rule. The returned x is a basic
-    feasible solution, so it has at most rank(A) positive entries whose
-    columns of A are linearly independent.
+    Returns (z, support, weights) with z = weights @ P[support] up to rounding:
+    the support (the final corral, ascending) is affinely independent and its
+    weights are positive and sum to one. Stops early once |z| <= FEAS_TOL *
+    max |P_j|, and when the most opposed point is already in the corral (no
+    progress is possible in floating point).
+    Hitting the step cap raises RuntimeError naming `stage`; callers re-check
+    every answer, so a stalled solve cannot pass as a verdict.
     """
-    m, n = A.shape
-    A = A.copy()
-    b = b.copy()
-    # Row equilibration, then sign-flip rows so b >= 0.
-    for i in range(m):
-        s = max(np.max(np.abs(A[i])), abs(b[i]), 1e-30)
-        A[i] /= s
-        b[i] /= s
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-
-    # Tableau columns: [structural | artificial | rhs]; artificial basis.
-    T = np.hstack([A, np.eye(m), b[:, None]])
-    basis = np.arange(n, n + m)
-    cost = np.zeros(n + m)
-    cost[n:] = 1.0
-
-    for _ in range(200 * (n + m)):
-        # Reduced costs recomputed from the tableau each pivot; at these
-        # problem sizes that is cheap and avoids incremental drift.
-        art_rows = np.flatnonzero(basis >= n)
-        z = cost - T[art_rows, :-1].sum(axis=0)
-        in_basis = np.zeros(n + m, dtype=bool)
-        in_basis[basis] = True
-        candidates = np.flatnonzero(~in_basis & (z < -PIVOT_TOL))
-        if candidates.size == 0:
-            break
-        enter = int(candidates[0])  # Bland's rule: lowest index enters
-        col = T[:, enter]
-        rows = np.flatnonzero(col > PIVOT_TOL)
-        if rows.size == 0:
-            return None  # numerically stuck; phase-1 cannot be unbounded
-        ratios = T[rows, -1] / col[rows]
-        best = np.min(ratios)
-        tied = rows[ratios <= best + 1e-15]
-        leave = int(tied[np.argmin(basis[tied])])  # Bland: lowest basic index leaves
-        T[leave] /= T[leave, enter]
-        for i in range(m):
-            if i != leave and T[i, enter] != 0.0:
-                T[i] -= T[i, enter] * T[leave]
-        basis[leave] = enter
-    residual = float(sum(max(T[i, -1], 0.0) for i in range(m) if basis[i] >= n))
-    if residual > FEAS_TOL:
-        return None
-    x = np.zeros(n)
-    for i, j in enumerate(basis):
-        if j < n:
-            x[j] = max(float(T[i, -1]), 0.0)
-    return x
-
-
-def _convex_coefficients(p: np.ndarray, S: np.ndarray) -> Optional[np.ndarray]:
-    """Coefficients lam >= 0 with sum lam = 1 and S^T lam = p, or None."""
-    n = S.shape[0]
-    A = np.vstack([S.T, np.ones((1, n))])
-    b = np.concatenate([p, [1.0]])
-    return _phase1_simplex(A, b)
+    n, D = P.shape
+    sq = np.einsum("ij,ij->i", P, P)
+    scale = math.sqrt(float(np.max(sq)))
+    corral, w = np.array([int(np.argmin(sq))]), np.ones(1)
+    x = P[corral[0]]
+    major = True
+    for _ in range(NEAREST_STEPS_PER_POINT * n):
+        if major:  # add the point most opposed to x, unless x is optimal
+            nx = math.sqrt(float(x @ x))
+            dots = P @ x
+            j = int(np.argmin(dots))
+            if (nx <= FEAS_TOL * scale or nx * nx - dots[j] <= NEAREST_GAP_TOL * nx * scale
+                    or j in corral):
+                order = np.argsort(corral)
+                return x, corral[order], w[order]
+            corral, w = np.append(corral, j), np.append(w, 0.0)
+        # Minor cycle: weights of the min-norm point of the corral's affine hull.
+        V = P[corral]
+        M = (V[1:] - V[0]).T
+        c = np.linalg.lstsq(M, -V[0], rcond=None)[0]
+        v = np.concatenate([[1.0 - c.sum()], c])
+        major = bool(np.all(v > 0))
+        if major:
+            # V[0] + M c cancels down to |x| with rounding of 1e-16 |V[0]|; one
+            # refinement step projects that off the affine hull, so the gap and
+            # separation tests see x to rounding in |x|, not in |P|.
+            x = V[0] + M @ c
+            w, x = v, x - M @ np.linalg.lstsq(M, x, rcond=None)[0]
+            continue
+        # Step from w toward v until the first weight reaches zero; drop it.
+        neg = np.flatnonzero(v <= 0)
+        ratios = np.divide(w[neg], w[neg] - v[neg], out=np.zeros(neg.size), where=w[neg] > 0)
+        k = int(np.argmin(ratios))
+        w = w + ratios[k] * (v - w)
+        w[neg[k]] = 0.0
+        corral, w = corral[w > 0], w[w > 0]
+    raise RuntimeError(f"{stage}: nearest-point solver hit its cap of {NEAREST_STEPS_PER_POINT * n}"
+                       f" steps (n={n}, D={D}, |x|={math.sqrt(x @ x):.6g}, scale={scale:.6g})")
 
 
 def _barycentric(p: np.ndarray, V: np.ndarray):
@@ -157,33 +148,51 @@ def simplex_contains_origin(V, strict: bool = False) -> bool:
     return bool(np.all(coords >= -COEFF_TOL))
 
 
+def _check_interior(p: np.ndarray, V: np.ndarray):
+    """Raise unless p lies strictly inside the simplex with vertices V."""
+    coords, residual, rank = _barycentric(p, V)
+    if rank < V.shape[0]:
+        raise DegenerateSimplex(f"simplex vertices are affinely dependent (rank {rank})")
+    scale = max(1.0, float(np.max(np.abs(V))))
+    if residual > FEAS_TOL * scale or np.any(coords <= COEFF_TOL):
+        raise NotInterior(f"point is not strictly inside the simplex (residual {residual:.3g}, "
+                          f"smallest coordinate {float(np.min(coords)):.3g})")
+
+
+def _hull_simplex(p: np.ndarray, pts: np.ndarray, stage: str) -> Optional[np.ndarray]:
+    """Affinely independent rows of pts whose hull holds p, or None if p is outside.
+
+    The point z of conv(pts - p) nearest the origin decides. Both answers are
+    re-checked in O(n D): the simplex (support weights above COEFF_TOL) must
+    pass obtuse_witness's checks, and "outside" needs (q - p) . z >= |z|^2 / 2
+    for every q, a plane separating p from pts. As |z| > FEAS_TOL * max |q - p|,
+    that margin is far above the rounding (about D * 1e-16 * |z| * |q - p|).
+    """
+    P = pts - p
+    z, support, weights = _nearest_point(P, stage)
+    dist = math.sqrt(float(z @ z))
+    if dist > FEAS_TOL * math.sqrt(float(np.max(np.einsum("ij,ij->i", P, P)))):
+        margin, half = float(np.min(P @ z)), 0.5 * dist * dist
+        if not margin >= half:
+            raise RuntimeError(f"{stage}: separation margin {margin:.6g} < |z|^2/2 = {half:.6g}")
+        return None
+    simplex = pts[support[weights > COEFF_TOL]]
+    try:
+        _check_interior(p, simplex)
+    except (DegenerateSimplex, NotInterior) as err:
+        raise RuntimeError(f"{stage}: nearest-point support fails its re-check: {err}") from None
+    return simplex
+
+
 def caratheodory_decompose(p, S: PointSet) -> np.ndarray:
     """Affinely independent points of S (at most dim+1) whose hull contains p.
 
-    Solves the convex-combination feasibility program; the basic solution's
-    support is the simplex, after dropping zero-coefficient points.
+    The support of the point of conv(S) nearest p, with every point of
+    positive weight; it is re-checked before it is returned.
     """
-    p = np.asarray(p, dtype=float)
-    pts = S.points
-    lam = _convex_coefficients(p, pts)
-    if lam is None:
+    simplex = _hull_simplex(np.asarray(p, dtype=float), S.points, "caratheodory_decompose")
+    if simplex is None:
         raise NotInHull("point is not in the convex hull of the set")
-    support = np.flatnonzero(lam > COEFF_TOL)
-    if support.size == 0:
-        raise NotInHull("feasible solution has empty support")
-    simplex = pts[support]
-    # Basic solutions keep lifted columns independent; verify and, if float
-    # drift produced a dependent support, retry without its weakest member.
-    while simplex.shape[0] > 1:
-        _, residual, rank = _barycentric(p, simplex)
-        if rank == simplex.shape[0] and residual <= FEAS_TOL * max(1.0, np.abs(pts).max()):
-            break
-        order = np.argsort(lam[support])
-        support = np.delete(support, order[0])
-        simplex = pts[support]
-        lam_r = _convex_coefficients(p, simplex)
-        if lam_r is None:
-            raise NotInHull("support refinement failed; point may sit outside the hull")
     return simplex
 
 
@@ -196,15 +205,11 @@ def is_convex_position(A: PointSet) -> ConvexPositionVerdict:
     vertices of conv(A).
     """
     pts = A.points
-    n = len(A)
-    if n <= 2:
+    if len(A) <= 2:
         return ConvexPositionVerdict(True)
-    for i in range(n):
-        others = np.delete(pts, i, axis=0)
-        lam = _convex_coefficients(pts[i], others)
-        if lam is not None:
-            rest = PointSet(others)
-            simplex = caratheodory_decompose(pts[i], rest)
+    for i in range(len(A)):
+        simplex = _hull_simplex(pts[i], np.delete(pts, i, axis=0), f"hull membership of point {i}")
+        if simplex is not None:
             return ConvexPositionVerdict(
                 in_convex_position=False,
                 witness_point=pts[i].copy(),
@@ -226,12 +231,7 @@ def obtuse_witness(p, simplex) -> ObtuseWitness:
     V = np.asarray(simplex, dtype=float)
     if V.ndim != 2 or V.shape[0] < 2:
         raise DegenerateSimplex("simplex needs at least two vertices")
-    coords, residual, rank = _barycentric(p, V)
-    if rank < V.shape[0]:
-        raise DegenerateSimplex("simplex vertices are affinely dependent")
-    scale = max(1.0, float(np.max(np.abs(V))))
-    if residual > FEAS_TOL * scale or np.any(coords <= COEFF_TOL):
-        raise NotInterior("point is not strictly inside the simplex")
+    _check_interior(p, V)
     rays = rays_from(p, PointSet(V))
     gram = rays @ rays.T
     iu, ju = np.triu_indices(V.shape[0], k=1)

@@ -5,19 +5,20 @@ for all j is the outward-normal-cone fraction of vertex v_i; over all
 vertices of a polytope in convex position these fractions sum to 1. They are
 estimated by seeded Monte Carlo. A diameter-to-cap-radius inequality on the
 sphere converts a maximum-angle bound at a vertex into an enclosing cap for
-its rays, which yields a covering of the polytope by congruent cones.
+its rays, which yields a covering of the polytope by congruent cones. The
+smallest enclosing cap comes from the point of the rays' convex hull nearest
+the origin, found by the same nearest-point kernel as hull membership.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import sin_half_theta_d
-from .convexity import is_convex_position
+from .convexity import FEAS_TOL, _nearest_point, is_convex_position
 from .errors import (
     CapTooSmall,
     DegenerateHull,
@@ -28,10 +29,6 @@ from .errors import (
 from .geometry import PointSet, as_unit, rays_from
 from .sampling import unit_directions
 
-MEB_TOL = 1e-10
-# Beyond this dimension the recursive support enumeration gives way to an
-# iterative shrinking heuristic.
-WELZL_MAX_DIM = 12
 CONE_FIT_TOL = 1e-9
 
 
@@ -164,90 +161,14 @@ def dekster_radius(diam: float, d: int) -> float:
     return math.asin(min(ratio, 1.0))
 
 
-def _ball_from_support(pts: np.ndarray) -> tuple[np.ndarray, float]:
-    """Smallest ball with all the given affinely independent points on its boundary."""
-    p0 = pts[0]
-    if pts.shape[0] == 1:
-        return p0.copy(), 0.0
-    M = pts[1:] - p0
-    G = M @ M.T
-    h = 0.5 * np.einsum("ij,ij->i", M, M)
-    try:
-        c = np.linalg.solve(G, h)
-    except np.linalg.LinAlgError:
-        c, *_ = np.linalg.lstsq(G, h, rcond=None)
-    center = p0 + c @ M
-    return center, float(np.linalg.norm(center - p0))
-
-
-def _welzl_ball(points: np.ndarray, tol: float = MEB_TOL) -> tuple[np.ndarray, float]:
-    """Minimal enclosing ball by randomized recursion over support sets."""
-    perm = np.random.Generator(np.random.Philox(key=91)).permutation(len(points))
-    pts = points[perm]
-    dim = points.shape[1]
-
-    limit = sys.getrecursionlimit()
-    if 2 * len(pts) + 100 > limit:
-        sys.setrecursionlimit(2 * len(pts) + 100)
-    try:
-        def mb(end: int, support: list) -> tuple[np.ndarray, float]:
-            if end == 0 or len(support) == dim + 1:
-                if not support:
-                    return np.zeros(dim), 0.0
-                return _ball_from_support(np.array(support))
-            center, r = mb(end - 1, support)
-            p = pts[end - 1]
-            if np.linalg.norm(p - center) <= r + tol * (1.0 + r):
-                return center, r
-            return mb(end - 1, support + [p])
-
-        return mb(len(pts), [])
-    finally:
-        sys.setrecursionlimit(limit)
-
-
-def _shrink_ball(points: np.ndarray, iters: int = 20000, tol: float = 1e-12) -> tuple[np.ndarray, float]:
-    """Iterative minimax descent on the farthest-point radius (high dimensions)."""
-    center = points.mean(axis=0)
-    step = 1.0
-    d2 = np.sum((points - center) ** 2, axis=1)
-    r2 = float(np.max(d2))
-    for _ in range(iters):
-        far = points[int(np.argmax(d2))]
-        grad = center - far
-        improved = False
-        for factor in (2.0, 1.0, 0.5):
-            cand = center - step * factor * grad
-            cand_d2 = np.sum((points - cand) ** 2, axis=1)
-            cand_r2 = float(np.max(cand_d2))
-            if cand_r2 < r2 - tol * r2:
-                center, r2, d2 = cand, cand_r2, cand_d2
-                step *= factor
-                improved = True
-                break
-        if not improved:
-            step *= 0.5
-            if step < 1e-14:
-                break
-    return center, math.sqrt(r2)
-
-
-def minimal_enclosing_ball(points: np.ndarray) -> tuple[np.ndarray, float]:
-    """Center and radius of the smallest Euclidean ball containing the points."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise OutOfRange("need a nonempty (n, dim) array of points")
-    if pts.shape[1] <= WELZL_MAX_DIM:
-        return _welzl_ball(pts)
-    return _shrink_ball(pts)
-
-
 def min_enclosing_cap(H) -> SphericalCap:
     """Smallest spherical cap containing the given unit vectors.
 
-    Works through the minimal enclosing Euclidean ball (center c, radius r):
-    the cap has center c/|c| and angular radius arccos((1 + |c|^2 - r^2) / (2|c|)).
-    Requires the points to fit in an open hemisphere (|c| bounded away from 0).
+    With p* the point of conv(H) nearest the origin, the cap has center
+    p*/|p*| and cos(radius) = |p*|: every h has h . p* >= |p*|^2, and by
+    minimax duality no center does better. Requires the vectors to fit in an
+    open hemisphere (|p*| bounded away from 0). The cap is re-checked to
+    contain every vector.
     """
     vecs = np.asarray(H, dtype=float)
     if vecs.ndim != 2 or vecs.shape[0] < 1:
@@ -257,15 +178,15 @@ def min_enclosing_cap(H) -> SphericalCap:
         raise OutOfRange("inputs must be unit vectors")
     if vecs.shape[0] == 1:
         return SphericalCap(center=vecs[0].copy(), radius=0.0)
-    c, r = minimal_enclosing_ball(vecs)
-    nc = float(np.linalg.norm(c))
-    if nc <= 1e-9:
+    z, _, _ = _nearest_point(vecs, "enclosing cap")
+    nz = float(np.linalg.norm(z))
+    if nz <= FEAS_TOL:
         raise NotHemispherical("cap would cover a hemisphere or more")
-    center = c / nc
-    cosr = (1.0 + nc * nc - r * r) / (2.0 * nc)
-    radius = math.acos(min(1.0, max(-1.0, cosr)))
-    if np.min(vecs @ center) < math.cos(radius) - 1e-9:
-        raise NotHemispherical("enclosing ball did not induce a valid cap")
+    center = z / nz
+    radius = math.acos(min(1.0, nz))
+    worst = float(np.min(vecs @ center))
+    if worst < math.cos(radius) - 1e-9:
+        raise NotHemispherical(f"cap of radius {radius:.12g} misses a vector (cos {worst:.12g})")
     return SphericalCap(center=center, radius=radius)
 
 

@@ -43,7 +43,13 @@ class PointSet:
     dim: int = field(init=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        try:
+            pts = np.asarray(self.points, dtype=float)
+        except ValueError as err:  # ragged rows, or entries that are not numbers
+            lengths = sorted({len(row) if hasattr(row, "__len__") else 1 for row in self.points})
+            if len(lengths) > 1:
+                raise OutOfRange(f"point rows have different lengths {lengths}") from None
+            raise OutOfRange(f"point coordinates must be numbers: {err}") from None
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise OutOfRange(f"expected an (n, dim) array with n, dim >= 1, got {pts.shape}")
         if not np.all(np.isfinite(pts)):
@@ -70,10 +76,6 @@ class PointSet:
 
     def __len__(self) -> int:
         return int(self.points.shape[0])
-
-    @classmethod
-    def from_rows(cls, rows) -> "PointSet":
-        return cls(np.asarray(rows, dtype=float))
 
 
 def as_unit(v) -> np.ndarray:

@@ -2,14 +2,16 @@
 
 Oracles here deliberately avoid the library's vectorized code paths: hull
 membership is decided by exhaustive subset enumeration with least-squares
-barycentric solves, and maximum angles by a scalar triple loop or by the
-one-vertex-at-a-time scan the blocked ray-Gram kernel replaced.
+barycentric solves, enclosing caps by scipy's NNLS, and maximum angles by a
+scalar triple loop or by the one-vertex-at-a-time scan the blocked ray-Gram
+kernel replaced.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy.optimize import nnls
 
 from anglebound.geometry import angle_at
 
@@ -82,6 +84,21 @@ def oracle_convex_position(points) -> bool:
     return not any(
         oracle_in_hull(pts[i], np.delete(pts, i, axis=0)) for i in range(len(pts))
     )
+
+
+def nnls_min_enclosing_cap(H):
+    """Center and radius of the smallest cap holding the unit vectors H.
+
+    The min-norm point p of conv(H) by Lawson-Hanson NNLS on [H^T; w 1^T] lam
+    = [0; w]: its solution is a multiple of the constrained optimum, so lam
+    is rescaled to sum to one. The cap is p/|p| with cos(radius) = |p|.
+    """
+    H = np.asarray(H, dtype=float)
+    n, D = H.shape
+    weight = 10.0
+    lam, _ = nnls(np.vstack([H.T, np.full((1, n), weight)]), np.append(np.zeros(D), weight))
+    p = (lam / lam.sum()) @ H
+    return p / np.linalg.norm(p), math.acos(min(1.0, float(np.linalg.norm(p))))
 
 
 def random_rotation(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -150,6 +150,13 @@ class TestFileFormats:
         code, _ = run(["angle", "--in", str(path)], capsys)
         assert code == 2
 
+    def test_ragged_points_rejected_by_the_library(self, tmp_path, capsys):
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps({"points": [[0, 0], [1, 0, 0]]}))
+        assert dispatch(["angle", "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: point rows have different lengths [2, 3]\n"
+
 
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from anglebound import convexity
 from anglebound.convexity import (
     caratheodory_decompose,
     is_convex_position,
@@ -128,12 +129,24 @@ class TestIsConvexPosition:
 
     def test_agrees_with_exhaustive_oracle(self):
         rng = np.random.default_rng(22)
+        cases = []
         for _ in range(150):
             d = int(rng.integers(2, 5))
             n = int(rng.integers(3, 11))
-            pts = rng.normal(size=(n, d))
-            got = is_convex_position(PointSet(pts)).in_convex_position
-            assert got == oracle_convex_position(pts)
+            cases.append(rng.normal(size=(n, d)))
+        # Integer lattice points: many lie exactly on facets and edges of the
+        # others' hull, where the nearest point is 0 only up to rounding.
+        for _ in range(150):
+            d = int(rng.integers(2, 5))
+            grid = np.stack(np.meshgrid(*[np.arange(3)] * d), axis=-1).reshape(-1, d)
+            n = int(rng.integers(3, min(11, len(grid)) + 1))
+            cases.append(grid[rng.choice(len(grid), size=n, replace=False)].astype(float))
+        for pts in cases:
+            verdict = is_convex_position(PointSet(pts))
+            assert verdict.in_convex_position == oracle_convex_position(pts)
+            if not verdict.in_convex_position:
+                assert oracle_in_hull(verdict.witness_point, verdict.witness_simplex)
+                obtuse_witness(verdict.witness_point, verdict.witness_simplex)
 
     def test_witness_yields_obtuse_angle(self):
         rng = np.random.default_rng(23)
@@ -150,6 +163,30 @@ class TestIsConvexPosition:
             k = verdict.witness_simplex.shape[0] - 1
             rays = rays_from(wit.v, PointSet(verdict.witness_simplex))
             assert min_pairwise_dot(rays) <= -1.0 / k + 1e-9
+
+
+class TestSolverAnswersAreRechecked:
+    SQUARE_PLUS = PointSet([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]])
+
+    def test_step_cap_raises_naming_the_stage(self, monkeypatch):
+        monkeypatch.setattr(convexity, "NEAREST_STEPS_PER_POINT", 0)
+        with pytest.raises(RuntimeError, match=r"hull membership of point 0: .*cap of 0 steps"):
+            is_convex_position(self.SQUARE_PLUS)
+
+    def test_outside_answer_without_separation_raises(self, monkeypatch):
+        # A nonzero z that does not separate the point from the others must
+        # not read as "in convex position".
+        fake = lambda P, stage: (np.array([0.0, 1.0]), np.array([0]), np.ones(1))
+        monkeypatch.setattr(convexity, "_nearest_point", fake)
+        with pytest.raises(RuntimeError, match="separation margin"):
+            is_convex_position(self.SQUARE_PLUS)
+
+    def test_inside_answer_with_bad_support_raises(self, monkeypatch):
+        # z = 0 claimed, but the support alone does not contain the point.
+        fake = lambda P, stage: (np.zeros(2), np.array([0]), np.ones(1))
+        monkeypatch.setattr(convexity, "_nearest_point", fake)
+        with pytest.raises(RuntimeError, match="fails its re-check"):
+            caratheodory_decompose([0.5, 0.5], self.SQUARE_PLUS)
 
 
 class TestObtuseWitness:

@@ -10,7 +10,6 @@ from anglebound.curvature import (
     dekster_radius,
     gauss_bonnet_sum,
     min_enclosing_cap,
-    minimal_enclosing_ball,
     normal_cone_fraction_mc,
 )
 from anglebound.errors import (
@@ -21,7 +20,7 @@ from anglebound.errors import (
 )
 from anglebound.geometry import PointSet, geodesic_diameter, max_angle
 from anglebound.sampling import unit_directions
-from conftest import planar_interior_angles, sample_cap_points
+from conftest import nnls_min_enclosing_cap, planar_interior_angles, sample_cap_points
 
 SQUARE = PointSet([[0, 0], [1, 0], [1, 1], [0, 1]])
 CUBE = PointSet([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)])
@@ -210,19 +209,15 @@ class TestMinEnclosingCap:
         cap = min_enclosing_cap(H)
         assert np.min(H @ cap.center) >= math.cos(cap.radius) - 1e-6
 
-
-class TestMinimalEnclosingBall:
-    def test_fits_all_points_tightly(self):
-        rng = np.random.default_rng(18)
-        for _ in range(30):
-            n = int(rng.integers(2, 20))
-            d = int(rng.integers(2, 6))
-            pts = rng.normal(size=(n, d))
-            c, r = minimal_enclosing_ball(pts)
-            dists = np.linalg.norm(pts - c, axis=1)
-            assert np.max(dists) <= r + 1e-8
-            # Optimality: some point is on the boundary.
-            assert np.max(dists) >= r - 1e-6
+    @pytest.mark.parametrize("D", [8, 12, 16, 20])
+    def test_matches_nnls_oracle(self, D):
+        rng = np.random.default_rng(17)
+        H = sample_cap_points(rng, D, 30, cap_radius=0.6)
+        cap = min_enclosing_cap(H)
+        center, radius = nnls_min_enclosing_cap(H)
+        assert cap.radius == pytest.approx(radius, abs=1e-9)
+        np.testing.assert_allclose(cap.center, center, atol=1e-9)
+        assert np.min(H @ cap.center) >= math.cos(cap.radius) - 1e-12
 
 
 class TestConeCover:

@@ -204,7 +204,7 @@ class TestPointSet:
             PointSet([[0, 0], [1e-10, 0]])
 
     def test_rejects_dimension_mismatch(self):
-        with pytest.raises(Exception):
+        with pytest.raises(OutOfRange, match=r"\[2, 3\]"):
             PointSet([[0, 0], [1, 0, 0]])
 
     def test_rejects_non_finite(self):
