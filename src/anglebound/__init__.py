@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 
 from .bounds import (  # noqa: F401
     BoundReport,
-    QuadratureResult,
     asymptotic_envelope,
     cardinality_bound,
     eta_of_theta,

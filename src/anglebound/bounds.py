@@ -1,12 +1,14 @@
-"""Closed-form and quadrature-based cardinality bounds.
+"""Closed-form cardinality bounds.
 
 For an ambient dimension D and a maximum-angle cap theta, the bound is
 1 / f_d(eta_d(theta)) with d = D - 1, where f_d(eta) is the fraction of the
 unit sphere S^d covered by a circular cone's polar (normal) directions:
 
     f_d(eta) = int_0^{pi/2 - eta} sin^(d-1) t dt / int_0^pi sin^(d-1) t dt
+             = I_{cos^2 eta}(d/2, 1/2) / 2
 
-All angles are radians.
+with I the regularized incomplete beta function (DLMF 8.17), evaluated by
+its continued fraction. All angles are radians.
 """
 
 from __future__ import annotations
@@ -16,24 +18,11 @@ from dataclasses import dataclass
 
 from .errors import OutOfRange
 
-PANEL_TOL = 1e-13
-MAX_PANELS = 2**20
-
-
-@dataclass(frozen=True)
-class QuadratureResult:
-    """Value of a 1-D integral with an a-posteriori error estimate."""
-
-    value: float
-    abs_error_estimate: float
-    panels: int
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "abs_error_estimate": self.abs_error_estimate,
-            "panels": self.panels,
-        }
+# Continued-fraction stop test |step - 1| and term cap. With the switch to
+# the complement below, no d <= 10^8 needs more than 320 terms at any eta.
+CF_TOL = 1e-15
+CF_MAX_TERMS = 1000
+_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -41,58 +30,9 @@ class BoundReport:
     theta: float
     ambient_dim: int
     eta: float
-    f_value: QuadratureResult
+    f_value: float
     bound: float
     theorem_applicable: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "ambient_dim": self.ambient_dim,
-            "eta": self.eta,
-            "f_value": self.f_value.to_dict(),
-            "bound": self.bound,
-            "theorem_applicable": self.theorem_applicable,
-        }
-
-
-def adaptive_simpson(f, a: float, b: float, tol: float = PANEL_TOL,
-                     max_panels: int = MAX_PANELS) -> QuadratureResult:
-    """Adaptive Simpson quadrature of f on [a, b].
-
-    Panels split until the local Richardson discrepancy is below the panel
-    tolerance (halved per split, so the total error target is ~tol * initial
-    panel count). Once max_panels is reached remaining panels are accepted
-    as-is and their discrepancy is folded into the error estimate.
-    """
-    if not b > a:
-        if b == a:
-            return QuadratureResult(0.0, 0.0, 0)
-        raise OutOfRange("integration bounds must satisfy a <= b")
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    stack = [(a, b, fa, fm, fb, whole, tol)]
-    total = 0.0
-    err = 0.0
-    panels = 0
-    while stack:
-        a0, b0, fa0, fm0, fb0, s0, t0 = stack.pop()
-        mid = 0.5 * (a0 + b0)
-        lm = 0.5 * (a0 + mid)
-        rm = 0.5 * (mid + b0)
-        flm, frm = f(lm), f(rm)
-        sl = (mid - a0) / 6.0 * (fa0 + 4.0 * flm + fm0)
-        sr = (b0 - mid) / 6.0 * (fm0 + 4.0 * frm + fb0)
-        delta = sl + sr - s0
-        if abs(delta) <= 15.0 * t0 or panels + len(stack) + 2 > max_panels:
-            total += sl + sr + delta / 15.0
-            err += abs(delta) / 15.0
-            panels += 1
-        else:
-            stack.append((a0, mid, fa0, flm, fm0, sl, 0.5 * t0))
-            stack.append((mid, b0, fm0, frm, fb0, sr, 0.5 * t0))
-    return QuadratureResult(total, err, panels)
 
 
 def theta_d(d: int) -> float:
@@ -128,12 +68,36 @@ def eta_of_theta(theta: float, d: int) -> float:
     return math.asin(min(ratio, 1.0))
 
 
-def f_fraction(d: int, eta: float) -> QuadratureResult:
-    """Fraction of S^d polar to a cone of half-angle eta, by adaptive quadrature.
+def _beta_cf(a: float, b: float, x: float, d: int, eta: float) -> float:
+    """Continued fraction of I_x(a, b) (DLMF 8.17.22) by the modified Lentz method.
 
-    The numerator integrand is evaluated as exp((d-1)(log sin t - log sin x0))
-    with x0 = pi/2 - eta, i.e. rescaled by its maximum, so the ratio keeps full
-    relative accuracy even when sin^(d-1) underflows for large d.
+    I_x(a, b) = x^a (1-x)^b / (a B(a, b)) times the returned value.
+    """
+    c, dd = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    dd = 1.0 / (dd if abs(dd) > _TINY else _TINY)
+    h = dd
+    for m in range(1, CF_MAX_TERMS + 1):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            dd = 1.0 + num * dd
+            dd = 1.0 / (dd if abs(dd) > _TINY else _TINY)
+            c = 1.0 + num / c
+            c = c if abs(c) > _TINY else _TINY
+            step = c * dd
+            h *= step
+        if abs(step - 1.0) < CF_TOL:
+            return h
+    raise RuntimeError(f"sphere fraction: continued fraction for d={d}, eta={eta!r} "
+                       f"did not converge in {CF_MAX_TERMS} terms")
+
+
+def f_fraction(d: int, eta: float) -> float:
+    """Fraction of S^d polar to a cone of half-angle eta: I_{cos^2 eta}(d/2, 1/2) / 2.
+
+    The prefactor cos^d(eta) sin(eta) / B(d/2, 1/2) is taken in logs, so it
+    underflows gracefully for large d. Below cos^2 eta = (a+1)/(a+3/2), with
+    a = d/2, the fraction runs on I_{cos^2 eta}(a, 1/2) directly; above it,
+    on the complement I_{sin^2 eta}(1/2, a), with sin^2 eta computed directly.
     """
     if int(d) != d or d < 1:
         raise OutOfRange(f"d must be a positive integer, got {d!r}")
@@ -141,36 +105,19 @@ def f_fraction(d: int, eta: float) -> QuadratureResult:
     if eta < -1e-12 or eta > 0.5 * math.pi + 1e-12:
         raise OutOfRange(f"eta must lie in [0, pi/2], got {eta}")
     eta = min(max(eta, 0.0), 0.5 * math.pi)
-    x0 = 0.5 * math.pi - eta
-
-    def scaled_sin_power(log_scale: float):
-        if d == 1:
-            return lambda t: math.exp(-log_scale)
-
-        def g(t: float) -> float:
-            s = math.sin(t)
-            if s <= 0.0:
-                return 0.0
-            return math.exp((d - 1) * math.log(s) - log_scale)
-
-        return g
-
-    # Denominator: symmetric about pi/2 with peak integrand value 1 there.
-    den = adaptive_simpson(scaled_sin_power(0.0), 0.0, 0.5 * math.pi)
-    den_value = 2.0 * den.value
-    den_err = 2.0 * den.abs_error_estimate
-
-    if x0 <= 0.0:
-        return QuadratureResult(0.0, 0.0, den.panels)
-
-    # Numerator rescaled by its maximum sin(x0)^(d-1) for relative accuracy.
-    log_pref = 0.0 if d == 1 else (d - 1) * math.log(math.sin(x0))
-    num = adaptive_simpson(scaled_sin_power(log_pref), 0.0, x0)
-    prefactor = math.exp(log_pref)
-
-    value = prefactor * num.value / den_value
-    err = (prefactor * num.abs_error_estimate + value * den_err) / den_value
-    return QuadratureResult(value, err, num.panels + den.panels)
+    if eta == 0.0:
+        return 0.5
+    if eta == 0.5 * math.pi:
+        return 0.0
+    a = 0.5 * d
+    cos_e, sin_e = math.cos(eta), math.sin(eta)
+    x, y = cos_e * cos_e, sin_e * sin_e
+    log_pref = (math.lgamma(a + 0.5) - math.lgamma(a) - math.lgamma(0.5)
+                + d * math.log(cos_e) + math.log(sin_e))
+    pref = math.exp(log_pref)
+    if x < (a + 1.0) / (a + 1.5):
+        return 0.5 * pref * _beta_cf(a, 0.5, x, d, eta) / a
+    return 0.5 - pref * _beta_cf(0.5, a, y, d, eta)
 
 
 def cardinality_bound(theta: float, ambient_dim: int) -> BoundReport:
@@ -187,7 +134,7 @@ def cardinality_bound(theta: float, ambient_dim: int) -> BoundReport:
     d = D - 1
     eta = eta_of_theta(theta, d)
     f = f_fraction(d, eta)
-    bound = 1.0 / f.value if f.value > 0.0 else math.inf
+    bound = 1.0 / f if f > 0.0 else math.inf
     # Strict hypothesis theta < theta_D; values within 1e-12 of the threshold
     # count as the boundary so that e.g. theta = 2*pi/3 at D = 2 is flagged.
     return BoundReport(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -59,10 +60,6 @@ def read_pointset(path: str) -> PointSet:
     return ps
 
 
-def pointset_payload(ps: PointSet) -> dict:
-    return {"dim": ps.dim, "points": [list(map(float, p)) for p in ps.points]}
-
-
 def write_pointset(ps: PointSet, path: str):
     p = Path(path)
     if p.suffix.lower() == ".csv":
@@ -72,17 +69,15 @@ def write_pointset(ps: PointSet, path: str):
                 w.writerow([repr(float(x)) for x in row])
     else:
         with open(p, "w") as fh:
-            json.dump(pointset_payload(ps), fh, indent=2)
-            fh.write("\n")
+            fh.write(_serialize(ps))
 
 
 def read_lines(path: str) -> LineArrangement:
     with open(path) as fh:
         data = json.load(fh)
-    if isinstance(data, dict):
-        vecs = np.asarray(data["lines"], dtype=float)
-    else:
-        vecs = np.asarray(data, dtype=float)
+    vecs = np.asarray(data["lines"] if isinstance(data, dict) else data, dtype=float)
+    if vecs.ndim != 2:
+        raise OutOfRange(f"lines must form an (m, dim) array, got shape {vecs.shape}")
     return LineArrangement(dim=vecs.shape[1], lines=vecs)
 
 
@@ -125,20 +120,19 @@ def table_bound_grid(dims, thetas_rad) -> str:
     """
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["dim", "theta_rad", "theta_deg", "eta", "f_value",
-                "f_abs_error", "bound", "theorem_applicable", "status"])
+    w.writerow(["dim", "theta_rad", "theta_deg", "eta", "f_value", "bound",
+                "theorem_applicable", "status"])
     for D in dims:
         for th in thetas_rad:
             try:
                 rep = cardinality_bound(th, D)
             except OutOfRange:
                 w.writerow([D, repr(float(th)), repr(math.degrees(th)),
-                            "", "", "", "", "", "not-applicable"])
+                            "", "", "", "", "not-applicable"])
                 continue
             status = "ok" if rep.theorem_applicable else "formula-only"
             w.writerow([D, repr(float(th)), repr(math.degrees(th)),
-                        repr(rep.eta), repr(rep.f_value.value),
-                        repr(rep.f_value.abs_error_estimate), repr(rep.bound),
+                        repr(rep.eta), repr(rep.f_value), repr(rep.bound),
                         rep.theorem_applicable, status])
     return buf.getvalue()
 
@@ -147,7 +141,7 @@ def table_bound_grid(dims, thetas_rad) -> str:
 
 def _cmd_bound(args):
     theta = _angle_from(args, "theta")
-    return cardinality_bound(theta, args.dim).to_dict(), 0
+    return cardinality_bound(theta, args.dim), 0
 
 
 def _cmd_angle(args):
@@ -158,24 +152,16 @@ def _cmd_angle(args):
 def _cmd_convex_position(args):
     ps = read_pointset(args.infile)
     verdict = is_convex_position(ps)
-    payload = {"in_convex_position": verdict.in_convex_position}
-    if not verdict.in_convex_position:
-        payload["witness_point"] = list(map(float, verdict.witness_point))
-        payload["witness_simplex"] = [list(map(float, p)) for p in verdict.witness_simplex]
-        wit = obtuse_witness(verdict.witness_point, verdict.witness_simplex)
-        payload["obtuse_witness"] = {
-            "vi": list(map(float, wit.vi)),
-            "v": list(map(float, wit.v)),
-            "vj": list(map(float, wit.vj)),
-            "angle": wit.angle,
-        }
-    return payload, 0
+    if verdict.in_convex_position:
+        return {"in_convex_position": True}, 0
+    wit = obtuse_witness(verdict.witness_point, verdict.witness_simplex)
+    return {**_fields(verdict), "obtuse_witness": wit}, 0
 
 
 def _cmd_curvature(args):
     ps = read_pointset(args.infile)
     est = gauss_bonnet_sum(ps, args.samples, args.seed)
-    return est.to_dict(), 0
+    return est, 0
 
 
 def _cmd_cone_cover(args):
@@ -190,31 +176,25 @@ def _cmd_cone_cover(args):
             "required_radius": e.required_radius,
             "allowed": e.allowed,
         }, 2
-    return {"covered": True, "eta": eta, "cones": [c.to_dict() for c in cones]}, 0
+    return {"covered": True, "eta": eta, "cones": cones}, 0
 
 
 def _cmd_pack_lines(args):
     arr = pack_lines(args.m, args.dim, iters=args.iters, seed=args.seed)
-    return arr.to_dict(), 0
+    return arr, 0
 
 
 def _cmd_cover_lines(args):
     rho = _angle_from(args, "rho")
     arr = cover_lines(rho, args.dim, seed=args.seed, probes=args.probes)
-    payload = arr.to_dict()
-    payload["probes"] = args.probes
-    payload["rho"] = rho
-    return payload, 0
+    return {**_fields(arr), "probes": args.probes, "rho": rho}, 0
 
 
 def _cmd_ef_construct(args):
     arr = read_lines(args.lines)
     rho = _angle_from(args, "rho")
     ps = ef_doubling(arr, rho, slack=args.slack, max_scale_doublings=args.max_doublings)
-    payload = pointset_payload(ps)
-    payload["max_angle"] = max_angle(ps)
-    payload["certified_below"] = math.pi - rho
-    return payload, 0
+    return {**_fields(ps), "max_angle": max_angle(ps), "certified_below": math.pi - rho}, 0
 
 
 def _cmd_witness(args):
@@ -222,13 +202,7 @@ def _cmd_witness(args):
     arr = read_lines(args.lines)
     rho = _angle_from(args, "rho")
     wit = obtuse_triple_witness(ps, arr, rho)
-    return {
-        "vi": list(map(float, wit.vi)),
-        "v": list(map(float, wit.v)),
-        "vj": list(map(float, wit.vj)),
-        "angle": wit.angle,
-        "threshold": math.pi - rho,
-    }, 0
+    return {**_fields(wit), "threshold": math.pi - rho}, 0
 
 
 def _cmd_n_bounds(args):
@@ -241,21 +215,19 @@ def _cmd_n_bounds(args):
         C_d = C_d if C_d is not None else cal_C
         calibrated = True
     rep = n_bounds(theta, args.dim, c_d, C_d)
-    payload = rep.to_dict()
-    payload["calibrated"] = calibrated
-    return payload, 0
+    return {**_fields(rep), "calibrated": calibrated}, 0
 
 
 def _cmd_search_alpha(args):
     res = minimize_max_angle(args.n, args.dim, iters=args.iters,
                              restarts=args.restarts, seed=args.seed)
-    return res.to_dict(), 0
+    return {**_fields(res), **_fields(res.points)}, 0
 
 
 def _cmd_search_max(args):
     theta = _angle_from(args, "theta")
     res = max_cardinality_search(theta, args.dim, budget=args.budget, seed=args.seed)
-    return res.to_dict(), 0
+    return {**_fields(res), **_fields(res.points)}, 0
 
 
 def _cmd_table(args):
@@ -381,10 +353,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fields(obj) -> dict:
+    """A dataclass instance's fields by name, values as they are."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
+def _json_default(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if dataclasses.is_dataclass(obj):
+        return _fields(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _serialize(payload) -> str:
+    """JSON text of a payload: numpy arrays become lists, dataclasses dicts of their fields."""
     if isinstance(payload, str):
         return payload
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
 def _write_manifest(args, outputs: list[str]):

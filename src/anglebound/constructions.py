@@ -25,7 +25,7 @@ from .errors import (
     OutOfRange,
     ScaleExhausted,
 )
-from .geometry import PointSet, angle_at, max_angle_triple
+from .geometry import PointSet, _min_upper_pair, angle_at, max_angle_triple
 from .sampling import canonical_line, quasi_uniform_lines, rng_stream
 
 DEFAULT_PROBES = 100_000
@@ -65,13 +65,6 @@ class LineArrangement:
     def __len__(self) -> int:
         return int(self.lines.shape[0])
 
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "lines": [list(map(float, v)) for v in self.lines],
-            "min_pairwise_angle": self.min_pairwise_angle,
-        }
-
 
 @dataclass(frozen=True)
 class EdgeColoring:
@@ -104,18 +97,6 @@ class NBoundsReport:
     overflow: bool
     lower_valid_above_n: float
 
-    def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "d": self.d,
-            "c_d": self.c_d,
-            "C_d": self.C_d,
-            "lower": self.lower,
-            "upper": self.upper,
-            "overflow": self.overflow,
-            "lower_valid_above_n": self.lower_valid_above_n,
-        }
-
 
 def _structured_line_starts(m: int, D: int) -> list[np.ndarray]:
     starts = []
@@ -128,9 +109,7 @@ def _structured_line_starts(m: int, D: int) -> list[np.ndarray]:
 
 
 def _min_line_angle(U: np.ndarray) -> float:
-    gram = np.abs(U @ U.T)
-    iu = np.triu_indices(U.shape[0], k=1)
-    return float(np.arccos(min(1.0, float(np.max(gram[iu])))))
+    return float(np.arccos(min(1.0, -_min_upper_pair(-np.abs(U @ U.T))[0])))
 
 
 def pack_lines(m: int, D: int, iters: int = 1500, seed: int = 0,

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateSimplex, NotInHull, NotInterior, OutOfRange
-from .geometry import PointSet, angle_at, rays_from
+from .geometry import PointSet, _min_upper_pair, angle_at, rays_from
 
 # Barycentric/convex coefficients above -1e-10 count as nonnegative; strict
 # interiority requires them above +1e-10.
@@ -55,9 +55,7 @@ def min_pairwise_dot(W) -> float:
     vecs = np.asarray(W, dtype=float)
     if vecs.ndim != 2 or vecs.shape[0] < 2:
         raise OutOfRange("need at least two vectors")
-    gram = vecs @ vecs.T
-    iu = np.triu_indices(vecs.shape[0], k=1)
-    return float(np.min(gram[iu]))
+    return _min_upper_pair(vecs @ vecs.T)[0]
 
 
 def _nearest_point(P: np.ndarray, stage: str):
@@ -233,9 +231,6 @@ def obtuse_witness(p, simplex) -> ObtuseWitness:
         raise DegenerateSimplex("simplex needs at least two vertices")
     _check_interior(p, V)
     rays = rays_from(p, PointSet(V))
-    gram = rays @ rays.T
-    iu, ju = np.triu_indices(V.shape[0], k=1)
-    pair = int(np.argmin(gram[iu, ju]))
-    a, b = int(iu[pair]), int(ju[pair])
+    _, a, b = _min_upper_pair(rays @ rays.T)
     ang = angle_at(V[a], p, V[b])
     return ObtuseWitness(vi=V[a].copy(), v=p.copy(), vj=V[b].copy(), angle=ang)

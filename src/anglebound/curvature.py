@@ -52,13 +52,6 @@ class Cone:
             return True
         return float(np.dot(v, self.axis)) >= r * math.cos(self.half_angle) - tol * r
 
-    def to_dict(self) -> dict:
-        return {
-            "apex": list(map(float, self.apex)),
-            "axis": list(map(float, self.axis)),
-            "half_angle": self.half_angle,
-        }
-
 
 @dataclass(frozen=True)
 class SphericalCap:
@@ -77,14 +70,6 @@ class CurvatureEstimate:
     samples: int
     seed: int
     std_error: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "fractions": list(map(float, self.fractions)),
-            "samples": self.samples,
-            "seed": self.seed,
-            "std_error": list(map(float, self.std_error)),
-        }
 
 
 def _require_convex_position(V: PointSet):
@@ -165,10 +150,12 @@ def min_enclosing_cap(H) -> SphericalCap:
     """Smallest spherical cap containing the given unit vectors.
 
     With p* the point of conv(H) nearest the origin, the cap has center
-    p*/|p*| and cos(radius) = |p*|: every h has h . p* >= |p*|^2, and by
-    minimax duality no center does better. Requires the vectors to fit in an
-    open hemisphere (|p*| bounded away from 0). The cap is re-checked to
-    contain every vector.
+    c = p*/|p*| and cos(radius) = |p*|: every h has h . p* >= |p*|^2, and by
+    minimax duality no center does better. The radius is taken as the max of
+    2 asin(|h - c| / 2), the exact angle from c to the farthest h, which
+    keeps full relative accuracy for small caps where acos(|p*|) does not.
+    Requires the vectors to fit in an open hemisphere (|p*| bounded away
+    from 0). The cap is re-checked to contain every vector.
     """
     vecs = np.asarray(H, dtype=float)
     if vecs.ndim != 2 or vecs.shape[0] < 1:
@@ -183,7 +170,8 @@ def min_enclosing_cap(H) -> SphericalCap:
     if nz <= FEAS_TOL:
         raise NotHemispherical("cap would cover a hemisphere or more")
     center = z / nz
-    radius = math.acos(min(1.0, nz))
+    chord = float(np.max(np.linalg.norm(vecs - center, axis=1)))
+    radius = 2.0 * math.asin(min(1.0, 0.5 * chord))
     worst = float(np.min(vecs @ center))
     if worst < math.cos(radius) - 1e-9:
         raise NotHemispherical(f"cap of radius {radius:.12g} misses a vector (cos {worst:.12g})")

@@ -197,6 +197,13 @@ def max_angle(A: PointSet) -> float:
     return max_angle_triple(A.points)[0]
 
 
+def _min_upper_pair(gram: np.ndarray) -> tuple[float, int, int]:
+    """(value, i, j) of the minimum of gram[i, j] over i < j, first in row-major order."""
+    iu, ju = np.triu_indices(gram.shape[0], k=1)
+    k = int(np.argmin(gram[iu, ju]))
+    return float(gram[iu[k], ju[k]]), int(iu[k]), int(ju[k])
+
+
 def geodesic_diameter(H) -> float:
     """Max pairwise angular distance arccos(u . v) over unit vectors H; 0 for a singleton."""
     vecs = np.asarray([as_unit(h) for h in np.asarray(H, dtype=float)])
@@ -205,9 +212,7 @@ def geodesic_diameter(H) -> float:
         raise OutOfRange("need at least one unit vector")
     if m == 1:
         return 0.0
-    gram = vecs @ vecs.T
-    iu = np.triu_indices(m, k=1)
-    c = float(np.min(gram[iu]))
+    c = _min_upper_pair(vecs @ vecs.T)[0]
     return float(np.arccos(min(1.0, max(-1.0, c))))
 
 

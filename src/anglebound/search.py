@@ -32,16 +32,6 @@ class SearchResult:
     seed: int
     restarts: int
 
-    def to_dict(self) -> dict:
-        return {
-            "points": [list(map(float, p)) for p in self.points.points],
-            "dim": self.points.dim,
-            "achieved_angle": self.achieved_angle,
-            "iterations": self.iterations,
-            "seed": self.seed,
-            "restarts": self.restarts,
-        }
-
 
 def regular_simplex(dim: int) -> np.ndarray:
     """dim+1 unit vectors in R^dim with pairwise dot exactly -1/dim."""

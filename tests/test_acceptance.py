@@ -81,17 +81,17 @@ def test_criterion_03_quadrature_vs_closed_forms():
 
         for d, closed in [(1, f1), (2, f2), (3, f3)]:
             for eta in np.linspace(0.0, math.pi / 2, 50):
-                assert abs(f_fraction(d, float(eta)).value - closed(float(eta))) <= 1e-10
+                assert abs(f_fraction(d, float(eta)) - closed(float(eta))) <= 1e-10
 
 
 def test_criterion_04_monotonicity():
     with criterion(4, "f decreasing in eta and d; bound nondecreasing in D"):
         grid = np.arange(0.0, 1.5001, 0.1)
         for d in [1, 2, 3, 5, 10]:
-            vals = [f_fraction(d, float(e)).value for e in grid]
+            vals = [f_fraction(d, float(e)) for e in grid]
             assert all(b - a < 0 for a, b in zip(vals, vals[1:]))
         for eta in [0.2, 0.8, 1.2]:
-            vals = [f_fraction(d, eta).value for d in range(1, 21)]
+            vals = [f_fraction(d, eta) for d in range(1, 21)]
             assert all(b < a for a, b in zip(vals, vals[1:]))
         bounds = [cardinality_bound(1.7, D).bound for D in range(2, 9)]
         assert all(b >= a - 1e-12 for a, b in zip(bounds, bounds[1:]))
@@ -100,7 +100,7 @@ def test_criterion_04_monotonicity():
 def test_criterion_05_claim_envelope():
     with criterion(5, "1/f_d(eta_d(pi/2)) <= 1.5 * 2 (pi/2)^(2d-1) d^(d/2), d = 2..40"):
         for d in range(2, 41):
-            bound = 1.0 / f_fraction(d, eta_of_theta(math.pi / 2, d)).value
+            bound = 1.0 / f_fraction(d, eta_of_theta(math.pi / 2, d))
             assert bound <= 1.5 * asymptotic_envelope(d)
 
 

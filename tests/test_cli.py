@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -31,7 +33,7 @@ class TestBasicCommands:
         payload = json.loads(out)
         rep = cardinality_bound(math.radians(90.0), 2)
         assert payload["bound"] == rep.bound
-        assert payload["f_value"]["value"] == rep.f_value.value
+        assert payload["f_value"] == rep.f_value
         assert payload["theorem_applicable"] is True
 
     def test_angle_on_square(self, square_file, capsys):
@@ -111,21 +113,19 @@ class TestTable:
         code, out = run(["table", "--bound-grid", "--dims", "2..3",
                          "--theta-deg", "90..120", "--theta-step", "30"], capsys)
         assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[0].startswith("dim,theta_rad")
-        rows = [line.split(",") for line in lines[1:]]
+        rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 4
-        by_key = {(r[0], r[2][:5]): r for r in rows}
-        assert float(by_key[("2", "90.0")][6]) == pytest.approx(4.0, abs=1e-9)
-        assert float(by_key[("3", "90.0")][6]) == pytest.approx(10.899, abs=1e-3)
+        by_key = {(r["dim"], r["theta_deg"][:5]): r for r in rows}
+        assert float(by_key[("2", "90.0")]["bound"]) == pytest.approx(4.0, abs=1e-9)
+        assert float(by_key[("3", "90.0")]["bound"]) == pytest.approx(10.899, abs=1e-3)
         boundary = by_key[("2", "119.9")]
-        assert float(boundary[6]) == pytest.approx(6.0, abs=1e-6)
-        assert boundary[8] == "formula-only"
+        assert float(boundary["bound"]) == pytest.approx(6.0, abs=1e-6)
+        assert boundary["status"] == "formula-only"
 
     def test_module_level_function_matches(self):
         text = table_bound_grid([2], [math.pi / 2])
-        row = text.strip().splitlines()[1].split(",")
-        assert float(row[6]) == cardinality_bound(math.pi / 2, 2).bound
+        row = next(csv.DictReader(io.StringIO(text)))
+        assert float(row["bound"]) == cardinality_bound(math.pi / 2, 2).bound
 
 
 class TestFileFormats:
@@ -156,6 +156,85 @@ class TestFileFormats:
         assert dispatch(["angle", "--in", str(path)]) == 2
         err = capsys.readouterr().err
         assert err == "error: point rows have different lengths [2, 3]\n"
+
+    @pytest.mark.parametrize("data,shape", [({"lines": [1, 0, 0]}, "(3,)"), ([], "(0,)")])
+    def test_malformed_line_files_rejected(self, tmp_path, square_file, capsys, data, shape):
+        path = tmp_path / "lines.json"
+        path.write_text(json.dumps(data))
+        for argv in (["witness", "--in", square_file, "--lines", str(path), "--rho", "1.6"],
+                     ["ef-construct", "--lines", str(path), "--rho", "1.4"]):
+            assert dispatch(argv) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: lines must form an (m, dim) array, got shape {shape}\n"
+
+
+class TestPayloadKeys:
+    """The exact top-level keys of every subcommand's output."""
+
+    @pytest.fixture
+    def files(self, tmp_path, square_file):
+        interior = tmp_path / "interior.json"
+        interior.write_text(json.dumps({"points": [[0, 0], [1, 0], [1, 1], [0, 1], [0.4, 0.5]]}))
+        pentagon = tmp_path / "pentagon.json"
+        ang = 2 * math.pi * np.arange(5) / 5
+        pentagon.write_text(json.dumps({"points": np.column_stack([np.cos(ang),
+                                                                   np.sin(ang)]).tolist()}))
+        lines = tmp_path / "lines.json"
+        lines.write_text(json.dumps({"lines": [[1, 0], [0, 1]]}))
+        return {"square": square_file, "interior": str(interior),
+                "pentagon": str(pentagon), "lines": str(lines)}
+
+    CASES = {
+        "bound": (["bound", "--theta-deg", "90", "--dim", "3"], 0,
+                  {"theta", "ambient_dim", "eta", "f_value", "bound", "theorem_applicable"}),
+        "angle": (["angle", "--in", "{square}"], 0, {"dim", "n", "max_angle"}),
+        "convex-position": (["convex-position", "--in", "{interior}"], 0,
+                            {"in_convex_position", "witness_point", "witness_simplex",
+                             "obtuse_witness"}),
+        "convex-position-yes": (["convex-position", "--in", "{square}"], 0,
+                                {"in_convex_position"}),
+        "curvature": (["curvature", "--in", "{square}", "--samples", "2000"], 0,
+                      {"fractions", "samples", "seed", "std_error"}),
+        "cone-cover": (["cone-cover", "--in", "{square}", "--eta", "0.9"], 0,
+                       {"covered", "eta", "cones"}),
+        "cone-cover-refused": (["cone-cover", "--in", "{square}", "--eta", "0.1"], 2,
+                               {"covered", "vertex_index", "required_radius", "allowed"}),
+        "pack-lines": (["pack-lines", "--m", "3", "--dim", "2", "--iters", "50"], 0,
+                       {"dim", "lines", "min_pairwise_angle"}),
+        "cover-lines": (["cover-lines", "--rho-deg", "90", "--dim", "2", "--probes", "2000"], 0,
+                        {"dim", "lines", "min_pairwise_angle", "probes", "rho"}),
+        "ef-construct": (["ef-construct", "--lines", "{lines}", "--rho", "1.4"], 0,
+                         {"dim", "points", "max_angle", "certified_below"}),
+        "witness": (["witness", "--in", "{pentagon}", "--lines", "{lines}", "--rho", "1.6"], 0,
+                    {"vi", "v", "vj", "angle", "threshold"}),
+        "n-bounds": (["n-bounds", "--theta", "2.0", "--dim", "3", "--c-d", "1", "--C-d", "4"], 0,
+                     {"theta", "d", "c_d", "C_d", "lower", "upper", "overflow",
+                      "lower_valid_above_n", "calibrated"}),
+        "search-alpha": (["search-alpha", "--n", "4", "--dim", "2", "--iters", "20",
+                          "--restarts", "1"], 0,
+                         {"points", "dim", "achieved_angle", "iterations", "seed", "restarts"}),
+        "search-max": (["search-max", "--theta-deg", "90", "--dim", "2", "--budget", "50"], 0,
+                       {"points", "dim", "achieved_angle", "iterations", "seed", "restarts"}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_top_level_keys(self, case, files, capsys):
+        argv, expected_code, keys = self.CASES[case]
+        code, out = run([a.format(**files) for a in argv], capsys)
+        assert code == expected_code
+        payload = json.loads(out)
+        assert set(payload) == keys
+        if case == "convex-position":
+            assert set(payload["obtuse_witness"]) == {"vi", "v", "vj", "angle"}
+        if case == "cone-cover":
+            assert {frozenset(c) for c in payload["cones"]} == {
+                frozenset({"apex", "axis", "half_angle"})}
+
+    def test_table_columns(self, capsys):
+        code, out = run(["table", "--bound-grid", "--dims", "2", "--theta-deg", "90"], capsys)
+        assert code == 0
+        assert out.splitlines()[0] == (
+            "dim,theta_rad,theta_deg,eta,f_value,bound,theorem_applicable,status")
 
 
 class TestExitCodes:

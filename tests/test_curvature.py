@@ -189,6 +189,20 @@ class TestMinEnclosingCap:
             assert cap.radius == pytest.approx(expected, abs=1e-7)
             assert np.min(H @ cap.center) >= math.cos(cap.radius) - 1e-9
 
+    @pytest.mark.parametrize("half", [1e-6, 1e-4])
+    def test_small_caps_keep_relative_accuracy(self, half):
+        vecs = [[math.cos(half), math.sin(half)], [math.cos(half), -math.sin(half)]]
+        assert min_enclosing_cap(vecs).radius == pytest.approx(half, rel=1e-9)
+
+    def test_radius_reaches_every_ray(self):
+        rng = np.random.default_rng(18)
+        for cap_radius in (1e-6, 1e-3, 0.3, 1.2):
+            for _ in range(20):
+                H = sample_cap_points(rng, 3, int(rng.integers(2, 9)), cap_radius=cap_radius)
+                cap = min_enclosing_cap(H)
+                chords = np.linalg.norm(H - cap.center, axis=1)
+                assert all(cap.radius >= 2 * math.asin(c / 2) for c in chords)
+
     def test_hemisphere_rejected(self):
         with pytest.raises(NotHemispherical):
             min_enclosing_cap(np.vstack([np.eye(3), -np.eye(3)]))
@@ -275,5 +289,5 @@ class TestConeCover:
         ])
         ps = PointSet(np.vstack([np.zeros(3), ring]))
         f, se = normal_cone_fraction_mc(ps, 0, 300_000, seed=19)
-        expected = f_fraction(D - 1, eta).value
+        expected = f_fraction(D - 1, eta)
         assert abs(f - expected) <= 4 * se + 2e-3
