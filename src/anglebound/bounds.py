@@ -23,6 +23,8 @@ from .errors import OutOfRange
 CF_TOL = 1e-15
 CF_MAX_TERMS = 1000
 _TINY = 1e-300
+# a = d/2 from which log Gamma(a + 1/2)/Gamma(a) comes from its expansion.
+_LGAMMA_SWITCH = 25.0
 
 
 @dataclass(frozen=True)
@@ -68,27 +70,52 @@ def eta_of_theta(theta: float, d: int) -> float:
     return math.asin(min(ratio, 1.0))
 
 
-def _beta_cf(a: float, b: float, x: float, d: int, eta: float) -> float:
+def _beta_cf(a: float, b: float, x: float, xc: float, d: int, eta: float) -> float:
     """Continued fraction of I_x(a, b) (DLMF 8.17.22) by the modified Lentz method.
 
-    I_x(a, b) = x^a (1-x)^b / (a B(a, b)) times the returned value.
+    I_x(a, b) = x^a (1-x)^b / (a B(a, b)) times the returned value, which is
+    1 / (1 + d_1 / (1 + d_2 / (1 + ...))). It is evaluated in its odd
+    contraction, with denominators 1 + d_2m + d_2m+1, so that 1 + d_2m+1 can
+    be formed without cancellation: for b <= 1 from xc = 1 - x, computed
+    directly by the caller. Near x = 1 that term is of order m/a, and forming
+    it from x cost about log10(a) digits.
     """
-    c, dd = 1.0, 1.0 - (a + b) * x / (a + 1.0)
-    dd = 1.0 / (dd if abs(dd) > _TINY else _TINY)
-    h = dd
+    # m = 0: 1 + d_1 and d_1; b <= 1 makes every term of the xc form nonnegative.
+    h = (1.0 - b + (a + b) * xc) / (a + 1.0) if b <= 1.0 else 1.0 - (a + b) * x / (a + 1.0)
+    d_odd = -(a + b) * x / (a + 1.0)
+    c, dd = h, 0.0
     for m in range(1, CF_MAX_TERMS + 1):
-        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
-                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
-            dd = 1.0 + num * dd
-            dd = 1.0 / (dd if abs(dd) > _TINY else _TINY)
-            c = 1.0 + num / c
-            c = c if abs(c) > _TINY else _TINY
-            step = c * dd
-            h *= step
+        q, r = (a + m) * (a + b + m), (a + 2 * m) * (a + 2 * m + 1)
+        if b <= 1.0:
+            one_plus_odd = ((2 * m + 1 - b) * a + m * (3 * m + 2 - b) + q * xc) / r
+        else:
+            one_plus_odd = 1.0 - q * x / r
+        d_even = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        num, den = -d_odd * d_even, d_even + one_plus_odd
+        d_odd = -q * x / r
+        dd = den + num * dd
+        dd = 1.0 / (dd if abs(dd) > _TINY else _TINY)
+        c = den + num / c
+        c = c if abs(c) > _TINY else _TINY
+        step = c * dd
+        h *= step
         if abs(step - 1.0) < CF_TOL:
-            return h
+            return 1.0 / h
     raise RuntimeError(f"sphere fraction: continued fraction for d={d}, eta={eta!r} "
                        f"did not converge in {CF_MAX_TERMS} terms")
+
+
+def _log_gamma_ratio(a: float) -> float:
+    """log Gamma(a + 1/2) / Gamma(a).
+
+    Above the switch the difference of two lgamma values, each of size
+    a log a, would lose that many digits; the large-a expansion (DLMF 5.11.13)
+    is truncated after the z^-7 term, whose successor is at most 4.4e-16 there.
+    """
+    if a < _LGAMMA_SWITCH:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+    w = 1.0 / (a * a)
+    return 0.5 * math.log(a) - (0.125 - w * (1.0 / 192 - w * (1.0 / 640 - w * 17.0 / 14336))) / a
 
 
 def f_fraction(d: int, eta: float) -> float:
@@ -112,12 +139,14 @@ def f_fraction(d: int, eta: float) -> float:
     a = 0.5 * d
     cos_e, sin_e = math.cos(eta), math.sin(eta)
     x, y = cos_e * cos_e, sin_e * sin_e
-    log_pref = (math.lgamma(a + 0.5) - math.lgamma(a) - math.lgamma(0.5)
-                + d * math.log(cos_e) + math.log(sin_e))
+    # d log cos(eta) would carry d times the rounding error of cos(eta).
+    log_cos = 0.5 * math.log1p(-y) if y < 0.5 else math.log(cos_e)
+    log_pref = (_log_gamma_ratio(a) - math.lgamma(0.5)
+                + d * log_cos + math.log(sin_e))
     pref = math.exp(log_pref)
     if x < (a + 1.0) / (a + 1.5):
-        return 0.5 * pref * _beta_cf(a, 0.5, x, d, eta) / a
-    return 0.5 - pref * _beta_cf(0.5, a, y, d, eta)
+        return 0.5 * pref * _beta_cf(a, 0.5, x, y, d, eta) / a
+    return 0.5 - pref * _beta_cf(0.5, a, y, x, d, eta)
 
 
 def cardinality_bound(theta: float, ambient_dim: int) -> BoundReport:

@@ -26,7 +26,7 @@ from .errors import (
     ScaleExhausted,
 )
 from .geometry import PointSet, _min_upper_pair, angle_at, max_angle_triple
-from .sampling import canonical_line, quasi_uniform_lines, rng_stream
+from .sampling import canonical_lines, quasi_uniform_lines, rng_stream
 
 DEFAULT_PROBES = 100_000
 
@@ -56,7 +56,7 @@ class LineArrangement:
         norms = np.linalg.norm(vecs, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise OutOfRange("lines must be unit vectors")
-        vecs = np.array([canonical_line(v / n) for v, n in zip(vecs, norms)])
+        vecs = canonical_lines(vecs / norms[:, None])
         vecs.setflags(write=False)
         object.__setattr__(self, "lines", vecs)
         ang = 0.5 * math.pi if vecs.shape[0] < 2 else _min_line_angle(vecs)

@@ -27,7 +27,7 @@ from .errors import (
     OutOfRange,
 )
 from .geometry import PointSet, as_unit, rays_from
-from .sampling import unit_directions
+from .sampling import CHUNK, unit_directions
 
 CONE_FIT_TOL = 1e-9
 
@@ -77,6 +77,12 @@ def _require_convex_position(V: PointSet):
         raise NotConvexPosition("point set has a non-vertex point")
 
 
+def _direction_chunks(dim: int, samples: int, seed: int):
+    """The Monte Carlo sample of `samples` directions, one sampling chunk at a time."""
+    for start in range(0, samples, CHUNK):
+        yield unit_directions(dim, min(CHUNK, samples - start), seed, start=start)
+
+
 def normal_cone_fraction_mc(V: PointSet, i: int, samples: int, seed: int) -> tuple[float, float]:
     """Monte Carlo normal-cone fraction of vertex i, with binomial std error.
 
@@ -89,11 +95,8 @@ def normal_cone_fraction_mc(V: PointSet, i: int, samples: int, seed: int) -> tup
         raise OutOfRange(f"vertex index {i} out of range")
     _require_convex_position(V)
     diffs = np.delete(V.points, i, axis=0) - V.points[i]
-    count = 0
-    for start in range(0, samples, 262144):
-        n = min(262144, samples - start)
-        U = unit_directions(V.dim, n, seed, start=start)
-        count += int(np.sum(np.all(U @ diffs.T <= 0.0, axis=1)))
+    count = sum(int(np.sum(np.all(U @ diffs.T <= 0.0, axis=1)))
+                for U in _direction_chunks(V.dim, samples, seed))
     frac = count / samples
     se = math.sqrt(max(frac * (1.0 - frac), 0.0) / samples)
     return frac, se
@@ -114,11 +117,8 @@ def gauss_bonnet_sum(V: PointSet, samples: int, seed: int) -> CurvatureEstimate:
         raise DegenerateHull("hull is not full-dimensional")
     n = len(V)
     counts = np.zeros(n, dtype=np.int64)
-    for start in range(0, samples, 262144):
-        k = min(262144, samples - start)
-        U = unit_directions(V.dim, k, seed, start=start)
-        assign = np.argmax(U @ V.points.T, axis=1)
-        counts += np.bincount(assign, minlength=n)
+    for U in _direction_chunks(V.dim, samples, seed):
+        counts += np.bincount(np.argmax(U @ V.points.T, axis=1), minlength=n)
     fractions = counts.astype(float) / samples
     # Closing entry: recompute the smallest fraction from the others so the
     # float fractions sum to exactly 1.0 (adjustment is at most a few ulps).

@@ -1,42 +1,50 @@
-"""Seeded, reproducible direction sampling on spheres.
+"""Seeded, reproducible sampling on spheres, in numpy alone.
 
-Uniform directions come from normalized Gaussian vectors. Gaussians are
-produced by inverse-CDF from counter-based Philox uniforms, so sample i is a
-pure function of (seed, i): generating samples [0, n) in one call or in
-chunks with `start` offsets yields bit-identical results.
+Monte Carlo directions are normalized standard normals from numpy's
+ziggurat. Samples come in fixed chunks of CHUNK = 2^18 rows; chunk c is
+drawn from a generator seeded with SeedSequence(seed, spawn_key=(c,)), so
+sample i is a pure function of (seed, i): one call, or several with `start`
+offsets, give bit-identical rows.
 
-scipy is imported inside the functions that use it: `scipy.special` costs
-about 0.3 s and `scipy.stats` about 1 s at start-up, and most CLI calls
-need neither.
+Covering probes are the R_d Kronecker sequence (Roberts, "The unreasonable
+effectiveness of quasirandom sequences", 2018), frac(s + i alpha) in an even
+number k of coordinates, with alpha_j = phi^-(j+1) for phi the positive root
+of x^(k+1) = x + 1 and one Cranley-Patterson shift s drawn from
+SeedSequence(seed). Box-Muller (1958) maps coordinate pairs to normals; the
+rows are normalized and given their canonical line sign in one step.
+
+Every seeded entry point rejects a negative or non-integer seed with
+OutOfRange naming it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Philox emits 4 doubles per counter block; each sample is padded to whole
-# blocks so chunk boundaries never split a sample.
-_DOUBLES_PER_BLOCK = 4
+from .errors import OutOfRange
+
+CHUNK = 1 << 18
 
 
-def _blocks_per_sample(dim: int) -> int:
-    return (dim + _DOUBLES_PER_BLOCK - 1) // _DOUBLES_PER_BLOCK
+def _check_seed(seed) -> int:
+    if int(seed) != seed or seed < 0:
+        raise OutOfRange(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
 
 
 def unit_directions(dim: int, n: int, seed: int, start: int = 0) -> np.ndarray:
     """n uniform unit vectors on S^{dim-1}, samples indexed from `start`."""
-    from scipy.special import ndtri
-
+    seed = _check_seed(seed)
     if dim < 1 or n < 0 or start < 0:
         raise ValueError("dim >= 1, n >= 0, start >= 0 required")
-    if n == 0:
-        return np.empty((0, dim))
-    bps = _blocks_per_sample(dim)
-    bg = np.random.Philox(key=np.uint64(seed & (2**64 - 1)))
-    if start:
-        bg.advance(start * bps)
-    u = np.random.Generator(bg).random((n, bps * _DOUBLES_PER_BLOCK))[:, :dim]
-    z = ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
+    stop = start + n
+    z = np.empty((n, dim))
+    for c in range(start // CHUNK, -(-stop // CHUNK)):
+        lo, hi = c * CHUNK, min((c + 1) * CHUNK, stop)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
+        block = rng.standard_normal((hi - lo, dim))  # a prefix of the chunk's stream
+        skip = max(start - lo, 0)
+        z[lo + skip - start:hi - start] = block[skip:]
     norms = np.linalg.norm(z, axis=1)
     degenerate = norms < 1e-12
     if np.any(degenerate):
@@ -58,28 +66,44 @@ def canonical_line(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return v
 
 
+def canonical_lines(V: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """`canonical_line` applied to every row of V at once."""
+    V = np.asarray(V, dtype=float)
+    big = np.abs(V) > tol
+    lead = V[np.arange(V.shape[0]), np.argmax(big, axis=1)]
+    return np.where((lead < 0.0) & big.any(axis=1), -1.0, 1.0)[:, None] * V
+
+
+def _rd_alpha(k: int) -> np.ndarray:
+    """R_d steps phi^-(j+1), j < k, for phi the positive root of x^(k+1) = x + 1."""
+    phi = 2.0
+    for _ in range(64):  # a contraction by at most 0.2 per step
+        phi = (1.0 + phi) ** (1.0 / (k + 1))
+    return phi ** -np.arange(1.0, k + 1.0)
+
+
 def quasi_uniform_lines(dim: int, n: int, seed: int) -> np.ndarray:
     """Low-discrepancy set of n lines (canonicalized unit vectors) on S^{dim-1}.
 
-    Scrambled Sobol points mapped through the inverse normal CDF and
-    normalized; suitable as a dense probe set for covering checks.
+    Shifted R_d points in 2 ceil(dim/2) coordinates, mapped pairwise to
+    normals by Box-Muller and normalized; suitable as a dense probe set for
+    covering checks.
     """
-    from scipy.special import ndtri
-    from scipy.stats import qmc
-
+    seed = _check_seed(seed)
     if dim < 2 or n < 1:
         raise ValueError("dim >= 2 and n >= 1 required")
-    m = max(1, int(np.ceil(np.log2(n))))
-    eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
-    u = eng.random_base2(m)[:n]
-    z = ndtri(np.clip(u, 1e-300, 1.0 - 1e-16))
+    k = dim + dim % 2
+    shift = np.random.default_rng(np.random.SeedSequence(seed)).random(k)
+    u = (shift + np.arange(n, dtype=float)[:, None] * _rd_alpha(k)) % 1.0
+    r = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))  # 1 - u lies in (0, 1]
+    t = 2.0 * np.pi * u[:, 1::2]
+    z = np.stack([r * np.cos(t), r * np.sin(t)], axis=2).reshape(n, k)[:, :dim]
     norms = np.linalg.norm(z, axis=1)
     norms[norms < 1e-12] = 1.0
-    z = z / norms[:, None]
-    return np.array([canonical_line(row) for row in z])
+    return canonical_lines(z / norms[:, None])
 
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     """Deterministic generator for (seed, stream); independent across streams."""
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
+    seq = np.random.SeedSequence(entropy=_check_seed(seed), spawn_key=(stream,))
     return np.random.Generator(np.random.Philox(seq))

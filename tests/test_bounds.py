@@ -97,6 +97,18 @@ class TestFFraction:
                 expected = betainc(d / 2, 0.5, math.cos(eta) ** 2) / 2
                 assert f_fraction(d, eta) == pytest.approx(expected, rel=1e-11), (d, eta)
 
+    @pytest.mark.parametrize("d", [10**4, 10**5, 10**6])
+    def test_large_d_against_mpmath(self, d):
+        # Near cos^2 eta = 1 - 1/d both the lgamma difference and the
+        # continued fraction's 1 + d_(2m+1) terms once lost log10(d) digits.
+        # The grid stops where f is about exp(-500), well above underflow.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for eta in map(float, np.geomspace(1e-4, math.sqrt(1000.0 / d), 15)):
+                x = mpmath.cos(mpmath.mpf(eta)) ** 2
+                expected = mpmath.betainc(d / 2, 0.5, 0, x, regularized=True) / 2
+                assert abs(f_fraction(d, eta) / expected - 1) <= 1e-12, (d, eta)
+
     def test_term_cap_raises_instead_of_returning(self, monkeypatch):
         monkeypatch.setattr(bounds, "CF_MAX_TERMS", 3)
         with pytest.raises(RuntimeError, match=r"d=17, eta=1\.0 did not converge in 3 terms"):

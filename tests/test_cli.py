@@ -251,6 +251,20 @@ class TestExitCodes:
         assert dispatch(["angle", "--in", "/nonexistent/pts.json"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["curvature", "--in", "{square}", "--samples", "2000"],
+        ["pack-lines", "--m", "4", "--dim", "3", "--iters", "20"],
+        ["cover-lines", "--rho-deg", "70", "--dim", "3", "--probes", "2000"],
+        ["n-bounds", "--theta-deg", "100", "--dim", "3"],  # calibrates
+        ["search-alpha", "--n", "4", "--dim", "2", "--iters", "20", "--restarts", "1"],
+        ["search-max", "--theta-deg", "90", "--dim", "2", "--budget", "50"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_is_refused_by_name(self, argv, square_file, capsys):
+        assert dispatch([a.format(square=square_file) for a in argv] + ["--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+
     def test_both_angle_units_rejected(self, capsys):
         assert dispatch(["bound", "--theta", "1.0", "--theta-deg", "60",
                          "--dim", "2"]) == 2

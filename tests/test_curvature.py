@@ -19,7 +19,14 @@ from anglebound.errors import (
     OutOfRange,
 )
 from anglebound.geometry import PointSet, geodesic_diameter, max_angle
-from anglebound.sampling import unit_directions
+from anglebound.sampling import (
+    CHUNK,
+    canonical_line,
+    canonical_lines,
+    quasi_uniform_lines,
+    rng_stream,
+    unit_directions,
+)
 from conftest import nnls_min_enclosing_cap, planar_interior_angles, sample_cap_points
 
 SQUARE = PointSet([[0, 0], [1, 0], [1, 1], [0, 1]])
@@ -64,6 +71,39 @@ class TestSampling:
         U = unit_directions(5, 20000, seed=4)
         np.testing.assert_allclose(np.linalg.norm(U, axis=1), 1.0, atol=1e-12)
         assert np.linalg.norm(U.mean(axis=0)) < 0.02
+
+    def test_unaligned_start_across_a_chunk_boundary(self):
+        full = unit_directions(2, CHUNK + 1500, seed=12)
+        part = unit_directions(2, 3000, seed=12, start=CHUNK - 1500)
+        np.testing.assert_array_equal(part, full[CHUNK - 1500:])
+
+    def test_vectorized_canonicalization_matches_canonical_line(self):
+        rng = np.random.default_rng(3)
+        V = rng.normal(size=(200, 4))
+        V[:60, 0] = rng.uniform(-1e-12, 1e-12, size=60)  # leading coordinate within tol of 0
+        V[:20, 1] = rng.uniform(-1e-12, 1e-12, size=20)
+        V[:5, 2] = 0.0
+        V[0] = [0.0, -1e-12, 1e-12, 0.0]  # nothing above tol: left as it is
+        V[1] = [-1e-12, 0.0, 0.0, -1e-12]
+        V[2] = [1e-12, -2e-12, 0.0, 0.0]
+        got = canonical_lines(V)
+        for row, v in zip(got, V):
+            np.testing.assert_array_equal(row, canonical_line(v))
+
+    def test_probe_lines_are_canonical_unit_vectors(self):
+        for dim in (2, 3, 4, 5):
+            P = quasi_uniform_lines(dim, 3000, seed=8)
+            np.testing.assert_allclose(np.linalg.norm(P, axis=1), 1.0, atol=1e-12)
+            np.testing.assert_array_equal(P, canonical_lines(P))
+            np.testing.assert_array_equal(P, quasi_uniform_lines(dim, 3000, seed=8))
+
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    def test_seeded_entry_points_refuse_bad_seeds(self, seed):
+        for call in (lambda: unit_directions(3, 10, seed), lambda: rng_stream(seed),
+                     lambda: quasi_uniform_lines(3, 10, seed)):
+            with pytest.raises(OutOfRange, match=f"seed must be a non-negative integer, "
+                                                 f"got {seed!r}"):
+                call()
 
 
 class TestNormalConeFraction:

@@ -1,63 +1,70 @@
-"""Start-up cost: scipy is loaded only by the subcommands that use it.
+"""Start-up cost: no subcommand loads scipy.
 
-The hull and cap solver is numpy-only, so `convex-position`, `cone-cover` and
-`curvature` must not load `scipy.optimize`.
-
-Each case runs in a fresh interpreter, because this test process has already
-imported scipy through other test modules.
+The package is numpy-only at run time; scipy is a test oracle. Every
+subcommand the parser knows, calibrating `n-bounds` included, runs in one
+fresh interpreter (this test process has already imported scipy through
+other test modules), which reports the scipy modules loaded after the import
+and after each call.
 """
 
+import argparse
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import anglebound
+from anglebound.cli import build_parser
 
 SRC = str(Path(anglebound.__file__).resolve().parent.parent)
-HEAVY = ("scipy.special", "scipy.stats", "scipy.optimize")
-SQUARE = {"dim": 2, "points": [[0, 0], [1, 0], [1, 1], [0, 1]]}
+FILES = {
+    "square": {"dim": 2, "points": [[0, 0], [1, 0], [1, 1], [0, 1]]},
+    "pentagon": {"dim": 2, "points": [[1.0, 0.0], [0.309017, 0.951057], [-0.809017, 0.587785],
+                                      [-0.809017, -0.587785], [0.309017, -0.951057]]},
+    "lines": {"lines": [[1, 0], [0, 1]]},
+}
+CALLS = [
+    ["bound", "--theta-deg", "100", "--dim", "3"],
+    ["table", "--bound-grid", "--dims", "2..3", "--theta-deg", "91..95"],
+    ["angle", "--in", "{square}"],
+    ["convex-position", "--in", "{square}"],
+    ["curvature", "--in", "{square}", "--samples", "2000", "--seed", "5"],
+    ["cone-cover", "--in", "{square}", "--eta-deg", "50"],
+    ["pack-lines", "--m", "3", "--dim", "2", "--iters", "50", "--seed", "1"],
+    ["cover-lines", "--rho-deg", "70", "--dim", "3", "--probes", "2000", "--seed", "3"],
+    ["ef-construct", "--lines", "{lines}", "--rho", "1.4"],
+    ["witness", "--in", "{pentagon}", "--lines", "{lines}", "--rho", "1.6"],
+    ["n-bounds", "--theta-deg", "100", "--dim", "2", "--seed", "2"],  # calibrates
+    ["search-alpha", "--n", "4", "--dim", "2", "--iters", "20", "--restarts", "1", "--seed", "1"],
+    ["search-max", "--theta-deg", "90", "--dim", "2", "--budget", "50", "--seed", "1"],
+]
 
-# Imports the package, runs the CLI in-process, and reports which heavy scipy
-# modules were loaded after each step, with the exit code and stdout.
-PROBE = f"""
+PROBE = """
 import contextlib, io, json, sys
-loaded = lambda: [m for m in {HEAVY!r} if m in sys.modules]
+scipy = lambda: sorted(m for m in sys.modules if m.startswith("scipy"))
 import anglebound
-on_import = loaded()
 from anglebound.cli import dispatch
-buf = io.StringIO()
-with contextlib.redirect_stdout(buf):
-    code = dispatch(json.loads(sys.argv[1]))
-print(json.dumps({{"on_import": on_import, "code": code, "out": buf.getvalue(),
-                  "loaded": loaded()}}))
+report = {"import": scipy()}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = dispatch(argv)
+    report[argv[0]] = [code, scipy()]
+print(json.dumps(report))
 """
 
 
-@pytest.mark.parametrize("argv, loaded", [
-    (["bound", "--theta-deg", "100", "--dim", "3"], []),
-    (["angle", "--in", "{square}"], []),
-    (["convex-position", "--in", "{square}"], []),
-    (["cone-cover", "--in", "{square}", "--eta-deg", "50"], []),
-    (["curvature", "--in", "{square}", "--samples", "2000", "--seed", "5"],
-     ["scipy.special"]),
-    (["cover-lines", "--rho-deg", "70", "--dim", "3", "--probes", "2000", "--seed", "3"],
-     ["scipy.special", "scipy.stats", "scipy.optimize"]),  # scipy.stats loads the optimizer
-], ids=["bound", "angle", "convex-position", "cone-cover", "curvature", "cover-lines"])
-def test_subcommand_loads_only_the_scipy_it_uses(tmp_path, argv, loaded):
-    square = tmp_path / "square.json"
-    square.write_text(json.dumps(SQUARE))
-    argv = [a.format(square=square) for a in argv]
+def test_no_subcommand_loads_scipy(tmp_path):
+    paths = {}
+    for name, data in FILES.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(data))
+    calls = [[a.format(**paths) for a in argv] for argv in CALLS]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argv)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    res = json.loads(proc.stdout)
-    assert res["on_import"] == []
-    assert res["code"] == 0
-    assert json.loads(res["out"])
-    assert res["loaded"] == loaded
+    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(calls)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    subcommands = next(a.choices for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    expected = {"import": [], **{sub: [0, []] for sub in subcommands}}
+    assert json.loads(proc.stdout or "null") == expected, proc.stderr
