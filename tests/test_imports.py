@@ -4,7 +4,8 @@ The package is numpy-only at run time; scipy is a test oracle. Every
 subcommand the parser knows, calibrating `n-bounds` included, runs in one
 fresh interpreter (this test process has already imported scipy through
 other test modules), which reports the scipy modules loaded after the import
-and after each call.
+and after each call. The subcommands that once loaded only part of scipy are
+also run alone, so each is checked without the others' imports before it.
 """
 
 import argparse
@@ -13,6 +14,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import anglebound
 from anglebound.cli import build_parser
@@ -54,17 +57,33 @@ print(json.dumps(report))
 """
 
 
-def test_no_subcommand_loads_scipy(tmp_path):
+def run_probe(tmp_path, argvs):
+    """Run `argvs` in one fresh interpreter; return its report of scipy modules."""
     paths = {}
     for name, data in FILES.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(data))
-    calls = [[a.format(**paths) for a in argv] for argv in CALLS]
+    calls = [[a.format(**paths) for a in argv] for argv in argvs]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(calls)], env=env,
                           capture_output=True, text=True, timeout=300)
+    return json.loads(proc.stdout or "null"), proc.stderr
+
+
+# The subcommands that once loaded scipy, or were checked not to, each on its own:
+# what each of them uses of scipy is now nothing.
+@pytest.mark.parametrize("sub", ["bound", "angle", "convex-position", "cone-cover",
+                                 "curvature", "cover-lines"])
+def test_subcommand_loads_only_the_scipy_it_uses(tmp_path, sub):
+    argv = next(argv for argv in CALLS if argv[0] == sub)
+    report, stderr = run_probe(tmp_path, [argv])
+    assert report == {"import": [], sub: [0, []]}, stderr
+
+
+def test_no_subcommand_loads_scipy(tmp_path):
+    report, stderr = run_probe(tmp_path, CALLS)
     subcommands = next(a.choices for a in build_parser()._actions
                        if isinstance(a, argparse._SubParsersAction))
     expected = {"import": [], **{sub: [0, []] for sub in subcommands}}
-    assert json.loads(proc.stdout or "null") == expected, proc.stderr
+    assert report == expected, stderr
