@@ -25,8 +25,8 @@ from .errors import (
     OutOfRange,
     ScaleExhausted,
 )
-from .geometry import PointSet, _min_upper_pair, angle_at, max_angle_triple
-from .sampling import canonical_lines, quasi_uniform_lines, rng_stream
+from .geometry import PointSet, _min_upper_pair, _row_blocks, angle_at, max_angle_triple
+from .sampling import _check_seed, canonical_lines, quasi_uniform_lines, rng_stream
 
 DEFAULT_PROBES = 100_000
 
@@ -123,6 +123,7 @@ def pack_lines(m: int, D: int, iters: int = 1500, seed: int = 0,
     """
     if m < 2 or D < 2:
         raise OutOfRange("need m >= 2 lines in dimension D >= 2")
+    _check_seed(seed)
     starts = _structured_line_starts(m, D)
     best = None
     best_angle = -1.0
@@ -166,13 +167,21 @@ def pack_lines(m: int, D: int, iters: int = 1500, seed: int = 0,
     return LineArrangement(dim=D, lines=best)
 
 
+def _covers_all(P: np.ndarray, lines: np.ndarray, cos_half: float) -> bool:
+    """True when every probe row of P is within the covering angle of some line."""
+    return all(np.all(np.max(np.abs(P[lo:hi] @ lines.T), axis=1) >= cos_half - 1e-12)
+               for lo, hi in _row_blocks(P.shape[0], len(lines)))
+
+
 def cover_lines(rho: float, D: int, seed: int = 0, probes: int = DEFAULT_PROBES,
                 max_rounds: int = 10_000, candidates_per_round: int = 128) -> LineArrangement:
     """Greedy set of lines leaving every direction within rho/2 of one of them.
 
     Coverage is certified on a dense quasi-random probe set (size `probes`),
     not analytically. Each round scores a sampled batch of still-uncovered
-    probes as candidate lines and keeps the one covering the most probes.
+    probes as candidate lines and keeps the one covering the most probes. The
+    probe-candidate incidence is filled one block of probes at a time, so the
+    float products never exist whole.
     """
     if not 0.0 < rho < math.pi:
         raise OutOfRange(f"rho must lie in (0, pi), got {rho}")
@@ -181,6 +190,7 @@ def cover_lines(rho: float, D: int, seed: int = 0, probes: int = DEFAULT_PROBES,
     P = quasi_uniform_lines(D, probes, seed)
     cos_half = math.cos(0.5 * rho)
     covered = np.zeros(P.shape[0], dtype=bool)
+    incidence = np.empty(P.shape[0] * candidates_per_round, dtype=bool)
     chosen = []
     for round_idx in range(max_rounds):
         uncovered = np.flatnonzero(~covered)
@@ -190,11 +200,12 @@ def cover_lines(rho: float, D: int, seed: int = 0, probes: int = DEFAULT_PROBES,
         take = min(candidates_per_round, uncovered.size)
         cand_idx = uncovered[rng.choice(uncovered.size, size=take, replace=False)]
         cand = P[cand_idx]
-        hits = np.abs(P[uncovered] @ cand.T) >= cos_half
-        scores = hits.sum(axis=0)
-        pick = int(np.argmax(scores))  # ties: lowest candidate index
-        line = cand[pick]
-        chosen.append(line)
+        hits = incidence[:uncovered.size * take].reshape(uncovered.size, take)
+        for lo, hi in _row_blocks(uncovered.size, take):
+            dots = P[uncovered[lo:hi]] @ cand.T
+            np.greater_equal(np.abs(dots, out=dots), cos_half, out=hits[lo:hi])
+        pick = int(np.argmax(np.count_nonzero(hits, axis=0)))  # ties: lowest candidate index
+        chosen.append(cand[pick])
         covered[uncovered[hits[:, pick]]] = True
     else:
         raise CoverageFailed(
@@ -207,12 +218,12 @@ def cover_lines(rho: float, D: int, seed: int = 0, probes: int = DEFAULT_PROBES,
         for k in range(max(1, int(math.ceil(math.pi / rho - 1e-9))), len(chosen)):
             ang = np.arange(k) * math.pi / k
             fam = np.column_stack([np.cos(ang), np.sin(ang)])
-            if np.all(np.max(np.abs(P @ fam.T), axis=1) >= cos_half - 1e-12):
+            if _covers_all(P, fam, cos_half):
                 lines = fam
                 break
     arrangement = LineArrangement(dim=D, lines=lines)
     # Re-check the certificate against the full probe set.
-    if not np.all(np.max(np.abs(P @ arrangement.lines.T), axis=1) >= cos_half - 1e-12):
+    if not _covers_all(P, arrangement.lines, cos_half):
         raise CoverageFailed("probe coverage re-check failed")
     return arrangement
 

@@ -200,17 +200,26 @@ def is_convex_position(A: PointSet) -> ConvexPositionVerdict:
     The first point (lowest index) found inside the hull of the others is
     returned as the witness, together with its containing simplex. Points on
     the boundary of the others' hull are counted as inside: they are not
-    vertices of conv(A).
+    vertices of conv(A). The verdict is decided once per PointSet and stored
+    on it; its witness arrays are read-only.
     """
-    pts = A.points
-    if len(A) <= 2:
+    if A._convex_verdict is None:
+        object.__setattr__(A, "_convex_verdict", _decide_convex_position(A.points))
+    return A._convex_verdict
+
+
+def _decide_convex_position(pts: np.ndarray) -> ConvexPositionVerdict:
+    if len(pts) <= 2:
         return ConvexPositionVerdict(True)
-    for i in range(len(A)):
+    for i in range(len(pts)):
         simplex = _hull_simplex(pts[i], np.delete(pts, i, axis=0), f"hull membership of point {i}")
         if simplex is not None:
+            point = pts[i].copy()
+            point.setflags(write=False)
+            simplex.setflags(write=False)
             return ConvexPositionVerdict(
                 in_convex_position=False,
-                witness_point=pts[i].copy(),
+                witness_point=point,
                 witness_simplex=simplex,
             )
     return ConvexPositionVerdict(True)

@@ -3,11 +3,14 @@
 The fraction of directions u on the unit sphere with u . (v_j - v_i) <= 0
 for all j is the outward-normal-cone fraction of vertex v_i; over all
 vertices of a polytope in convex position these fractions sum to 1. They are
-estimated by seeded Monte Carlo. A diameter-to-cap-radius inequality on the
-sphere converts a maximum-angle bound at a vertex into an enclosing cap for
-its rays, which yields a covering of the polytope by congruent cones. The
-smallest enclosing cap comes from the point of the rays' convex hull nearest
-the origin, found by the same nearest-point kernel as hull membership.
+estimated by seeded Monte Carlo, one cache-sized block of directions at a
+time (sampling.direction_blocks), so memory does not grow with the sample
+count; the convex-position precondition reuses the verdict stored on the
+PointSet. A diameter-to-cap-radius inequality on the sphere converts a
+maximum-angle bound at a vertex into an enclosing cap for its rays, which
+yields a covering of the polytope by congruent cones. The smallest enclosing
+cap comes from the point of the rays' convex hull nearest the origin, found
+by the same nearest-point kernel as hull membership.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from .errors import (
     NotHemispherical,
     OutOfRange,
 )
-from .geometry import PointSet, as_unit, rays_from
-from .sampling import CHUNK, unit_directions
+from .geometry import PointSet, as_unit
+from .sampling import _check_seed, direction_blocks
 
 CONE_FIT_TOL = 1e-9
 
@@ -77,18 +80,13 @@ def _require_convex_position(V: PointSet):
         raise NotConvexPosition("point set has a non-vertex point")
 
 
-def _direction_chunks(dim: int, samples: int, seed: int):
-    """The Monte Carlo sample of `samples` directions, one sampling chunk at a time."""
-    for start in range(0, samples, CHUNK):
-        yield unit_directions(dim, min(CHUNK, samples - start), seed, start=start)
-
-
 def normal_cone_fraction_mc(V: PointSet, i: int, samples: int, seed: int) -> tuple[float, float]:
     """Monte Carlo normal-cone fraction of vertex i, with binomial std error.
 
     Draws `samples` uniform directions u on the unit sphere and counts those
-    satisfying u . (v_j - v_i) <= 0 for every j.
+    satisfying u . (v_j - v_i) <= 0 for every j, one direction block at a time.
     """
+    _check_seed(seed)
     if samples < 1000:
         raise OutOfRange("need at least 1000 samples")
     if not 0 <= i < len(V):
@@ -96,7 +94,7 @@ def normal_cone_fraction_mc(V: PointSet, i: int, samples: int, seed: int) -> tup
     _require_convex_position(V)
     diffs = np.delete(V.points, i, axis=0) - V.points[i]
     count = sum(int(np.sum(np.all(U @ diffs.T <= 0.0, axis=1)))
-                for U in _direction_chunks(V.dim, samples, seed))
+                for U in direction_blocks(V.dim, samples, seed, len(diffs)))
     frac = count / samples
     se = math.sqrt(max(frac * (1.0 - frac), 0.0) / samples)
     return frac, se
@@ -107,8 +105,10 @@ def gauss_bonnet_sum(V: PointSet, samples: int, seed: int) -> CurvatureEstimate:
 
     Each direction is assigned to the vertex maximizing u . v_i (ties to the
     lowest index), so the counts partition the sample and the fractions sum
-    to one. Requires the hull to be full-dimensional.
+    to one. The directions are counted one block at a time. Requires the
+    hull to be full-dimensional.
     """
+    _check_seed(seed)
     if samples < 1000:
         raise OutOfRange("need at least 1000 samples")
     _require_convex_position(V)
@@ -117,7 +117,7 @@ def gauss_bonnet_sum(V: PointSet, samples: int, seed: int) -> CurvatureEstimate:
         raise DegenerateHull("hull is not full-dimensional")
     n = len(V)
     counts = np.zeros(n, dtype=np.int64)
-    for U in _direction_chunks(V.dim, samples, seed):
+    for U in direction_blocks(V.dim, samples, seed, n):
         counts += np.bincount(np.argmax(U @ V.points.T, axis=1), minlength=n)
     fractions = counts.astype(float) / samples
     # Closing entry: recompute the smallest fraction from the others so the
@@ -194,8 +194,8 @@ def cone_cover_certificate(V: PointSet, eta: float) -> list[Cone]:
         raise OutOfRange("need at least two points")
     cones = []
     for i in range(n):
-        others = PointSet(np.delete(V.points, i, axis=0))
-        rays = rays_from(V.points[i], others)
+        diffs = np.delete(V.points, i, axis=0) - V.points[i]  # V's points are distinct
+        rays = diffs / np.linalg.norm(diffs, axis=1)[:, None]
         try:
             cap = min_enclosing_cap(rays)
         except NotHemispherical:
@@ -203,8 +203,13 @@ def cone_cover_certificate(V: PointSet, eta: float) -> list[Cone]:
         if cap.radius > eta + CONE_FIT_TOL:
             raise CapTooSmall(i, cap.radius, eta)
         cones.append(Cone(apex=V.points[i].copy(), axis=cap.center, half_angle=eta))
-    for cone in cones:
-        for j in range(n):
-            if not cone.contains(V.points[j]):
-                raise RuntimeError("cap fit passed but vertex membership failed")
+    # Every vertex j in every cone i, by Cone.contains's test on all pairs at once.
+    v = V.points[None, :, :] - V.points[:, None, :]
+    r = np.linalg.norm(v, axis=2)
+    axes = np.array([cone.axis for cone in cones])
+    outside = np.argwhere(~(np.einsum("ijk,ik->ij", v, axes)
+                            >= r * math.cos(eta) - CONE_FIT_TOL * r))
+    if outside.size:
+        i, j = outside[0]
+        raise RuntimeError(f"cap fit passed but vertex {j} is outside cone {i}")
     return cones

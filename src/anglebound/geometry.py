@@ -26,6 +26,26 @@ UNIT_NORM_TOL = 1e-12
 _BLOCK_ENTRIES = 1 << 16
 
 
+def _row_blocks(n: int, width: int):
+    """Yield (lo, hi) ranges covering rows 0..n-1, each of at most
+    _BLOCK_ENTRIES // width rows (at least one).
+
+    The sample sweeps multiply one block of rows at a time and must equal the
+    whole product bit for bit. numpy multiplies a one-row matrix with a
+    matrix-vector kernel whose rounding differs from the matrix-matrix
+    kernel's, so no block has a single row unless n does (or a row alone
+    holds more than a third of the budget).
+    """
+    step = max(1, _BLOCK_ENTRIES // width)
+    lo = 0
+    while lo < n:
+        hi = min(lo + step, n)
+        if n - hi == 1 and hi - lo > 2:
+            hi -= 1
+        yield lo, hi
+        lo = hi
+
+
 def _as_point(x) -> np.ndarray:
     p = np.asarray(x, dtype=float)
     if p.ndim != 1 or p.size < 1:
@@ -73,6 +93,10 @@ class PointSet:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "dim", int(pts.shape[1]))
+        # convexity.is_convex_position's re-checked verdict, stored by its first
+        # call: the points are read-only, so it cannot go stale. Not a field, so
+        # it stays out of payloads built from the fields.
+        object.__setattr__(self, "_convex_verdict", None)
 
     def __len__(self) -> int:
         return int(self.points.shape[0])

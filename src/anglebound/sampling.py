@@ -4,7 +4,11 @@ Monte Carlo directions are normalized standard normals from numpy's
 ziggurat. Samples come in fixed chunks of CHUNK = 2^18 rows; chunk c is
 drawn from a generator seeded with SeedSequence(seed, spawn_key=(c,)), so
 sample i is a pure function of (seed, i): one call, or several with `start`
-offsets, give bit-identical rows.
+offsets, give bit-identical rows. `direction_blocks` is the one sampling
+path: it draws each chunk in successive cache-sized row blocks (split
+standard_normal draws continue one stream, so the blocks are the rows of one
+whole-chunk draw), and the Monte Carlo sweeps reduce each block as it comes,
+so their memory does not grow with the sample count.
 
 Covering probes are the R_d Kronecker sequence (Roberts, "The unreasonable
 effectiveness of quasirandom sequences", 2018), frac(s + i alpha) in an even
@@ -22,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OutOfRange
+from .geometry import _row_blocks
 
 CHUNK = 1 << 18
 
@@ -32,26 +37,40 @@ def _check_seed(seed) -> int:
     return int(seed)
 
 
-def unit_directions(dim: int, n: int, seed: int, start: int = 0) -> np.ndarray:
-    """n uniform unit vectors on S^{dim-1}, samples indexed from `start`."""
+def direction_blocks(dim: int, n: int, seed: int, width: int, start: int = 0):
+    """Yield the unit directions start, ..., start + n - 1 as row blocks, in order.
+
+    A block never straddles a chunk, and it holds at most _BLOCK_ENTRIES //
+    max(dim, width) rows (see geometry._row_blocks), so it and its product with
+    a (width, dim) matrix both fit the block budget. The rows equal those of
+    one whole-chunk draw bit for bit.
+    """
     seed = _check_seed(seed)
     if dim < 1 or n < 0 or start < 0:
-        raise ValueError("dim >= 1, n >= 0, start >= 0 required")
+        raise OutOfRange(f"need dim >= 1, n >= 0 and start >= 0, got dim={dim}, n={n}, "
+                         f"start={start}")
+    width = max(dim, width)
     stop = start + n
-    z = np.empty((n, dim))
     for c in range(start // CHUNK, -(-stop // CHUNK)):
-        lo, hi = c * CHUNK, min((c + 1) * CHUNK, stop)
+        lo, hi = max(c * CHUNK, start), min((c + 1) * CHUNK, stop)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
-        block = rng.standard_normal((hi - lo, dim))  # a prefix of the chunk's stream
-        skip = max(start - lo, 0)
-        z[lo + skip - start:hi - start] = block[skip:]
-    norms = np.linalg.norm(z, axis=1)
-    degenerate = norms < 1e-12
-    if np.any(degenerate):
-        z[degenerate] = 0.0
-        z[degenerate, 0] = 1.0
-        norms[degenerate] = 1.0
-    return z / norms[:, None]
+        for a, b in _row_blocks(lo - c * CHUNK, width):  # the chunk's rows before `start`
+            rng.standard_normal((b - a, dim))
+        for a, b in _row_blocks(hi - lo, width):
+            z = rng.standard_normal((b - a, dim))
+            norms = np.linalg.norm(z, axis=1)
+            degenerate = norms < 1e-12
+            if np.any(degenerate):
+                z[degenerate] = 0.0
+                z[degenerate, 0] = 1.0
+                norms[degenerate] = 1.0
+            yield z / norms[:, None]
+
+
+def unit_directions(dim: int, n: int, seed: int, start: int = 0) -> np.ndarray:
+    """n uniform unit vectors on S^{dim-1}, samples indexed from `start`."""
+    blocks = list(direction_blocks(dim, n, seed, dim, start))
+    return np.concatenate(blocks) if blocks else np.empty((0, dim))
 
 
 def canonical_line(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -91,7 +110,7 @@ def quasi_uniform_lines(dim: int, n: int, seed: int) -> np.ndarray:
     """
     seed = _check_seed(seed)
     if dim < 2 or n < 1:
-        raise ValueError("dim >= 2 and n >= 1 required")
+        raise OutOfRange(f"need dim >= 2 and n >= 1 lines, got dim={dim}, n={n}")
     k = dim + dim % 2
     shift = np.random.default_rng(np.random.SeedSequence(seed)).random(k)
     u = (shift + np.arange(n, dtype=float)[:, None] * _rd_alpha(k)) % 1.0

@@ -4,7 +4,8 @@ Oracles here deliberately avoid the library's vectorized code paths: hull
 membership is decided by exhaustive subset enumeration with least-squares
 barycentric solves, enclosing caps by scipy's NNLS, and maximum angles by a
 scalar triple loop or by the one-vertex-at-a-time scan the blocked ray-Gram
-kernel replaced.
+kernel replaced. The Monte Carlo and covering sweeps are checked against the
+whole-matrix sweeps the row-blocked ones replaced.
 """
 
 import itertools
@@ -13,7 +14,9 @@ import math
 import numpy as np
 from scipy.optimize import nnls
 
+from anglebound.constructions import LineArrangement
 from anglebound.geometry import angle_at
+from anglebound.sampling import CHUNK, quasi_uniform_lines, rng_stream
 
 
 def brute_max_angle(points) -> float:
@@ -56,6 +59,74 @@ def loop_max_angle_triple(points):
             best_triple = (int(others[a]), j, int(others[b]))
     i, j, k = best_triple
     return angle_at(pts[i], pts[j], pts[k]), best_triple
+
+
+def whole_unit_directions(dim: int, n: int, seed: int) -> np.ndarray:
+    """The first n Monte Carlo directions: one standard_normal draw per CHUNK,
+    normalized as a whole."""
+    z = np.empty((n, dim))
+    for lo in range(0, n, CHUNK):
+        hi = min(lo + CHUNK, n)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(lo // CHUNK,)))
+        z[lo:hi] = rng.standard_normal((hi - lo, dim))
+    norms = np.linalg.norm(z, axis=1)
+    degenerate = norms < 1e-12
+    z[degenerate] = 0.0
+    z[degenerate, 0] = 1.0
+    norms[degenerate] = 1.0
+    return z / norms[:, None]
+
+
+def _whole_chunks(dim: int, samples: int, seed: int):
+    U = whole_unit_directions(dim, samples, seed)
+    for lo in range(0, samples, CHUNK):
+        yield U[lo:lo + CHUNK]
+
+
+def whole_gauss_bonnet_counts(points, samples: int, seed: int) -> np.ndarray:
+    """gauss_bonnet_sum's per-vertex counts from one U @ V.T per whole chunk."""
+    V = np.asarray(points, dtype=float)
+    counts = np.zeros(len(V), dtype=np.int64)
+    for U in _whole_chunks(V.shape[1], samples, seed):
+        counts += np.bincount(np.argmax(U @ V.T, axis=1), minlength=len(V))
+    return counts
+
+
+def whole_normal_cone_count(points, i: int, samples: int, seed: int) -> int:
+    """normal_cone_fraction_mc's count for vertex i from whole-chunk products."""
+    V = np.asarray(points, dtype=float)
+    diffs = np.delete(V, i, axis=0) - V[i]
+    return sum(int(np.sum(np.all(U @ diffs.T <= 0.0, axis=1)))
+               for U in _whole_chunks(V.shape[1], samples, seed))
+
+
+def whole_cover_lines(rho: float, D: int, seed: int, probes: int,
+                      candidates_per_round: int = 128) -> np.ndarray:
+    """cover_lines's lines, each round's |P[uncovered] @ cand.T| built whole."""
+    P = quasi_uniform_lines(D, probes, seed)
+    cos_half = math.cos(0.5 * rho)
+    covered = np.zeros(P.shape[0], dtype=bool)
+    chosen = []
+    for round_idx in itertools.count():
+        uncovered = np.flatnonzero(~covered)
+        if uncovered.size == 0:
+            break
+        rng = rng_stream(seed, 1000 + round_idx)
+        take = min(candidates_per_round, uncovered.size)
+        cand = P[uncovered[rng.choice(uncovered.size, size=take, replace=False)]]
+        hits = np.abs(P[uncovered] @ cand.T) >= cos_half
+        pick = int(np.argmax(hits.sum(axis=0)))
+        chosen.append(cand[pick])
+        covered[uncovered[hits[:, pick]]] = True
+    lines = np.array(chosen)
+    if D == 2:
+        for k in range(max(1, int(math.ceil(math.pi / rho - 1e-9))), len(chosen)):
+            ang = np.arange(k) * math.pi / k
+            fam = np.column_stack([np.cos(ang), np.sin(ang)])
+            if np.all(np.max(np.abs(P @ fam.T), axis=1) >= cos_half - 1e-12):
+                lines = fam
+                break
+    return LineArrangement(dim=D, lines=lines).lines
 
 
 def oracle_in_hull(p, S, tol: float = 1e-9) -> bool:

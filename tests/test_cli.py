@@ -265,6 +265,12 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: seed must be a non-negative integer, got -1\n"
 
+    def test_empty_probe_set_is_refused_by_name(self, capsys):
+        assert dispatch(["cover-lines", "--rho", "1.5", "--dim", "3", "--probes", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need dim >= 2 and n >= 1 lines, got dim=3, n=0\n"
+
     def test_both_angle_units_rejected(self, capsys):
         assert dispatch(["bound", "--theta", "1.0", "--theta-deg", "60",
                          "--dim", "2"]) == 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from anglebound.errors import (
     OutOfRange,
 )
 from anglebound.geometry import PointSet, angle_at, max_angle
-from conftest import brute_max_angle, random_rotation
+from conftest import brute_max_angle, random_rotation, whole_cover_lines
 
 PLANAR_TRIPLE = LineArrangement(
     dim=2,
@@ -108,6 +109,23 @@ class TestCoverLines:
         from anglebound.errors import CoverageFailed
         with pytest.raises(CoverageFailed):
             cover_lines(0.05, 3, seed=1, probes=5000, max_rounds=2)
+
+    @pytest.mark.parametrize("D, rhos", [(2, (0.3, 0.9, 1.6)), (3, (0.8, 1.1, 1.5)),
+                                         (4, (1.2, 1.6))])
+    def test_lines_match_whole_sweep(self, D, rhos):
+        for rho in rhos:
+            for seed in (0, 1, 7):
+                np.testing.assert_array_equal(cover_lines(rho, D, seed=seed, probes=7001).lines,
+                                              whole_cover_lines(rho, D, seed, 7001))
+
+    def test_memory_does_not_grow_with_the_products(self):
+        tracemalloc.start()
+        try:
+            cover_lines(1.5, 3, seed=2)  # the default 100 000 probes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 class TestEfDoubling:

@@ -107,6 +107,10 @@ class TestCaratheodory:
             caratheodory_decompose([5, 5], tri)
 
 
+def _no_solve(P, stage):
+    raise AssertionError(f"{stage} solved again")
+
+
 class TestIsConvexPosition:
     def test_square(self):
         assert is_convex_position(PointSet([[0, 0], [1, 0], [1, 1], [0, 1]])).in_convex_position
@@ -163,6 +167,27 @@ class TestIsConvexPosition:
             k = verdict.witness_simplex.shape[0] - 1
             rays = rays_from(wit.v, PointSet(verdict.witness_simplex))
             assert min_pairwise_dot(rays) <= -1.0 / k + 1e-9
+
+
+    def test_verdict_is_decided_once_per_point_set(self, monkeypatch):
+        ps = PointSet([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]])
+        first = is_convex_position(ps)
+        monkeypatch.setattr(convexity, "_nearest_point", _no_solve)
+        assert is_convex_position(ps) is first
+        for arr in (first.witness_point, first.witness_simplex):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 7.0
+        convex = PointSet([[0, 0], [1, 0], [1, 1], [0, 1]])
+        with pytest.raises(AssertionError, match="solved again"):
+            is_convex_position(convex)  # a new set is decided afresh
+
+    def test_curvature_reuses_the_stored_verdict(self, monkeypatch):
+        from anglebound.curvature import gauss_bonnet_sum
+        ps = PointSet([[0, 0], [1, 0], [1, 1], [0, 1]])
+        assert is_convex_position(ps).in_convex_position
+        monkeypatch.setattr(convexity, "_nearest_point", _no_solve)
+        assert gauss_bonnet_sum(ps, 2000, seed=1).samples == 2000
 
 
 class TestSolverAnswersAreRechecked:

@@ -1,9 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from anglebound import constructions, convexity
 from anglebound.bounds import eta_of_theta, f_fraction, theta_d
 from anglebound.curvature import (
     cone_cover_certificate,
@@ -23,11 +25,19 @@ from anglebound.sampling import (
     CHUNK,
     canonical_line,
     canonical_lines,
+    direction_blocks,
     quasi_uniform_lines,
     rng_stream,
     unit_directions,
 )
-from conftest import nnls_min_enclosing_cap, planar_interior_angles, sample_cap_points
+from conftest import (
+    nnls_min_enclosing_cap,
+    planar_interior_angles,
+    sample_cap_points,
+    whole_gauss_bonnet_counts,
+    whole_normal_cone_count,
+    whole_unit_directions,
+)
 
 SQUARE = PointSet([[0, 0], [1, 0], [1, 1], [0, 1]])
 CUBE = PointSet([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)])
@@ -104,6 +114,92 @@ class TestSampling:
             with pytest.raises(OutOfRange, match=f"seed must be a non-negative integer, "
                                                  f"got {seed!r}"):
                 call()
+
+
+    def test_seed_is_checked_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the seed was checked")
+
+        monkeypatch.setattr(constructions, "_min_line_angle", no_work)
+        monkeypatch.setattr(convexity, "_nearest_point", no_work)
+        calls = [lambda: constructions.pack_lines(3, 2, seed=-1),
+                 lambda: gauss_bonnet_sum(PointSet(SQUARE.points), 2000, -1),
+                 lambda: normal_cone_fraction_mc(PointSet(SQUARE.points), 0, 2000, -1)]
+        for call in calls:
+            with pytest.raises(OutOfRange, match="seed must be a non-negative integer, got -1"):
+                call()
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: unit_directions(0, 10, 1), "need dim >= 1, n >= 0 and start >= 0, "
+                                            "got dim=0, n=10, start=0"),
+        (lambda: unit_directions(3, -1, 1), "got dim=3, n=-1, start=0"),
+        (lambda: unit_directions(3, 10, 1, start=-5), "got dim=3, n=10, start=-5"),
+        (lambda: quasi_uniform_lines(1, 10, 1), "need dim >= 2 and n >= 1 lines, got dim=1, n=10"),
+        (lambda: quasi_uniform_lines(3, 0, 1), "got dim=3, n=0"),
+    ], ids=["dim", "n", "start", "probe-dim", "probe-n"])
+    def test_bad_sizes_raise_out_of_range(self, call, message):
+        with pytest.raises(OutOfRange, match=message):
+            call()
+
+    @pytest.mark.parametrize("dim, n, width, start", [
+        (3, 5000, 3, 0), (1, 70_001, 1, 0), (2, 2 * CHUNK + 1, 7, 0),
+        (5, 4000, 48, CHUNK - 1500), (8, 1366, 300, 17),
+    ])
+    def test_blocks_are_one_draw_per_chunk(self, dim, n, width, start):
+        blocks = list(direction_blocks(dim, n, 4, width, start))
+        step = max(1, (1 << 16) // max(dim, width))
+        assert all(2 <= len(b) <= step for b in blocks[:-1])
+        np.testing.assert_array_equal(np.concatenate(blocks),
+                                      whole_unit_directions(dim, start + n, 4)[start:])
+        np.testing.assert_array_equal(unit_directions(dim, n, 4, start), np.concatenate(blocks))
+
+
+def _sphere_set(seed: int, n: int, dim: int) -> PointSet:
+    x = np.random.default_rng(seed).normal(size=(n, dim))
+    return PointSet(x / np.linalg.norm(x, axis=1)[:, None])
+
+
+class TestBlockedSweeps:
+    """The row-blocked sweeps count exactly what the whole-matrix sweeps counted."""
+
+    CASES = [(2, 7, CHUNK + 5000), (2, 9, CHUNK + 1), (3, 48, 20_000), (5, 13, 70_001),
+             (8, 20, 1366), (3, 300, 4000)]
+
+    @pytest.mark.parametrize("dim, n, samples", CASES)
+    def test_gauss_bonnet_counts_match_whole_sweep(self, dim, n, samples):
+        ps = _sphere_set(n + dim, n, dim)
+        est = gauss_bonnet_sum(ps, samples, seed=n)
+        counts = whole_gauss_bonnet_counts(ps.points, samples, seed=n)
+        np.testing.assert_array_equal(np.rint(est.fractions * samples).astype(int), counts)
+        close = int(np.argmin(counts))
+        exact = np.arange(n) != close
+        np.testing.assert_array_equal(est.fractions[exact], counts[exact] / samples)
+
+    @pytest.mark.parametrize("dim, n, samples", CASES)
+    def test_normal_cone_counts_match_whole_sweep(self, dim, n, samples):
+        ps = _sphere_set(n + dim, n, dim)
+        for i in (0, n - 1):
+            f, _ = normal_cone_fraction_mc(ps, i, samples, seed=i + 1)
+            assert f == whole_normal_cone_count(ps.points, i, samples, seed=i + 1) / samples
+
+    @pytest.fixture(scope="class")
+    def big_set(self):
+        ps = _sphere_set(300, 300, 3)
+        assert convexity.is_convex_position(ps).in_convex_position
+        return ps
+
+    @pytest.mark.parametrize("sweep", [
+        lambda ps: gauss_bonnet_sum(ps, 100_000, seed=1),
+        lambda ps: normal_cone_fraction_mc(ps, 0, 100_000, seed=1),
+    ], ids=["gauss_bonnet_sum", "normal_cone_fraction_mc"])
+    def test_sweep_memory_does_not_grow_with_samples(self, big_set, sweep):
+        tracemalloc.start()
+        try:
+            sweep(big_set)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 class TestNormalConeFraction:

@@ -7,7 +7,9 @@ import pytest
 
 from anglebound.errors import DegenerateTriple, OutOfRange
 from anglebound.geometry import (
+    _BLOCK_ENTRIES,
     PointSet,
+    _row_blocks,
     angle_at,
     geodesic_diameter,
     max_angle,
@@ -62,6 +64,24 @@ class TestAngleAt:
             angle_at(1.0, 0.0, 2.0)
         with pytest.raises(OutOfRange):
             angle_at([1, 0], [0, 0], [np.nan, 1])
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("width", [1, 128, 21_000])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 512, 513, 1025, 70_001])
+    def test_blocks_tile_the_rows_within_budget(self, n, width):
+        blocks = list(_row_blocks(n, width))
+        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+        assert blocks[-1][1] == n
+        assert all(1 <= hi - lo <= max(1, _BLOCK_ENTRIES // width) for lo, hi in blocks)
+        assert n == 1 or all(hi - lo >= 2 for lo, hi in blocks)
+
+    @pytest.mark.parametrize("n, width", [(1025, 128), (2 * 1365 + 1, 48), (4, 21_000)])
+    def test_blocked_product_is_the_whole_product(self, n, width):
+        rng = np.random.default_rng(n)
+        U, V = rng.normal(size=(n, 3)), rng.normal(size=(width, 3))
+        blocked = np.concatenate([U[lo:hi] @ V.T for lo, hi in _row_blocks(n, width)])
+        np.testing.assert_array_equal(blocked, U @ V.T)
 
 
 class TestMaxAngle:
