@@ -43,6 +43,18 @@ DEFAULT_SEED = 20240
 
 # ---------------------------------------------------------------- file I/O
 
+def _number(text, what: str, kind=float):
+    """kind(text), or OutOfRange naming `what` and the text if that is not a finite number."""
+    try:
+        value = kind(text)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        noun = "an integer" if kind is int else "a finite number"
+        raise OutOfRange(f"{what} must be {noun}, got {text!r}")
+    return value
+
+
 def read_pointset(path: str) -> PointSet:
     p = Path(path)
     if p.suffix.lower() == ".csv":
@@ -50,12 +62,14 @@ def read_pointset(path: str) -> PointSet:
         with open(p, newline="") as fh:
             for row in csv.reader(fh):
                 if row:
-                    rows.append([float(x) for x in row])
+                    rows.append([_number(x, f"{path}: coordinate") for x in row])
         return PointSet(rows)
     with open(p) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict) or "points" not in data:
+        raise OutOfRange(f'{path}: expected a JSON object with a "points" key')
     ps = PointSet(data["points"])
-    if "dim" in data and int(data["dim"]) != ps.dim:
+    if "dim" in data and _number(data["dim"], f"{path}: dim", int) != ps.dim:
         raise OutOfRange(f"file says dim={data['dim']} but points have {ps.dim} columns")
     return ps
 
@@ -75,7 +89,10 @@ def write_pointset(ps: PointSet, path: str):
 def read_lines(path: str) -> LineArrangement:
     with open(path) as fh:
         data = json.load(fh)
-    vecs = np.asarray(data["lines"] if isinstance(data, dict) else data, dtype=float)
+    try:
+        vecs = np.asarray(data.get("lines") if isinstance(data, dict) else data, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise OutOfRange(f"lines must form an (m, dim) array of numbers: {err}") from None
     if vecs.ndim != 2:
         raise OutOfRange(f"lines must form an (m, dim) array, got shape {vecs.shape}")
     return LineArrangement(dim=vecs.shape[1], lines=vecs)
@@ -83,7 +100,7 @@ def read_lines(path: str) -> LineArrangement:
 
 # ------------------------------------------------------------- arg helpers
 
-def _angle_from(args, name: str, required: bool = True) -> float | None:
+def _angle_from(args, name: str) -> float:
     rad = getattr(args, name, None)
     deg = getattr(args, f"{name}_deg", None)
     if rad is not None and deg is not None:
@@ -92,9 +109,7 @@ def _angle_from(args, name: str, required: bool = True) -> float | None:
         return float(rad)
     if deg is not None:
         return math.radians(float(deg))
-    if required:
-        raise OutOfRange(f"--{name} or --{name}-deg is required")
-    return None
+    raise OutOfRange(f"--{name} or --{name}-deg is required")
 
 
 def _add_angle_flags(sp, name: str, help_text: str):
@@ -105,8 +120,8 @@ def _add_angle_flags(sp, name: str, help_text: str):
 def _parse_range(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+        return list(range(_number(lo, "--dims", int), _number(hi, "--dims", int) + 1))
+    return [_number(text, "--dims", int)]
 
 
 # ------------------------------------------------------------------ table
@@ -236,10 +251,12 @@ def _cmd_table(args):
     dims = _parse_range(args.dims)
     theta_spec = args.theta_deg
     if ".." in theta_spec:
-        lo, hi = (float(x) for x in theta_spec.split("..", 1))
+        lo, hi = (_number(x, "--theta-deg") for x in theta_spec.split("..", 1))
     else:
-        lo = hi = float(theta_spec)
+        lo = hi = _number(theta_spec, "--theta-deg")
     step = args.theta_step
+    if not step > 0:
+        raise OutOfRange(f"--theta-step must be positive, got {step!r}")
     count = max(0, int(round((hi - lo) / step)))
     thetas = [math.radians(lo + k * step) for k in range(count + 1)]
     return table_bound_grid(dims, thetas), 0
@@ -402,7 +419,7 @@ def dispatch(argv) -> int:
     except PreconditionError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, json.JSONDecodeError, ValueError) as e:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # pragma: no cover - internal failures

@@ -98,16 +98,6 @@ class NBoundsReport:
     lower_valid_above_n: float
 
 
-def _structured_line_starts(m: int, D: int) -> list[np.ndarray]:
-    starts = []
-    if m <= D:
-        starts.append(np.eye(D)[:m])
-    if D == 2:
-        ang = np.arange(m) * math.pi / m
-        starts.append(np.column_stack([np.cos(ang), np.sin(ang)]))
-    return starts
-
-
 def _min_line_angle(U: np.ndarray) -> float:
     return float(np.arccos(min(1.0, -_min_upper_pair(-np.abs(U @ U.T))[0])))
 
@@ -116,15 +106,23 @@ def pack_lines(m: int, D: int, iters: int = 1500, seed: int = 0,
                restarts: int = 8) -> LineArrangement:
     """Spread m lines in R^D to (locally) maximize the minimum pairwise angle.
 
-    Projected gradient descent on a soft-max of squared pairwise dots with a
-    sharpening schedule, from structured and random restarts. The returned
-    arrangement's min_pairwise_angle is recomputed exactly, so it is a valid
-    achieved separation regardless of optimizer quality.
+    Two cases have closed-form optima, returned without any search: m <= D
+    orthogonal lines (the coordinate frame, angle pi/2) and, for D = 2, the m
+    equiangular lines (angle pi/m). Otherwise projected gradient descent on a
+    soft-max of squared pairwise dots with a sharpening schedule, from random
+    restarts. The returned arrangement's min_pairwise_angle is recomputed
+    exactly, so it is a valid achieved separation regardless of optimizer
+    quality.
     """
     if m < 2 or D < 2:
         raise OutOfRange("need m >= 2 lines in dimension D >= 2")
     _check_seed(seed)
-    starts = _structured_line_starts(m, D)
+    if m <= D:
+        return LineArrangement(dim=D, lines=np.eye(D)[:m])
+    if D == 2:
+        ang = np.arange(m) * math.pi / m
+        U = np.column_stack([np.cos(ang), np.sin(ang)])
+        return LineArrangement(dim=D, lines=U / np.linalg.norm(U, axis=1)[:, None])
     best = None
     best_angle = -1.0
 
@@ -135,14 +133,10 @@ def pack_lines(m: int, D: int, iters: int = 1500, seed: int = 0,
             best_angle = ang
             best = U.copy()
 
-    for r in range(restarts + len(starts)):
-        if r < len(starts):
-            U = starts[r].copy()
-        else:
-            rng = rng_stream(seed, r - len(starts))
-            U = rng.normal(size=(m, D))
+    for r in range(restarts):
+        U = rng_stream(seed, r).normal(size=(m, D))
         U /= np.linalg.norm(U, axis=1)[:, None]
-        consider(U)  # structured starts may already be optimal
+        consider(U)
         beta = 4.0
         growth = (8192.0 / beta) ** (1.0 / max(iters, 1))
         for it in range(iters):

@@ -78,9 +78,7 @@ class PointSet:
         # Closest pair, first in row-major order on ties, over one block of
         # rows of the squared-distance matrix at a time.
         best_d2, best_pair = math.inf, (-1, -1)
-        step = max(1, _BLOCK_ENTRIES // n)
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
+        for lo, hi in _row_blocks(n, n):
             d2 = np.sum((pts[lo:hi, None, :] - pts[None, :, :]) ** 2, axis=-1)
             d2.reshape(-1)[lo :: n + 1] = np.inf  # entries (i, i) of these rows
             a, b = divmod(int(np.argmin(d2)), n)
@@ -163,9 +161,7 @@ def _ray_grams(pts: np.ndarray):
         raise OutOfRange("point set has non-finite coordinates")
     n = pts.shape[0]
     others = _others(n)
-    step = max(1, _BLOCK_ENTRIES // (n - 1) ** 2)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
+    for lo, hi in _row_blocks(n, (n - 1) ** 2):
         rays = pts[others[lo:hi]] - pts[lo:hi, None]
         norms = np.linalg.norm(rays, axis=2)
         if norms.min() <= DISTINCTNESS_TOL:

@@ -1,11 +1,14 @@
 import csv
+import errno
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from anglebound import cli
 from anglebound.bounds import cardinality_bound
 from anglebound.cli import dispatch, read_pointset, table_bound_grid, write_pointset
 from anglebound.geometry import PointSet
@@ -168,6 +171,40 @@ class TestFileFormats:
             assert err == f"error: lines must form an (m, dim) array, got shape {shape}\n"
 
 
+    @pytest.mark.parametrize("data", [{"lines": [[1, 0], [0, 1]]}, [[0, 0], [1, 0]]],
+                             ids=["lines-object", "bare-list"])
+    def test_point_file_without_points_key_rejected(self, tmp_path, capsys, data):
+        path = tmp_path / "pts.json"
+        path.write_text(json.dumps(data))
+        assert dispatch(["angle", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f'error: {path}: expected a JSON object with a "points" key\n'
+
+    def test_directory_as_input_rejected(self, tmp_path, capsys):
+        assert dispatch(["angle", "--in", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{tmp_path}'\n"
+
+    @pytest.mark.parametrize("name,text,message", [
+        ("pts.csv", "0,0\n1,x\n", "{path}: coordinate must be a finite number, got 'x'"),
+        ("pts.json", '{"dim": "two", "points": [[0, 0], [1, 0]]}',
+         "{path}: dim must be an integer, got 'two'"),
+    ], ids=["csv-coordinate", "json-dim"])
+    def test_unparsable_numbers_named(self, tmp_path, capsys, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        assert dispatch(["angle", "--in", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+
+    def test_non_numeric_line_file_rejected(self, tmp_path, capsys):
+        path = tmp_path / "lines.json"
+        path.write_text(json.dumps({"lines": [["a", 0], [0, 1]]}))
+        assert dispatch(["ef-construct", "--lines", str(path), "--rho", "1.4"]) == 2
+        assert capsys.readouterr().err == ("error: lines must form an (m, dim) array of "
+                                           "numbers: could not convert string to float: 'a'\n")
+
+
 class TestPayloadKeys:
     """The exact top-level keys of every subcommand's output."""
 
@@ -270,6 +307,26 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: need dim >= 2 and n >= 1 lines, got dim=3, n=0\n"
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--theta-step", "0"], "--theta-step must be positive, got 0.0"),
+        (["--theta-step", "-1"], "--theta-step must be positive, got -1.0"),
+        (["--dims", "2..x"], "--dims must be an integer, got 'x'"),
+        (["--theta-deg", "90..inf"], "--theta-deg must be a finite number, got 'inf'"),
+    ])
+    def test_bad_table_grid_refused_by_name(self, capsys, flags, message):
+        assert dispatch(["table", "--bound-grid", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_value_error_inside_the_library_is_internal(self, square_file, capsys, monkeypatch):
+        def broken(ps):
+            raise ValueError("not a usage error")
+
+        monkeypatch.setattr(cli, "max_angle", broken)
+        assert dispatch(["angle", "--in", square_file]) == 1
+        assert capsys.readouterr().err == "internal error: ValueError: not a usage error\n"
 
     def test_both_angle_units_rejected(self, capsys):
         assert dispatch(["bound", "--theta", "1.0", "--theta-deg", "60",

@@ -77,6 +77,23 @@ class TestPackLines:
         b = pack_lines(4, 3, seed=5, iters=400)
         np.testing.assert_array_equal(a.lines, b.lines)
 
+    @pytest.mark.parametrize("iters,restarts", [(1500, 8), (50, 1), (300, 0)])
+    def test_closed_forms_whatever_the_seed_and_budget(self, iters, restarts):
+        for seed in range(4):
+            for D in (2, 3, 5):
+                for m in range(2, D + 1):  # the coordinate frame
+                    arr = pack_lines(m, D, iters=iters, seed=seed, restarts=restarts)
+                    np.testing.assert_array_equal(
+                        arr.lines, LineArrangement(dim=D, lines=np.eye(D)[:m]).lines)
+                    assert arr.min_pairwise_angle == math.pi / 2
+            for m in range(3, 13):  # the planar equiangular lines
+                ang = np.arange(m) * math.pi / m
+                U = np.column_stack([np.cos(ang), np.sin(ang)])
+                U /= np.linalg.norm(U, axis=1)[:, None]
+                arr = pack_lines(m, 2, iters=iters, seed=seed, restarts=restarts)
+                np.testing.assert_array_equal(arr.lines, LineArrangement(dim=2, lines=U).lines)
+                assert arr.min_pairwise_angle == pytest.approx(math.pi / m, rel=1e-12)
+
 
 class TestCoverLines:
     def test_barely_obtuse_planar_cover_needs_two(self):

@@ -1,13 +1,15 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from anglebound.bounds import cardinality_bound, theta_d
+from anglebound import geometry
 from anglebound.errors import OutOfRange
-from anglebound.geometry import angle_at, max_angle
+from anglebound.geometry import max_angle
 from anglebound.search import (
-    _angle_lse,
+    _anneal,
     cross_polytope_vertices,
     hypercube_vertices,
     max_cardinality_search,
@@ -35,21 +37,21 @@ class TestStructuredConfigurations:
         np.testing.assert_array_equal(pts, [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]])
 
 
-class TestAngleLse:
-    def test_matches_direct_log_sum_exp_over_all_triples(self):
-        rng = np.random.default_rng(41)
-        for _ in range(20):
-            n = int(rng.integers(3, 9))
-            pts = rng.normal(size=(n, int(rng.integers(2, 5))))
-            theta = np.array([
-                angle_at(pts[i], pts[j], pts[k])
-                for j in range(n) for i in range(n) for k in range(i + 1, n)
-                if j not in (i, k)
-            ])
-            top = float(np.max(theta))
-            for beta in (5.0, 20.0, 100.0, 500.0):
-                direct = top + math.log(float(np.sum(np.exp(beta * (theta - top))))) / beta
-                assert _angle_lse(pts, beta) == pytest.approx(direct, rel=1e-12, abs=0)
+class TestAnneal:
+    def test_each_proposal_is_scanned_once(self, monkeypatch):
+        scans = Counter()
+        ray_grams = geometry._ray_grams
+
+        def counted(pts):
+            scans[np.ascontiguousarray(pts).tobytes()] += 1
+            return ray_grams(pts)
+
+        monkeypatch.setattr(geometry, "_ray_grams", counted)
+        pts = np.random.default_rng(5).normal(size=(6, 3))
+        _anneal(pts, 20, np.random.default_rng(6))
+        # The start, then three proposals per step; the winner is not rescanned.
+        assert sum(scans.values()) == 1 + 3 * 20
+        assert max(scans.values()) == 1
 
 
 class TestMinimizeMaxAngle:
