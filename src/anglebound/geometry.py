@@ -65,8 +65,9 @@ class PointSet:
     def __post_init__(self):
         try:
             pts = np.asarray(self.points, dtype=float)
-        except ValueError as err:  # ragged rows, or entries that are not numbers
-            lengths = sorted({len(row) if hasattr(row, "__len__") else 1 for row in self.points})
+        except (TypeError, ValueError) as err:  # ragged rows, or entries that are not numbers
+            rows = self.points if isinstance(self.points, (list, tuple, np.ndarray)) else ()
+            lengths = sorted({len(row) if hasattr(row, "__len__") else 1 for row in rows})
             if len(lengths) > 1:
                 raise OutOfRange(f"point rows have different lengths {lengths}") from None
             raise OutOfRange(f"point coordinates must be numbers: {err}") from None
@@ -126,8 +127,14 @@ def angle_at(x, y, z) -> float:
         raise OutOfRange(f"point must be a 1-D coordinate vector, got shape {p.shape[1:]}")
     if not np.isfinite(p).all():
         raise OutOfRange("point has non-finite coordinates")
-    u = p[0] - p[1]
-    v = p[2] - p[1]
+    return _vertex_angle(p[0], p[1], p[2])
+
+
+def _vertex_angle(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> float:
+    """angle_at(x, y, z) for finite 1-D arrays of one length, without the
+    input checks."""
+    u = x - y
+    v = z - y
     nu = math.sqrt(u.dot(u))
     nv = math.sqrt(v.dot(v))
     if nu <= DISTINCTNESS_TOL or nv <= DISTINCTNESS_TOL:
@@ -136,80 +143,112 @@ def angle_at(x, y, z) -> float:
     return float(np.arccos(min(1.0, max(-1.0, c))))
 
 
-@lru_cache(maxsize=16)
-def _others(n: int) -> np.ndarray:
-    """(n, n-1) array whose row j lists the indices other than j, ascending."""
+@lru_cache(maxsize=32)
+def _others(P: int, n: int) -> np.ndarray:
+    """(P*n, n-1) array for a stack of P sets of n points, rows numbered p*n + j:
+    row p*n + j lists the rows of the other points of set p, ascending."""
     cols = np.arange(n - 1)
     others = cols + (cols >= np.arange(n)[:, None])
+    others = (others + n * np.arange(P)[:, None, None]).reshape(P * n, n - 1)
     others.setflags(write=False)
     return others
 
 
-def _ray_grams(pts: np.ndarray):
-    """Yield (lo, gram) over blocks of vertices lo, lo+1, ...: gram[b] is the
-    Gram matrix of the unit rays from vertex lo+b toward _others(n)[lo+b].
+def _ray_grams(stack: np.ndarray):
+    """Yield (lo, gram) over blocks of the vertex rows lo, lo+1, ... of a
+    (P, n, D) stack of point sets, row p*n + j being vertex j of set p:
+    gram[b] is the Gram matrix of the unit rays from row lo+b toward the
+    other points of its set, _others(P, n)[lo+b].
 
     The one kernel behind every max-angle scan. A block holds at most
     _BLOCK_ENTRIES Gram entries, or one vertex's Gram where that alone is
-    larger, so working memory does not grow with the number of blocks. Each
-    vertex's Gram equals, bit for bit, the one a per-vertex scan would build.
-    Raises DegenerateTriple when two points lie within DISTINCTNESS_TOL of
+    larger, so working memory does not grow with the number of blocks, and
+    a block may span several sets. Each vertex's Gram equals, bit for bit,
+    the one a per-vertex scan of its set alone would build. Raises
+    DegenerateTriple when two points of a set lie within DISTINCTNESS_TOL of
     each other, before any division by their distance, and OutOfRange on
     non-finite coordinates.
     """
-    if not np.isfinite(pts).all():
+    if not np.isfinite(stack).all():
         raise OutOfRange("point set has non-finite coordinates")
-    n = pts.shape[0]
-    others = _others(n)
-    for lo, hi in _row_blocks(n, (n - 1) ** 2):
-        rays = pts[others[lo:hi]] - pts[lo:hi, None]
-        norms = np.linalg.norm(rays, axis=2)
+    P, n, D = stack.shape
+    pts = stack.reshape(P * n, D)
+    others = _others(P, n)
+    for lo, hi in _row_blocks(P * n, (n - 1) ** 2):
+        rays = pts.take(others[lo:hi], axis=0) - pts[lo:hi, None]
+        norms = np.sqrt(np.add.reduce(rays * rays, axis=2))  # np.linalg.norm's arithmetic
         if norms.min() <= DISTINCTNESS_TOL:
             b, a = map(int, np.argwhere(norms <= DISTINCTNESS_TOL)[0])
+            p, j = divmod(lo + b, n)
+            i = int(others[lo + b, a]) - p * n
+            where = f"set {p}: " if P > 1 else ""
             raise DegenerateTriple(
-                f"points {lo + b} and {int(others[lo + b, a])} are closer than "
-                f"{DISTINCTNESS_TOL}: no angle at vertex {lo + b}"
+                f"{where}points {j} and {i} are closer than "
+                f"{DISTINCTNESS_TOL}: no angle at vertex {j}"
             )
         rays /= norms[:, :, None]
         yield lo, rays @ rays.transpose(0, 2, 1)
 
 
-def max_angle_triple(points: np.ndarray) -> tuple[float, tuple[int, int, int]]:
-    """Return (max angle, (i, j, k)) over all triples with vertex j.
+def max_angle_triples(stack) -> list[tuple[float, tuple[int, int, int]]]:
+    """(max angle, (i, j, k)) of every set of a (P, n, dim) stack, in one scan.
 
-    Direct O(n^3 * dim) scan over the ray Grams of _ray_grams. Ties go to the
-    first vertex j, then to the first (i, k) in row-major order of its Gram;
-    the winning triple's angle is recomputed with angle_at so the result is
-    bit-identical to a scalar triple enumeration. For n <= 2 there is no
-    triple and the result is (0.0, (-1, -1, -1)). Raises DegenerateTriple if
-    two points are closer than DISTINCTNESS_TOL, OutOfRange if a coordinate
-    is not finite.
+    One pass of _ray_grams over all P*n vertex rows, so a stack of small sets
+    costs about one call's fixed numpy overhead instead of P. Per set, ties go
+    to the first vertex j (a later vertex or block wins only when strictly
+    greater), then to the first (i, k) in row-major order of its Gram; the
+    winning triple's angle is recomputed with angle_at's arithmetic. A set's
+    result therefore does not depend on the other sets or on where the block
+    boundaries fall. A set of n <= 2 points has no triple: (0.0, (-1, -1, -1)).
+    Raises DegenerateTriple naming the set and the two points when two points
+    of a set are closer than DISTINCTNESS_TOL, OutOfRange if a coordinate is
+    not finite.
     """
-    pts = np.asarray(points, dtype=float)
-    n = pts.shape[0]
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 3:
+        raise OutOfRange(f"expected a (P, n, dim) stack of point sets, got shape {stack.shape}")
+    P, n, _ = stack.shape
     if n <= 2:
-        return 0.0, (-1, -1, -1)
+        return [(0.0, (-1, -1, -1))] * P
     m = n - 1
-    others = _others(n)
-    best = -1.0
-    best_triple = (-1, -1, -1)
-    for lo, gram in _ray_grams(pts):
+    others = _others(P, n)
+    ang = np.empty(P * n)
+    pos = np.empty(P * n, dtype=np.intp)
+    for lo, gram in _ray_grams(stack):
         flat = gram.reshape(gram.shape[0], m * m)
         flat[:, :: m + 1] = 1.0
-        pos = np.argmin(flat, axis=1)
-        c = flat[np.arange(flat.shape[0]), pos]
-        ang = np.arccos(np.clip(c, -1.0, 1.0))
-        b = int(np.argmax(ang))
-        if ang[b] > best:
-            best = float(ang[b])
-            a, k = divmod(int(pos[b]), m)
-            j = lo + b
-            best_triple = (int(others[j, a]), j, int(others[j, k]))
+        hi = lo + flat.shape[0]
+        pos[lo:hi] = flat.argmin(axis=1)
+        c = flat[np.arange(hi - lo), pos[lo:hi]]
+        ang[lo:hi] = np.arccos(np.minimum(np.maximum(c, -1.0), 1.0))
         # Free this Gram before the kernel builds the next one, so that
         # large-n scans reuse one buffer while it is still in cache.
         del gram, flat
-    i, j, k = best_triple
-    return angle_at(pts[i], pts[j], pts[k]), best_triple
+    # argmax keeps the first vertex of each set among equal angles: the
+    # later vertex wins only when strictly greater.
+    js = ang.reshape(P, n).argmax(axis=1)
+    out = []
+    for p, (j, w) in enumerate(zip(js.tolist(), pos[js + n * np.arange(P)].tolist())):
+        # Row j of set 0 lists the other points' indices within a set.
+        a, k = divmod(w, m)
+        i, k = int(others[j, a]), int(others[j, k])
+        out.append((_vertex_angle(stack[p, i], stack[p, j], stack[p, k]), (i, j, k)))
+    return out
+
+
+def max_angle_triple(points: np.ndarray) -> tuple[float, tuple[int, int, int]]:
+    """Return (max angle, (i, j, k)) over all triples with vertex j.
+
+    Direct O(n^3 * dim) scan: max_angle_triples of the one-set stack, with
+    its tie rules, so the result is bit-identical to a scalar triple
+    enumeration. For n <= 2 there is no triple and the result is
+    (0.0, (-1, -1, -1)). Raises DegenerateTriple if two points are closer
+    than DISTINCTNESS_TOL, OutOfRange if a coordinate is not finite.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2:
+        raise OutOfRange(f"expected an (n, dim) array of points, got shape {pts.shape}")
+    return max_angle_triples(pts[None])[0]
 
 
 def max_angle(A: PointSet) -> float:

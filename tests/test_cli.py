@@ -160,6 +160,17 @@ class TestFileFormats:
         err = capsys.readouterr().err
         assert err == "error: point rows have different lengths [2, 3]\n"
 
+    @pytest.mark.parametrize("points", [{"a": 1}, [[0, {"a": 1}], [1, 0]]],
+                             ids=["object", "object-coordinate"])
+    def test_object_coordinates_rejected_by_the_library(self, tmp_path, capsys, points):
+        path = tmp_path / "objects.json"
+        path.write_text(json.dumps({"points": points}))
+        assert dispatch(["angle", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: point coordinates must be numbers: float() argument "
+                                "must be a string or a real number, not 'dict'\n")
+
     @pytest.mark.parametrize("data,shape", [({"lines": [1, 0, 0]}, "(3,)"), ([], "(0,)")])
     def test_malformed_line_files_rejected(self, tmp_path, square_file, capsys, data, shape):
         path = tmp_path / "lines.json"
@@ -301,6 +312,20 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["search-alpha", "--n", "5", "--dim", "2", "--iters", "-3", "--restarts", "1"],
+         "iters must be at least 1, got -3"),
+        (["search-alpha", "--n", "5", "--dim", "3", "--iters", "10", "--restarts", "-2"],
+         "restarts must be non-negative, got -2"),
+        (["search-max", "--theta-deg", "90", "--dim", "2", "--budget", "-5"],
+         "budget must be non-negative, got -5"),
+    ], ids=["iters", "restarts", "budget"])
+    def test_negative_search_budget_is_refused_by_name(self, argv, message, capsys):
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_empty_probe_set_is_refused_by_name(self, capsys):
         assert dispatch(["cover-lines", "--rho", "1.5", "--dim", "3", "--probes", "0"]) == 2

@@ -14,6 +14,7 @@ from anglebound.geometry import (
     geodesic_diameter,
     max_angle,
     max_angle_triple,
+    max_angle_triples,
     rays_from,
 )
 from anglebound.search import _structured_starts
@@ -138,6 +139,8 @@ class TestMaxAngle:
                 max_angle_triple([[0.0, 0.0], [1.0, 0.0], [5e-10, 0.0]])
             with pytest.raises(OutOfRange, match="non-finite"):
                 max_angle_triple([[0.0, 0.0], [math.inf, 0.0], [1.0, 1.0]])
+            with pytest.raises(OutOfRange, match=r"^expected an \(n, dim\) array"):
+                max_angle_triple([0.0, 1.0, 2.0])
 
 
 class TestMaxAngleKernelAgainstLoop:
@@ -173,6 +176,63 @@ class TestMaxAngleKernelAgainstLoop:
     def test_sets_spanning_several_blocks(self, n, d):
         pts = np.random.default_rng(n).normal(size=(n, d))
         assert max_angle_triple(pts) == loop_max_angle_triple(pts)
+
+
+class TestStackedKernelAgainstLoop:
+    """Every set of a stack scores exactly as the per-vertex loop scores it alone."""
+
+    @staticmethod
+    def check(stack):
+        assert max_angle_triples(stack) == [loop_max_angle_triple(s) for s in stack]
+
+    def test_random_stacks(self):
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            P, n, d = int(rng.integers(1, 7)), int(rng.integers(3, 14)), int(rng.integers(1, 9))
+            self.check(rng.normal(size=(P, n, d)))
+
+    def test_lattice_stacks_with_exact_ties(self):
+        rng = np.random.default_rng(32)
+        for _ in range(100):
+            P, n, d = int(rng.integers(2, 6)), int(rng.integers(3, 10)), int(rng.integers(2, 5))
+            stack = []
+            while len(stack) < P:
+                pts = rng.integers(-2, 3, size=(n, d)).astype(float)
+                if len(np.unique(pts, axis=0)) == n:
+                    stack.append(pts)
+            self.check(np.array(stack))
+
+    def test_stacks_of_structured_search_starts(self):
+        rng = np.random.default_rng(33)
+        for n in range(3, 11):
+            for d in range(1, 5):
+                starts = _structured_starts(n, d)
+                if starts:
+                    # A random set between the starts, so no set is alone.
+                    self.check(np.array(starts[:1] + [rng.normal(size=(n, d))] + starts[1:]))
+
+    def test_stack_spanning_several_blocks(self):
+        P, n, d = 4, 40, 3
+        blocks = list(_row_blocks(P * n, (n - 1) ** 2))
+        assert len(blocks) > 2 and any(lo % n for lo, _ in blocks[1:])
+        self.check(np.random.default_rng(34).normal(size=(P, n, d)))
+
+    def test_small_sets_have_no_triple(self):
+        assert max_angle_triples(np.zeros((3, 2, 2))) == [(0.0, (-1, -1, -1))] * 3
+        assert max_angle_triples(np.zeros((0, 5, 2))) == []
+
+    def test_coincident_pair_names_its_set_before_dividing(self):
+        stack = np.random.default_rng(35).normal(size=(4, 6, 3))
+        stack[2, 3] = stack[2, 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateTriple, match=r"^set 2: points 1 and 3 are closer than "
+                                                       r"1e-09: no angle at vertex 1$"):
+                max_angle_triples(stack)
+
+    def test_rejects_a_stack_that_is_not_three_dimensional(self):
+        with pytest.raises(OutOfRange, match="stack"):
+            max_angle_triples(np.zeros((4, 3)))
 
 
 class TestGeodesicDiameter:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 
@@ -39,19 +40,31 @@ class TestStructuredConfigurations:
 
 class TestAnneal:
     def test_each_proposal_is_scanned_once(self, monkeypatch):
-        scans = Counter()
+        stacks = []
         ray_grams = geometry._ray_grams
 
-        def counted(pts):
-            scans[np.ascontiguousarray(pts).tobytes()] += 1
-            return ray_grams(pts)
+        def counted(stack):
+            stacks.append(np.array(stack))
+            return ray_grams(stack)
 
         monkeypatch.setattr(geometry, "_ray_grams", counted)
         pts = np.random.default_rng(5).normal(size=(6, 3))
         _anneal(pts, 20, np.random.default_rng(6))
-        # The start, then three proposals per step; the winner is not rescanned.
+        # The start alone, then one (3, n, D) stack of the proposals per step;
+        # the winner is not rescanned.
+        assert [s.shape for s in stacks] == [(1, 6, 3)] + [(3, 6, 3)] * 20
+        scans = Counter(p.tobytes() for s in stacks for p in s)
         assert sum(scans.values()) == 1 + 3 * 20
         assert max(scans.values()) == 1
+
+    def test_triple_entry_by_integers_draws_the_stream_of_choice(self):
+        # _anneal picks a vertex of the current triple with t[rng.integers(3)],
+        # the cheaper call drawing what rng.choice(list(t)) drew before.
+        t = (4, 0, 7)
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        assert ([int(a.choice(list(t))) for _ in range(10_000)]
+                == [t[int(b.integers(3))] for _ in range(10_000)])
+        assert a.random() == b.random()
 
 
 class TestMinimizeMaxAngle:
@@ -97,6 +110,22 @@ class TestMinimizeMaxAngle:
         with pytest.raises(OutOfRange):
             minimize_max_angle(2, 2)
 
+    @pytest.mark.parametrize("n, D, kwargs, message", [
+        (5, 2, {"iters": 0}, "iters must be at least 1, got 0"),
+        (5, 2, {"iters": -3}, "iters must be at least 1, got -3"),
+        (5, 3, {"restarts": -2}, "restarts must be non-negative, got -2"),
+        (10, 3, {"restarts": 0},
+         "restarts must be at least 1: no structured start has n=10 points in D=3, got 0"),
+    ])
+    def test_budgets_checked_on_entry(self, n, D, kwargs, message):
+        with pytest.raises(OutOfRange, match=f"^{message}$"):
+            minimize_max_angle(n, D, seed=1, **kwargs)
+
+    def test_structured_starts_alone_need_no_restart(self):
+        # The cross-polytope, the hypercube prefix and the square.
+        res = minimize_max_angle(4, 2, iters=5, restarts=0, seed=1)
+        assert res.restarts == 3 and res.iterations == 15
+
 
 class TestMaxCardinalitySearch:
     def test_right_angle_plane_reaches_square(self):
@@ -125,3 +154,51 @@ class TestMaxCardinalitySearch:
             max_cardinality_search(0.0, 2)
         with pytest.raises(OutOfRange):
             max_cardinality_search(math.pi, 2)
+
+    def test_budget_checked_on_entry(self):
+        with pytest.raises(OutOfRange, match="^budget must be non-negative, got -5$"):
+            max_cardinality_search(math.pi / 2, 2, budget=-5)
+        res = max_cardinality_search(math.pi / 2, 2, budget=0)
+        assert res.iterations == 0 and len(res.points) == 4
+
+
+class TestPinnedResults:
+    """SearchResults recorded before the anneal step scored its proposals in
+    one stacked scan. The stacked scan and later speedups must return them
+    bit for bit: points (SHA-256 of the little-endian float64 bytes), angle
+    (float.hex), iterations and restarts."""
+
+    @pytest.mark.parametrize("n, D, iters, restarts, seed, size, angle, iterations, digest", [
+        (9, 3, 60, 1, 11, 9, "0x1.1dc8f2cdb337ap+1", 60,
+         "f21ebeefd3e3b923d8a3e43741784878904be752b6a68537ae288a5f65d92b53"),
+        (10, 3, 60, 1, 12, 10, "0x1.273a0e7a824aep+1", 60,
+         "c146108b4d3993eb684f4acc5968688f5ff7b26c21de890475813bb08eab9b67"),
+        (5, 3, 200, 2, 13, 5, "0x1.7bb9cb3aa6f85p+0", 800,
+         "6592dd3d2ff98d292b185121987f30de04f0f99bd9a62be53bf7c645b598b851"),
+        (18, 4, 40, 1, 13, 18, "0x1.3ebdcc813fcc5p+1", 40,
+         "b2a87c1fb0eaa4fe5ce4c1c89d8e631ceb166032e078f93d43317abad4c50238"),
+        # 3 proposals x 30 vertices x 29^2 Gram entries span two kernel blocks.
+        (30, 3, 15, 1, 17, 30, "0x1.825a793007ebep+1", 15,
+         "63d6be092e7b5fc079341351edc3a8728cdf24cd939683a54a5f1ed66668be9b"),
+    ])
+    def test_minimize_max_angle(self, n, D, iters, restarts, seed, size, angle, iterations,
+                                digest):
+        res = minimize_max_angle(n, D, iters=iters, restarts=restarts, seed=seed)
+        self.check(res, size, angle, iterations, digest)
+
+    @pytest.mark.parametrize("theta, D, budget, seed, size, angle, digest", [
+        (2.0, 3, 300, 14, 9, "0x1.f79183fb158e8p+0",
+         "50da7663b5d21e01cb31cd9a09efe471af0882a003972d4f92a4c304cf31f4e4"),
+        (2.2, 2, 300, 16, 6, "0x1.0c152382d7366p+1",
+         "6ce56e6617d1d8fa8b98323bf48697d54672032cf6e855e2810aed503a713fe2"),
+    ])
+    def test_max_cardinality_search(self, theta, D, budget, seed, size, angle, digest):
+        res = max_cardinality_search(theta, D, budget=budget, seed=seed)
+        self.check(res, size, angle, budget, digest)
+
+    @staticmethod
+    def check(res, size, angle, iterations, digest):
+        assert len(res.points) == size
+        assert res.achieved_angle.hex() == angle
+        assert res.iterations == iterations
+        assert hashlib.sha256(res.points.points.astype("<f8").tobytes()).hexdigest() == digest
