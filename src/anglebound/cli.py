@@ -6,6 +6,10 @@ the subcommand, parameters, seed, and tool version. Outputs contain no
 timestamps, so re-running a manifest's command line reproduces them
 byte-for-byte. Exit codes: 0 success, 2 precondition/usage errors, 1
 internal failure.
+
+Library modules are imported inside the handlers and readers that use them,
+so each subcommand loads only what it runs: `bound` and `table` load
+`bounds` and no numpy.
 """
 
 from __future__ import annotations
@@ -19,24 +23,8 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .bounds import cardinality_bound
-from .constructions import (
-    LineArrangement,
-    calibrate_constants,
-    cover_lines,
-    ef_doubling,
-    n_bounds,
-    obtuse_triple_witness,
-    pack_lines,
-)
-from .convexity import is_convex_position, obtuse_witness
-from .curvature import CapTooSmall, cone_cover_certificate, gauss_bonnet_sum
 from .errors import OutOfRange, PreconditionError
-from .geometry import PointSet, max_angle
-from .search import max_cardinality_search, minimize_max_angle
 
 DEFAULT_SEED = 20240
 
@@ -55,7 +43,9 @@ def _number(text, what: str, kind=float):
     return value
 
 
-def read_pointset(path: str) -> PointSet:
+def read_pointset(path: str):
+    from .geometry import PointSet
+
     p = Path(path)
     if p.suffix.lower() == ".csv":
         rows = []
@@ -74,7 +64,7 @@ def read_pointset(path: str) -> PointSet:
     return ps
 
 
-def write_pointset(ps: PointSet, path: str):
+def write_pointset(ps, path: str):
     p = Path(path)
     if p.suffix.lower() == ".csv":
         with open(p, "w", newline="") as fh:
@@ -86,7 +76,11 @@ def write_pointset(ps: PointSet, path: str):
             fh.write(_serialize(ps))
 
 
-def read_lines(path: str) -> LineArrangement:
+def read_lines(path: str):
+    import numpy as np
+
+    from .constructions import LineArrangement
+
     with open(path) as fh:
         data = json.load(fh)
     try:
@@ -117,11 +111,14 @@ def _add_angle_flags(sp, name: str, help_text: str):
     sp.add_argument(f"--{name}-deg", type=float, help=f"{help_text} (degrees)")
 
 
-def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(_number(lo, "--dims", int), _number(hi, "--dims", int) + 1))
-    return [_number(text, "--dims", int)]
+def _parse_range(text: str, flag: str, kind=float) -> tuple:
+    """(lo, hi) from a value v (lo = hi = v) or a range lo..hi with lo <= hi."""
+    lo, sep, hi = text.partition("..")
+    lo = _number(lo, flag, kind)
+    hi = _number(hi, flag, kind) if sep else lo
+    if lo > hi:
+        raise OutOfRange(f"{flag} range must run from low to high, got {text!r}")
+    return lo, hi
 
 
 # ------------------------------------------------------------------ table
@@ -133,6 +130,8 @@ def table_bound_grid(dims, thetas_rad) -> str:
     not-applicable; cells between theta_D and theta_(D-1) evaluate the
     formula with theorem_applicable false.
     """
+    from .bounds import cardinality_bound
+
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["dim", "theta_rad", "theta_deg", "eta", "f_value", "bound",
@@ -155,16 +154,22 @@ def table_bound_grid(dims, thetas_rad) -> str:
 # ------------------------------------------------------------ subcommands
 
 def _cmd_bound(args):
+    from .bounds import cardinality_bound
+
     theta = _angle_from(args, "theta")
     return cardinality_bound(theta, args.dim), 0
 
 
 def _cmd_angle(args):
+    from .geometry import max_angle
+
     ps = read_pointset(args.infile)
     return {"dim": ps.dim, "n": len(ps), "max_angle": max_angle(ps)}, 0
 
 
 def _cmd_convex_position(args):
+    from .convexity import is_convex_position, obtuse_witness
+
     ps = read_pointset(args.infile)
     verdict = is_convex_position(ps)
     if verdict.in_convex_position:
@@ -174,12 +179,16 @@ def _cmd_convex_position(args):
 
 
 def _cmd_curvature(args):
+    from .curvature import gauss_bonnet_sum
+
     ps = read_pointset(args.infile)
     est = gauss_bonnet_sum(ps, args.samples, args.seed)
     return est, 0
 
 
 def _cmd_cone_cover(args):
+    from .curvature import CapTooSmall, cone_cover_certificate
+
     ps = read_pointset(args.infile)
     eta = _angle_from(args, "eta")
     try:
@@ -195,17 +204,24 @@ def _cmd_cone_cover(args):
 
 
 def _cmd_pack_lines(args):
+    from .constructions import pack_lines
+
     arr = pack_lines(args.m, args.dim, iters=args.iters, seed=args.seed)
     return arr, 0
 
 
 def _cmd_cover_lines(args):
+    from .constructions import cover_lines
+
     rho = _angle_from(args, "rho")
     arr = cover_lines(rho, args.dim, seed=args.seed, probes=args.probes)
     return {**_fields(arr), "probes": args.probes, "rho": rho}, 0
 
 
 def _cmd_ef_construct(args):
+    from .constructions import ef_doubling
+    from .geometry import max_angle
+
     arr = read_lines(args.lines)
     rho = _angle_from(args, "rho")
     ps = ef_doubling(arr, rho, slack=args.slack, max_scale_doublings=args.max_doublings)
@@ -213,6 +229,8 @@ def _cmd_ef_construct(args):
 
 
 def _cmd_witness(args):
+    from .constructions import obtuse_triple_witness
+
     ps = read_pointset(args.infile)
     arr = read_lines(args.lines)
     rho = _angle_from(args, "rho")
@@ -221,6 +239,8 @@ def _cmd_witness(args):
 
 
 def _cmd_n_bounds(args):
+    from .constructions import calibrate_constants, n_bounds
+
     theta = _angle_from(args, "theta")
     c_d, C_d = args.c_d, args.C_d
     calibrated = False
@@ -234,12 +254,16 @@ def _cmd_n_bounds(args):
 
 
 def _cmd_search_alpha(args):
+    from .search import minimize_max_angle
+
     res = minimize_max_angle(args.n, args.dim, iters=args.iters,
                              restarts=args.restarts, seed=args.seed)
     return {**_fields(res), **_fields(res.points)}, 0
 
 
 def _cmd_search_max(args):
+    from .search import max_cardinality_search
+
     theta = _angle_from(args, "theta")
     res = max_cardinality_search(theta, args.dim, budget=args.budget, seed=args.seed)
     return {**_fields(res), **_fields(res.points)}, 0
@@ -248,18 +272,14 @@ def _cmd_search_max(args):
 def _cmd_table(args):
     if not args.bound_grid:
         raise OutOfRange("table currently supports --bound-grid only")
-    dims = _parse_range(args.dims)
-    theta_spec = args.theta_deg
-    if ".." in theta_spec:
-        lo, hi = (_number(x, "--theta-deg") for x in theta_spec.split("..", 1))
-    else:
-        lo = hi = _number(theta_spec, "--theta-deg")
+    d_lo, d_hi = _parse_range(args.dims, "--dims", int)
+    lo, hi = _parse_range(args.theta_deg, "--theta-deg")
     step = args.theta_step
     if not step > 0:
         raise OutOfRange(f"--theta-step must be positive, got {step!r}")
-    count = max(0, int(round((hi - lo) / step)))
+    count = int(round((hi - lo) / step))
     thetas = [math.radians(lo + k * step) for k in range(count + 1)]
-    return table_bound_grid(dims, thetas), 0
+    return table_bound_grid(range(d_lo, d_hi + 1), thetas), 0
 
 
 # --------------------------------------------------------------- dispatch
@@ -376,7 +396,7 @@ def _fields(obj) -> dict:
 
 
 def _json_default(obj):
-    if isinstance(obj, np.ndarray):
+    if hasattr(obj, "tolist"):  # numpy arrays and scalars, without importing numpy
         return obj.tolist()
     if dataclasses.is_dataclass(obj):
         return _fields(obj)

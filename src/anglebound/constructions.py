@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convexity import ObtuseWitness
 from .errors import (
     ColoringFailed,
     CoverageFailed,
@@ -112,11 +111,15 @@ def pack_lines(m: int, D: int, iters: int = 1500, seed: int = 0,
     soft-max of squared pairwise dots with a sharpening schedule, from random
     restarts. The returned arrangement's min_pairwise_angle is recomputed
     exactly, so it is a valid achieved separation regardless of optimizer
-    quality.
+    quality. Needs iters >= 1 and restarts >= 1, closed forms included.
     """
     if m < 2 or D < 2:
         raise OutOfRange("need m >= 2 lines in dimension D >= 2")
     _check_seed(seed)
+    if iters < 1:
+        raise OutOfRange(f"iters must be at least 1, got {iters}")
+    if restarts < 1:
+        raise OutOfRange(f"restarts must be at least 1, got {restarts}")
     if m <= D:
         return LineArrangement(dim=D, lines=np.eye(D)[:m])
     if D == 2:
@@ -138,7 +141,7 @@ def pack_lines(m: int, D: int, iters: int = 1500, seed: int = 0,
         U /= np.linalg.norm(U, axis=1)[:, None]
         consider(U)
         beta = 4.0
-        growth = (8192.0 / beta) ** (1.0 / max(iters, 1))
+        growth = (8192.0 / beta) ** (1.0 / iters)
         for it in range(iters):
             C = U @ U.T
             np.fill_diagonal(C, 0.0)
@@ -391,6 +394,8 @@ def obtuse_triple_witness(A: PointSet, L: LineArrangement, rho: float) -> Obtuse
     two consecutive edges projecting onto its line with the same sign, and
     their shared vertex sees its neighbors at angle >= pi - rho.
     """
+    from .convexity import ObtuseWitness  # only here: cover-lines need not load convexity
+
     if not 0.0 < rho < math.pi:
         raise OutOfRange(f"rho must lie in (0, pi), got {rho}")
     if len(A) < 2 ** len(L) + 1:

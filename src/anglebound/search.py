@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import cardinality_bound, theta_d
 from .errors import OutOfRange
 from .geometry import PointSet, max_angle_triple, max_angle_triples
 from .sampling import rng_stream
@@ -28,6 +29,8 @@ from .sampling import rng_stream
 _PROPOSALS = 3
 # Per-step factor of the annealing temperature.
 _COOLING = 0.995
+# Relative margin, a few ulps, on the theorem's bound where it caps the set size.
+_BOUND_ULPS = 8 * 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -196,7 +199,9 @@ def max_cardinality_search(theta: float, D: int, budget: int = 20000,
     Greedy insertion of random candidates with short annealing repairs when
     an insertion overshoots the cap. The returned set always satisfies
     max_angle <= theta; its size is a lower-bound demonstration, with no
-    optimality claim.
+    optimality claim. Where the theorem applies (theta < theta_D) the search
+    stops once the set reaches floor(cardinality_bound(theta, D).bound), and
+    `iterations` counts the steps actually used.
     """
     if not 0.0 < theta < math.pi:
         raise OutOfRange(f"theta must lie in (0, pi), got {theta}")
@@ -205,9 +210,16 @@ def max_cardinality_search(theta: float, D: int, budget: int = 20000,
     if budget < 0:
         raise OutOfRange(f"budget must be non-negative, got {budget}")
     pts = _largest_structured_under(theta, D)
+    # The theorem allows no set larger than its bound; the margin keeps a bound
+    # that rounds just below an integer from stopping the search one point short.
+    limit = math.inf
+    if theta < theta_d(D):  # and so below theta_(D-1), where the bound evaluates
+        rep = cardinality_bound(theta, D)
+        if rep.theorem_applicable:
+            limit = rep.bound * (1.0 + _BOUND_ULPS)
     rng = rng_stream(seed, 0)
     used = 0
-    while used < budget:
+    while used < budget and len(pts) + 1 <= limit:
         scale = max(_spread(pts), 1.0)
         inserted = False
         for _ in range(30):
@@ -227,8 +239,6 @@ def max_cardinality_search(theta: float, D: int, budget: int = 20000,
             used += steps
             if e <= theta:
                 pts = repaired
-        if used >= budget:
-            break
     result = PointSet(pts)
     achieved = max_angle_triple(result.points)[0]
     if achieved > theta:

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from anglebound import cli
+from anglebound import cli, geometry
 from anglebound.bounds import cardinality_bound
 from anglebound.cli import dispatch, read_pointset, table_bound_grid, write_pointset
 from anglebound.geometry import PointSet
@@ -327,6 +327,16 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv,message", [
+        (["pack-lines", "--m", "5", "--dim", "3", "--iters", "-3"], "iters must be at least 1, got -3"),
+        (["pack-lines", "--m", "3", "--dim", "2", "--iters", "0"], "iters must be at least 1, got 0"),
+    ], ids=["search", "closed-form"])
+    def test_pack_lines_budget_is_refused_by_name(self, argv, message, capsys):
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_empty_probe_set_is_refused_by_name(self, capsys):
         assert dispatch(["cover-lines", "--rho", "1.5", "--dim", "3", "--probes", "0"]) == 2
         captured = capsys.readouterr()
@@ -338,6 +348,8 @@ class TestExitCodes:
         (["--theta-step", "-1"], "--theta-step must be positive, got -1.0"),
         (["--dims", "2..x"], "--dims must be an integer, got 'x'"),
         (["--theta-deg", "90..inf"], "--theta-deg must be a finite number, got 'inf'"),
+        (["--dims", "5..2"], "--dims range must run from low to high, got '5..2'"),
+        (["--theta-deg", "100..91"], "--theta-deg range must run from low to high, got '100..91'"),
     ])
     def test_bad_table_grid_refused_by_name(self, capsys, flags, message):
         assert dispatch(["table", "--bound-grid", *flags]) == 2
@@ -349,7 +361,7 @@ class TestExitCodes:
         def broken(ps):
             raise ValueError("not a usage error")
 
-        monkeypatch.setattr(cli, "max_angle", broken)
+        monkeypatch.setattr(geometry, "max_angle", broken)
         assert dispatch(["angle", "--in", square_file]) == 1
         assert capsys.readouterr().err == "internal error: ValueError: not a usage error\n"
 

@@ -77,7 +77,7 @@ class TestPackLines:
         b = pack_lines(4, 3, seed=5, iters=400)
         np.testing.assert_array_equal(a.lines, b.lines)
 
-    @pytest.mark.parametrize("iters,restarts", [(1500, 8), (50, 1), (300, 0)])
+    @pytest.mark.parametrize("iters,restarts", [(1500, 8), (50, 1), (1, 1)])
     def test_closed_forms_whatever_the_seed_and_budget(self, iters, restarts):
         for seed in range(4):
             for D in (2, 3, 5):
@@ -93,6 +93,17 @@ class TestPackLines:
                 arr = pack_lines(m, 2, iters=iters, seed=seed, restarts=restarts)
                 np.testing.assert_array_equal(arr.lines, LineArrangement(dim=2, lines=U).lines)
                 assert arr.min_pairwise_angle == pytest.approx(math.pi / m, rel=1e-12)
+
+    @pytest.mark.parametrize("m, D, iters, restarts, message", [
+        (5, 3, 1500, 0, "restarts must be at least 1, got 0"),
+        (5, 3, 0, 8, "iters must be at least 1, got 0"),
+        (3, 3, 1500, -1, "restarts must be at least 1, got -1"),  # the coordinate frame
+        (4, 2, -3, 8, "iters must be at least 1, got -3"),  # the equiangular lines
+    ])
+    def test_budgets_are_checked_before_the_closed_forms(self, m, D, iters, restarts, message):
+        with pytest.raises(OutOfRange) as err:
+            pack_lines(m, D, iters=iters, restarts=restarts)
+        assert str(err.value) == message
 
 
 class TestCoverLines:

@@ -1,14 +1,16 @@
-"""Start-up cost: no subcommand loads scipy.
+"""Start-up cost: each subcommand loads only the modules it runs.
 
-The package is numpy-only at run time; scipy is a test oracle. Every
-subcommand the parser knows, calibrating `n-bounds` included, runs in one
-fresh interpreter (this test process has already imported scipy through
-other test modules), which reports the scipy modules loaded after the import
-and after each call. The subcommands that once loaded only part of scipy are
-also run alone, so each is checked without the others' imports before it.
+The package is numpy-only at run time; scipy is a test oracle, and `bound`
+and `table` need no numpy at all. Every subcommand the parser knows,
+calibrating `n-bounds` included, runs in one fresh interpreter (this test
+process has already imported scipy and numpy through other test modules),
+which reports the scipy, numpy and anglebound modules loaded after `import
+anglebound` and after each call. Subcommands are also run alone, so each is
+checked without the others' imports before it.
 """
 
 import argparse
+import importlib
 import json
 import os
 import subprocess
@@ -45,20 +47,21 @@ CALLS = [
 
 PROBE = """
 import contextlib, io, json, sys
-scipy = lambda: sorted(m for m in sys.modules if m.startswith("scipy"))
+loaded = lambda: {p: sorted(m for m in sys.modules if m.startswith(p))
+                  for p in ("scipy", "numpy", "anglebound")}
 import anglebound
+report = {"import": loaded()}
 from anglebound.cli import dispatch
-report = {"import": scipy()}
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = dispatch(argv)
-    report[argv[0]] = [code, scipy()]
+    report[argv[0]] = [code, loaded()]
 print(json.dumps(report))
 """
 
 
 def run_probe(tmp_path, argvs):
-    """Run `argvs` in one fresh interpreter; return its report of scipy modules."""
+    """Run `argvs` in one fresh interpreter; return its report of loaded modules."""
     paths = {}
     for name, data in FILES.items():
         paths[name] = tmp_path / f"{name}.json"
@@ -71,14 +74,26 @@ def run_probe(tmp_path, argvs):
     return json.loads(proc.stdout or "null"), proc.stderr
 
 
+def loaded(report, prefix):
+    """The report cut down to the modules starting with `prefix`."""
+    if report is None:
+        return None
+    return {"import": report["import"][prefix],
+            **{sub: [entry[0], entry[1][prefix]] for sub, entry in report.items()
+               if sub != "import"}}
+
+
+def call(sub):
+    return next(argv for argv in CALLS if argv[0] == sub)
+
+
 # The subcommands that once loaded scipy, or were checked not to, each on its own:
 # what each of them uses of scipy is now nothing.
 @pytest.mark.parametrize("sub", ["bound", "angle", "convex-position", "cone-cover",
                                  "curvature", "cover-lines"])
 def test_subcommand_loads_only_the_scipy_it_uses(tmp_path, sub):
-    argv = next(argv for argv in CALLS if argv[0] == sub)
-    report, stderr = run_probe(tmp_path, [argv])
-    assert report == {"import": [], sub: [0, []]}, stderr
+    report, stderr = run_probe(tmp_path, [call(sub)])
+    assert loaded(report, "scipy") == {"import": [], sub: [0, []]}, stderr
 
 
 def test_no_subcommand_loads_scipy(tmp_path):
@@ -86,4 +101,72 @@ def test_no_subcommand_loads_scipy(tmp_path):
     subcommands = next(a.choices for a in build_parser()._actions
                        if isinstance(a, argparse._SubParsersAction))
     expected = {"import": [], **{sub: [0, []] for sub in subcommands}}
-    assert report == expected, stderr
+    assert loaded(report, "scipy") == expected, stderr
+
+
+def test_import_loads_no_numpy_and_no_module(tmp_path):
+    report, stderr = run_probe(tmp_path, [])
+    assert report == {"import": {"scipy": [], "numpy": [], "anglebound": ["anglebound"]}}, stderr
+
+
+@pytest.mark.parametrize("sub", ["bound", "table"])
+def test_subcommand_loads_no_numpy(tmp_path, sub):
+    report, stderr = run_probe(tmp_path, [call(sub)])
+    assert loaded(report, "numpy") == {"import": [], sub: [0, []]}, stderr
+
+
+# Package modules each subcommand loads, besides the package and `cli` and `errors`.
+MODULES = {
+    "bound": ["bounds"],
+    "table": ["bounds"],
+    "angle": ["geometry"],
+    "convex-position": ["convexity", "geometry"],
+    "curvature": ["bounds", "convexity", "curvature", "geometry", "sampling"],
+    "cone-cover": ["bounds", "convexity", "curvature", "geometry", "sampling"],
+    "pack-lines": ["constructions", "geometry", "sampling"],
+    "cover-lines": ["constructions", "geometry", "sampling"],
+    "ef-construct": ["constructions", "geometry", "sampling"],
+    "witness": ["constructions", "convexity", "geometry", "sampling"],
+    "n-bounds": ["constructions", "geometry", "sampling"],
+    "search-alpha": ["bounds", "geometry", "sampling", "search"],
+    "search-max": ["bounds", "geometry", "sampling", "search"],
+}
+
+
+@pytest.mark.parametrize("sub", sorted(MODULES))
+def test_subcommand_loads_only_the_modules_it_runs(tmp_path, sub):
+    report, stderr = run_probe(tmp_path, [call(sub)])
+    expected = sorted(["anglebound", "anglebound.cli", "anglebound.errors",
+                       *(f"anglebound.{m}" for m in MODULES[sub])])
+    assert loaded(report, "anglebound") == {"import": ["anglebound"], sub: [0, expected]}, stderr
+
+
+# The names `anglebound/__init__.py` imported eagerly from each module before
+# they were resolved on first access.
+EXPORTS = {
+    "bounds": ["BoundReport", "asymptotic_envelope", "cardinality_bound", "eta_of_theta",
+               "f_fraction", "theta_d"],
+    "constructions": ["EdgeColoring", "LineArrangement", "NBoundsReport", "cover_lines",
+                      "ef_doubling", "find_mono_odd_cycle", "n_bounds",
+                      "obtuse_triple_witness", "pack_lines"],
+    "convexity": ["ConvexPositionVerdict", "ObtuseWitness", "caratheodory_decompose",
+                  "is_convex_position", "min_pairwise_dot", "obtuse_witness",
+                  "simplex_contains_origin"],
+    "curvature": ["Cone", "CurvatureEstimate", "SphericalCap", "cone_cover_certificate",
+                  "dekster_radius", "gauss_bonnet_sum", "min_enclosing_cap",
+                  "normal_cone_fraction_mc"],
+    "errors": ["PreconditionError"],
+    "geometry": ["PointSet", "angle_at", "geodesic_diameter", "max_angle", "rays_from"],
+    "search": ["SearchResult", "max_cardinality_search", "minimize_max_angle"],
+}
+
+
+def test_every_exported_name_resolves_to_its_module_object():
+    for module, names in EXPORTS.items():
+        mod = importlib.import_module(f"anglebound.{module}")
+        for name in names:
+            assert getattr(anglebound, name) is getattr(mod, name), name
+            assert name in anglebound.__all__, name
+    assert anglebound.__version__ == "0.1.0"
+    with pytest.raises(AttributeError):
+        anglebound.no_such_name

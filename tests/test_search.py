@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 from collections import Counter
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from anglebound.bounds import cardinality_bound, theta_d
-from anglebound import geometry
+from anglebound import geometry, search
 from anglebound.errors import OutOfRange
 from anglebound.geometry import max_angle
 from anglebound.search import (
@@ -160,6 +161,26 @@ class TestMaxCardinalitySearch:
             max_cardinality_search(math.pi / 2, 2, budget=-5)
         res = max_cardinality_search(math.pi / 2, 2, budget=0)
         assert res.iterations == 0 and len(res.points) == 4
+
+    def test_stops_at_the_theorems_bound(self):
+        # The bound at (1.85, D = 2) is 4.86, and the structured start has 4 points.
+        res = max_cardinality_search(1.85, 2, budget=2000, seed=3)
+        assert len(res.points) == 4
+        assert res.iterations < 2000
+
+    def test_bound_just_below_an_integer_allows_that_integer(self, monkeypatch):
+        report = dataclasses.replace(cardinality_bound(1.85, 2), bound=math.nextafter(5.0, 0.0))
+        monkeypatch.setattr(search, "cardinality_bound", lambda theta, D: report)
+        res = max_cardinality_search(1.85, 2, budget=50, seed=3)
+        assert res.iterations == 50
+
+    def test_right_angle_cube_grows_as_before(self):
+        # The bound at (pi/2, D = 3) is 10.9, so the cube's 8 points do not stop
+        # the search; the result is the one recorded before the bound applied.
+        res = max_cardinality_search(math.pi / 2, 3, budget=300, seed=1)
+        TestPinnedResults.check(
+            res, 8, "0x1.921fb54442d18p+0", 300,
+            "e9f28c6bc6e2644a82da4d74358847b9634525c2eafd7f827046303751bac2c5")
 
 
 class TestPinnedResults:
