@@ -11,6 +11,16 @@ maximum-angle bound at a vertex into an enclosing cap for its rays, which
 yields a covering of the polytope by congruent cones. The smallest enclosing
 cap comes from the point of the rays' convex hull nearest the origin, found
 by the same nearest-point kernel as hull membership.
+
+The Monte Carlo directions come in antithetic pairs (Hammersley & Morton
+1956). N samples draw ceil(N/2) raw standard normal rows u_k; sample 2k is
+u_k and sample 2k + 1 is -u_k, and for odd N the last u has no partner. One
+product per block serves both samples of a pair, since (-u) . x = -(u . x)
+exactly. Each sample is uniform on the sphere, so the estimate stays
+unbiased. u and -u both lie in one vertex's normal cone only if u is
+orthogonal to every edge there, which has probability 0; the two indicators
+are then mutually exclusive, their covariance is -p^2 <= 0, and the
+binomial standard error over N samples stays a conservative bound.
 """
 
 from __future__ import annotations
@@ -80,11 +90,24 @@ def _require_convex_position(V: PointSet):
         raise NotConvexPosition("point set has a non-vertex point")
 
 
+def _paired_blocks(dim: int, samples: int, seed: int, width: int):
+    """Yield (U, paired) over the ceil(samples/2) raw rows of the paired stream.
+
+    Row u_k is sample 2k and its negation is sample 2k + 1; the first
+    `paired` rows of block U have their partner within the sample count.
+    """
+    rows = 0
+    for U in direction_blocks(dim, -(-samples // 2), seed, width):
+        rows += len(U)
+        yield U, len(U) - max(0, 2 * rows - samples)  # 1 short only at odd N's last row
+
+
 def normal_cone_fraction_mc(V: PointSet, i: int, samples: int, seed: int) -> tuple[float, float]:
     """Monte Carlo normal-cone fraction of vertex i, with binomial std error.
 
-    Draws `samples` uniform directions u on the unit sphere and counts those
-    satisfying u . (v_j - v_i) <= 0 for every j, one direction block at a time.
+    Draws `samples` uniform directions u on the unit sphere, in antithetic
+    pairs, and counts those satisfying u . (v_j - v_i) <= 0 for every j, one
+    direction block at a time: -u satisfies it when every u . (v_j - v_i) >= 0.
     """
     _check_seed(seed)
     if samples < 1000:
@@ -93,8 +116,11 @@ def normal_cone_fraction_mc(V: PointSet, i: int, samples: int, seed: int) -> tup
         raise OutOfRange(f"vertex index {i} out of range")
     _require_convex_position(V)
     diffs = np.delete(V.points, i, axis=0) - V.points[i]
-    count = sum(int(np.sum(np.all(U @ diffs.T <= 0.0, axis=1)))
-                for U in direction_blocks(V.dim, samples, seed, len(diffs)))
+    count = 0
+    for U, paired in _paired_blocks(V.dim, samples, seed, len(diffs)):
+        P = U @ diffs.T
+        count += int(np.count_nonzero(np.all(P <= 0.0, axis=1)))
+        count += int(np.count_nonzero(np.all(P[:paired] >= 0.0, axis=1)))
     frac = count / samples
     se = math.sqrt(max(frac * (1.0 - frac), 0.0) / samples)
     return frac, se
@@ -105,8 +131,10 @@ def gauss_bonnet_sum(V: PointSet, samples: int, seed: int) -> CurvatureEstimate:
 
     Each direction is assigned to the vertex maximizing u . v_i (ties to the
     lowest index), so the counts partition the sample and the fractions sum
-    to one. The directions are counted one block at a time. Requires the
-    hull to be full-dimensional.
+    to one. The directions come in antithetic pairs: -u goes to the argmin
+    row of the same product, which breaks ties to the lowest index as the
+    argmax of its negation would. The directions are counted one block at a
+    time. Requires the hull to be full-dimensional.
     """
     _check_seed(seed)
     if samples < 1000:
@@ -117,8 +145,10 @@ def gauss_bonnet_sum(V: PointSet, samples: int, seed: int) -> CurvatureEstimate:
         raise DegenerateHull("hull is not full-dimensional")
     n = len(V)
     counts = np.zeros(n, dtype=np.int64)
-    for U in direction_blocks(V.dim, samples, seed, n):
-        counts += np.bincount(np.argmax(U @ V.points.T, axis=1), minlength=n)
+    for U, paired in _paired_blocks(V.dim, samples, seed, n):
+        P = U @ V.points.T
+        counts += np.bincount(np.argmax(P, axis=1), minlength=n)
+        counts += np.bincount(np.argmin(P[:paired], axis=1), minlength=n)
     fractions = counts.astype(float) / samples
     # Closing entry: recompute the smallest fraction from the others so the
     # float fractions sum to exactly 1.0 (adjustment is at most a few ulps).

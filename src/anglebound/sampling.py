@@ -1,14 +1,17 @@
 """Seeded, reproducible sampling on spheres, in numpy alone.
 
-Monte Carlo directions are normalized standard normals from numpy's
-ziggurat. Samples come in fixed chunks of CHUNK = 2^18 rows; chunk c is
-drawn from a generator seeded with SeedSequence(seed, spawn_key=(c,)), so
-sample i is a pure function of (seed, i): one call, or several with `start`
-offsets, give bit-identical rows. `direction_blocks` is the one sampling
-path: it draws each chunk in successive cache-sized row blocks (split
-standard_normal draws continue one stream, so the blocks are the rows of one
-whole-chunk draw), and the Monte Carlo sweeps reduce each block as it comes,
-so their memory does not grow with the sample count.
+Monte Carlo directions are standard normal rows from numpy's ziggurat. Rows
+come in fixed chunks of CHUNK = 2^18; chunk c is drawn from a generator
+seeded with SeedSequence(seed, spawn_key=(c,)), so row i is a pure function
+of (seed, i): one call, or several with `start` offsets, give bit-identical
+rows. `direction_blocks` is the one sampling path: it draws each chunk in
+successive cache-sized row blocks (split standard_normal draws continue one
+stream, so the blocks are the rows of one whole-chunk draw), and the Monte
+Carlo sweeps reduce each block as it comes, so their memory does not grow
+with the sample count. The rows are left raw: a standard normal row's
+direction is uniform on the sphere, and the sweeps read only an argmax, an
+argmin or a sign of each row's products, none of which depends on its
+length. `unit_directions` is the one place that normalizes them.
 
 Covering probes are the R_d Kronecker sequence (Roberts, "The unreasonable
 effectiveness of quasirandom sequences", 2018), frac(s + i alpha) in an even
@@ -38,7 +41,7 @@ def _check_seed(seed) -> int:
 
 
 def direction_blocks(dim: int, n: int, seed: int, width: int, start: int = 0):
-    """Yield the unit directions start, ..., start + n - 1 as row blocks, in order.
+    """Yield the raw normal rows start, ..., start + n - 1 as row blocks, in order.
 
     A block never straddles a chunk, and it holds at most _BLOCK_ENTRIES //
     max(dim, width) rows (see geometry._row_blocks), so it and its product with
@@ -57,20 +60,23 @@ def direction_blocks(dim: int, n: int, seed: int, width: int, start: int = 0):
         for a, b in _row_blocks(lo - c * CHUNK, width):  # the chunk's rows before `start`
             rng.standard_normal((b - a, dim))
         for a, b in _row_blocks(hi - lo, width):
-            z = rng.standard_normal((b - a, dim))
-            norms = np.linalg.norm(z, axis=1)
-            degenerate = norms < 1e-12
-            if np.any(degenerate):
-                z[degenerate] = 0.0
-                z[degenerate, 0] = 1.0
-                norms[degenerate] = 1.0
-            yield z / norms[:, None]
+            yield rng.standard_normal((b - a, dim))
 
 
 def unit_directions(dim: int, n: int, seed: int, start: int = 0) -> np.ndarray:
-    """n uniform unit vectors on S^{dim-1}, samples indexed from `start`."""
+    """n uniform unit vectors on S^{dim-1}: direction_blocks' rows, normalized.
+
+    A row of norm below 1e-12 becomes e_1.
+    """
     blocks = list(direction_blocks(dim, n, seed, dim, start))
-    return np.concatenate(blocks) if blocks else np.empty((0, dim))
+    z = np.concatenate(blocks) if blocks else np.empty((0, dim))
+    norms = np.linalg.norm(z, axis=1)
+    degenerate = norms < 1e-12
+    if np.any(degenerate):
+        z[degenerate] = 0.0
+        z[degenerate, 0] = 1.0
+        norms[degenerate] = 1.0
+    return z / norms[:, None]
 
 
 def canonical_line(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:

@@ -222,7 +222,7 @@ def max_cardinality_search(theta: float, D: int, budget: int = 20000,
     while used < budget and len(pts) + 1 <= limit:
         scale = max(_spread(pts), 1.0)
         inserted = False
-        for _ in range(30):
+        for _ in range(min(30, budget - used)):
             used += 1
             cand = pts.mean(axis=0) + rng.normal(scale=scale, size=D)
             trial = np.vstack([pts, cand])
@@ -230,7 +230,7 @@ def max_cardinality_search(theta: float, D: int, budget: int = 20000,
                 pts = trial
                 inserted = True
                 break
-        if not inserted:
+        if not inserted and used < budget:
             # Repair pass: anneal the overshooting union toward the cap.
             cand = pts.mean(axis=0) + rng.normal(scale=scale, size=D)
             trial = np.vstack([pts, cand])

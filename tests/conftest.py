@@ -4,8 +4,9 @@ Oracles here deliberately avoid the library's vectorized code paths: hull
 membership is decided by exhaustive subset enumeration with least-squares
 barycentric solves, enclosing caps by scipy's NNLS, and maximum angles by a
 scalar triple loop or by the one-vertex-at-a-time scan the blocked ray-Gram
-kernel replaced. The Monte Carlo and covering sweeps are checked against the
-whole-matrix sweeps the row-blocked ones replaced.
+kernel replaced. The Monte Carlo and covering sweeps are checked against
+whole-matrix sweeps; the Monte Carlo ones run over the paired sample stream
+written out in full, each raw row followed by its negation.
 """
 
 import itertools
@@ -61,14 +62,19 @@ def loop_max_angle_triple(points):
     return angle_at(pts[i], pts[j], pts[k]), best_triple
 
 
-def whole_unit_directions(dim: int, n: int, seed: int) -> np.ndarray:
-    """The first n Monte Carlo directions: one standard_normal draw per CHUNK,
-    normalized as a whole."""
+def whole_normal_rows(dim: int, n: int, seed: int) -> np.ndarray:
+    """The first n raw Monte Carlo rows: one standard_normal draw per CHUNK."""
     z = np.empty((n, dim))
     for lo in range(0, n, CHUNK):
         hi = min(lo + CHUNK, n)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(lo // CHUNK,)))
         z[lo:hi] = rng.standard_normal((hi - lo, dim))
+    return z
+
+
+def whole_unit_directions(dim: int, n: int, seed: int) -> np.ndarray:
+    """whole_normal_rows normalized as a whole, a near-zero row replaced by e_1."""
+    z = whole_normal_rows(dim, n, seed)
     norms = np.linalg.norm(z, axis=1)
     degenerate = norms < 1e-12
     z[degenerate] = 0.0
@@ -77,27 +83,29 @@ def whole_unit_directions(dim: int, n: int, seed: int) -> np.ndarray:
     return z / norms[:, None]
 
 
-def _whole_chunks(dim: int, samples: int, seed: int):
-    U = whole_unit_directions(dim, samples, seed)
-    for lo in range(0, samples, CHUNK):
-        yield U[lo:lo + CHUNK]
+def paired_samples(dim: int, samples: int, seed: int) -> np.ndarray:
+    """The Monte Carlo sample stream written out: the ceil(samples/2) raw rows
+    U interleaved explicitly with -U, cut to `samples` rows."""
+    U = whole_normal_rows(dim, -(-samples // 2), seed)
+    S = np.empty((2 * len(U), dim))
+    S[0::2] = U
+    S[1::2] = -U
+    return S[:samples]
 
 
 def whole_gauss_bonnet_counts(points, samples: int, seed: int) -> np.ndarray:
-    """gauss_bonnet_sum's per-vertex counts from one U @ V.T per whole chunk."""
+    """gauss_bonnet_sum's per-vertex counts from one product over all samples."""
     V = np.asarray(points, dtype=float)
-    counts = np.zeros(len(V), dtype=np.int64)
-    for U in _whole_chunks(V.shape[1], samples, seed):
-        counts += np.bincount(np.argmax(U @ V.T, axis=1), minlength=len(V))
-    return counts
+    S = paired_samples(V.shape[1], samples, seed)
+    return np.bincount(np.argmax(S @ V.T, axis=1), minlength=len(V))
 
 
 def whole_normal_cone_count(points, i: int, samples: int, seed: int) -> int:
-    """normal_cone_fraction_mc's count for vertex i from whole-chunk products."""
+    """normal_cone_fraction_mc's count for vertex i from one product over all samples."""
     V = np.asarray(points, dtype=float)
     diffs = np.delete(V, i, axis=0) - V[i]
-    return sum(int(np.sum(np.all(U @ diffs.T <= 0.0, axis=1)))
-               for U in _whole_chunks(V.shape[1], samples, seed))
+    S = paired_samples(V.shape[1], samples, seed)
+    return int(np.sum(np.all(S @ diffs.T <= 0.0, axis=1)))
 
 
 def whole_cover_lines(rho: float, D: int, seed: int, probes: int,

@@ -139,7 +139,7 @@ def test_criterion_06_interior_point_angle_estimates():
 def _rejection_sample_below(rng, n, D, cap):
     while True:
         pts = rng.normal(size=(n, D))
-        if brute_max_angle(pts) < cap and max_angle(PointSet(pts)) < cap:
+        if max_angle(PointSet(pts)) < cap and brute_max_angle(pts) < cap:
             return pts
 
 

@@ -36,6 +36,7 @@ from conftest import (
     sample_cap_points,
     whole_gauss_bonnet_counts,
     whole_normal_cone_count,
+    whole_normal_rows,
     whole_unit_directions,
 )
 
@@ -150,8 +151,9 @@ class TestSampling:
         step = max(1, (1 << 16) // max(dim, width))
         assert all(2 <= len(b) <= step for b in blocks[:-1])
         np.testing.assert_array_equal(np.concatenate(blocks),
+                                      whole_normal_rows(dim, start + n, 4)[start:])
+        np.testing.assert_array_equal(unit_directions(dim, n, 4, start),
                                       whole_unit_directions(dim, start + n, 4)[start:])
-        np.testing.assert_array_equal(unit_directions(dim, n, 4, start), np.concatenate(blocks))
 
 
 def _sphere_set(seed: int, n: int, dim: int) -> PointSet:
@@ -226,6 +228,12 @@ class TestNormalConeFraction:
             normal_cone_fraction_mc(SQUARE, 0, 10, seed=1)
 
 
+def _hexagon() -> np.ndarray:
+    """Six points on the unit circle at seeded angles, in order."""
+    ang = np.sort(np.random.default_rng(10).uniform(0, 2 * math.pi, size=6))
+    return np.column_stack([np.cos(ang), np.sin(ang)])
+
+
 class TestGaussBonnetSum:
     def test_fractions_sum_to_one_exactly(self):
         for seed, samples in [(1, 10_000), (2, 65_536), (3, 999_983)]:
@@ -244,14 +252,30 @@ class TestGaussBonnetSum:
             assert abs(f - 0.125) <= 4 * se
 
     def test_planar_polygon_exterior_angles(self):
-        rng = np.random.default_rng(10)
-        ang = np.sort(rng.uniform(0, 2 * math.pi, size=6))
-        poly = np.column_stack([np.cos(ang), np.sin(ang)])
-        ps = PointSet(poly)
-        est = gauss_bonnet_sum(ps, 400_000, seed=11)
+        poly = _hexagon()
+        est = gauss_bonnet_sum(PointSet(poly), 400_000, seed=11)
         interior = planar_interior_angles(poly)
         for f, se, a in zip(est.fractions, est.std_error, interior):
             assert abs(f - (math.pi - a) / (2 * math.pi)) <= 4 * se + 1e-9
+
+    def test_antithetic_pairs_split_evenly_between_antipodal_cube_vertices(self):
+        # -u goes to the complement of u's vertex (index 7 - i), so an even
+        # sample count gives antipodal vertices equal counts, exactly.
+        est = gauss_bonnet_sum(CUBE, 200_000, seed=9)
+        counts = np.rint(est.fractions * 200_000).astype(int)
+        np.testing.assert_array_equal(counts, counts[::-1])
+
+    @pytest.mark.parametrize("points, exact", [
+        (SQUARE.points, np.full(4, 0.25)),
+        (CUBE.points, np.full(8, 0.125)),
+        (_hexagon(), (math.pi - planar_interior_angles(_hexagon())) / (2 * math.pi)),
+    ], ids=["square", "cube", "hexagon"])
+    def test_odd_sample_count_leaves_one_row_unpaired(self, points, exact):
+        samples = 200_001
+        est = gauss_bonnet_sum(PointSet(points), samples, seed=15)
+        assert np.rint(est.fractions * samples).astype(int).sum() == samples
+        assert math.fsum(est.fractions) == 1.0
+        assert np.all(np.abs(est.fractions - exact) <= 5 * est.std_error)
 
     def test_matches_per_vertex_estimator(self):
         rng = np.random.default_rng(12)

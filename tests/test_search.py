@@ -174,6 +174,12 @@ class TestMaxCardinalitySearch:
         res = max_cardinality_search(1.85, 2, budget=50, seed=3)
         assert res.iterations == 50
 
+    def test_iterations_never_exceed_the_budget(self):
+        # These budgets end inside a round of insertion attempts or its repair.
+        over = [(seed, budget) for seed in range(40) for budget in (33, 61, 97, 300)
+                if max_cardinality_search(2.6, 3, budget=budget, seed=seed).iterations > budget]
+        assert over == []
+
     def test_right_angle_cube_grows_as_before(self):
         # The bound at (pi/2, D = 3) is 10.9, so the cube's 8 points do not stop
         # the search; the result is the one recorded before the bound applied.
