@@ -170,6 +170,27 @@ def _covers_all(P: np.ndarray, lines: np.ndarray, cos_half: float) -> bool:
                for lo, hi in _row_blocks(P.shape[0], len(lines)))
 
 
+# Rows _column_counts adds per pass: a byte lane holds at most 255.
+_LANE_ROWS = 255
+
+
+def _column_counts(hits: np.ndarray) -> np.ndarray:
+    """np.count_nonzero(hits, axis=0) of a C-contiguous bool matrix whose width
+    is a multiple of 8.
+
+    Each row is read as uint64 words of eight columns, and the words are added
+    at most 255 rows at a time, so no byte lane carries into the next column;
+    the partial sums are then read back as bytes.
+    """
+    m, width = hits.shape
+    words = hits.view(np.uint64)
+    full = m - m % _LANE_ROWS
+    partial = words[:full].reshape(-1, _LANE_ROWS, width // 8).sum(axis=1)
+    counts = partial.view(np.uint8).reshape(-1, width).sum(axis=0, dtype=np.int64)
+    counts += words[full:].sum(axis=0).view(np.uint8)
+    return counts
+
+
 def cover_lines(rho: float, D: int, seed: int = 0, probes: int = DEFAULT_PROBES,
                 max_rounds: int = 10_000, candidates_per_round: int = 128) -> LineArrangement:
     """Greedy set of lines leaving every direction within rho/2 of one of them.
@@ -178,16 +199,19 @@ def cover_lines(rho: float, D: int, seed: int = 0, probes: int = DEFAULT_PROBES,
     not analytically. Each round scores a sampled batch of still-uncovered
     probes as candidate lines and keeps the one covering the most probes. The
     probe-candidate incidence is filled one block of probes at a time, so the
-    float products never exist whole.
+    float products never exist whole; its width is padded with False columns
+    to a multiple of 8 for `_column_counts`.
     """
     if not 0.0 < rho < math.pi:
         raise OutOfRange(f"rho must lie in (0, pi), got {rho}")
     if D < 2:
         raise OutOfRange("dimension must be at least 2")
+    if candidates_per_round < 1:
+        raise OutOfRange(f"candidates_per_round must be at least 1, got {candidates_per_round}")
     P = quasi_uniform_lines(D, probes, seed)
     cos_half = math.cos(0.5 * rho)
     covered = np.zeros(P.shape[0], dtype=bool)
-    incidence = np.empty(P.shape[0] * candidates_per_round, dtype=bool)
+    incidence = np.empty(P.shape[0] * -(-candidates_per_round // 8) * 8, dtype=bool)
     chosen = []
     for round_idx in range(max_rounds):
         uncovered = np.flatnonzero(~covered)
@@ -197,11 +221,13 @@ def cover_lines(rho: float, D: int, seed: int = 0, probes: int = DEFAULT_PROBES,
         take = min(candidates_per_round, uncovered.size)
         cand_idx = uncovered[rng.choice(uncovered.size, size=take, replace=False)]
         cand = P[cand_idx]
-        hits = incidence[:uncovered.size * take].reshape(uncovered.size, take)
+        width = -(-take // 8) * 8
+        hits = incidence[:uncovered.size * width].reshape(uncovered.size, width)
+        hits[:, take:] = False  # _column_counts adds whole words: padding bytes must be 0
         for lo, hi in _row_blocks(uncovered.size, take):
             dots = P[uncovered[lo:hi]] @ cand.T
-            np.greater_equal(np.abs(dots, out=dots), cos_half, out=hits[lo:hi])
-        pick = int(np.argmax(np.count_nonzero(hits, axis=0)))  # ties: lowest candidate index
+            np.greater_equal(np.abs(dots, out=dots), cos_half, out=hits[lo:hi, :take])
+        pick = int(np.argmax(_column_counts(hits)[:take]))  # ties: lowest candidate index
         chosen.append(cand[pick])
         covered[uncovered[hits[:, pick]]] = True
     else:

@@ -9,6 +9,14 @@ contains it, from which an obtuse-angle witness can be extracted.
 Every hull question here, and the enclosing caps in `curvature`, reduces to
 one primitive: the point of a polytope nearest a given point, found by
 Wolfe's algorithm in plain numpy. Its answers are re-checked after the solve.
+
+Before any solve, `is_convex_position` screens the vertices with linear
+functionals (the frame screening of Dula & Helgason 1996 and Clarkson 1994):
+a unit direction u with u . v_i - max_{j != i} u . v_j = delta > 0 puts v_i
+at distance at least delta from the others' hull. When delta also exceeds
+twice the solver's "inside" distance bound, the solve would have answered
+"outside", so only the points no direction certifies are solved, in index
+order, and verdicts and witnesses are those of one solve per point.
 """
 
 from __future__ import annotations
@@ -20,7 +28,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateSimplex, NotInHull, NotInterior, OutOfRange
-from .geometry import PointSet, _min_upper_pair, angle_at, rays_from
+from .geometry import PointSet, _min_upper_pair, _row_blocks, angle_at, rays_from
+from .sampling import rd_directions
 
 # Barycentric/convex coefficients above -1e-10 count as nonnegative; strict
 # interiority requires them above +1e-10.
@@ -208,10 +217,39 @@ def is_convex_position(A: PointSet) -> ConvexPositionVerdict:
     return A._convex_verdict
 
 
+def _exposed(pts: np.ndarray) -> np.ndarray:
+    """Mask of the points that a fixed direction proves to be vertices.
+
+    v_i is certified when some unit direction u of the unshifted R_d
+    sequence (max(256, 8n) of them) exposes it with a gap
+    u . v_i - max_{j != i} u . v_j > 2 FEAS_TOL F_i, F_i = |c_i| + max_j |c_j|
+    for the centered points c. That gap is a lower bound on the distance from
+    v_i to the others' hull, and F_i >= max_q |q - v_i|, so the solve in
+    `_hull_simplex` would answer "outside" too: the factor 2 leaves room for
+    the rounding of the centered products, which is relative to |c|, not |v|.
+    The product is formed one block of directions at a time.
+    """
+    n, D = pts.shape
+    C = pts - pts.mean(axis=0)
+    norms = np.sqrt(np.einsum("ij,ij->i", C, C))
+    margin = 2.0 * FEAS_TOL * (norms + np.max(norms))
+    U = rd_directions(D, max(256, 8 * n) + 1)[1:]  # row 0 is the zero vector
+    exposed = np.zeros(n, dtype=bool)
+    for lo, hi in _row_blocks(len(U), n):
+        Y = U[lo:hi] @ C.T
+        rows = np.arange(hi - lo)
+        top = np.argmax(Y, axis=1)
+        best = Y[rows, top]
+        Y[rows, top] = -np.inf
+        gap = best - np.max(Y, axis=1)
+        exposed[top[gap > margin[top]]] = True
+    return exposed
+
+
 def _decide_convex_position(pts: np.ndarray) -> ConvexPositionVerdict:
     if len(pts) <= 2:
         return ConvexPositionVerdict(True)
-    for i in range(len(pts)):
+    for i in np.flatnonzero(~_exposed(pts)):
         simplex = _hull_simplex(pts[i], np.delete(pts, i, axis=0), f"hull membership of point {i}")
         if simplex is not None:
             point = pts[i].copy()

@@ -18,7 +18,9 @@ effectiveness of quasirandom sequences", 2018), frac(s + i alpha) in an even
 number k of coordinates, with alpha_j = phi^-(j+1) for phi the positive root
 of x^(k+1) = x + 1 and one Cranley-Patterson shift s drawn from
 SeedSequence(seed). Box-Muller (1958) maps coordinate pairs to normals; the
-rows are normalized and given their canonical line sign in one step.
+rows are normalized (`rd_directions`) and given their canonical line sign in
+one step. Unshifted, `rd_directions` gives the fixed directions of the
+convex-position screen, which so needs no generator and no numpy.random.
 
 Every seeded entry point rejects a negative or non-integer seed with
 OutOfRange naming it.
@@ -107,25 +109,35 @@ def _rd_alpha(k: int) -> np.ndarray:
     return phi ** -np.arange(1.0, k + 1.0)
 
 
-def quasi_uniform_lines(dim: int, n: int, seed: int) -> np.ndarray:
-    """Low-discrepancy set of n lines (canonicalized unit vectors) on S^{dim-1}.
+def rd_directions(dim: int, n: int, shift=0.0) -> np.ndarray:
+    """Rows 0..n-1 of the R_d sequence frac(shift + i alpha) as unit vectors in R^dim.
 
-    Shifted R_d points in 2 ceil(dim/2) coordinates, mapped pairwise to
-    normals by Box-Muller and normalized; suitable as a dense probe set for
-    covering checks.
+    Box-Muller maps the 2 ceil(dim/2) coordinates pairwise to normals, which
+    are cut to dim and normalized; a row of norm below 1e-12 stays as it is
+    (with no shift, row 0 is the zero vector).
     """
-    seed = _check_seed(seed)
-    if dim < 2 or n < 1:
-        raise OutOfRange(f"need dim >= 2 and n >= 1 lines, got dim={dim}, n={n}")
     k = dim + dim % 2
-    shift = np.random.default_rng(np.random.SeedSequence(seed)).random(k)
     u = (shift + np.arange(n, dtype=float)[:, None] * _rd_alpha(k)) % 1.0
     r = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))  # 1 - u lies in (0, 1]
     t = 2.0 * np.pi * u[:, 1::2]
     z = np.stack([r * np.cos(t), r * np.sin(t)], axis=2).reshape(n, k)[:, :dim]
     norms = np.linalg.norm(z, axis=1)
     norms[norms < 1e-12] = 1.0
-    return canonical_lines(z / norms[:, None])
+    return z / norms[:, None]
+
+
+def quasi_uniform_lines(dim: int, n: int, seed: int) -> np.ndarray:
+    """Low-discrepancy set of n lines (canonicalized unit vectors) on S^{dim-1}.
+
+    `rd_directions` under one Cranley-Patterson shift drawn from
+    SeedSequence(seed), canonicalized; suitable as a dense probe set for
+    covering checks.
+    """
+    seed = _check_seed(seed)
+    if dim < 2 or n < 1:
+        raise OutOfRange(f"need dim >= 2 and n >= 1 lines, got dim={dim}, n={n}")
+    shift = np.random.default_rng(np.random.SeedSequence(seed)).random(dim + dim % 2)
+    return canonical_lines(rd_directions(dim, n, shift))
 
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:

@@ -6,18 +6,26 @@ barycentric solves, enclosing caps by scipy's NNLS, and maximum angles by a
 scalar triple loop or by the one-vertex-at-a-time scan the blocked ray-Gram
 kernel replaced. The Monte Carlo and covering sweeps are checked against
 whole-matrix sweeps; the Monte Carlo ones run over the paired sample stream
-written out in full, each raw row followed by its negation.
+written out in full, each raw row followed by its negation. Convex position
+is also decided by one nearest-point solve per point, with no direction
+screen, and the covering probes by one whole expression.
 """
 
+import functools
 import itertools
 import math
 
 import numpy as np
 from scipy.optimize import nnls
 
+from anglebound import convexity
+from anglebound.bounds import theta_d
 from anglebound.constructions import LineArrangement
-from anglebound.geometry import angle_at
-from anglebound.sampling import CHUNK, quasi_uniform_lines, rng_stream
+from anglebound.geometry import PointSet, angle_at, max_angle
+from anglebound.sampling import CHUNK, _rd_alpha, canonical_lines, quasi_uniform_lines, rng_stream
+
+# Seed of the acceptance suite's criterion-7 sets.
+CRITERION_7_SEED = 20241
 
 
 def brute_max_angle(points) -> float:
@@ -135,6 +143,68 @@ def whole_cover_lines(rho: float, D: int, seed: int, probes: int,
                 lines = fam
                 break
     return LineArrangement(dim=D, lines=lines).lines
+
+
+def whole_quasi_uniform_lines(dim: int, n: int, seed: int) -> np.ndarray:
+    """quasi_uniform_lines as one expression: shifted R_d rows, Box-Muller,
+    normalized and canonicalized."""
+    k = dim + dim % 2
+    shift = np.random.default_rng(np.random.SeedSequence(seed)).random(k)
+    u = (shift + np.arange(n, dtype=float)[:, None] * _rd_alpha(k)) % 1.0
+    r = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
+    t = 2.0 * np.pi * u[:, 1::2]
+    z = np.stack([r * np.cos(t), r * np.sin(t)], axis=2).reshape(n, k)[:, :dim]
+    norms = np.linalg.norm(z, axis=1)
+    norms[norms < 1e-12] = 1.0
+    return canonical_lines(z / norms[:, None])
+
+
+def solve_every_point(pts) -> convexity.ConvexPositionVerdict:
+    """is_convex_position's verdict with one nearest-point solve per point, in
+    index order, and no direction screen: the first point inside the others'
+    hull is the witness."""
+    pts = np.asarray(pts, dtype=float)
+    if len(pts) <= 2:
+        return convexity.ConvexPositionVerdict(True)
+    for i in range(len(pts)):
+        simplex = convexity._hull_simplex(pts[i], np.delete(pts, i, axis=0),
+                                          f"hull membership of point {i}")
+        if simplex is not None:
+            return convexity.ConvexPositionVerdict(False, pts[i].copy(), simplex)
+    return convexity.ConvexPositionVerdict(True)
+
+
+def rejection_sample_below(rng, n, D, cap):
+    """Gaussian (n, D) sets drawn until max_angle and the brute-force oracle
+    both put them below cap."""
+    while True:
+        pts = rng.normal(size=(n, D))
+        if max_angle(PointSet(pts)) < cap and brute_max_angle(pts) < cap:
+            return pts
+
+
+@functools.cache
+def criterion_7_sets() -> tuple:
+    """Acceptance criterion 7's point sets as (kind, idx, points), in draw order.
+
+    "below": 1000 Gaussian sets per D = 2, 3, 4 of n = D+1 or D+2 points,
+    rejection-sampled below theta_D. "interior": 1000 sets of D+3 Gaussian
+    points plus one strictly positive combination of them, D = 2 + idx % 3.
+    """
+    rng = np.random.default_rng(CRITERION_7_SEED)
+    sets = []
+    for D, ns in {2: (3, 4), 3: (4, 5), 4: (5, 6)}.items():
+        for idx in range(1000):
+            sets.append(("below", idx, rejection_sample_below(rng, ns[idx % 2], D, theta_d(D))))
+    for idx in range(1000):
+        D = 2 + idx % 3
+        hull = rng.normal(size=(D + 3, D))
+        w = rng.exponential(size=D + 3) + 0.1
+        w /= w.sum()
+        sets.append(("interior", idx, np.vstack([hull, w @ hull])))
+    for _, _, pts in sets:
+        pts.setflags(write=False)
+    return tuple(sets)
 
 
 def oracle_in_hull(p, S, tol: float = 1e-9) -> bool:

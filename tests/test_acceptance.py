@@ -30,9 +30,11 @@ from anglebound.geometry import PointSet, angle_at, geodesic_diameter, max_angle
 from anglebound.search import max_cardinality_search, minimize_max_angle
 from conftest import (
     brute_max_angle,
+    criterion_7_sets,
     oracle_convex_position,
     planar_interior_angles,
     random_rotation,
+    rejection_sample_below,
     sample_cap_points,
     unit_simplex,
 )
@@ -136,35 +138,17 @@ def test_criterion_06_interior_point_angle_estimates():
             assert min_pairwise_dot(perturbed) < -1.0 / d - 1e-9
 
 
-def _rejection_sample_below(rng, n, D, cap):
-    while True:
-        pts = rng.normal(size=(n, D))
-        if max_angle(PointSet(pts)) < cap and brute_max_angle(pts) < cap:
-            return pts
-
-
 def test_criterion_07_convex_position_equivalence():
     with criterion(7, "angle-capped sets are in convex position; interior points witnessed"):
-        rng = np.random.default_rng(SEED + 1)
-        sizes = {2: (3, 4), 3: (4, 5), 4: (5, 6)}
         oracle_budget = 100
-        for D, ns in sizes.items():
-            cap = theta_d(D)
-            for idx in range(1000):
-                n = ns[idx % 2]
-                pts = _rejection_sample_below(rng, n, D, cap)
+        for kind, idx, pts in criterion_7_sets():
+            if kind == "below":
                 verdict = is_convex_position(PointSet(pts))
                 assert verdict.in_convex_position
                 if idx < oracle_budget // 2:
                     assert oracle_convex_position(pts)
-        # Sets with a strictly interior point: verdict false + verified witness.
-        for idx in range(1000):
-            D = 2 + idx % 3
-            hull = rng.normal(size=(D + 3, D))
-            w = rng.exponential(size=D + 3) + 0.1
-            w /= w.sum()
-            inner = w @ hull
-            pts = np.vstack([hull, inner])
+                continue
+            # Sets with a strictly interior point: verdict false + verified witness.
             verdict = is_convex_position(PointSet(pts))
             assert not verdict.in_convex_position
             wit = obtuse_witness(verdict.witness_point, verdict.witness_simplex)
@@ -238,7 +222,7 @@ def test_criterion_10_theorem_end_to_end():
         # theorem check is guaranteed to fire on them.
         for _ in range(20):
             for D, n in [(2, 4), (3, 5), (4, 5)]:
-                checked += _check_theorem(_rejection_sample_below(rng, n, D, theta_d(D)), D)
+                checked += _check_theorem(rejection_sample_below(rng, n, D, theta_d(D)), D)
         for n, D in [(3, 2), (4, 2), (5, 2), (4, 3), (6, 3), (8, 3)]:
             res = minimize_max_angle(n, D, iters=300, restarts=2, seed=SEED)
             checked += _check_theorem(res.points, D)

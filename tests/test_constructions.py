@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from anglebound.constructions import (
+    _column_counts,
     EdgeColoring,
     LineArrangement,
     calibrate_constants,
@@ -145,6 +146,30 @@ class TestCoverLines:
             for seed in (0, 1, 7):
                 np.testing.assert_array_equal(cover_lines(rho, D, seed=seed, probes=7001).lines,
                                               whole_cover_lines(rho, D, seed, 7001))
+
+    @pytest.mark.parametrize("candidates", [1, 5, 13])
+    def test_unpadded_candidate_counts_match_whole_sweep(self, candidates):
+        for D, rho in ((2, 0.9), (3, 1.1)):
+            np.testing.assert_array_equal(
+                cover_lines(rho, D, seed=2, probes=3001, candidates_per_round=candidates).lines,
+                whole_cover_lines(rho, D, 2, 3001, candidates_per_round=candidates))
+
+    @pytest.mark.parametrize("candidates", [0, -3])
+    def test_bad_candidates_per_round_refused_by_name(self, candidates):
+        with pytest.raises(OutOfRange) as err:
+            cover_lines(1.0, 3, candidates_per_round=candidates)
+        assert str(err.value) == f"candidates_per_round must be at least 1, got {candidates}"
+
+    @pytest.mark.parametrize("rows", [1, 254, 255, 256, 511, 20_000])
+    @pytest.mark.parametrize("width", [1, 7, 8, 128])
+    def test_column_counts_match_count_nonzero(self, rows, width):
+        rng = np.random.default_rng(rows + width)
+        for density in (0.0, 0.3, 1.0):
+            hits = np.zeros((rows, -(-width // 8) * 8), dtype=bool)
+            hits[:, :width] = rng.random((rows, width)) < density
+            counts = _column_counts(hits)
+            np.testing.assert_array_equal(counts, np.count_nonzero(hits, axis=0))
+            assert counts.dtype == np.int64
 
     def test_memory_does_not_grow_with_the_products(self):
         tracemalloc.start()

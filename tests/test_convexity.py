@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,10 +18,14 @@ from anglebound.errors import (
     NotInterior,
 )
 from anglebound.geometry import PointSet, rays_from
+from anglebound.sampling import rd_directions
 from conftest import (
+    criterion_7_sets,
     oracle_convex_position,
     oracle_in_hull,
+    random_rotation,
     sample_simplex_with_interior_origin,
+    solve_every_point,
     unit_simplex,
 )
 
@@ -107,8 +112,12 @@ class TestCaratheodory:
             caratheodory_decompose([5, 5], tri)
 
 
-def _no_solve(P, stage):
-    raise AssertionError(f"{stage} solved again")
+def _count_decisions(monkeypatch):
+    """Record every point set `_decide_convex_position` is called on."""
+    calls, decide = [], convexity._decide_convex_position
+    monkeypatch.setattr(convexity, "_decide_convex_position",
+                        lambda pts: calls.append(pts) or decide(pts))
+    return calls
 
 
 class TestIsConvexPosition:
@@ -170,24 +179,139 @@ class TestIsConvexPosition:
 
 
     def test_verdict_is_decided_once_per_point_set(self, monkeypatch):
+        decisions = _count_decisions(monkeypatch)
         ps = PointSet([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]])
         first = is_convex_position(ps)
-        monkeypatch.setattr(convexity, "_nearest_point", _no_solve)
         assert is_convex_position(ps) is first
+        assert len(decisions) == 1
         for arr in (first.witness_point, first.witness_simplex):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 7.0
         convex = PointSet([[0, 0], [1, 0], [1, 1], [0, 1]])
-        with pytest.raises(AssertionError, match="solved again"):
-            is_convex_position(convex)  # a new set is decided afresh
+        assert is_convex_position(convex).in_convex_position
+        assert len(decisions) == 2  # a new set is decided afresh
 
     def test_curvature_reuses_the_stored_verdict(self, monkeypatch):
         from anglebound.curvature import gauss_bonnet_sum
+        decisions = _count_decisions(monkeypatch)
         ps = PointSet([[0, 0], [1, 0], [1, 1], [0, 1]])
         assert is_convex_position(ps).in_convex_position
-        monkeypatch.setattr(convexity, "_nearest_point", _no_solve)
         assert gauss_bonnet_sum(ps, 2000, seed=1).samples == 2000
+        assert len(decisions) == 1
+
+
+def _outcome(decide, pts):
+    """A verdict's bytes, or the RuntimeError a solve raised."""
+    try:
+        v = decide(pts)
+    except RuntimeError as err:
+        return "raises", str(err)
+    if v.in_convex_position:
+        return True, None, None
+    return False, v.witness_point.tobytes(), v.witness_simplex.tobytes()
+
+
+def _sphere_points(rng, n, D, min_sep):
+    pts = []
+    while len(pts) < n:
+        x = rng.normal(size=D)
+        x /= np.linalg.norm(x)
+        if all(np.linalg.norm(x - p) >= min_sep for p in pts):
+            pts.append(x)
+    return np.array(pts)
+
+
+def _bench_like_sets():
+    """Sphere sets and sphere sets with one planted interior point, D = 2-8, n up to 48."""
+    rng = np.random.default_rng(31)
+    sets = []
+    for D in range(2, 9):
+        for n in sorted({D + 2, 16, 32 if D < 5 else 20, 48 if D < 4 else 24}):
+            sets.append(_sphere_points(rng, n, D, 0.02))
+            hull = _sphere_points(rng, n - 1, D, 0.02)
+            corners = rng.choice(n - 1, size=D + 1, replace=False)
+            w = rng.exponential(size=D + 1) + 0.2
+            sets.append(np.insert(hull, int(rng.integers(n)), (w / w.sum()) @ hull[corners], axis=0))
+    return sets
+
+
+def _count_solves(monkeypatch):
+    calls, solve = [], convexity._nearest_point
+    monkeypatch.setattr(convexity, "_nearest_point",
+                        lambda P, stage: calls.append(stage) or solve(P, stage))
+    return calls
+
+
+class TestDirectionScreen:
+    """The screen certifies vertices by exposing directions before any solve;
+    outcomes must be those of one solve per point."""
+
+    def test_matches_solving_every_point_on_criterion_7_sets(self):
+        for _, _, pts in criterion_7_sets():
+            assert (_outcome(convexity._decide_convex_position, pts)
+                    == _outcome(solve_every_point, pts))
+
+    @pytest.mark.parametrize("shift, scale", [(0.0, 1.0), (1e8, 1.0), (0.0, 1e-3), (0.0, 1e3)],
+                             ids=["as-drawn", "translated-1e8", "scaled-1e-3", "scaled-1e3"])
+    def test_matches_solving_every_point_on_bench_like_sets(self, shift, scale):
+        for pts in _bench_like_sets():
+            pts = pts * scale + shift
+            assert (_outcome(convexity._decide_convex_position, pts)
+                    == _outcome(solve_every_point, pts))
+
+    def test_points_on_the_others_hull_are_never_certified(self):
+        rng = np.random.default_rng(32)
+        for D in range(2, 9):
+            hull = _sphere_points(rng, 2 * D + 2, D, 0.02)
+            for k in range(2, D + 1):  # on an edge (k = 2) or a k-point face of a simplex
+                corners = hull[rng.choice(len(hull), size=k, replace=False)]
+                w = rng.exponential(size=k) + 0.1
+                p = (w / w.sum()) @ corners
+                for offset in (0.0, 1e8):
+                    i = int(rng.integers(len(hull) + 1))
+                    pts = np.insert(hull, i, p, axis=0) + offset
+                    assert not convexity._exposed(pts)[i]
+        # Lattice points on the edges and facets of the others' hull.
+        for D in (2, 3, 4):
+            grid = np.array(list(itertools.product(range(3), repeat=D)), dtype=float)
+            for i in np.flatnonzero(np.any(grid == 1, axis=1)):
+                assert not convexity._exposed(grid)[i]
+
+    @pytest.mark.parametrize("gap", [1e-12, 9e-10])
+    @pytest.mark.parametrize("D", [2, 3, 5])
+    def test_a_gap_below_the_margin_is_left_to_the_solver(self, D, gap):
+        # The screen's first direction u exposes p = gap * u above a face of
+        # the others' hull through the origin: p is within FEAS_TOL of that
+        # hull, so the solve counts it as inside, and the screen must not.
+        u = rd_directions(D, 2)[1]
+        W = np.linalg.svd(u[None, :])[2][1:]  # orthonormal basis of u's complement
+        pts = np.vstack([W, -W, -u, gap * u])
+        assert not convexity._exposed(pts)[-1]
+        assert (_outcome(convexity._decide_convex_position, pts)
+                == _outcome(solve_every_point, pts))
+        assert not is_convex_position(PointSet(pts)).in_convex_position
+
+    def test_well_separated_sphere_sets_need_no_solve(self, monkeypatch):
+        solves = _count_solves(monkeypatch)
+        rng = np.random.default_rng(33)
+        sets = [np.column_stack([np.cos(a), np.sin(a)])
+                for a in (2 * math.pi * np.arange(n) / n for n in range(3, 49))]
+        for D in range(2, 7):
+            Q = random_rotation(rng, D)
+            cube = np.array(list(itertools.product([-1.0, 1.0], repeat=D))) / math.sqrt(D)
+            sets += [cube @ Q.T, np.vstack([np.eye(D), -np.eye(D)]) @ Q.T, unit_simplex(D) @ Q.T]
+            sets += [_sphere_points(rng, n, D, 0.2) for n in (D + 2, 12)]
+        for pts in sets:
+            for shift, scale in ((0.0, 1.0), (1e8, 1.0), (0.0, 1e-3), (0.0, 1e3)):
+                assert is_convex_position(PointSet(pts * scale + shift)).in_convex_position
+        assert solves == []
+
+    def test_only_unexposed_points_reach_the_solver(self, monkeypatch):
+        solves = _count_solves(monkeypatch)
+        ps = PointSet(TestSolverAnswersAreRechecked.SQUARE_PLUS.points)
+        assert not is_convex_position(ps).in_convex_position
+        assert solves == ["hull membership of point 4"]
 
 
 class TestSolverAnswersAreRechecked:
@@ -195,7 +319,7 @@ class TestSolverAnswersAreRechecked:
 
     def test_step_cap_raises_naming_the_stage(self, monkeypatch):
         monkeypatch.setattr(convexity, "NEAREST_STEPS_PER_POINT", 0)
-        with pytest.raises(RuntimeError, match=r"hull membership of point 0: .*cap of 0 steps"):
+        with pytest.raises(RuntimeError, match=r"hull membership of point 4: .*cap of 0 steps"):
             is_convex_position(self.SQUARE_PLUS)
 
     def test_outside_answer_without_separation_raises(self, monkeypatch):

@@ -27,6 +27,7 @@ from anglebound.sampling import (
     canonical_lines,
     direction_blocks,
     quasi_uniform_lines,
+    rd_directions,
     rng_stream,
     unit_directions,
 )
@@ -37,6 +38,7 @@ from conftest import (
     whole_gauss_bonnet_counts,
     whole_normal_cone_count,
     whole_normal_rows,
+    whole_quasi_uniform_lines,
     whole_unit_directions,
 )
 
@@ -107,6 +109,18 @@ class TestSampling:
             np.testing.assert_allclose(np.linalg.norm(P, axis=1), 1.0, atol=1e-12)
             np.testing.assert_array_equal(P, canonical_lines(P))
             np.testing.assert_array_equal(P, quasi_uniform_lines(dim, 3000, seed=8))
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_probe_lines_are_pinned_to_the_whole_expression(self, dim):
+        for n, seed in ((1, 0), (7, 3), (5000, 8)):
+            expected = whole_quasi_uniform_lines(dim, n, seed)
+            assert quasi_uniform_lines(dim, n, seed).tobytes() == expected.tobytes()
+
+    def test_unshifted_directions_are_unit_after_row_0(self):
+        for dim in range(1, 9):
+            U = rd_directions(dim, 400)
+            np.testing.assert_array_equal(U[0], np.zeros(dim))
+            np.testing.assert_allclose(np.linalg.norm(U[1:], axis=1), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", [-1, 2.5])
     def test_seeded_entry_points_refuse_bad_seeds(self, seed):

@@ -115,12 +115,19 @@ def test_subcommand_loads_no_numpy(tmp_path, sub):
     assert loaded(report, "numpy") == {"import": [], sub: [0, []]}, stderr
 
 
+# The convex-position screen's directions come from `sampling` without numpy.random.
+@pytest.mark.parametrize("sub", ["convex-position", "cone-cover"])
+def test_convexity_loads_no_numpy_random(tmp_path, sub):
+    report, stderr = run_probe(tmp_path, [call(sub)])
+    assert [m for m in report[sub][1]["numpy"] if m.startswith("numpy.random")] == [], stderr
+
+
 # Package modules each subcommand loads, besides the package and `cli` and `errors`.
 MODULES = {
     "bound": ["bounds"],
     "table": ["bounds"],
     "angle": ["geometry"],
-    "convex-position": ["convexity", "geometry"],
+    "convex-position": ["convexity", "geometry", "sampling"],
     "curvature": ["bounds", "convexity", "curvature", "geometry", "sampling"],
     "cone-cover": ["bounds", "convexity", "curvature", "geometry", "sampling"],
     "pack-lines": ["constructions", "geometry", "sampling"],
