@@ -101,6 +101,12 @@ def _min_line_angle(U: np.ndarray) -> float:
     return float(np.arccos(min(1.0, -_min_upper_pair(-np.abs(U @ U.T))[0])))
 
 
+def _equiangular(k: int) -> np.ndarray:
+    """The k planar lines at angles i pi / k, as (cos, sin) rows."""
+    ang = np.arange(k) * math.pi / k
+    return np.column_stack([np.cos(ang), np.sin(ang)])
+
+
 def pack_lines(m: int, D: int, iters: int = 1500, seed: int = 0,
                restarts: int = 8) -> LineArrangement:
     """Spread m lines in R^D to (locally) maximize the minimum pairwise angle.
@@ -123,8 +129,7 @@ def pack_lines(m: int, D: int, iters: int = 1500, seed: int = 0,
     if m <= D:
         return LineArrangement(dim=D, lines=np.eye(D)[:m])
     if D == 2:
-        ang = np.arange(m) * math.pi / m
-        U = np.column_stack([np.cos(ang), np.sin(ang)])
+        U = _equiangular(m)
         return LineArrangement(dim=D, lines=U / np.linalg.norm(U, axis=1)[:, None])
     best = None
     best_angle = -1.0
@@ -193,11 +198,21 @@ def _column_counts(hits: np.ndarray) -> np.ndarray:
 
 def cover_lines(rho: float, D: int, seed: int = 0, probes: int = DEFAULT_PROBES,
                 max_rounds: int = 10_000, candidates_per_round: int = 128) -> LineArrangement:
-    """Greedy set of lines leaving every direction within rho/2 of one of them.
+    """Set of lines leaving every direction within rho/2 of one of them.
 
-    Coverage is certified on a dense quasi-random probe set (size `probes`),
-    not analytically. Each round scores a sampled batch of still-uncovered
+    Coverage is certified on a dense quasi-random probe set (size `probes`).
+    In the plane the answer is the closed form, with no greedy round: the
+    equiangular family of k = ceil(pi/rho - 1e-9) lines, or the next k the
+    probes accept (a probe can refuse k only for pi/rho within 1e-9 above an
+    integer). It leaves every direction within rho/2 of a line, not only the
+    probes, so on a sparse probe set it can use one line more than a greedy
+    cover that only the probes certify. A round cap greedy would hit does
+    not apply there, but max_rounds >= 1 and candidates_per_round >= 1 are
+    still required.
+
+    For D >= 3 each greedy round scores a sampled batch of still-uncovered
     probes as candidate lines and keeps the one covering the most probes. The
+    uncovered probes are carried compacted, in index order. The
     probe-candidate incidence is filled one block of probes at a time, so the
     float products never exist whole; its width is padded with False columns
     to a multiple of 8 for `_column_counts`.
@@ -206,49 +221,53 @@ def cover_lines(rho: float, D: int, seed: int = 0, probes: int = DEFAULT_PROBES,
         raise OutOfRange(f"rho must lie in (0, pi), got {rho}")
     if D < 2:
         raise OutOfRange("dimension must be at least 2")
+    if max_rounds < 1:
+        raise OutOfRange(f"max_rounds must be at least 1, got {max_rounds}")
     if candidates_per_round < 1:
         raise OutOfRange(f"candidates_per_round must be at least 1, got {candidates_per_round}")
     P = quasi_uniform_lines(D, probes, seed)
     cos_half = math.cos(0.5 * rho)
-    covered = np.zeros(P.shape[0], dtype=bool)
-    incidence = np.empty(P.shape[0] * -(-candidates_per_round // 8) * 8, dtype=bool)
-    chosen = []
-    for round_idx in range(max_rounds):
-        uncovered = np.flatnonzero(~covered)
-        if uncovered.size == 0:
-            break
-        rng = rng_stream(seed, 1000 + round_idx)
-        take = min(candidates_per_round, uncovered.size)
-        cand_idx = uncovered[rng.choice(uncovered.size, size=take, replace=False)]
-        cand = P[cand_idx]
-        width = -(-take // 8) * 8
-        hits = incidence[:uncovered.size * width].reshape(uncovered.size, width)
-        hits[:, take:] = False  # _column_counts adds whole words: padding bytes must be 0
-        for lo, hi in _row_blocks(uncovered.size, take):
-            dots = P[uncovered[lo:hi]] @ cand.T
-            np.greater_equal(np.abs(dots, out=dots), cos_half, out=hits[lo:hi, :take])
-        pick = int(np.argmax(_column_counts(hits)[:take]))  # ties: lowest candidate index
-        chosen.append(cand[pick])
-        covered[uncovered[hits[:, pick]]] = True
-    else:
-        raise CoverageFailed(
-            f"{int((~covered).sum())} of {P.shape[0]} probes uncovered after {max_rounds} rounds"
-        )
-    lines = np.array(chosen)
-    # In the plane the equiangular family of ceil(pi/rho) lines is the exact
-    # optimum; adopt it whenever it certifies with fewer lines than greedy.
     if D == 2:
-        for k in range(max(1, int(math.ceil(math.pi / rho - 1e-9))), len(chosen)):
-            ang = np.arange(k) * math.pi / k
-            fam = np.column_stack([np.cos(ang), np.sin(ang)])
-            if _covers_all(P, fam, cos_half):
-                lines = fam
-                break
+        k = math.ceil(math.pi / rho - 1e-9)
+        while not _covers_all(P, _equiangular(k), cos_half):
+            k += 1
+        lines = _equiangular(k)
+    else:
+        lines = _greedy_cover(P, cos_half, seed, max_rounds, candidates_per_round)
     arrangement = LineArrangement(dim=D, lines=lines)
     # Re-check the certificate against the full probe set.
     if not _covers_all(P, arrangement.lines, cos_half):
         raise CoverageFailed("probe coverage re-check failed")
     return arrangement
+
+
+def _greedy_cover(P: np.ndarray, cos_half: float, seed: int, max_rounds: int,
+                  candidates: int) -> np.ndarray:
+    """cover_lines's greedy rounds over the probe rows P; the chosen lines, in order."""
+    live = P  # the still-uncovered probes, in index order
+    incidence = np.empty(P.shape[0] * -(-candidates // 8) * 8, dtype=bool)
+    chosen = []
+    for round_idx in range(max_rounds):
+        if live.shape[0] == 0:
+            break
+        rng = rng_stream(seed, 1000 + round_idx)
+        take = min(candidates, live.shape[0])
+        cand = live[rng.choice(live.shape[0], size=take, replace=False)]
+        cand_t = np.ascontiguousarray(cand.T)  # the same products as cand.T, computed faster
+        width = -(-take // 8) * 8
+        hits = incidence[:live.shape[0] * width].reshape(live.shape[0], width)
+        hits[:, take:] = False  # _column_counts adds whole words: padding bytes must be 0
+        for lo, hi in _row_blocks(live.shape[0], take):
+            dots = live[lo:hi] @ cand_t
+            np.greater_equal(np.abs(dots, out=dots), cos_half, out=hits[lo:hi, :take])
+        pick = int(np.argmax(_column_counts(hits)[:take]))  # ties: lowest candidate index
+        chosen.append(cand[pick])
+        live = live[~hits[:, pick]]
+    if live.shape[0]:
+        raise CoverageFailed(
+            f"{live.shape[0]} of {P.shape[0]} probes uncovered after {max_rounds} rounds"
+        )
+    return np.array(chosen)
 
 
 def ef_doubling(L: LineArrangement, rho: float, slack: float = 0.05,

@@ -122,10 +122,13 @@ def _barycentric(p: np.ndarray, V: np.ndarray):
     """Barycentric coordinates of p in the affine frame of V, with residual.
 
     Returns (coords, residual, rank). V is a (k+1, D) array of simplex
-    vertices; coords solves [V^T; 1] c = [p; 1] in least squares.
+    vertices; coords solves [(V - p)^T; 1] c = [0; 1] in least squares, the
+    same coordinates as [V^T; 1] c = [p; 1] in a frame centred on p, so the
+    system's conditioning does not depend on where the simplex sits.
     """
-    A = np.vstack([V.T, np.ones((1, V.shape[0]))])
-    b = np.concatenate([p, [1.0]])
+    A = np.vstack([(V - p).T, np.ones((1, V.shape[0]))])
+    b = np.zeros(A.shape[0])
+    b[-1] = 1.0
     coords, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
     residual = float(np.linalg.norm(A @ coords - b))
     return coords, residual, int(rank)

@@ -96,9 +96,10 @@ def canonical_line(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 def canonical_lines(V: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """`canonical_line` applied to every row of V at once."""
     V = np.asarray(V, dtype=float)
-    big = np.abs(V) > tol
-    lead = V[np.arange(V.shape[0]), np.argmax(big, axis=1)]
-    return np.where((lead < 0.0) & big.any(axis=1), -1.0, 1.0)[:, None] * V
+    lead = np.where(np.abs(V[:, -1]) > tol, V[:, -1], 0.0)
+    for j in range(V.shape[1] - 2, -1, -1):  # columns right to left: the first big one wins
+        lead = np.where(np.abs(V[:, j]) > tol, V[:, j], lead)
+    return np.where(lead < 0.0, -1.0, 1.0)[:, None] * V
 
 
 def _rd_alpha(k: int) -> np.ndarray:
@@ -117,7 +118,8 @@ def rd_directions(dim: int, n: int, shift=0.0) -> np.ndarray:
     (with no shift, row 0 is the zero vector).
     """
     k = dim + dim % 2
-    u = (shift + np.arange(n, dtype=float)[:, None] * _rd_alpha(k)) % 1.0
+    u = shift + np.arange(n, dtype=float)[:, None] * _rd_alpha(k)
+    u -= np.floor(u)  # frac(u), exact for u >= 0 and cheaper than % 1.0
     r = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))  # 1 - u lies in (0, 1]
     t = 2.0 * np.pi * u[:, 1::2]
     z = np.stack([r * np.cos(t), r * np.sin(t)], axis=2).reshape(n, k)[:, :dim]

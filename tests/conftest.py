@@ -118,9 +118,17 @@ def whole_normal_cone_count(points, i: int, samples: int, seed: int) -> int:
 
 def whole_cover_lines(rho: float, D: int, seed: int, probes: int,
                       candidates_per_round: int = 128) -> np.ndarray:
-    """cover_lines's lines, each round's |P[uncovered] @ cand.T| built whole."""
+    """cover_lines's lines. In the plane, the first equiangular family of at
+    least ceil(pi/rho - 1e-9) lines that covers every probe; otherwise the
+    greedy rounds, each round's |P[uncovered] @ cand.T| built whole."""
     P = quasi_uniform_lines(D, probes, seed)
     cos_half = math.cos(0.5 * rho)
+    if D == 2:
+        for k in itertools.count(math.ceil(math.pi / rho - 1e-9)):
+            ang = np.arange(k) * math.pi / k
+            fam = np.column_stack([np.cos(ang), np.sin(ang)])
+            if np.all(np.max(np.abs(P @ fam.T), axis=1) >= cos_half - 1e-12):
+                return LineArrangement(dim=D, lines=fam).lines
     covered = np.zeros(P.shape[0], dtype=bool)
     chosen = []
     for round_idx in itertools.count():
@@ -134,15 +142,7 @@ def whole_cover_lines(rho: float, D: int, seed: int, probes: int,
         pick = int(np.argmax(hits.sum(axis=0)))
         chosen.append(cand[pick])
         covered[uncovered[hits[:, pick]]] = True
-    lines = np.array(chosen)
-    if D == 2:
-        for k in range(max(1, int(math.ceil(math.pi / rho - 1e-9))), len(chosen)):
-            ang = np.arange(k) * math.pi / k
-            fam = np.column_stack([np.cos(ang), np.sin(ang)])
-            if np.all(np.max(np.abs(P @ fam.T), axis=1) >= cos_half - 1e-12):
-                lines = fam
-                break
-    return LineArrangement(dim=D, lines=lines).lines
+    return LineArrangement(dim=D, lines=np.array(chosen)).lines
 
 
 def whole_quasi_uniform_lines(dim: int, n: int, seed: int) -> np.ndarray:

@@ -139,8 +139,49 @@ class TestCoverLines:
         with pytest.raises(CoverageFailed):
             cover_lines(0.05, 3, seed=1, probes=5000, max_rounds=2)
 
+    def test_a_cover_finished_in_the_last_round_is_returned(self):
+        whole = cover_lines(1.1, 3, seed=4, probes=5000)
+        capped = cover_lines(1.1, 3, seed=4, probes=5000, max_rounds=len(whole))
+        np.testing.assert_array_equal(capped.lines, whole.lines)
+
+    @pytest.mark.parametrize("rho", [0.05, 0.3, 0.9, math.pi / 3, math.pi / 4, math.pi / 5,
+                                     math.pi / 3 * (1 + 1e-10), math.pi / 3 * (1 - 1e-10),
+                                     math.pi / 4 * (1 + 1e-6), math.pi / 4 * (1 - 1e-6),
+                                     1.5703, math.pi / 2, 1.6, 2.0, 3.0])
+    def test_planar_cover_is_the_equiangular_family(self, rho):
+        k = math.ceil(math.pi / rho - 1e-9)
+        arr = cover_lines(rho, 2, seed=3, probes=2000)
+        assert len(arr) == k
+        angles = np.sort(np.arctan2(arr.lines[:, 1], arr.lines[:, 0]) % math.pi)
+        np.testing.assert_allclose(np.diff(np.append(angles, angles[0] + math.pi)), math.pi / k,
+                                   atol=1e-12)
+        # Every direction is covered, not only the probes: a dense grid and
+        # the directions halfway between neighbouring lines.
+        t = np.concatenate([np.linspace(0.0, math.pi, 100_001), angles + 0.5 * math.pi / k])
+        worst = np.arccos(np.max(np.abs(np.column_stack([np.cos(t), np.sin(t)]) @ arr.lines.T),
+                                 axis=1).min())
+        assert worst <= 0.5 * rho * (1 + 1e-9)
+
+    def test_planar_cover_takes_the_next_family_the_probes_accept(self, monkeypatch):
+        # At pi/rho just above 3, three lines leave the directions halfway
+        # between them about 1e-10 rad too far; a probe there refuses them.
+        from anglebound import constructions
+        rho = math.pi / (3 + 5e-10)
+        assert math.ceil(math.pi / rho - 1e-9) == 3
+        probes = constructions.quasi_uniform_lines(2, 2000, 3)
+        assert len(cover_lines(rho, 2, seed=3, probes=2000)) == 3
+        midway = np.array([[math.cos(math.pi / 6), math.sin(math.pi / 6)]])
+        monkeypatch.setattr(constructions, "quasi_uniform_lines",
+                            lambda D, n, seed: np.vstack([probes, midway]))
+        assert len(cover_lines(rho, 2, seed=3, probes=2000)) == 4
+
+    def test_planar_cover_needs_no_rounds(self):
+        # The closed form runs no greedy round, so a round cap that greedy
+        # would hit does not apply.
+        assert len(cover_lines(0.05, 2, seed=1, probes=5000, max_rounds=2)) == 63
+
     @pytest.mark.parametrize("D, rhos", [(2, (0.3, 0.9, 1.6)), (3, (0.8, 1.1, 1.5)),
-                                         (4, (1.2, 1.6))])
+                                         (4, (1.2, 1.6)), (5, (1.6, 2.0)), (8, (2.0, 2.4))])
     def test_lines_match_whole_sweep(self, D, rhos):
         for rho in rhos:
             for seed in (0, 1, 7):
@@ -156,9 +197,17 @@ class TestCoverLines:
 
     @pytest.mark.parametrize("candidates", [0, -3])
     def test_bad_candidates_per_round_refused_by_name(self, candidates):
-        with pytest.raises(OutOfRange) as err:
-            cover_lines(1.0, 3, candidates_per_round=candidates)
-        assert str(err.value) == f"candidates_per_round must be at least 1, got {candidates}"
+        for D in (2, 3):  # the planar closed form runs no round but checks it too
+            with pytest.raises(OutOfRange) as err:
+                cover_lines(1.0, D, candidates_per_round=candidates)
+            assert str(err.value) == f"candidates_per_round must be at least 1, got {candidates}"
+
+    @pytest.mark.parametrize("rounds", [0, -3])
+    def test_bad_max_rounds_refused_by_name(self, rounds):
+        for D in (2, 3):
+            with pytest.raises(OutOfRange) as err:
+                cover_lines(1.0, D, max_rounds=rounds)
+            assert str(err.value) == f"max_rounds must be at least 1, got {rounds}"
 
     @pytest.mark.parametrize("rows", [1, 254, 255, 256, 511, 20_000])
     @pytest.mark.parametrize("width", [1, 7, 8, 128])

@@ -337,6 +337,19 @@ class TestSolverAnswersAreRechecked:
         with pytest.raises(RuntimeError, match="fails its re-check"):
             caratheodory_decompose([0.5, 0.5], self.SQUARE_PLUS)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
+    def test_far_translated_sets_keep_their_witness(self, scale):
+        # The support re-check must not depend on where the set sits: solved
+        # in uncentred coordinates, its system loses rank near 1e8.
+        for pts in _bench_like_sets()[1::2]:  # the sets with a planted interior point
+            near = is_convex_position(PointSet(pts * scale))
+            i = int(np.flatnonzero(np.all(pts * scale == near.witness_point, axis=1))[0])
+            moved = pts * scale + 1e8
+            v = is_convex_position(PointSet(moved))
+            assert not v.in_convex_position
+            np.testing.assert_array_equal(v.witness_point, moved[i])
+            assert obtuse_witness(v.witness_point, v.witness_simplex).angle > math.pi / 2
+
 
 class TestObtuseWitness:
     def test_center_of_square_on_diagonal(self):

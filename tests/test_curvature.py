@@ -92,16 +92,22 @@ class TestSampling:
 
     def test_vectorized_canonicalization_matches_canonical_line(self):
         rng = np.random.default_rng(3)
-        V = rng.normal(size=(200, 4))
-        V[:60, 0] = rng.uniform(-1e-12, 1e-12, size=60)  # leading coordinate within tol of 0
-        V[:20, 1] = rng.uniform(-1e-12, 1e-12, size=20)
-        V[:5, 2] = 0.0
-        V[0] = [0.0, -1e-12, 1e-12, 0.0]  # nothing above tol: left as it is
-        V[1] = [-1e-12, 0.0, 0.0, -1e-12]
-        V[2] = [1e-12, -2e-12, 0.0, 0.0]
-        got = canonical_lines(V)
-        for row, v in zip(got, V):
-            np.testing.assert_array_equal(row, canonical_line(v))
+        tiny = [0.0, 1e-13, -1e-13, 1e-12, -1e-12]  # tol is a strict >: 1e-12 is not above it
+        for D in range(2, 9):
+            V = rng.normal(size=(480, D))
+            V[:60, 0] = rng.uniform(-1e-12, 1e-12, size=60)  # leading coordinate within tol of 0
+            V[:20, 1] = rng.uniform(-1e-12, 1e-12, size=20)
+            V[:5, D - 1] = 0.0
+            for j in range(D):  # leading entries from `tiny`, then a signed entry or more tiny ones
+                V[100 + 40 * j:140 + 40 * j, :j] = rng.choice(tiny, size=(40, j))
+            V[420:460] = rng.choice(tiny, size=(40, D))  # nothing above tol: left as it is
+            V[460] = [-1e-12] * D
+            V[461] = [1e-12, -2e-12] + [0.0] * (D - 2)
+            V[462] = [0.0] * (D - 1) + [-1e-12]
+            V[463] = [-0.0] * D
+            got = canonical_lines(V)
+            for row, v in zip(got, V):
+                assert row.tobytes() == canonical_line(v).tobytes()
 
     def test_probe_lines_are_canonical_unit_vectors(self):
         for dim in (2, 3, 4, 5):
