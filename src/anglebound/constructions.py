@@ -28,6 +28,8 @@ from .geometry import PointSet, _min_upper_pair, _row_blocks, angle_at, max_angl
 from .sampling import _check_seed, canonical_lines, quasi_uniform_lines, rng_stream
 
 DEFAULT_PROBES = 100_000
+# A packing restart stops once its gradient norm falls below this.
+_GRAD_STOP = 1e-14
 
 
 def line_angle(u: np.ndarray, v: np.ndarray) -> float:
@@ -115,9 +117,14 @@ def pack_lines(m: int, D: int, iters: int = 1500, seed: int = 0,
     orthogonal lines (the coordinate frame, angle pi/2) and, for D = 2, the m
     equiangular lines (angle pi/m). Otherwise projected gradient descent on a
     soft-max of squared pairwise dots with a sharpening schedule, from random
-    restarts. The returned arrangement's min_pairwise_angle is recomputed
-    exactly, so it is a valid achieved separation regardless of optimizer
-    quality. Needs iters >= 1 and restarts >= 1, closed forms included.
+    restarts. The restarts descend together as one (restarts, m, D) stack,
+    restart r from rng_stream(seed, r), each with the bits of a lone run; one
+    whose gradient norm falls below _GRAD_STOP leaves the stack where it
+    stands. The winner is the first of the most separated lines over each
+    start and its result, restart by restart. The returned arrangement's
+    min_pairwise_angle is recomputed exactly, so it is a valid achieved
+    separation regardless of optimizer quality. Needs iters >= 1 and
+    restarts >= 1, closed forms included.
     """
     if m < 2 or D < 2:
         raise OutOfRange("need m >= 2 lines in dimension D >= 2")
@@ -131,47 +138,56 @@ def pack_lines(m: int, D: int, iters: int = 1500, seed: int = 0,
     if D == 2:
         U = _equiangular(m)
         return LineArrangement(dim=D, lines=U / np.linalg.norm(U, axis=1)[:, None])
+    U = np.array([rng_stream(seed, r).normal(size=(m, D)) for r in range(restarts)])
+    U /= np.linalg.norm(U, axis=2)[:, :, None]
+    starts = U.copy()
+    finals = np.empty_like(U)
+    live = np.arange(restarts)  # the restarts still descending, one per row of U
+    beta = 4.0
+    growth = (8192.0 / beta) ** (1.0 / iters)
+    for it in range(iters):
+        R = len(live)
+        C = (U @ U.transpose(0, 2, 1)).reshape(R, m * m)  # one row per restart
+        C[:, :: m + 1] = 0.0
+        S = C * C
+        # The largest off-diagonal entry contributes exp(0) = 1, so no row of
+        # W sums to 0.
+        W = np.exp(beta * (S - S.max(axis=1)[:, None]))
+        W[:, :: m + 1] = 0.0
+        W /= W.sum(axis=1)[:, None]
+        grad = 4.0 * (W * C).reshape(R, m, m) @ U
+        g = grad.reshape(R, 1, m * D)
+        gn = np.sqrt((g @ g.transpose(0, 2, 1)).ravel())  # np.linalg.norm's dot, per restart
+        if gn.min() < _GRAD_STOP:  # those restarts stop where they stand, before dividing
+            stop = gn < _GRAD_STOP
+            finals[live[stop]] = U[stop]
+            live, U, grad, gn = live[~stop], U[~stop], grad[~stop], gn[~stop]
+            if not live.size:
+                break
+        step = 0.2 * (1.0 - it / iters) + 0.001
+        U = U - step * grad / gn[:, None, None]
+        U /= np.sqrt(np.add.reduce(U * U, axis=2))[:, :, None]  # np.linalg.norm's arithmetic
+        beta *= growth
+    finals[live] = U
     best = None
     best_angle = -1.0
-
-    def consider(U: np.ndarray):
-        nonlocal best, best_angle
-        ang = _min_line_angle(U)
-        if ang > best_angle:
-            best_angle = ang
-            best = U.copy()
-
     for r in range(restarts):
-        U = rng_stream(seed, r).normal(size=(m, D))
-        U /= np.linalg.norm(U, axis=1)[:, None]
-        consider(U)
-        beta = 4.0
-        growth = (8192.0 / beta) ** (1.0 / iters)
-        for it in range(iters):
-            C = U @ U.T
-            np.fill_diagonal(C, 0.0)
-            S = C * C
-            W = np.exp(beta * (S - S.max()))
-            np.fill_diagonal(W, 0.0)
-            total = W.sum()
-            if total <= 0.0:
-                break
-            W /= total
-            grad = 4.0 * (W * C) @ U
-            gn = float(np.linalg.norm(grad))
-            if gn < 1e-14:
-                break
-            step = 0.2 * (1.0 - it / iters) + 0.001
-            U = U - step * grad / gn
-            U /= np.linalg.norm(U, axis=1)[:, None]
-            beta *= growth
-        consider(U)
+        for lines in (starts[r], finals[r]):  # the start, then its result
+            ang = _min_line_angle(lines)
+            if ang > best_angle:
+                best, best_angle = lines, ang
     return LineArrangement(dim=D, lines=best)
 
 
 def _covers_all(P: np.ndarray, lines: np.ndarray, cos_half: float) -> bool:
-    """True when every probe row of P is within the covering angle of some line."""
-    return all(np.all(np.max(np.abs(P[lo:hi] @ lines.T), axis=1) >= cos_half - 1e-12)
+    """True when every probe row of P is within the covering angle of some line.
+
+    A block of probes at a time, each product is formed line-major, one
+    contiguous row per line, and reduced over the lines: a probe's best |dot|
+    is an elementwise maximum of a few long rows, not a reduction of each
+    short probe row.
+    """
+    return all(np.all(np.abs(lines @ P[lo:hi].T).max(axis=0) >= cos_half - 1e-12)
                for lo, hi in _row_blocks(P.shape[0], len(lines)))
 
 
@@ -204,14 +220,17 @@ def cover_lines(rho: float, D: int, seed: int = 0, probes: int = DEFAULT_PROBES,
     In the plane the answer is the closed form, with no greedy round: the
     equiangular family of k = ceil(pi/rho - 1e-9) lines, or the next k the
     probes accept (a probe can refuse k only for pi/rho within 1e-9 above an
-    integer). It leaves every direction within rho/2 of a line, not only the
-    probes, so on a sparse probe set it can use one line more than a greedy
-    cover that only the probes certify. A round cap greedy would hit does
-    not apply there, but max_rounds >= 1 and candidates_per_round >= 1 are
-    still required.
+    integer). The probes are checked once, against the lines of the
+    arrangement returned, and that check is its certificate. The family
+    leaves every direction within rho/2 of a line, not only the probes, so
+    on a sparse probe set it can use one line more than a greedy cover that
+    only the probes certify. A round cap greedy would hit does not apply
+    there, but max_rounds >= 1 and candidates_per_round >= 1 are still
+    required.
 
     For D >= 3 each greedy round scores a sampled batch of still-uncovered
-    probes as candidate lines and keeps the one covering the most probes. The
+    probes as candidate lines and keeps the one covering the most probes,
+    and the lines chosen are re-checked against every probe. The
     uncovered probes are carried compacted, in index order. The
     probe-candidate incidence is filled one block of probes at a time, so the
     float products never exist whole; its width is padded with False columns
@@ -228,13 +247,15 @@ def cover_lines(rho: float, D: int, seed: int = 0, probes: int = DEFAULT_PROBES,
     P = quasi_uniform_lines(D, probes, seed)
     cos_half = math.cos(0.5 * rho)
     if D == 2:
+        # The probe check of the lines returned is their certificate.
         k = math.ceil(math.pi / rho - 1e-9)
-        while not _covers_all(P, _equiangular(k), cos_half):
+        while True:
+            arrangement = LineArrangement(dim=D, lines=_equiangular(k))
+            if _covers_all(P, arrangement.lines, cos_half):
+                return arrangement
             k += 1
-        lines = _equiangular(k)
-    else:
-        lines = _greedy_cover(P, cos_half, seed, max_rounds, candidates_per_round)
-    arrangement = LineArrangement(dim=D, lines=lines)
+    arrangement = LineArrangement(
+        dim=D, lines=_greedy_cover(P, cos_half, seed, max_rounds, candidates_per_round))
     # Re-check the certificate against the full probe set.
     if not _covers_all(P, arrangement.lines, cos_half):
         raise CoverageFailed("probe coverage re-check failed")

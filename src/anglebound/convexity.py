@@ -159,11 +159,16 @@ def simplex_contains_origin(V, strict: bool = False) -> bool:
 
 
 def _check_interior(p: np.ndarray, V: np.ndarray):
-    """Raise unless p lies strictly inside the simplex with vertices V."""
+    """Raise unless p lies strictly inside the simplex with vertices V.
+
+    The residual is measured against max(1, max |V - p|), the scale of the
+    frame centred on p that _barycentric solves in, so the bar does not grow
+    with the distance of the simplex from the origin.
+    """
     coords, residual, rank = _barycentric(p, V)
     if rank < V.shape[0]:
         raise DegenerateSimplex(f"simplex vertices are affinely dependent (rank {rank})")
-    scale = max(1.0, float(np.max(np.abs(V))))
+    scale = max(1.0, float(np.max(np.abs(V - p))))
     if residual > FEAS_TOL * scale or np.any(coords <= COEFF_TOL):
         raise NotInterior(f"point is not strictly inside the simplex (residual {residual:.3g}, "
                           f"smallest coordinate {float(np.min(coords)):.3g})")

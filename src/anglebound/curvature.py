@@ -6,11 +6,15 @@ vertices of a polytope in convex position these fractions sum to 1. They are
 estimated by seeded Monte Carlo, one cache-sized block of directions at a
 time (sampling.direction_blocks), so memory does not grow with the sample
 count; the convex-position precondition reuses the verdict stored on the
-PointSet. A diameter-to-cap-radius inequality on the sphere converts a
-maximum-angle bound at a vertex into an enclosing cap for its rays, which
-yields a covering of the polytope by congruent cones. The smallest enclosing
-cap comes from the point of the rays' convex hull nearest the origin, found
-by the same nearest-point kernel as hull membership.
+PointSet. Each block's product is formed vertex-major, one contiguous row
+per vertex and one column per direction, and reduced along its columns: a
+few elementwise passes over long rows instead of one short reduction per
+direction, whose fixed cost dominated. A diameter-to-cap-radius inequality
+on the sphere converts a maximum-angle bound at a vertex into an enclosing
+cap for its rays, which yields a covering of the polytope by congruent
+cones. The smallest enclosing cap comes from the point of the rays' convex
+hull nearest the origin, found by the same nearest-point kernel as hull
+membership.
 
 The Monte Carlo directions come in antithetic pairs (Hammersley & Morton
 1956). N samples draw ceil(N/2) raw standard normal rows u_k; sample 2k is
@@ -102,12 +106,28 @@ def _paired_blocks(dim: int, samples: int, seed: int, width: int):
         yield U, len(U) - max(0, 2 * rows - samples)  # 1 short only at odd N's last row
 
 
+def _first_extreme_counts(PT: np.ndarray, extreme, arg) -> np.ndarray:
+    """Per row of PT, the number of columns whose extreme (np.max or np.min)
+    is first attained in that row: np.bincount(arg(PT, axis=0)).
+
+    Each row's matches are counted along its length; only a block with an
+    exact tie, where the matches outnumber the columns, pays for `arg`.
+    """
+    counts = np.count_nonzero(PT == extreme(PT, axis=0), axis=1)
+    if counts.sum() > PT.shape[1]:
+        counts = np.bincount(arg(PT, axis=0), minlength=PT.shape[0])
+    return counts
+
+
 def normal_cone_fraction_mc(V: PointSet, i: int, samples: int, seed: int) -> tuple[float, float]:
     """Monte Carlo normal-cone fraction of vertex i, with binomial std error.
 
     Draws `samples` uniform directions u on the unit sphere, in antithetic
     pairs, and counts those satisfying u . (v_j - v_i) <= 0 for every j, one
     direction block at a time: -u satisfies it when every u . (v_j - v_i) >= 0.
+    A direction counts when its column maximum of the vertex-major product
+    is <= 0 (for -u, its column minimum >= 0), which is np.all on its row of
+    the row-major product.
     """
     _check_seed(seed)
     if samples < 1000:
@@ -118,9 +138,9 @@ def normal_cone_fraction_mc(V: PointSet, i: int, samples: int, seed: int) -> tup
     diffs = np.delete(V.points, i, axis=0) - V.points[i]
     count = 0
     for U, paired in _paired_blocks(V.dim, samples, seed, len(diffs)):
-        P = U @ diffs.T
-        count += int(np.count_nonzero(np.all(P <= 0.0, axis=1)))
-        count += int(np.count_nonzero(np.all(P[:paired] >= 0.0, axis=1)))
+        PT = diffs @ U.T  # one row per other vertex, one column per direction
+        count += int(np.count_nonzero(PT.max(axis=0) <= 0.0))
+        count += int(np.count_nonzero(PT[:, :paired].min(axis=0) >= 0.0))
     frac = count / samples
     se = math.sqrt(max(frac * (1.0 - frac), 0.0) / samples)
     return frac, se
@@ -134,7 +154,10 @@ def gauss_bonnet_sum(V: PointSet, samples: int, seed: int) -> CurvatureEstimate:
     to one. The directions come in antithetic pairs: -u goes to the argmin
     row of the same product, which breaks ties to the lowest index as the
     argmax of its negation would. The directions are counted one block at a
-    time. Requires the hull to be full-dimensional.
+    time, from the vertex-major product: each vertex counts the columns whose
+    maximum (or, for -u, minimum) it attains, and a block with an exact tie
+    falls back to the first-index argmax/argmin of its columns. Requires the
+    hull to be full-dimensional.
     """
     _check_seed(seed)
     if samples < 1000:
@@ -146,9 +169,9 @@ def gauss_bonnet_sum(V: PointSet, samples: int, seed: int) -> CurvatureEstimate:
     n = len(V)
     counts = np.zeros(n, dtype=np.int64)
     for U, paired in _paired_blocks(V.dim, samples, seed, n):
-        P = U @ V.points.T
-        counts += np.bincount(np.argmax(P, axis=1), minlength=n)
-        counts += np.bincount(np.argmin(P[:paired], axis=1), minlength=n)
+        PT = V.points @ U.T  # one row per vertex, one column per direction
+        counts += _first_extreme_counts(PT, np.max, np.argmax)
+        counts += _first_extreme_counts(PT[:, :paired], np.min, np.argmin)
     fractions = counts.astype(float) / samples
     # Closing entry: recompute the smallest fraction from the others so the
     # float fractions sum to exactly 1.0 (adjustment is at most a few ulps).

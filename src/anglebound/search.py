@@ -3,13 +3,14 @@
 Two complementary searches: minimize the maximum angle of n points (an
 empirical upper bound on the best achievable), and grow the largest set
 whose maximum angle stays under a cap. Each annealing step draws a few
-proposals into one (proposals, n, D) stack, ranks them by their exact
-maximum angles from one stacked ray-Gram scan (geometry.max_angle_triples),
-and puts the lowest to the Metropolis test with that same angle. Structured
-configurations (simplex, hypercube, cross-polytope, planar regular polygons)
-are included as extra restarts, so results never fall below those baselines.
-All randomness is seeded and restart streams are independent; ties go to the
-earliest restart.
+proposals per start, ranks them by their exact maximum angles, and puts the
+lowest to the Metropolis test with that same angle. All starts of a search
+advance in lockstep, so one stacked ray-Gram scan
+(geometry.max_angle_triples) scores every start's proposals of a step.
+Structured configurations (simplex, hypercube, cross-polytope, planar
+regular polygons) are included as extra restarts, so results never fall
+below those baselines. All randomness is seeded and restart streams are
+independent; ties go to the earliest restart.
 """
 
 from __future__ import annotations
@@ -92,37 +93,47 @@ def _spread(x: np.ndarray) -> float:
     return math.sqrt(float(np.add.reduce(np.add.reduce(d * d, axis=1))) / n)
 
 
-def _anneal(pts: np.ndarray, iters: int, rng: np.random.Generator,
-            temperature: float = 0.3):
-    """Anneal a copy of pts on max angle; returns (best_points, best_angle)."""
-    n, D = pts.shape
-    cur = pts.copy()
-    cur_e, cur_triple = max_angle_triple(cur)
-    best = cur.copy()
-    best_e = cur_e
+def _anneal(starts: np.ndarray, iters: int, rngs: list[np.random.Generator],
+            temperature: float = 0.3) -> list[tuple[np.ndarray, float]]:
+    """Anneal copies of the R sets of an (R, n, D) stack on max angle, in lockstep.
+
+    Set r draws from rngs[r] alone, in the order a lone anneal would, and
+    each step scores the proposals of every set in one (R * _PROPOSALS, n, D)
+    stack. Returns (best_points, best_angle) per set.
+    """
+    R, n, D = starts.shape
+    cur = np.array(starts, dtype=float)
+    scores = max_angle_triples(cur)
+    cur_e = [e for e, _ in scores]
+    cur_triple = [t for _, t in scores]
+    best = [(cur[r].copy(), cur_e[r]) for r in range(R)]
     T = temperature
-    spread = None
+    spread = [None] * R  # only an accepted move changes it
     for _ in range(iters):
-        if spread is None:  # only an accepted move changes it
-            spread = _spread(cur)
-        sigma = max(spread, 1e-3) * max(T, 1e-3)
-        cands = cur[None].repeat(_PROPOSALS, axis=0)
-        for p in range(_PROPOSALS):
-            if cur_triple[0] >= 0 and rng.random() < 0.6:
-                k = cur_triple[int(rng.integers(3))]
-            else:
-                k = int(rng.integers(n))
-            cands[p, k] += rng.normal(scale=sigma, size=D)
-        scores = max_angle_triples(cands)
-        # The lowest maximum angle wins; min keeps the first on ties.
-        w = min(range(_PROPOSALS), key=lambda p: scores[p][0])
-        cand_e, cand_triple = scores[w]
-        if cand_e <= cur_e or rng.random() < math.exp(-(cand_e - cur_e) / max(T, 1e-9)):
-            cur, cur_e, cur_triple, spread = cands[w], cand_e, cand_triple, None
-            if cur_e < best_e:
-                best, best_e = cur.copy(), cur_e
+        cands = cur[:, None].repeat(_PROPOSALS, axis=1)
+        for r, rng in enumerate(rngs):
+            if spread[r] is None:
+                spread[r] = _spread(cur[r])
+            sigma = max(spread[r], 1e-3) * max(T, 1e-3)
+            for p in range(_PROPOSALS):
+                if cur_triple[r][0] >= 0 and rng.random() < 0.6:
+                    k = cur_triple[r][int(rng.integers(3))]
+                else:
+                    k = int(rng.integers(n))
+                cands[r, p, k] += rng.normal(scale=sigma, size=D)
+        scores = max_angle_triples(cands.reshape(R * _PROPOSALS, n, D))
+        for r, rng in enumerate(rngs):
+            mine = scores[r * _PROPOSALS:(r + 1) * _PROPOSALS]
+            # The lowest maximum angle wins; min keeps the first on ties.
+            w = min(range(_PROPOSALS), key=lambda p: mine[p][0])
+            cand_e, cand_triple = mine[w]
+            if cand_e <= cur_e[r] or rng.random() < math.exp(-(cand_e - cur_e[r]) / max(T, 1e-9)):
+                cur[r] = cands[r, w]
+                cur_e[r], cur_triple[r], spread[r] = cand_e, cand_triple, None
+                if cand_e < best[r][1]:
+                    best[r] = (cur[r].copy(), cand_e)
         T *= _COOLING
-    return best, best_e
+    return best
 
 
 def minimize_max_angle(n: int, D: int, iters: int = 2000, restarts: int = 4,
@@ -131,7 +142,11 @@ def minimize_max_angle(n: int, D: int, iters: int = 2000, restarts: int = 4,
 
     Simulated annealing from structured and random starts; the returned
     angle is recomputed from the final coordinates. Needs iters >= 1,
-    restarts >= 0 and at least one start in all.
+    restarts >= 0 and at least one start in all. Start r (the structured
+    ones first, then `restarts` random ones) draws from rng_stream(seed, r);
+    all starts are annealed in lockstep, and the first best result wins.
+    An anneal never returns worse than its start, so a structured start's
+    own angle is counted.
     """
     if n < 3 or D < 2:
         raise OutOfRange("need n >= 3 points in dimension D >= 2")
@@ -143,29 +158,17 @@ def minimize_max_angle(n: int, D: int, iters: int = 2000, restarts: int = 4,
     if restarts + len(starts) < 1:
         raise OutOfRange(f"restarts must be at least 1: no structured start has "
                          f"n={n} points in D={D}, got {restarts}")
-    best_pts = None
-    best_e = math.inf
-    total_iters = 0
-    for r in range(restarts + len(starts)):
-        rng = rng_stream(seed, r)
-        if r < len(starts):
-            init = starts[r].copy()
-            e0 = max_angle_triple(init)[0]
-            if e0 < best_e:
-                best_pts, best_e = init.copy(), e0
-        else:
-            init = rng.normal(size=(n, D))
-        pts, e = _anneal(init, iters, rng)
-        total_iters += iters
-        if e < best_e:
-            best_pts, best_e = pts, e
-    result = PointSet(best_pts)
+    rngs = [rng_stream(seed, r) for r in range(restarts + len(starts))]
+    starts += [rng.normal(size=(n, D)) for rng in rngs[len(starts):]]
+    results = _anneal(np.array(starts), iters, rngs)
+    # min keeps the first of equal angles: ties go to the earliest start.
+    result = PointSet(min(results, key=lambda res: res[1])[0])
     return SearchResult(
         points=result,
         achieved_angle=max_angle_triple(result.points)[0],
-        iterations=total_iters,
+        iterations=iters * len(rngs),
         seed=seed,
-        restarts=restarts + len(starts),
+        restarts=len(rngs),
     )
 
 
@@ -235,7 +238,7 @@ def max_cardinality_search(theta: float, D: int, budget: int = 20000,
             cand = pts.mean(axis=0) + rng.normal(scale=scale, size=D)
             trial = np.vstack([pts, cand])
             steps = min(400, budget - used)
-            repaired, e = _anneal(trial, steps, rng, temperature=0.1)
+            [(repaired, e)] = _anneal(trial[None], steps, [rng], temperature=0.1)
             used += steps
             if e <= theta:
                 pts = repaired

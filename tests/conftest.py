@@ -8,10 +8,12 @@ kernel replaced. The Monte Carlo and covering sweeps are checked against
 whole-matrix sweeps; the Monte Carlo ones run over the paired sample stream
 written out in full, each raw row followed by its negation. Convex position
 is also decided by one nearest-point solve per point, with no direction
-screen, and the covering probes by one whole expression.
+screen, the covering probes by one whole expression, and line packings by
+one restart after another. Pinned results are compared by `digest`.
 """
 
 import functools
+import hashlib
 import itertools
 import math
 
@@ -26,6 +28,11 @@ from anglebound.sampling import CHUNK, _rd_alpha, canonical_lines, quasi_uniform
 
 # Seed of the acceptance suite's criterion-7 sets.
 CRITERION_7_SEED = 20241
+
+
+def digest(a) -> str:
+    """SHA-256 of an array's little-endian float64 bytes: the form of every pinned result."""
+    return hashlib.sha256(np.asarray(a).astype("<f8").tobytes()).hexdigest()
 
 
 def brute_max_angle(points) -> float:
@@ -143,6 +150,43 @@ def whole_cover_lines(rho: float, D: int, seed: int, probes: int,
         chosen.append(cand[pick])
         covered[uncovered[hits[:, pick]]] = True
     return LineArrangement(dim=D, lines=np.array(chosen)).lines
+
+
+def loop_pack_lines(m: int, D: int, iters: int, seed: int, restarts: int,
+                    grad_stop: float = 1e-14) -> np.ndarray:
+    """pack_lines's search as one restart after another: each runs alone from
+    rng_stream(seed, r) until its gradient norm falls below grad_stop, and the
+    first of the most separated starts and results, in restart order, wins."""
+    best, best_angle = None, -1.0
+
+    def consider(U):
+        nonlocal best, best_angle
+        ang = LineArrangement(dim=D, lines=U).min_pairwise_angle
+        if ang > best_angle:
+            best, best_angle = U.copy(), ang
+
+    for r in range(restarts):
+        U = rng_stream(seed, r).normal(size=(m, D))
+        U /= np.linalg.norm(U, axis=1)[:, None]
+        consider(U)
+        beta = 4.0
+        growth = (8192.0 / beta) ** (1.0 / iters)
+        for it in range(iters):
+            C = U @ U.T
+            np.fill_diagonal(C, 0.0)
+            S = C * C
+            W = np.exp(beta * (S - S.max()))
+            np.fill_diagonal(W, 0.0)
+            W /= W.sum()
+            grad = 4.0 * (W * C) @ U
+            gn = float(np.linalg.norm(grad))
+            if gn < grad_stop:
+                break
+            U = U - (0.2 * (1.0 - it / iters) + 0.001) * grad / gn
+            U /= np.linalg.norm(U, axis=1)[:, None]
+            beta *= growth
+        consider(U)
+    return best
 
 
 def whole_quasi_uniform_lines(dim: int, n: int, seed: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from anglebound import constructions
 from anglebound.constructions import (
     _column_counts,
     EdgeColoring,
@@ -24,7 +25,13 @@ from anglebound.errors import (
     OutOfRange,
 )
 from anglebound.geometry import PointSet, angle_at, max_angle
-from conftest import brute_max_angle, random_rotation, whole_cover_lines
+from conftest import (
+    brute_max_angle,
+    digest,
+    loop_pack_lines,
+    random_rotation,
+    whole_cover_lines,
+)
 
 PLANAR_TRIPLE = LineArrangement(
     dim=2,
@@ -94,6 +101,59 @@ class TestPackLines:
                 arr = pack_lines(m, 2, iters=iters, seed=seed, restarts=restarts)
                 np.testing.assert_array_equal(arr.lines, LineArrangement(dim=2, lines=U).lines)
                 assert arr.min_pairwise_angle == pytest.approx(math.pi / m, rel=1e-12)
+
+    @pytest.mark.parametrize("m, D, iters, restarts, seed, angle, pinned", [
+        # The defaults: 1500 iterations, 8 restarts.
+        (5, 3, 1500, 8, 0, "0x1.1b5349a1c061ep+0",
+         "4aac1add68de752b3042ae06edab250478282d035ff4e233c38fd5a4ff4ed704"),
+        (7, 4, 1500, 8, 0, "0x1.2b6269393fed0p+0",
+         "10318cdf876a7bb1dee8e03b70bc745da38e93956b1a89d163aac7bda7eaa664"),
+        (12, 4, 1500, 8, 0, "0x1.0bfc08721406ap+0",
+         "661b54bf8c1b420d1b622dd0a66ec2e4b2594902ac4c235fe96c4ad8a970aece"),
+        # The bench's 300 iterations and 2 restarts.
+        (5, 3, 300, 2, 1, "0x1.1b3d86dd98df4p+0",
+         "8167126a7ab4a4c02af8b94852ae3558df20dfeb284829e36ae2e431ac9da7e3"),
+        (5, 3, 300, 2, 2, "0x1.1b24f0127e9b6p+0",
+         "17236fb49dc0f4a4e52492c29bfa7b142b4f0ac691eb510510466d7af53d74d7"),
+        (5, 3, 300, 2, 3, "0x1.1b148d1a002e8p+0",
+         "473f59b9cde9829eb740293b7225f61448800f0575a944bbdccdbad386ffdb6e"),
+        (6, 3, 300, 2, 1, "0x1.1b2baea78bf76p+0",
+         "e801a84fc8d4afd0a06b92494c259929f98b703b2101c015e65e3945a2f1c84d"),
+        (6, 3, 300, 2, 2, "0x1.1b365f4820256p+0",
+         "3c4b1243e81aea354147b5fb57bf0d3dad4fd765747f62b8e10cd609461633b8"),
+        (6, 3, 300, 2, 3, "0x1.1b274a8210028p+0",
+         "71ded6923cd52301dff097efe8baa6bd79e2c9d037c00bd1fceb8c8fc3527cd5"),
+        (6, 4, 300, 2, 1, "0x1.3ac3b7c3df3bdp+0",
+         "fe2d7def12626a3e3df1675d5f19d90578fd979da2ac6112978902b77b45030e"),
+        (6, 4, 300, 2, 2, "0x1.3ac2f4a436edcp+0",
+         "49756d96be66a83c37bf12fb125f00ddc5838b07d4e23045c5e431b432039bce"),
+        (6, 4, 300, 2, 3, "0x1.3ac1185feeaa5p+0",
+         "9767fc3421a378294de970fce5f8af93e3d82ed59f628305ea4d3e22ed002c16"),
+        (7, 4, 300, 2, 1, "0x1.2af6be4550ff0p+0",
+         "8f340f8407e5f40fc4ca5bf6dbbe94ae0dbb3b96d97d6cf243990b4aa2486639"),
+        (7, 4, 300, 2, 2, "0x1.2b23973e32ffcp+0",
+         "247127e9ea76809452cf38c3eec0df87ae84f129f666b57bd80b09060d7a41e2"),
+        (7, 4, 300, 2, 3, "0x1.2aef67d61e0f8p+0",
+         "52d7169e4e8888c76eed099ec69d9ed63e08ea97dac62c54287441dc3ee59b56"),
+    ])
+    def test_pinned_packings(self, m, D, iters, restarts, seed, angle, pinned):
+        # Recorded when each restart still ran alone: lines (SHA-256 of the
+        # little-endian float64 bytes) and separation (float.hex).
+        arr = pack_lines(m, D, iters=iters, restarts=restarts, seed=seed)
+        assert arr.min_pairwise_angle.hex() == angle
+        assert digest(arr.lines) == pinned
+
+    @pytest.mark.parametrize("grad_stop", [10.0, 0.9, 0.5, 0.36, 1e-14])
+    def test_each_restart_stops_on_its_own(self, monkeypatch, grad_stop):
+        # Gradient norms start between 0.83 and 1.57 and fall to about 0.36, so
+        # the raised bars stop the four restarts at different steps, 10 all of
+        # them before their first; 1e-14 stops none. A stopped restart keeps
+        # the lines where it stood and takes no further step.
+        monkeypatch.setattr(constructions, "_GRAD_STOP", grad_stop)
+        arr = pack_lines(5, 3, iters=200, seed=3, restarts=4)
+        expected = LineArrangement(dim=3, lines=loop_pack_lines(5, 3, 200, 3, 4, grad_stop))
+        np.testing.assert_array_equal(arr.lines, expected.lines)
+        assert arr.min_pairwise_angle == expected.min_pairwise_angle
 
     @pytest.mark.parametrize("m, D, iters, restarts, message", [
         (5, 3, 1500, 0, "restarts must be at least 1, got 0"),

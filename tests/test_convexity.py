@@ -382,6 +382,13 @@ class TestObtuseWitness:
         with pytest.raises(NotInterior):
             obtuse_witness([0.5, 0.0], np.array([[0, 0], [1, 0], [0, 1]], dtype=float))
 
+    @pytest.mark.parametrize("shift", [0.0, 1e8])
+    def test_point_off_a_far_segment_rejected(self, shift):
+        # 0.01 off a unit segment: the residual bar is set by the simplex
+        # around p, not by how far the pair sits from the origin.
+        with pytest.raises(NotInterior, match=r"residual 0\.01"):
+            obtuse_witness([shift + 0.5, shift + 0.01], [[shift, shift], [shift + 1, shift]])
+
     def test_degenerate_simplex_rejected(self):
         with pytest.raises(DegenerateSimplex):
             obtuse_witness([0.5, 0.1], np.array([[0, 0], [1, 0], [2, 0]], dtype=float))

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from anglebound import constructions, convexity
+from anglebound import constructions, convexity, curvature
 from anglebound.bounds import eta_of_theta, f_fraction, theta_d
 from anglebound.curvature import (
     cone_cover_certificate,
@@ -222,6 +222,44 @@ class TestBlockedSweeps:
         finally:
             tracemalloc.stop()
         assert peak < 20e6
+
+
+class TestExactTies:
+    """Integer directions against the square and the cube meet vertices in
+    exact ties and give exact zero products. The vertex-major sweeps must
+    count them as first-index argmax/argmin and np.all(P <= 0) on the
+    row-major product U @ V.T do."""
+
+    @staticmethod
+    def blocks(dim: int) -> list:
+        grid = np.array(list(itertools.product([-1.0, 0.0, 1.0], repeat=dim)))
+        wide = np.random.default_rng(dim).integers(-3, 4, size=(700, dim)).astype(float)
+        # Even and odd `paired`: in the last two blocks the final row is unpaired.
+        return [(wide, 700), (np.tile(grid, (20, 1)), 20 * len(grid) - 1),
+                (grid[::-1].copy(), len(grid) - 1)]
+
+    @pytest.mark.parametrize("ps", [SQUARE, CUBE], ids=["square", "cube"])
+    def test_counts_equal_first_index_row_major_counts(self, monkeypatch, ps):
+        blocks = self.blocks(ps.dim)
+        monkeypatch.setattr(curvature, "_paired_blocks",
+                            lambda dim, samples, seed, width: iter(blocks))
+        samples = sum(len(U) + paired for U, paired in blocks)
+        V = ps.points
+        expected = np.zeros(len(V), dtype=int)
+        for U, paired in blocks:
+            P = U @ V.T
+            expected += np.bincount(np.argmax(P, axis=1), minlength=len(V))
+            expected += np.bincount(np.argmin(P[:paired], axis=1), minlength=len(V))
+        est = gauss_bonnet_sum(ps, samples, seed=1)
+        np.testing.assert_array_equal(np.rint(est.fractions * samples).astype(int), expected)
+        for i in range(len(V)):
+            diffs = np.delete(V, i, axis=0) - V[i]
+            count = 0
+            for U, paired in blocks:
+                P = U @ diffs.T
+                count += int(np.sum(np.all(P <= 0.0, axis=1)))
+                count += int(np.sum(np.all(P[:paired] >= 0.0, axis=1)))
+            assert normal_cone_fraction_mc(ps, i, samples, seed=1)[0] == count / samples
 
 
 class TestNormalConeFraction:

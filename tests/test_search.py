@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import math
 from collections import Counter
 
@@ -18,6 +17,7 @@ from anglebound.search import (
     minimize_max_angle,
     regular_simplex,
 )
+from conftest import digest
 
 
 class TestStructuredConfigurations:
@@ -50,13 +50,33 @@ class TestAnneal:
 
         monkeypatch.setattr(geometry, "_ray_grams", counted)
         pts = np.random.default_rng(5).normal(size=(6, 3))
-        _anneal(pts, 20, np.random.default_rng(6))
+        _anneal(pts[None], 20, [np.random.default_rng(6)])
         # The start alone, then one (3, n, D) stack of the proposals per step;
         # the winner is not rescanned.
         assert [s.shape for s in stacks] == [(1, 6, 3)] + [(3, 6, 3)] * 20
         scans = Counter(p.tobytes() for s in stacks for p in s)
         assert sum(scans.values()) == 1 + 3 * 20
         assert max(scans.values()) == 1
+
+    @pytest.mark.parametrize("n, D, restarts, starts", [
+        (6, 3, 2, 4),  # the cross-polytope, the hypercube prefix and 2 random starts
+        (5, 2, 2, 3),  # the pentagon and 2 random starts
+        (10, 3, 1, 1),
+    ])
+    def test_starts_are_scanned_in_lockstep(self, monkeypatch, n, D, restarts, starts):
+        stacks = []
+        ray_grams = geometry._ray_grams
+
+        def counted(stack):
+            stacks.append(stack.shape)
+            return ray_grams(stack)
+
+        monkeypatch.setattr(geometry, "_ray_grams", counted)
+        res = minimize_max_angle(n, D, iters=7, restarts=restarts, seed=1)
+        # The starts in one stack, then one stack of every start's proposals
+        # per step, then the winner's recomputed angle.
+        assert res.restarts == starts
+        assert stacks == [(starts, n, D)] + [(3 * starts, n, D)] * 7 + [(1, n, D)]
 
     def test_triple_entry_by_integers_draws_the_stream_of_choice(self):
         # _anneal picks a vertex of the current triple with t[rng.integers(3)],
@@ -195,7 +215,7 @@ class TestPinnedResults:
     bit for bit: points (SHA-256 of the little-endian float64 bytes), angle
     (float.hex), iterations and restarts."""
 
-    @pytest.mark.parametrize("n, D, iters, restarts, seed, size, angle, iterations, digest", [
+    @pytest.mark.parametrize("n, D, iters, restarts, seed, size, angle, iterations, pinned", [
         (9, 3, 60, 1, 11, 9, "0x1.1dc8f2cdb337ap+1", 60,
          "f21ebeefd3e3b923d8a3e43741784878904be752b6a68537ae288a5f65d92b53"),
         (10, 3, 60, 1, 12, 10, "0x1.273a0e7a824aep+1", 60,
@@ -207,25 +227,38 @@ class TestPinnedResults:
         # 3 proposals x 30 vertices x 29^2 Gram entries span two kernel blocks.
         (30, 3, 15, 1, 17, 30, "0x1.825a793007ebep+1", 15,
          "63d6be092e7b5fc079341351edc3a8728cdf24cd939683a54a5f1ed66668be9b"),
+        # Three to five starts in lockstep, the structured ones first. The
+        # cross-polytope and the hypercube prefix tie at 90 deg in (4, 3), (6, 3),
+        # (8, 4) and (7, 4); the earlier start keeps the tie.
+        (4, 3, 60, 1, 2, 4, "0x1.0c152382d7367p+0", 240,
+         "3081d7099ced077c368e6161b4b36e98e34d76ca5b7b801513910f1456e8f636"),
+        (5, 2, 80, 2, 4, 5, "0x1.e28c731eb6951p+0", 240,
+         "9197d9253f0bd00aacc484182a45da4774c7f9d835411337563400d1bc6fb5b0"),
+        (6, 3, 100, 2, 3, 6, "0x1.921fb54442d18p+0", 400,
+         "397b9cf5c341e2ab2a6cac4be2113bab2fe1329f6d85db8bd83ac88f6b98c0f7"),
+        (8, 4, 80, 2, 5, 8, "0x1.921fb54442d18p+0", 320,
+         "3953da82444da5c7199657a3654b9931ef1a79853fb971bafdd5623b87cc7080"),
+        (7, 4, 50, 3, 6, 7, "0x1.921fb54442d18p+0", 250,
+         "2274d69f164e190ebb8bea5e8a867dbb38a7faa7cc732be55961033b9c764488"),
     ])
     def test_minimize_max_angle(self, n, D, iters, restarts, seed, size, angle, iterations,
-                                digest):
+                                pinned):
         res = minimize_max_angle(n, D, iters=iters, restarts=restarts, seed=seed)
-        self.check(res, size, angle, iterations, digest)
+        self.check(res, size, angle, iterations, pinned)
 
-    @pytest.mark.parametrize("theta, D, budget, seed, size, angle, digest", [
+    @pytest.mark.parametrize("theta, D, budget, seed, size, angle, pinned", [
         (2.0, 3, 300, 14, 9, "0x1.f79183fb158e8p+0",
          "50da7663b5d21e01cb31cd9a09efe471af0882a003972d4f92a4c304cf31f4e4"),
         (2.2, 2, 300, 16, 6, "0x1.0c152382d7366p+1",
          "6ce56e6617d1d8fa8b98323bf48697d54672032cf6e855e2810aed503a713fe2"),
     ])
-    def test_max_cardinality_search(self, theta, D, budget, seed, size, angle, digest):
+    def test_max_cardinality_search(self, theta, D, budget, seed, size, angle, pinned):
         res = max_cardinality_search(theta, D, budget=budget, seed=seed)
-        self.check(res, size, angle, budget, digest)
+        self.check(res, size, angle, budget, pinned)
 
     @staticmethod
-    def check(res, size, angle, iterations, digest):
+    def check(res, size, angle, iterations, pinned):
         assert len(res.points) == size
         assert res.achieved_angle.hex() == angle
         assert res.iterations == iterations
-        assert hashlib.sha256(res.points.points.astype("<f8").tobytes()).hexdigest() == digest
+        assert digest(res.points.points) == pinned
