@@ -228,7 +228,14 @@ def cover_lines(rho: float, D: int, seed: int = 0, probes: int = DEFAULT_PROBES,
     there, but max_rounds >= 1 and candidates_per_round >= 1 are still
     required.
 
-    For D >= 3 each greedy round scores a sampled batch of still-uncovered
+    In D >= 3, when cos(rho/2) <= 1/sqrt(D) (up to the probe check's 1e-12),
+    the coordinate frame is returned, with no greedy round, if the probes
+    accept it; that check is again the certificate. Every unit x has
+    max_i |x_i| >= 1/sqrt(D), so the frame covers every direction, and fewer
+    than D lines leave a direction orthogonal to all of them, so D lines is
+    the minimum.
+
+    Otherwise each greedy round scores a sampled batch of still-uncovered
     probes as candidate lines and keeps the one covering the most probes,
     and the lines chosen are re-checked against every probe. The
     uncovered probes are carried compacted, in index order. The
@@ -254,6 +261,10 @@ def cover_lines(rho: float, D: int, seed: int = 0, probes: int = DEFAULT_PROBES,
             if _covers_all(P, arrangement.lines, cos_half):
                 return arrangement
             k += 1
+    if cos_half - 1e-12 <= 1.0 / math.sqrt(D):
+        frame = LineArrangement(dim=D, lines=np.eye(D))
+        if _covers_all(P, frame.lines, cos_half):
+            return frame
     arrangement = LineArrangement(
         dim=D, lines=_greedy_cover(P, cos_half, seed, max_rounds, candidates_per_round))
     # Re-check the certificate against the full probe set.
@@ -283,7 +294,7 @@ def _greedy_cover(P: np.ndarray, cos_half: float, seed: int, max_rounds: int,
             np.greater_equal(np.abs(dots, out=dots), cos_half, out=hits[lo:hi, :take])
         pick = int(np.argmax(_column_counts(hits)[:take]))  # ties: lowest candidate index
         chosen.append(cand[pick])
-        live = live[~hits[:, pick]]
+        live = live.take(np.flatnonzero(~hits[:, pick]), axis=0)
     if live.shape[0]:
         raise CoverageFailed(
             f"{live.shape[0]} of {P.shape[0]} probes uncovered after {max_rounds} rounds"
@@ -302,8 +313,10 @@ def ef_doubling(L: LineArrangement, rho: float, slack: float = 0.05,
     lines, and (b) the exact maximum angle of the union is at most pi - rho.
     Condition (a) is what keeps later doubling steps sound: without it a
     mixed direction can drift onto a not-yet-used line and produce a nearly
-    straight triple. The certificate is recomputed from the final
-    coordinates, never assumed.
+    straight triple. The certificate is the exact maximum-angle scan that
+    accepts each doubling: the last one runs on exactly the coordinates
+    returned, so nothing is scanned after it, and one line gives two points
+    with no angle to certify.
     """
     if slack <= 0.0:
         raise OutOfRange("slack must be positive")
@@ -345,10 +358,7 @@ def ef_doubling(L: LineArrangement, rho: float, slack: float = 0.05,
             raise ScaleExhausted(
                 f"line {k}: translation scale exceeded float geometry before certifying"
             )
-    result = PointSet(pts)
-    if max_angle_triple(result.points)[0] > target:
-        raise ScaleExhausted("final certificate failed")
-    return result
+    return PointSet(pts)
 
 
 def _bfs_forest(n: int, adj: dict) -> tuple[dict, dict, tuple | None]:

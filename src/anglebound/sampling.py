@@ -18,9 +18,11 @@ effectiveness of quasirandom sequences", 2018), frac(s + i alpha) in an even
 number k of coordinates, with alpha_j = phi^-(j+1) for phi the positive root
 of x^(k+1) = x + 1 and one Cranley-Patterson shift s drawn from
 SeedSequence(seed). Box-Muller (1958) maps coordinate pairs to normals; the
-rows are normalized (`rd_directions`) and given their canonical line sign in
-one step. Unshifted, `rd_directions` gives the fixed directions of the
-convex-position screen, which so needs no generator and no numpy.random.
+rows are normalized (`rd_directions`, which works coordinate-major and keeps
+np.linalg.norm's order of addition, see `_square_sum`) and given their
+canonical line sign by `canonical_lines`. Unshifted, `rd_directions` gives the
+fixed directions of the convex-position screen, which so needs no generator
+and no numpy.random.
 
 Every seeded entry point rejects a negative or non-integer seed with
 OutOfRange naming it.
@@ -110,30 +112,69 @@ def _rd_alpha(k: int) -> np.ndarray:
     return phi ** -np.arange(1.0, k + 1.0)
 
 
+def _square_sum(sq: np.ndarray) -> np.ndarray:
+    """Column sums of the (d, n) array sq, each added in the order in which
+    np.add.reduce adds one contiguous row of d entries.
+
+    That order is numpy's pairwise_sum: below 8 terms a running sum; from 8
+    to 128 terms eight running partial sums over the whole groups of eight,
+    combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
+    remaining terms one at a time; above 128 the sum of two halves, the first
+    a multiple of 8 long. So for sq = z * z, np.sqrt(_square_sum(sq)) is
+    np.linalg.norm(z.T, axis=1) bit for bit, computed from long rows.
+    """
+    d = sq.shape[0]
+    if d > 128:
+        half = d // 2 - d // 2 % 8
+        return _square_sum(sq[:half]) + _square_sum(sq[half:])
+    if d < 8:
+        total = sq[0].copy()
+        rest = sq[1:]
+    else:
+        part = sq[:8].copy()
+        whole = d - d % 8
+        for i in range(8, whole, 8):
+            part += sq[i:i + 8]
+        total = (part[0] + part[1] + (part[2] + part[3])) + (part[4] + part[5]
+                                                             + (part[6] + part[7]))
+        rest = sq[whole:]
+    for row in rest:
+        total += row
+    return total
+
+
 def rd_directions(dim: int, n: int, shift=0.0) -> np.ndarray:
     """Rows 0..n-1 of the R_d sequence frac(shift + i alpha) as unit vectors in R^dim.
 
     Box-Muller maps the 2 ceil(dim/2) coordinates pairwise to normals, which
     are cut to dim and normalized; a row of norm below 1e-12 stays as it is
-    (with no shift, row 0 is the zero vector).
+    (with no shift, row 0 is the zero vector). The coordinates, normals and
+    norms are built coordinate-major, as (k, n) arrays of long rows, and the
+    result is returned as C-contiguous (n, dim) rows. Each entry has the bits
+    of the row-major formula: the arithmetic is elementwise, and
+    `_square_sum` adds each row's squares in np.linalg.norm's order.
     """
     k = dim + dim % 2
-    u = shift + np.arange(n, dtype=float)[:, None] * _rd_alpha(k)
+    u = _rd_alpha(k)[:, None] * np.arange(n, dtype=float)
+    u += np.reshape(shift, (-1, 1))
     u -= np.floor(u)  # frac(u), exact for u >= 0 and cheaper than % 1.0
-    r = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))  # 1 - u lies in (0, 1]
-    t = 2.0 * np.pi * u[:, 1::2]
-    z = np.stack([r * np.cos(t), r * np.sin(t)], axis=2).reshape(n, k)[:, :dim]
-    norms = np.linalg.norm(z, axis=1)
+    r = np.sqrt(-2.0 * np.log1p(-u[0::2]))  # 1 - u lies in (0, 1]
+    t = 2.0 * np.pi * u[1::2]
+    z = np.empty((k, n))
+    np.multiply(r, np.cos(t), out=z[0::2])
+    np.multiply(r, np.sin(t), out=z[1::2])
+    z = z[:dim]
+    norms = np.sqrt(_square_sum(z * z))
     norms[norms < 1e-12] = 1.0
-    return z / norms[:, None]
+    return np.divide(z.T, norms[:, None], out=np.empty((n, dim)))
 
 
 def quasi_uniform_lines(dim: int, n: int, seed: int) -> np.ndarray:
     """Low-discrepancy set of n lines (canonicalized unit vectors) on S^{dim-1}.
 
     `rd_directions` under one Cranley-Patterson shift drawn from
-    SeedSequence(seed), canonicalized; suitable as a dense probe set for
-    covering checks.
+    SeedSequence(seed), canonicalized by `canonical_lines`; suitable as a
+    dense probe set for covering checks. C-contiguous (n, dim) rows.
     """
     seed = _check_seed(seed)
     if dim < 2 or n < 1:

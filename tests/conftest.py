@@ -8,8 +8,8 @@ kernel replaced. The Monte Carlo and covering sweeps are checked against
 whole-matrix sweeps; the Monte Carlo ones run over the paired sample stream
 written out in full, each raw row followed by its negation. Convex position
 is also decided by one nearest-point solve per point, with no direction
-screen, the covering probes by one whole expression, and line packings by
-one restart after another. Pinned results are compared by `digest`.
+screen, the covering probes by the row-major R_d formula, and line packings
+by one restart after another. Pinned results are compared by `digest`.
 """
 
 import functools
@@ -126,10 +126,15 @@ def whole_normal_cone_count(points, i: int, samples: int, seed: int) -> int:
 def whole_cover_lines(rho: float, D: int, seed: int, probes: int,
                       candidates_per_round: int = 128) -> np.ndarray:
     """cover_lines's lines. In the plane, the first equiangular family of at
-    least ceil(pi/rho - 1e-9) lines that covers every probe; otherwise the
-    greedy rounds, each round's |P[uncovered] @ cand.T| built whole."""
+    least ceil(pi/rho - 1e-9) lines that covers every probe; in D >= 3 the
+    coordinate frame when cos(rho/2) - 1e-12 <= 1/sqrt(D) and it covers every
+    probe; otherwise the greedy rounds, each round's |P[uncovered] @ cand.T|
+    built whole."""
     P = quasi_uniform_lines(D, probes, seed)
     cos_half = math.cos(0.5 * rho)
+    if (D > 2 and cos_half - 1e-12 <= 1.0 / math.sqrt(D)
+            and np.all(np.max(np.abs(P), axis=1) >= cos_half - 1e-12)):
+        return np.eye(D)
     if D == 2:
         for k in itertools.count(math.ceil(math.pi / rho - 1e-9)):
             ang = np.arange(k) * math.pi / k
@@ -189,18 +194,24 @@ def loop_pack_lines(m: int, D: int, iters: int, seed: int, restarts: int,
     return best
 
 
-def whole_quasi_uniform_lines(dim: int, n: int, seed: int) -> np.ndarray:
-    """quasi_uniform_lines as one expression: shifted R_d rows, Box-Muller,
-    normalized and canonicalized."""
+def row_major_rd_directions(dim: int, n: int, shift=0.0) -> np.ndarray:
+    """rd_directions as (n, k) rows: the R_d rows, Box-Muller pairs stacked
+    per row, cut to dim and divided by np.linalg.norm of each row."""
     k = dim + dim % 2
-    shift = np.random.default_rng(np.random.SeedSequence(seed)).random(k)
     u = (shift + np.arange(n, dtype=float)[:, None] * _rd_alpha(k)) % 1.0
     r = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
     t = 2.0 * np.pi * u[:, 1::2]
     z = np.stack([r * np.cos(t), r * np.sin(t)], axis=2).reshape(n, k)[:, :dim]
     norms = np.linalg.norm(z, axis=1)
     norms[norms < 1e-12] = 1.0
-    return canonical_lines(z / norms[:, None])
+    return z / norms[:, None]
+
+
+def whole_quasi_uniform_lines(dim: int, n: int, seed: int) -> np.ndarray:
+    """quasi_uniform_lines as one expression: row_major_rd_directions under
+    the shift drawn from SeedSequence(seed), canonicalized."""
+    shift = np.random.default_rng(np.random.SeedSequence(seed)).random(dim + dim % 2)
+    return canonical_lines(row_major_rd_directions(dim, n, shift))
 
 
 def solve_every_point(pts) -> convexity.ConvexPositionVerdict:

@@ -24,7 +24,7 @@ from anglebound.errors import (
     HypothesisViolated,
     OutOfRange,
 )
-from anglebound.geometry import PointSet, angle_at, max_angle
+from anglebound.geometry import PointSet, angle_at, max_angle, max_angle_triple
 from conftest import (
     brute_max_angle,
     digest,
@@ -240,6 +240,29 @@ class TestCoverLines:
         # would hit does not apply.
         assert len(cover_lines(0.05, 2, seed=1, probes=5000, max_rounds=2)) == 63
 
+    @pytest.mark.parametrize("D", [3, 4, 5, 6])
+    @pytest.mark.parametrize("above", [0.0, 1e-9, 0.1])
+    def test_frame_is_the_cover_from_its_threshold(self, D, above):
+        rho = 2.0 * math.acos(1.0 / math.sqrt(D)) + above
+        arr = cover_lines(rho, D, seed=1, probes=5000)
+        np.testing.assert_array_equal(arr.lines, np.eye(D))
+        np.testing.assert_array_equal(arr.lines, whole_cover_lines(rho, D, 1, 5000))
+        # Every direction is covered, not only the probes: a grid on the cube
+        # [-1, 1]^D, corners (the farthest directions from the frame) included.
+        ticks = np.linspace(-1.0, 1.0, {3: 59, 4: 21, 5: 11, 6: 7}[D])
+        grid = np.array(np.meshgrid(*[ticks] * D)).reshape(D, -1).T
+        grid = grid[np.any(grid != 0.0, axis=1)]
+        grid /= np.linalg.norm(grid, axis=1)[:, None]
+        worst = np.arccos(np.abs(grid @ arr.lines.T).max(axis=1).min())
+        assert worst <= 0.5 * rho * (1 + 1e-9)
+
+    @pytest.mark.parametrize("D", [3, 4, 5, 6])
+    def test_greedy_runs_just_below_the_frame_threshold(self, D):
+        rho = 2.0 * math.acos(1.0 / math.sqrt(D)) - 1e-6
+        arr = cover_lines(rho, D, seed=1, probes=5000)
+        assert not np.array_equal(arr.lines, np.eye(len(arr), D))
+        np.testing.assert_array_equal(arr.lines, whole_cover_lines(rho, D, 1, 5000))
+
     @pytest.mark.parametrize("D, rhos", [(2, (0.3, 0.9, 1.6)), (3, (0.8, 1.1, 1.5)),
                                          (4, (1.2, 1.6)), (5, (1.6, 2.0)), (8, (2.0, 2.4))])
     def test_lines_match_whole_sweep(self, D, rhos):
@@ -290,12 +313,41 @@ class TestCoverLines:
         assert peak < 20e6
 
 
+def record_scans(monkeypatch) -> list:
+    """Copies of the point sets ef_doubling passes to max_angle_triple, in order."""
+    scans = []
+
+    def scan(points):
+        scans.append(np.array(points))
+        return max_angle_triple(points)
+
+    monkeypatch.setattr(constructions, "max_angle_triple", scan)
+    return scans
+
+
 class TestEfDoubling:
-    def test_single_line_gives_collinear_pair(self):
+    def test_single_line_gives_collinear_pair(self, monkeypatch):
+        scans = record_scans(monkeypatch)
         arr = LineArrangement(dim=2, lines=np.array([[1.0, 0.0]]))
         ps = ef_doubling(arr, 1.0)
         assert len(ps) == 2
         assert max_angle(ps) == 0.0
+        assert scans == []  # two points have no angle to certify
+
+    @pytest.mark.parametrize("m, D, seed", [(3, 2, 0), (4, 3, 6), (5, 3, 1), (6, 4, 2)])
+    def test_each_tried_scale_is_scanned_once(self, monkeypatch, m, D, seed):
+        arr = pack_lines(m, D, iters=300, restarts=2, seed=seed)
+        rho = 0.9 * arr.min_pairwise_angle
+        scans = record_scans(monkeypatch)
+        ps = ef_doubling(arr, rho)
+        sizes = [len(s) for s in scans]
+        assert sizes == sorted(sizes)
+        assert set(sizes) == {2 ** (k + 1) for k in range(1, m)}
+        # No set is scanned twice, and the last scan is of the set returned:
+        # nothing is scanned after the last accepted doubling.
+        assert len({s.tobytes() for s in scans}) == len(scans)
+        assert scans[-1].tobytes() == ps.points.tobytes()
+        assert max_angle_triple(ps.points)[0] <= math.pi - rho
 
     def test_two_perpendicular_lines(self):
         arr = LineArrangement(dim=2, lines=np.array([[1.0, 0.0], [0.0, 1.0]]))
@@ -320,7 +372,7 @@ class TestEfDoubling:
 
     def test_doubling_budget_exhaustion_reported(self):
         from anglebound.errors import ScaleExhausted
-        with pytest.raises(ScaleExhausted):
+        with pytest.raises(ScaleExhausted, match="^line 1: no translation up to "):
             ef_doubling(PLANAR_TRIPLE, 1.0, max_scale_doublings=0)
 
     def test_demonstrates_size_against_calibrated_lower_bound(self):

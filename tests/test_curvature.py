@@ -23,6 +23,7 @@ from anglebound.errors import (
 from anglebound.geometry import PointSet, geodesic_diameter, max_angle
 from anglebound.sampling import (
     CHUNK,
+    _square_sum,
     canonical_line,
     canonical_lines,
     direction_blocks,
@@ -34,6 +35,7 @@ from anglebound.sampling import (
 from conftest import (
     nnls_min_enclosing_cap,
     planar_interior_angles,
+    row_major_rd_directions,
     sample_cap_points,
     whole_gauss_bonnet_counts,
     whole_normal_cone_count,
@@ -121,6 +123,22 @@ class TestSampling:
         for n, seed in ((1, 0), (7, 3), (5000, 8)):
             expected = whole_quasi_uniform_lines(dim, n, seed)
             assert quasi_uniform_lines(dim, n, seed).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dim", range(2, 13))
+    def test_directions_are_pinned_to_the_row_major_formula(self, dim):
+        shifted = np.random.default_rng(dim).random(dim + dim % 2)
+        for n in (1, 2, 5, 20_000):
+            for shift in (0.0, shifted):
+                U = rd_directions(dim, n, shift)
+                assert U.shape == (n, dim) and U.flags.c_contiguous
+                assert U.tobytes() == row_major_rd_directions(dim, n, shift).tobytes()
+
+    @pytest.mark.parametrize("terms", [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 300])
+    def test_square_sums_add_in_the_order_of_the_row_norm(self, terms):
+        rng = np.random.default_rng(terms)
+        z = rng.normal(size=(5000, terms)) * rng.uniform(0.01, 100.0, size=(5000, 1))
+        got = np.sqrt(_square_sum(np.ascontiguousarray((z * z).T)))
+        assert got.tobytes() == np.linalg.norm(z, axis=1).tobytes()
 
     def test_unshifted_directions_are_unit_after_row_0(self):
         for dim in range(1, 9):
