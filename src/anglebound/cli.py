@@ -314,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(func=_cmd_convex_position)
 
-    sp = sub.add_parser("curvature", help="vertex normal-cone fractions (Monte Carlo)")
+    sp = sub.add_parser("curvature",
+                        help="vertex normal-cone fractions (exact in R^2 and R^3, else Monte Carlo)")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--samples", type=int, default=100_000)
     common(sp, seeded=True)

@@ -339,6 +339,10 @@ def ef_doubling(L: LineArrangement, rho: float, slack: float = 0.05,
         diam = math.sqrt(max(float(np.max(np.sum(diffs**2, axis=1))), 1.0))
         t = diam / math.sin(slack_eff)
         for _ in range(max_scale_doublings):
+            # The set's smallest distance is the unit segment on the first
+            # line; past this scale, rounding of the translated copy eats it.
+            if t > 1e15:
+                break
             cross = t * lines[k] + diffs
             cross_norm = np.linalg.norm(cross, axis=1)
             cos_dev = (cross @ lines[k]) / cross_norm
@@ -348,8 +352,6 @@ def ef_doubling(L: LineArrangement, rho: float, slack: float = 0.05,
                 pts = doubled
                 break
             t *= 2.0
-            if t > 1e15 * diam:
-                break
         else:
             raise ScaleExhausted(
                 f"line {k}: no translation up to {t:.3g} certified max angle <= {target:.6g}"

@@ -17,6 +17,11 @@ at distance at least delta from the others' hull. When delta also exceeds
 twice the solver's "inside" distance bound, the solve would have answered
 "outside", so only the points no direction certifies are solved, in index
 order, and verdicts and witnesses are those of one solve per point.
+
+A positive verdict also keeps one exposing direction per vertex: the screen's
+direction with the widest gap, or, for a solved vertex, the direction from
+the nearest point of the others' hull toward it. `curvature` builds the
+exact normal-cone fractions in R^3 in a frame around these directions.
 """
 
 from __future__ import annotations
@@ -49,6 +54,10 @@ class ConvexPositionVerdict:
     in_convex_position: bool
     witness_point: Optional[np.ndarray] = None
     witness_simplex: Optional[np.ndarray] = None
+    # A positive verdict on three or more points sets this to a read-only
+    # (n, D) array: row i is a unit u with u . (v_j - v_i) < 0 for all j != i.
+    # Not a field, so it stays out of payloads and comparisons.
+    _exposing = None
 
 
 @dataclass(frozen=True)
@@ -174,10 +183,11 @@ def _check_interior(p: np.ndarray, V: np.ndarray):
                           f"smallest coordinate {float(np.min(coords)):.3g})")
 
 
-def _hull_simplex(p: np.ndarray, pts: np.ndarray, stage: str) -> Optional[np.ndarray]:
-    """Affinely independent rows of pts whose hull holds p, or None if p is outside.
+def _hull_simplex(p: np.ndarray, pts: np.ndarray, stage: str):
+    """(simplex, z): affinely independent rows of pts whose hull holds p, or
+    None if p is outside, and the point z of conv(pts - p) nearest the origin.
 
-    The point z of conv(pts - p) nearest the origin decides. Both answers are
+    z decides: when p is outside, -z exposes p. Both answers are
     re-checked in O(n D): the simplex (support weights above COEFF_TOL) must
     pass obtuse_witness's checks, and "outside" needs (q - p) . z >= |z|^2 / 2
     for every q, a plane separating p from pts. As |z| > FEAS_TOL * max |q - p|,
@@ -190,13 +200,13 @@ def _hull_simplex(p: np.ndarray, pts: np.ndarray, stage: str) -> Optional[np.nda
         margin, half = float(np.min(P @ z)), 0.5 * dist * dist
         if not margin >= half:
             raise RuntimeError(f"{stage}: separation margin {margin:.6g} < |z|^2/2 = {half:.6g}")
-        return None
+        return None, z
     simplex = pts[support[weights > COEFF_TOL]]
     try:
         _check_interior(p, simplex)
     except (DegenerateSimplex, NotInterior) as err:
         raise RuntimeError(f"{stage}: nearest-point support fails its re-check: {err}") from None
-    return simplex
+    return simplex, z
 
 
 def caratheodory_decompose(p, S: PointSet) -> np.ndarray:
@@ -205,7 +215,7 @@ def caratheodory_decompose(p, S: PointSet) -> np.ndarray:
     The support of the point of conv(S) nearest p, with every point of
     positive weight; it is re-checked before it is returned.
     """
-    simplex = _hull_simplex(np.asarray(p, dtype=float), S.points, "caratheodory_decompose")
+    simplex, _ = _hull_simplex(np.asarray(p, dtype=float), S.points, "caratheodory_decompose")
     if simplex is None:
         raise NotInHull("point is not in the convex hull of the set")
     return simplex
@@ -225,8 +235,8 @@ def is_convex_position(A: PointSet) -> ConvexPositionVerdict:
     return A._convex_verdict
 
 
-def _exposed(pts: np.ndarray) -> np.ndarray:
-    """Mask of the points that a fixed direction proves to be vertices.
+def _exposing_directions(pts: np.ndarray) -> np.ndarray:
+    """Per point, a fixed direction that proves it a vertex, or a NaN row.
 
     v_i is certified when some unit direction u of the unshifted R_d
     sequence (max(256, 8n) of them) exposes it with a gap
@@ -235,6 +245,7 @@ def _exposed(pts: np.ndarray) -> np.ndarray:
     v_i to the others' hull, and F_i >= max_q |q - v_i|, so the solve in
     `_hull_simplex` would answer "outside" too: the factor 2 leaves room for
     the rounding of the centered products, which is relative to |c|, not |v|.
+    Of the directions certifying v_i, the one with the widest gap is kept.
     The product is formed one block of directions at a time.
     """
     n, D = pts.shape
@@ -242,23 +253,33 @@ def _exposed(pts: np.ndarray) -> np.ndarray:
     norms = np.sqrt(np.einsum("ij,ij->i", C, C))
     margin = 2.0 * FEAS_TOL * (norms + np.max(norms))
     U = rd_directions(D, max(256, 8 * n) + 1)[1:]  # row 0 is the zero vector
-    exposed = np.zeros(n, dtype=bool)
+    tops, gaps = [], []
     for lo, hi in _row_blocks(len(U), n):
         Y = U[lo:hi] @ C.T
         rows = np.arange(hi - lo)
         top = np.argmax(Y, axis=1)
         best = Y[rows, top]
         Y[rows, top] = -np.inf
-        gap = best - np.max(Y, axis=1)
-        exposed[top[gap > margin[top]]] = True
-    return exposed
+        tops.append(top)
+        gaps.append(best - np.max(Y, axis=1))
+    top, gap = np.concatenate(tops), np.concatenate(gaps)
+    k = np.flatnonzero(gap > margin[top])
+    k = k[np.lexsort((gap[k], top[k]))]  # by point, then by gap
+    last = np.ones(k.size, dtype=bool)
+    last[:-1] = top[k[1:]] != top[k[:-1]]
+    widest = k[last]
+    directions = np.full((n, D), np.nan)
+    directions[top[widest]] = U[widest]
+    return directions
 
 
 def _decide_convex_position(pts: np.ndarray) -> ConvexPositionVerdict:
     if len(pts) <= 2:
         return ConvexPositionVerdict(True)
-    for i in np.flatnonzero(~_exposed(pts)):
-        simplex = _hull_simplex(pts[i], np.delete(pts, i, axis=0), f"hull membership of point {i}")
+    directions = _exposing_directions(pts)
+    for i in np.flatnonzero(np.isnan(directions[:, 0])):
+        simplex, z = _hull_simplex(pts[i], np.delete(pts, i, axis=0),
+                                   f"hull membership of point {i}")
         if simplex is not None:
             point = pts[i].copy()
             point.setflags(write=False)
@@ -268,7 +289,11 @@ def _decide_convex_position(pts: np.ndarray) -> ConvexPositionVerdict:
                 witness_point=point,
                 witness_simplex=simplex,
             )
-    return ConvexPositionVerdict(True)
+        directions[i] = -z / math.sqrt(float(z @ z))
+    verdict = ConvexPositionVerdict(True)
+    directions.setflags(write=False)
+    object.__setattr__(verdict, "_exposing", directions)
+    return verdict
 
 
 def obtuse_witness(p, simplex) -> ObtuseWitness:

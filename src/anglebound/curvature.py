@@ -2,19 +2,26 @@
 
 The fraction of directions u on the unit sphere with u . (v_j - v_i) <= 0
 for all j is the outward-normal-cone fraction of vertex v_i; over all
-vertices of a polytope in convex position these fractions sum to 1. They are
-estimated by seeded Monte Carlo, one cache-sized block of directions at a
-time (sampling.direction_blocks), so memory does not grow with the sample
-count; the convex-position precondition reuses the verdict stored on the
-PointSet. Each block's product is formed vertex-major, one contiguous row
-per vertex and one column per direction, and reduced along its columns: a
-few elementwise passes over long rows instead of one short reduction per
+vertices of a polytope in convex position these fractions sum to 1. In the
+plane and in R^3 they have closed forms (discrete Gauss-Bonnet): a polygon
+vertex's fraction is its exterior angle over 2 pi, and a polyhedron
+vertex's is its angular defect over 4 pi (Descartes), 2 pi minus the
+perimeter of its link. `gauss_bonnet_sum` returns those there, checks that
+they sum to 1, and says so in its `method`. In other dimensions, and in
+`normal_cone_fraction_mc` everywhere, the fractions are estimated by seeded
+Monte Carlo, one cache-sized block of directions at a time
+(sampling.direction_blocks), so memory does not grow with the sample count;
+the convex-position precondition reuses the verdict stored on the PointSet.
+Each block's product is formed vertex-major, one contiguous row per vertex
+and one column per direction, and reduced along its columns: a few
+elementwise passes over long rows instead of one short reduction per
 direction, whose fixed cost dominated. A diameter-to-cap-radius inequality
 on the sphere converts a maximum-angle bound at a vertex into an enclosing
 cap for its rays, which yields a covering of the polytope by congruent
 cones. The smallest enclosing cap comes from the point of the rays' convex
 hull nearest the origin, found by the same nearest-point kernel as hull
-membership.
+membership; in the plane it is the complement of the largest gap between
+the rays' angles.
 
 The Monte Carlo directions come in antithetic pairs (Hammersley & Morton
 1956). N samples draw ceil(N/2) raw standard normal rows u_k; sample 2k is
@@ -43,10 +50,25 @@ from .errors import (
     NotHemispherical,
     OutOfRange,
 )
-from .geometry import PointSet, as_unit
+from .geometry import PointSet, _row_blocks, as_unit
 from .sampling import _check_seed, direction_blocks
 
 CONE_FIT_TOL = 1e-9
+# Closed-form fractions must sum to 1 within this (Gauss-Bonnet); each
+# fraction is a sum of at most n angles, so its rounding is near n * 1e-16.
+GAUSS_BONNET_TOL = 1e-9
+# Turning angles within this of the smallest tie in the R^3 link walk: their
+# points lie on one great circle through the apex, as on coplanar faces. An
+# angle is a ratio of lengths, so the tolerance is relative to the input's
+# scale.
+TURN_TIE_TOL = 1e-9
+
+
+def _in_cone(v: np.ndarray, axis: np.ndarray, half_angle: float, tol: float = CONE_FIT_TOL):
+    """Whether each apex-relative point v (last axis) lies within half_angle
+    of axis, up to tol times its distance from the apex; broadcasts."""
+    r = np.linalg.norm(v, axis=-1)
+    return np.einsum("...k,...k->...", v, axis) >= r * math.cos(half_angle) - tol * r
 
 
 @dataclass(frozen=True)
@@ -63,11 +85,8 @@ class Cone:
             raise OutOfRange(f"half_angle must lie in (0, pi/2), got {self.half_angle}")
 
     def contains(self, x, tol: float = CONE_FIT_TOL) -> bool:
-        v = np.asarray(x, dtype=float) - self.apex
-        r = float(np.linalg.norm(v))
-        if r == 0.0:
-            return True
-        return float(np.dot(v, self.axis)) >= r * math.cos(self.half_angle) - tol * r
+        return bool(_in_cone(np.asarray(x, dtype=float) - self.apex, self.axis,
+                             self.half_angle, tol))
 
 
 @dataclass(frozen=True)
@@ -87,11 +106,14 @@ class CurvatureEstimate:
     samples: int
     seed: int
     std_error: np.ndarray
+    method: str  # "exact" (closed form, std_error 0) or "monte_carlo"
 
 
 def _require_convex_position(V: PointSet):
-    if not is_convex_position(V).in_convex_position:
+    verdict = is_convex_position(V)
+    if not verdict.in_convex_position:
         raise NotConvexPosition("point set has a non-vertex point")
+    return verdict
 
 
 def _paired_blocks(dim: int, samples: int, seed: int, width: int):
@@ -146,40 +168,157 @@ def normal_cone_fraction_mc(V: PointSet, i: int, samples: int, seed: int) -> tup
     return frac, se
 
 
-def gauss_bonnet_sum(V: PointSet, samples: int, seed: int) -> CurvatureEstimate:
-    """All vertex normal-cone fractions from one shared direction sample.
+def _polygon_fractions(pts: np.ndarray) -> np.ndarray:
+    """Exterior angle over 2 pi at each vertex of a convex polygon.
 
-    Each direction is assigned to the vertex maximizing u . v_i (ties to the
-    lowest index), so the counts partition the sample and the fractions sum
-    to one. The directions come in antithetic pairs: -u goes to the argmin
-    row of the same product, which breaks ties to the lowest index as the
-    argmax of its negation would. The directions are counted one block at a
-    time, from the vertex-major product: each vertex counts the columns whose
-    maximum (or, for -u, minimum) it attains, and a block with an exact tie
-    falls back to the first-index argmax/argmin of its columns. Requires the
-    hull to be full-dimensional.
+    With every point a vertex, the order by angle about the centroid is the
+    hull order; a vertex's turn is atan2(cross, dot) of its incoming and
+    outgoing edges.
+    """
+    c = pts - pts.mean(axis=0)
+    order = np.argsort(np.arctan2(c[:, 1], c[:, 0]))
+    ring = pts[order]
+    out_edge = np.roll(ring, -1, axis=0) - ring
+    in_edge = np.roll(out_edge, 1, axis=0)
+    turn = np.arctan2(in_edge[:, 0] * out_edge[:, 1] - in_edge[:, 1] * out_edge[:, 0],
+                      np.einsum("ij,ij->i", in_edge, out_edge))
+    fractions = np.empty(len(pts))
+    fractions[order] = turn / (2.0 * math.pi)
+    return fractions
+
+
+def _next_on_hull(turn: np.ndarray, reach: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Per row, the column of smallest turn; columns within TURN_TIE_TOL of
+    it tie, and the tie goes to the start column, else to the largest reach."""
+    tied = turn <= turn.min(axis=1)[:, None] + TURN_TIE_TOL
+    reach = np.where(tied, reach, -1.0)
+    rows = np.arange(len(turn))
+    reach[rows, start] = np.where(tied[rows, start], np.inf, -1.0)
+    return np.argmax(reach, axis=1)
+
+
+def _link_fractions(pts: np.ndarray, exposing: np.ndarray) -> np.ndarray:
+    """Angular defect over 4 pi at each vertex of a convex polytope in R^3.
+
+    A vertex's normal cone is the polar of the cone its rays span, so its
+    share of the sphere is (2 pi - P) / (4 pi), with P the perimeter of the
+    link: the spherical convex hull of the rays to the other points. The
+    links are found by gift wrapping (Jarvis 1973) in lockstep over a block
+    of vertices (geometry._row_blocks), each in the gnomonic plane about the
+    inward axis -u of its exposing direction u, where great circles are
+    lines and the link is a convex polygon. A step is one pass over the
+    block's (rows, n) arrays, and a block takes as many steps as its largest
+    vertex degree. A walk starts at the point farthest from the axis, a hull
+    vertex, and takes the smallest left turn each step; points whose turns
+    tie with it within TURN_TIE_TOL lie on one great circle with the edge,
+    and the farthest is taken (the start before any other, which closes the
+    walk). P is the sum of the arcs between consecutive hull rays. Each u is
+    re-checked on the way: (v - p_j) . u > 0 for every other point p_j.
+    """
+    n = len(pts)
+    C = pts - pts.mean(axis=0)
+    perimeter = np.zeros(n)
+    for lo, hi in _row_blocks(n, n):
+        rows, me = np.arange(hi - lo), np.arange(lo, hi)
+        axis = -exposing[lo:hi]
+        helper = np.eye(3)[np.argmin(np.abs(axis), axis=1)]
+        e1 = helper - np.einsum("ij,ij->i", helper, axis)[:, None] * axis
+        e1 /= np.linalg.norm(e1, axis=1)[:, None]
+        frames = np.stack([axis, e1, np.cross(axis, e1)], axis=1)
+        # (p_j - v) . (axis, e1, e2) for every vertex v of the block and point p_j
+        proj = frames @ C.T - np.einsum("bfk,bk->bf", frames, C[lo:hi])[:, :, None]
+        h = proj[:, 0]
+        h[rows, me] = 1.0
+        if not np.all(h > 0.0):
+            b, j = map(int, np.argwhere(h <= 0.0)[0])
+            raise RuntimeError(f"exact normal-cone fractions: the exposing direction of vertex "
+                               f"{lo + b} fails its re-check at point {j} (height {h[b, j]:.6g})")
+        X, Y = proj[:, 1] / h, proj[:, 2] / h
+        r2 = X * X + Y * Y
+        r2[rows, me] = -1.0
+        start = np.argmax(r2, axis=1)
+        cur, ex, ey = start, -Y[rows, start], X[rows, start]  # counterclockwise tangent
+        walking = np.ones(hi - lo, dtype=bool)
+        for _ in range(n):
+            dx, dy = X - X[rows, cur][:, None], Y - Y[rows, cur][:, None]
+            turn = np.arctan2(ex[:, None] * dy - ey[:, None] * dx,
+                              ex[:, None] * dx + ey[:, None] * dy)
+            turn[turn < -0.5 * math.pi] += 2.0 * math.pi  # straight back reads pi, not -pi
+            turn[rows, me] = turn[rows, cur] = np.inf
+            nxt = _next_on_hull(turn, dx * dx + dy * dy, start)
+            r0, r1 = C[cur] - C[me], C[nxt] - C[me]
+            arc = np.arctan2(np.linalg.norm(np.cross(r0, r1), axis=1),
+                             np.einsum("ij,ij->i", r0, r1))
+            perimeter[lo:hi] += np.where(walking, arc, 0.0)
+            walking &= nxt != start
+            if not walking.any():
+                break
+            cur, ex, ey = nxt, dx[rows, nxt], dy[rows, nxt]
+        else:
+            raise RuntimeError(f"exact normal-cone fractions: the link walk of vertex "
+                               f"{lo + int(np.argmax(walking))} did not close in {n} steps")
+    return (2.0 * math.pi - perimeter) / (4.0 * math.pi)
+
+
+def _shared_sample_counts(pts: np.ndarray, samples: int, seed: int) -> np.ndarray:
+    """Per vertex, the shared-sample directions u maximizing u . v_i.
+
+    Ties go to the lowest index. The directions come in antithetic pairs: -u
+    goes to the argmin row of the same product, which breaks ties to the
+    lowest index as the argmax of its negation would. The directions are
+    counted one block at a time, from the vertex-major product: each vertex
+    counts the columns whose maximum (or, for -u, minimum) it attains, and a
+    block with an exact tie falls back to the first-index argmax/argmin of
+    its columns.
+    """
+    counts = np.zeros(len(pts), dtype=np.int64)
+    for U, paired in _paired_blocks(pts.shape[1], samples, seed, len(pts)):
+        PT = pts @ U.T  # one row per vertex, one column per direction
+        counts += _first_extreme_counts(PT, np.max, np.argmax)
+        counts += _first_extreme_counts(PT[:, :paired], np.min, np.argmin)
+    return counts
+
+
+def gauss_bonnet_sum(V: PointSet, samples: int, seed: int) -> CurvatureEstimate:
+    """All vertex normal-cone fractions, summing to exactly 1.0 by fsum.
+
+    In R^2 and R^3 they are exact (`_polygon_fractions`, `_link_fractions`):
+    the sum must be 1 within GAUSS_BONNET_TOL and every fraction
+    nonnegative, or RuntimeError names the stage and the sum; std_error is
+    0, and `samples` and `seed` are checked and echoed. In other dimensions
+    one shared Monte Carlo sample is split among the vertices
+    (`_shared_sample_counts`), so the counts partition it. Either way the
+    closing entry, the smallest fraction, is recomputed from the others so
+    the floats sum to exactly 1.0. Requires the hull to be full-dimensional.
     """
     _check_seed(seed)
     if samples < 1000:
         raise OutOfRange("need at least 1000 samples")
-    _require_convex_position(V)
+    verdict = _require_convex_position(V)
     centered = V.points - V.points.mean(axis=0)
     if np.linalg.matrix_rank(centered, tol=1e-9 * max(1.0, np.abs(centered).max())) < V.dim:
         raise DegenerateHull("hull is not full-dimensional")
     n = len(V)
-    counts = np.zeros(n, dtype=np.int64)
-    for U, paired in _paired_blocks(V.dim, samples, seed, n):
-        PT = V.points @ U.T  # one row per vertex, one column per direction
-        counts += _first_extreme_counts(PT, np.max, np.argmax)
-        counts += _first_extreme_counts(PT[:, :paired], np.min, np.argmin)
-    fractions = counts.astype(float) / samples
+    if V.dim in (2, 3):
+        fractions = (_polygon_fractions(V.points) if V.dim == 2
+                     else _link_fractions(V.points, verdict._exposing))
+        total = math.fsum(fractions)
+        if not (abs(total - 1.0) <= GAUSS_BONNET_TOL and np.all(fractions >= 0.0)):
+            raise RuntimeError(f"exact normal-cone fractions in R^{V.dim}: sum {total!r}, "
+                               f"smallest {float(np.min(fractions))!r}")
+        method = "exact"
+    else:
+        fractions = _shared_sample_counts(V.points, samples, seed) / samples
+        method = "monte_carlo"
     # Closing entry: recompute the smallest fraction from the others so the
     # float fractions sum to exactly 1.0 (adjustment is at most a few ulps).
-    close = int(np.argmin(counts))
+    close = int(np.argmin(fractions))
     others = math.fsum(fractions[j] for j in range(n) if j != close)
     fractions[close] = 1.0 - others
-    se = np.sqrt(np.maximum(fractions * (1.0 - fractions), 0.0) / samples)
-    return CurvatureEstimate(fractions=fractions, samples=samples, seed=seed, std_error=se)
+    se = (np.zeros(n) if method == "exact"
+          else np.sqrt(np.maximum(fractions * (1.0 - fractions), 0.0) / samples))
+    return CurvatureEstimate(fractions=fractions, samples=samples, seed=seed, std_error=se,
+                             method=method)
 
 
 def dekster_radius(diam: float, d: int) -> float:
@@ -208,7 +347,10 @@ def min_enclosing_cap(H) -> SphericalCap:
     2 asin(|h - c| / 2), the exact angle from c to the farthest h, which
     keeps full relative accuracy for small caps where acos(|p*|) does not.
     Requires the vectors to fit in an open hemisphere (|p*| bounded away
-    from 0). The cap is re-checked to contain every vector.
+    from 0). In the plane p* is the midpoint of the chord spanning the
+    complement of the largest gap g between the vectors' angles, so
+    |p*| = -cos(g / 2), and the center comes from the two vectors at the gap's
+    ends without a solve. The cap is re-checked to contain every vector.
     """
     vecs = np.asarray(H, dtype=float)
     if vecs.ndim != 2 or vecs.shape[0] < 1:
@@ -218,11 +360,19 @@ def min_enclosing_cap(H) -> SphericalCap:
         raise OutOfRange("inputs must be unit vectors")
     if vecs.shape[0] == 1:
         return SphericalCap(center=vecs[0].copy(), radius=0.0)
-    z, _, _ = _nearest_point(vecs, "enclosing cap")
-    nz = float(np.linalg.norm(z))
+    if vecs.shape[1] == 2:
+        ang = np.arctan2(vecs[:, 1], vecs[:, 0])
+        order = np.argsort(ang)
+        gaps = np.diff(ang[order], append=ang[order[0]] + 2.0 * math.pi)
+        k = int(np.argmax(gaps))
+        z = 0.5 * (vecs[order[k]] + vecs[order[(k + 1) % len(order)]])
+        nz = -math.cos(0.5 * float(gaps[k]))
+    else:
+        z, _, _ = _nearest_point(vecs, "enclosing cap")
+        nz = float(np.linalg.norm(z))
     if nz <= FEAS_TOL:
         raise NotHemispherical("cap would cover a hemisphere or more")
-    center = z / nz
+    center = z / np.linalg.norm(z)
     chord = float(np.max(np.linalg.norm(vecs - center, axis=1)))
     radius = 2.0 * math.asin(min(1.0, 0.5 * chord))
     worst = float(np.min(vecs @ center))
@@ -257,11 +407,9 @@ def cone_cover_certificate(V: PointSet, eta: float) -> list[Cone]:
             raise CapTooSmall(i, cap.radius, eta)
         cones.append(Cone(apex=V.points[i].copy(), axis=cap.center, half_angle=eta))
     # Every vertex j in every cone i, by Cone.contains's test on all pairs at once.
-    v = V.points[None, :, :] - V.points[:, None, :]
-    r = np.linalg.norm(v, axis=2)
     axes = np.array([cone.axis for cone in cones])
-    outside = np.argwhere(~(np.einsum("ijk,ik->ij", v, axes)
-                            >= r * math.cos(eta) - CONE_FIT_TOL * r))
+    outside = np.argwhere(~_in_cone(V.points[None, :, :] - V.points[:, None, :],
+                                    axes[:, None, :], eta))
     if outside.size:
         i, j = outside[0]
         raise RuntimeError(f"cap fit passed but vertex {j} is outside cone {i}")

@@ -83,20 +83,12 @@ def unit_directions(dim: int, n: int, seed: int, start: int = 0) -> np.ndarray:
     return z / norms[:, None]
 
 
-def canonical_line(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Fix the sign of an antipodally-identified unit vector.
-
-    The representative has its first coordinate of magnitude > tol positive.
-    """
-    v = np.asarray(v, dtype=float)
-    for x in v:
-        if abs(x) > tol:
-            return v if x > 0 else -v
-    return v
-
-
 def canonical_lines(V: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """`canonical_line` applied to every row of V at once."""
+    """Fix the sign of antipodally-identified unit vectors, one per row of V.
+
+    Each row's representative has its first coordinate of magnitude > tol
+    positive; a row with no such coordinate is left as it is.
+    """
     V = np.asarray(V, dtype=float)
     lead = np.where(np.abs(V[:, -1]) > tol, V[:, -1], 0.0)
     for j in range(V.shape[1] - 2, -1, -1):  # columns right to left: the first big one wins

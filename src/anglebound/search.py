@@ -53,18 +53,13 @@ def regular_simplex(dim: int) -> np.ndarray:
 
 def hypercube_vertices(dim: int, n: int) -> np.ndarray:
     """First n vertices of the unit hypercube in binary order."""
-    out = np.zeros((n, dim))
-    for i in range(n):
-        out[i] = [(i >> b) & 1 for b in range(dim)]
-    return out
+    return ((np.arange(n)[:, None] >> np.arange(dim)) & 1).astype(float)
 
 
 def cross_polytope_vertices(dim: int, n: int) -> np.ndarray:
-    """First n of +-e_1, -e_1, +-e_2, ... (at most 2*dim)."""
-    out = np.zeros((n, dim))
-    for i in range(n):
-        out[i, i // 2] = 1.0 if i % 2 == 0 else -1.0
-    return out
+    """First n of +-e_1, -e_1, +-e_2, ... (at most 2*dim); no entry is -0.0."""
+    i = np.arange(n)[:, None]
+    return np.where(np.arange(dim) == i // 2, np.where(i % 2 == 0, 1.0, -1.0), 0.0)
 
 
 def _structured_starts(n: int, D: int) -> list[np.ndarray]:

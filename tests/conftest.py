@@ -2,9 +2,10 @@
 
 Oracles here deliberately avoid the library's vectorized code paths: hull
 membership is decided by exhaustive subset enumeration with least-squares
-barycentric solves, enclosing caps by scipy's NNLS, and maximum angles by a
-scalar triple loop or by the one-vertex-at-a-time scan the blocked ray-Gram
-kernel replaced. The Monte Carlo and covering sweeps are checked against
+barycentric solves, enclosing caps by scipy's NNLS, angular defects in R^3
+from scipy's (qhull's) convex hull, and maximum angles by a scalar triple
+loop or by the one-vertex-at-a-time scan the blocked ray-Gram kernel
+replaced. The Monte Carlo and covering sweeps are checked against
 whole-matrix sweeps; the Monte Carlo ones run over the paired sample stream
 written out in full, each raw row followed by its negation. Convex position
 is also decided by one nearest-point solve per point, with no direction
@@ -123,6 +124,16 @@ def whole_normal_cone_count(points, i: int, samples: int, seed: int) -> int:
     return int(np.sum(np.all(S @ diffs.T <= 0.0, axis=1)))
 
 
+def canonical_line(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """canonical_lines for one vector, by a scan of its coordinates: the
+    first of magnitude above tol is made positive."""
+    v = np.asarray(v, dtype=float)
+    for x in v:
+        if abs(x) > tol:
+            return v if x > 0 else -v
+    return v
+
+
 def whole_cover_lines(rho: float, D: int, seed: int, probes: int,
                       candidates_per_round: int = 128) -> np.ndarray:
     """cover_lines's lines. In the plane, the first equiangular family of at
@@ -222,8 +233,8 @@ def solve_every_point(pts) -> convexity.ConvexPositionVerdict:
     if len(pts) <= 2:
         return convexity.ConvexPositionVerdict(True)
     for i in range(len(pts)):
-        simplex = convexity._hull_simplex(pts[i], np.delete(pts, i, axis=0),
-                                          f"hull membership of point {i}")
+        simplex, _ = convexity._hull_simplex(pts[i], np.delete(pts, i, axis=0),
+                                             f"hull membership of point {i}")
         if simplex is not None:
             return convexity.ConvexPositionVerdict(False, pts[i].copy(), simplex)
     return convexity.ConvexPositionVerdict(True)
@@ -347,6 +358,22 @@ def sample_cap_points(rng: np.random.Generator, ambient: int, n: int,
         r = cap_radius * rng.random()
         out[i] = math.cos(r) * center + math.sin(r) * t
     return out
+
+
+def hull_defect_fractions(points) -> np.ndarray:
+    """Angular defect over 4 pi at each point of a 3-D set in convex position,
+    from qhull's triangulated hull: 2 pi minus the angles of the hull
+    triangles at the point, each as atan2(|a x b|, a . b)."""
+    from scipy.spatial import ConvexHull
+
+    pts = np.asarray(points, dtype=float)
+    angles = np.zeros(len(pts))
+    for tri in ConvexHull(pts).simplices:
+        for r in range(3):
+            i, j, k = tri[r], tri[(r + 1) % 3], tri[(r + 2) % 3]
+            a, b = pts[j] - pts[i], pts[k] - pts[i]
+            angles[i] += math.atan2(float(np.linalg.norm(np.cross(a, b))), float(a @ b))
+    return (2 * math.pi - angles) / (4 * math.pi)
 
 
 def planar_interior_angles(polygon: np.ndarray) -> np.ndarray:

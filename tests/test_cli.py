@@ -242,7 +242,7 @@ class TestPayloadKeys:
         "convex-position-yes": (["convex-position", "--in", "{square}"], 0,
                                 {"in_convex_position"}),
         "curvature": (["curvature", "--in", "{square}", "--samples", "2000"], 0,
-                      {"fractions", "samples", "seed", "std_error"}),
+                      {"fractions", "method", "samples", "seed", "std_error"}),
         "cone-cover": (["cone-cover", "--in", "{square}", "--eta", "0.9"], 0,
                        {"covered", "eta", "cones"}),
         "cone-cover-refused": (["cone-cover", "--in", "{square}", "--eta", "0.1"], 2,

@@ -375,6 +375,16 @@ class TestEfDoubling:
         with pytest.raises(ScaleExhausted, match="^line 1: no translation up to "):
             ef_doubling(PLANAR_TRIPLE, 1.0, max_scale_doublings=0)
 
+    @pytest.mark.parametrize("eps", [1e-9, 1e-12, 1e-14])
+    def test_scale_that_swallows_the_unit_offsets_is_refused_by_name(self, eps):
+        # rho just below the lines' min angle makes the third line's first
+        # scale about 4e18 or more, where the copy's rounding eats the unit
+        # segment on the first line: refused before any scan, not left to
+        # the scan's coincident-point error.
+        from anglebound.errors import ScaleExhausted
+        with pytest.raises(ScaleExhausted, match="^line 2: "):
+            ef_doubling(PLANAR_TRIPLE, PLANAR_TRIPLE.min_pairwise_angle - eps)
+
     def test_demonstrates_size_against_calibrated_lower_bound(self):
         # A 2^m-point construction at cap pi - rho is consistent with the
         # packing-derived lower bound evaluated at the same instance.

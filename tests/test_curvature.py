@@ -24,7 +24,6 @@ from anglebound.geometry import PointSet, geodesic_diameter, max_angle
 from anglebound.sampling import (
     CHUNK,
     _square_sum,
-    canonical_line,
     canonical_lines,
     direction_blocks,
     quasi_uniform_lines,
@@ -33,6 +32,8 @@ from anglebound.sampling import (
     unit_directions,
 )
 from conftest import (
+    canonical_line,
+    hull_defect_fractions,
     nnls_min_enclosing_cap,
     planar_interior_angles,
     row_major_rd_directions,
@@ -46,6 +47,9 @@ from conftest import (
 
 SQUARE = PointSet([[0, 0], [1, 0], [1, 1], [0, 1]])
 CUBE = PointSet([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+TESSERACT = PointSet(list(itertools.product((0, 1), repeat=4)))
+CROSS_4 = PointSet(np.vstack([np.eye(4), -np.eye(4)]))
+TETRAHEDRON = PointSet([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
 
 
 def brute_force_cap(H):
@@ -200,16 +204,27 @@ def _sphere_set(seed: int, n: int, dim: int) -> PointSet:
 
 
 class TestBlockedSweeps:
-    """The row-blocked sweeps count exactly what the whole-matrix sweeps counted."""
+    """The row-blocked sweeps count exactly what the whole-matrix sweeps counted.
+
+    gauss_bonnet_sum is exact in D = 2 and 3, so its Monte Carlo sweep
+    (`_shared_sample_counts`) is pinned there directly, and through
+    gauss_bonnet_sum on D = 4 sets of the same sizes.
+    """
 
     CASES = [(2, 7, CHUNK + 5000), (2, 9, CHUNK + 1), (3, 48, 20_000), (5, 13, 70_001),
-             (8, 20, 1366), (3, 300, 4000)]
+             (8, 20, 1366), (3, 300, 4000), (4, 7, CHUNK + 5000), (4, 9, CHUNK + 1),
+             (4, 48, 20_000), (4, 300, 4000)]
 
     @pytest.mark.parametrize("dim, n, samples", CASES)
     def test_gauss_bonnet_counts_match_whole_sweep(self, dim, n, samples):
         ps = _sphere_set(n + dim, n, dim)
-        est = gauss_bonnet_sum(ps, samples, seed=n)
         counts = whole_gauss_bonnet_counts(ps.points, samples, seed=n)
+        sweep = curvature._shared_sample_counts(ps.points, samples, seed=n)
+        np.testing.assert_array_equal(sweep, counts)
+        if dim <= 3:
+            return
+        est = gauss_bonnet_sum(ps, samples, seed=n)
+        assert est.method == "monte_carlo"
         np.testing.assert_array_equal(np.rint(est.fractions * samples).astype(int), counts)
         close = int(np.argmin(counts))
         exact = np.arange(n) != close
@@ -256,7 +271,8 @@ class TestExactTies:
         return [(wide, 700), (np.tile(grid, (20, 1)), 20 * len(grid) - 1),
                 (grid[::-1].copy(), len(grid) - 1)]
 
-    @pytest.mark.parametrize("ps", [SQUARE, CUBE], ids=["square", "cube"])
+    @pytest.mark.parametrize("ps", [SQUARE, CUBE, TESSERACT, CROSS_4],
+                             ids=["square", "cube", "tesseract", "cross-polytope"])
     def test_counts_equal_first_index_row_major_counts(self, monkeypatch, ps):
         blocks = self.blocks(ps.dim)
         monkeypatch.setattr(curvature, "_paired_blocks",
@@ -268,8 +284,12 @@ class TestExactTies:
             P = U @ V.T
             expected += np.bincount(np.argmax(P, axis=1), minlength=len(V))
             expected += np.bincount(np.argmin(P[:paired], axis=1), minlength=len(V))
-        est = gauss_bonnet_sum(ps, samples, seed=1)
-        np.testing.assert_array_equal(np.rint(est.fractions * samples).astype(int), expected)
+        if ps.dim <= 3:  # gauss_bonnet_sum is exact there; pin its Monte Carlo sweep
+            counts = curvature._shared_sample_counts(V, samples, seed=1)
+        else:
+            est = gauss_bonnet_sum(ps, samples, seed=1)
+            counts = np.rint(est.fractions * samples).astype(int)
+        np.testing.assert_array_equal(counts, expected)
         for i in range(len(V)):
             diffs = np.delete(V, i, axis=0) - V[i]
             count = 0
@@ -320,12 +340,12 @@ class TestGaussBonnetSum:
         tet = PointSet([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
         est = gauss_bonnet_sum(tet, 200_000, seed=8)
         for f, se in zip(est.fractions, est.std_error):
-            assert abs(f - 0.25) <= 4 * se
+            assert abs(f - 0.25) <= 4 * se + 1e-12
 
     def test_cube_symmetry(self):
         est = gauss_bonnet_sum(CUBE, 200_000, seed=9)
         for f, se in zip(est.fractions, est.std_error):
-            assert abs(f - 0.125) <= 4 * se
+            assert abs(f - 0.125) <= 4 * se + 1e-12
 
     def test_planar_polygon_exterior_angles(self):
         poly = _hexagon()
@@ -335,9 +355,13 @@ class TestGaussBonnetSum:
             assert abs(f - (math.pi - a) / (2 * math.pi)) <= 4 * se + 1e-9
 
     def test_antithetic_pairs_split_evenly_between_antipodal_cube_vertices(self):
-        # -u goes to the complement of u's vertex (index 7 - i), so an even
-        # sample count gives antipodal vertices equal counts, exactly.
-        est = gauss_bonnet_sum(CUBE, 200_000, seed=9)
+        # -u goes to the complement of u's vertex (index 2^D - 1 - i), so an
+        # even sample count gives antipodal vertices equal counts, exactly:
+        # in the Monte Carlo sweep on the cube, and through gauss_bonnet_sum
+        # on the tesseract.
+        counts = curvature._shared_sample_counts(CUBE.points, 200_000, seed=9)
+        np.testing.assert_array_equal(counts, counts[::-1])
+        est = gauss_bonnet_sum(TESSERACT, 200_000, seed=9)
         counts = np.rint(est.fractions * 200_000).astype(int)
         np.testing.assert_array_equal(counts, counts[::-1])
 
@@ -345,13 +369,21 @@ class TestGaussBonnetSum:
         (SQUARE.points, np.full(4, 0.25)),
         (CUBE.points, np.full(8, 0.125)),
         (_hexagon(), (math.pi - planar_interior_angles(_hexagon())) / (2 * math.pi)),
-    ], ids=["square", "cube", "hexagon"])
+        (TESSERACT.points, np.full(16, 1 / 16)),
+        (CROSS_4.points, np.full(8, 1 / 8)),
+    ], ids=["square", "cube", "hexagon", "tesseract", "cross-polytope"])
     def test_odd_sample_count_leaves_one_row_unpaired(self, points, exact):
         samples = 200_001
-        est = gauss_bonnet_sum(PointSet(points), samples, seed=15)
-        assert np.rint(est.fractions * samples).astype(int).sum() == samples
-        assert math.fsum(est.fractions) == 1.0
-        assert np.all(np.abs(est.fractions - exact) <= 5 * est.std_error)
+        counts = curvature._shared_sample_counts(points, samples, seed=15)
+        fractions = counts / samples
+        se = np.sqrt(fractions * (1 - fractions) / samples)
+        assert counts.sum() == samples
+        assert np.all(np.abs(fractions - exact) <= 5 * se)
+        if points.shape[1] > 3:  # gauss_bonnet_sum samples only there
+            est = gauss_bonnet_sum(PointSet(points), samples, seed=15)
+            assert np.rint(est.fractions * samples).astype(int).sum() == samples
+            assert math.fsum(est.fractions) == 1.0
+            assert np.all(np.abs(est.fractions - exact) <= 5 * est.std_error)
 
     def test_matches_per_vertex_estimator(self):
         rng = np.random.default_rng(12)
@@ -378,6 +410,121 @@ class TestGaussBonnetSum:
         from anglebound.errors import DegenerateHull
         with pytest.raises(DegenerateHull):
             gauss_bonnet_sum(flat, 2000, seed=1)
+
+
+def _circle_points(rng, n: int, min_sep: float = 0.02) -> np.ndarray:
+    """n points on the unit circle, pairwise at least min_sep apart."""
+    while True:
+        ang = np.sort(rng.uniform(0, 2 * math.pi, size=n))
+        if np.min(np.diff(ang, append=ang[0] + 2 * math.pi)) >= min_sep:
+            return np.column_stack([np.cos(ang), np.sin(ang)])[rng.permutation(n)]
+
+
+class TestExactFractions:
+    """In R^2 and R^3 gauss_bonnet_sum returns the exterior angles and the
+    angular defects, checked against symmetric shapes, independent oracles
+    and the Monte Carlo stream of normal_cone_fraction_mc."""
+
+    @pytest.mark.parametrize("ps, value", [
+        (SQUARE, 1 / 4), (CUBE, 1 / 8), (TETRAHEDRON, 1 / 4),
+        *[(PointSet(np.column_stack([np.cos(a), np.sin(a)]) * 3.0 + [5.0, -2.0]), 1 / k)
+          for k in (3, 5, 6, 7, 12, 50) for a in [0.3 + 2 * math.pi * np.arange(k) / k]],
+    ], ids=["square", "cube", "tetrahedron", *[f"{k}-gon" for k in (3, 5, 6, 7, 12, 50)]])
+    def test_symmetric_shapes(self, ps, value):
+        est = gauss_bonnet_sum(ps, 1000, seed=3)
+        assert (est.method, est.samples, est.seed) == ("exact", 1000, 3)
+        np.testing.assert_array_equal(est.std_error, np.zeros(len(ps)))
+        assert math.fsum(est.fractions) == 1.0
+        np.testing.assert_allclose(est.fractions, value, rtol=0, atol=1e-12)
+
+    def test_random_polygons_match_exterior_angles_and_monte_carlo(self):
+        rng = np.random.default_rng(40)
+        for n in (3, 4, 8, 24, 48):
+            pts = _circle_points(rng, n) * rng.uniform(0.5, 2.0, size=2)  # on an ellipse
+            ps = PointSet(pts)
+            est = gauss_bonnet_sum(ps, 1000, seed=1)
+            order = np.argsort(np.arctan2(pts[:, 1], pts[:, 0]))
+            exterior = (math.pi - planar_interior_angles(pts[order])) / (2 * math.pi)
+            np.testing.assert_allclose(est.fractions[order], exterior, rtol=0, atol=1e-12)
+            for i in range(0, n, max(1, n // 6)):
+                f, se = normal_cone_fraction_mc(ps, i, 40_000, seed=i)
+                assert abs(f - est.fractions[i]) <= 5 * se
+
+    @pytest.mark.parametrize("n", [4, 5, 9, 24, 48, 100])
+    def test_sphere_sets_match_hull_defects_and_monte_carlo(self, n):
+        ps = _sphere_set(n, n, 3)
+        est = gauss_bonnet_sum(ps, 1000, seed=1)
+        np.testing.assert_allclose(est.fractions, hull_defect_fractions(ps.points),
+                                   rtol=0, atol=1e-12)
+        for i in range(0, n, max(1, n // 6)):
+            f, se = normal_cone_fraction_mc(ps, i, 40_000, seed=i)
+            assert abs(f - est.fractions[i]) <= 5 * se
+
+    @pytest.mark.parametrize("shift, scale", [(1e8, 1.0), (0.0, 1e-3), (0.0, 1e3)],
+                             ids=["translated-1e8", "scaled-1e-3", "scaled-1e3"])
+    def test_far_and_scaled_sets(self, shift, scale):
+        rng = np.random.default_rng(41)
+        for pts in (_sphere_set(7, 24, 3).points, CUBE.points, _circle_points(rng, 24)):
+            moved = pts * scale + shift
+            est = gauss_bonnet_sum(PointSet(moved), 1000, seed=1)
+            if pts.shape[1] == 3:
+                expected = hull_defect_fractions(moved)
+            else:
+                order = np.argsort(np.arctan2(pts[:, 1], pts[:, 0]))
+                expected = np.empty(len(pts))
+                expected[order] = 0.5 - planar_interior_angles(moved[order]) / (2 * math.pi)
+            np.testing.assert_allclose(est.fractions, expected, rtol=0, atol=1e-12)
+
+    @staticmethod
+    def _count_ties(monkeypatch):
+        ties, step = [], curvature._next_on_hull
+
+        def spy(turn, reach, start):
+            tied = turn <= turn.min(axis=1)[:, None] + curvature.TURN_TIE_TOL
+            ties.append(int(np.count_nonzero(tied.sum(axis=1) > 1)))
+            return step(turn, reach, start)
+
+        monkeypatch.setattr(curvature, "_next_on_hull", spy)
+        return ties
+
+    def test_coplanar_faces_take_the_tie_path(self, monkeypatch):
+        ties = self._count_ties(monkeypatch)
+        est = gauss_bonnet_sum(CUBE, 1000, seed=1)
+        assert sum(ties) > 0
+        np.testing.assert_array_equal(est.fractions, np.full(8, 0.125))
+        ties.clear()
+        gauss_bonnet_sum(TETRAHEDRON, 1000, seed=1)
+        assert sum(ties) == 0
+
+    def test_a_wrong_walk_fails_the_sum_check(self, monkeypatch):
+        # A tie window of a radian lets the walk cut across the cube's faces.
+        monkeypatch.setattr(curvature, "TURN_TIE_TOL", 1.0)
+        with pytest.raises(RuntimeError, match=r"^exact normal-cone fractions in R\^3: sum 1\.25"):
+            gauss_bonnet_sum(PointSet(CUBE.points), 1000, seed=1)
+
+    def test_a_bad_exposing_direction_fails_its_recheck(self):
+        ps = PointSet(CUBE.points)
+        verdict = convexity.is_convex_position(ps)
+        object.__setattr__(verdict, "_exposing", -verdict._exposing)
+        with pytest.raises(RuntimeError, match="exposing direction of vertex 0 fails its re-check"):
+            gauss_bonnet_sum(ps, 1000, seed=1)
+
+    def test_exposing_directions_expose_their_vertices(self):
+        rng = np.random.default_rng(42)
+        for pts in (_sphere_set(3, 48, 3).points, rng.normal(size=(6, 3)), CUBE.points):
+            verdict = convexity.is_convex_position(PointSet(pts))
+            if not verdict.in_convex_position:
+                continue
+            U = verdict._exposing
+            np.testing.assert_allclose(np.linalg.norm(U, axis=1), 1.0, atol=1e-12)
+            for i, u in enumerate(U):
+                assert np.all(np.delete(pts, i, axis=0) @ u < pts[i] @ u)
+
+    def test_bad_input_is_still_refused_by_name(self):
+        with pytest.raises(OutOfRange, match="need at least 1000 samples"):
+            gauss_bonnet_sum(CUBE, 999, seed=1)
+        with pytest.raises(OutOfRange, match="seed must be a non-negative integer"):
+            gauss_bonnet_sum(CUBE, 1000, seed=-3)
 
 
 class TestDeksterRadius:
@@ -438,6 +585,38 @@ class TestMinEnclosingCap:
                 cap = min_enclosing_cap(H)
                 chords = np.linalg.norm(H - cap.center, axis=1)
                 assert all(cap.radius >= 2 * math.asin(c / 2) for c in chords)
+
+    @pytest.mark.parametrize("shift, scale", [(0.0, 1.0), (1e8, 1.0), (0.0, 1e-3), (0.0, 1e3)],
+                             ids=["as-drawn", "translated-1e8", "scaled-1e-3", "scaled-1e3"])
+    def test_planar_caps_match_the_nearest_point_solve(self, shift, scale):
+        # Planar sets of the bench's certify sizes, with and without a planted
+        # interior point (whose rays need more than a half-turn).
+        rng = np.random.default_rng(43)
+        sets = []
+        for n in (4, 8, 9, 24, 32, 48):
+            sets.append(_circle_points(rng, n))
+            hull = _circle_points(rng, n - 1)
+            w = rng.exponential(size=3) + 0.2
+            corners = hull[rng.choice(n - 1, size=3, replace=False)]
+            sets.append(np.insert(hull, int(rng.integers(n)), (w / w.sum()) @ corners, axis=0))
+        refused = 0
+        for pts in sets:
+            pts = pts * scale + shift
+            for i in range(len(pts)):
+                diffs = np.delete(pts, i, axis=0) - pts[i]
+                rays = diffs / np.linalg.norm(diffs, axis=1)[:, None]
+                z, _, _ = convexity._nearest_point(rays, "oracle")
+                if np.linalg.norm(z) <= convexity.FEAS_TOL:
+                    refused += 1
+                    with pytest.raises(NotHemispherical):
+                        min_enclosing_cap(rays)
+                    continue
+                center = z / np.linalg.norm(z)
+                radius = 2 * math.asin(min(1.0, 0.5 * np.max(np.linalg.norm(rays - center, axis=1))))
+                cap = min_enclosing_cap(rays)
+                assert abs(cap.radius - radius) <= 1e-12
+                np.testing.assert_allclose(cap.center, center, rtol=0, atol=1e-12)
+        assert refused >= len(sets) // 2
 
     def test_hemisphere_rejected(self):
         with pytest.raises(NotHemispherical):

@@ -38,6 +38,19 @@ class TestStructuredConfigurations:
         pts = cross_polytope_vertices(3, 4)
         np.testing.assert_array_equal(pts, [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]])
 
+    def test_vertex_lists_keep_the_row_by_row_bytes(self):
+        for dim in range(1, 7):
+            for n in range(2**dim + 1):
+                rows = np.zeros((n, dim))
+                for i in range(n):
+                    rows[i] = [(i >> b) & 1 for b in range(dim)]
+                assert hypercube_vertices(dim, n).tobytes() == rows.tobytes()
+            for n in range(2 * dim + 1):
+                rows = np.zeros((n, dim))
+                for i in range(n):
+                    rows[i, i // 2] = 1.0 if i % 2 == 0 else -1.0
+                assert cross_polytope_vertices(dim, n).tobytes() == rows.tobytes()
+
 
 class TestAnneal:
     def test_each_proposal_is_scanned_once(self, monkeypatch):
