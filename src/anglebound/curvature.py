@@ -50,7 +50,7 @@ from .errors import (
     NotHemispherical,
     OutOfRange,
 )
-from .geometry import PointSet, _row_blocks, as_unit
+from .geometry import PointSet, _others, _row_blocks, as_unit
 from .sampling import _check_seed, direction_blocks
 
 CONE_FIT_TOL = 1e-9
@@ -338,6 +338,25 @@ def dekster_radius(diam: float, d: int) -> float:
     return math.asin(min(ratio, 1.0))
 
 
+def _largest_gaps(rays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(z, |z|) per set of an (S, m, 2) stack of planar unit rays, m >= 2: z
+    is the midpoint of the chord joining the two rays at the ends of the
+    set's largest gap g between consecutive angles (the first largest in
+    angle order), and |z| = -cos(g / 2), negative or zero when no open
+    half-plane holds the rays. One arctan2 and one sort per row serve all S
+    sets.
+    """
+    S, m, _ = rays.shape
+    ang = np.arctan2(rays[..., 1], rays[..., 0])
+    order = np.argsort(ang, axis=1)
+    ang = np.take_along_axis(ang, order, axis=1)
+    gaps = np.diff(ang, axis=1, append=ang[:, :1] + 2.0 * math.pi)
+    k = np.argmax(gaps, axis=1)
+    s = np.arange(S)
+    z = 0.5 * (rays[s, order[s, k]] + rays[s, order[s, (k + 1) % m]])
+    return z, -np.cos(0.5 * gaps[s, k])
+
+
 def min_enclosing_cap(H) -> SphericalCap:
     """Smallest spherical cap containing the given unit vectors.
 
@@ -361,12 +380,8 @@ def min_enclosing_cap(H) -> SphericalCap:
     if vecs.shape[0] == 1:
         return SphericalCap(center=vecs[0].copy(), radius=0.0)
     if vecs.shape[1] == 2:
-        ang = np.arctan2(vecs[:, 1], vecs[:, 0])
-        order = np.argsort(ang)
-        gaps = np.diff(ang[order], append=ang[order[0]] + 2.0 * math.pi)
-        k = int(np.argmax(gaps))
-        z = 0.5 * (vecs[order[k]] + vecs[order[(k + 1) % len(order)]])
-        nz = -math.cos(0.5 * float(gaps[k]))
+        z, nz = _largest_gaps(vecs[None])
+        z, nz = z[0], float(nz[0])
     else:
         z, _, _ = _nearest_point(vecs, "enclosing cap")
         nz = float(np.linalg.norm(z))
@@ -379,6 +394,41 @@ def min_enclosing_cap(H) -> SphericalCap:
     if worst < math.cos(radius) - 1e-9:
         raise NotHemispherical(f"cap of radius {radius:.12g} misses a vector (cos {worst:.12g})")
     return SphericalCap(center=center, radius=radius)
+
+
+def _planar_cone_axes(pts: np.ndarray, eta: float) -> np.ndarray:
+    """The cone axes of cone_cover_certificate for n >= 3 points in the plane,
+    all vertices at once: the centres min_enclosing_cap returns for each
+    vertex's rays, bit for bit, with the same refusals.
+
+    The rays of every vertex form one (n, n - 1, 2) stack, and _largest_gaps
+    finds every vertex's gap with one arctan2 and one sort per row. The first
+    vertex whose rays fit no open half-plane, miss their cap on the re-check,
+    or need a radius above eta raises CapTooSmall, in vertex order as the
+    per-vertex loop raises it.
+    """
+    n = len(pts)
+    diffs = pts[_others(1, n)] - pts[:, None]  # row i: the points other than i, minus point i
+    rays = diffs / np.linalg.norm(diffs, axis=2)[:, :, None]
+    z, nz = _largest_gaps(rays)
+    fits = nz > FEAS_TOL
+    ok = n if fits.all() else int(np.argmin(fits))  # vertices before the first that fits none
+    rays, z = rays[:ok], z[:ok]
+    # One stacked matmul per norm and per re-check: the 1-D dot and the
+    # matrix-vector product that min_enclosing_cap takes, row by row.
+    centers = z / np.sqrt(z[:, None] @ z[:, :, None])[:, 0]
+    d = rays - centers[:, None]
+    chords = np.sqrt(np.add.reduce(d * d, axis=2)).max(axis=1)
+    worst = (rays @ centers[:, :, None]).min(axis=(1, 2))
+    for i, (chord, w) in enumerate(zip(chords.tolist(), worst.tolist())):
+        radius = 2.0 * math.asin(min(1.0, 0.5 * chord))
+        if w < math.cos(radius) - 1e-9:
+            raise CapTooSmall(i, 0.5 * math.pi, eta)
+        if radius > eta + CONE_FIT_TOL:
+            raise CapTooSmall(i, radius, eta)
+    if ok < n:
+        raise CapTooSmall(ok, 0.5 * math.pi, eta)
+    return centers
 
 
 def cone_cover_certificate(V: PointSet, eta: float) -> list[Cone]:
@@ -395,19 +445,24 @@ def cone_cover_certificate(V: PointSet, eta: float) -> list[Cone]:
     n = len(V)
     if n < 2:
         raise OutOfRange("need at least two points")
-    cones = []
-    for i in range(n):
-        diffs = np.delete(V.points, i, axis=0) - V.points[i]  # V's points are distinct
-        rays = diffs / np.linalg.norm(diffs, axis=1)[:, None]
-        try:
-            cap = min_enclosing_cap(rays)
-        except NotHemispherical:
-            raise CapTooSmall(i, 0.5 * math.pi, eta) from None
-        if cap.radius > eta + CONE_FIT_TOL:
-            raise CapTooSmall(i, cap.radius, eta)
-        cones.append(Cone(apex=V.points[i].copy(), axis=cap.center, half_angle=eta))
+    if V.dim == 2 and n > 2:
+        axes = _planar_cone_axes(V.points, eta)
+    else:  # also two points in the plane: min_enclosing_cap returns a lone ray as it is
+        axes = []
+        for i in range(n):
+            diffs = np.delete(V.points, i, axis=0) - V.points[i]  # V's points are distinct
+            rays = diffs / np.linalg.norm(diffs, axis=1)[:, None]
+            try:
+                cap = min_enclosing_cap(rays)
+            except NotHemispherical:
+                raise CapTooSmall(i, 0.5 * math.pi, eta) from None
+            if cap.radius > eta + CONE_FIT_TOL:
+                raise CapTooSmall(i, cap.radius, eta)
+            axes.append(cap.center)
+    cones = [Cone(apex=V.points[i].copy(), axis=axis, half_angle=eta)
+             for i, axis in enumerate(axes)]
     # Every vertex j in every cone i, by Cone.contains's test on all pairs at once.
-    axes = np.array([cone.axis for cone in cones])
+    axes = np.array(axes)
     outside = np.argwhere(~_in_cone(V.points[None, :, :] - V.points[:, None, :],
                                     axes[:, None, :], eta))
     if outside.size:

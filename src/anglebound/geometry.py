@@ -154,6 +154,17 @@ def _others(P: int, n: int) -> np.ndarray:
     return others
 
 
+@lru_cache(maxsize=32)
+def _scan_index(P: int, n: int):
+    """The index arrays of a max-angle scan of a (P, n, D) stack, built once
+    per shape like _others: the kernel blocks (lo, hi, offsets), offsets[b]
+    being where Gram row lo+b starts in its block's flat buffer, and the row
+    p*n of the first vertex of every set."""
+    m2 = (n - 1) ** 2
+    blocks = tuple((lo, hi, np.arange(hi - lo) * m2) for lo, hi in _row_blocks(P * n, m2))
+    return blocks, n * np.arange(P)
+
+
 def _ray_grams(stack: np.ndarray):
     """Yield (lo, gram) over blocks of the vertex rows lo, lo+1, ... of a
     (P, n, D) stack of point sets, row p*n + j being vertex j of set p:
@@ -164,20 +175,21 @@ def _ray_grams(stack: np.ndarray):
     _BLOCK_ENTRIES Gram entries, or one vertex's Gram where that alone is
     larger, so working memory does not grow with the number of blocks, and
     a block may span several sets. Each vertex's Gram equals, bit for bit,
-    the one a per-vertex scan of its set alone would build. Raises
-    DegenerateTriple when two points of a set lie within DISTINCTNESS_TOL of
-    each other, before any division by their distance, and OutOfRange on
-    non-finite coordinates.
+    the one a per-vertex scan of its set alone would build. The coordinates
+    must be finite (max_angle_triples checks them; the anneal's proposals
+    are finite by construction). Raises DegenerateTriple when two points of
+    a set lie within DISTINCTNESS_TOL of each other, before any division by
+    their distance.
     """
-    if not np.isfinite(stack).all():
-        raise OutOfRange("point set has non-finite coordinates")
     P, n, D = stack.shape
     pts = stack.reshape(P * n, D)
     others = _others(P, n)
-    for lo, hi in _row_blocks(P * n, (n - 1) ** 2):
-        rays = pts.take(others[lo:hi], axis=0) - pts[lo:hi, None]
-        norms = np.sqrt(np.add.reduce(rays * rays, axis=2))  # np.linalg.norm's arithmetic
-        if norms.min() <= DISTINCTNESS_TOL:
+    for lo, hi, _ in _scan_index(P, n)[0]:
+        rays = pts.take(others[lo:hi], axis=0)
+        rays -= pts[lo:hi, None]
+        norms = np.add.reduce(rays * rays, axis=2)
+        np.sqrt(norms, out=norms)  # np.linalg.norm's arithmetic
+        if np.minimum.reduce(norms, axis=None) <= DISTINCTNESS_TOL:
             b, a = map(int, np.argwhere(norms <= DISTINCTNESS_TOL)[0])
             p, j = divmod(lo + b, n)
             i = int(others[lo + b, a]) - p * n
@@ -190,19 +202,72 @@ def _ray_grams(stack: np.ndarray):
         yield lo, rays @ rays.transpose(0, 2, 1)
 
 
+def _max_angle_scan(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scan half of max_angle_triples: (angle, row, pos), one entry per set
+    of a finite float (P, n, D) stack with n >= 3.
+
+    Set p's winning vertex is row = p*n + j and its winning Gram entry is
+    pos = a*(n-1) + b, the rays toward the a-th and b-th other points; angle
+    is arccos of that entry, clamped to [-1, 1]. Ties go to the first vertex
+    j of a set, then to the first (a, b) in row-major order of its Gram.
+    The angle is the scan's own: the winning triple's angle as
+    _max_angle_recompute returns it can differ from it, through the last
+    bits of the cosine, by up to about 2^-25 sqrt(D + 2) rad near 0 and pi
+    (search._RANK_TIE_TOL derives the bound).
+    """
+    P, n, _ = stack.shape
+    m = n - 1
+    blocks, firsts = _scan_index(P, n)
+    ang = np.empty(P * n)
+    pos = np.empty(P * n, dtype=np.intp)
+    for (lo, gram), (_, hi, offsets) in zip(_ray_grams(stack), blocks):
+        flat = gram.reshape(hi - lo, m * m)
+        flat[:, :: m + 1] = 1.0
+        w = flat.argmin(axis=1, out=pos[lo:hi])
+        c = gram.take(w + offsets)
+        np.maximum(c, -1.0, out=c)
+        np.minimum(c, 1.0, out=c)
+        np.arccos(c, out=ang[lo:hi])
+        # Free this Gram before the kernel builds the next one, so that
+        # large-n scans reuse one buffer while it is still in cache.
+        del gram, flat
+    # argmax keeps the first vertex of each set among equal angles: the
+    # later vertex wins only when strictly greater.
+    rows = ang.reshape(P, n).argmax(axis=1) + firsts
+    return ang[rows], rows, pos[rows]
+
+
+def _scan_triple(n: int, row: int, pos: int) -> tuple[int, tuple[int, int, int]]:
+    """(p, (i, j, k)): the set and the triple that _max_angle_scan names by
+    its vertex row and Gram position, in a stack of sets of n points."""
+    p, j = divmod(row, n)
+    a, b = divmod(pos, n - 1)
+    # The a-th other point of vertex j skips j itself.
+    return p, (a + (a >= j), j, b + (b >= j))
+
+
+def _max_angle_recompute(stack: np.ndarray, row: int, pos: int) -> tuple[float, tuple[int, int, int]]:
+    """Recompute half of max_angle_triples: (angle, (i, j, k)) of the triple
+    that _max_angle_scan names by its vertex row and Gram position, the angle
+    in angle_at's arithmetic."""
+    p, (i, j, k) = _scan_triple(stack.shape[1], row, pos)
+    return _vertex_angle(stack[p, i], stack[p, j], stack[p, k]), (i, j, k)
+
+
 def max_angle_triples(stack) -> list[tuple[float, tuple[int, int, int]]]:
     """(max angle, (i, j, k)) of every set of a (P, n, dim) stack, in one scan.
 
-    One pass of _ray_grams over all P*n vertex rows, so a stack of small sets
-    costs about one call's fixed numpy overhead instead of P. Per set, ties go
-    to the first vertex j (a later vertex or block wins only when strictly
-    greater), then to the first (i, k) in row-major order of its Gram; the
-    winning triple's angle is recomputed with angle_at's arithmetic. A set's
-    result therefore does not depend on the other sets or on where the block
-    boundaries fall. A set of n <= 2 points has no triple: (0.0, (-1, -1, -1)).
-    Raises DegenerateTriple naming the set and the two points when two points
-    of a set are closer than DISTINCTNESS_TOL, OutOfRange if a coordinate is
-    not finite.
+    One pass of _ray_grams over all P*n vertex rows (_max_angle_scan), so a
+    stack of small sets costs about one call's fixed numpy overhead instead
+    of P. Per set, ties go to the first vertex j (a later vertex or block
+    wins only when strictly greater), then to the first (i, k) in row-major
+    order of its Gram; the winning triple's angle is recomputed with
+    angle_at's arithmetic (_max_angle_recompute). A set's result therefore
+    does not depend on the other sets or on where the block boundaries fall.
+    A set of n <= 2 points has no triple: (0.0, (-1, -1, -1)). Raises
+    DegenerateTriple naming the set and the two points when two points of a
+    set are closer than DISTINCTNESS_TOL, OutOfRange if a coordinate is not
+    finite.
     """
     stack = np.asarray(stack, dtype=float)
     if stack.ndim != 3:
@@ -210,30 +275,10 @@ def max_angle_triples(stack) -> list[tuple[float, tuple[int, int, int]]]:
     P, n, _ = stack.shape
     if n <= 2:
         return [(0.0, (-1, -1, -1))] * P
-    m = n - 1
-    others = _others(P, n)
-    ang = np.empty(P * n)
-    pos = np.empty(P * n, dtype=np.intp)
-    for lo, gram in _ray_grams(stack):
-        flat = gram.reshape(gram.shape[0], m * m)
-        flat[:, :: m + 1] = 1.0
-        hi = lo + flat.shape[0]
-        pos[lo:hi] = flat.argmin(axis=1)
-        c = flat[np.arange(hi - lo), pos[lo:hi]]
-        ang[lo:hi] = np.arccos(np.minimum(np.maximum(c, -1.0), 1.0))
-        # Free this Gram before the kernel builds the next one, so that
-        # large-n scans reuse one buffer while it is still in cache.
-        del gram, flat
-    # argmax keeps the first vertex of each set among equal angles: the
-    # later vertex wins only when strictly greater.
-    js = ang.reshape(P, n).argmax(axis=1)
-    out = []
-    for p, (j, w) in enumerate(zip(js.tolist(), pos[js + n * np.arange(P)].tolist())):
-        # Row j of set 0 lists the other points' indices within a set.
-        a, k = divmod(w, m)
-        i, k = int(others[j, a]), int(others[j, k])
-        out.append((_vertex_angle(stack[p, i], stack[p, j], stack[p, k]), (i, j, k)))
-    return out
+    if not np.isfinite(stack).all():
+        raise OutOfRange("point set has non-finite coordinates")
+    _, rows, pos = _max_angle_scan(stack)
+    return [_max_angle_recompute(stack, r, w) for r, w in zip(rows.tolist(), pos.tolist())]
 
 
 def max_angle_triple(points: np.ndarray) -> tuple[float, tuple[int, int, int]]:

@@ -10,7 +10,8 @@ whole-matrix sweeps; the Monte Carlo ones run over the paired sample stream
 written out in full, each raw row followed by its negation. Convex position
 is also decided by one nearest-point solve per point, with no direction
 screen, the covering probes by the row-major R_d formula, and line packings
-by one restart after another. Pinned results are compared by `digest`.
+by one restart after another, and planar cone axes one vertex at a time.
+Pinned results are compared by `digest`.
 """
 
 import functools
@@ -24,6 +25,9 @@ from scipy.optimize import nnls
 from anglebound import convexity
 from anglebound.bounds import theta_d
 from anglebound.constructions import LineArrangement
+from anglebound.convexity import FEAS_TOL
+from anglebound.curvature import CONE_FIT_TOL
+from anglebound.errors import CapTooSmall
 from anglebound.geometry import PointSet, angle_at, max_angle
 from anglebound.sampling import CHUNK, _rd_alpha, canonical_lines, quasi_uniform_lines, rng_stream
 
@@ -314,6 +318,36 @@ def nnls_min_enclosing_cap(H):
     lam, _ = nnls(np.vstack([H.T, np.full((1, n), weight)]), np.append(np.zeros(D), weight))
     p = (lam / lam.sum()) @ H
     return p / np.linalg.norm(p), math.acos(min(1.0, float(np.linalg.norm(p))))
+
+
+def loop_planar_cone_axes(points, eta: float) -> list[np.ndarray]:
+    """cone_cover_certificate's axes for a planar set, one vertex at a time, in
+    the arithmetic of the per-vertex planar cap: sort one vertex's ray angles,
+    take the first largest circular gap g, centre on the normalized midpoint
+    of the chord at its ends and require -cos(g / 2) > FEAS_TOL; the radius is
+    the largest chord's angle, re-checked against every ray. Raises
+    CapTooSmall for the first vertex that fails, as the certificate does."""
+    pts = np.asarray(points, dtype=float)
+    axes = []
+    for i in range(len(pts)):
+        diffs = np.delete(pts, i, axis=0) - pts[i]
+        vecs = diffs / np.linalg.norm(diffs, axis=1)[:, None]
+        ang = np.arctan2(vecs[:, 1], vecs[:, 0])
+        order = np.argsort(ang)
+        gaps = np.diff(ang[order], append=ang[order[0]] + 2.0 * math.pi)
+        k = int(np.argmax(gaps))
+        z = 0.5 * (vecs[order[k]] + vecs[order[(k + 1) % len(order)]])
+        if -math.cos(0.5 * float(gaps[k])) <= FEAS_TOL:
+            raise CapTooSmall(i, 0.5 * math.pi, eta)
+        center = z / np.linalg.norm(z)
+        chord = float(np.max(np.linalg.norm(vecs - center, axis=1)))
+        radius = 2.0 * math.asin(min(1.0, 0.5 * chord))
+        if float(np.min(vecs @ center)) < math.cos(radius) - 1e-9:
+            raise CapTooSmall(i, 0.5 * math.pi, eta)
+        if radius > eta + CONE_FIT_TOL:
+            raise CapTooSmall(i, radius, eta)
+        axes.append(center)
+    return axes
 
 
 def random_rotation(rng: np.random.Generator, dim: int) -> np.ndarray:

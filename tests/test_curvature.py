@@ -34,6 +34,7 @@ from anglebound.sampling import (
 from conftest import (
     canonical_line,
     hull_defect_fractions,
+    loop_planar_cone_axes,
     nnls_min_enclosing_cap,
     planar_interior_angles,
     row_major_rd_directions,
@@ -688,6 +689,100 @@ class TestConeCover:
                 cones = cone_cover_certificate(ps, eta)
                 assert len(cones) == n
                 assert n <= cardinality_bound(theta, D).bound + 1e-9
+
+    @staticmethod
+    def planar_cone_sets(rng):
+        """Convex planar sets of the bench's certify sizes: points on ellipses,
+        on arcs shorter than a half-turn (whose end vertices need wide caps),
+        regular polygons, squares and triangles, each scaled by 1e-3 to 1e3
+        and translated by up to 1e6."""
+        sets = []
+        for t in range(400):
+            n = int(rng.choice([3, 4, 8, 9, 24, 32, 48]))
+            kind = t % 4
+            if kind == 0:
+                ang = np.sort(rng.uniform(0, 2 * np.pi, n))
+                pts = np.c_[np.cos(ang), np.sin(ang)] * rng.uniform(0.3, 3.0, size=2)
+            elif kind == 1:
+                ang = np.sort(rng.uniform(0, rng.uniform(0.5, 3.0), n))
+                pts = np.c_[np.cos(ang), np.sin(ang)]
+            elif kind == 2:
+                ang = 2 * np.pi * np.arange(n) / n + rng.uniform(0, 2 * np.pi)
+                pts = np.c_[np.cos(ang), np.sin(ang)]
+            else:
+                pts = SQUARE.points if t % 8 == 3 else np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]])
+            pts = pts * 10.0 ** rng.uniform(-3, 3) + rng.normal(size=2) * 10.0 ** rng.integers(0, 7)
+            sets.append((pts, float(rng.uniform(0.05, 1.5707))))
+        return sets
+
+    def test_planar_cones_match_the_per_vertex_caps(self):
+        # One sort per row for all vertices returns each vertex's cap centre
+        # bit for bit, and refuses at the same first vertex with the same
+        # radius. (A convex polygon's vertex always has its rays in an open
+        # half-plane, so every refusal here is by radius.)
+        rng = np.random.default_rng(23)
+        outcomes = {"cones": 0, "refusals": 0}
+        for pts, eta in self.planar_cone_sets(rng):
+            try:
+                ps = PointSet(pts)
+            except OutOfRange:
+                continue
+            if not convexity.is_convex_position(ps).in_convex_position:
+                continue
+            try:
+                expected = loop_planar_cone_axes(ps.points, eta)
+            except CapTooSmall as want:
+                with pytest.raises(CapTooSmall) as got:
+                    cone_cover_certificate(ps, eta)
+                assert (got.value.vertex_index, got.value.required_radius, got.value.allowed) == (
+                    want.vertex_index, want.required_radius, want.allowed)
+                assert str(got.value) == str(want)
+                outcomes["refusals"] += 1
+                continue
+            cones = cone_cover_certificate(ps, eta)
+            assert [c.axis.tobytes() for c in cones] == [a.tobytes() for a in expected]
+            assert all(c.apex.tobytes() == p.tobytes() for c, p in zip(cones, ps.points))
+            outcomes["cones"] += 1
+        assert min(outcomes.values()) >= 20, outcomes
+
+    def test_stacked_caps_refuse_rays_that_fit_no_half_plane_in_vertex_order(self):
+        # Only a point that is not a vertex has its rays in no open half-plane,
+        # so the stacked caps are called directly on sets with interior points.
+        rng = np.random.default_rng(24)
+        refused = []
+        for _ in range(200):
+            n = int(rng.integers(4, 12))
+            pts = rng.normal(size=(n, 2))
+            try:
+                want = loop_planar_cone_axes(pts, 1.5)
+            except CapTooSmall as err:
+                with pytest.raises(CapTooSmall) as got:
+                    curvature._planar_cone_axes(pts, 1.5)
+                assert str(got.value) == str(err)
+                refused.append(err.required_radius == 0.5 * math.pi)
+                continue
+            axes = curvature._planar_cone_axes(pts, 1.5)
+            assert [a.tobytes() for a in axes] == [a.tobytes() for a in want]
+        assert sum(refused) >= 50
+
+    def test_two_planar_points_take_their_rays_as_axes(self):
+        ps = PointSet([[0.0, 0.0], [3.0, 4.0]])
+        cones = cone_cover_certificate(ps, 0.3)
+        np.testing.assert_array_equal(cones[0].axis, [0.6, 0.8])
+        np.testing.assert_array_equal(cones[1].axis, [-0.6, -0.8])
+
+    def test_planar_cones_are_still_rechecked_on_all_pairs(self, monkeypatch):
+        # A wrong axis from the stacked caps is caught by the all-pairs check.
+        stacked = curvature._planar_cone_axes
+
+        def tilted(pts, eta):
+            axes = stacked(pts, eta).copy()
+            axes[2] = -axes[2]
+            return axes
+
+        monkeypatch.setattr(curvature, "_planar_cone_axes", tilted)
+        with pytest.raises(RuntimeError, match="outside cone 2"):
+            cone_cover_certificate(SQUARE, math.pi / 4 + 0.01)
 
     def test_links_to_quadrature_fraction(self):
         # Cone-like polytope: apex at the origin plus a dense ring of unit

@@ -8,9 +8,12 @@ import pytest
 from anglebound.bounds import cardinality_bound, theta_d
 from anglebound import geometry, search
 from anglebound.errors import OutOfRange
-from anglebound.geometry import max_angle
+from anglebound.geometry import max_angle, max_angle_triple
 from anglebound.search import (
+    _RANK_TIE_TOL,
     _anneal,
+    _rank,
+    _spreads,
     cross_polytope_vertices,
     hypercube_vertices,
     max_cardinality_search,
@@ -91,6 +94,41 @@ class TestAnneal:
         assert res.restarts == starts
         assert stacks == [(starts, n, D)] + [(3 * starts, n, D)] * 7 + [(1, n, D)]
 
+    @pytest.mark.parametrize("R", [1, 3])
+    def test_each_step_recomputes_one_angle_per_start(self, monkeypatch, R):
+        recomputed, stacks = [], []
+        vertex_angle, ray_grams = geometry._vertex_angle, geometry._ray_grams
+
+        def counted_angle(x, y, z):
+            recomputed.append((x.tobytes(), y.tobytes(), z.tobytes()))
+            return vertex_angle(x, y, z)
+
+        def counted_grams(stack):
+            stacks.append(np.array(stack))
+            return ray_grams(stack)
+
+        monkeypatch.setattr(geometry, "_vertex_angle", counted_angle)
+        monkeypatch.setattr(geometry, "_ray_grams", counted_grams)
+        starts = np.random.default_rng(7).normal(size=(R, 6, 3))
+        _anneal(starts, 20, [np.random.default_rng(8 + r) for r in range(R)])
+        # R angles for the starts, then R per step (ranking by recomputed
+        # angles took 3R), while every proposal is still scanned exactly once.
+        assert len(recomputed) == R + 20 * R
+        assert [s.shape for s in stacks] == [(R, 6, 3)] + [(3 * R, 6, 3)] * 20
+        scans = Counter(p.tobytes() for s in stacks for p in s)
+        assert sum(scans.values()) == R + 3 * R * 20
+        assert max(scans.values()) == 1
+
+    def test_stacked_spreads_match_each_set_alone(self):
+        rng = np.random.default_rng(46)
+        for _ in range(300):
+            R, n, D = int(rng.integers(1, 7)), int(rng.integers(2, 40)), int(rng.integers(1, 13))
+            stack = (rng.normal(size=(R, n, D)) * 10.0 ** rng.uniform(-3, 3, size=(R, 1, 1))
+                     + rng.normal(size=(R, 1, D)) * 10.0 ** rng.uniform(-3, 6))
+            alone = [float(np.sqrt(np.mean(np.sum((x - x.mean(axis=0)) ** 2, axis=1))))
+                     for x in stack]
+            assert _spreads(stack).tolist() == alone
+
     def test_triple_entry_by_integers_draws_the_stream_of_choice(self):
         # _anneal picks a vertex of the current triple with t[rng.integers(3)],
         # the cheaper call drawing what rng.choice(list(t)) drew before.
@@ -99,6 +137,133 @@ class TestAnneal:
         assert ([int(a.choice(list(t))) for _ in range(10_000)]
                 == [t[int(b.integers(3))] for _ in range(10_000)])
         assert a.random() == b.random()
+
+
+def ranked_by_recomputed_angles(stack):
+    """Per start of a (3R, n, D) stack, the first proposal of lowest recomputed
+    maximum angle, with that angle and triple: (w, angle, (i, j, k))."""
+    scores = geometry.max_angle_triples(stack)
+    out = []
+    for lo in range(0, len(scores), 3):
+        mine = scores[lo:lo + 3]
+        w = min(range(3), key=lambda p: mine[p][0])
+        out.append((w, *mine[w]))
+    return out
+
+
+def guard(D):
+    return _RANK_TIE_TOL * math.sqrt(D + 2)
+
+
+class TestRanking:
+    """_rank picks, per start, the proposal that ranking by recomputed angles picks."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        calls = []
+        vertex_angle = geometry._vertex_angle
+
+        def counted(x, y, z):
+            calls.append(1)
+            return vertex_angle(x, y, z)
+
+        monkeypatch.setattr(geometry, "_vertex_angle", counted)
+        return calls
+
+    def test_random_stacks(self):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            R, n, D = int(rng.integers(1, 6)), int(rng.integers(3, 12)), int(rng.integers(1, 7))
+            stack = rng.normal(size=(3 * R, n, D))
+            assert _rank(stack, guard(D)) == ranked_by_recomputed_angles(stack)
+
+    def test_duplicated_proposals_tie_exactly_and_share_one_recompute(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        rng = np.random.default_rng(42)
+        patterns = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 1), (2, 1, 0)]
+        for _ in range(200):
+            R, n, D = int(rng.integers(1, 6)), int(rng.integers(3, 10)), int(rng.integers(2, 5))
+            base = rng.normal(size=(R, 3, n, D))
+            picks = [patterns[int(i)] for i in rng.integers(len(patterns), size=R)]
+            stack = np.array([base[r, list(pick)] for r, pick in enumerate(picks)]).reshape(3 * R, n, D)
+            calls.clear()
+            got = _rank(stack, guard(D))
+            assert len(calls) == R
+            assert got == ranked_by_recomputed_angles(stack)
+            # The first copy of the lowest proposal wins.
+            assert all(pick.index(pick[w]) == w for pick, (w, _, _) in zip(picks, got))
+
+    def test_proposals_that_leave_the_winning_triple_untouched(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        rng = np.random.default_rng(43)
+        tied_starts = 0
+        for _ in range(300):
+            n, D = int(rng.integers(5, 11)), int(rng.integers(2, 5))
+            x = rng.normal(size=(n, D))
+            _, triple = max_angle_triple(x)
+            free = [v for v in range(n) if v not in triple]
+            stack = np.repeat(x[None], 3, axis=0)
+            for p in range(3):
+                v = triple[int(rng.integers(3))] if rng.random() < 0.3 else free[int(rng.integers(len(free)))]
+                stack[p, v] += rng.normal(scale=1e-3, size=D)
+            calls.clear()
+            got = _rank(stack, guard(D))
+            recomputes = len(calls)
+            assert got == ranked_by_recomputed_angles(stack)
+            angles = [e for e, _ in geometry.max_angle_triples(stack)]
+            if angles.count(min(angles)) > 1:
+                tied_starts += 1
+                assert recomputes == 1  # the untouched triples share one recompute
+        assert tied_starts >= 50
+
+    def test_planted_disagreement_inside_the_guard_falls_back_to_recomputed_angles(
+            self, monkeypatch):
+        rng = np.random.default_rng(44)
+        x = rng.normal(size=(7, 3))
+        _, (i, j, k) = max_angle_triple(x)
+        y = x.copy()
+        y[i] += 1e-9 * (x[i] - x[j])  # the same winning triple, a slightly different angle
+        far = x.copy()
+        far[0] = 0.5 * (x[1] + x[2]) + 1e-3  # a near-straight angle at point 0
+        stack = np.array([x, y, far])
+        (e0, t0), (e1, t1), (e2, _) = geometry.max_angle_triples(stack)
+        if e1 < e0:
+            stack[[0, 1]] = stack[[1, 0]]
+            (e0, t0), (e1, t1) = (e1, t1), (e0, t0)
+        assert e0 < e1 < e0 + guard(3) / 10 and e2 > e1 + 0.1
+        true_scan = search._max_angle_scan
+
+        def planted(st):
+            # Scan angles within the guard of the recomputed ones, in the reverse order.
+            ang, rows, pos = true_scan(st)
+            return np.array([e1, e0, ang[2]]), rows, pos
+
+        monkeypatch.setattr(search, "_max_angle_scan", planted)
+        calls = self.counting(monkeypatch)
+        assert _rank(stack, guard(3)) == [(0, e0, t0)] == ranked_by_recomputed_angles(stack)
+        assert len(calls) == 2 + 3  # both tied proposals, then the oracle's three
+        # Without the guard, the planted scan angles alone would pick proposal 1.
+        assert _rank(stack, 0.0) == [(1, e1, t1)]
+
+    @pytest.mark.parametrize("D", [2, 3, 5, 8, 16])
+    def test_scan_and_recompute_differ_by_under_half_the_guard(self, D):
+        # Near-straight and near-zero angles, where arccos magnifies the
+        # cosines' rounding most, on scaled and translated sets.
+        rng = np.random.default_rng(45 + D)
+        worst = 0.0
+        for t in range(400):
+            e = rng.normal(size=D)
+            e /= np.linalg.norm(e)
+            a, b = rng.uniform(0.1, 10.0, size=2)
+            side = -a if t % 2 else a  # straight (pi) or folded (0) angle at point 0
+            eps = 10.0 ** rng.uniform(-8, -2)
+            pts = np.array([np.zeros(D), side * e + eps * rng.normal(size=D),
+                            b * e + eps * rng.normal(size=D)])
+            pts = pts * 10.0 ** rng.uniform(-3, 3) + rng.normal(size=D) * 10.0 ** rng.uniform(-3, 3)
+            ang, rows, pos = geometry._max_angle_scan(pts[None])
+            recomputed, _ = geometry._max_angle_recompute(pts[None], int(rows[0]), int(pos[0]))
+            worst = max(worst, abs(float(ang[0]) - recomputed))
+        assert worst <= guard(D) / 2
 
 
 class TestMinimizeMaxAngle:
