@@ -32,10 +32,13 @@ DEFAULT_SEED = 20240
 # ---------------------------------------------------------------- file I/O
 
 def _number(text, what: str, kind=float):
-    """kind(text), or OutOfRange naming `what` and the text if that is not a finite number."""
+    """kind(text), or OutOfRange naming `what` and the text if that is not a finite
+    number; a JSON boolean, or a number that kind would change, is refused too."""
     try:
         value = kind(text)
-    except (TypeError, ValueError):
+        if isinstance(text, bool) or (not isinstance(text, str) and value != text):
+            value = math.nan
+    except (TypeError, ValueError, OverflowError):
         value = math.nan
     if not math.isfinite(value):
         noun = "an integer" if kind is int else "a finite number"
@@ -277,7 +280,7 @@ def _cmd_table(args):
     step = args.theta_step
     if not step > 0:
         raise OutOfRange(f"--theta-step must be positive, got {step!r}")
-    count = int(round((hi - lo) / step))
+    count = math.floor((hi - lo) / step + 1e-9)  # the last row may not pass hi
     thetas = [math.radians(lo + k * step) for k in range(count + 1)]
     return table_bound_grid(range(d_lo, d_hi + 1), thetas), 0
 

@@ -342,7 +342,8 @@ def ef_doubling(L: LineArrangement, rho: float, slack: float = 0.05,
             # The set's smallest distance is the unit segment on the first
             # line; past this scale, rounding of the translated copy eats it.
             if t > 1e15:
-                break
+                raise ScaleExhausted(
+                    f"line {k}: translation scale exceeded float geometry before certifying")
             cross = t * lines[k] + diffs
             cross_norm = np.linalg.norm(cross, axis=1)
             cos_dev = (cross @ lines[k]) / cross_norm
@@ -355,10 +356,6 @@ def ef_doubling(L: LineArrangement, rho: float, slack: float = 0.05,
         else:
             raise ScaleExhausted(
                 f"line {k}: no translation up to {t:.3g} certified max angle <= {target:.6g}"
-            )
-        if pts.shape[0] != 2 ** (k + 1):
-            raise ScaleExhausted(
-                f"line {k}: translation scale exceeded float geometry before certifying"
             )
     return PointSet(pts)
 

@@ -9,6 +9,7 @@ contains it, from which an obtuse-angle witness can be extracted.
 Every hull question here, and the enclosing caps in `curvature`, reduces to
 one primitive: the point of a polytope nearest a given point, found by
 Wolfe's algorithm in plain numpy. Its answers are re-checked after the solve.
+Every simplex test takes one barycentric solve, centred on the point tested.
 
 Before any solve, `is_convex_position` screens the vertices with linear
 functionals (the frame screening of Dula & Helgason 1996 and Clarkson 1994):
@@ -130,17 +131,23 @@ def _nearest_point(P: np.ndarray, stage: str):
 def _barycentric(p: np.ndarray, V: np.ndarray):
     """Barycentric coordinates of p in the affine frame of V, with residual.
 
-    Returns (coords, residual, rank). V is a (k+1, D) array of simplex
+    Returns (coords, residual, on_hull). V is a (k+1, D) array of simplex
     vertices; coords solves [(V - p)^T; 1] c = [0; 1] in least squares, the
     same coordinates as [V^T; 1] c = [p; 1] in a frame centred on p, so the
-    system's conditioning does not depend on where the simplex sits.
+    system's conditioning does not depend on where the simplex sits. p is on
+    V's affine hull when the residual is at most FEAS_TOL max(1, max |V - p|),
+    the scale of that frame, a bar that does not grow with the distance of
+    the simplex from the origin. Raises DegenerateSimplex unless V's rows
+    are affinely independent (more than D + 1 rows never are).
     """
     A = np.vstack([(V - p).T, np.ones((1, V.shape[0]))])
     b = np.zeros(A.shape[0])
     b[-1] = 1.0
     coords, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
+    if rank < V.shape[0]:
+        raise DegenerateSimplex(f"simplex vertices are affinely dependent (rank {rank})")
     residual = float(np.linalg.norm(A @ coords - b))
-    return coords, residual, int(rank)
+    return coords, residual, residual <= FEAS_TOL * max(1.0, float(np.max(np.abs(A[:-1]))))
 
 
 def simplex_contains_origin(V, strict: bool = False) -> bool:
@@ -153,14 +160,8 @@ def simplex_contains_origin(V, strict: bool = False) -> bool:
     V = np.asarray(V, dtype=float)
     if V.ndim != 2 or V.shape[0] < 2:
         raise OutOfRange("simplex needs at least two vertices")
-    k1, D = V.shape
-    if k1 > D + 1:
-        raise DegenerateSimplex(f"{k1} points cannot be affinely independent in R^{D}")
-    scale = max(1.0, float(np.max(np.abs(V))))
-    coords, residual, rank = _barycentric(np.zeros(D), V)
-    if rank < k1:
-        raise DegenerateSimplex("simplex vertices are affinely dependent")
-    if residual > FEAS_TOL * scale:
+    coords, _, on_hull = _barycentric(np.zeros(V.shape[1]), V)
+    if not on_hull:
         return False  # origin outside the affine hull
     if strict:
         return bool(np.all(coords > COEFF_TOL))
@@ -168,17 +169,9 @@ def simplex_contains_origin(V, strict: bool = False) -> bool:
 
 
 def _check_interior(p: np.ndarray, V: np.ndarray):
-    """Raise unless p lies strictly inside the simplex with vertices V.
-
-    The residual is measured against max(1, max |V - p|), the scale of the
-    frame centred on p that _barycentric solves in, so the bar does not grow
-    with the distance of the simplex from the origin.
-    """
-    coords, residual, rank = _barycentric(p, V)
-    if rank < V.shape[0]:
-        raise DegenerateSimplex(f"simplex vertices are affinely dependent (rank {rank})")
-    scale = max(1.0, float(np.max(np.abs(V - p))))
-    if residual > FEAS_TOL * scale or np.any(coords <= COEFF_TOL):
+    """Raise unless p lies strictly inside the simplex with vertices V."""
+    coords, residual, on_hull = _barycentric(p, V)
+    if not on_hull or np.any(coords <= COEFF_TOL):
         raise NotInterior(f"point is not strictly inside the simplex (residual {residual:.3g}, "
                           f"smallest coordinate {float(np.min(coords)):.3g})")
 

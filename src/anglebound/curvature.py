@@ -18,10 +18,11 @@ elementwise passes over long rows instead of one short reduction per
 direction, whose fixed cost dominated. A diameter-to-cap-radius inequality
 on the sphere converts a maximum-angle bound at a vertex into an enclosing
 cap for its rays, which yields a covering of the polytope by congruent
-cones. The smallest enclosing cap comes from the point of the rays' convex
-hull nearest the origin, found by the same nearest-point kernel as hull
-membership; in the plane it is the complement of the largest gap between
-the rays' angles.
+cones. The smallest enclosing caps of a stack of ray sets come from one
+path, `_enclosing_caps`: each from the point of its rays' convex hull
+nearest the origin, found by the same nearest-point kernel as hull
+membership, or in the plane, for all sets at once, as the complement of the
+largest gap between the rays' angles.
 
 The Monte Carlo directions come in antithetic pairs (Hammersley & Morton
 1956). N samples draw ceil(N/2) raw standard normal rows u_k; sample 2k is
@@ -357,19 +358,51 @@ def _largest_gaps(rays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z, -np.cos(0.5 * gaps[s, k])
 
 
+def _enclosing_caps(rays: np.ndarray) -> tuple[np.ndarray, list]:
+    """(centers, radii) of the smallest caps holding the sets of an (S, m, D)
+    stack of unit rays, one of each per set before the first refused, whose
+    index is then len(radii) < S.
+
+    With z the point of a set's hull nearest the origin (from _largest_gaps
+    in the plane, else one _nearest_point solve per set), every ray h has
+    h . z >= |z|^2, so the cap has center z/|z| and cos(radius) = |z|; the
+    set is refused when |z| <= FEAS_TOL (no open hemisphere holds it) or the
+    cap misses a ray on the re-check. The radius is the exact angle
+    2 asin(|h - c| / 2) to the farthest ray, which keeps full relative
+    accuracy for small caps where acos(|z|) does not. The norms and the
+    re-check are stacked matmuls: one set's 1-D dot and matrix-vector
+    product, row by row. A lone ray is its own center.
+    """
+    S, m, D = rays.shape
+    if m == 1:
+        return rays[:, 0].copy(), [0.0] * S
+    if D == 2:
+        z, signed = _largest_gaps(rays)  # |z|, negative when no half-plane holds the set
+    else:
+        z = np.array([_nearest_point(r, "enclosing cap")[0] for r in rays])
+    nz = np.sqrt(z[:, None] @ z[:, :, None])[:, 0]
+    fits = (signed if D == 2 else nz[:, 0]) > FEAS_TOL
+    ok = S if fits.all() else int(np.argmin(fits))  # sets before the first that fits none
+    rays, centers = rays[:ok], z[:ok] / nz[:ok]
+    d = rays - centers[:, None]
+    chords = np.sqrt(np.add.reduce(d * d, axis=2)).max(axis=1)
+    worst = (rays @ centers[:, :, None]).min(axis=(1, 2))
+    radii = []
+    for chord, w in zip(chords.tolist(), worst.tolist()):
+        radius = 2.0 * math.asin(min(1.0, 0.5 * chord))
+        if w < math.cos(radius) - 1e-9:
+            break
+        radii.append(radius)
+    return centers, radii
+
+
 def min_enclosing_cap(H) -> SphericalCap:
     """Smallest spherical cap containing the given unit vectors.
 
-    With p* the point of conv(H) nearest the origin, the cap has center
-    c = p*/|p*| and cos(radius) = |p*|: every h has h . p* >= |p*|^2, and by
-    minimax duality no center does better. The radius is taken as the max of
-    2 asin(|h - c| / 2), the exact angle from c to the farthest h, which
-    keeps full relative accuracy for small caps where acos(|p*|) does not.
-    Requires the vectors to fit in an open hemisphere (|p*| bounded away
-    from 0). In the plane p* is the midpoint of the chord spanning the
-    complement of the largest gap g between the vectors' angles, so
-    |p*| = -cos(g / 2), and the center comes from the two vectors at the gap's
-    ends without a solve. The cap is re-checked to contain every vector.
+    `_enclosing_caps` on a one-set stack: the center is the direction of the
+    point of conv(H) nearest the origin, found in the plane from the largest
+    gap between the vectors' angles. Raises NotHemispherical unless the
+    vectors fit in an open hemisphere and the cap passes its re-check.
     """
     vecs = np.asarray(H, dtype=float)
     if vecs.ndim != 2 or vecs.shape[0] < 1:
@@ -377,58 +410,10 @@ def min_enclosing_cap(H) -> SphericalCap:
     norms = np.linalg.norm(vecs, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-9):
         raise OutOfRange("inputs must be unit vectors")
-    if vecs.shape[0] == 1:
-        return SphericalCap(center=vecs[0].copy(), radius=0.0)
-    if vecs.shape[1] == 2:
-        z, nz = _largest_gaps(vecs[None])
-        z, nz = z[0], float(nz[0])
-    else:
-        z, _, _ = _nearest_point(vecs, "enclosing cap")
-        nz = float(np.linalg.norm(z))
-    if nz <= FEAS_TOL:
-        raise NotHemispherical("cap would cover a hemisphere or more")
-    center = z / np.linalg.norm(z)
-    chord = float(np.max(np.linalg.norm(vecs - center, axis=1)))
-    radius = 2.0 * math.asin(min(1.0, 0.5 * chord))
-    worst = float(np.min(vecs @ center))
-    if worst < math.cos(radius) - 1e-9:
-        raise NotHemispherical(f"cap of radius {radius:.12g} misses a vector (cos {worst:.12g})")
-    return SphericalCap(center=center, radius=radius)
-
-
-def _planar_cone_axes(pts: np.ndarray, eta: float) -> np.ndarray:
-    """The cone axes of cone_cover_certificate for n >= 3 points in the plane,
-    all vertices at once: the centres min_enclosing_cap returns for each
-    vertex's rays, bit for bit, with the same refusals.
-
-    The rays of every vertex form one (n, n - 1, 2) stack, and _largest_gaps
-    finds every vertex's gap with one arctan2 and one sort per row. The first
-    vertex whose rays fit no open half-plane, miss their cap on the re-check,
-    or need a radius above eta raises CapTooSmall, in vertex order as the
-    per-vertex loop raises it.
-    """
-    n = len(pts)
-    diffs = pts[_others(1, n)] - pts[:, None]  # row i: the points other than i, minus point i
-    rays = diffs / np.linalg.norm(diffs, axis=2)[:, :, None]
-    z, nz = _largest_gaps(rays)
-    fits = nz > FEAS_TOL
-    ok = n if fits.all() else int(np.argmin(fits))  # vertices before the first that fits none
-    rays, z = rays[:ok], z[:ok]
-    # One stacked matmul per norm and per re-check: the 1-D dot and the
-    # matrix-vector product that min_enclosing_cap takes, row by row.
-    centers = z / np.sqrt(z[:, None] @ z[:, :, None])[:, 0]
-    d = rays - centers[:, None]
-    chords = np.sqrt(np.add.reduce(d * d, axis=2)).max(axis=1)
-    worst = (rays @ centers[:, :, None]).min(axis=(1, 2))
-    for i, (chord, w) in enumerate(zip(chords.tolist(), worst.tolist())):
-        radius = 2.0 * math.asin(min(1.0, 0.5 * chord))
-        if w < math.cos(radius) - 1e-9:
-            raise CapTooSmall(i, 0.5 * math.pi, eta)
-        if radius > eta + CONE_FIT_TOL:
-            raise CapTooSmall(i, radius, eta)
-    if ok < n:
-        raise CapTooSmall(ok, 0.5 * math.pi, eta)
-    return centers
+    centers, radii = _enclosing_caps(vecs[None])
+    if not radii:
+        raise NotHemispherical("no cap smaller than a hemisphere holds the vectors")
+    return SphericalCap(center=centers[0], radius=radii[0])
 
 
 def cone_cover_certificate(V: PointSet, eta: float) -> list[Cone]:
@@ -445,20 +430,21 @@ def cone_cover_certificate(V: PointSet, eta: float) -> list[Cone]:
     n = len(V)
     if n < 2:
         raise OutOfRange("need at least two points")
-    if V.dim == 2 and n > 2:
-        axes = _planar_cone_axes(V.points, eta)
-    else:  # also two points in the plane: min_enclosing_cap returns a lone ray as it is
-        axes = []
-        for i in range(n):
-            diffs = np.delete(V.points, i, axis=0) - V.points[i]  # V's points are distinct
-            rays = diffs / np.linalg.norm(diffs, axis=1)[:, None]
-            try:
-                cap = min_enclosing_cap(rays)
-            except NotHemispherical:
-                raise CapTooSmall(i, 0.5 * math.pi, eta) from None
-            if cap.radius > eta + CONE_FIT_TOL:
-                raise CapTooSmall(i, cap.radius, eta)
-            axes.append(cap.center)
+    # All vertices in one block in the plane, where one sort per row serves
+    # them all; one vertex per block elsewhere, so the nearest-point solves
+    # stop at the first vertex refused.
+    blocks = [(0, n)] if V.dim == 2 else [(i, i + 1) for i in range(n)]
+    others = _others(1, n)
+    axes = []
+    for lo, hi in blocks:
+        diffs = V.points[others[lo:hi]] - V.points[lo:hi, None]  # V's points are distinct
+        centers, radii = _enclosing_caps(diffs / np.linalg.norm(diffs, axis=2)[:, :, None])
+        for i, radius in enumerate(radii, lo):
+            if radius > eta + CONE_FIT_TOL:
+                raise CapTooSmall(i, radius, eta)
+        if len(radii) < hi - lo:
+            raise CapTooSmall(lo + len(radii), 0.5 * math.pi, eta)
+        axes.extend(centers)
     cones = [Cone(apex=V.points[i].copy(), axis=axis, half_angle=eta)
              for i, axis in enumerate(axes)]
     # Every vertex j in every cone i, by Cone.contains's test on all pairs at once.

@@ -92,17 +92,6 @@ def whole_normal_rows(dim: int, n: int, seed: int) -> np.ndarray:
     return z
 
 
-def whole_unit_directions(dim: int, n: int, seed: int) -> np.ndarray:
-    """whole_normal_rows normalized as a whole, a near-zero row replaced by e_1."""
-    z = whole_normal_rows(dim, n, seed)
-    norms = np.linalg.norm(z, axis=1)
-    degenerate = norms < 1e-12
-    z[degenerate] = 0.0
-    z[degenerate, 0] = 1.0
-    norms[degenerate] = 1.0
-    return z / norms[:, None]
-
-
 def paired_samples(dim: int, samples: int, seed: int) -> np.ndarray:
     """The Monte Carlo sample stream written out: the ceil(samples/2) raw rows
     U interleaved explicitly with -U, cut to `samples` rows."""

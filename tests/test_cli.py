@@ -125,6 +125,16 @@ class TestTable:
         assert float(boundary["bound"]) == pytest.approx(6.0, abs=1e-6)
         assert boundary["status"] == "formula-only"
 
+    @pytest.mark.parametrize("step, last", [("0.6", "91.60000000000001"), ("0.1", "92.0")])
+    def test_grid_stops_at_the_range_end(self, capsys, step, last):
+        # A step that does not divide the range stops short of its end; one
+        # that divides it up to rounding still reaches it.
+        code, out = run(["table", "--bound-grid", "--dims", "2..2",
+                         "--theta-deg", "91..92", "--theta-step", step], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rows[0]["theta_deg"] == "91.0" and rows[-1]["theta_deg"] == last
+
     def test_module_level_function_matches(self):
         text = table_bound_grid([2], [math.pi / 2])
         row = next(csv.DictReader(io.StringIO(text)))
@@ -201,12 +211,22 @@ class TestFileFormats:
         ("pts.csv", "0,0\n1,x\n", "{path}: coordinate must be a finite number, got 'x'"),
         ("pts.json", '{"dim": "two", "points": [[0, 0], [1, 0]]}',
          "{path}: dim must be an integer, got 'two'"),
-    ], ids=["csv-coordinate", "json-dim"])
+        ("pts.json", '{"dim": 2.7, "points": [[0, 0], [1, 0]]}',  # int() would read 2
+         "{path}: dim must be an integer, got 2.7"),
+        ("pts.json", '{"dim": true, "points": [[0, 0], [1, 0]]}',  # int() would read 1
+         "{path}: dim must be an integer, got True"),
+    ], ids=["csv-coordinate", "json-dim", "json-dim-fraction", "json-dim-bool"])
     def test_unparsable_numbers_named(self, tmp_path, capsys, name, text, message):
         path = tmp_path / name
         path.write_text(text)
         assert dispatch(["angle", "--in", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+
+    def test_integral_json_dim_accepted_as_written(self, tmp_path):
+        path = tmp_path / "pts.json"
+        for dim in ("2", "2.0"):
+            path.write_text(f'{{"dim": {dim}, "points": [[0, 0], [1, 0], [0, 1]]}}')
+            assert read_pointset(str(path)).dim == 2
 
     def test_non_numeric_line_file_rejected(self, tmp_path, capsys):
         path = tmp_path / "lines.json"

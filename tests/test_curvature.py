@@ -23,13 +23,11 @@ from anglebound.errors import (
 from anglebound.geometry import PointSet, geodesic_diameter, max_angle
 from anglebound.sampling import (
     CHUNK,
-    _square_sum,
     canonical_lines,
     direction_blocks,
     quasi_uniform_lines,
     rd_directions,
     rng_stream,
-    unit_directions,
 )
 from conftest import (
     canonical_line,
@@ -43,7 +41,6 @@ from conftest import (
     whole_normal_cone_count,
     whole_normal_rows,
     whole_quasi_uniform_lines,
-    whole_unit_directions,
 )
 
 SQUARE = PointSet([[0, 0], [1, 0], [1, 1], [0, 1]])
@@ -80,22 +77,18 @@ def brute_force_cap(H):
 
 class TestSampling:
     def test_partition_independence(self):
-        full = unit_directions(3, 1000, seed=9)
-        part = np.vstack([
-            unit_directions(3, 400, seed=9, start=0),
-            unit_directions(3, 600, seed=9, start=400),
-        ])
-        np.testing.assert_array_equal(full, part)
+        # The rows do not depend on the block size the width sets.
+        full = whole_normal_rows(3, 1000, seed=9)
+        for width in (3, 400, 1 << 15):
+            np.testing.assert_array_equal(np.vstack(list(direction_blocks(3, 1000, 9, width))),
+                                          full)
 
     def test_unit_norm_and_mean_isotropy(self):
-        U = unit_directions(5, 20000, seed=4)
+        z = np.vstack(list(direction_blocks(5, 20000, 4, 5)))
+        np.testing.assert_array_equal(z, whole_normal_rows(5, 20000, 4))
+        U = z / np.linalg.norm(z, axis=1)[:, None]
         np.testing.assert_allclose(np.linalg.norm(U, axis=1), 1.0, atol=1e-12)
         assert np.linalg.norm(U.mean(axis=0)) < 0.02
-
-    def test_unaligned_start_across_a_chunk_boundary(self):
-        full = unit_directions(2, CHUNK + 1500, seed=12)
-        part = unit_directions(2, 3000, seed=12, start=CHUNK - 1500)
-        np.testing.assert_array_equal(part, full[CHUNK - 1500:])
 
     def test_vectorized_canonicalization_matches_canonical_line(self):
         rng = np.random.default_rng(3)
@@ -140,10 +133,11 @@ class TestSampling:
 
     @pytest.mark.parametrize("terms", [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 300])
     def test_square_sums_add_in_the_order_of_the_row_norm(self, terms):
-        rng = np.random.default_rng(terms)
-        z = rng.normal(size=(5000, terms)) * rng.uniform(0.01, 100.0, size=(5000, 1))
-        got = np.sqrt(_square_sum(np.ascontiguousarray((z * z).T)))
-        assert got.tobytes() == np.linalg.norm(z, axis=1).tobytes()
+        # np.linalg.norm's pairwise order of addition changes at 8 and at 128
+        # terms; rows built coordinate-major keep the row-major bits across both.
+        shift = np.random.default_rng(terms).random(terms + terms % 2)
+        U = rd_directions(terms, 5000, shift)
+        assert U.tobytes() == row_major_rd_directions(terms, 5000, shift).tobytes()
 
     def test_unshifted_directions_are_unit_after_row_0(self):
         for dim in range(1, 9):
@@ -153,7 +147,7 @@ class TestSampling:
 
     @pytest.mark.parametrize("seed", [-1, 2.5])
     def test_seeded_entry_points_refuse_bad_seeds(self, seed):
-        for call in (lambda: unit_directions(3, 10, seed), lambda: rng_stream(seed),
+        for call in (lambda: next(direction_blocks(3, 10, seed, 3)), lambda: rng_stream(seed),
                      lambda: quasi_uniform_lines(3, 10, seed)):
             with pytest.raises(OutOfRange, match=f"seed must be a non-negative integer, "
                                                  f"got {seed!r}"):
@@ -174,29 +168,25 @@ class TestSampling:
                 call()
 
     @pytest.mark.parametrize("call, message", [
-        (lambda: unit_directions(0, 10, 1), "need dim >= 1, n >= 0 and start >= 0, "
-                                            "got dim=0, n=10, start=0"),
-        (lambda: unit_directions(3, -1, 1), "got dim=3, n=-1, start=0"),
-        (lambda: unit_directions(3, 10, 1, start=-5), "got dim=3, n=10, start=-5"),
+        (lambda: next(direction_blocks(0, 10, 1, 3)), "need dim >= 1 and n >= 0, "
+                                                      "got dim=0, n=10"),
+        (lambda: next(direction_blocks(3, -1, 1, 3)), "got dim=3, n=-1"),
         (lambda: quasi_uniform_lines(1, 10, 1), "need dim >= 2 and n >= 1 lines, got dim=1, n=10"),
         (lambda: quasi_uniform_lines(3, 0, 1), "got dim=3, n=0"),
-    ], ids=["dim", "n", "start", "probe-dim", "probe-n"])
+    ], ids=["dim", "n", "probe-dim", "probe-n"])
     def test_bad_sizes_raise_out_of_range(self, call, message):
         with pytest.raises(OutOfRange, match=message):
             call()
 
-    @pytest.mark.parametrize("dim, n, width, start", [
+    @pytest.mark.parametrize("dim, n, width, seed", [
         (3, 5000, 3, 0), (1, 70_001, 1, 0), (2, 2 * CHUNK + 1, 7, 0),
-        (5, 4000, 48, CHUNK - 1500), (8, 1366, 300, 17),
+        (5, 4000, 48, 260_644), (8, 1366, 300, 17),
     ])
-    def test_blocks_are_one_draw_per_chunk(self, dim, n, width, start):
-        blocks = list(direction_blocks(dim, n, 4, width, start))
+    def test_blocks_are_one_draw_per_chunk(self, dim, n, width, seed):
+        blocks = list(direction_blocks(dim, n, seed, width))
         step = max(1, (1 << 16) // max(dim, width))
         assert all(2 <= len(b) <= step for b in blocks[:-1])
-        np.testing.assert_array_equal(np.concatenate(blocks),
-                                      whole_normal_rows(dim, start + n, 4)[start:])
-        np.testing.assert_array_equal(unit_directions(dim, n, 4, start),
-                                      whole_unit_directions(dim, start + n, 4)[start:])
+        np.testing.assert_array_equal(np.concatenate(blocks), whole_normal_rows(dim, n, seed))
 
 
 def _sphere_set(seed: int, n: int, dim: int) -> PointSet:
@@ -753,17 +743,49 @@ class TestConeCover:
         for _ in range(200):
             n = int(rng.integers(4, 12))
             pts = rng.normal(size=(n, 2))
+            diffs = pts[[[j for j in range(n) if j != i] for i in range(n)]] - pts[:, None]
+            centers, radii = curvature._enclosing_caps(
+                diffs / np.linalg.norm(diffs, axis=2)[:, :, None])
             try:
                 want = loop_planar_cone_axes(pts, 1.5)
             except CapTooSmall as err:
-                with pytest.raises(CapTooSmall) as got:
-                    curvature._planar_cone_axes(pts, 1.5)
-                assert str(got.value) == str(err)
+                i = err.vertex_index
+                assert all(r <= 1.5 + curvature.CONE_FIT_TOL for r in radii[:i])
+                if err.required_radius == 0.5 * math.pi:  # the first set refused
+                    assert len(radii) == i
+                else:
+                    assert radii[i] == err.required_radius
                 refused.append(err.required_radius == 0.5 * math.pi)
                 continue
-            axes = curvature._planar_cone_axes(pts, 1.5)
-            assert [a.tobytes() for a in axes] == [a.tobytes() for a in want]
+            assert len(radii) == n
+            assert [a.tobytes() for a in centers] == [a.tobytes() for a in want]
         assert sum(refused) >= 50
+
+    def test_solid_cover_solves_up_to_the_first_vertex_refused(self, monkeypatch):
+        # In R^3 each vertex's cap is one nearest-point solve, made only
+        # once every earlier vertex has passed: a cover refused at vertex k
+        # makes exactly k + 1 solves.
+        calls = []
+        nearest = curvature._nearest_point
+
+        def counted(P, stage):
+            calls.append(1)
+            return nearest(P, stage)
+
+        monkeypatch.setattr(curvature, "_nearest_point", counted)
+        refused_at = []
+        for seed in range(12):
+            ps = _sphere_set(seed, 12, 3)
+            convexity.is_convex_position(ps)
+            calls.clear()
+            try:
+                cone_cover_certificate(ps, 1.4)
+            except CapTooSmall as err:
+                assert len(calls) == err.vertex_index + 1
+                refused_at.append(err.vertex_index)
+            else:
+                assert len(calls) == len(ps)
+        assert len(set(refused_at)) >= 3 and min(refused_at) < max(refused_at)
 
     def test_two_planar_points_take_their_rays_as_axes(self):
         ps = PointSet([[0.0, 0.0], [3.0, 4.0]])
@@ -773,14 +795,14 @@ class TestConeCover:
 
     def test_planar_cones_are_still_rechecked_on_all_pairs(self, monkeypatch):
         # A wrong axis from the stacked caps is caught by the all-pairs check.
-        stacked = curvature._planar_cone_axes
+        stacked = curvature._enclosing_caps
 
-        def tilted(pts, eta):
-            axes = stacked(pts, eta).copy()
-            axes[2] = -axes[2]
-            return axes
+        def tilted(rays):
+            centers, radii = stacked(rays)
+            centers[2] = -centers[2]
+            return centers, radii
 
-        monkeypatch.setattr(curvature, "_planar_cone_axes", tilted)
+        monkeypatch.setattr(curvature, "_enclosing_caps", tilted)
         with pytest.raises(RuntimeError, match="outside cone 2"):
             cone_cover_certificate(SQUARE, math.pi / 4 + 0.01)
 
