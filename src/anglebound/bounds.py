@@ -129,7 +129,7 @@ def f_fraction(d: int, eta: float) -> float:
     if int(d) != d or d < 1:
         raise OutOfRange(f"d must be a positive integer, got {d!r}")
     d = int(d)
-    if eta < -1e-12 or eta > 0.5 * math.pi + 1e-12:
+    if not -1e-12 <= eta <= 0.5 * math.pi + 1e-12:
         raise OutOfRange(f"eta must lie in [0, pi/2], got {eta}")
     eta = min(max(eta, 0.0), 0.5 * math.pi)
     if eta == 0.0:

@@ -55,7 +55,7 @@ class LineArrangement:
         if vecs.ndim != 2 or vecs.shape[0] < 1 or vecs.shape[1] != self.dim:
             raise OutOfRange(f"expected an (m, {self.dim}) array of lines")
         norms = np.linalg.norm(vecs, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
+        if not np.all(np.abs(norms - 1.0) <= 1e-9):
             raise OutOfRange("lines must be unit vectors")
         vecs = canonical_lines(vecs / norms[:, None])
         vecs.setflags(write=False)
@@ -318,8 +318,8 @@ def ef_doubling(L: LineArrangement, rho: float, slack: float = 0.05,
     returned, so nothing is scanned after it, and one line gives two points
     with no angle to certify.
     """
-    if slack <= 0.0:
-        raise OutOfRange("slack must be positive")
+    if not slack > 0.0:
+        raise OutOfRange(f"slack must be positive, got {slack}")
     if not 0.0 < rho < math.pi:
         raise OutOfRange(f"rho must lie in (0, pi), got {rho}")
     if rho >= L.min_pairwise_angle:
@@ -445,21 +445,17 @@ def _verify_cycle(C: EdgeColoring, c: int, cycle: list[int]):
 
 
 def color_edges_by_lines(A: PointSet, L: LineArrangement, rho: float) -> EdgeColoring:
-    """Color each point pair by the least-index line within rho/2 of its direction."""
-    n = len(A)
-    cos_half = math.cos(0.5 * rho)
-    colors = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = A.points[j] - A.points[i]
-            d = d / np.linalg.norm(d)
-            hits = np.flatnonzero(np.abs(L.lines @ d) >= cos_half)
-            if hits.size == 0:
-                raise ColoringFailed(
-                    f"segment ({i}, {j}) is not within {0.5 * rho:.6g} of any line"
-                )
-            colors[(i, j)] = int(hits[0])
-    return EdgeColoring(n=n, m=len(L), color=colors)
+    """Color each point pair by the least-index line within rho/2 of its direction,
+    from one product of the pairs' unit directions (i < j, row-major) with the lines."""
+    i, j = np.triu_indices(len(A), 1)
+    d = A.points[j] - A.points[i]
+    hits = np.abs((d / np.linalg.norm(d, axis=1)[:, None]) @ L.lines.T) >= math.cos(0.5 * rho)
+    covered = hits.any(axis=1)
+    if not covered.all():
+        k = int(np.argmin(covered))
+        raise ColoringFailed(f"segment ({i[k]}, {j[k]}) is not within {0.5 * rho:.6g} of any line")
+    return EdgeColoring(n=len(A), m=len(L), color=dict(
+        zip(zip(i.tolist(), j.tolist()), np.argmax(hits, axis=1).tolist())))
 
 
 def obtuse_triple_witness(A: PointSet, L: LineArrangement, rho: float) -> ObtuseWitness:
@@ -508,8 +504,8 @@ def n_bounds(theta: float, d: int, c_d: float, C_d: float) -> NBoundsReport:
         raise OutOfRange(f"theta must lie in (pi/2, pi), got {theta}")
     if int(d) != d or d < 2:
         raise OutOfRange(f"d must be an integer >= 2, got {d!r}")
-    if c_d <= 0.0 or C_d <= 0.0:
-        raise OutOfRange("constants must be positive")
+    if not (c_d > 0.0 and C_d > 0.0):
+        raise OutOfRange(f"constants must be positive, got c_d={c_d}, C_d={C_d}")
     gap = math.pi - theta
     exp_lower = (c_d / gap) ** (d - 1) - 1.0
     exp_upper = (C_d / gap) ** (d - 1) + 1.0

@@ -40,11 +40,11 @@ from .sampling import rd_directions
 # Barycentric/convex coefficients above -1e-10 count as nonnegative; strict
 # interiority requires them above +1e-10.
 COEFF_TOL = 1e-10
-# Relative residual of the barycentric checks. p also counts as inside conv(S)
-# when its distance to it is at most FEAS_TOL times the largest |q - p|.
+# p is in conv(S), or on a simplex's affine hull, when its distance or residual
+# is at most this times the radius max_j |v_j - p| of the points that decide.
 FEAS_TOL = 1e-9
 # Wolfe's algorithm stops once |x| exceeds the lower bound min_j P_j . x / |x|
-# on the distance by at most this fraction of the largest |P_j|.
+# on the distance by at most this fraction of its support's radius.
 NEAREST_GAP_TOL = 1e-12
 # Major plus minor cycles allowed per row of P before the solver gives up.
 NEAREST_STEPS_PER_POINT = 50
@@ -80,29 +80,34 @@ def min_pairwise_dot(W) -> float:
 def _nearest_point(P: np.ndarray, stage: str):
     """Min-norm point of conv(rows of P) by Wolfe's algorithm (1976).
 
-    Returns (z, support, weights) with z = weights @ P[support] up to rounding:
-    the support (the final corral, ascending) is affinely independent and its
-    weights are positive and sum to one. Stops early once |z| <= FEAS_TOL *
-    max |P_j|, and when the most opposed point is already in the corral (no
-    progress is possible in floating point).
-    Hitting the step cap raises RuntimeError naming `stage`; callers re-check
-    every answer, so a stalled solve cannot pass as a verdict.
+    Returns (z, support, r): z is the final corral's weighted sum, the support
+    (ascending, affinely independent) its points weighted above COEFF_TOL and
+    r = max |P_j| over it, the one scale of the stop and the callers' verdicts.
+    Stops once |z| <= FEAS_TOL r or |z| exceeds the lower bound min_j P_j . z
+    / |z| on the distance by at most NEAREST_GAP_TOL r, or when no progress is
+    possible in floating point (the most opposed point is in the corral, or
+    |z| did not shrink). Hitting the step cap raises RuntimeError naming
+    `stage`; callers re-check every answer, so a stalled solve cannot pass.
     """
     n, D = P.shape
     sq = np.einsum("ij,ij->i", P, P)
     scale = math.sqrt(float(np.max(sq)))
     corral, w = np.array([int(np.argmin(sq))]), np.ones(1)
     x = P[corral[0]]
-    major = True
+    major, last = True, math.inf
     for _ in range(NEAREST_STEPS_PER_POINT * n):
         if major:  # add the point most opposed to x, unless x is optimal
             nx = math.sqrt(float(x @ x))
             dots = P @ x
             j = int(np.argmin(dots))
-            if (nx <= FEAS_TOL * scale or nx * nx - dots[j] <= NEAREST_GAP_TOL * nx * scale
-                    or j in corral):
-                order = np.argsort(corral)
-                return x, corral[order], w[order]
+            gap = nx * nx - float(dots[j])
+            stuck, last = j in corral or nx >= last, nx
+            # Both bounds at the radius r <= scale, so r is taken only near a stop.
+            if stuck or nx <= FEAS_TOL * scale or gap <= NEAREST_GAP_TOL * nx * scale:
+                support = np.sort(corral[w > COEFF_TOL])
+                r = math.sqrt(float(np.max(sq[support])))
+                if stuck or nx <= FEAS_TOL * r or gap <= NEAREST_GAP_TOL * nx * r:
+                    return x, support, r
             corral, w = np.append(corral, j), np.append(w, 0.0)
         # Minor cycle: weights of the min-norm point of the corral's affine hull.
         V = P[corral]
@@ -132,22 +137,23 @@ def _barycentric(p: np.ndarray, V: np.ndarray):
     """Barycentric coordinates of p in the affine frame of V, with residual.
 
     Returns (coords, residual, on_hull). V is a (k+1, D) array of simplex
-    vertices; coords solves [(V - p)^T; 1] c = [0; 1] in least squares, the
-    same coordinates as [V^T; 1] c = [p; 1] in a frame centred on p, so the
-    system's conditioning does not depend on where the simplex sits. p is on
-    V's affine hull when the residual is at most FEAS_TOL max(1, max |V - p|),
-    the scale of that frame, a bar that does not grow with the distance of
-    the simplex from the origin. Raises DegenerateSimplex unless V's rows
-    are affinely independent (more than D + 1 rows never are).
+    vertices; coords solves [(V - p)^T; r 1] c = [0; r] in least squares with
+    r = max_j |v_j - p| (1 when V is p alone), the coordinates of [V^T; 1] c =
+    [p; 1] in a frame centred on p and scaled by r. The residual is a length,
+    and p is on V's affine hull when it is at most FEAS_TOL r: a relative,
+    Euclidean bar with no floor, unchanged by scaling or moving V and p
+    together. Raises DegenerateSimplex unless V's rows are affinely
+    independent (more than D + 1 rows never are).
     """
-    A = np.vstack([(V - p).T, np.ones((1, V.shape[0]))])
-    b = np.zeros(A.shape[0])
-    b[-1] = 1.0
+    R = (V - p).T
+    r = float(np.max(np.linalg.norm(R, axis=0)))
+    A = np.vstack([R, np.full((1, V.shape[0]), r or 1.0)])
+    b = np.append(np.zeros(R.shape[0]), r or 1.0)
     coords, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
     if rank < V.shape[0]:
         raise DegenerateSimplex(f"simplex vertices are affinely dependent (rank {rank})")
     residual = float(np.linalg.norm(A @ coords - b))
-    return coords, residual, residual <= FEAS_TOL * max(1.0, float(np.max(np.abs(A[:-1]))))
+    return coords, residual, residual <= FEAS_TOL * r
 
 
 def simplex_contains_origin(V, strict: bool = False) -> bool:
@@ -161,11 +167,7 @@ def simplex_contains_origin(V, strict: bool = False) -> bool:
     if V.ndim != 2 or V.shape[0] < 2:
         raise OutOfRange("simplex needs at least two vertices")
     coords, _, on_hull = _barycentric(np.zeros(V.shape[1]), V)
-    if not on_hull:
-        return False  # origin outside the affine hull
-    if strict:
-        return bool(np.all(coords > COEFF_TOL))
-    return bool(np.all(coords >= -COEFF_TOL))
+    return on_hull and bool(np.all(coords > COEFF_TOL if strict else coords >= -COEFF_TOL))
 
 
 def _check_interior(p: np.ndarray, V: np.ndarray):
@@ -180,21 +182,22 @@ def _hull_simplex(p: np.ndarray, pts: np.ndarray, stage: str):
     """(simplex, z): affinely independent rows of pts whose hull holds p, or
     None if p is outside, and the point z of conv(pts - p) nearest the origin.
 
-    z decides: when p is outside, -z exposes p. Both answers are
-    re-checked in O(n D): the simplex (support weights above COEFF_TOL) must
-    pass obtuse_witness's checks, and "outside" needs (q - p) . z >= |z|^2 / 2
-    for every q, a plane separating p from pts. As |z| > FEAS_TOL * max |q - p|,
-    that margin is far above the rounding (about D * 1e-16 * |z| * |q - p|).
+    z decides on the radius r of the solver's support, the scale of its stop:
+    p is inside when |z| <= FEAS_TOL r, else -z exposes p. Both answers are
+    re-checked in O(n D): the simplex by obtuse_witness's checks, "outside" by
+    (q - p) . z >= |z|^2 / 2 for every q, a plane separating p from pts, which
+    a gap stop leaves short of |z|^2 only by 1e-3 |z|^2 and the rounding
+    (about D * 1e-16 * |z| * |q - p|).
     """
     P = pts - p
-    z, support, weights = _nearest_point(P, stage)
+    z, support, radius = _nearest_point(P, stage)
     dist = math.sqrt(float(z @ z))
-    if dist > FEAS_TOL * math.sqrt(float(np.max(np.einsum("ij,ij->i", P, P)))):
+    if dist > FEAS_TOL * radius:
         margin, half = float(np.min(P @ z)), 0.5 * dist * dist
         if not margin >= half:
             raise RuntimeError(f"{stage}: separation margin {margin:.6g} < |z|^2/2 = {half:.6g}")
         return None, z
-    simplex = pts[support[weights > COEFF_TOL]]
+    simplex = pts[support]
     try:
         _check_interior(p, simplex)
     except (DegenerateSimplex, NotInterior) as err:
@@ -235,9 +238,10 @@ def _exposing_directions(pts: np.ndarray) -> np.ndarray:
     sequence (max(256, 8n) of them) exposes it with a gap
     u . v_i - max_{j != i} u . v_j > 2 FEAS_TOL F_i, F_i = |c_i| + max_j |c_j|
     for the centered points c. That gap is a lower bound on the distance from
-    v_i to the others' hull, and F_i >= max_q |q - v_i|, so the solve in
-    `_hull_simplex` would answer "outside" too: the factor 2 leaves room for
-    the rounding of the centered products, which is relative to |c|, not |v|.
+    v_i to the others' hull, and F_i >= max_q |q - v_i|, which is at least the
+    radius of any support the solve keeps, so the solve in `_hull_simplex`
+    would answer "outside" too: the factor 2 leaves room for the rounding of
+    the centered products, which is relative to |c|, not |v|.
     Of the directions certifying v_i, the one with the widest gap is kept.
     The product is formed one block of directions at a time.
     """

@@ -328,7 +328,7 @@ def dekster_radius(diam: float, d: int) -> float:
     A subset of the sphere S^d with geodesic diameter `diam` fits in a closed
     cap of this radius. Defined for 0 <= diam <= theta_d.
     """
-    if diam < 0.0:
+    if not diam >= 0.0:
         raise OutOfRange(f"diameter must be nonnegative, got {diam}")
     s = sin_half_theta_d(d)
     ratio = math.sin(0.5 * diam) / s
@@ -408,7 +408,7 @@ def min_enclosing_cap(H) -> SphericalCap:
     if vecs.ndim != 2 or vecs.shape[0] < 1:
         raise OutOfRange("need a nonempty list of unit vectors")
     norms = np.linalg.norm(vecs, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
+    if not np.all(np.abs(norms - 1.0) <= 1e-9):
         raise OutOfRange("inputs must be unit vectors")
     centers, radii = _enclosing_caps(vecs[None])
     if not radii:

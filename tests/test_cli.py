@@ -235,6 +235,12 @@ class TestFileFormats:
         assert capsys.readouterr().err == ("error: lines must form an (m, dim) array of "
                                            "numbers: could not convert string to float: 'a'\n")
 
+    def test_nan_line_file_rejected(self, tmp_path, capsys):
+        path = tmp_path / "lines.json"
+        path.write_text('{"lines": [[1, 0], [NaN, 1]]}')
+        assert dispatch(["ef-construct", "--lines", str(path), "--rho", "1.4"]) == 2
+        assert capsys.readouterr().err == "error: lines must be unit vectors\n"
+
 
 class TestPayloadKeys:
     """The exact top-level keys of every subcommand's output."""

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from anglebound import constructions
+from anglebound.bounds import f_fraction
 from anglebound.constructions import (
     _column_counts,
     EdgeColoring,
@@ -19,6 +20,7 @@ from anglebound.constructions import (
     obtuse_triple_witness,
     pack_lines,
 )
+from anglebound.curvature import dekster_radius, min_enclosing_cap
 from anglebound.errors import (
     ColoringFailed,
     HypothesisViolated,
@@ -473,6 +475,70 @@ class TestObtuseTripleWitness:
         arr = LineArrangement(dim=2, lines=np.array([[1.0, 0.0]]))
         with pytest.raises(ColoringFailed):
             color_edges_by_lines(A, arr, 0.2)
+
+
+def loop_colors(A, L, rho):
+    """The pairwise loop: each pair i < j in row-major order takes the first line
+    within rho/2 of its direction, and the first pair none covers is named."""
+    colors = {}
+    for i in range(len(A)):
+        for j in range(i + 1, len(A)):
+            d = A.points[j] - A.points[i]
+            hits = np.flatnonzero(np.abs(L.lines @ (d / np.linalg.norm(d))) >= math.cos(rho / 2))
+            if hits.size == 0:
+                raise ColoringFailed(f"segment ({i}, {j}) is not within {rho / 2:.6g} of any line")
+            colors[(i, j)] = int(hits[0])
+    return colors
+
+
+class TestColorEdgesByLines:
+    def test_colors_and_refusals_match_the_pairwise_loop(self):
+        rng = np.random.default_rng(46)
+        colored = refused = 0
+        for _ in range(200):
+            D, n, m = int(rng.integers(2, 5)), int(rng.integers(2, 30)), int(rng.integers(1, 12))
+            lines = rng.normal(size=(m, D))
+            L = LineArrangement(dim=D, lines=lines / np.linalg.norm(lines, axis=1)[:, None])
+            A = PointSet(rng.normal(size=(n, D)) * 10.0 ** rng.uniform(-3, 3))
+            rho = float(rng.uniform(0.3, 3.0))
+            try:
+                expected = loop_colors(A, L, rho)
+            except ColoringFailed as err:
+                with pytest.raises(ColoringFailed) as got:
+                    color_edges_by_lines(A, L, rho)
+                assert str(got.value) == str(err)
+                refused += 1
+                continue
+            assert color_edges_by_lines(A, L, rho).color == expected
+            colored += 1
+        assert colored > 50 and refused > 50
+
+    def test_first_uncovered_pair_is_named(self):
+        # (0, 1) and (0, 2) lie on the two lines; (0, 3) and (1, 2) on neither,
+        # and (0, 3) comes first in row-major order.
+        A = PointSet([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
+        L = LineArrangement(dim=2, lines=np.eye(2))
+        with pytest.raises(ColoringFailed, match=r"^segment \(0, 3\) is not within 0\.1 of"):
+            color_edges_by_lines(A, L, 0.2)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: LineArrangement(dim=2, lines=np.array([[1.0, 0.0], [math.nan, 0.0]])),
+                 "lines must be unit vectors", id="LineArrangement"),
+    pytest.param(lambda: min_enclosing_cap([[1.0, 0.0], [math.nan, math.nan]]),
+                 "inputs must be unit vectors", id="min_enclosing_cap"),
+    pytest.param(lambda: f_fraction(2, math.nan), "eta must lie in", id="f_fraction"),
+    pytest.param(lambda: dekster_radius(math.nan, 2), "diameter must be nonnegative, got nan",
+                 id="dekster_radius"),
+    pytest.param(lambda: ef_doubling(PLANAR_TRIPLE, 0.5, slack=math.nan),
+                 "slack must be positive, got nan", id="ef_doubling"),
+    pytest.param(lambda: n_bounds(2.0, 2, math.nan, 4.0),
+                 "constants must be positive, got c_d=nan", id="n_bounds"),
+])
+def test_nan_arguments_refused_by_name(call, message):
+    # Each check is written so that NaN fails it, not passes it.
+    with pytest.raises(OutOfRange, match=f"^{message}"):
+        call()
 
 
 class TestNBounds:

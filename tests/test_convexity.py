@@ -81,6 +81,15 @@ class TestSimplexContainsOrigin:
         with pytest.raises(DegenerateSimplex):
             simplex_contains_origin([[1, 0], [2, 0], [3, 0]])
 
+    @pytest.mark.parametrize("offset, expected", [(1e-4, False), (1e-12, True)])
+    def test_verdict_does_not_depend_on_scale(self, offset, expected):
+        # The origin 1e-4 (or 1e-12) of the segment's length off its line: the
+        # residual and its bar are lengths on the simplex's own scale, with no
+        # absolute floor, so the verdict holds from 1e-12 to 1e12.
+        V = np.array([[-1.0, offset], [1.0, offset]])
+        scales = (1e-12, 1e-6, 1.0, 1e6, 1e12)
+        assert [simplex_contains_origin(V * k) for k in scales] == [expected] * len(scales)
+
 
 class TestCaratheodory:
     def test_triangle_centroid(self):
@@ -105,6 +114,11 @@ class TestCaratheodory:
             assert simplex.shape[0] <= 3
             # Independent containment re-check.
             assert oracle_in_hull(p, simplex)
+
+    @pytest.mark.parametrize("p", [[0, 0], [3, 0]])
+    def test_point_of_the_set_is_its_own_simplex(self, p):
+        simplex = caratheodory_decompose(p, PointSet([[0, 0], [3, 0], [0, 3]]))
+        np.testing.assert_array_equal(simplex, [p])
 
     def test_outside_point_rejected(self):
         tri = PointSet([[0, 0], [1, 0], [0, 1]])
@@ -225,6 +239,21 @@ def _sphere_points(rng, n, D, min_sep):
         if all(np.linalg.norm(x - p) >= min_sep for p in pts):
             pts.append(x)
     return np.array(pts)
+
+
+def _near_boundary_case(k):
+    """(p, pts): p lies 1e-14..1e-2 off the hyperplane through D of the n
+    standard-normal points of R^D, on either side, above a random convex
+    combination of them; p and the points are then scaled by 1e-3..1e3."""
+    rng = np.random.default_rng([41, k])
+    D = int(rng.integers(2, 9))
+    pts = rng.normal(size=(int(rng.integers(D + 2, 3 * D + 6)), D))
+    face = pts[rng.choice(len(pts), size=D, replace=False)]
+    w = rng.random(D)
+    normal = np.linalg.svd(face[1:] - face[0])[2][-1]
+    p = (w / w.sum()) @ face + 10.0 ** rng.uniform(-14, -2) * rng.choice([-1.0, 1.0]) * normal
+    scale = 10.0 ** rng.uniform(-3, 3)
+    return p * scale, pts * scale
 
 
 def _bench_like_sets():
@@ -354,6 +383,38 @@ class TestSolverAnswersAreRechecked:
             assert not v.in_convex_position
             np.testing.assert_array_equal(v.witness_point, moved[i])
             assert obtuse_witness(v.witness_point, v.witness_simplex).angle > math.pi / 2
+
+    # The cases k < 20000 whose support failed its re-check when "inside" was
+    # decided on the largest |q - p| of all points and the residual barred at
+    # 1e-9 max(1, largest entry of V - p): two scales that disagree.
+    MIXED_SCALE_FAILURES = (
+        214, 458, 665, 1473, 1798, 2677, 3327, 4308, 4769, 5179, 5300, 6519, 7628,
+        7961, 8279, 9468, 10705, 10768, 10963, 11644, 11852, 12692, 14197, 14562,
+        15857, 16703, 16713, 16927, 17212, 17244, 17314, 17616, 17947, 18010,
+        18041, 18956, 19187, 19674,
+    )
+
+    def test_near_boundary_points_get_a_checked_verdict(self):
+        for k in (*self.MIXED_SCALE_FAILURES, *range(300)):
+            p, pts = _near_boundary_case(k)
+            simplex, z = convexity._hull_simplex(p, pts, f"case {k}")
+            if simplex is None:
+                assert float(np.min((pts - p) @ z)) >= 0.5 * float(z @ z), k
+            else:
+                assert obtuse_witness(p, simplex).angle > math.pi / 2, k
+
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_tight_cluster_with_one_far_point_is_separated(self, scale):
+        # p is 1e-8 above the edge ab, 1e-15 from a; the hull's other points
+        # are 1 and 1e6 away. Stopped on the largest |q - p|, the solve ends
+        # at the vertex a, whose z does not separate p; the stop and the
+        # decision both belong on the support's radius |b - p| = 1.
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, -1.0], [0.5, -1e6]]) * scale
+        p = np.array([1e-15, 1e-8]) * scale
+        simplex, z = convexity._hull_simplex(p, pts, "cluster")
+        assert simplex is None
+        assert float(np.min((pts - p) @ z)) >= 0.5 * float(z @ z)
 
 
 class TestObtuseWitness:
