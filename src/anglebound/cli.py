@@ -375,7 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, seeded=True)
     sp.set_defaults(func=_cmd_search_alpha)
 
-    sp = sub.add_parser("search-max", help="grow the largest set under an angle cap")
+    sp = sub.add_parser("search-max", help="grow the largest set under an angle cap; stops at "
+                        "the theorem's bound and, for caps up to 90 degrees, at 2^dim points "
+                        "(no larger set exists, Danzer-Gruenbaum 1962)")
     _add_angle_flags(sp, "theta", "angle cap")
     sp.add_argument("--dim", type=int, required=True)
     sp.add_argument("--budget", type=int, default=20_000)

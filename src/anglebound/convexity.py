@@ -8,8 +8,11 @@ contains it, from which an obtuse-angle witness can be extracted.
 
 Every hull question here, and the enclosing caps in `curvature`, reduces to
 one primitive: the point of a polytope nearest a given point, found by
-Wolfe's algorithm in plain numpy. Its answers are re-checked after the solve.
-Every simplex test takes one barycentric solve, centred on the point tested.
+Wolfe's algorithm in plain numpy. One kernel, `_nearest_points`, solves a
+stack of such problems in lockstep, one stacked solve per minor cycle; a
+hull question is a one-problem stack, and `curvature` solves all the caps
+of a set at once. Its answers are re-checked after the solve. Every simplex
+test takes one barycentric solve, centred on the point tested.
 
 Before any solve, `is_convex_position` screens the vertices with linear
 functionals (the frame screening of Dula & Helgason 1996 and Clarkson 1994):
@@ -38,7 +41,8 @@ from .geometry import PointSet, _min_upper_pair, _row_blocks, angle_at, rays_fro
 from .sampling import rd_directions
 
 # Barycentric/convex coefficients above -1e-10 count as nonnegative; strict
-# interiority requires them above +1e-10.
+# interiority requires them above +1e-10, or a pull c_j |v_j - p| above the
+# FEAS_TOL distance bar of the other vertices (see _barycentric).
 COEFF_TOL = 1e-10
 # p is in conv(S), or on a simplex's affine hull, when its distance or residual
 # is at most this times the radius max_j |v_j - p| of the points that decide.
@@ -77,103 +81,202 @@ def min_pairwise_dot(W) -> float:
     return _min_upper_pair(vecs @ vecs.T)[0]
 
 
-def _nearest_point(P: np.ndarray, stage: str):
-    """Min-norm point of conv(rows of P) by Wolfe's algorithm (1976).
+def _others_max(dist: np.ndarray) -> np.ndarray:
+    """max_{i != j} dist_i for every j along the last axis."""
+    k = dist.shape[-1]
+    return np.max(np.where(np.eye(k, dtype=bool), 0.0, dist[..., None, :]), axis=-1)
 
-    Returns (z, support, r): z is the final corral's weighted sum, the support
-    (ascending, affinely independent) its points weighted above COEFF_TOL and
-    r = max |P_j| over it, the one scale of the stop and the callers' verdicts.
-    Stops once |z| <= FEAS_TOL r or |z| exceeds the lower bound min_j P_j . z
-    / |z| on the distance by at most NEAREST_GAP_TOL r, or when no progress is
-    possible in floating point (the most opposed point is in the corral, or
-    |z| did not shrink). Hitting the step cap raises RuntimeError naming
-    `stage`; callers re-check every answer, so a stalled solve cannot pass.
+
+def _affine_min_norm(E: np.ndarray, v0: np.ndarray, free: np.ndarray):
+    """(c, y) per row of an (L, K, D) stack of edge rows E from points v0:
+    c minimizes |y| for y = v0 + E^T c, the least-squares solution lstsq
+    gives, and y is that affine min-norm point. Edges marked `free` are zero
+    and get c = 0.
+
+    Solved from the normal equations (E E^T) c = -E v0 by stacked LU, and
+    refined by one step: v0 + E^T c cancels down to |y| with rounding of
+    1e-16 |v0|, and projecting y off the edges' span again (t below) lets
+    the gap and separation tests see y to rounding in |y|, not in |v0|. The
+    same t corrects c. A row whose t exceeds FEAS_TOL (1 + |c|), where
+    squaring the edges' condition number in E E^T costs the digits that
+    matter, is solved again by SVD with lstsq's cutoff for small singular
+    values, as is every row when a Gram matrix is exactly singular.
     """
-    n, D = P.shape
-    sq = np.einsum("ij,ij->i", P, P)
-    scale = math.sqrt(float(np.max(sq)))
-    corral, w = np.array([int(np.argmin(sq))]), np.ones(1)
-    x = P[corral[0]]
-    major, last = True, math.inf
-    for _ in range(NEAREST_STEPS_PER_POINT * n):
-        if major:  # add the point most opposed to x, unless x is optimal
-            nx = math.sqrt(float(x @ x))
-            dots = P @ x
-            j = int(np.argmin(dots))
-            gap = nx * nx - float(dots[j])
-            stuck, last = j in corral or nx >= last, nx
+    K = E.shape[1]
+    G = E @ E.transpose(0, 2, 1)
+    G.reshape(len(E), K * K)[:, ::K + 1] += free  # the diagonals
+    try:
+        c = -np.linalg.solve(G, E @ v0[:, :, None])[:, :, 0]
+        y = v0 + np.einsum("li,lid->ld", c, E)
+        t = np.linalg.solve(G, E @ y[:, :, None])[:, :, 0]
+        c -= t
+        y -= np.einsum("li,lid->ld", t, E)
+        ill = (np.abs(t) > FEAS_TOL * (1.0 + np.abs(c))).any(axis=1)
+    except np.linalg.LinAlgError:
+        c, y, ill = np.zeros(E.shape[:2]), v0.copy(), np.ones(len(E), dtype=bool)
+    if ill.any():
+        Ei, vi = E[ill], v0[ill]
+        u, s, vt = np.linalg.svd(Ei, full_matrices=False)
+        kept = s > max(K, E.shape[2]) * np.finfo(float).eps * s[:, :1]
+        ci = -np.einsum("lik,lk->li", u, np.divide(kept, s, out=np.zeros_like(s), where=kept)
+                        * np.einsum("lkd,ld->lk", vt, vi))
+        yi = vi + np.einsum("li,lid->ld", ci, Ei)
+        yi -= np.einsum("lk,lkd->ld", kept * np.einsum("lkd,ld->lk", vt, yi), vt)
+        c[ill], y[ill] = ci, yi
+    return c, y
+
+
+def _nearest_points(P: np.ndarray, stage: str):
+    """Min-norm point of conv(rows of P[s]) for every problem s of an (S, m, D)
+    stack, by Wolfe's algorithm (1976), all S problems in lockstep.
+
+    Returns (z, support, r): z[s] is problem s's final corral's weighted
+    sum; support[s], a row of an (S, m) mask, marks its corral points
+    weighted above COEFF_TOL (affinely independent), and r[s] = max |P_j|
+    over those is the one scale of the stops and the callers' verdicts. The
+    support also keeps a lighter corral point whose pull w_j |P_j| exceeds
+    FEAS_TOL times the largest |P_i| of the others: dropping it would move z
+    by more than the distance bars allow. A problem stops, and leaves the
+    loop, once |z| <= FEAS_TOL r or |z| exceeds the lower bound
+    min_j P_j . z / |z| on the distance by at most NEAREST_GAP_TOL r, or when
+    no progress is possible in floating point: the most opposed point is in
+    the corral, or |z| did not shrink (as when the corral has no free slot
+    for the point).
+
+    A corral is a row of D + 2 slots (at most m), its points in the order
+    they came; a free slot repeats the first point, so its edge is zero. A
+    minor cycle is one stacked solve (_affine_min_norm) for every running
+    corral's edges from its first point: the affine min-norm weights and x,
+    refined once, as lstsq gave them one problem at a time. Hitting the step
+    cap raises RuntimeError naming `stage` and the first problem still
+    running; callers re-check every answer, so a stalled solve cannot pass.
+    """
+    S, m, D = P.shape
+    cap = NEAREST_STEPS_PER_POINT * m
+    W = min(m, D + 2)
+    slot = np.arange(W)
+    sq = np.einsum("sij,sij->si", P, P)
+    z, r_out, support = np.empty((S, D)), np.empty(S), np.zeros((S, m), dtype=bool)
+    # The running problems: ids in the stack, points, corrals and weights.
+    ids = rows = np.arange(S)
+    Q, sc = P, np.sqrt(sq.max(axis=1))
+    feas, gap_bar = FEAS_TOL * sc, NEAREST_GAP_TOL * sc
+    corral = sq.argmin(axis=1)[:, None].repeat(W, axis=1)
+    valid = np.zeros((S, W), dtype=bool)
+    valid[:, 0] = True
+    w = valid * 1.0
+    x = P[rows, corral[:, 0]]
+    major, last = np.ones(S, dtype=bool), np.full(S, math.inf)
+    for _ in range(cap):
+        if major.any():  # add the point most opposed to x, unless x is optimal
+            nx = np.sqrt(np.einsum("ld,ld->l", x, x))
+            dots = (Q @ x[:, :, None])[:, :, 0]
+            j = dots.argmin(axis=1)
+            gap = nx * nx - dots[rows, j]
+            stuck = (corral == j[:, None]).any(axis=1) | (nx >= last)
+            last = nx  # a row past its last major step still has that step's x
             # Both bounds at the radius r <= scale, so r is taken only near a stop.
-            if stuck or nx <= FEAS_TOL * scale or gap <= NEAREST_GAP_TOL * nx * scale:
-                support = np.sort(corral[w > COEFF_TOL])
-                r = math.sqrt(float(np.max(sq[support])))
-                if stuck or nx <= FEAS_TOL * r or gap <= NEAREST_GAP_TOL * nx * r:
-                    return x, support, r
-            corral, w = np.append(corral, j), np.append(w, 0.0)
-        # Minor cycle: weights of the min-norm point of the corral's affine hull.
-        V = P[corral]
-        M = (V[1:] - V[0]).T
-        c = np.linalg.lstsq(M, -V[0], rcond=None)[0]
-        v = np.concatenate([[1.0 - c.sum()], c])
-        major = bool(np.all(v > 0))
-        if major:
-            # V[0] + M c cancels down to |x| with rounding of 1e-16 |V[0]|; one
-            # refinement step projects that off the affine hull, so the gap and
-            # separation tests see x to rounding in |x|, not in |P|.
-            x = V[0] + M @ c
-            w, x = v, x - M @ np.linalg.lstsq(M, x, rcond=None)[0]
-            continue
-        # Step from w toward v until the first weight reaches zero; drop it.
-        neg = np.flatnonzero(v <= 0)
-        ratios = np.divide(w[neg], w[neg] - v[neg], out=np.zeros(neg.size), where=w[neg] > 0)
-        k = int(np.argmin(ratios))
-        w = w + ratios[k] * (v - w)
-        w[neg[k]] = 0.0
-        corral, w = corral[w > 0], w[w > 0]
-    raise RuntimeError(f"{stage}: nearest-point solver hit its cap of {NEAREST_STEPS_PER_POINT * n}"
-                       f" steps (n={n}, D={D}, |x|={math.sqrt(x @ x):.6g}, scale={scale:.6g})")
+            near = major & (stuck | (nx <= feas) | (gap <= gap_bar * nx))
+            if near.any():
+                dist = np.sqrt(sq[ids[:, None], corral]) * valid
+                heavy = w > COEFF_TOL
+                r = (dist * heavy).max(axis=1)
+                done = near & (stuck | (nx <= FEAS_TOL * r) | (gap <= NEAREST_GAP_TOL * nx * r))
+                if done.any():
+                    d = done.nonzero()[0]
+                    keep = heavy[d]
+                    if (valid[d] & ~keep).any():  # a light point stays if its pull is too large
+                        keep |= w[d] * dist[d] > FEAS_TOL * _others_max(dist[d])
+                    z[ids[d]], r_out[ids[d]] = x[d], r[d]
+                    hit, at = np.nonzero(keep)
+                    support[ids[d[hit]], corral[d[hit], at]] = True
+                    if d.size == len(ids):
+                        return z, support, r_out
+                    run = ~done
+                    ids, Q, feas, gap_bar, corral, valid, w, x, major, last, j = (
+                        a[run] for a in (ids, Q, feas, gap_bar, corral, valid, w, x, major, last,
+                                         j))
+                    rows = np.arange(len(ids))
+            new = major[:, None] & (slot == valid.sum(axis=1)[:, None])  # the first free slot
+            corral = np.where(new, j[:, None], corral)
+            valid |= new
+        # Minor cycle: weights of the min-norm point of each corral's affine hull.
+        V = Q[rows[:, None], corral]
+        E = V[:, 1:] - V[:, :1]
+        c, y = _affine_min_norm(E, V[:, 0], ~valid[:, 1:])
+        c *= valid[:, 1:]
+        v = np.concatenate([1.0 - c.sum(axis=1, keepdims=True), c], axis=1)
+        major = ((v > 0) | ~valid).all(axis=1)
+        if major.any():
+            x = np.where(major[:, None], y, x)
+            w = np.where(major[:, None], v, w)
+        if not major.all():
+            # Step from w toward v until the first weight reaches zero; drop it.
+            neg = valid & (v <= 0)
+            ratios = np.where(neg, 0.0, math.inf)
+            np.divide(w, w - v, out=ratios, where=neg & (w > 0))
+            k = ratios.argmin(axis=1)
+            w = w + np.where(major, 0.0, ratios[rows, k])[:, None] * (v - w)
+            w[rows, k] *= major
+            order = rows[:, None], (w <= 0).argsort(axis=1, kind="stable")
+            w = np.maximum(w[order], 0.0)
+            valid = w > 0
+            corral = corral[order]
+            corral = np.where(valid, corral, corral[:, :1])
+    raise RuntimeError(f"{stage}: nearest-point solver hit its cap of {cap} steps on problem "
+                       f"{ids[0]} of {S} (m={m}, D={D}, |x|={math.sqrt(x[0] @ x[0]):.6g}, "
+                       f"scale={feas[0] / FEAS_TOL:.6g})")
 
 
 def _barycentric(p: np.ndarray, V: np.ndarray):
     """Barycentric coordinates of p in the affine frame of V, with residual.
 
-    Returns (coords, residual, on_hull). V is a (k+1, D) array of simplex
-    vertices; coords solves [(V - p)^T; r 1] c = [0; r] in least squares with
-    r = max_j |v_j - p| (1 when V is p alone), the coordinates of [V^T; 1] c =
-    [p; 1] in a frame centred on p and scaled by r. The residual is a length,
-    and p is on V's affine hull when it is at most FEAS_TOL r: a relative,
-    Euclidean bar with no floor, unchanged by scaling or moving V and p
-    together. Raises DegenerateSimplex unless V's rows are affinely
-    independent (more than D + 1 rows never are).
+    Returns (coords, residual, on_hull, interior). V is a (k+1, D) array of
+    simplex vertices; coords solves [(V - p)^T; r 1] c = [0; r] in least
+    squares with r = max_j |v_j - p| (1 when V is p alone), the coordinates
+    of [V^T; 1] c = [p; 1] in a frame centred on p and scaled by r. The
+    residual is a length, and p is on V's affine hull when it is at most
+    FEAS_TOL r: a relative, Euclidean bar with no floor, unchanged by scaling
+    or moving V and p together. p is strictly inside (`interior`) when it is
+    on the hull and every coordinate c_j is above COEFF_TOL or, for a far
+    vertex, positive with a pull c_j |v_j - p| above FEAS_TOL times the
+    largest |v_i - p| of the other vertices: the bar by which _nearest_points
+    keeps a light support point. Raises DegenerateSimplex unless V's rows are
+    affinely independent (more than D + 1 rows never are).
     """
     R = (V - p).T
-    r = float(np.max(np.linalg.norm(R, axis=0)))
+    dist = np.linalg.norm(R, axis=0)
+    r = float(np.max(dist))
     A = np.vstack([R, np.full((1, V.shape[0]), r or 1.0)])
     b = np.append(np.zeros(R.shape[0]), r or 1.0)
     coords, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
     if rank < V.shape[0]:
         raise DegenerateSimplex(f"simplex vertices are affinely dependent (rank {rank})")
     residual = float(np.linalg.norm(A @ coords - b))
-    return coords, residual, residual <= FEAS_TOL * r
+    on_hull = residual <= FEAS_TOL * r
+    pulls = (coords > COEFF_TOL) | (coords * dist > FEAS_TOL * _others_max(dist))
+    return coords, residual, on_hull, on_hull and bool(np.all(pulls))
 
 
 def simplex_contains_origin(V, strict: bool = False) -> bool:
     """True when the simplex with vertices V contains the origin.
 
     V holds k+1 affinely independent points of R^D (k <= D). With strict=True
-    the origin must be interior (all barycentric coordinates > tolerance);
-    otherwise boundary points count as contained.
+    the origin must be interior (see _barycentric: every barycentric
+    coordinate above tolerance, or a far vertex's pull above the distance
+    bar); otherwise boundary points count as contained.
     """
     V = np.asarray(V, dtype=float)
     if V.ndim != 2 or V.shape[0] < 2:
         raise OutOfRange("simplex needs at least two vertices")
-    coords, _, on_hull = _barycentric(np.zeros(V.shape[1]), V)
-    return on_hull and bool(np.all(coords > COEFF_TOL if strict else coords >= -COEFF_TOL))
+    coords, _, on_hull, interior = _barycentric(np.zeros(V.shape[1]), V)
+    return interior if strict else on_hull and bool(np.all(coords >= -COEFF_TOL))
 
 
 def _check_interior(p: np.ndarray, V: np.ndarray):
     """Raise unless p lies strictly inside the simplex with vertices V."""
-    coords, residual, on_hull = _barycentric(p, V)
-    if not on_hull or np.any(coords <= COEFF_TOL):
+    coords, residual, _, interior = _barycentric(p, V)
+    if not interior:
         raise NotInterior(f"point is not strictly inside the simplex (residual {residual:.3g}, "
                           f"smallest coordinate {float(np.min(coords)):.3g})")
 
@@ -190,7 +293,7 @@ def _hull_simplex(p: np.ndarray, pts: np.ndarray, stage: str):
     (about D * 1e-16 * |z| * |q - p|).
     """
     P = pts - p
-    z, support, radius = _nearest_point(P, stage)
+    [z], [support], [radius] = _nearest_points(P[None], stage)
     dist = math.sqrt(float(z @ z))
     if dist > FEAS_TOL * radius:
         margin, half = float(np.min(P @ z)), 0.5 * dist * dist

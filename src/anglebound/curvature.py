@@ -19,10 +19,11 @@ direction, whose fixed cost dominated. A diameter-to-cap-radius inequality
 on the sphere converts a maximum-angle bound at a vertex into an enclosing
 cap for its rays, which yields a covering of the polytope by congruent
 cones. The smallest enclosing caps of a stack of ray sets come from one
-path, `_enclosing_caps`: each from the point of its rays' convex hull
-nearest the origin, found by the same nearest-point kernel as hull
-membership, or in the plane, for all sets at once, as the complement of the
-largest gap between the rays' angles.
+path, `_enclosing_caps`, for all sets at once: each from the point of its
+rays' convex hull nearest the origin, found by one lockstep solve of the
+same nearest-point kernel as hull membership, or in the plane as the
+complement of the largest gap between the rays' angles. A cone cover is
+one such stack, one set of rays per vertex, refused or not.
 
 The Monte Carlo directions come in antithetic pairs (Hammersley & Morton
 1956). N samples draw ceil(N/2) raw standard normal rows u_k; sample 2k is
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import sin_half_theta_d
-from .convexity import FEAS_TOL, _nearest_point, is_convex_position
+from .convexity import FEAS_TOL, _nearest_points, is_convex_position
 from .errors import (
     CapTooSmall,
     DegenerateHull,
@@ -358,42 +359,38 @@ def _largest_gaps(rays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z, -np.cos(0.5 * gaps[s, k])
 
 
-def _enclosing_caps(rays: np.ndarray) -> tuple[np.ndarray, list]:
+def _enclosing_caps(rays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(centers, radii) of the smallest caps holding the sets of an (S, m, D)
-    stack of unit rays, one of each per set before the first refused, whose
-    index is then len(radii) < S.
+    stack of unit rays, one of each per set; a refused set's radius is NaN.
 
     With z the point of a set's hull nearest the origin (from _largest_gaps
-    in the plane, else one _nearest_point solve per set), every ray h has
-    h . z >= |z|^2, so the cap has center z/|z| and cos(radius) = |z|; the
-    set is refused when |z| <= FEAS_TOL (no open hemisphere holds it) or the
-    cap misses a ray on the re-check. The radius is the exact angle
-    2 asin(|h - c| / 2) to the farthest ray, which keeps full relative
-    accuracy for small caps where acos(|z|) does not. The norms and the
-    re-check are stacked matmuls: one set's 1-D dot and matrix-vector
-    product, row by row. A lone ray is its own center.
+    in the plane, else from one lockstep _nearest_points solve of all S
+    sets), every ray h has h . z >= |z|^2, so the cap has center z/|z| and
+    cos(radius) = |z|; the set is refused when |z| <= FEAS_TOL (no open
+    hemisphere holds it) or the cap misses a ray on the re-check. The radius
+    is the exact angle 2 asin(|h - c| / 2) to the farthest ray, which keeps
+    full relative accuracy for small caps where acos(|z|) does not. The
+    norms and the re-check are stacked matmuls: one set's 1-D dot and
+    matrix-vector product, row by row. A lone ray is its own center.
     """
     S, m, D = rays.shape
     if m == 1:
-        return rays[:, 0].copy(), [0.0] * S
+        return rays[:, 0].copy(), np.zeros(S)
     if D == 2:
         z, signed = _largest_gaps(rays)  # |z|, negative when no half-plane holds the set
     else:
-        z = np.array([_nearest_point(r, "enclosing cap")[0] for r in rays])
+        z = _nearest_points(rays, "enclosing cap")[0]
     nz = np.sqrt(z[:, None] @ z[:, :, None])[:, 0]
     fits = (signed if D == 2 else nz[:, 0]) > FEAS_TOL
-    ok = S if fits.all() else int(np.argmin(fits))  # sets before the first that fits none
-    rays, centers = rays[:ok], z[:ok] / nz[:ok]
+    centers = z / np.where(fits[:, None], nz, 1.0)
     d = rays - centers[:, None]
     chords = np.sqrt(np.add.reduce(d * d, axis=2)).max(axis=1)
     worst = (rays @ centers[:, :, None]).min(axis=(1, 2))
     radii = []
-    for chord, w in zip(chords.tolist(), worst.tolist()):
+    for fit, chord, w in zip(fits.tolist(), chords.tolist(), worst.tolist()):
         radius = 2.0 * math.asin(min(1.0, 0.5 * chord))
-        if w < math.cos(radius) - 1e-9:
-            break
-        radii.append(radius)
-    return centers, radii
+        radii.append(radius if fit and w >= math.cos(radius) - 1e-9 else math.nan)
+    return centers, np.array(radii)
 
 
 def min_enclosing_cap(H) -> SphericalCap:
@@ -411,18 +408,20 @@ def min_enclosing_cap(H) -> SphericalCap:
     if not np.all(np.abs(norms - 1.0) <= 1e-9):
         raise OutOfRange("inputs must be unit vectors")
     centers, radii = _enclosing_caps(vecs[None])
-    if not radii:
+    if math.isnan(radii[0]):
         raise NotHemispherical("no cap smaller than a hemisphere holds the vectors")
-    return SphericalCap(center=centers[0], radius=radii[0])
+    return SphericalCap(center=centers[0], radius=float(radii[0]))
 
 
 def cone_cover_certificate(V: PointSet, eta: float) -> list[Cone]:
     """Per-vertex cones of half-angle eta whose intersection contains conv V.
 
     For each vertex the rays toward all other vertices must fit in a cap of
-    radius at most eta; the cone's axis is that cap's center. Membership of
-    every vertex in every cone is re-checked, which certifies hull coverage
-    because cones are convex.
+    radius at most eta; the cone's axis is that cap's center. Every vertex's
+    cap comes from one stacked pass; CapTooSmall names the first vertex
+    whose cap is wider than eta, or that no open hemisphere holds (radius
+    pi/2). Membership of every vertex in every cone is re-checked, which
+    certifies hull coverage because cones are convex.
     """
     if not 0.0 < eta < 0.5 * math.pi:
         raise OutOfRange(f"eta must lie in (0, pi/2), got {eta}")
@@ -430,25 +429,17 @@ def cone_cover_certificate(V: PointSet, eta: float) -> list[Cone]:
     n = len(V)
     if n < 2:
         raise OutOfRange("need at least two points")
-    # All vertices in one block in the plane, where one sort per row serves
-    # them all; one vertex per block elsewhere, so the nearest-point solves
-    # stop at the first vertex refused.
-    blocks = [(0, n)] if V.dim == 2 else [(i, i + 1) for i in range(n)]
-    others = _others(1, n)
-    axes = []
-    for lo, hi in blocks:
-        diffs = V.points[others[lo:hi]] - V.points[lo:hi, None]  # V's points are distinct
-        centers, radii = _enclosing_caps(diffs / np.linalg.norm(diffs, axis=2)[:, :, None])
-        for i, radius in enumerate(radii, lo):
-            if radius > eta + CONE_FIT_TOL:
-                raise CapTooSmall(i, radius, eta)
-        if len(radii) < hi - lo:
-            raise CapTooSmall(lo + len(radii), 0.5 * math.pi, eta)
-        axes.extend(centers)
+    # All vertices in one block: one sort per row in the plane, else one
+    # lockstep nearest-point solve of every vertex's rays.
+    diffs = V.points[_others(1, n)] - V.points[:, None]  # V's points are distinct
+    axes, radii = _enclosing_caps(diffs / np.linalg.norm(diffs, axis=2)[:, :, None])
+    refused = np.flatnonzero(~(radii <= eta + CONE_FIT_TOL))
+    if refused.size:
+        i = int(refused[0])
+        raise CapTooSmall(i, 0.5 * math.pi if math.isnan(radii[i]) else float(radii[i]), eta)
     cones = [Cone(apex=V.points[i].copy(), axis=axis, half_angle=eta)
              for i, axis in enumerate(axes)]
     # Every vertex j in every cone i, by Cone.contains's test on all pairs at once.
-    axes = np.array(axes)
     outside = np.argwhere(~_in_cone(V.points[None, :, :] - V.points[:, None, :],
                                     axes[:, None, :], eta))
     if outside.size:

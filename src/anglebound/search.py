@@ -289,8 +289,11 @@ def max_cardinality_search(theta: float, D: int, budget: int = 20000,
     an insertion overshoots the cap. The returned set always satisfies
     max_angle <= theta; its size is a lower-bound demonstration, with no
     optimality claim. Where the theorem applies (theta < theta_D) the search
-    stops once the set reaches floor(cardinality_bound(theta, D).bound), and
-    `iterations` counts the steps actually used.
+    stops once the set reaches floor(cardinality_bound(theta, D).bound). For
+    theta <= pi/2 it also stops at 2^D points: no set in R^D with every angle
+    at most pi/2 has more (Danzer & Gruenbaum 1962); at pi/2 the hypercube,
+    a structured start, has that many. `iterations` counts the steps
+    actually used.
     """
     if not 0.0 < theta < math.pi:
         raise OutOfRange(f"theta must lie in (0, pi), got {theta}")
@@ -306,6 +309,8 @@ def max_cardinality_search(theta: float, D: int, budget: int = 20000,
         rep = cardinality_bound(theta, D)
         if rep.theorem_applicable:
             limit = rep.bound * (1.0 + _BOUND_ULPS)
+    if theta <= 0.5 * math.pi:  # Danzer & Gruenbaum: at most 2^D points
+        limit = min(limit, 2**D)
     rng = rng_stream(seed, 0)
     used = 0
     while used < budget and len(pts) + 1 <= limit:

@@ -9,8 +9,10 @@ replaced. The Monte Carlo and covering sweeps are checked against
 whole-matrix sweeps; the Monte Carlo ones run over the paired sample stream
 written out in full, each raw row followed by its negation. Convex position
 is also decided by one nearest-point solve per point, with no direction
-screen, the covering probes by the row-major R_d formula, and line packings
-by one restart after another, and planar cone axes one vertex at a time.
+screen, nearest points by Wolfe's algorithm one problem at a time with
+np.linalg.lstsq, the covering probes by the row-major R_d formula, line
+packings by one restart after another, and planar cone axes one vertex at
+a time.
 Pinned results are compared by `digest`.
 """
 
@@ -231,6 +233,57 @@ def solve_every_point(pts) -> convexity.ConvexPositionVerdict:
         if simplex is not None:
             return convexity.ConvexPositionVerdict(False, pts[i].copy(), simplex)
     return convexity.ConvexPositionVerdict(True)
+
+
+def wolfe_nearest_point(P, stage: str):
+    """The nearest-point kernel as one problem at a time: Wolfe's algorithm
+    (1976) on the rows of one (m, D) array, with one np.linalg.lstsq per minor
+    cycle and one more to refine x at a major cycle, the corral grown and cut
+    as a Python-ordered list. The stops and the support rule are the
+    kernel's: a corral point stays in the support when its weight is above
+    COEFF_TOL or its pull w_j |P_j| above FEAS_TOL times the largest |P_i| of
+    the other corral points; r is the largest |P_j| weighted above COEFF_TOL.
+    Returns (z, support, r) or raises RuntimeError naming `stage`."""
+    P = np.asarray(P, dtype=float)
+    n, D = P.shape
+    sq = np.einsum("ij,ij->i", P, P)
+    scale = math.sqrt(float(np.max(sq)))
+    corral, w = np.array([int(np.argmin(sq))]), np.ones(1)
+    x = P[corral[0]]
+    major, last = True, math.inf
+    for _ in range(convexity.NEAREST_STEPS_PER_POINT * n):
+        if major:
+            nx = math.sqrt(float(x @ x))
+            dots = P @ x
+            j = int(np.argmin(dots))
+            gap = nx * nx - float(dots[j])
+            stuck, last = j in corral or nx >= last, nx
+            if stuck or nx <= FEAS_TOL * scale or gap <= convexity.NEAREST_GAP_TOL * nx * scale:
+                dist = np.sqrt(sq[corral])
+                r = float(np.max(dist[w > convexity.COEFF_TOL]))
+                support = sorted(int(corral[a]) for a in range(len(corral))
+                                 if w[a] > convexity.COEFF_TOL or w[a] * dist[a] > FEAS_TOL * max(
+                                     [float(dist[b]) for b in range(len(corral)) if b != a],
+                                     default=0.0))
+                if stuck or nx <= FEAS_TOL * r or gap <= convexity.NEAREST_GAP_TOL * nx * r:
+                    return x, np.array(support, dtype=int), r
+            corral, w = np.append(corral, j), np.append(w, 0.0)
+        V = P[corral]
+        M = (V[1:] - V[0]).T
+        c = np.linalg.lstsq(M, -V[0], rcond=None)[0]
+        v = np.concatenate([[1.0 - c.sum()], c])
+        major = bool(np.all(v > 0))
+        if major:
+            x = V[0] + M @ c
+            w, x = v, x - M @ np.linalg.lstsq(M, x, rcond=None)[0]
+            continue
+        neg = np.flatnonzero(v <= 0)
+        ratios = np.divide(w[neg], w[neg] - v[neg], out=np.zeros(neg.size), where=w[neg] > 0)
+        k = int(np.argmin(ratios))
+        w = w + ratios[k] * (v - w)
+        w[neg[k]] = 0.0
+        corral, w = corral[w > 0], w[w > 0]
+    raise RuntimeError(f"{stage}: nearest-point solver hit its step cap")
 
 
 def rejection_sample_below(rng, n, D, cap):

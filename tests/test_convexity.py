@@ -27,6 +27,7 @@ from conftest import (
     sample_simplex_with_interior_origin,
     solve_every_point,
     unit_simplex,
+    wolfe_nearest_point,
 )
 
 
@@ -241,17 +242,24 @@ def _sphere_points(rng, n, D, min_sep):
     return np.array(pts)
 
 
-def _near_boundary_case(k):
+def _near_boundary_case(k, far=False):
     """(p, pts): p lies 1e-14..1e-2 off the hyperplane through D of the n
     standard-normal points of R^D, on either side, above a random convex
-    combination of them; p and the points are then scaled by 1e-3..1e3."""
+    combination of them; p and the points are then scaled by 1e-3..1e3.
+    With far=True the first point off that face is first moved 1e6 from the
+    other points' centroid, on the side away from p."""
     rng = np.random.default_rng([41, k])
     D = int(rng.integers(2, 9))
     pts = rng.normal(size=(int(rng.integers(D + 2, 3 * D + 6)), D))
-    face = pts[rng.choice(len(pts), size=D, replace=False)]
+    on_face = rng.choice(len(pts), size=D, replace=False)
+    face = pts[on_face]
     w = rng.random(D)
     normal = np.linalg.svd(face[1:] - face[0])[2][-1]
     p = (w / w.sum()) @ face + 10.0 ** rng.uniform(-14, -2) * rng.choice([-1.0, 1.0]) * normal
+    if far:
+        j = int(np.setdiff1d(np.arange(len(pts)), on_face)[0])
+        centroid = np.delete(pts, j, axis=0).mean(axis=0)
+        pts[j] = centroid + 1e6 * (centroid - p) / np.linalg.norm(centroid - p)
     scale = 10.0 ** rng.uniform(-3, 3)
     return p * scale, pts * scale
 
@@ -271,8 +279,8 @@ def _bench_like_sets():
 
 
 def _count_solves(monkeypatch):
-    calls, solve = [], convexity._nearest_point
-    monkeypatch.setattr(convexity, "_nearest_point",
+    calls, solve = [], convexity._nearest_points
+    monkeypatch.setattr(convexity, "_nearest_points",
                         lambda P, stage: calls.append(stage) or solve(P, stage))
     return calls
 
@@ -359,15 +367,15 @@ class TestSolverAnswersAreRechecked:
     def test_outside_answer_without_separation_raises(self, monkeypatch):
         # A nonzero z that does not separate the point from the others must
         # not read as "in convex position".
-        fake = lambda P, stage: (np.array([0.0, 1.0]), np.array([0]), np.ones(1))
-        monkeypatch.setattr(convexity, "_nearest_point", fake)
+        fake = lambda P, stage: (np.array([[0.0, 1.0]]), [np.array([0])], np.ones(1))
+        monkeypatch.setattr(convexity, "_nearest_points", fake)
         with pytest.raises(RuntimeError, match="separation margin"):
             is_convex_position(self.SQUARE_PLUS)
 
     def test_inside_answer_with_bad_support_raises(self, monkeypatch):
         # z = 0 claimed, but the support alone does not contain the point.
-        fake = lambda P, stage: (np.zeros(2), np.array([0]), np.ones(1))
-        monkeypatch.setattr(convexity, "_nearest_point", fake)
+        fake = lambda P, stage: (np.zeros((1, 2)), [np.array([0])], np.ones(1))
+        monkeypatch.setattr(convexity, "_nearest_points", fake)
         with pytest.raises(RuntimeError, match="fails its re-check"):
             caratheodory_decompose([0.5, 0.5], self.SQUARE_PLUS)
 
@@ -416,6 +424,76 @@ class TestSolverAnswersAreRechecked:
         assert simplex is None
         assert float(np.min((pts - p) @ z)) >= 0.5 * float(z @ z)
 
+    def test_far_point_keeps_its_pull_in_the_support(self):
+        # One point off the face 1e6 away, on the side away from p: its corral
+        # weight can fall below COEFF_TOL while its pull
+        # w |P| stays above FEAS_TOL times the others' radius: dropping it
+        # left an "inside" whose support failed its re-check in 96 of these
+        # 3000 cases, so the support keeps it and the interior test counts it.
+        verdicts = {"inside": 0, "outside": 0}
+        for k in range(3000):
+            p, pts = _near_boundary_case(k, far=True)
+            simplex, z = convexity._hull_simplex(p, pts, f"case {k}")
+            if simplex is None:
+                assert float(np.min((pts - p) @ z)) >= 0.5 * float(z @ z), k
+                verdicts["outside"] += 1
+            else:
+                assert obtuse_witness(p, simplex).angle > math.pi / 2, k
+                verdicts["inside"] += 1
+        assert min(verdicts.values()) >= 100, verdicts
+
+
+class TestNearestPoints:
+    """The lockstep kernel answers each problem of a stack as one Wolfe solve
+    of that problem alone does (conftest.wolfe_nearest_point)."""
+
+    @staticmethod
+    def stacks(rng):
+        """(P, rays): 800 random (S, m, D) stacks, a quarter each of Gaussian
+        points, unit rays (in an open hemisphere or not), near-degenerate
+        points close to a hyperplane or to each other, and points and an apex
+        both translated by 1e8 before the difference; then scaled by
+        1e-3..1e3 (all but the rays)."""
+        for t in range(800):
+            D, S = int(rng.integers(2, 9)), int(rng.integers(1, 10))
+            m = int(rng.integers(2, 3 * D + 6))
+            kind = t % 4
+            P = rng.normal(size=(S, m, D))
+            if kind == 1:
+                P += rng.normal(size=(S, 1, D)) * rng.uniform(0.0, 3.0)
+                yield P / np.linalg.norm(P, axis=2)[:, :, None], True
+                continue
+            if kind == 2:
+                P[:, :, -1] *= 10.0 ** rng.uniform(-12, -3)
+                P[:, 1::2] = P[:, ::2][:, :m // 2] + 10.0 ** rng.uniform(-12, -3) * rng.normal(
+                    size=(S, m // 2, D))
+            elif kind == 3:
+                shift = rng.normal(size=D) * 1e8
+                P = (P + shift) - (rng.normal(size=(S, 1, D)) + shift)
+            yield P * 10.0 ** rng.uniform(-3, 3), False
+
+    def test_matches_one_solve_per_problem(self):
+        rng = np.random.default_rng(44)
+        problems = refusals = 0
+        for P, rays in self.stacks(rng):
+            z, support, r = convexity._nearest_points(P, "stack")
+            for s in range(len(P)):
+                z0, support0, r0 = wolfe_nearest_point(P[s], "oracle")
+                assert np.flatnonzero(support[s]).tolist() == support0.tolist()
+                assert r[s] == r0
+                assert np.linalg.norm(z[s] - z0) <= 1e-12 * r0
+                if rays:
+                    refused = np.linalg.norm(z0) <= convexity.FEAS_TOL
+                    assert (np.linalg.norm(z[s]) <= convexity.FEAS_TOL) == refused
+                    refusals += refused
+                problems += 1
+        assert problems >= 3000 and refusals >= 50
+
+    def test_step_cap_names_the_first_problem_still_running(self, monkeypatch):
+        monkeypatch.setattr(convexity, "NEAREST_STEPS_PER_POINT", 0)
+        with pytest.raises(RuntimeError, match=r"stack: .*cap of 0 steps on problem 0 of 3"):
+            convexity._nearest_points(np.ones((3, 4, 2)), "stack")
+
 
 class TestObtuseWitness:
     def test_center_of_square_on_diagonal(self):
@@ -454,6 +532,18 @@ class TestObtuseWitness:
         # around p, not by how far the pair sits from the origin.
         with pytest.raises(NotInterior, match=r"residual 0\.01"):
             obtuse_witness([shift + 0.5, shift + 0.01], [[shift, shift], [shift + 1, shift]])
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_far_vertex_with_a_tiny_coordinate_counts(self, scale):
+        # p is 1e-5 above the unit edge: its coordinate on the apex 1e6 away is
+        # 1e-11, below COEFF_TOL, but that vertex's pull 1e-11 * 1e6 holds p
+        # off the edge by far more than FEAS_TOL times the edge's radius.
+        V = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e6]]) * scale
+        p = np.array([0.5, 1e-5]) * scale
+        assert obtuse_witness(p, V).angle > math.pi / 2
+        assert simplex_contains_origin(V - p, strict=True)
+        with pytest.raises(NotInterior):  # a vertex is still not interior
+            obtuse_witness(V[0], V)
 
     def test_degenerate_simplex_rejected(self):
         with pytest.raises(DegenerateSimplex):

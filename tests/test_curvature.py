@@ -41,6 +41,7 @@ from conftest import (
     whole_normal_cone_count,
     whole_normal_rows,
     whole_quasi_uniform_lines,
+    wolfe_nearest_point,
 )
 
 SQUARE = PointSet([[0, 0], [1, 0], [1, 1], [0, 1]])
@@ -159,7 +160,7 @@ class TestSampling:
             raise AssertionError("work started before the seed was checked")
 
         monkeypatch.setattr(constructions, "_min_line_angle", no_work)
-        monkeypatch.setattr(convexity, "_nearest_point", no_work)
+        monkeypatch.setattr(convexity, "_nearest_points", no_work)
         calls = [lambda: constructions.pack_lines(3, 2, seed=-1),
                  lambda: gauss_bonnet_sum(PointSet(SQUARE.points), 2000, -1),
                  lambda: normal_cone_fraction_mc(PointSet(SQUARE.points), 0, 2000, -1)]
@@ -596,7 +597,7 @@ class TestMinEnclosingCap:
             for i in range(len(pts)):
                 diffs = np.delete(pts, i, axis=0) - pts[i]
                 rays = diffs / np.linalg.norm(diffs, axis=1)[:, None]
-                z, _, _ = convexity._nearest_point(rays, "oracle")
+                z, _, _ = wolfe_nearest_point(rays, "oracle")
                 if np.linalg.norm(z) <= convexity.FEAS_TOL:
                     refused += 1
                     with pytest.raises(NotHemispherical):
@@ -738,6 +739,7 @@ class TestConeCover:
     def test_stacked_caps_refuse_rays_that_fit_no_half_plane_in_vertex_order(self):
         # Only a point that is not a vertex has its rays in no open half-plane,
         # so the stacked caps are called directly on sets with interior points.
+        # Every set gets a radius; a refused one's is NaN.
         rng = np.random.default_rng(24)
         refused = []
         for _ in range(200):
@@ -746,46 +748,67 @@ class TestConeCover:
             diffs = pts[[[j for j in range(n) if j != i] for i in range(n)]] - pts[:, None]
             centers, radii = curvature._enclosing_caps(
                 diffs / np.linalg.norm(diffs, axis=2)[:, :, None])
+            assert radii.shape == (n,)
             try:
                 want = loop_planar_cone_axes(pts, 1.5)
             except CapTooSmall as err:
                 i = err.vertex_index
                 assert all(r <= 1.5 + curvature.CONE_FIT_TOL for r in radii[:i])
                 if err.required_radius == 0.5 * math.pi:  # the first set refused
-                    assert len(radii) == i
+                    assert math.isnan(radii[i])
                 else:
                     assert radii[i] == err.required_radius
                 refused.append(err.required_radius == 0.5 * math.pi)
                 continue
-            assert len(radii) == n
+            assert not np.any(np.isnan(radii))
             assert [a.tobytes() for a in centers] == [a.tobytes() for a in want]
         assert sum(refused) >= 50
 
-    def test_solid_cover_solves_up_to_the_first_vertex_refused(self, monkeypatch):
-        # In R^3 each vertex's cap is one nearest-point solve, made only
-        # once every earlier vertex has passed: a cover refused at vertex k
-        # makes exactly k + 1 solves.
+    @staticmethod
+    def per_vertex_refusal(pts, eta):
+        """The first (vertex, radius) a cover refuses, or None, from one
+        one-problem Wolfe solve per vertex (the conftest oracle)."""
+        for i in range(len(pts)):
+            diffs = np.delete(pts, i, axis=0) - pts[i]
+            rays = diffs / np.linalg.norm(diffs, axis=1)[:, None]
+            z, _, _ = wolfe_nearest_point(rays, "oracle")
+            if np.linalg.norm(z) <= convexity.FEAS_TOL:
+                return i, 0.5 * math.pi
+            center = z / np.linalg.norm(z)
+            radius = 2 * math.asin(min(1.0, 0.5 * np.max(np.linalg.norm(rays - center, axis=1))))
+            if radius > eta + curvature.CONE_FIT_TOL:
+                return i, radius
+        return None
+
+    def test_solid_cover_is_one_stacked_solve(self, monkeypatch):
+        # In D >= 3 every vertex's cap comes from one lockstep solve of all n
+        # vertices, refused or not; the refusal names the vertex and radius
+        # that per-vertex solves refuse first.
         calls = []
-        nearest = curvature._nearest_point
+        stacked = curvature._nearest_points
 
         def counted(P, stage):
-            calls.append(1)
-            return nearest(P, stage)
+            calls.append(P.shape)
+            return stacked(P, stage)
 
-        monkeypatch.setattr(curvature, "_nearest_point", counted)
+        monkeypatch.setattr(curvature, "_nearest_points", counted)
         refused_at = []
         for seed in range(12):
-            ps = _sphere_set(seed, 12, 3)
-            convexity.is_convex_position(ps)
-            calls.clear()
-            try:
-                cone_cover_certificate(ps, 1.4)
-            except CapTooSmall as err:
-                assert len(calls) == err.vertex_index + 1
-                refused_at.append(err.vertex_index)
-            else:
-                assert len(calls) == len(ps)
-        assert len(set(refused_at)) >= 3 and min(refused_at) < max(refused_at)
+            for D, eta in ((3, 1.4), (4, 1.2), (5, 1.1)):
+                ps = _sphere_set(seed, 12, D)
+                convexity.is_convex_position(ps)
+                calls.clear()
+                want = self.per_vertex_refusal(ps.points, eta)
+                try:
+                    cone_cover_certificate(ps, eta)
+                except CapTooSmall as err:
+                    assert err.vertex_index == want[0]
+                    assert abs(err.required_radius - want[1]) <= 1e-12
+                    refused_at.append(err.vertex_index)
+                else:
+                    assert want is None
+                assert calls == [(12, 11, D)]
+        assert len(set(refused_at)) >= 3 and len(refused_at) < 36
 
     def test_two_planar_points_take_their_rays_as_axes(self):
         ps = PointSet([[0.0, 0.0], [3.0, 4.0]])

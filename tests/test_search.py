@@ -379,12 +379,23 @@ class TestMaxCardinalitySearch:
         assert over == []
 
     def test_right_angle_cube_grows_as_before(self):
-        # The bound at (pi/2, D = 3) is 10.9, so the cube's 8 points do not stop
-        # the search; the result is the one recorded before the bound applied.
+        # The bound at (pi/2, D = 3) is 10.9, but no set with every angle at
+        # most pi/2 has more than 2^3 points (Danzer-Gruenbaum), so the cube
+        # stops the search before its first step. The points are the ones the
+        # full 300-step budget returned before that stop.
         res = max_cardinality_search(math.pi / 2, 3, budget=300, seed=1)
         TestPinnedResults.check(
-            res, 8, "0x1.921fb54442d18p+0", 300,
+            res, 8, "0x1.921fb54442d18p+0", 0,
             "e9f28c6bc6e2644a82da4d74358847b9634525c2eafd7f827046303751bac2c5")
+
+    @pytest.mark.parametrize("D", [2, 3, 4])
+    def test_right_angle_caps_stop_at_the_hypercube(self, D):
+        # Danzer-Gruenbaum: no set in R^D with every angle <= pi/2 has more
+        # than 2^D points. A structured start (the square, the cube, the
+        # tesseract) has that many, so the search takes no step.
+        res = max_cardinality_search(math.pi / 2, D, budget=600, seed=2)
+        assert res.iterations == 0 and len(res.points) == 2**D
+        assert res.achieved_angle <= math.pi / 2
 
 
 class TestPinnedResults:
