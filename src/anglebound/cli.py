@@ -126,8 +126,8 @@ def _parse_range(text: str, flag: str, kind=float) -> tuple:
 
 # ------------------------------------------------------------------ table
 
-def table_bound_grid(dims, thetas_rad) -> str:
-    """CSV of the cardinality bound over a (dimension, theta) grid.
+def table_bound_grid(dims, thetas_deg) -> str:
+    """CSV of the cardinality bound over a (dimension, theta) grid, theta in degrees.
 
     Cells with theta beyond theta_(D-1) cannot be evaluated and are flagged
     not-applicable; cells between theta_D and theta_(D-1) evaluate the
@@ -140,15 +140,16 @@ def table_bound_grid(dims, thetas_rad) -> str:
     w.writerow(["dim", "theta_rad", "theta_deg", "eta", "f_value", "bound",
                 "theorem_applicable", "status"])
     for D in dims:
-        for th in thetas_rad:
+        for deg in thetas_deg:
+            th = math.radians(deg)
             try:
                 rep = cardinality_bound(th, D)
             except OutOfRange:
-                w.writerow([D, repr(float(th)), repr(math.degrees(th)),
+                w.writerow([D, repr(th), repr(float(deg)),
                             "", "", "", "", "not-applicable"])
                 continue
             status = "ok" if rep.theorem_applicable else "formula-only"
-            w.writerow([D, repr(float(th)), repr(math.degrees(th)),
+            w.writerow([D, repr(th), repr(float(deg)),
                         repr(rep.eta), repr(rep.f_value), repr(rep.bound),
                         rep.theorem_applicable, status])
     return buf.getvalue()
@@ -281,7 +282,7 @@ def _cmd_table(args):
     if not step > 0:
         raise OutOfRange(f"--theta-step must be positive, got {step!r}")
     count = math.floor((hi - lo) / step + 1e-9)  # the last row may not pass hi
-    thetas = [math.radians(lo + k * step) for k in range(count + 1)]
+    thetas = [lo + k * step for k in range(count + 1)]
     return table_bound_grid(range(d_lo, d_hi + 1), thetas), 0
 
 

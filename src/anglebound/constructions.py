@@ -5,6 +5,9 @@ construction that produces 2^m points whose maximum angle is certified to
 stay below pi - rho. Coverings (every direction within rho/2 of some line)
 feed the converse: any set of 2^m + 1 points contains a monochromatic odd
 cycle of segment directions and hence a triple with angle at least pi - rho.
+The cycle exists by pigeonhole: were every color class bipartite, the ends of
+each edge would lie on different sides of its class, so the points' vectors
+of side labels in {0, 1}^m would all differ, which needs at most 2^m points.
 Both directions are evaluated numerically, never trusted: every construction
 re-verifies its own certificate.
 """
@@ -12,7 +15,6 @@ re-verifies its own certificate.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +71,11 @@ class LineArrangement:
 
 @dataclass(frozen=True)
 class EdgeColoring:
-    """Total coloring of the complete graph on n vertices with m colors."""
+    """Total coloring of the complete graph on n vertices with m colors.
+
+    color maps each pair (i, j), i < j, to an integer in [0, m). Validation
+    also derives the (n, n) color matrix, -1 on its diagonal, as _matrix.
+    """
 
     n: int
     m: int
@@ -78,11 +84,15 @@ class EdgeColoring:
     def __post_init__(self):
         if self.n < 2 or self.m < 1:
             raise OutOfRange("need n >= 2 vertices and m >= 1 colors")
+        K = np.full((self.n, self.n), -1)
         for i in range(self.n):
-            for j in range(i + 1, self.n):
-                c = self.color.get((i, j))
-                if c is None or not 0 <= c < self.m:
-                    raise OutOfRange(f"pair ({i}, {j}) is uncolored or out of range")
+            row = [self.color.get((i, j)) for j in range(i + 1, self.n)]
+            for j, c in enumerate(row, i + 1):
+                if not isinstance(c, (int, np.integer)) or not 0 <= c < self.m:
+                    raise OutOfRange(f"pair ({i}, {j}) is uncolored or its color is not "
+                                     f"an integer in [0, {self.m})")
+            K[i, i + 1:] = row
+        object.__setattr__(self, "_matrix", np.maximum(K, K.T))  # not a dataclass field
 
 
 @dataclass(frozen=True)
@@ -360,93 +370,75 @@ def ef_doubling(L: LineArrangement, rho: float, slack: float = 0.05,
     return PointSet(pts)
 
 
-def _bfs_forest(n: int, adj: dict) -> tuple[dict, dict, tuple | None]:
-    """2-color a graph; return (side, parent, odd_edge) with odd_edge the
-    first same-side edge found (None when bipartite)."""
-    side: dict[int, int] = {}
-    parent: dict[int, int | None] = {}
-    odd_edge = None
+def _odd_cycle(adj: np.ndarray) -> list[int] | None:
+    """An odd cycle of the graph with boolean adjacency matrix adj, or None if
+    it is bipartite.
+
+    BFS layers grow from each unreached root in index order; a vertex's parent
+    is its lowest-index neighbour in the previous layer. The first edge (u, v)
+    in row-major order whose ends have equal depth parity lies within one layer
+    of one tree, and the tree paths to the ends' common ancestor close it into
+    an odd cycle, from u through the ancestor to v.
+    """
+    n = adj.shape[0]
+    depth = np.full(n, -1)
+    parent = np.full(n, -1)
     for root in range(n):
-        if root in side:
+        if depth[root] >= 0:
             continue
-        side[root] = 0
-        parent[root] = None
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in adj.get(u, ()):
-                if v not in side:
-                    side[v] = 1 - side[u]
-                    parent[v] = u
-                    queue.append(v)
-                elif side[v] == side[u] and odd_edge is None:
-                    odd_edge = (u, v)
-    return side, parent, odd_edge
+        depth[root] = 0
+        front = np.array([root])
+        while front.size:
+            new = np.flatnonzero(adj[front].any(axis=0) & (depth < 0))
+            depth[new] = depth[front[0]] + 1
+            parent[new] = front[adj[np.ix_(new, front)].argmax(axis=1)]
+            front = new
+    odd = depth % 2
+    same = adj & (odd[:, None] == odd[None, :])
+    if not same.any():
+        return None
+    u, v = divmod(int(same.argmax()), n)
+    up_u, up_v = [u], [v]
+    while up_u[-1] != up_v[-1]:
+        up_u.append(int(parent[up_u[-1]]))
+        up_v.append(int(parent[up_v[-1]]))
+    return up_u + up_v[-2::-1]
 
 
-def _tree_path(parent: dict, u: int, v: int) -> list[int]:
-    """Vertex path from u to v inside one BFS tree."""
-    anc_u = [u]
-    while parent[anc_u[-1]] is not None:
-        anc_u.append(parent[anc_u[-1]])
-    anc_v = [v]
-    while parent[anc_v[-1]] is not None:
-        anc_v.append(parent[anc_v[-1]])
-    set_u = {x: i for i, x in enumerate(anc_u)}
-    lca_j = next(j for j, x in enumerate(anc_v) if x in set_u)
-    lca_i = set_u[anc_v[lca_j]]
-    return anc_u[:lca_i + 1] + list(reversed(anc_v[:lca_j]))
+def _mono_odd_cycle(K: np.ndarray, m: int) -> tuple[int, list[int]]:
+    """The first color c < m whose class in the color matrix K is not
+    bipartite, and that class's odd cycle, re-checked against K."""
+    for c in range(m):
+        cycle = _odd_cycle(K == c)
+        if cycle is None:
+            continue
+        if len(cycle) < 3 or len(cycle) % 2 == 0:
+            raise RuntimeError(f"extracted cycle has even or trivial length {len(cycle)}")
+        if np.any(K[cycle, np.roll(cycle, -1)] != c):
+            raise RuntimeError("extracted cycle is not monochromatic")
+        return c, cycle
+    raise RuntimeError("every color class is bipartite despite n > 2^m; coloring inconsistent")
 
 
 def find_mono_odd_cycle(C: EdgeColoring) -> tuple[int, list[int]]:
     """Monochromatic odd cycle in an m-coloring of K_n with n >= 2^m + 1.
 
-    Per color, a BFS 2-coloring either exposes an odd cycle directly or
-    assigns side labels; if every class looks bipartite, two vertices share
-    the full label vector and the edge between them closes an odd cycle with
-    the tree path in its color class. The returned cycle is re-verified to be
-    odd and monochromatic.
+    Color classes are searched in order, and the first that is not bipartite
+    gives its odd cycle (see _odd_cycle). One always exists: were every class
+    bipartite, two distinct vertices would lie on different sides of the
+    class of the edge joining them, so the n vectors of side labels in
+    {0, 1}^m would all differ and n <= 2^m. The returned cycle is re-verified
+    to be odd and monochromatic.
     """
     if C.n <= 2 ** C.m:
         raise HypothesisViolated(f"need n > 2^m, got n={C.n}, m={C.m}")
-    adj_by_color: list[dict] = [{} for _ in range(C.m)]
-    for (i, j), c in C.color.items():
-        adj_by_color[c].setdefault(i, []).append(j)
-        adj_by_color[c].setdefault(j, []).append(i)
-    forests = []
-    for c in range(C.m):
-        side, parent, odd_edge = _bfs_forest(C.n, adj_by_color[c])
-        if odd_edge is not None:
-            u, v = odd_edge
-            cycle = _tree_path(parent, u, v)
-            _verify_cycle(C, c, cycle)
-            return c, cycle
-        forests.append((side, parent))
-    labels: dict[tuple, int] = {}
-    for v in range(C.n):
-        key = tuple(side.get(v, 0) for side, _ in forests)
-        if key in labels:
-            u = labels[key]
-            c = C.color[(min(u, v), max(u, v))]
-            cycle = _tree_path(forests[c][1], u, v)
-            _verify_cycle(C, c, cycle)
-            return c, cycle
-        labels[v] = key
-    raise RuntimeError("no odd cycle found despite n > 2^m; coloring inconsistent")
+    return _mono_odd_cycle(C._matrix, C.m)
 
 
-def _verify_cycle(C: EdgeColoring, c: int, cycle: list[int]):
-    if len(cycle) < 3 or len(cycle) % 2 == 0:
-        raise RuntimeError(f"extracted cycle has even or trivial length {len(cycle)}")
-    for t in range(len(cycle)):
-        a, b = cycle[t], cycle[(t + 1) % len(cycle)]
-        if C.color[(min(a, b), max(a, b))] != c:
-            raise RuntimeError("extracted cycle is not monochromatic")
-
-
-def color_edges_by_lines(A: PointSet, L: LineArrangement, rho: float) -> EdgeColoring:
-    """Color each point pair by the least-index line within rho/2 of its direction,
-    from one product of the pairs' unit directions (i < j, row-major) with the lines."""
+def _pair_colors(A: PointSet, L: LineArrangement, rho: float) -> tuple[np.ndarray, ...]:
+    """The pairs i < j of A in row-major order, as index arrays, and the
+    least-index line within rho/2 of each pair's direction, from one product
+    of the pairs' unit directions with the lines."""
     i, j = np.triu_indices(len(A), 1)
     d = A.points[j] - A.points[i]
     hits = np.abs((d / np.linalg.norm(d, axis=1)[:, None]) @ L.lines.T) >= math.cos(0.5 * rho)
@@ -454,16 +446,23 @@ def color_edges_by_lines(A: PointSet, L: LineArrangement, rho: float) -> EdgeCol
     if not covered.all():
         k = int(np.argmin(covered))
         raise ColoringFailed(f"segment ({i[k]}, {j[k]}) is not within {0.5 * rho:.6g} of any line")
+    return i, j, np.argmax(hits, axis=1)
+
+
+def color_edges_by_lines(A: PointSet, L: LineArrangement, rho: float) -> EdgeColoring:
+    """Color each point pair by the least-index line within rho/2 of its direction."""
+    i, j, c = _pair_colors(A, L, rho)
     return EdgeColoring(n=len(A), m=len(L), color=dict(
-        zip(zip(i.tolist(), j.tolist()), np.argmax(hits, axis=1).tolist())))
+        zip(zip(i.tolist(), j.tolist()), c.tolist())))
 
 
 def obtuse_triple_witness(A: PointSet, L: LineArrangement, rho: float) -> ObtuseWitness:
     """A triple of A forming an angle >= pi - rho, when |A| >= 2^m + 1.
 
-    Edges are colored by covering line; a monochromatic odd cycle must carry
-    two consecutive edges projecting onto its line with the same sign, and
-    their shared vertex sees its neighbors at angle >= pi - rho.
+    Edges are colored by covering line, straight into a color matrix; a
+    monochromatic odd cycle must carry two consecutive edges projecting onto
+    its line with the same sign, and their shared vertex sees its neighbors at
+    angle >= pi - rho.
     """
     from .convexity import ObtuseWitness  # only here: cover-lines need not load convexity
 
@@ -473,22 +472,18 @@ def obtuse_triple_witness(A: PointSet, L: LineArrangement, rho: float) -> Obtuse
         raise HypothesisViolated(
             f"need at least 2^{len(L)} + 1 = {2 ** len(L) + 1} points, got {len(A)}"
         )
-    coloring = color_edges_by_lines(A, L, rho)
-    c, cycle = find_mono_odd_cycle(coloring)
-    axis = L.lines[c]
-    k = len(cycle)
-    signs = []
-    for t in range(k):
-        d = A.points[cycle[(t + 1) % k]] - A.points[cycle[t]]
-        signs.append(1 if float(np.dot(d, axis)) > 0 else -1)
-    pivot = next(t for t in range(k) if signs[t] == signs[(t + 1) % k])
-    x = A.points[cycle[pivot]]
-    y = A.points[cycle[(pivot + 1) % k]]
-    z = A.points[cycle[(pivot + 2) % k]]
+    i, j, colors = _pair_colors(A, L, rho)
+    K = np.full((len(A), len(A)), -1)
+    K[i, j] = K[j, i] = colors
+    c, cycle = _mono_odd_cycle(K, len(L))
+    P = A.points[cycle]
+    up = (np.roll(P, -1, axis=0) - P) @ L.lines[c] > 0  # edge t runs cycle[t] -> cycle[t + 1]
+    pivot = int(np.argmax(up == np.roll(up, -1)))
+    x, y, z = np.roll(P, -pivot, axis=0)[:3]
     ang = angle_at(x, y, z)
     if ang < math.pi - rho - 1e-9:
         raise RuntimeError("witness angle fell below pi - rho; coloring inconsistent")
-    return ObtuseWitness(vi=x.copy(), v=y.copy(), vj=z.copy(), angle=ang)
+    return ObtuseWitness(vi=x, v=y, vj=z, angle=ang)
 
 
 def n_bounds(theta: float, d: int, c_d: float, C_d: float) -> NBoundsReport:

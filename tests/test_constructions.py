@@ -423,11 +423,18 @@ class TestFindMonoOddCycle:
             a, b = cycle[t], cycle[(t + 1) % len(cycle)]
             assert color[(min(a, b), max(a, b))] == c
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_first_non_bipartite_class_is_used(self):
+        # Class 0 is the complete bipartite graph between {0, 1} and {2, 3, 4};
+        # class 1 holds the triangle 2, 3, 4.
+        color = {(i, j): 0 if (i < 2) != (j < 2) else 1 for i in range(5) for j in range(i + 1, 5)}
+        c, cycle = find_mono_odd_cycle(EdgeColoring(n=5, m=2, color=color))
+        assert c == 1 and sorted(cycle) == [2, 3, 4]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
     def test_random_colorings_always_yield_verified_cycles(self, m):
         rng = np.random.default_rng(40 + m)
         n = 2**m + 1
-        for _ in range(1000):
+        for _ in range({5: 50, 8: 3}.get(m, 1000)):
             color = {
                 (i, j): int(rng.integers(0, m))
                 for i in range(n) for j in range(i + 1, n)
@@ -439,8 +446,14 @@ class TestFindMonoOddCycle:
                 assert color[(min(a, b), max(a, b))] == c
 
     def test_uncolored_pair_rejected(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(OutOfRange, match=r"^pair \(0, 2\) is uncolored"):
             EdgeColoring(n=3, m=1, color={(0, 1): 0, (1, 2): 0})
+        with pytest.raises(OutOfRange, match=r"^pair \(0, 1\) is uncolored or its color is not"):
+            EdgeColoring(n=3, m=1, color={(0, 1): 0.5, (0, 2): 0, (1, 2): 0})
+
+    def test_numpy_integer_colors_accepted(self):
+        color = {(0, 1): np.int64(0), (0, 2): np.uint8(0), (1, 2): 0}
+        assert find_mono_odd_cycle(EdgeColoring(n=3, m=1, color=color)) == (0, [1, 0, 2])
 
 
 class TestObtuseTripleWitness:
