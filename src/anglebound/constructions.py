@@ -14,6 +14,7 @@ re-verifies its own certificate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -84,14 +85,15 @@ class EdgeColoring:
     def __post_init__(self):
         if self.n < 2 or self.m < 1:
             raise OutOfRange("need n >= 2 vertices and m >= 1 colors")
-        K = np.full((self.n, self.n), -1)
-        for i in range(self.n):
-            row = [self.color.get((i, j)) for j in range(i + 1, self.n)]
-            for j, c in enumerate(row, i + 1):
+        got = list(map(self.color.get, itertools.combinations(range(self.n), 2)))
+        colors = np.array(got)  # an integer dtype unless a color is missing or not an integer
+        if colors.dtype.kind not in "biu" or not np.all((colors >= 0) & (colors < self.m)):
+            for (i, j), c in zip(itertools.combinations(range(self.n), 2), got):
                 if not isinstance(c, (int, np.integer)) or not 0 <= c < self.m:
                     raise OutOfRange(f"pair ({i}, {j}) is uncolored or its color is not "
                                      f"an integer in [0, {self.m})")
-            K[i, i + 1:] = row
+        K = np.full((self.n, self.n), -1)
+        K[np.triu_indices(self.n, 1)] = colors
         object.__setattr__(self, "_matrix", np.maximum(K, K.T))  # not a dataclass field
 
 

@@ -10,7 +10,7 @@ perimeter of its link. `gauss_bonnet_sum` returns those there, checks that
 they sum to 1, and says so in its `method`. In other dimensions, and in
 `normal_cone_fraction_mc` everywhere, the fractions are estimated by seeded
 Monte Carlo, one cache-sized block of directions at a time
-(sampling.direction_blocks), so memory does not grow with the sample count;
+(sampling.rotated_blocks), so memory does not grow with the sample count;
 the convex-position precondition reuses the verdict stored on the PointSet.
 Each block's product is formed vertex-major, one contiguous row per vertex
 and one column per direction, and reduced along its columns: a few
@@ -26,14 +26,14 @@ complement of the largest gap between the rays' angles. A cone cover is
 one such stack, one set of rays per vertex, refused or not.
 
 The Monte Carlo directions come in antithetic pairs (Hammersley & Morton
-1956). N samples draw ceil(N/2) raw standard normal rows u_k; sample 2k is
-u_k and sample 2k + 1 is -u_k, and for odd N the last u has no partner. One
-product per block serves both samples of a pair, since (-u) . x = -(u . x)
-exactly. Each sample is uniform on the sphere, so the estimate stays
-unbiased. u and -u both lie in one vertex's normal cone only if u is
-orthogonal to every edge there, which has probability 0; the two indicators
-are then mutually exclusive, their covariance is -p^2 <= 0, and the
-binomial standard error over N samples stays a conservative bound.
+1956). N samples take ceil(N/2) raw rows u_k (sampling.rotated_blocks);
+sample 2k is u_k and 2k + 1 is -u_k, and for odd N the last u has no
+partner. One product per block serves both samples of a pair, since
+(-u) . x = -(u . x) exactly. Each sample is uniform on the sphere, so the
+estimate is unbiased. u and -u both lie in one vertex's normal cone only if
+u is orthogonal to every edge there, which has probability 0, so their
+indicators' covariance is -p^2 <= 0; with the other rows' (see `sampling`),
+the binomial standard error over N samples stays a conservative bound.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .errors import (
     OutOfRange,
 )
 from .geometry import PointSet, _others, _row_blocks, as_unit
-from .sampling import _check_seed, direction_blocks
+from .sampling import _check_seed, rotated_blocks
 
 CONE_FIT_TOL = 1e-9
 # Closed-form fractions must sum to 1 within this (Gauss-Bonnet); each
@@ -125,7 +125,7 @@ def _paired_blocks(dim: int, samples: int, seed: int, width: int):
     `paired` rows of block U have their partner within the sample count.
     """
     rows = 0
-    for U in direction_blocks(dim, -(-samples // 2), seed, width):
+    for U in rotated_blocks(dim, -(-samples // 2), seed, width):
         rows += len(U)
         yield U, len(U) - max(0, 2 * rows - samples)  # 1 short only at odd N's last row
 

@@ -7,9 +7,10 @@ from scipy's (qhull's) convex hull, and maximum angles by a scalar triple
 loop or by the one-vertex-at-a-time scan the blocked ray-Gram kernel
 replaced. The Monte Carlo and covering sweeps are checked against
 whole-matrix sweeps; the Monte Carlo ones run over the paired sample stream
-written out in full, each raw row followed by its negation. Convex position
-is also decided by one nearest-point solve per point, with no direction
-screen, nearest points by Wolfe's algorithm one problem at a time with
+written out in full, each raw row (a row-major R_d direction under its
+block's `random_rotation`) followed by its negation. Convex position is also
+decided by one nearest-point solve per point, with no direction screen,
+nearest points by Wolfe's algorithm one problem at a time with
 np.linalg.lstsq, the covering probes by the row-major R_d formula, line
 packings by one restart after another, and planar cone axes one vertex at
 a time.
@@ -31,7 +32,7 @@ from anglebound.convexity import FEAS_TOL
 from anglebound.curvature import CONE_FIT_TOL
 from anglebound.errors import CapTooSmall
 from anglebound.geometry import PointSet, angle_at, max_angle
-from anglebound.sampling import CHUNK, _rd_alpha, canonical_lines, quasi_uniform_lines, rng_stream
+from anglebound.sampling import BLOCK, _rd_alpha, canonical_lines, quasi_uniform_lines, rng_stream
 
 # Seed of the acceptance suite's criterion-7 sets.
 CRITERION_7_SEED = 20241
@@ -84,20 +85,20 @@ def loop_max_angle_triple(points):
     return angle_at(pts[i], pts[j], pts[k]), best_triple
 
 
-def whole_normal_rows(dim: int, n: int, seed: int) -> np.ndarray:
-    """The first n raw Monte Carlo rows: one standard_normal draw per CHUNK."""
-    z = np.empty((n, dim))
-    for lo in range(0, n, CHUNK):
-        hi = min(lo + CHUNK, n)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(lo // CHUNK,)))
-        z[lo:hi] = rng.standard_normal((hi - lo, dim))
-    return z
+def whole_raw_rows(dim: int, n: int, seed: int) -> np.ndarray:
+    """The first n raw Monte Carlo rows: row_major_rd_directions rows 1..BLOCK
+    under one random_rotation per BLOCK rows, the rotations drawn in turn from
+    one default_rng(seed); a short last block rotates the first rows only."""
+    base = row_major_rd_directions(dim, BLOCK + 1)[1:]
+    rng = np.random.default_rng(seed)
+    return np.concatenate([base[:n - lo] @ random_rotation(rng, dim).T
+                           for lo in range(0, n, BLOCK)])
 
 
 def paired_samples(dim: int, samples: int, seed: int) -> np.ndarray:
     """The Monte Carlo sample stream written out: the ceil(samples/2) raw rows
     U interleaved explicitly with -U, cut to `samples` rows."""
-    U = whole_normal_rows(dim, -(-samples // 2), seed)
+    U = whole_raw_rows(dim, -(-samples // 2), seed)
     S = np.empty((2 * len(U), dim))
     S[0::2] = U
     S[1::2] = -U
@@ -393,6 +394,7 @@ def loop_planar_cone_axes(points, eta: float) -> list[np.ndarray]:
 
 
 def random_rotation(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Haar-random orthogonal matrix: QR of a normal matrix, R's diagonal signs moved into Q."""
     q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
     return q * np.sign(np.diag(r))
 

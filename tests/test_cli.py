@@ -1,5 +1,6 @@
 import csv
 import errno
+import hashlib
 import io
 import json
 import math
@@ -61,6 +62,32 @@ class TestBasicCommands:
         payload = json.loads(out)
         assert math.fsum(payload["fractions"]) == 1.0
         assert len(payload["fractions"]) == 4
+
+    @staticmethod
+    def _sphere_file(tmp_path, seed: int, n: int, dim: int) -> str:
+        x = np.random.default_rng(seed).normal(size=(n, dim))
+        path = tmp_path / f"sphere{dim}.json"
+        path.write_text(json.dumps({"dim": dim, "points": (x / np.linalg.norm(x, axis=1)[:, None])
+                                    .tolist()}))
+        return str(path)
+
+    def test_monte_carlo_curvature_is_reproducible_and_seeded(self, tmp_path, capsys):
+        # Criterion 14 on the rotated-block stream: D = 5 takes the Monte Carlo path.
+        args = ["curvature", "--in", self._sphere_file(tmp_path, 2304, 9, 5), "--samples", "20000"]
+        outs = [run(args + ["--seed", seed], capsys) for seed in ("3", "3", "4")]
+        assert [code for code, _ in outs] == [0, 0, 0]
+        assert outs[0][1] == outs[1][1]
+        first, other = (json.loads(out) for _, out in outs[1:])
+        assert first["method"] == "monte_carlo" and first["fractions"] != other["fractions"]
+
+    def test_exact_curvature_payload_is_pinned(self, tmp_path, capsys):
+        # R^3 takes the exact path, whose stdout is independent of the sampler.
+        args = ["curvature", "--in", self._sphere_file(tmp_path, 2303, 10, 3), "--samples", "20000",
+                "--seed", "7"]
+        code, out = run(args, capsys)
+        assert code == 0 and json.loads(out)["method"] == "exact"
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c0df292e58519c19dbe6fee52e2289eb8ae53ed1127dc302907260ff2aaa84c5")
 
     def test_cone_cover_failure_diagnosis(self, square_file, capsys):
         code, out = run(["cone-cover", "--in", square_file, "--eta", "0.1"], capsys)

@@ -455,6 +455,29 @@ class TestFindMonoOddCycle:
         color = {(0, 1): np.int64(0), (0, 2): np.uint8(0), (1, 2): 0}
         assert find_mono_odd_cycle(EdgeColoring(n=3, m=1, color=color)) == (0, [1, 0, 2])
 
+    @pytest.mark.parametrize("bad, value", [((1, 3), 2), ((2, 3), -1), ((0, 3), "1"),
+                                            ((1, 2), None), ((0, 2), 1.0)])
+    def test_first_bad_pair_in_row_major_order_is_named(self, bad, value):
+        color = {(i, j): (i + j) % 2 for i in range(4) for j in range(i + 1, 4)}
+        color[bad] = value
+        color[(2, 3)] = 7 if bad < (2, 3) else color[(2, 3)]  # a later bad pair is not named
+        with pytest.raises(OutOfRange, match=rf"^pair \({bad[0]}, {bad[1]}\) is uncolored or "
+                                             rf"its color is not an integer in \[0, 2\)$"):
+            EdgeColoring(n=4, m=2, color=color)
+
+    def test_matrix_matches_the_pairs_for_any_integer_types(self):
+        rng = np.random.default_rng(5)
+        n = 40
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        values = rng.integers(0, 3, size=len(pairs))
+        # Python ints, numpy signed and unsigned integers and booleans mixed.
+        kinds = [int, np.int64, np.uint64, np.int8, lambda v: bool(v) if v < 2 else int(v)]
+        color = {p: kinds[k % len(kinds)](v) for k, (p, v) in enumerate(zip(pairs, values))}
+        K = EdgeColoring(n=n, m=3, color=color)._matrix
+        for (i, j), v in zip(pairs, values):
+            assert K[i, j] == K[j, i] == v
+        np.testing.assert_array_equal(np.diag(K), -1)
+
 
 class TestObtuseTripleWitness:
     def test_three_collinear_points(self):

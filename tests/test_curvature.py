@@ -21,13 +21,14 @@ from anglebound.errors import (
     OutOfRange,
 )
 from anglebound.geometry import PointSet, geodesic_diameter, max_angle
+from anglebound import sampling
 from anglebound.sampling import (
-    CHUNK,
+    BLOCK,
     canonical_lines,
-    direction_blocks,
     quasi_uniform_lines,
     rd_directions,
     rng_stream,
+    rotated_blocks,
 )
 from conftest import (
     canonical_line,
@@ -39,7 +40,7 @@ from conftest import (
     sample_cap_points,
     whole_gauss_bonnet_counts,
     whole_normal_cone_count,
-    whole_normal_rows,
+    whole_raw_rows,
     whole_quasi_uniform_lines,
     wolfe_nearest_point,
 )
@@ -78,18 +79,43 @@ def brute_force_cap(H):
 
 class TestSampling:
     def test_partition_independence(self):
-        # The rows do not depend on the block size the width sets.
-        full = whole_normal_rows(3, 1000, seed=9)
+        # The rows do not depend on the row-block size the width sets.
+        full = whole_raw_rows(3, 3 * BLOCK + 1000, seed=9)
         for width in (3, 400, 1 << 15):
-            np.testing.assert_array_equal(np.vstack(list(direction_blocks(3, 1000, 9, width))),
-                                          full)
+            blocks = list(rotated_blocks(3, 3 * BLOCK + 1000, 9, width))
+            assert np.vstack(blocks).tobytes() == full.tobytes()
 
     def test_unit_norm_and_mean_isotropy(self):
-        z = np.vstack(list(direction_blocks(5, 20000, 4, 5)))
-        np.testing.assert_array_equal(z, whole_normal_rows(5, 20000, 4))
-        U = z / np.linalg.norm(z, axis=1)[:, None]
-        np.testing.assert_allclose(np.linalg.norm(U, axis=1), 1.0, atol=1e-12)
-        assert np.linalg.norm(U.mean(axis=0)) < 0.02
+        z = np.vstack(list(rotated_blocks(5, 20000, 4, 5)))
+        assert z.tobytes() == whole_raw_rows(5, 20000, 4).tobytes()
+        np.testing.assert_allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-12)
+        assert np.linalg.norm(z.mean(axis=0)) < 0.02
+
+    def test_base_set_is_the_cached_unshifted_rd_set(self):
+        for dim in (1, 2, 5, 8):
+            base = sampling._base_directions(dim)
+            assert base is sampling._base_directions(dim) and not base.flags.writeable
+            assert base.tobytes() == rd_directions(dim, BLOCK + 1)[1:].tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8, 12])
+    def test_rotations_are_orthogonal(self, dim):
+        rng = np.random.default_rng(3)
+        dets = []
+        for _ in range(40):
+            Q = sampling._rotation(rng, dim)
+            assert np.linalg.norm(Q.T @ Q - np.eye(dim)) <= 1e-12
+            dets.append(np.linalg.det(Q))
+        np.testing.assert_allclose(np.abs(dets), 1.0, atol=1e-12)
+        assert min(dets) < 0.0 < max(dets)  # Haar on O(dim): both components
+
+    def test_same_seed_same_bytes(self):
+        def stream(n, seed, width=6):
+            return np.vstack(list(rotated_blocks(6, n, seed, width))).tobytes()
+
+        first = stream(3 * BLOCK + 17, 11)
+        assert stream(3 * BLOCK + 17, 11, width=300) == first
+        assert first.startswith(stream(BLOCK + 5, 11))  # a longer stream extends a shorter one
+        assert stream(3 * BLOCK + 17, 12) != first
 
     def test_vectorized_canonicalization_matches_canonical_line(self):
         rng = np.random.default_rng(3)
@@ -148,7 +174,7 @@ class TestSampling:
 
     @pytest.mark.parametrize("seed", [-1, 2.5])
     def test_seeded_entry_points_refuse_bad_seeds(self, seed):
-        for call in (lambda: next(direction_blocks(3, 10, seed, 3)), lambda: rng_stream(seed),
+        for call in (lambda: next(rotated_blocks(3, 10, seed, 3)), lambda: rng_stream(seed),
                      lambda: quasi_uniform_lines(3, 10, seed)):
             with pytest.raises(OutOfRange, match=f"seed must be a non-negative integer, "
                                                  f"got {seed!r}"):
@@ -169,9 +195,9 @@ class TestSampling:
                 call()
 
     @pytest.mark.parametrize("call, message", [
-        (lambda: next(direction_blocks(0, 10, 1, 3)), "need dim >= 1 and n >= 0, "
-                                                      "got dim=0, n=10"),
-        (lambda: next(direction_blocks(3, -1, 1, 3)), "got dim=3, n=-1"),
+        (lambda: next(rotated_blocks(0, 10, 1, 3)), "need dim >= 1 and n >= 0, "
+                                                    "got dim=0, n=10"),
+        (lambda: next(rotated_blocks(3, -1, 1, 3)), "got dim=3, n=-1"),
         (lambda: quasi_uniform_lines(1, 10, 1), "need dim >= 2 and n >= 1 lines, got dim=1, n=10"),
         (lambda: quasi_uniform_lines(3, 0, 1), "got dim=3, n=0"),
     ], ids=["dim", "n", "probe-dim", "probe-n"])
@@ -180,14 +206,18 @@ class TestSampling:
             call()
 
     @pytest.mark.parametrize("dim, n, width, seed", [
-        (3, 5000, 3, 0), (1, 70_001, 1, 0), (2, 2 * CHUNK + 1, 7, 0),
+        (3, 5000, 3, 0), (1, 70_001, 1, 0), (2, 524_289, 7, 0),
         (5, 4000, 48, 260_644), (8, 1366, 300, 17),
     ])
     def test_blocks_are_one_draw_per_chunk(self, dim, n, width, seed):
-        blocks = list(direction_blocks(dim, n, seed, width))
+        # A chunk is BLOCK rows under one rotation draw; its row blocks stay
+        # within the _row_blocks budget and never straddle two chunks.
+        blocks = list(rotated_blocks(dim, n, seed, width))
         step = max(1, (1 << 16) // max(dim, width))
-        assert all(2 <= len(b) <= step for b in blocks[:-1])
-        np.testing.assert_array_equal(np.concatenate(blocks), whole_normal_rows(dim, n, seed))
+        assert all(2 <= len(b) <= step for b in blocks[:-1]) and len(blocks[-1]) <= step
+        ends = np.cumsum([len(b) for b in blocks])
+        assert set(range(BLOCK, n, BLOCK)) <= set(ends.tolist())
+        assert np.concatenate(blocks).tobytes() == whole_raw_rows(dim, n, seed).tobytes()
 
 
 def _sphere_set(seed: int, n: int, dim: int) -> PointSet:
@@ -203,8 +233,8 @@ class TestBlockedSweeps:
     gauss_bonnet_sum on D = 4 sets of the same sizes.
     """
 
-    CASES = [(2, 7, CHUNK + 5000), (2, 9, CHUNK + 1), (3, 48, 20_000), (5, 13, 70_001),
-             (8, 20, 1366), (3, 300, 4000), (4, 7, CHUNK + 5000), (4, 9, CHUNK + 1),
+    CASES = [(2, 7, 267_144), (2, 9, 262_145), (3, 48, 20_000), (5, 13, 70_001),
+             (8, 20, 1366), (3, 300, 4000), (4, 7, 267_144), (4, 9, 262_145),
              (4, 48, 20_000), (4, 300, 4000)]
 
     @pytest.mark.parametrize("dim, n, samples", CASES)
@@ -410,6 +440,30 @@ def _circle_points(rng, n: int, min_sep: float = 0.02) -> np.ndarray:
         ang = np.sort(rng.uniform(0, 2 * math.pi, size=n))
         if np.min(np.diff(ang, append=ang[0] + 2 * math.pi)) >= min_sep:
             return np.column_stack([np.cos(ang), np.sin(ang)])[rng.permutation(n)]
+
+
+class TestEstimatorStatistics:
+    """The rotated-block estimates are unbiased, and their variance is at most
+    binomial, so the reported binomial standard error is conservative. The
+    sets and seeds were fixed before these tests first ran."""
+
+    @pytest.mark.parametrize("ps", [PointSet(_circle_points(np.random.default_rng(2301), 7)),
+                                    _sphere_set(2302, 10, 3)], ids=["R2", "R3"])
+    def test_mean_over_seeds_is_within_4_standard_errors_of_the_exact_fraction(self, ps):
+        exact = gauss_bonnet_sum(ps, 20_000, seed=0)
+        assert exact.method == "exact"
+        seeds = range(40)
+        for i, target in enumerate(exact.fractions):
+            f, se = np.array([normal_cone_fraction_mc(ps, i, 20_000, seed) for seed in seeds]).T
+            assert abs(f.mean() - target) <= 4.0 * math.sqrt(np.sum(se**2)) / len(seeds)
+
+    @pytest.mark.parametrize("ps", [TESSERACT, _sphere_set(2305, 12, 5), _sphere_set(2308, 20, 8)],
+                             ids=["D4", "D5", "D8"])
+    def test_fraction_variance_is_at_most_binomial(self, ps):
+        samples = 20_000
+        F = np.array([gauss_bonnet_sum(ps, samples, seed).fractions for seed in range(120)])
+        p = F.mean(axis=0)
+        assert np.all(F.var(axis=0, ddof=1) <= p * (1.0 - p) / samples)
 
 
 class TestExactFractions:
