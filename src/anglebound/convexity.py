@@ -159,8 +159,7 @@ def _nearest_points(P: np.ndarray, stage: str):
     z, r_out, support = np.empty((S, D)), np.empty(S), np.zeros((S, m), dtype=bool)
     # The running problems: ids in the stack, points, corrals and weights.
     ids = rows = np.arange(S)
-    Q, sc = P, np.sqrt(sq.max(axis=1))
-    feas, gap_bar = FEAS_TOL * sc, NEAREST_GAP_TOL * sc
+    Q = P
     corral = sq.argmin(axis=1)[:, None].repeat(W, axis=1)
     valid = np.zeros((S, W), dtype=bool)
     valid[:, 0] = True
@@ -175,28 +174,24 @@ def _nearest_points(P: np.ndarray, stage: str):
             gap = nx * nx - dots[rows, j]
             stuck = (corral == j[:, None]).any(axis=1) | (nx >= last)
             last = nx  # a row past its last major step still has that step's x
-            # Both bounds at the radius r <= scale, so r is taken only near a stop.
-            near = major & (stuck | (nx <= feas) | (gap <= gap_bar * nx))
-            if near.any():
-                dist = np.sqrt(sq[ids[:, None], corral]) * valid
-                heavy = w > COEFF_TOL
-                r = (dist * heavy).max(axis=1)
-                done = near & (stuck | (nx <= FEAS_TOL * r) | (gap <= NEAREST_GAP_TOL * nx * r))
-                if done.any():
-                    d = done.nonzero()[0]
-                    keep = heavy[d]
-                    if (valid[d] & ~keep).any():  # a light point stays if its pull is too large
-                        keep |= w[d] * dist[d] > FEAS_TOL * _others_max(dist[d])
-                    z[ids[d]], r_out[ids[d]] = x[d], r[d]
-                    hit, at = np.nonzero(keep)
-                    support[ids[d[hit]], corral[d[hit], at]] = True
-                    if d.size == len(ids):
-                        return z, support, r_out
-                    run = ~done
-                    ids, Q, feas, gap_bar, corral, valid, w, x, major, last, j = (
-                        a[run] for a in (ids, Q, feas, gap_bar, corral, valid, w, x, major, last,
-                                         j))
-                    rows = np.arange(len(ids))
+            dist = np.sqrt(sq[ids[:, None], corral]) * valid
+            heavy = w > COEFF_TOL
+            r = (dist * heavy).max(axis=1)
+            done = major & (stuck | (nx <= FEAS_TOL * r) | (gap <= NEAREST_GAP_TOL * nx * r))
+            if done.any():
+                d = done.nonzero()[0]
+                keep = heavy[d]
+                if (valid[d] & ~keep).any():  # a light point stays if its pull is too large
+                    keep |= w[d] * dist[d] > FEAS_TOL * _others_max(dist[d])
+                z[ids[d]], r_out[ids[d]] = x[d], r[d]
+                hit, at = np.nonzero(keep)
+                support[ids[d[hit]], corral[d[hit], at]] = True
+                if d.size == len(ids):
+                    return z, support, r_out
+                run = ~done
+                ids, Q, corral, valid, w, x, major, last, j = (
+                    a[run] for a in (ids, Q, corral, valid, w, x, major, last, j))
+                rows = np.arange(len(ids))
             new = major[:, None] & (slot == valid.sum(axis=1)[:, None])  # the first free slot
             corral = np.where(new, j[:, None], corral)
             valid |= new
@@ -225,7 +220,7 @@ def _nearest_points(P: np.ndarray, stage: str):
             corral = np.where(valid, corral, corral[:, :1])
     raise RuntimeError(f"{stage}: nearest-point solver hit its cap of {cap} steps on problem "
                        f"{ids[0]} of {S} (m={m}, D={D}, |x|={math.sqrt(x[0] @ x[0]):.6g}, "
-                       f"scale={feas[0] / FEAS_TOL:.6g})")
+                       f"scale={math.sqrt(sq[ids[0]].max()):.6g})")
 
 
 def _barycentric(p: np.ndarray, V: np.ndarray):

@@ -30,11 +30,11 @@ def _row_blocks(n: int, width: int):
     """Yield (lo, hi) ranges covering rows 0..n-1, each of at most
     _BLOCK_ENTRIES // width rows (at least one).
 
-    The sample sweeps multiply one block of rows at a time and must equal the
-    whole product bit for bit. numpy multiplies a one-row matrix with a
-    matrix-vector kernel whose rounding differs from the matrix-matrix
-    kernel's, so no block has a single row unless n does (or a row alone
-    holds more than a third of the budget).
+    The sample sweeps multiply one block of rows (base directions, in Monte
+    Carlo) at a time and must count what the whole product counts. numpy
+    multiplies a one-row matrix with a matrix-vector kernel whose rounding
+    differs from the matrix-matrix kernel's, so no block has a single row
+    unless n does (or a row alone holds more than a third of the budget).
     """
     step = max(1, _BLOCK_ENTRIES // width)
     lo = 0

@@ -1,17 +1,5 @@
 """Seeded, reproducible sampling on spheres, in numpy alone.
 
-Monte Carlo directions are one fixed set under random rotations, with no
-per-sample draw: raw row i is row i % BLOCK of the unshifted R_d directions
-1..BLOCK (`rd_directions`, cached per dimension) under the (i // BLOCK)-th
-rotation from default_rng(seed), the Q of a standard normal matrix's QR with
-R's diagonal signs moved into it, so Haar on O(dim) (Mezzadri 2007). Each row
-is so uniform on the sphere and every Monte Carlo fraction unbiased. Rows of
-one rotation are dependent, their covariance set by the angle between their
-base rows; over the evenly spread base these sum below zero, so the variance
-stays under the binomial p(1 - p)/N (0.1-0.6 of it in D = 4, 5, 8) and the
-binomial standard error is conservative. `rotated_blocks` yields each
-rotation's product in row blocks, which the sweeps reduce as they come.
-
 Covering probes are the R_d Kronecker sequence (Roberts, "The unreasonable
 effectiveness of quasirandom sequences", 2018), frac(s + i alpha) in an even
 number k of coordinates, with alpha_j = phi^-(j+1) for phi the positive root
@@ -29,46 +17,15 @@ OutOfRange naming it.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .errors import OutOfRange
-from .geometry import _row_blocks
-
-BLOCK = 1 << 12  # raw Monte Carlo rows per rotation
 
 
 def _check_seed(seed) -> int:
     if int(seed) != seed or seed < 0:
         raise OutOfRange(f"seed must be a non-negative integer, got {seed!r}")
     return int(seed)
-
-
-def _rotation(rng: np.random.Generator, dim: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    return q * np.copysign(1.0, np.diag(r))  # Haar on O(dim)
-
-
-@functools.cache
-def _base_directions(dim: int) -> np.ndarray:
-    U = rd_directions(dim, BLOCK + 1)[1:]  # row 0 is the zero vector
-    U.setflags(write=False)  # one cached array serves every call
-    return U
-
-
-def rotated_blocks(dim: int, n: int, seed: int, width: int):
-    """Yield the first n raw rows in blocks of at most _BLOCK_ENTRIES //
-    max(dim, width) rows (geometry._row_blocks), none straddling two
-    rotations; a short last rotation takes the first base rows only."""
-    seed = _check_seed(seed)
-    if dim < 1 or n < 0:
-        raise OutOfRange(f"need dim >= 1 and n >= 0, got dim={dim}, n={n}")
-    base, rng = _base_directions(dim), np.random.default_rng(seed)
-    for lo in range(0, n, BLOCK):
-        rows = base[:n - lo] @ _rotation(rng, dim).T
-        for a, b in _row_blocks(len(rows), max(dim, width)):
-            yield rows[a:b]
 
 
 def canonical_lines(V: np.ndarray, tol: float = 1e-12) -> np.ndarray:

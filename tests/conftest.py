@@ -29,10 +29,10 @@ from anglebound import convexity
 from anglebound.bounds import theta_d
 from anglebound.constructions import LineArrangement
 from anglebound.convexity import FEAS_TOL
-from anglebound.curvature import CONE_FIT_TOL
+from anglebound.curvature import BLOCK, CONE_FIT_TOL
 from anglebound.errors import CapTooSmall
 from anglebound.geometry import PointSet, angle_at, max_angle
-from anglebound.sampling import BLOCK, _rd_alpha, canonical_lines, quasi_uniform_lines, rng_stream
+from anglebound.sampling import _rd_alpha, canonical_lines, quasi_uniform_lines, rng_stream
 
 # Seed of the acceptance suite's criterion-7 sets.
 CRITERION_7_SEED = 20241

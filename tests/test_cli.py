@@ -79,6 +79,10 @@ class TestBasicCommands:
         assert outs[0][1] == outs[1][1]
         first, other = (json.loads(out) for _, out in outs[1:])
         assert first["method"] == "monte_carlo" and first["fractions"] != other["fractions"]
+        # The seed-3 stdout is pinned: how the sweep forms its products must
+        # not move a direction across a normal-cone boundary.
+        assert hashlib.sha256(outs[0][1].encode()).hexdigest() == (
+            "e345d871fef2d3d286542139b76210012876d3c6d3ad0e6eaeb67162de42ec72")
 
     def test_exact_curvature_payload_is_pinned(self, tmp_path, capsys):
         # R^3 takes the exact path, whose stdout is independent of the sampler.

@@ -494,6 +494,12 @@ class TestNearestPoints:
         with pytest.raises(RuntimeError, match=r"stack: .*cap of 0 steps on problem 0 of 3"):
             convexity._nearest_points(np.ones((3, 4, 2)), "stack")
 
+    def test_step_cap_reports_the_problem_scale(self, monkeypatch):
+        monkeypatch.setattr(convexity, "NEAREST_STEPS_PER_POINT", 0)
+        P = np.ones((3, 4, 2)) * np.array([1.0, 3.0, 5.0])[:, None, None]
+        with pytest.raises(RuntimeError, match=r"on problem 0 of 3 .*scale=1\.41421\)"):
+            convexity._nearest_points(P, "stack")
+
 
 class TestObtuseWitness:
     def test_center_of_square_on_diagonal(self):

@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from anglebound import constructions, convexity, curvature
+from anglebound import constructions, convexity, curvature, geometry
 from anglebound.bounds import eta_of_theta, f_fraction, theta_d
 from anglebound.curvature import (
+    BLOCK,
     cone_cover_certificate,
     dekster_radius,
     gauss_bonnet_sum,
@@ -21,14 +22,11 @@ from anglebound.errors import (
     OutOfRange,
 )
 from anglebound.geometry import PointSet, geodesic_diameter, max_angle
-from anglebound import sampling
 from anglebound.sampling import (
-    BLOCK,
     canonical_lines,
     quasi_uniform_lines,
     rd_directions,
     rng_stream,
-    rotated_blocks,
 )
 from conftest import (
     canonical_line,
@@ -77,24 +75,43 @@ def brute_force_cap(H):
     return best
 
 
+def identity_blocks(dim: int, n: int, seed: int, width: int, samples=None) -> list:
+    """curvature._paired_products's (PT, paired) over 2n samples (or `samples`)
+    for P the identity padded with zero rows to `width` rows, each PT cut to
+    its first dim rows: its block's raw rows, one per column."""
+    P = np.eye(width, dim)
+    return [(PT[:dim].copy(), paired) for PT, paired in
+            curvature._paired_products(P, 2 * n if samples is None else samples, seed)]
+
+
+def raw_rows(blocks: list, dim: int) -> np.ndarray:
+    """The raw rows of identity_blocks, one per row."""
+    return np.hstack([PT[:dim] for PT, _ in blocks]).T
+
+
 class TestSampling:
-    def test_partition_independence(self):
-        # The rows do not depend on the row-block size the width sets.
+    def test_partition_independence(self, monkeypatch):
+        # The rows do not depend on the column-block size the width sets.
         full = whole_raw_rows(3, 3 * BLOCK + 1000, seed=9)
-        for width in (3, 400, 1 << 15):
-            blocks = list(rotated_blocks(3, 3 * BLOCK + 1000, 9, width))
-            assert np.vstack(blocks).tobytes() == full.tobytes()
+        for width in (3, 400, 1 << 13):
+            z = raw_rows(identity_blocks(3, 3 * BLOCK + 1000, 9, width), 3)
+            np.testing.assert_allclose(z, full, rtol=0.0, atol=1e-15)
+        # The smallest blocks, two columns each, as a width of 2^15 gives.
+        monkeypatch.setattr(geometry, "_BLOCK_ENTRIES", 6)
+        blocks = identity_blocks(3, 3 * BLOCK + 1000, 9, 3)
+        assert {PT.shape[1] for PT, _ in blocks} == {2}
+        np.testing.assert_allclose(raw_rows(blocks, 3), full, rtol=0.0, atol=1e-15)
 
     def test_unit_norm_and_mean_isotropy(self):
-        z = np.vstack(list(rotated_blocks(5, 20000, 4, 5)))
-        assert z.tobytes() == whole_raw_rows(5, 20000, 4).tobytes()
+        z = raw_rows(identity_blocks(5, 20000, 4, 5), 5)
+        np.testing.assert_allclose(z, whole_raw_rows(5, 20000, 4), rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-12)
         assert np.linalg.norm(z.mean(axis=0)) < 0.02
 
     def test_base_set_is_the_cached_unshifted_rd_set(self):
         for dim in (1, 2, 5, 8):
-            base = sampling._base_directions(dim)
-            assert base is sampling._base_directions(dim) and not base.flags.writeable
+            base = curvature._base_directions(dim)
+            assert base is curvature._base_directions(dim) and not base.flags.writeable
             assert base.tobytes() == rd_directions(dim, BLOCK + 1)[1:].tobytes()
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8, 12])
@@ -102,7 +119,7 @@ class TestSampling:
         rng = np.random.default_rng(3)
         dets = []
         for _ in range(40):
-            Q = sampling._rotation(rng, dim)
+            Q = curvature._rotation(rng, dim)
             assert np.linalg.norm(Q.T @ Q - np.eye(dim)) <= 1e-12
             dets.append(np.linalg.det(Q))
         np.testing.assert_allclose(np.abs(dets), 1.0, atol=1e-12)
@@ -110,12 +127,16 @@ class TestSampling:
 
     def test_same_seed_same_bytes(self):
         def stream(n, seed, width=6):
-            return np.vstack(list(rotated_blocks(6, n, seed, width))).tobytes()
+            return raw_rows(identity_blocks(6, n, seed, width), 6)
 
         first = stream(3 * BLOCK + 17, 11)
-        assert stream(3 * BLOCK + 17, 11, width=300) == first
-        assert first.startswith(stream(BLOCK + 5, 11))  # a longer stream extends a shorter one
-        assert stream(3 * BLOCK + 17, 12) != first
+        assert stream(3 * BLOCK + 17, 11).tobytes() == first.tobytes()
+        wide = stream(3 * BLOCK + 17, 11, width=300)
+        assert stream(3 * BLOCK + 17, 11, width=300).tobytes() == wide.tobytes()
+        np.testing.assert_allclose(wide, first, rtol=0.0, atol=1e-15)
+        # A longer stream extends a shorter one.
+        assert first.tobytes().startswith(stream(BLOCK + 5, 11).tobytes())
+        assert not np.allclose(stream(3 * BLOCK + 17, 12), first)
 
     def test_vectorized_canonicalization_matches_canonical_line(self):
         rng = np.random.default_rng(3)
@@ -174,8 +195,8 @@ class TestSampling:
 
     @pytest.mark.parametrize("seed", [-1, 2.5])
     def test_seeded_entry_points_refuse_bad_seeds(self, seed):
-        for call in (lambda: next(rotated_blocks(3, 10, seed, 3)), lambda: rng_stream(seed),
-                     lambda: quasi_uniform_lines(3, 10, seed)):
+        for call in (lambda: normal_cone_fraction_mc(TESSERACT, 0, 2000, seed),
+                     lambda: rng_stream(seed), lambda: quasi_uniform_lines(3, 10, seed)):
             with pytest.raises(OutOfRange, match=f"seed must be a non-negative integer, "
                                                  f"got {seed!r}"):
                 call()
@@ -195,9 +216,10 @@ class TestSampling:
                 call()
 
     @pytest.mark.parametrize("call, message", [
-        (lambda: next(rotated_blocks(0, 10, 1, 3)), "need dim >= 1 and n >= 0, "
-                                                    "got dim=0, n=10"),
-        (lambda: next(rotated_blocks(3, -1, 1, 3)), "got dim=3, n=-1"),
+        (lambda: gauss_bonnet_sum(PointSet(np.zeros((10, 0))), 2000, 1),
+         r"expected an \(n, dim\) array with n, dim >= 1, got \(10, 0\)"),
+        (lambda: normal_cone_fraction_mc(TESSERACT, 0, 999, 1),
+         "need at least 1000 samples, an integer, got 999"),
         (lambda: quasi_uniform_lines(1, 10, 1), "need dim >= 2 and n >= 1 lines, got dim=1, n=10"),
         (lambda: quasi_uniform_lines(3, 0, 1), "got dim=3, n=0"),
     ], ids=["dim", "n", "probe-dim", "probe-n"])
@@ -210,14 +232,18 @@ class TestSampling:
         (5, 4000, 48, 260_644), (8, 1366, 300, 17),
     ])
     def test_blocks_are_one_draw_per_chunk(self, dim, n, width, seed):
-        # A chunk is BLOCK rows under one rotation draw; its row blocks stay
-        # within the _row_blocks budget and never straddle two chunks.
-        blocks = list(rotated_blocks(dim, n, seed, width))
+        # A chunk is BLOCK raw rows under one rotation draw; its column blocks
+        # stay within the _row_blocks budget and never straddle two chunks.
+        # Over 2n - 1 samples only the last raw row has no partner.
+        blocks = identity_blocks(dim, n, seed, width, samples=2 * n - 1)
+        cols = [PT.shape[1] for PT, _ in blocks]
         step = max(1, (1 << 16) // max(dim, width))
-        assert all(2 <= len(b) <= step for b in blocks[:-1]) and len(blocks[-1]) <= step
-        ends = np.cumsum([len(b) for b in blocks])
+        assert all(2 <= c <= step for c in cols[:-1]) and cols[-1] <= step
+        ends = np.cumsum(cols)
         assert set(range(BLOCK, n, BLOCK)) <= set(ends.tolist())
-        assert np.concatenate(blocks).tobytes() == whole_raw_rows(dim, n, seed).tobytes()
+        assert [paired for _, paired in blocks] == cols[:-1] + [cols[-1] - 1]
+        np.testing.assert_allclose(raw_rows(blocks, dim), whole_raw_rows(dim, n, seed),
+                                   rtol=0.0, atol=1e-15)
 
 
 def _sphere_set(seed: int, n: int, dim: int) -> PointSet:
@@ -297,8 +323,8 @@ class TestExactTies:
                              ids=["square", "cube", "tesseract", "cross-polytope"])
     def test_counts_equal_first_index_row_major_counts(self, monkeypatch, ps):
         blocks = self.blocks(ps.dim)
-        monkeypatch.setattr(curvature, "_paired_blocks",
-                            lambda dim, samples, seed, width: iter(blocks))
+        monkeypatch.setattr(curvature, "_paired_products", lambda P, samples, seed: (
+            (P @ U.T, paired) for U, paired in blocks))
         samples = sum(len(U) + paired for U, paired in blocks)
         V = ps.points
         expected = np.zeros(len(V), dtype=int)
@@ -344,6 +370,32 @@ class TestNormalConeFraction:
     def test_requires_enough_samples(self):
         with pytest.raises(OutOfRange):
             normal_cone_fraction_mc(SQUARE, 0, 10, seed=1)
+
+    def test_one_point_is_refused_by_name(self):
+        for ps in (PointSet([[0.0, 0.0]]), PointSet([[1.0, 2.0, 3.0, 4.0]])):
+            with pytest.raises(OutOfRange, match="need at least two points"):
+                normal_cone_fraction_mc(ps, 0, 2000, seed=1)
+
+    @pytest.mark.parametrize("samples", [1000.5, 2000.25, math.nan, math.inf])
+    def test_non_integer_samples_are_refused_before_any_work(self, monkeypatch, samples):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the sample count was checked")
+
+        monkeypatch.setattr(curvature, "_require_convex_position", no_work)
+        for call in (gauss_bonnet_sum, lambda ps, n, seed: normal_cone_fraction_mc(ps, 0, n, seed)):
+            for ps in (SQUARE, TESSERACT):
+                with pytest.raises(OutOfRange, match=f"need at least 1000 samples, an integer, "
+                                                     f"got {samples!r}"):
+                    call(ps, samples, 1)
+
+    @pytest.mark.parametrize("samples, seed", [(2000.0, 4), (2000, 4.0), (2000.0, 4.0)])
+    def test_integral_float_samples_and_seeds_are_taken_as_integers(self, samples, seed):
+        f, _ = normal_cone_fraction_mc(TESSERACT, 3, samples, seed)
+        assert f == normal_cone_fraction_mc(TESSERACT, 3, 2000, seed=4)[0]
+        for ps in (SQUARE, TESSERACT):
+            est = gauss_bonnet_sum(ps, samples, seed)
+            assert type(est.samples) is int and est.samples == 2000
+            np.testing.assert_array_equal(est.fractions, gauss_bonnet_sum(ps, 2000, 4).fractions)
 
 
 def _hexagon() -> np.ndarray:
