@@ -67,18 +67,6 @@ def read_pointset(path: str):
     return ps
 
 
-def write_pointset(ps, path: str):
-    p = Path(path)
-    if p.suffix.lower() == ".csv":
-        with open(p, "w", newline="") as fh:
-            w = csv.writer(fh)
-            for row in ps.points:
-                w.writerow([repr(float(x)) for x in row])
-    else:
-        with open(p, "w") as fh:
-            fh.write(_serialize(ps))
-
-
 def read_lines(path: str):
     import numpy as np
 

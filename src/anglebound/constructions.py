@@ -33,12 +33,8 @@ from .sampling import _check_seed, canonical_lines, quasi_uniform_lines, rng_str
 DEFAULT_PROBES = 100_000
 # A packing restart stops once its gradient norm falls below this.
 _GRAD_STOP = 1e-14
-
-
-def line_angle(u: np.ndarray, v: np.ndarray) -> float:
-    """Angle in [0, pi/2] between two antipodally-identified unit vectors."""
-    c = abs(float(np.dot(u, v)))
-    return math.acos(min(1.0, c))
+# Sampled candidate lines per greedy covering round, and the cap on rounds.
+_CANDIDATES, _MAX_ROUNDS = 128, 10_000
 
 
 @dataclass(frozen=True)
@@ -224,8 +220,7 @@ def _column_counts(hits: np.ndarray) -> np.ndarray:
     return counts
 
 
-def cover_lines(rho: float, D: int, seed: int = 0, probes: int = DEFAULT_PROBES,
-                max_rounds: int = 10_000, candidates_per_round: int = 128) -> LineArrangement:
+def cover_lines(rho: float, D: int, seed: int = 0, probes: int = DEFAULT_PROBES) -> LineArrangement:
     """Set of lines leaving every direction within rho/2 of one of them.
 
     Coverage is certified on a dense quasi-random probe set (size `probes`).
@@ -236,9 +231,7 @@ def cover_lines(rho: float, D: int, seed: int = 0, probes: int = DEFAULT_PROBES,
     arrangement returned, and that check is its certificate. The family
     leaves every direction within rho/2 of a line, not only the probes, so
     on a sparse probe set it can use one line more than a greedy cover that
-    only the probes certify. A round cap greedy would hit does not apply
-    there, but max_rounds >= 1 and candidates_per_round >= 1 are still
-    required.
+    only the probes certify, and greedy's round cap does not apply.
 
     In D >= 3, when cos(rho/2) <= 1/sqrt(D) (up to the probe check's 1e-12),
     the coordinate frame is returned, with no greedy round, if the probes
@@ -259,10 +252,6 @@ def cover_lines(rho: float, D: int, seed: int = 0, probes: int = DEFAULT_PROBES,
         raise OutOfRange(f"rho must lie in (0, pi), got {rho}")
     if D < 2:
         raise OutOfRange("dimension must be at least 2")
-    if max_rounds < 1:
-        raise OutOfRange(f"max_rounds must be at least 1, got {max_rounds}")
-    if candidates_per_round < 1:
-        raise OutOfRange(f"candidates_per_round must be at least 1, got {candidates_per_round}")
     P = quasi_uniform_lines(D, probes, seed)
     cos_half = math.cos(0.5 * rho)
     if D == 2:
@@ -277,25 +266,23 @@ def cover_lines(rho: float, D: int, seed: int = 0, probes: int = DEFAULT_PROBES,
         frame = LineArrangement(dim=D, lines=np.eye(D))
         if _covers_all(P, frame.lines, cos_half):
             return frame
-    arrangement = LineArrangement(
-        dim=D, lines=_greedy_cover(P, cos_half, seed, max_rounds, candidates_per_round))
+    arrangement = LineArrangement(dim=D, lines=_greedy_cover(P, cos_half, seed))
     # Re-check the certificate against the full probe set.
     if not _covers_all(P, arrangement.lines, cos_half):
         raise CoverageFailed("probe coverage re-check failed")
     return arrangement
 
 
-def _greedy_cover(P: np.ndarray, cos_half: float, seed: int, max_rounds: int,
-                  candidates: int) -> np.ndarray:
+def _greedy_cover(P: np.ndarray, cos_half: float, seed: int) -> np.ndarray:
     """cover_lines's greedy rounds over the probe rows P; the chosen lines, in order."""
     live = P  # the still-uncovered probes, in index order
-    incidence = np.empty(P.shape[0] * -(-candidates // 8) * 8, dtype=bool)
+    incidence = np.empty(P.shape[0] * -(-_CANDIDATES // 8) * 8, dtype=bool)
     chosen = []
-    for round_idx in range(max_rounds):
+    for round_idx in range(_MAX_ROUNDS):
         if live.shape[0] == 0:
             break
         rng = rng_stream(seed, 1000 + round_idx)
-        take = min(candidates, live.shape[0])
+        take = min(_CANDIDATES, live.shape[0])
         cand = live[rng.choice(live.shape[0], size=take, replace=False)]
         cand_t = np.ascontiguousarray(cand.T)  # the same products as cand.T, computed faster
         width = -(-take // 8) * 8
@@ -309,7 +296,7 @@ def _greedy_cover(P: np.ndarray, cos_half: float, seed: int, max_rounds: int,
         live = live.take(np.flatnonzero(~hits[:, pick]), axis=0)
     if live.shape[0]:
         raise CoverageFailed(
-            f"{live.shape[0]} of {P.shape[0]} probes uncovered after {max_rounds} rounds"
+            f"{live.shape[0]} of {P.shape[0]} probes uncovered after {_MAX_ROUNDS} rounds"
         )
     return np.array(chosen)
 

@@ -133,9 +133,11 @@ def _require_convex_position(V: PointSet):
     return verdict
 
 
-def _rotation(rng: np.random.Generator, dim: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    return q * np.copysign(1.0, np.diag(r))  # Haar on O(dim)
+def _rotations(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """(count, dim, dim): count Haar rotations on O(dim), drawn in turn from rng
+    with one stacked normal draw and QR, equal bit for bit to one at a time."""
+    q, r = np.linalg.qr(rng.standard_normal((count, dim, dim)))
+    return q * np.copysign(1.0, np.diagonal(r, axis1=1, axis2=2))[:, None, :]
 
 
 @functools.cache
@@ -161,8 +163,8 @@ def _paired_products(P: np.ndarray, samples: int, seed: int):
     """
     half, D = -(-samples // 2), P.shape[1]
     base, rng = _base_directions(D), np.random.default_rng(seed)
-    for lo in range(0, half, BLOCK):
-        PQ = P @ _rotation(rng, D)
+    for lo, Q in zip(range(0, half, BLOCK), _rotations(rng, -(-half // BLOCK), D)):
+        PQ = P @ Q
         for a, b in _row_blocks(min(BLOCK, half - lo), max(D, len(P))):
             yield PQ @ base[a:b].T, max(0, min(b, samples // 2 - lo) - a)
 

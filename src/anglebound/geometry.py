@@ -165,26 +165,37 @@ def _scan_index(P: int, n: int):
     return blocks, n * np.arange(P)
 
 
-def _ray_grams(stack: np.ndarray):
-    """Yield (lo, gram) over blocks of the vertex rows lo, lo+1, ... of a
-    (P, n, D) stack of point sets, row p*n + j being vertex j of set p:
-    gram[b] is the Gram matrix of the unit rays from row lo+b toward the
-    other points of its set, _others(P, n)[lo+b].
+def _max_angle_scan(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scan half of max_angle_triples: (angle, row, pos), one entry per set
+    of a finite float (P, n, D) stack with n >= 3.
 
-    The one kernel behind every max-angle scan. A block holds at most
-    _BLOCK_ENTRIES Gram entries, or one vertex's Gram where that alone is
-    larger, so working memory does not grow with the number of blocks, and
-    a block may span several sets. Each vertex's Gram equals, bit for bit,
-    the one a per-vertex scan of its set alone would build. The coordinates
-    must be finite (max_angle_triples checks them; the anneal's proposals
-    are finite by construction). Raises DegenerateTriple when two points of
-    a set lie within DISTINCTNESS_TOL of each other, before any division by
-    their distance.
+    The one ray-Gram kernel behind every max-angle scan. Row p*n + j is
+    vertex j of set p, and its Gram is that of the unit rays toward the other
+    points of its set, _others(P, n)[p*n + j]. The rows go in _scan_index's
+    blocks of at most _BLOCK_ENTRIES Gram entries, or one vertex's Gram where
+    that alone is larger, so working memory does not grow with the number of
+    blocks, and a block may span several sets. Each vertex's Gram equals, bit
+    for bit, the one a per-vertex scan of its set alone would build. Raises
+    DegenerateTriple when two points of a set lie within DISTINCTNESS_TOL of
+    each other, before any division by their distance.
+
+    Set p's winning vertex is row = p*n + j and its winning Gram entry is
+    pos = a*(n-1) + b, the rays toward the a-th and b-th other points; angle
+    is arccos of that entry, clamped to [-1, 1]. Ties go to the first vertex
+    j of a set, then to the first (a, b) in row-major order of its Gram.
+    The angle is the scan's own: the winning triple's angle as
+    _max_angle_recompute returns it can differ from it, through the last
+    bits of the cosine, by up to about 2^-25 sqrt(D + 2) rad near 0 and pi
+    (search._RANK_TIE_TOL derives the bound).
     """
     P, n, D = stack.shape
+    m = n - 1
     pts = stack.reshape(P * n, D)
     others = _others(P, n)
-    for lo, hi, _ in _scan_index(P, n)[0]:
+    blocks, firsts = _scan_index(P, n)
+    ang = np.empty(P * n)
+    pos = np.empty(P * n, dtype=np.intp)
+    for lo, hi, offsets in blocks:
         rays = pts.take(others[lo:hi], axis=0)
         rays -= pts[lo:hi, None]
         norms = np.add.reduce(rays * rays, axis=2)
@@ -199,36 +210,14 @@ def _ray_grams(stack: np.ndarray):
                 f"{DISTINCTNESS_TOL}: no angle at vertex {j}"
             )
         rays /= norms[:, :, None]
-        yield lo, rays @ rays.transpose(0, 2, 1)
-
-
-def _max_angle_scan(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scan half of max_angle_triples: (angle, row, pos), one entry per set
-    of a finite float (P, n, D) stack with n >= 3.
-
-    Set p's winning vertex is row = p*n + j and its winning Gram entry is
-    pos = a*(n-1) + b, the rays toward the a-th and b-th other points; angle
-    is arccos of that entry, clamped to [-1, 1]. Ties go to the first vertex
-    j of a set, then to the first (a, b) in row-major order of its Gram.
-    The angle is the scan's own: the winning triple's angle as
-    _max_angle_recompute returns it can differ from it, through the last
-    bits of the cosine, by up to about 2^-25 sqrt(D + 2) rad near 0 and pi
-    (search._RANK_TIE_TOL derives the bound).
-    """
-    P, n, _ = stack.shape
-    m = n - 1
-    blocks, firsts = _scan_index(P, n)
-    ang = np.empty(P * n)
-    pos = np.empty(P * n, dtype=np.intp)
-    for (lo, gram), (_, hi, offsets) in zip(_ray_grams(stack), blocks):
+        # A contiguous transpose makes numpy multiply with gemm; the transposed
+        # view would send it to syrk, which is slower at these sizes.
+        gram = rays @ np.ascontiguousarray(rays.transpose(0, 2, 1))
         flat = gram.reshape(hi - lo, m * m)
         flat[:, :: m + 1] = 1.0
         w = flat.argmin(axis=1, out=pos[lo:hi])
-        c = gram.take(w + offsets)
-        np.maximum(c, -1.0, out=c)
-        np.minimum(c, 1.0, out=c)
-        np.arccos(c, out=ang[lo:hi])
-        # Free this Gram before the kernel builds the next one, so that
+        np.arccos(np.clip(gram.take(w + offsets), -1.0, 1.0), out=ang[lo:hi])
+        # Free this Gram before the next block builds its own, so that
         # large-n scans reuse one buffer while it is still in cache.
         del gram, flat
     # argmax keeps the first vertex of each set among equal angles: the
@@ -257,14 +246,14 @@ def _max_angle_recompute(stack: np.ndarray, row: int, pos: int) -> tuple[float, 
 def max_angle_triples(stack) -> list[tuple[float, tuple[int, int, int]]]:
     """(max angle, (i, j, k)) of every set of a (P, n, dim) stack, in one scan.
 
-    One pass of _ray_grams over all P*n vertex rows (_max_angle_scan), so a
-    stack of small sets costs about one call's fixed numpy overhead instead
-    of P. Per set, ties go to the first vertex j (a later vertex or block
-    wins only when strictly greater), then to the first (i, k) in row-major
-    order of its Gram; the winning triple's angle is recomputed with
-    angle_at's arithmetic (_max_angle_recompute). A set's result therefore
-    does not depend on the other sets or on where the block boundaries fall.
-    A set of n <= 2 points has no triple: (0.0, (-1, -1, -1)). Raises
+    One pass of _max_angle_scan over all P*n vertex rows, so a stack of
+    small sets costs about one call's fixed numpy overhead instead of P. Per
+    set, ties go to the first vertex j (a later vertex or block wins only
+    when strictly greater), then to the first (i, k) in row-major order of
+    its Gram; the winning triple's angle is recomputed with angle_at's
+    arithmetic (_max_angle_recompute). A set's result therefore does not
+    depend on the other sets or on where the block boundaries fall. A set
+    of n <= 2 points has no triple: (0.0, (-1, -1, -1)). Raises
     DegenerateTriple naming the set and the two points when two points of a
     set are closer than DISTINCTNESS_TOL, OutOfRange if a coordinate is not
     finite.

@@ -11,11 +11,13 @@ sign by `canonical_lines`. Unshifted, `rd_directions` gives the fixed
 directions of the convex-position screen, which so needs no generator and
 no numpy.random.
 
-Every seeded entry point rejects a negative or non-integer seed with
-OutOfRange naming it.
+Every seeded entry point rejects a negative, non-integer or non-finite seed
+with OutOfRange naming it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .errors import OutOfRange
 
 
 def _check_seed(seed) -> int:
-    if int(seed) != seed or seed < 0:
+    if not 0 <= seed < math.inf or int(seed) != seed:  # int() never sees nan or inf
         raise OutOfRange(f"seed must be a non-negative integer, got {seed!r}")
     return int(seed)
 

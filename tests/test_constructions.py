@@ -15,7 +15,6 @@ from anglebound.constructions import (
     cover_lines,
     ef_doubling,
     find_mono_odd_cycle,
-    line_angle,
     n_bounds,
     obtuse_triple_witness,
     pack_lines,
@@ -57,7 +56,7 @@ class TestLineArrangement:
         vecs /= np.linalg.norm(vecs, axis=1)[:, None]
         arr = LineArrangement(dim=3, lines=vecs)
         direct = min(
-            line_angle(arr.lines[i], arr.lines[j])
+            math.acos(min(1.0, abs(float(np.dot(arr.lines[i], arr.lines[j])))))
             for i in range(6) for j in range(i + 1, 6)
         )
         assert arr.min_pairwise_angle == pytest.approx(direct, abs=1e-12)
@@ -196,14 +195,17 @@ class TestCoverLines:
         with pytest.raises(OutOfRange):
             cover_lines(math.pi, 2)
 
-    def test_round_cap_reported(self):
+    def test_round_cap_reported(self, monkeypatch):
         from anglebound.errors import CoverageFailed
-        with pytest.raises(CoverageFailed):
-            cover_lines(0.05, 3, seed=1, probes=5000, max_rounds=2)
+        monkeypatch.setattr(constructions, "_MAX_ROUNDS", 2)
+        with pytest.raises(CoverageFailed) as err:
+            cover_lines(0.05, 3, seed=1, probes=5000)
+        assert str(err.value).endswith("probes uncovered after 2 rounds")
 
-    def test_a_cover_finished_in_the_last_round_is_returned(self):
+    def test_a_cover_finished_in_the_last_round_is_returned(self, monkeypatch):
         whole = cover_lines(1.1, 3, seed=4, probes=5000)
-        capped = cover_lines(1.1, 3, seed=4, probes=5000, max_rounds=len(whole))
+        monkeypatch.setattr(constructions, "_MAX_ROUNDS", len(whole))
+        capped = cover_lines(1.1, 3, seed=4, probes=5000)
         np.testing.assert_array_equal(capped.lines, whole.lines)
 
     @pytest.mark.parametrize("rho", [0.05, 0.3, 0.9, math.pi / 3, math.pi / 4, math.pi / 5,
@@ -237,10 +239,10 @@ class TestCoverLines:
                             lambda D, n, seed: np.vstack([probes, midway]))
         assert len(cover_lines(rho, 2, seed=3, probes=2000)) == 4
 
-    def test_planar_cover_needs_no_rounds(self):
-        # The closed form runs no greedy round, so a round cap that greedy
-        # would hit does not apply.
-        assert len(cover_lines(0.05, 2, seed=1, probes=5000, max_rounds=2)) == 63
+    def test_planar_cover_needs_no_rounds(self, monkeypatch):
+        # The closed form runs no greedy round, so no round cap applies.
+        monkeypatch.setattr(constructions, "_MAX_ROUNDS", 0)
+        assert len(cover_lines(0.05, 2, seed=1, probes=5000)) == 63
 
     @pytest.mark.parametrize("D", [3, 4, 5, 6])
     @pytest.mark.parametrize("above", [0.0, 1e-9, 0.1])
@@ -274,25 +276,12 @@ class TestCoverLines:
                                               whole_cover_lines(rho, D, seed, 7001))
 
     @pytest.mark.parametrize("candidates", [1, 5, 13])
-    def test_unpadded_candidate_counts_match_whole_sweep(self, candidates):
+    def test_unpadded_candidate_counts_match_whole_sweep(self, monkeypatch, candidates):
+        monkeypatch.setattr(constructions, "_CANDIDATES", candidates)
         for D, rho in ((2, 0.9), (3, 1.1)):
             np.testing.assert_array_equal(
-                cover_lines(rho, D, seed=2, probes=3001, candidates_per_round=candidates).lines,
+                cover_lines(rho, D, seed=2, probes=3001).lines,
                 whole_cover_lines(rho, D, 2, 3001, candidates_per_round=candidates))
-
-    @pytest.mark.parametrize("candidates", [0, -3])
-    def test_bad_candidates_per_round_refused_by_name(self, candidates):
-        for D in (2, 3):  # the planar closed form runs no round but checks it too
-            with pytest.raises(OutOfRange) as err:
-                cover_lines(1.0, D, candidates_per_round=candidates)
-            assert str(err.value) == f"candidates_per_round must be at least 1, got {candidates}"
-
-    @pytest.mark.parametrize("rounds", [0, -3])
-    def test_bad_max_rounds_refused_by_name(self, rounds):
-        for D in (2, 3):
-            with pytest.raises(OutOfRange) as err:
-                cover_lines(1.0, D, max_rounds=rounds)
-            assert str(err.value) == f"max_rounds must be at least 1, got {rounds}"
 
     @pytest.mark.parametrize("rows", [1, 254, 255, 256, 511, 20_000])
     @pytest.mark.parametrize("width", [1, 7, 8, 128])

@@ -116,10 +116,8 @@ class TestSampling:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8, 12])
     def test_rotations_are_orthogonal(self, dim):
-        rng = np.random.default_rng(3)
         dets = []
-        for _ in range(40):
-            Q = curvature._rotation(rng, dim)
+        for Q in curvature._rotations(np.random.default_rng(3), 40, dim):
             assert np.linalg.norm(Q.T @ Q - np.eye(dim)) <= 1e-12
             dets.append(np.linalg.det(Q))
         np.testing.assert_allclose(np.abs(dets), 1.0, atol=1e-12)
@@ -193,14 +191,15 @@ class TestSampling:
             np.testing.assert_array_equal(U[0], np.zeros(dim))
             np.testing.assert_allclose(np.linalg.norm(U[1:], axis=1), 1.0, atol=1e-12)
 
-    @pytest.mark.parametrize("seed", [-1, 2.5])
+    @pytest.mark.parametrize("seed", [-1, 2.5, math.nan, math.inf, -math.inf])
     def test_seeded_entry_points_refuse_bad_seeds(self, seed):
         for call in (lambda: normal_cone_fraction_mc(TESSERACT, 0, 2000, seed),
+                     lambda: gauss_bonnet_sum(TESSERACT, 2000, seed),
+                     lambda: constructions.pack_lines(3, 2, seed=seed),
                      lambda: rng_stream(seed), lambda: quasi_uniform_lines(3, 10, seed)):
             with pytest.raises(OutOfRange, match=f"seed must be a non-negative integer, "
                                                  f"got {seed!r}"):
                 call()
-
 
     def test_seed_is_checked_before_any_work(self, monkeypatch):
         def no_work(*args, **kwargs):

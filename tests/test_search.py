@@ -55,16 +55,23 @@ class TestStructuredConfigurations:
                 assert cross_polytope_vertices(dim, n).tobytes() == rows.tobytes()
 
 
+def count_scans(monkeypatch, record):
+    """Patch geometry._max_angle_scan, under both its names, to pass every
+    stack it scans to record first."""
+    scan = geometry._max_angle_scan
+
+    def counted(stack):
+        record(stack)
+        return scan(stack)
+
+    monkeypatch.setattr(geometry, "_max_angle_scan", counted)
+    monkeypatch.setattr(search, "_max_angle_scan", counted)
+
+
 class TestAnneal:
     def test_each_proposal_is_scanned_once(self, monkeypatch):
         stacks = []
-        ray_grams = geometry._ray_grams
-
-        def counted(stack):
-            stacks.append(np.array(stack))
-            return ray_grams(stack)
-
-        monkeypatch.setattr(geometry, "_ray_grams", counted)
+        count_scans(monkeypatch, lambda stack: stacks.append(np.array(stack)))
         pts = np.random.default_rng(5).normal(size=(6, 3))
         _anneal(pts[None], 20, [np.random.default_rng(6)])
         # The start alone, then one (3, n, D) stack of the proposals per step;
@@ -81,13 +88,7 @@ class TestAnneal:
     ])
     def test_starts_are_scanned_in_lockstep(self, monkeypatch, n, D, restarts, starts):
         stacks = []
-        ray_grams = geometry._ray_grams
-
-        def counted(stack):
-            stacks.append(stack.shape)
-            return ray_grams(stack)
-
-        monkeypatch.setattr(geometry, "_ray_grams", counted)
+        count_scans(monkeypatch, lambda stack: stacks.append(stack.shape))
         res = minimize_max_angle(n, D, iters=7, restarts=restarts, seed=1)
         # The starts in one stack, then one stack of every start's proposals
         # per step, then the winner's recomputed angle.
@@ -97,18 +98,14 @@ class TestAnneal:
     @pytest.mark.parametrize("R", [1, 3])
     def test_each_step_recomputes_one_angle_per_start(self, monkeypatch, R):
         recomputed, stacks = [], []
-        vertex_angle, ray_grams = geometry._vertex_angle, geometry._ray_grams
+        vertex_angle = geometry._vertex_angle
 
         def counted_angle(x, y, z):
             recomputed.append((x.tobytes(), y.tobytes(), z.tobytes()))
             return vertex_angle(x, y, z)
 
-        def counted_grams(stack):
-            stacks.append(np.array(stack))
-            return ray_grams(stack)
-
         monkeypatch.setattr(geometry, "_vertex_angle", counted_angle)
-        monkeypatch.setattr(geometry, "_ray_grams", counted_grams)
+        count_scans(monkeypatch, lambda stack: stacks.append(np.array(stack)))
         starts = np.random.default_rng(7).normal(size=(R, 6, 3))
         _anneal(starts, 20, [np.random.default_rng(8 + r) for r in range(R)])
         # R angles for the starts, then R per step (ranking by recomputed
