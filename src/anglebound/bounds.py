@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import OutOfRange
+from .errors import OutOfRange, check_int
 
 # Continued-fraction stop test |step - 1| and term cap. With the switch to
 # the complement below, no d <= 10^8 needs more than 320 terms at any eta.
@@ -39,15 +39,13 @@ class BoundReport:
 
 def theta_d(d: int) -> float:
     """arccos(-1/d): strictly decreasing in d, in (pi/2, pi] for d >= 1."""
-    if int(d) != d or d < 1:
-        raise OutOfRange(f"d must be a positive integer, got {d!r}")
+    d = check_int(d, "d must be a positive integer, got {!r}", 1)
     return math.acos(-1.0 / d)
 
 
 def sin_half_theta_d(d: int) -> float:
     """sin(theta_d / 2) = sqrt((d+1) / (2d))."""
-    if int(d) != d or d < 1:
-        raise OutOfRange(f"d must be a positive integer, got {d!r}")
+    d = check_int(d, "d must be a positive integer, got {!r}", 1)
     return math.sqrt((d + 1.0) / (2.0 * d))
 
 
@@ -126,9 +124,7 @@ def f_fraction(d: int, eta: float) -> float:
     a = d/2, the fraction runs on I_{cos^2 eta}(a, 1/2) directly; above it,
     on the complement I_{sin^2 eta}(1/2, a), with sin^2 eta computed directly.
     """
-    if int(d) != d or d < 1:
-        raise OutOfRange(f"d must be a positive integer, got {d!r}")
-    d = int(d)
+    d = check_int(d, "d must be a positive integer, got {!r}", 1)
     if not -1e-12 <= eta <= 0.5 * math.pi + 1e-12:
         raise OutOfRange(f"eta must lie in [0, pi/2], got {eta}")
     eta = min(max(eta, 0.0), 0.5 * math.pi)
@@ -156,10 +152,7 @@ def cardinality_bound(theta: float, ambient_dim: int) -> BoundReport:
     theta in [theta_D, theta_(D-1)] the formula still evaluates and is
     reported with theorem_applicable = False.
     """
-    D = ambient_dim
-    if int(D) != D or D < 2:
-        raise OutOfRange(f"ambient_dim must be an integer >= 2, got {D!r}")
-    D = int(D)
+    D = check_int(ambient_dim, "ambient_dim must be an integer >= 2, got {!r}", 2)
     d = D - 1
     eta = eta_of_theta(theta, d)
     f = f_fraction(d, eta)
@@ -178,9 +171,7 @@ def cardinality_bound(theta: float, ambient_dim: int) -> BoundReport:
 
 def asymptotic_envelope(d: int) -> float:
     """Growth envelope 2 (pi/2)^(2d-1) d^(d/2) of the right-angle bound in dimension d."""
-    if int(d) != d or d < 2:
-        raise OutOfRange(f"d must be an integer >= 2, got {d!r}")
-    d = int(d)
+    d = check_int(d, "d must be an integer >= 2, got {!r}", 2)
     log_val = math.log(2.0) + (2 * d - 1) * math.log(0.5 * math.pi) + 0.5 * d * math.log(d)
     if log_val > math.log(1.7976931348623157e308):
         raise OverflowError(f"envelope exceeds float range at d={d}")

@@ -26,6 +26,7 @@ from .errors import (
     HypothesisViolated,
     OutOfRange,
     ScaleExhausted,
+    check_int,
 )
 from .geometry import PointSet, _min_upper_pair, _row_blocks, angle_at, max_angle_triple
 from .sampling import _check_seed, canonical_lines, quasi_uniform_lines, rng_stream
@@ -134,11 +135,13 @@ def pack_lines(m: int, D: int, iters: int = 1500, seed: int = 0,
     separation regardless of optimizer quality. Needs iters >= 1 and
     restarts >= 1, closed forms included.
     """
-    if m < 2 or D < 2:
-        raise OutOfRange("need m >= 2 lines in dimension D >= 2")
+    m = check_int(m, "m must be an integer >= 2, got {!r}", 2)
+    D = check_int(D, "dimension must be an integer >= 2, got {!r}", 2)
     _check_seed(seed)
+    iters = check_int(iters, "iters must be an integer, got {!r}")
     if iters < 1:
         raise OutOfRange(f"iters must be at least 1, got {iters}")
+    restarts = check_int(restarts, "restarts must be an integer, got {!r}")
     if restarts < 1:
         raise OutOfRange(f"restarts must be at least 1, got {restarts}")
     if m <= D:
@@ -250,9 +253,8 @@ def cover_lines(rho: float, D: int, seed: int = 0, probes: int = DEFAULT_PROBES)
     """
     if not 0.0 < rho < math.pi:
         raise OutOfRange(f"rho must lie in (0, pi), got {rho}")
-    if D < 2:
-        raise OutOfRange("dimension must be at least 2")
-    P = quasi_uniform_lines(D, probes, seed)
+    D = check_int(D, "dimension must be an integer >= 2, got {!r}", 2)
+    P = quasi_uniform_lines(D, check_int(probes, "probes must be an integer, got {!r}"), seed)
     cos_half = math.cos(0.5 * rho)
     if D == 2:
         # The probe check of the lines returned is their certificate.
@@ -319,6 +321,7 @@ def ef_doubling(L: LineArrangement, rho: float, slack: float = 0.05,
     """
     if not slack > 0.0:
         raise OutOfRange(f"slack must be positive, got {slack}")
+    doublings = check_int(max_scale_doublings, "max_scale_doublings must be an integer, got {!r}")
     if not 0.0 < rho < math.pi:
         raise OutOfRange(f"rho must lie in (0, pi), got {rho}")
     if rho >= L.min_pairwise_angle:
@@ -337,7 +340,7 @@ def ef_doubling(L: LineArrangement, rho: float, slack: float = 0.05,
         diffs = (pts[:, None, :] - pts[None, :, :]).reshape(-1, L.dim)
         diam = math.sqrt(max(float(np.max(np.sum(diffs**2, axis=1))), 1.0))
         t = diam / math.sin(slack_eff)
-        for _ in range(max_scale_doublings):
+        for _ in range(doublings):
             # The set's smallest distance is the unit segment on the first
             # line; past this scale, rounding of the translated copy eats it.
             if t > 1e15:
@@ -438,13 +441,6 @@ def _pair_colors(A: PointSet, L: LineArrangement, rho: float) -> tuple[np.ndarra
     return i, j, np.argmax(hits, axis=1)
 
 
-def color_edges_by_lines(A: PointSet, L: LineArrangement, rho: float) -> EdgeColoring:
-    """Color each point pair by the least-index line within rho/2 of its direction."""
-    i, j, c = _pair_colors(A, L, rho)
-    return EdgeColoring(n=len(A), m=len(L), color=dict(
-        zip(zip(i.tolist(), j.tolist()), c.tolist())))
-
-
 def obtuse_triple_witness(A: PointSet, L: LineArrangement, rho: float) -> ObtuseWitness:
     """A triple of A forming an angle >= pi - rho, when |A| >= 2^m + 1.
 
@@ -486,8 +482,7 @@ def n_bounds(theta: float, d: int, c_d: float, C_d: float) -> NBoundsReport:
     """
     if not 0.5 * math.pi < theta < math.pi:
         raise OutOfRange(f"theta must lie in (pi/2, pi), got {theta}")
-    if int(d) != d or d < 2:
-        raise OutOfRange(f"d must be an integer >= 2, got {d!r}")
+    d = check_int(d, "d must be an integer >= 2, got {!r}", 2)
     if not (c_d > 0.0 and C_d > 0.0):
         raise OutOfRange(f"constants must be positive, got c_d={c_d}, C_d={C_d}")
     gap = math.pi - theta
@@ -503,7 +498,7 @@ def n_bounds(theta: float, d: int, c_d: float, C_d: float) -> NBoundsReport:
         )
     valid_above = (d - 1) * math.log2(max(c_d / gap, 1e-300))
     return NBoundsReport(
-        theta=float(theta), d=int(d), c_d=float(c_d), C_d=float(C_d),
+        theta=float(theta), d=d, c_d=float(c_d), C_d=float(C_d),
         lower=lower, upper=upper, overflow=overflow,
         lower_valid_above_n=valid_above,
     )

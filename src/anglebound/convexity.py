@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateSimplex, NotInHull, NotInterior, OutOfRange
-from .geometry import PointSet, _min_upper_pair, _row_blocks, angle_at, rays_from
+from .geometry import PointSet, _as_point, _min_upper_pair, _row_blocks, angle_at, rays_from
 from .sampling import rd_directions
 
 # Barycentric/convex coefficients above -1e-10 count as nonnegative; strict
@@ -253,6 +253,17 @@ def _barycentric(p: np.ndarray, V: np.ndarray):
     return coords, residual, on_hull, on_hull and bool(np.all(pulls))
 
 
+def _point_of(p, V: np.ndarray) -> np.ndarray:
+    """p as a finite point of the finite (k, D) set V's dimension, else OutOfRange
+    before any solve: NaN reaches LAPACK, which prints to stdout."""
+    if not np.isfinite(V).all():
+        raise OutOfRange("point set has non-finite coordinates")
+    p = _as_point(p)
+    if p.shape[0] != V.shape[1]:
+        raise OutOfRange(f"point has dimension {p.shape[0]} but the set {V.shape[1]}")
+    return p
+
+
 def simplex_contains_origin(V, strict: bool = False) -> bool:
     """True when the simplex with vertices V contains the origin.
 
@@ -264,7 +275,7 @@ def simplex_contains_origin(V, strict: bool = False) -> bool:
     V = np.asarray(V, dtype=float)
     if V.ndim != 2 or V.shape[0] < 2:
         raise OutOfRange("simplex needs at least two vertices")
-    coords, _, on_hull, interior = _barycentric(np.zeros(V.shape[1]), V)
+    coords, _, on_hull, interior = _barycentric(_point_of(np.zeros(V.shape[1]), V), V)
     return interior if strict else on_hull and bool(np.all(coords >= -COEFF_TOL))
 
 
@@ -309,7 +320,7 @@ def caratheodory_decompose(p, S: PointSet) -> np.ndarray:
     The support of the point of conv(S) nearest p, with every point of
     positive weight; it is re-checked before it is returned.
     """
-    simplex, _ = _hull_simplex(np.asarray(p, dtype=float), S.points, "caratheodory_decompose")
+    simplex, _ = _hull_simplex(_point_of(p, S.points), S.points, "caratheodory_decompose")
     if simplex is None:
         raise NotInHull("point is not in the convex hull of the set")
     return simplex
@@ -400,10 +411,10 @@ def obtuse_witness(p, simplex) -> ObtuseWitness:
     dot product at most -1/k, with equality exactly for the regular
     configuration.
     """
-    p = np.asarray(p, dtype=float)
     V = np.asarray(simplex, dtype=float)
     if V.ndim != 2 or V.shape[0] < 2:
         raise DegenerateSimplex("simplex needs at least two vertices")
+    p = _point_of(p, V)
     _check_interior(p, V)
     rays = rays_from(p, PointSet(V))
     _, a, b = _min_upper_pair(rays @ rays.T)

@@ -65,6 +65,7 @@ from .errors import (
     NotConvexPosition,
     NotHemispherical,
     OutOfRange,
+    check_int,
 )
 from .geometry import PointSet, _others, _row_blocks, as_unit
 from .sampling import _check_seed, rd_directions
@@ -148,9 +149,7 @@ def _base_directions(dim: int) -> np.ndarray:
 
 
 def _check_samples(samples) -> int:
-    if not float(samples).is_integer() or samples < 1000:
-        raise OutOfRange(f"need at least 1000 samples, an integer, got {samples!r}")
-    return int(samples)
+    return check_int(samples, "need at least 1000 samples, an integer, got {!r}", 1000)
 
 
 def _paired_products(P: np.ndarray, samples: int, seed: int):

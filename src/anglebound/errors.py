@@ -5,6 +5,8 @@ the supported regime; the CLI maps them to exit code 2. Anything else that
 escapes is an internal failure (exit code 1).
 """
 
+import numbers
+
 
 class PreconditionError(Exception):
     """Base class for caller errors: bad arguments or unmet preconditions."""
@@ -69,3 +71,14 @@ class ColoringFailed(PreconditionError):
 
 class HypothesisViolated(PreconditionError):
     """Counting hypothesis of the monochromatic odd-cycle lemma does not hold."""
+
+
+def check_int(value, message: str, least=None) -> int:
+    """int(value) for a whole number (an integral float counts) of at least
+    `least`, if given; anything else, nan, inf, 2.5 or a string, raises
+    OutOfRange(message.format(value)) where int() would truncate or fail."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if not whole or least is not None and value < least:
+        raise OutOfRange(message.format(value))
+    return int(value)

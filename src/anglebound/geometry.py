@@ -226,20 +226,14 @@ def _max_angle_scan(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return ang[rows], rows, pos[rows]
 
 
-def _scan_triple(n: int, row: int, pos: int) -> tuple[int, tuple[int, int, int]]:
-    """(p, (i, j, k)): the set and the triple that _max_angle_scan names by
-    its vertex row and Gram position, in a stack of sets of n points."""
-    p, j = divmod(row, n)
-    a, b = divmod(pos, n - 1)
-    # The a-th other point of vertex j skips j itself.
-    return p, (a + (a >= j), j, b + (b >= j))
-
-
 def _max_angle_recompute(stack: np.ndarray, row: int, pos: int) -> tuple[float, tuple[int, int, int]]:
     """Recompute half of max_angle_triples: (angle, (i, j, k)) of the triple
     that _max_angle_scan names by its vertex row and Gram position, the angle
     in angle_at's arithmetic."""
-    p, (i, j, k) = _scan_triple(stack.shape[1], row, pos)
+    p, j = divmod(row, stack.shape[1])
+    a, b = divmod(pos, stack.shape[1] - 1)
+    # The a-th other point of vertex j skips j itself.
+    i, k = a + (a >= j), b + (b >= j)
     return _vertex_angle(stack[p, i], stack[p, j], stack[p, k]), (i, j, k)
 
 

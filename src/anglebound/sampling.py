@@ -17,17 +17,13 @@ with OutOfRange naming it.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import OutOfRange
+from .errors import OutOfRange, check_int
 
 
 def _check_seed(seed) -> int:
-    if not 0 <= seed < math.inf or int(seed) != seed:  # int() never sees nan or inf
-        raise OutOfRange(f"seed must be a non-negative integer, got {seed!r}")
-    return int(seed)
+    return check_int(seed, "seed must be a non-negative integer, got {!r}", 0)
 
 
 def canonical_lines(V: np.ndarray, tol: float = 1e-12) -> np.ndarray:

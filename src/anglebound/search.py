@@ -19,18 +19,18 @@ independent; ties go to the earliest restart.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import cardinality_bound, theta_d
-from .errors import OutOfRange
+from .errors import OutOfRange, check_int
 from .geometry import (
     PointSet,
     _max_angle_recompute,
     _max_angle_scan,
-    _scan_triple,
     max_angle_triple,
     max_angle_triples,
 )
@@ -108,9 +108,14 @@ def _structured_starts(n: int, D: int) -> list[np.ndarray]:
     if n <= 2**D:
         starts.append(hypercube_vertices(D, n))
     if D == 2 and n >= 3:
-        ang = 2.0 * math.pi * np.arange(n) / n
-        starts.append(np.column_stack([np.cos(ang), np.sin(ang)]))
+        starts.append(_polygon(n))
     return starts
+
+
+def _polygon(n: int) -> np.ndarray:
+    """The regular n-gon on the unit circle, starting at (1, 0)."""
+    ang = 2.0 * math.pi * np.arange(n) / n
+    return np.column_stack([np.cos(ang), np.sin(ang)])
 
 
 def _spreads(stack: np.ndarray) -> np.ndarray:
@@ -138,34 +143,18 @@ def _rank(stack: np.ndarray, guard: float) -> list[tuple[int, float, tuple[int, 
     proposal w of lowest maximum angle, the first on ties, with that angle
     and triple as geometry.max_angle_triples would give them.
 
-    One scan (geometry._max_angle_scan) ranks the proposals; only the
-    winner's angle is recomputed. Where other proposals' scan angles lie
-    within `guard` of the lowest (see _RANK_TIE_TOL), those proposals are
-    recomputed and ranked by the recomputed angles, except that proposals
-    whose winning triples have byte-identical coordinates share one
-    recompute: their angles are the same.
+    One scan (geometry._max_angle_scan) ranks the proposals. Those whose
+    scan angles lie within `guard` of their start's lowest (see
+    _RANK_TIE_TOL), usually the winner alone, have their angles recomputed,
+    and the first of the lowest recomputed angles wins.
     """
     ang, rows, pos = _max_angle_scan(stack)
-    n = stack.shape[1]
     ang, rows, pos = ang.tolist(), rows.tolist(), pos.tolist()
     out = []
     for lo in range(0, len(ang), _PROPOSALS):
-        mine = ang[lo:lo + _PROPOSALS]
-        low = min(mine)
-        near = [q for q, a in enumerate(mine) if a <= low + guard]
-        if len(near) == 1:
-            p = lo + near[0]
-            out.append((near[0], *_max_angle_recompute(stack, rows[p], pos[p])))
-            continue
-        known = {}
-        scored = []
-        for q in near:
-            p = lo + q
-            s, t = _scan_triple(n, rows[p], pos[p])
-            key = stack[s, list(t)].tobytes()
-            if key not in known:
-                known[key] = _max_angle_recompute(stack, rows[p], pos[p])[0]
-            scored.append((q, known[key], t))
+        cut = min(ang[lo:lo + _PROPOSALS]) + guard
+        scored = [(p - lo, *_max_angle_recompute(stack, rows[p], pos[p]))
+                  for p in range(lo, lo + _PROPOSALS) if ang[p] <= cut]
         # min keeps the first of equal recomputed angles.
         out.append(min(scored, key=lambda qet: qet[1]))
     return out
@@ -178,14 +167,14 @@ def _anneal(starts: np.ndarray, iters: int, rngs: list[np.random.Generator],
     Needs n >= 3. Set r draws from rngs[r] alone, in the order a lone anneal
     would. Each step scans the proposals of every set in one
     (R * _PROPOSALS, n, D) stack and ranks each set's proposals by the scan
-    angles (_rank): it recomputes R angles, one per set, where ranking by
-    recomputed angles would take R * _PROPOSALS, and picks the same
+    angles (_rank): it recomputes about R angles, one per set, where ranking
+    by recomputed angles would take R * _PROPOSALS, and picks the same
     proposals, since scan angles within _RANK_TIE_TOL * sqrt(D + 2) of a
     set's lowest send those proposals to a recompute. On the bench's seed-1
-    search cells that is 11 320 recomputed angles instead of 33 160, with
-    478 of 10 920 set-steps on the tie path. The spreads that scale the
-    proposal steps are computed for all sets at once, after each step that
-    accepted a move. Returns (best_points, best_angle) per set.
+    search cells (rounds 0-3) that is 10 268 recomputed angles instead of
+    29 520, with 409 of 9 840 set-steps on the tie path. The spreads that
+    scale the proposal steps are computed for all sets at once, after each
+    step that accepted a move. Returns (best_points, best_angle) per set.
     """
     R, n, D = starts.shape
     cur = np.array(starts, dtype=float)
@@ -234,10 +223,12 @@ def minimize_max_angle(n: int, D: int, iters: int = 2000, restarts: int = 4,
     An anneal never returns worse than its start, so a structured start's
     own angle is counted.
     """
-    if n < 3 or D < 2:
-        raise OutOfRange("need n >= 3 points in dimension D >= 2")
+    n = check_int(n, "n must be an integer >= 3, got {!r}", 3)
+    D = check_int(D, "dimension must be an integer >= 2, got {!r}", 2)
+    iters = check_int(iters, "iters must be an integer, got {!r}")
     if iters < 1:
         raise OutOfRange(f"iters must be at least 1, got {iters}")
+    restarts = check_int(restarts, "restarts must be an integer, got {!r}")
     if restarts < 0:
         raise OutOfRange(f"restarts must be non-negative, got {restarts}")
     starts = _structured_starts(n, D)
@@ -259,25 +250,20 @@ def minimize_max_angle(n: int, D: int, iters: int = 2000, restarts: int = 4,
 
 
 def _largest_structured_under(theta: float, D: int) -> np.ndarray:
-    """Largest known structured configuration with max angle <= theta."""
-    candidates = [regular_simplex(D)]
+    """Largest known structured configuration with max angle <= theta < pi, the
+    first on ties; else two points of the simplex. Each candidate is scanned
+    only when it is larger than the best so far, the polygons largest first."""
+    simplex = regular_simplex(D)
+    candidates = [simplex]
     if theta >= 0.5 * math.pi - 1e-12:
-        candidates.append(cross_polytope_vertices(D, 2 * D))
-        candidates.append(hypercube_vertices(D, 2**D))
+        candidates += [cross_polytope_vertices(D, 2 * D), hypercube_vertices(D, 2**D)]
     if D == 2:
-        m = int(2.0 * math.pi / (math.pi - theta)) if theta < math.pi else 3
-        for n in range(max(m, 3), 2, -1):
-            ang = 2.0 * math.pi * np.arange(n) / n
-            poly = np.column_stack([np.cos(ang), np.sin(ang)])
-            if max_angle_triple(poly)[0] <= theta:
-                candidates.append(poly)
-                break
-    best = None
+        m = int(2.0 * math.pi / (math.pi - theta))  # the n-gon's pi - 2 pi / n > theta past m
+        candidates = itertools.chain(candidates, map(_polygon, range(m, 2, -1)))
+    best = simplex[:2]
     for c in candidates:
-        if max_angle_triple(c)[0] <= theta and (best is None or len(c) > len(best)):
+        if len(c) > len(best) and max_angle_triple(c)[0] <= theta:
             best = c
-    if best is None:
-        best = regular_simplex(D)[:2]
     return best
 
 
@@ -297,8 +283,8 @@ def max_cardinality_search(theta: float, D: int, budget: int = 20000,
     """
     if not 0.0 < theta < math.pi:
         raise OutOfRange(f"theta must lie in (0, pi), got {theta}")
-    if D < 2:
-        raise OutOfRange("dimension must be at least 2")
+    D = check_int(D, "dimension must be an integer >= 2, got {!r}", 2)
+    budget = check_int(budget, "budget must be an integer, got {!r}")
     if budget < 0:
         raise OutOfRange(f"budget must be non-negative, got {budget}")
     pts = _largest_structured_under(theta, D)

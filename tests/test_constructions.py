@@ -5,13 +5,19 @@ import numpy as np
 import pytest
 
 from anglebound import constructions
-from anglebound.bounds import f_fraction
+from anglebound.bounds import (
+    asymptotic_envelope,
+    cardinality_bound,
+    eta_of_theta,
+    f_fraction,
+    sin_half_theta_d,
+    theta_d,
+)
 from anglebound.constructions import (
     _column_counts,
     EdgeColoring,
     LineArrangement,
     calibrate_constants,
-    color_edges_by_lines,
     cover_lines,
     ef_doubling,
     find_mono_odd_cycle,
@@ -26,6 +32,7 @@ from anglebound.errors import (
     OutOfRange,
 )
 from anglebound.geometry import PointSet, angle_at, max_angle, max_angle_triple
+from anglebound.search import max_cardinality_search, minimize_max_angle
 from conftest import (
     brute_max_angle,
     digest,
@@ -499,7 +506,7 @@ class TestObtuseTripleWitness:
         A = PointSet([[0, 0], [1, 1], [2, 0]])
         arr = LineArrangement(dim=2, lines=np.array([[1.0, 0.0]]))
         with pytest.raises(ColoringFailed):
-            color_edges_by_lines(A, arr, 0.2)
+            constructions._pair_colors(A, arr, 0.2)
 
 
 def loop_colors(A, L, rho):
@@ -516,6 +523,12 @@ def loop_colors(A, L, rho):
     return colors
 
 
+def pair_colors(A, L, rho):
+    """{(i, j): color} from constructions._pair_colors."""
+    i, j, c = constructions._pair_colors(A, L, rho)
+    return dict(zip(zip(i.tolist(), j.tolist()), c.tolist()))
+
+
 class TestColorEdgesByLines:
     def test_colors_and_refusals_match_the_pairwise_loop(self):
         rng = np.random.default_rng(46)
@@ -530,11 +543,11 @@ class TestColorEdgesByLines:
                 expected = loop_colors(A, L, rho)
             except ColoringFailed as err:
                 with pytest.raises(ColoringFailed) as got:
-                    color_edges_by_lines(A, L, rho)
+                    pair_colors(A, L, rho)
                 assert str(got.value) == str(err)
                 refused += 1
                 continue
-            assert color_edges_by_lines(A, L, rho).color == expected
+            assert pair_colors(A, L, rho) == expected
             colored += 1
         assert colored > 50 and refused > 50
 
@@ -544,7 +557,7 @@ class TestColorEdgesByLines:
         A = PointSet([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
         L = LineArrangement(dim=2, lines=np.eye(2))
         with pytest.raises(ColoringFailed, match=r"^segment \(0, 3\) is not within 0\.1 of"):
-            color_edges_by_lines(A, L, 0.2)
+            pair_colors(A, L, 0.2)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -564,6 +577,67 @@ def test_nan_arguments_refused_by_name(call, message):
     # Each check is written so that NaN fails it, not passes it.
     with pytest.raises(OutOfRange, match=f"^{message}"):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: theta_d(math.nan), "d must be a positive integer, got nan",
+                 id="theta_d"),
+    pytest.param(lambda: sin_half_theta_d(math.nan), "d must be a positive integer, got nan",
+                 id="sin_half_theta_d"),
+    pytest.param(lambda: f_fraction(math.nan, 0.5), "d must be a positive integer, got nan",
+                 id="f_fraction"),
+    pytest.param(lambda: eta_of_theta(2.0, math.nan), "d must be a positive integer, got nan",
+                 id="eta_of_theta"),
+    pytest.param(lambda: cardinality_bound(2.0, math.nan),
+                 "ambient_dim must be an integer >= 2, got nan", id="cardinality_bound"),
+    pytest.param(lambda: asymptotic_envelope(math.nan), "d must be an integer >= 2, got nan",
+                 id="asymptotic_envelope"),
+    pytest.param(lambda: n_bounds(2.0, math.nan, 1.0, 4.0), "d must be an integer >= 2, got nan",
+                 id="n_bounds"),
+    pytest.param(lambda: dekster_radius(0.5, math.nan), "d must be a positive integer, got nan",
+                 id="dekster_radius"),
+    pytest.param(lambda: minimize_max_angle(4.5, 2), r"n must be an integer >= 3, got 4\.5",
+                 id="minimize_max_angle-n"),
+    pytest.param(lambda: minimize_max_angle(4, 2.5), r"dimension must be an integer >= 2, got 2\.5",
+                 id="minimize_max_angle-D"),
+    pytest.param(lambda: minimize_max_angle(4, 2, iters=2.5), r"iters must be an integer, got 2\.5",
+                 id="minimize_max_angle-iters"),
+    pytest.param(lambda: max_cardinality_search(2.0, 2.5),
+                 r"dimension must be an integer >= 2, got 2\.5", id="max_cardinality_search-D"),
+    pytest.param(lambda: max_cardinality_search(2.0, 2, budget=2.5),
+                 r"budget must be an integer, got 2\.5", id="max_cardinality_search-budget"),
+    pytest.param(lambda: pack_lines(5.5, 3), r"m must be an integer >= 2, got 5\.5",
+                 id="pack_lines-m"),
+    pytest.param(lambda: pack_lines(5, 3.5), r"dimension must be an integer >= 2, got 3\.5",
+                 id="pack_lines-D"),
+    pytest.param(lambda: pack_lines(5, 3, iters=2.5), r"iters must be an integer, got 2\.5",
+                 id="pack_lines-iters"),
+    pytest.param(lambda: pack_lines(5, 3, restarts=2.5), r"restarts must be an integer, got 2\.5",
+                 id="pack_lines-restarts"),
+    pytest.param(lambda: cover_lines(1.0, 2.5), r"dimension must be an integer >= 2, got 2\.5",
+                 id="cover_lines-D"),
+    pytest.param(lambda: cover_lines(1.0, 3, probes=10.5), r"probes must be an integer, got 10\.5",
+                 id="cover_lines-probes"),
+    pytest.param(lambda: ef_doubling(PLANAR_TRIPLE, 0.5, max_scale_doublings=2.5),
+                 r"max_scale_doublings must be an integer, got 2\.5", id="ef_doubling"),
+])
+def test_fractional_and_nan_sizes_refused_by_name(call, message):
+    # int() would raise a raw ValueError on nan and a TypeError deeper in on
+    # 2.5, or let a fractional budget run.
+    with pytest.raises(OutOfRange, match=f"^{message}$"):
+        call()
+
+
+def test_integral_float_sizes_are_taken_as_integers():
+    a = minimize_max_angle(4.0, 2.0, iters=5.0, restarts=1.0, seed=1)
+    b = minimize_max_angle(4, 2, iters=5, restarts=1, seed=1)
+    assert digest(a.points.points) == digest(b.points.points) and a.iterations == b.iterations
+    a, b = pack_lines(5.0, 3.0, iters=20.0, restarts=2.0), pack_lines(5, 3, iters=20, restarts=2)
+    assert digest(a.lines) == digest(b.lines)
+    a = max_cardinality_search(2.3, 3.0, budget=50.0, seed=1)
+    b = max_cardinality_search(2.3, 3, budget=50, seed=1)
+    assert digest(a.points.points) == digest(b.points.points) and a.iterations == b.iterations == 50
+    assert theta_d(3.0) == theta_d(3) and cardinality_bound(2.0, 3.0) == cardinality_bound(2.0, 3)
 
 
 class TestNBounds:

@@ -16,6 +16,7 @@ from anglebound.errors import (
     DegenerateSimplex,
     NotInHull,
     NotInterior,
+    OutOfRange,
 )
 from anglebound.geometry import PointSet, rays_from
 from anglebound.sampling import rd_directions
@@ -125,6 +126,33 @@ class TestCaratheodory:
         tri = PointSet([[0, 0], [1, 0], [0, 1]])
         with pytest.raises(NotInHull):
             caratheodory_decompose([5, 5], tri)
+
+
+SQUARE = PointSet([[0, 0], [1, 0], [1, 1], [0, 1]])
+TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: caratheodory_decompose([math.nan, 0.5], SQUARE),
+                 "point has non-finite coordinates", id="caratheodory-nan"),
+    pytest.param(lambda: simplex_contains_origin([[math.nan, 0], [1, 1]]),
+                 "point set has non-finite coordinates", id="simplex-nan"),
+    pytest.param(lambda: obtuse_witness([math.nan, 0.1], TRIANGLE),
+                 "point has non-finite coordinates", id="witness-nan"),
+    pytest.param(lambda: obtuse_witness([0.2, 0.2], [[math.inf, 0], [1, 0], [0, 1]]),
+                 "point set has non-finite coordinates", id="witness-inf-vertex"),
+    pytest.param(lambda: caratheodory_decompose([0.5, 0.5, 0.5], SQUARE),
+                 "point has dimension 3 but the set 2", id="caratheodory-3d"),
+    pytest.param(lambda: obtuse_witness([0.2, 0.2, 0.2], TRIANGLE),
+                 "point has dimension 3 but the set 2", id="witness-3d"),
+])
+def test_bad_points_refused_before_any_solve(capfd, call, message):
+    # NaN used to reach LAPACK, which printed "On entry to DLASCL parameter
+    # number 4 had an illegal value" and raised LinAlgError; another
+    # dimension, a broadcast ValueError.
+    with pytest.raises(OutOfRange, match=f"^{message}$"):
+        call()
+    assert capfd.readouterr() == ("", "")
 
 
 def _count_decisions(monkeypatch):

@@ -10,6 +10,7 @@ checked without the others' imports before it.
 """
 
 import argparse
+import ast
 import importlib
 import json
 import os
@@ -177,3 +178,36 @@ def test_every_exported_name_resolves_to_its_module_object():
     assert anglebound.__version__ == "0.1.0"
     with pytest.raises(AttributeError):
         anglebound.no_such_name
+
+
+def test_every_top_level_name_is_used():
+    # A top-level def, class or assignment of src/anglebound that no module of
+    # the package reads (as a name, an attribute or an imported name) is dead
+    # code, unless the package exports it, it is the CLI's entry point, or it
+    # is a dunder such as __getattr__, which the interpreter reads.
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(Path(anglebound.__file__).parent.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    used |= set(anglebound.__all__) | {"main"}
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name)]
+            else:
+                continue
+            unused += [f"{module}.{name}" for name in names
+                       if name not in used and not (name.startswith("__") and name.endswith("__"))]
+    assert unused == []

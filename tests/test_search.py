@@ -55,6 +55,58 @@ class TestStructuredConfigurations:
                 assert cross_polytope_vertices(dim, n).tobytes() == rows.tobytes()
 
 
+def largest_passing_candidate(theta, D):
+    """Brute force: every structured candidate in search's order (simplex,
+    cross-polytope, hypercube, then planar polygons of 64 down to 3 points),
+    the largest whose max angle is at most theta, the first on ties; else two
+    points of the simplex."""
+    candidates = [regular_simplex(D)]
+    if theta >= math.pi / 2 - 1e-12:
+        candidates += [cross_polytope_vertices(D, 2 * D), hypercube_vertices(D, 2**D)]
+    if D == 2:
+        for n in range(64, 2, -1):
+            ang = 2.0 * math.pi * np.arange(n) / n
+            candidates.append(np.column_stack([np.cos(ang), np.sin(ang)]))
+    best = regular_simplex(D)[:2]
+    for c in candidates:
+        if max_angle_triple(c)[0] <= theta and len(c) > len(best):
+            best = c
+    return best
+
+
+# A grid of caps, with the polygons' own angles pi - 2 pi / n and their
+# neighbouring floats, where the polygon count cut-off is decided.
+POLYGON_ANGLES = [math.pi - 2.0 * math.pi / n for n in range(3, 41)]
+CAPS = sorted({float(t) for a in POLYGON_ANGLES for t in (np.nextafter(a, 0), a, np.nextafter(a, 4))}
+              | set(np.linspace(0.05, 3.0, 120).tolist()) | {math.pi / 2 - 1e-12, 2.5})
+
+
+class TestLargestStructured:
+    def test_matches_the_largest_passing_candidate(self):
+        for D in (2, 3, 4, 5):
+            for theta in CAPS:
+                got = search._largest_structured_under(theta, D)
+                want = largest_passing_candidate(theta, D)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (D, theta)
+
+    def test_no_candidate_is_scanned_twice(self, monkeypatch):
+        scanned = []
+        scan = search.max_angle_triple
+        monkeypatch.setattr(search, "max_angle_triple",
+                            lambda points: scanned.append(points) or scan(points))
+        for D in (2, 3, 4, 5):
+            for theta in CAPS:
+                scanned.clear()
+                search._largest_structured_under(theta, D)
+                keys = [points.tobytes() for points in scanned]
+                assert len(keys) == len(set(keys)), (D, theta)
+        # The triangle, the square and the 9-gon: a candidate no larger than
+        # the best so far is not scanned.
+        scanned.clear()
+        assert len(search._largest_structured_under(2.5, 2)) == 9
+        assert [len(points) for points in scanned] == [3, 4, 9]
+
+
 def count_scans(monkeypatch, record):
     """Patch geometry._max_angle_scan, under both its names, to pass every
     stack it scans to record first."""
@@ -98,7 +150,7 @@ class TestAnneal:
     @pytest.mark.parametrize("R", [1, 3])
     def test_each_step_recomputes_one_angle_per_start(self, monkeypatch, R):
         recomputed, stacks = [], []
-        vertex_angle = geometry._vertex_angle
+        vertex_angle, scan = geometry._vertex_angle, geometry._max_angle_scan
 
         def counted_angle(x, y, z):
             recomputed.append((x.tobytes(), y.tobytes(), z.tobytes()))
@@ -108,10 +160,15 @@ class TestAnneal:
         count_scans(monkeypatch, lambda stack: stacks.append(np.array(stack)))
         starts = np.random.default_rng(7).normal(size=(R, 6, 3))
         _anneal(starts, 20, [np.random.default_rng(8 + r) for r in range(R)])
-        # R angles for the starts, then R per step (ranking by recomputed
-        # angles took 3R), while every proposal is still scanned exactly once.
-        assert len(recomputed) == R + 20 * R
+        # R angles for the starts, then per step each start's proposals whose
+        # scan angles lie within the guard of its lowest: one per start, but
+        # for ties (ranking by recomputed angles took 3R). Every proposal is
+        # still scanned exactly once.
         assert [s.shape for s in stacks] == [(R, 6, 3)] + [(3 * R, 6, 3)] * 20
+        per_step = [scan(s)[0].reshape(R, 3) for s in stacks[1:]]
+        near = [int(np.sum(a <= a.min(axis=1, keepdims=True) + guard(3))) for a in per_step]
+        assert len(recomputed) == R + sum(near)
+        assert min(near) >= R and sum(near) < 3 * R * 20
         scans = Counter(p.tobytes() for s in stacks for p in s)
         assert sum(scans.values()) == R + 3 * R * 20
         assert max(scans.values()) == 1
@@ -174,8 +231,7 @@ class TestRanking:
             stack = rng.normal(size=(3 * R, n, D))
             assert _rank(stack, guard(D)) == ranked_by_recomputed_angles(stack)
 
-    def test_duplicated_proposals_tie_exactly_and_share_one_recompute(self, monkeypatch):
-        calls = self.counting(monkeypatch)
+    def test_duplicated_proposals_tie_exactly(self):
         rng = np.random.default_rng(42)
         patterns = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 1), (2, 1, 0)]
         for _ in range(200):
@@ -183,15 +239,12 @@ class TestRanking:
             base = rng.normal(size=(R, 3, n, D))
             picks = [patterns[int(i)] for i in rng.integers(len(patterns), size=R)]
             stack = np.array([base[r, list(pick)] for r, pick in enumerate(picks)]).reshape(3 * R, n, D)
-            calls.clear()
             got = _rank(stack, guard(D))
-            assert len(calls) == R
             assert got == ranked_by_recomputed_angles(stack)
             # The first copy of the lowest proposal wins.
             assert all(pick.index(pick[w]) == w for pick, (w, _, _) in zip(picks, got))
 
-    def test_proposals_that_leave_the_winning_triple_untouched(self, monkeypatch):
-        calls = self.counting(monkeypatch)
+    def test_proposals_that_leave_the_winning_triple_untouched(self):
         rng = np.random.default_rng(43)
         tied_starts = 0
         for _ in range(300):
@@ -203,14 +256,9 @@ class TestRanking:
             for p in range(3):
                 v = triple[int(rng.integers(3))] if rng.random() < 0.3 else free[int(rng.integers(len(free)))]
                 stack[p, v] += rng.normal(scale=1e-3, size=D)
-            calls.clear()
-            got = _rank(stack, guard(D))
-            recomputes = len(calls)
-            assert got == ranked_by_recomputed_angles(stack)
+            assert _rank(stack, guard(D)) == ranked_by_recomputed_angles(stack)
             angles = [e for e, _ in geometry.max_angle_triples(stack)]
-            if angles.count(min(angles)) > 1:
-                tied_starts += 1
-                assert recomputes == 1  # the untouched triples share one recompute
+            tied_starts += angles.count(min(angles)) > 1
         assert tied_starts >= 50
 
     def test_planted_disagreement_inside_the_guard_falls_back_to_recomputed_angles(
