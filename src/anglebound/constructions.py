@@ -28,14 +28,18 @@ from .errors import (
     ScaleExhausted,
     check_int,
 )
-from .geometry import PointSet, _min_upper_pair, _row_blocks, angle_at, max_angle_triple
+from .geometry import PointSet, _row_blocks, angle_at, max_angle_triple
 from .sampling import _check_seed, canonical_lines, quasi_uniform_lines, rng_stream
 
 DEFAULT_PROBES = 100_000
 # A packing restart stops once its gradient norm falls below this.
 _GRAD_STOP = 1e-14
-# Sampled candidate lines per greedy covering round, and the cap on rounds.
+# Sampled candidate lines per greedy covering round, and the cap on greedy
+# rounds or deepest-hole insertions.
 _CANDIDATES, _MAX_ROUNDS = 128, 10_000
+# Slack on a cosine of every covering test: the probe check, the stop test of
+# the deepest-hole insertion and its hull certificate.
+_COVER_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,11 @@ class NBoundsReport:
 
 
 def _min_line_angle(U: np.ndarray) -> float:
-    return float(np.arccos(min(1.0, -_min_upper_pair(-np.abs(U @ U.T))[0])))
+    """arccos of the largest |u_i . u_j| over i < j, a block of rows at a
+    time, so the Gram of a large cover never exists whole."""
+    top = max(float(np.triu(np.abs(U[lo:hi] @ U.T), lo + 1).max())
+              for lo, hi in _row_blocks(len(U), len(U)))
+    return float(np.arccos(min(1.0, top)))
 
 
 def _equiangular(k: int) -> np.ndarray:
@@ -198,7 +206,7 @@ def _covers_all(P: np.ndarray, lines: np.ndarray, cos_half: float) -> bool:
     is an elementwise maximum of a few long rows, not a reduction of each
     short probe row.
     """
-    return all(np.all(np.abs(lines @ P[lo:hi].T).max(axis=0) >= cos_half - 1e-12)
+    return all(np.all(np.abs(lines @ P[lo:hi].T).max(axis=0) >= cos_half - _COVER_TOL)
                for lo, hi in _row_blocks(P.shape[0], len(lines)))
 
 
@@ -226,27 +234,38 @@ def _column_counts(hits: np.ndarray) -> np.ndarray:
 def cover_lines(rho: float, D: int, seed: int = 0, probes: int = DEFAULT_PROBES) -> LineArrangement:
     """Set of lines leaving every direction within rho/2 of one of them.
 
-    Coverage is certified on a dense quasi-random probe set (size `probes`).
+    Which covers are exact: in the plane, at the coordinate frame, and in R^3
+    and R^4 every direction is within rho/2 of a line (up to 1e-12 in the
+    cosine). The greedy covers of D >= 5 are checked on the probes only. Every
+    cover is also re-checked against a dense quasi-random probe set (size
+    `probes`, placed by `seed`). In R^3 and R^4 the seed moves only those
+    probes, never the lines.
+
     In the plane the answer is the closed form, with no greedy round: the
     equiangular family of k = ceil(pi/rho - 1e-9) lines, or the next k the
     probes accept (a probe can refuse k only for pi/rho within 1e-9 above an
     integer). The probes are checked once, against the lines of the
-    arrangement returned, and that check is its certificate. The family
-    leaves every direction within rho/2 of a line, not only the probes, so
-    on a sparse probe set it can use one line more than a greedy cover that
-    only the probes certify, and greedy's round cap does not apply.
+    arrangement returned. The family leaves every direction within rho/2 of
+    a line, not only the probes, and the round cap does not apply.
 
     In D >= 3, when cos(rho/2) <= 1/sqrt(D) (up to the probe check's 1e-12),
     the coordinate frame is returned, with no greedy round, if the probes
-    accept it; that check is again the certificate. Every unit x has
-    max_i |x_i| >= 1/sqrt(D), so the frame covers every direction, and fewer
-    than D lines leave a direction orthogonal to all of them, so D lines is
-    the minimum.
+    accept it. Every unit x has max_i |x_i| >= 1/sqrt(D), so the frame covers
+    every direction, and fewer than D lines leave a direction orthogonal to
+    all of them, so D lines is the minimum.
 
-    Otherwise each greedy round scores a sampled batch of still-uncovered
-    probes as candidate lines and keeps the one covering the most probes,
-    and the lines chosen are re-checked against every probe. The
-    uncovered probes are carried compacted, in index order. The
+    Otherwise, in R^3 and R^4, lines are added by deepest-hole insertion
+    from the frame (`_hole_insertion`), at most _MAX_ROUNDS of them, and the
+    hull of +-l_i is re-checked before returning (`_check_hull`): CoverageFailed
+    names the line count and the radius reached at the cap, or the first
+    check that fails. The insertion takes about 16.5 / rho^2 lines in R^3
+    and 55 / rho^3 in R^4, so the cap refuses rho below about 0.0408 in R^3
+    (after about 10 s) and 0.176 in R^4 (about 40 s), where the greedy,
+    probe-checked only, returned down to 0.04 and below 0.15.
+
+    In D >= 5 each greedy round scores a sampled batch of still-uncovered
+    probes as candidate lines and keeps the one covering the most probes.
+    The uncovered probes are carried compacted, in index order. The
     probe-candidate incidence is filled one block of probes at a time, so the
     float products never exist whole; its width is padded with False columns
     to a multiple of 8 for `_column_counts`.
@@ -264,15 +283,112 @@ def cover_lines(rho: float, D: int, seed: int = 0, probes: int = DEFAULT_PROBES)
             if _covers_all(P, arrangement.lines, cos_half):
                 return arrangement
             k += 1
-    if cos_half - 1e-12 <= 1.0 / math.sqrt(D):
+    if cos_half - _COVER_TOL <= 1.0 / math.sqrt(D):
         frame = LineArrangement(dim=D, lines=np.eye(D))
         if _covers_all(P, frame.lines, cos_half):
             return frame
-    arrangement = LineArrangement(dim=D, lines=_greedy_cover(P, cos_half, seed))
+    if D <= 4:
+        V, F = _hole_insertion(D, cos_half, _MAX_ROUNDS)
+        _check_hull(V, F, cos_half)
+        arrangement = LineArrangement(dim=D, lines=V[0::2])
+    else:
+        arrangement = LineArrangement(dim=D, lines=_greedy_cover(P, cos_half, seed))
     # Re-check the certificate against the full probe set.
     if not _covers_all(P, arrangement.lines, cos_half):
         raise CoverageFailed("probe coverage re-check failed")
     return arrangement
+
+
+def _facet_planes(V: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit normals N and offsets H of the facets F (rows of vertex indices
+    into V) of a hull about the origin: one stacked solve of V_f x = 1 gives
+    x = N / H."""
+    x = np.linalg.solve(V[F], np.ones((len(F), F.shape[1], 1)))[:, :, 0]
+    norm = np.sqrt(np.einsum("ij,ij->i", x, x))
+    return x / norm[:, None], 1.0 / norm
+
+
+def _ridges(F: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each facet's D ridges (its row without one vertex), facet by facet, and
+    a key per ridge: its vertex indices, all below `base`, as digits. Rows in
+    ascending order give ridges in ascending order, so equal ridges share a key."""
+    D = F.shape[1]
+    R = F[:, np.nonzero(~np.eye(D, dtype=bool))[1].reshape(D, D - 1)].reshape(-1, D - 1)
+    return R, R @ base ** np.arange(D - 1)
+
+
+def _hole_insertion(D: int, cos_half: float, rounds: int):
+    """conv{+-l_i} grown by deepest-hole insertion (Gonzalez 1985), at most
+    `rounds` insertions: (V, F).
+
+    Caps of radius r about the points +-l_i cover the sphere exactly when
+    every facet plane of their hull lies at least cos r from the origin, and
+    the unit normal of the nearest facet is a direction farthest from every
+    line (Brown 1979). So from the frame, whose cross-polytope has the 2^D
+    facets of sign vectors, the normal of the first nearest facet becomes a
+    line until every offset is at least cos_half - _COVER_TOL. Each of +-l
+    drops the facets it sees by more than _COVER_TOL and is joined to their
+    horizon, the ridges of exactly one of its dropped facets. No facet sees
+    both, nor a facet made with the other (whose plane holds that point at a
+    positive offset), so one product finds both, and a ridge key tagged with
+    the seeing point keeps the two horizons apart.
+
+    V holds line i as rows 2i and 2i + 1, +l_i then -l_i; F the facets as
+    ascending vertex indices, a new vertex being the highest.
+    """
+    V = np.empty((2 * (D + rounds), D))
+    V[0:2 * D:2], V[1:2 * D:2] = np.eye(D), -np.eye(D)
+    F = 2 * np.arange(D) + np.array(list(itertools.product((0, 1), repeat=D)))
+    N, H = _facet_planes(V, F)
+    n = 2 * D
+    for _ in range(rounds):
+        f = int(np.argmin(H))
+        if H[f] >= cos_half - _COVER_TOL:
+            break
+        V[n], V[n + 1] = N[f], -N[f]
+        dots = N @ N[f]
+        minus = -dots > H + _COVER_TOL
+        drop = minus | (dots > H + _COVER_TOL)
+        gone, keep = np.flatnonzero(drop), np.flatnonzero(~drop)  # take() gathers rows faster
+        R, key = _ridges(F.take(gone, axis=0), n + 2)
+        key = 2 * key + np.repeat(minus.take(gone), D)  # odd: a ridge of a facet -l sees
+        order = np.argsort(key)
+        k = key[order]
+        once = np.ones(len(k), dtype=bool)
+        once[1:] = k[1:] != k[:-1]
+        once[:-1] &= k[:-1] != k[1:]
+        horizon = order[once]
+        new = np.column_stack([R[horizon], n + (key[horizon] & 1)])
+        N_new, H_new = _facet_planes(V, new)
+        F, N, H = (np.concatenate([F.take(keep, axis=0), new]),
+                   np.concatenate([N.take(keep, axis=0), N_new]),
+                   np.concatenate([H.take(keep), H_new]))
+        n += 2
+    return V[:n], F
+
+
+def _check_hull(V: np.ndarray, F: np.ndarray, cos_half: float):
+    """Raise CoverageFailed unless the facets F close up around the vertices V
+    and leave every direction within arccos(cos_half) of a line, in O(F V):
+    every ridge bounds exactly two facets, every offset, solved afresh, is at
+    least cos_half, and every vertex lies on or below every facet plane, each
+    within _COVER_TOL. The offset test is also the insertion cap's, and runs
+    before the O(F V) one: its message names the lines, the insertions and
+    the deepest hole."""
+    counts = np.unique(_ridges(F, len(V))[1], return_counts=True)[1]
+    if np.any(counts != 2):
+        raise CoverageFailed(f"hull re-check: {np.count_nonzero(counts != 2)} ridges do not "
+                             f"bound exactly two facets")
+    N, H = _facet_planes(V, F)
+    if H.min() < cos_half - _COVER_TOL:
+        lines, D = len(V) // 2, V.shape[1]
+        raise CoverageFailed(f"{lines} lines after {lines - D} insertions leave a direction "
+                             f"{math.acos(H.min()):.6g} from every line, above rho/2 = "
+                             f"{math.acos(cos_half):.6g}")
+    # A block of facets at a time, so the (vertex, facet) products never exist whole.
+    above = max(float(np.max(V @ N[lo:hi].T - H[lo:hi])) for lo, hi in _row_blocks(len(N), len(V)))
+    if above > _COVER_TOL:
+        raise CoverageFailed(f"hull re-check: a vertex lies {above:.3g} above a facet plane")
 
 
 def _greedy_cover(P: np.ndarray, cos_half: float, seed: int) -> np.ndarray:
@@ -510,7 +626,11 @@ def calibrate_constants(d: int, rho: float, seed: int = 0,
 
     A packing of pack_m lines achieving separation a gives c_d = a * m^(1/(d-1));
     a covering at rho with m lines gives C_d = rho * (m + 1)^(1/(d-1)). These
-    are instance-derived values, not proven constants.
+    are instance-derived values, not proven constants. The covering is
+    cover_lines': exact for d <= 4, so there C_d comes from a set that truly
+    covers and does not depend on `seed`; for d >= 5 it is the greedy cover,
+    checked on probes only. Below about rho = 0.0408 in R^3 and 0.176 in R^4
+    the cover's insertion cap raises CoverageFailed.
     """
     packed = pack_lines(pack_m, d, seed=seed)
     c_d = packed.min_pairwise_angle * pack_m ** (1.0 / (d - 1))

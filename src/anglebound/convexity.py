@@ -73,11 +73,22 @@ class ObtuseWitness:
     angle: float
 
 
+def _float_rows(V, what: str) -> np.ndarray:
+    """np.asarray(V, dtype=float), or OutOfRange naming `what` where rows are
+    ragged or an entry is not a number."""
+    try:
+        return np.asarray(V, dtype=float)
+    except (TypeError, ValueError):
+        raise OutOfRange(f"{what} must be rows of numbers of one length") from None
+
+
 def min_pairwise_dot(W) -> float:
     """Minimum of w_i . w_j over unordered pairs of the given unit vectors."""
-    vecs = np.asarray(W, dtype=float)
+    vecs = _float_rows(W, "vectors")
     if vecs.ndim != 2 or vecs.shape[0] < 2:
         raise OutOfRange("need at least two vectors")
+    if not np.isfinite(vecs).all():
+        raise OutOfRange("vectors have non-finite coordinates")
     return _min_upper_pair(vecs @ vecs.T)[0]
 
 
@@ -272,7 +283,7 @@ def simplex_contains_origin(V, strict: bool = False) -> bool:
     coordinate above tolerance, or a far vertex's pull above the distance
     bar); otherwise boundary points count as contained.
     """
-    V = np.asarray(V, dtype=float)
+    V = _float_rows(V, "simplex vertices")
     if V.ndim != 2 or V.shape[0] < 2:
         raise OutOfRange("simplex needs at least two vertices")
     coords, _, on_hull, interior = _barycentric(_point_of(np.zeros(V.shape[1]), V), V)

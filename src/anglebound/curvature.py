@@ -195,6 +195,7 @@ def normal_cone_fraction_mc(V: PointSet, i: int, samples: int, seed: int) -> tup
     samples = _check_samples(samples)
     if len(V) < 2:
         raise OutOfRange("need at least two points")
+    i = check_int(i, "vertex index must be an integer, got {!r}")
     if not 0 <= i < len(V):
         raise OutOfRange(f"vertex index {i} out of range")
     _require_convex_position(V)

@@ -81,6 +81,8 @@ def quasi_uniform_lines(dim: int, n: int, seed: int) -> np.ndarray:
     dense probe set for covering checks. C-contiguous (n, dim) rows.
     """
     seed = _check_seed(seed)
+    dim = check_int(dim, "dimension must be an integer, got {!r}")
+    n = check_int(n, "number of lines must be an integer, got {!r}")
     if dim < 2 or n < 1:
         raise OutOfRange(f"need dim >= 2 and n >= 1 lines, got dim={dim}, n={n}")
     shift = np.random.default_rng(np.random.SeedSequence(seed)).random(dim + dim % 2)

@@ -5,7 +5,7 @@ membership is decided by exhaustive subset enumeration with least-squares
 barycentric solves, enclosing caps by scipy's NNLS, angular defects in R^3
 from scipy's (qhull's) convex hull, and maximum angles by a scalar triple
 loop or by the one-vertex-at-a-time scan the blocked ray-Gram kernel
-replaced. The Monte Carlo and covering sweeps are checked against
+replaced. The Monte Carlo and greedy covering sweeps are checked against
 whole-matrix sweeps; the Monte Carlo ones run over the paired sample stream
 written out in full, each raw row (a row-major R_d direction under its
 block's `random_rotation`) followed by its negation. Convex position is also
@@ -132,16 +132,20 @@ def canonical_line(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 def whole_cover_lines(rho: float, D: int, seed: int, probes: int,
                       candidates_per_round: int = 128) -> np.ndarray:
-    """cover_lines's lines. In the plane, the first equiangular family of at
-    least ceil(pi/rho - 1e-9) lines that covers every probe; in D >= 3 the
-    coordinate frame when cos(rho/2) - 1e-12 <= 1/sqrt(D) and it covers every
-    probe; otherwise the greedy rounds, each round's |P[uncovered] @ cand.T|
-    built whole."""
+    """cover_lines's lines where they are the closed forms or the greedy. In
+    the plane, the first equiangular family of at least ceil(pi/rho - 1e-9)
+    lines that covers every probe; in D >= 3 the coordinate frame when
+    cos(rho/2) - 1e-12 <= 1/sqrt(D) and it covers every probe; otherwise, in
+    D >= 5, the greedy rounds, each round's |P[uncovered] @ cand.T| built
+    whole. Below the frame's threshold R^3 and R^4 take the deepest-hole
+    insertion, which this sweep does not model."""
     P = quasi_uniform_lines(D, probes, seed)
     cos_half = math.cos(0.5 * rho)
     if (D > 2 and cos_half - 1e-12 <= 1.0 / math.sqrt(D)
             and np.all(np.max(np.abs(P), axis=1) >= cos_half - 1e-12)):
         return np.eye(D)
+    if D in (3, 4):
+        raise ValueError("below the frame's threshold, covers in R^3 and R^4 are not greedy")
     if D == 2:
         for k in itertools.count(math.ceil(math.pi / rho - 1e-9)):
             ang = np.arange(k) * math.pi / k

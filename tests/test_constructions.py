@@ -28,6 +28,7 @@ from anglebound.constructions import (
 from anglebound.curvature import dekster_radius, min_enclosing_cap
 from anglebound.errors import (
     ColoringFailed,
+    CoverageFailed,
     HypothesisViolated,
     OutOfRange,
 )
@@ -67,6 +68,14 @@ class TestLineArrangement:
             for i in range(6) for j in range(i + 1, 6)
         )
         assert arr.min_pairwise_angle == pytest.approx(direct, abs=1e-12)
+
+    def test_min_angle_of_many_lines_matches_the_whole_gram(self):
+        # 700 lines take several row blocks of the Gram.
+        rng = np.random.default_rng(5)
+        vecs = rng.normal(size=(700, 3))
+        arr = LineArrangement(dim=3, lines=vecs / np.linalg.norm(vecs, axis=1)[:, None])
+        gram = np.abs(arr.lines @ arr.lines.T)
+        assert arr.min_pairwise_angle == float(np.arccos(gram[np.triu_indices(700, 1)].max()))
 
     def test_singleton_uses_vacuous_maximum(self):
         arr = LineArrangement(dim=2, lines=np.array([[1.0, 0.0]]))
@@ -203,16 +212,15 @@ class TestCoverLines:
             cover_lines(math.pi, 2)
 
     def test_round_cap_reported(self, monkeypatch):
-        from anglebound.errors import CoverageFailed
         monkeypatch.setattr(constructions, "_MAX_ROUNDS", 2)
         with pytest.raises(CoverageFailed) as err:
-            cover_lines(0.05, 3, seed=1, probes=5000)
+            cover_lines(1.0, 5, seed=1, probes=5000)
         assert str(err.value).endswith("probes uncovered after 2 rounds")
 
     def test_a_cover_finished_in_the_last_round_is_returned(self, monkeypatch):
-        whole = cover_lines(1.1, 3, seed=4, probes=5000)
+        whole = cover_lines(1.6, 5, seed=4, probes=5000)
         monkeypatch.setattr(constructions, "_MAX_ROUNDS", len(whole))
-        capped = cover_lines(1.1, 3, seed=4, probes=5000)
+        capped = cover_lines(1.6, 5, seed=4, probes=5000)
         np.testing.assert_array_equal(capped.lines, whole.lines)
 
     @pytest.mark.parametrize("rho", [0.05, 0.3, 0.9, math.pi / 3, math.pi / 4, math.pi / 5,
@@ -267,15 +275,15 @@ class TestCoverLines:
         worst = np.arccos(np.abs(grid @ arr.lines.T).max(axis=1).min())
         assert worst <= 0.5 * rho * (1 + 1e-9)
 
-    @pytest.mark.parametrize("D", [3, 4, 5, 6])
+    @pytest.mark.parametrize("D", [5, 6, 7, 8])
     def test_greedy_runs_just_below_the_frame_threshold(self, D):
         rho = 2.0 * math.acos(1.0 / math.sqrt(D)) - 1e-6
         arr = cover_lines(rho, D, seed=1, probes=5000)
         assert not np.array_equal(arr.lines, np.eye(len(arr), D))
         np.testing.assert_array_equal(arr.lines, whole_cover_lines(rho, D, 1, 5000))
 
-    @pytest.mark.parametrize("D, rhos", [(2, (0.3, 0.9, 1.6)), (3, (0.8, 1.1, 1.5)),
-                                         (4, (1.2, 1.6)), (5, (1.6, 2.0)), (8, (2.0, 2.4))])
+    @pytest.mark.parametrize("D, rhos", [(2, (0.3, 0.9, 1.6)), (5, (1.4, 1.8)),
+                                         (6, (1.9, 2.2)), (5, (1.6, 2.0)), (8, (2.0, 2.4))])
     def test_lines_match_whole_sweep(self, D, rhos):
         for rho in rhos:
             for seed in (0, 1, 7):
@@ -285,7 +293,7 @@ class TestCoverLines:
     @pytest.mark.parametrize("candidates", [1, 5, 13])
     def test_unpadded_candidate_counts_match_whole_sweep(self, monkeypatch, candidates):
         monkeypatch.setattr(constructions, "_CANDIDATES", candidates)
-        for D, rho in ((2, 0.9), (3, 1.1)):
+        for D, rho in ((2, 0.9), (5, 1.6)):
             np.testing.assert_array_equal(
                 cover_lines(rho, D, seed=2, probes=3001).lines,
                 whole_cover_lines(rho, D, 2, 3001, candidates_per_round=candidates))
@@ -302,13 +310,99 @@ class TestCoverLines:
             assert counts.dtype == np.int64
 
     def test_memory_does_not_grow_with_the_products(self):
+        # One greedy round's float products would take 100 000 x 128 x 8 B =
+        # 102 MB; the five-column probe rows and their generation take 24 MB.
         tracemalloc.start()
         try:
-            cover_lines(1.5, 3, seed=2)  # the default 100 000 probes
+            cover_lines(1.5, 5, seed=2)  # the default 100 000 probes
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20e6
+        assert peak < 30e6
+
+
+def qhull_offsets(lines: np.ndarray) -> np.ndarray:
+    """Distances from the origin of the facet planes of conv{+-l_i}, by qhull."""
+    from scipy.spatial import ConvexHull
+
+    return -ConvexHull(np.vstack([lines, -lines])).equations[:, -1]
+
+
+class TestHoleInsertion:
+    """Covers in R^3 and R^4: deepest-hole insertion on one hull, and its certificate."""
+
+    @pytest.mark.parametrize("D", [3, 4])
+    def test_every_direction_is_covered(self, D):
+        # Caps of radius rho/2 about +-l_i cover the sphere exactly when every
+        # facet of conv{+-l_i} lies at least cos(rho/2) from the origin.
+        frame = 2.0 * math.acos(1.0 / math.sqrt(D))
+        for rho in [*np.linspace(0.5 if D == 3 else 0.8, frame, 9)[:-1], frame - 1e-6]:
+            arr = cover_lines(rho, D, seed=1, probes=2000)
+            np.testing.assert_array_equal(arr.lines[:D], np.eye(D))  # grown from the frame
+            assert qhull_offsets(arr.lines).min() >= math.cos(0.5 * rho) - 1e-12
+
+    @pytest.mark.parametrize("D, rho", [(3, 1.1), (4, 1.2)])
+    def test_stopping_one_insertion_early_is_refused(self, D, rho):
+        cos_half = math.cos(0.5 * rho)
+        V, F = constructions._hole_insertion(D, cos_half, 10_000)
+        constructions._check_hull(V, F, cos_half)
+        early = len(V) // 2 - D - 1
+        V, F = constructions._hole_insertion(D, cos_half, early)
+        assert qhull_offsets(V[0::2]).min() < cos_half - 1e-12  # the planted hole is real
+        with pytest.raises(CoverageFailed, match=f"^{D + early} lines after {early} insertions "
+                                                 f"leave a direction [0-9.]+ from every line, "
+                                                 f"above rho/2 = {0.5 * rho:.6g}$"):
+            constructions._check_hull(V, F, cos_half)
+
+    def test_an_open_or_dented_hull_is_refused(self):
+        cos_half = math.cos(0.55)
+        V, F = constructions._hole_insertion(3, cos_half, 10_000)
+        with pytest.raises(CoverageFailed, match="^hull re-check: 3 ridges do not bound exactly "
+                                                 "two facets$"):
+            constructions._check_hull(V, F[1:], cos_half)
+        pushed = V.copy()
+        pushed[-1] *= 2.0
+        # Every facet plane of the dented hull stays 0.76 or more from the origin,
+        # so at radius 1 only the vertex test can refuse it.
+        with pytest.raises(CoverageFailed, match="^hull re-check: a vertex lies .* above a facet "
+                                                 "plane$"):
+            constructions._check_hull(pushed, F, math.cos(1.0))
+
+    @pytest.mark.parametrize("D, radius", [(3, "0.955317"), (4, "1.0472")])
+    def test_insertion_cap_reported(self, monkeypatch, D, radius):
+        # From the frame, the holes at the cross-polytope's 2^D facets remain.
+        monkeypatch.setattr(constructions, "_MAX_ROUNDS", 2)
+        with pytest.raises(CoverageFailed) as err:
+            cover_lines(0.05, D, seed=1, probes=5000)
+        assert str(err.value) == (f"{D + 2} lines after 2 insertions leave a direction {radius} "
+                                  f"from every line, above rho/2 = 0.025")
+
+    @pytest.mark.parametrize("D, rho", [(3, 1.1), (4, 1.2)])
+    def test_a_cover_finished_in_the_last_insertion_is_returned(self, monkeypatch, D, rho):
+        whole = cover_lines(rho, D, seed=4, probes=5000)
+        monkeypatch.setattr(constructions, "_MAX_ROUNDS", len(whole) - D)
+        np.testing.assert_array_equal(cover_lines(rho, D, seed=4, probes=5000).lines, whole.lines)
+
+    @pytest.mark.parametrize("D, rho, lines", [(3, 0.1, 1694), (4, 0.4, 886)])
+    def test_memory_does_not_grow_with_the_products(self, D, rho, lines):
+        # Whole, the certificate's (vertex, facet) products would take 183 MB
+        # here in R^3 (3388 x 6772 x 8 B) and 158 MB in R^4 (1772 x 11178),
+        # and the Gram of the lines 23 MB and 6 MB.
+        tracemalloc.start()
+        try:
+            arr = cover_lines(rho, D, seed=2, probes=2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(arr) == lines
+        assert peak < 8e6
+
+    @pytest.mark.parametrize("D, rho", [(3, 0.9), (4, 1.3)])
+    def test_lines_do_not_depend_on_the_seed(self, D, rho):
+        # The seed moves only the probes of the re-check.
+        first = cover_lines(rho, D, seed=0, probes=3000).lines.tobytes()
+        for seed in (0, 1, 7, 2**31):
+            assert cover_lines(rho, D, seed=seed, probes=3000).lines.tobytes() == first
 
 
 def record_scans(monkeypatch) -> list:

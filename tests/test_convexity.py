@@ -141,6 +141,10 @@ TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
                  "point has non-finite coordinates", id="witness-nan"),
     pytest.param(lambda: obtuse_witness([0.2, 0.2], [[math.inf, 0], [1, 0], [0, 1]]),
                  "point set has non-finite coordinates", id="witness-inf-vertex"),
+    pytest.param(lambda: min_pairwise_dot([[math.nan, 0], [1, 0]]),
+                 "vectors have non-finite coordinates", id="min-dot-nan"),
+    pytest.param(lambda: simplex_contains_origin([[1, 0], [1]]),
+                 "simplex vertices must be rows of numbers of one length", id="simplex-ragged"),
     pytest.param(lambda: caratheodory_decompose([0.5, 0.5, 0.5], SQUARE),
                  "point has dimension 3 but the set 2", id="caratheodory-3d"),
     pytest.param(lambda: obtuse_witness([0.2, 0.2, 0.2], TRIANGLE),

@@ -226,6 +226,19 @@ class TestSampling:
         with pytest.raises(OutOfRange, match=message):
             call()
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: normal_cone_fraction_mc(PointSet([[0, 0], [1, 0], [0, 1]]), 1.5, 2000, 1),
+         r"vertex index must be an integer, got 1\.5"),
+        (lambda: quasi_uniform_lines(3, 10.5, 1), r"number of lines must be an integer, got 10\.5"),
+        (lambda: quasi_uniform_lines(2.5, 10, 1), r"dimension must be an integer, got 2\.5"),
+        (lambda: quasi_uniform_lines(3, math.nan, 1), "number of lines must be an integer, got nan"),
+    ], ids=["vertex-index", "probe-n", "probe-dim", "probe-n-nan"])
+    def test_fractional_and_nan_sizes_refused_by_name(self, call, message):
+        # A fractional index used to escape as a raw IndexError, a fractional
+        # size as a TypeError and a nan size as a ValueError from np.arange.
+        with pytest.raises(OutOfRange, match=f"^{message}$"):
+            call()
+
     @pytest.mark.parametrize("dim, n, width, seed", [
         (3, 5000, 3, 0), (1, 70_001, 1, 0), (2, 524_289, 7, 0),
         (5, 4000, 48, 260_644), (8, 1366, 300, 17),
