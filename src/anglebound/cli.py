@@ -27,6 +27,8 @@ from . import __version__
 from .errors import OutOfRange, PreconditionError
 
 DEFAULT_SEED = 20240
+# Rows `table` may print: a larger grid is refused before any row is built.
+MAX_TABLE_ROWS = 10**6
 
 
 # ---------------------------------------------------------------- file I/O
@@ -269,6 +271,11 @@ def _cmd_table(args):
     step = args.theta_step
     if not step > 0:
         raise OutOfRange(f"--theta-step must be positive, got {step!r}")
+    if not math.isfinite(step):
+        raise OutOfRange(f"--theta-step must be a finite number, got {step!r}")
+    rows = (d_hi - d_lo + 1) * ((hi - lo) / step + 1)
+    if not rows <= MAX_TABLE_ROWS:  # before the row count meets floor() or range()
+        raise OutOfRange(f"the grid has {rows:.3g} rows, more than {MAX_TABLE_ROWS}")
     count = math.floor((hi - lo) / step + 1e-9)  # the last row may not pass hi
     thetas = [lo + k * step for k in range(count + 1)]
     return table_bound_grid(range(d_lo, d_hi + 1), thetas), 0
@@ -326,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, seeded=True)
     sp.set_defaults(func=_cmd_pack_lines)
 
-    sp = sub.add_parser("cover-lines", help="greedy line covering at angular radius rho/2")
+    sp = sub.add_parser("cover-lines", help="lines within rho/2 of every direction: exact in "
+                        "the plane, R^3 and R^4; greedy and probe-checked only in D >= 5")
     _add_angle_flags(sp, "rho", "covering diameter rho")
     sp.add_argument("--dim", type=int, required=True)
     sp.add_argument("--probes", type=int, default=100_000)

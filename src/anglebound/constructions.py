@@ -28,7 +28,8 @@ from .errors import (
     ScaleExhausted,
     check_int,
 )
-from .geometry import PointSet, _row_blocks, angle_at, max_angle_triple
+from .geometry import (PointSet, _check_closed, _facet_planes, _hull_join, _row_blocks,
+                       angle_at, max_angle_triple)
 from .sampling import _check_seed, canonical_lines, quasi_uniform_lines, rng_stream
 
 DEFAULT_PROBES = 100_000
@@ -299,24 +300,6 @@ def cover_lines(rho: float, D: int, seed: int = 0, probes: int = DEFAULT_PROBES)
     return arrangement
 
 
-def _facet_planes(V: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit normals N and offsets H of the facets F (rows of vertex indices
-    into V) of a hull about the origin: one stacked solve of V_f x = 1 gives
-    x = N / H."""
-    x = np.linalg.solve(V[F], np.ones((len(F), F.shape[1], 1)))[:, :, 0]
-    norm = np.sqrt(np.einsum("ij,ij->i", x, x))
-    return x / norm[:, None], 1.0 / norm
-
-
-def _ridges(F: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each facet's D ridges (its row without one vertex), facet by facet, and
-    a key per ridge: its vertex indices, all below `base`, as digits. Rows in
-    ascending order give ridges in ascending order, so equal ridges share a key."""
-    D = F.shape[1]
-    R = F[:, np.nonzero(~np.eye(D, dtype=bool))[1].reshape(D, D - 1)].reshape(-1, D - 1)
-    return R, R @ base ** np.arange(D - 1)
-
-
 def _hole_insertion(D: int, cos_half: float, rounds: int):
     """conv{+-l_i} grown by deepest-hole insertion (Gonzalez 1985), at most
     `rounds` insertions: (V, F).
@@ -326,12 +309,10 @@ def _hole_insertion(D: int, cos_half: float, rounds: int):
     the unit normal of the nearest facet is a direction farthest from every
     line (Brown 1979). So from the frame, whose cross-polytope has the 2^D
     facets of sign vectors, the normal of the first nearest facet becomes a
-    line until every offset is at least cos_half - _COVER_TOL. Each of +-l
-    drops the facets it sees by more than _COVER_TOL and is joined to their
-    horizon, the ridges of exactly one of its dropped facets. No facet sees
-    both, nor a facet made with the other (whose plane holds that point at a
-    positive offset), so one product finds both, and a ridge key tagged with
-    the seeing point keeps the two horizons apart.
+    line until every offset is at least cos_half - _COVER_TOL. Both of +-l
+    join the hull in one `_hull_join` step, with slack _COVER_TOL: no facet
+    sees both, nor a facet made with the other (whose plane holds that point
+    at a positive offset).
 
     V holds line i as rows 2i and 2i + 1, +l_i then -l_i; F the facets as
     ascending vertex indices, a new vertex being the highest.
@@ -346,49 +327,23 @@ def _hole_insertion(D: int, cos_half: float, rounds: int):
         if H[f] >= cos_half - _COVER_TOL:
             break
         V[n], V[n + 1] = N[f], -N[f]
-        dots = N @ N[f]
-        minus = -dots > H + _COVER_TOL
-        drop = minus | (dots > H + _COVER_TOL)
-        gone, keep = np.flatnonzero(drop), np.flatnonzero(~drop)  # take() gathers rows faster
-        R, key = _ridges(F.take(gone, axis=0), n + 2)
-        key = 2 * key + np.repeat(minus.take(gone), D)  # odd: a ridge of a facet -l sees
-        order = np.argsort(key)
-        k = key[order]
-        once = np.ones(len(k), dtype=bool)
-        once[1:] = k[1:] != k[:-1]
-        once[:-1] &= k[:-1] != k[1:]
-        horizon = order[once]
-        new = np.column_stack([R[horizon], n + (key[horizon] & 1)])
-        N_new, H_new = _facet_planes(V, new)
-        F, N, H = (np.concatenate([F.take(keep, axis=0), new]),
-                   np.concatenate([N.take(keep, axis=0), N_new]),
-                   np.concatenate([H.take(keep), H_new]))
+        F, N, H = _hull_join(V, F, N, H, n, n + 2, _COVER_TOL)
         n += 2
     return V[:n], F
 
 
 def _check_hull(V: np.ndarray, F: np.ndarray, cos_half: float):
-    """Raise CoverageFailed unless the facets F close up around the vertices V
-    and leave every direction within arccos(cos_half) of a line, in O(F V):
-    every ridge bounds exactly two facets, every offset, solved afresh, is at
-    least cos_half, and every vertex lies on or below every facet plane, each
-    within _COVER_TOL. The offset test is also the insertion cap's, and runs
-    before the O(F V) one: its message names the lines, the insertions and
-    the deepest hole."""
-    counts = np.unique(_ridges(F, len(V))[1], return_counts=True)[1]
-    if np.any(counts != 2):
-        raise CoverageFailed(f"hull re-check: {np.count_nonzero(counts != 2)} ridges do not "
-                             f"bound exactly two facets")
+    """Raise CoverageFailed unless every offset of the facets F, solved afresh,
+    is at least cos_half within _COVER_TOL and `_check_closed` holds. The
+    offset test, also the insertion cap's, runs first: its message names the
+    lines, the insertions and the deepest hole."""
     N, H = _facet_planes(V, F)
     if H.min() < cos_half - _COVER_TOL:
         lines, D = len(V) // 2, V.shape[1]
         raise CoverageFailed(f"{lines} lines after {lines - D} insertions leave a direction "
                              f"{math.acos(H.min()):.6g} from every line, above rho/2 = "
                              f"{math.acos(cos_half):.6g}")
-    # A block of facets at a time, so the (vertex, facet) products never exist whole.
-    above = max(float(np.max(V @ N[lo:hi].T - H[lo:hi])) for lo, hi in _row_blocks(len(N), len(V)))
-    if above > _COVER_TOL:
-        raise CoverageFailed(f"hull re-check: a vertex lies {above:.3g} above a facet plane")
+    _check_closed(V, F, N, H, _COVER_TOL, "hull re-check", CoverageFailed)
 
 
 def _greedy_cover(P: np.ndarray, cos_half: float, seed: int) -> np.ndarray:

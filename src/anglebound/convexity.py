@@ -21,11 +21,6 @@ at distance at least delta from the others' hull. When delta also exceeds
 twice the solver's "inside" distance bound, the solve would have answered
 "outside", so only the points no direction certifies are solved, in index
 order, and verdicts and witnesses are those of one solve per point.
-
-A positive verdict also keeps one exposing direction per vertex: the screen's
-direction with the widest gap, or, for a solved vertex, the direction from
-the nearest point of the others' hull toward it. `curvature` builds the
-exact normal-cone fractions in R^3 in a frame around these directions.
 """
 
 from __future__ import annotations
@@ -59,10 +54,6 @@ class ConvexPositionVerdict:
     in_convex_position: bool
     witness_point: Optional[np.ndarray] = None
     witness_simplex: Optional[np.ndarray] = None
-    # A positive verdict on three or more points sets this to a read-only
-    # (n, D) array: row i is a unit u with u . (v_j - v_i) < 0 for all j != i.
-    # Not a field, so it stays out of payloads and comparisons.
-    _exposing = None
 
 
 @dataclass(frozen=True)
@@ -351,8 +342,8 @@ def is_convex_position(A: PointSet) -> ConvexPositionVerdict:
     return A._convex_verdict
 
 
-def _exposing_directions(pts: np.ndarray) -> np.ndarray:
-    """Per point, a fixed direction that proves it a vertex, or a NaN row.
+def _screen(pts: np.ndarray) -> np.ndarray:
+    """Mask of the points a fixed direction proves vertices.
 
     v_i is certified when some unit direction u of the unshifted R_d
     sequence (max(256, 8n) of them) exposes it with a gap
@@ -362,7 +353,6 @@ def _exposing_directions(pts: np.ndarray) -> np.ndarray:
     radius of any support the solve keeps, so the solve in `_hull_simplex`
     would answer "outside" too: the factor 2 leaves room for the rounding of
     the centered products, which is relative to |c|, not |v|.
-    Of the directions certifying v_i, the one with the widest gap is kept.
     The product is formed one block of directions at a time.
     """
     n, D = pts.shape
@@ -370,47 +360,29 @@ def _exposing_directions(pts: np.ndarray) -> np.ndarray:
     norms = np.sqrt(np.einsum("ij,ij->i", C, C))
     margin = 2.0 * FEAS_TOL * (norms + np.max(norms))
     U = rd_directions(D, max(256, 8 * n) + 1)[1:]  # row 0 is the zero vector
-    tops, gaps = [], []
+    certified = np.zeros(n, dtype=bool)
     for lo, hi in _row_blocks(len(U), n):
         Y = U[lo:hi] @ C.T
         rows = np.arange(hi - lo)
         top = np.argmax(Y, axis=1)
         best = Y[rows, top]
         Y[rows, top] = -np.inf
-        tops.append(top)
-        gaps.append(best - np.max(Y, axis=1))
-    top, gap = np.concatenate(tops), np.concatenate(gaps)
-    k = np.flatnonzero(gap > margin[top])
-    k = k[np.lexsort((gap[k], top[k]))]  # by point, then by gap
-    last = np.ones(k.size, dtype=bool)
-    last[:-1] = top[k[1:]] != top[k[:-1]]
-    widest = k[last]
-    directions = np.full((n, D), np.nan)
-    directions[top[widest]] = U[widest]
-    return directions
+        certified[top[best - np.max(Y, axis=1) > margin[top]]] = True
+    return certified
 
 
 def _decide_convex_position(pts: np.ndarray) -> ConvexPositionVerdict:
     if len(pts) <= 2:
         return ConvexPositionVerdict(True)
-    directions = _exposing_directions(pts)
-    for i in np.flatnonzero(np.isnan(directions[:, 0])):
-        simplex, z = _hull_simplex(pts[i], np.delete(pts, i, axis=0),
+    for i in np.flatnonzero(~_screen(pts)):
+        simplex, _ = _hull_simplex(pts[i], np.delete(pts, i, axis=0),
                                    f"hull membership of point {i}")
         if simplex is not None:
             point = pts[i].copy()
             point.setflags(write=False)
             simplex.setflags(write=False)
-            return ConvexPositionVerdict(
-                in_convex_position=False,
-                witness_point=point,
-                witness_simplex=simplex,
-            )
-        directions[i] = -z / math.sqrt(float(z @ z))
-    verdict = ConvexPositionVerdict(True)
-    directions.setflags(write=False)
-    object.__setattr__(verdict, "_exposing", directions)
-    return verdict
+            return ConvexPositionVerdict(False, point, simplex)
+    return ConvexPositionVerdict(True)
 
 
 def obtuse_witness(p, simplex) -> ObtuseWitness:

@@ -6,8 +6,10 @@ vertices of a polytope in convex position these fractions sum to 1. In the
 plane and in R^3 they have closed forms (discrete Gauss-Bonnet): a polygon
 vertex's fraction is its exterior angle over 2 pi, and a polyhedron
 vertex's is its angular defect over 4 pi (Descartes), 2 pi minus the
-perimeter of its link. `gauss_bonnet_sum` returns those there, checks that
-they sum to 1, and says so in its `method`. In other dimensions, and in
+angles there of the triangles of its hull, which grows by the same
+beneath-beyond step as the R^3 and R^4 line covers (`geometry._hull_join`).
+`gauss_bonnet_sum` returns those there, checks that they sum to 1, and
+says so in its `method`. In other dimensions, and in
 `normal_cone_fraction_mc` everywhere, the fractions are estimated by seeded
 Monte Carlo, one cache-sized block of directions at a time
 (`_paired_products`), so memory does not grow with the sample count; the
@@ -67,18 +69,14 @@ from .errors import (
     OutOfRange,
     check_int,
 )
-from .geometry import PointSet, _others, _row_blocks, as_unit
+from .geometry import (PointSet, _check_closed, _facet_planes, _hull_join, _others,
+                       _row_blocks, as_unit)
 from .sampling import _check_seed, rd_directions
 
 CONE_FIT_TOL = 1e-9
 # Closed-form fractions must sum to 1 within this (Gauss-Bonnet); each
 # fraction is a sum of at most n angles, so its rounding is near n * 1e-16.
 GAUSS_BONNET_TOL = 1e-9
-# Turning angles within this of the smallest tie in the R^3 link walk: their
-# points lie on one great circle through the apex, as on coplanar faces. An
-# angle is a ratio of lengths, so the tolerance is relative to the input's
-# scale.
-TURN_TIE_TOL = 1e-9
 BLOCK = 1 << 12  # raw Monte Carlo rows per rotation
 
 
@@ -128,10 +126,8 @@ class CurvatureEstimate:
 
 
 def _require_convex_position(V: PointSet):
-    verdict = is_convex_position(V)
-    if not verdict.in_convex_position:
+    if not is_convex_position(V).in_convex_position:
         raise NotConvexPosition("point set has a non-vertex point")
-    return verdict
 
 
 def _rotations(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
@@ -228,77 +224,42 @@ def _polygon_fractions(pts: np.ndarray) -> np.ndarray:
     return fractions
 
 
-def _next_on_hull(turn: np.ndarray, reach: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Per row, the column of smallest turn; columns within TURN_TIE_TOL of
-    it tie, and the tie goes to the start column, else to the largest reach."""
-    tied = turn <= turn.min(axis=1)[:, None] + TURN_TIE_TOL
-    reach = np.where(tied, reach, -1.0)
-    rows = np.arange(len(turn))
-    reach[rows, start] = np.where(tied[rows, start], np.inf, -1.0)
-    return np.argmax(reach, axis=1)
+def _defect_fractions(pts: np.ndarray) -> np.ndarray:
+    """Angular defect over 4 pi at each vertex of a convex polytope in R^3:
+    2 pi minus the angles at the vertex of its hull's triangles, each as
+    atan2(|a x b|, a . b).
 
-
-def _link_fractions(pts: np.ndarray, exposing: np.ndarray) -> np.ndarray:
-    """Angular defect over 4 pi at each vertex of a convex polytope in R^3.
-
-    A vertex's normal cone is the polar of the cone its rays span, so its
-    share of the sphere is (2 pi - P) / (4 pi), with P the perimeter of the
-    link: the spherical convex hull of the rays to the other points. The
-    links are found by gift wrapping (Jarvis 1973) in lockstep over a block
-    of vertices (geometry._row_blocks), each in the gnomonic plane about the
-    inward axis -u of its exposing direction u, where great circles are
-    lines and the link is a convex polygon. A step is one pass over the
-    block's (rows, n) arrays, and a block takes as many steps as its largest
-    vertex degree. A walk starts at the point farthest from the axis, a hull
-    vertex, and takes the smallest left turn each step; points whose turns
-    tie with it within TURN_TIE_TOL lie on one great circle with the edge,
-    and the farthest is taken (the start before any other, which closes the
-    walk). P is the sum of the arcs between consecutive hull rays. Each u is
-    re-checked on the way: (v - p_j) . u > 0 for every other point p_j.
+    The hull grows from a fat tetrahedron (the point of largest x, the point
+    farthest from it, then the points farthest from their line and from
+    their plane), centred on its centroid, by joining the other points in
+    index order (geometry._hull_join). The four come first, so each later
+    point is the highest vertex so far. A point sees a facet when it lies
+    more than 1e-12 times the points' radius above its plane, so coplanar
+    points, as on the cube's faces, split a face into triangles. The hull is
+    re-checked (geometry._check_closed) before any angle is summed.
     """
     n = len(pts)
-    C = pts - pts.mean(axis=0)
-    perimeter = np.zeros(n)
-    for lo, hi in _row_blocks(n, n):
-        rows, me = np.arange(hi - lo), np.arange(lo, hi)
-        axis = -exposing[lo:hi]
-        helper = np.eye(3)[np.argmin(np.abs(axis), axis=1)]
-        e1 = helper - np.einsum("ij,ij->i", helper, axis)[:, None] * axis
-        e1 /= np.linalg.norm(e1, axis=1)[:, None]
-        frames = np.stack([axis, e1, np.cross(axis, e1)], axis=1)
-        # (p_j - v) . (axis, e1, e2) for every vertex v of the block and point p_j
-        proj = frames @ C.T - np.einsum("bfk,bk->bf", frames, C[lo:hi])[:, :, None]
-        h = proj[:, 0]
-        h[rows, me] = 1.0
-        if not np.all(h > 0.0):
-            b, j = map(int, np.argwhere(h <= 0.0)[0])
-            raise RuntimeError(f"exact normal-cone fractions: the exposing direction of vertex "
-                               f"{lo + b} fails its re-check at point {j} (height {h[b, j]:.6g})")
-        X, Y = proj[:, 1] / h, proj[:, 2] / h
-        r2 = X * X + Y * Y
-        r2[rows, me] = -1.0
-        start = np.argmax(r2, axis=1)
-        cur, ex, ey = start, -Y[rows, start], X[rows, start]  # counterclockwise tangent
-        walking = np.ones(hi - lo, dtype=bool)
-        for _ in range(n):
-            dx, dy = X - X[rows, cur][:, None], Y - Y[rows, cur][:, None]
-            turn = np.arctan2(ex[:, None] * dy - ey[:, None] * dx,
-                              ex[:, None] * dx + ey[:, None] * dy)
-            turn[turn < -0.5 * math.pi] += 2.0 * math.pi  # straight back reads pi, not -pi
-            turn[rows, me] = turn[rows, cur] = np.inf
-            nxt = _next_on_hull(turn, dx * dx + dy * dy, start)
-            r0, r1 = C[cur] - C[me], C[nxt] - C[me]
-            arc = np.arctan2(np.linalg.norm(np.cross(r0, r1), axis=1),
-                             np.einsum("ij,ij->i", r0, r1))
-            perimeter[lo:hi] += np.where(walking, arc, 0.0)
-            walking &= nxt != start
-            if not walking.any():
-                break
-            cur, ex, ey = nxt, dx[rows, nxt], dy[rows, nxt]
-        else:
-            raise RuntimeError(f"exact normal-cone fractions: the link walk of vertex "
-                               f"{lo + int(np.argmax(walking))} did not close in {n} steps")
-    return (2.0 * math.pi - perimeter) / (4.0 * math.pi)
+    a = int(np.argmax(pts[:, 0]))
+    E = pts - pts[a]
+    b = int(np.argmax(np.einsum("ij,ij->i", E, E)))
+    X = np.cross(E, E[b])
+    c = int(np.argmax(np.einsum("ij,ij->i", X, X)))
+    d = int(np.argmax(np.abs(E @ X[c])))
+    order = np.concatenate([[a, b, c, d], np.setdiff1d(np.arange(n), [a, b, c, d])])
+    V = pts[order] - pts[order[:4]].mean(axis=0)
+    tol = 1e-12 * math.sqrt(float(np.max(np.einsum("ij,ij->i", V, V))))
+    F = np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+    N, H = _facet_planes(V, F)
+    for i in range(4, n):
+        F, N, H = _hull_join(V, F, N, H, i, i + 1, tol)
+    _check_closed(V, F, *_facet_planes(V, F), tol,
+                  "exact normal-cone fractions in R^3: hull re-check", RuntimeError)
+    T = np.concatenate([F, np.roll(F, -1, axis=1), np.roll(F, -2, axis=1)])  # each corner first
+    A, B = V[T[:, 1]] - V[T[:, 0]], V[T[:, 2]] - V[T[:, 0]]
+    X = np.cross(A, B)
+    angles = np.bincount(order[T[:, 0]], np.arctan2(np.sqrt(np.einsum("ij,ij->i", X, X)),
+                                                    np.einsum("ij,ij->i", A, B)), minlength=n)
+    return (2.0 * math.pi - angles) / (4.0 * math.pi)
 
 
 def _shared_sample_counts(pts: np.ndarray, samples: int, seed: int) -> np.ndarray:
@@ -322,7 +283,7 @@ def _shared_sample_counts(pts: np.ndarray, samples: int, seed: int) -> np.ndarra
 def gauss_bonnet_sum(V: PointSet, samples: int, seed: int) -> CurvatureEstimate:
     """All vertex normal-cone fractions, summing to exactly 1.0 by fsum.
 
-    In R^2 and R^3 they are exact (`_polygon_fractions`, `_link_fractions`):
+    In R^2 and R^3 they are exact (`_polygon_fractions`, `_defect_fractions`):
     the sum must be 1 within GAUSS_BONNET_TOL and every fraction
     nonnegative, or RuntimeError names the stage and the sum; std_error is
     0, and `samples` and `seed` are checked and echoed. In other dimensions
@@ -333,14 +294,14 @@ def gauss_bonnet_sum(V: PointSet, samples: int, seed: int) -> CurvatureEstimate:
     """
     seed = _check_seed(seed)
     samples = _check_samples(samples)
-    verdict = _require_convex_position(V)
+    _require_convex_position(V)
     centered = V.points - V.points.mean(axis=0)
     if np.linalg.matrix_rank(centered, tol=1e-9 * max(1.0, np.abs(centered).max())) < V.dim:
         raise DegenerateHull("hull is not full-dimensional")
     n = len(V)
     if V.dim in (2, 3):
         fractions = (_polygon_fractions(V.points) if V.dim == 2
-                     else _link_fractions(V.points, verdict._exposing))
+                     else _defect_fractions(V.points))
         total = math.fsum(fractions)
         if not (abs(total - 1.0) <= GAUSS_BONNET_TOL and np.all(fractions >= 0.0)):
             raise RuntimeError(f"exact normal-cone fractions in R^{V.dim}: sum {total!r}, "

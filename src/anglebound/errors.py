@@ -58,7 +58,8 @@ class CapTooSmall(PreconditionError):
 
 
 class CoverageFailed(PreconditionError):
-    """Greedy line covering could not cover the probe set within the iteration cap."""
+    """A line cover was not built or not certified: the greedy rounds (D >= 5) or the
+    deepest-hole insertions (R^3, R^4) hit their cap, or the hull or probe re-check failed."""
 
 
 class ScaleExhausted(PreconditionError):

@@ -2,7 +2,9 @@
 
 Angles are radians throughout. Points and vectors are 1-D numpy arrays of
 float64; a PointSet wraps an (n, dim) array and validates it once at
-construction so downstream code can trust the invariants.
+construction so downstream code can trust the invariants. The one
+incremental convex hull, `_hull_join` and its `_check_closed`, serves the
+exact R^3 normal-cone fractions and the R^3/R^4 line covers.
 """
 
 from __future__ import annotations
@@ -316,3 +318,64 @@ def rays_from(apex, A: PointSet) -> np.ndarray:
     if np.any(norms <= DISTINCTNESS_TOL):
         raise DegenerateTriple("apex coincides with a point of the set")
     return diffs / norms[:, None]
+
+
+def _facet_planes(V: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit normals N and offsets H of the facets F (rows of vertex indices
+    into V) of a hull about the origin: one stacked solve of V_f x = 1 gives
+    x = N / H."""
+    x = np.linalg.solve(V[F], np.ones((len(F), F.shape[1], 1)))[:, :, 0]
+    norm = np.sqrt(np.einsum("ij,ij->i", x, x))
+    return x / norm[:, None], 1.0 / norm
+
+
+def _ridges(F: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each facet's D ridges (its row without one vertex), facet by facet, and
+    a key per ridge: its vertex indices, all below `base`, as digits. Rows in
+    ascending order give ridges in ascending order, so equal ridges share a key."""
+    D = F.shape[1]
+    R = F[:, np.nonzero(~np.eye(D, dtype=bool))[1].reshape(D, D - 1)].reshape(-1, D - 1)
+    return R, R @ base ** np.arange(D - 1)
+
+
+def _hull_join(V, F, N, H, lo: int, hi: int, tol: float):
+    """(F, N, H) of the simplicial hull about the origin with facets F (rows of
+    ascending vertex indices into V), unit normals N and offsets H, after the
+    points V[lo:hi] join it, beneath-beyond: each drops the facets whose planes
+    it lies more than tol above and is joined to their horizon, the ridges of
+    exactly one of its dropped facets. No facet may be seen by two of the
+    points; a ridge key tagged with the point that sees its facet keeps their
+    horizons apart. With every old index below lo, the new rows stay ascending.
+    """
+    D, tags = F.shape[1], hi - lo
+    sees = V[lo:hi] @ N.T > H + tol  # a row per point: any() over the rows is one pass
+    drop = sees.any(axis=0)
+    gone, keep = np.flatnonzero(drop), np.flatnonzero(~drop)  # take() gathers rows faster
+    R, key = _ridges(F.take(gone, axis=0), len(V))
+    key = tags * key + np.repeat(sees[:, gone].argmax(axis=0), D)
+    order = np.argsort(key)
+    key = key[order]
+    once = np.ones(len(key), dtype=bool)
+    once[1:] = key[1:] != key[:-1]
+    once[:-1] &= key[:-1] != key[1:]
+    rows = np.column_stack([R[order[once]], lo + key[once] % tags])
+    N_new, H_new = _facet_planes(V, rows)
+    return (np.concatenate([F.take(keep, axis=0), rows]),
+            np.concatenate([N.take(keep, axis=0), N_new]),
+            np.concatenate([H.take(keep), H_new]))
+
+
+def _check_closed(V, F, N, H, tol: float, stage: str, error: type):
+    """Raise error naming `stage` unless the facets F, with planes (N, H), close
+    up around the vertices V, in O(F V): every ridge bounds exactly two facets,
+    every point of V is a vertex of some facet, and every point lies at most
+    tol above every facet plane, a block of facets at a time."""
+    open_ridges = np.count_nonzero(np.unique(_ridges(F, len(V))[1], return_counts=True)[1] != 2)
+    if open_ridges:
+        raise error(f"{stage}: {open_ridges} ridges do not bound exactly two facets")
+    unused = len(V) - len(np.unique(F))
+    if unused:
+        raise error(f"{stage}: {unused} points are vertices of no facet")
+    above = max(float(np.max(V @ N[lo:hi].T - H[lo:hi])) for lo, hi in _row_blocks(len(N), len(V)))
+    if above > tol:
+        raise error(f"{stage}: a vertex lies {above:.3g} above a facet plane")

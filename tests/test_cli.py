@@ -91,7 +91,7 @@ class TestBasicCommands:
         code, out = run(args, capsys)
         assert code == 0 and json.loads(out)["method"] == "exact"
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "c0df292e58519c19dbe6fee52e2289eb8ae53ed1127dc302907260ff2aaa84c5")
+            "f896124cd8b95b746c4e52d825b8134557d55bcd8c35c73176cedeabc350d52f")
 
     def test_cone_cover_failure_diagnosis(self, square_file, capsys):
         code, out = run(["cone-cover", "--in", square_file, "--eta", "0.1"], capsys)
@@ -407,6 +407,10 @@ class TestExitCodes:
         (["--theta-deg", "90..inf"], "--theta-deg must be a finite number, got 'inf'"),
         (["--dims", "5..2"], "--dims range must run from low to high, got '5..2'"),
         (["--theta-deg", "100..91"], "--theta-deg range must run from low to high, got '100..91'"),
+        (["--theta-step", "inf"], "--theta-step must be a finite number, got inf"),
+        (["--theta-step", "5e-324"], "the grid has inf rows, more than 1000000"),
+        (["--theta-step", "1e-300"], "the grid has 1.4e+302 rows, more than 1000000"),
+        (["--dims", "2..100000000"], "the grid has 2.9e+09 rows, more than 1000000"),
     ])
     def test_bad_table_grid_refused_by_name(self, capsys, flags, message):
         assert dispatch(["table", "--bound-grid", *flags]) == 2

@@ -259,11 +259,6 @@ def _outcome(decide, pts):
     return False, v.witness_point.tobytes(), v.witness_simplex.tobytes()
 
 
-def _exposed(pts):
-    """Mask of the points the direction screen certifies."""
-    return ~np.isnan(convexity._exposing_directions(np.asarray(pts, dtype=float))[:, 0])
-
-
 def _sphere_points(rng, n, D, min_sep):
     pts = []
     while len(pts) < n:
@@ -345,12 +340,12 @@ class TestDirectionScreen:
                 for offset in (0.0, 1e8):
                     i = int(rng.integers(len(hull) + 1))
                     pts = np.insert(hull, i, p, axis=0) + offset
-                    assert not _exposed(pts)[i]
+                    assert not convexity._screen(pts)[i]
         # Lattice points on the edges and facets of the others' hull.
         for D in (2, 3, 4):
             grid = np.array(list(itertools.product(range(3), repeat=D)), dtype=float)
             for i in np.flatnonzero(np.any(grid == 1, axis=1)):
-                assert not _exposed(grid)[i]
+                assert not convexity._screen(grid)[i]
 
     @pytest.mark.parametrize("gap", [1e-12, 9e-10])
     @pytest.mark.parametrize("D", [2, 3, 5])
@@ -361,7 +356,7 @@ class TestDirectionScreen:
         u = rd_directions(D, 2)[1]
         W = np.linalg.svd(u[None, :])[2][1:]  # orthonormal basis of u's complement
         pts = np.vstack([W, -W, -u, gap * u])
-        assert not _exposed(pts)[-1]
+        assert not convexity._screen(pts)[-1]
         assert (_outcome(convexity._decide_convex_position, pts)
                 == _outcome(solve_every_point, pts))
         assert not is_convex_position(PointSet(pts)).in_convex_position

@@ -48,6 +48,12 @@ CUBE = PointSet([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)])
 TESSERACT = PointSet(list(itertools.product((0, 1), repeat=4)))
 CROSS_4 = PointSet(np.vstack([np.eye(4), -np.eye(4)]))
 TETRAHEDRON = PointSet([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+OCTAHEDRON = PointSet(np.vstack([np.eye(3), -np.eye(3)]))
+CUBOCTAHEDRON = PointSet([p for p in itertools.product((-1, 0, 1), repeat=3)
+                          if np.count_nonzero(p) == 2])
+# A regular 7-gon prism: square side faces, coplanar 7-point end faces.
+PRISM_7 = PointSet([[math.cos(a), math.sin(a), z] for z in (-1.0, 1.0)
+                    for a in 0.4 + 2 * math.pi * np.arange(7) / 7])
 
 
 def brute_force_cap(H):
@@ -536,10 +542,12 @@ class TestExactFractions:
     and the Monte Carlo stream of normal_cone_fraction_mc."""
 
     @pytest.mark.parametrize("ps, value", [
-        (SQUARE, 1 / 4), (CUBE, 1 / 8), (TETRAHEDRON, 1 / 4),
+        (SQUARE, 1 / 4), (CUBE, 1 / 8), (TETRAHEDRON, 1 / 4), (OCTAHEDRON, 1 / 6),
+        (CUBOCTAHEDRON, 1 / 12), (PRISM_7, 1 / 14),
         *[(PointSet(np.column_stack([np.cos(a), np.sin(a)]) * 3.0 + [5.0, -2.0]), 1 / k)
           for k in (3, 5, 6, 7, 12, 50) for a in [0.3 + 2 * math.pi * np.arange(k) / k]],
-    ], ids=["square", "cube", "tetrahedron", *[f"{k}-gon" for k in (3, 5, 6, 7, 12, 50)]])
+    ], ids=["square", "cube", "tetrahedron", "octahedron", "cuboctahedron", "7-gon-prism",
+            *[f"{k}-gon" for k in (3, 5, 6, 7, 12, 50)]])
     def test_symmetric_shapes(self, ps, value):
         est = gauss_bonnet_sum(ps, 1000, seed=3)
         assert (est.method, est.samples, est.seed) == ("exact", 1000, 3)
@@ -574,7 +582,8 @@ class TestExactFractions:
                              ids=["translated-1e8", "scaled-1e-3", "scaled-1e3"])
     def test_far_and_scaled_sets(self, shift, scale):
         rng = np.random.default_rng(41)
-        for pts in (_sphere_set(7, 24, 3).points, CUBE.points, _circle_points(rng, 24)):
+        for pts in (_sphere_set(7, 24, 3).points, CUBE.points, OCTAHEDRON.points,
+                    CUBOCTAHEDRON.points, PRISM_7.points, _circle_points(rng, 24)):
             moved = pts * scale + shift
             est = gauss_bonnet_sum(PointSet(moved), 1000, seed=1)
             if pts.shape[1] == 3:
@@ -585,50 +594,50 @@ class TestExactFractions:
                 expected[order] = 0.5 - planar_interior_angles(moved[order]) / (2 * math.pi)
             np.testing.assert_allclose(est.fractions, expected, rtol=0, atol=1e-12)
 
-    @staticmethod
-    def _count_ties(monkeypatch):
-        ties, step = [], curvature._next_on_hull
+    @pytest.mark.parametrize("ps", [CUBE, CUBOCTAHEDRON, PRISM_7, _sphere_set(9, 24, 3)],
+                             ids=["cube", "cuboctahedron", "7-gon-prism", "sphere-24"])
+    def test_coplanar_faces_split_into_triangles(self, monkeypatch, ps):
+        # Every hull is a triangulated sphere: 2n - 4 triangles, each ridge
+        # shared by two, every point a vertex, coplanar faces included.
+        hulls, check = [], curvature._check_closed
 
-        def spy(turn, reach, start):
-            tied = turn <= turn.min(axis=1)[:, None] + curvature.TURN_TIE_TOL
-            ties.append(int(np.count_nonzero(tied.sum(axis=1) > 1)))
-            return step(turn, reach, start)
+        def spy(V, F, *rest):  # the facets the fractions' certificate checks
+            hulls.append(F)
+            return check(V, F, *rest)
 
-        monkeypatch.setattr(curvature, "_next_on_hull", spy)
-        return ties
+        monkeypatch.setattr(curvature, "_check_closed", spy)
+        est = gauss_bonnet_sum(ps, 1000, seed=1)
+        [F] = hulls
+        assert len(F) == 2 * len(ps) - 4
+        np.testing.assert_array_equal(np.unique(F), np.arange(len(ps)))
+        np.testing.assert_allclose(est.fractions, hull_defect_fractions(ps.points),
+                                   rtol=0, atol=1e-12)
+        if ps is CUBE:
+            np.testing.assert_array_equal(est.fractions, np.full(8, 0.125))
 
-    def test_coplanar_faces_take_the_tie_path(self, monkeypatch):
-        ties = self._count_ties(monkeypatch)
-        est = gauss_bonnet_sum(CUBE, 1000, seed=1)
-        assert sum(ties) > 0
-        np.testing.assert_array_equal(est.fractions, np.full(8, 0.125))
-        ties.clear()
-        gauss_bonnet_sum(TETRAHEDRON, 1000, seed=1)
-        assert sum(ties) == 0
+    @pytest.mark.parametrize("plant, message", [
+        (lambda V, F: (V, F[1:]), "3 ridges do not bound exactly two facets"),
+        (lambda V, F: (V * np.where(np.arange(len(V)) == len(V) - 1, 1.5, 1.0)[:, None], F),
+         "a vertex lies .* above a facet plane"),
+        (lambda V, F: (np.vstack([V, 0.5 * V[:1]]), F), "1 points are vertices of no facet"),
+    ], ids=["facet-dropped", "vertex-pushed-out", "point-left-inside"])
+    def test_a_broken_hull_fails_its_certificate(self, monkeypatch, plant, message):
+        check = curvature._check_closed
 
-    def test_a_wrong_walk_fails_the_sum_check(self, monkeypatch):
-        # A tie window of a radian lets the walk cut across the cube's faces.
-        monkeypatch.setattr(curvature, "TURN_TIE_TOL", 1.0)
+        def planted(V, F, N, H, *rest):
+            V, F = plant(V, F)
+            return check(V, F, *geometry._facet_planes(V, F), *rest)
+
+        monkeypatch.setattr(curvature, "_check_closed", planted)
+        with pytest.raises(RuntimeError, match=f"^exact normal-cone fractions in R\\^3: hull "
+                                               f"re-check: {message}$"):
+            gauss_bonnet_sum(_sphere_set(9, 24, 3), 1000, seed=1)
+
+    def test_wrong_fractions_fail_the_sum_check(self, monkeypatch):
+        defects = curvature._defect_fractions
+        monkeypatch.setattr(curvature, "_defect_fractions", lambda pts: 1.25 * defects(pts))
         with pytest.raises(RuntimeError, match=r"^exact normal-cone fractions in R\^3: sum 1\.25"):
             gauss_bonnet_sum(PointSet(CUBE.points), 1000, seed=1)
-
-    def test_a_bad_exposing_direction_fails_its_recheck(self):
-        ps = PointSet(CUBE.points)
-        verdict = convexity.is_convex_position(ps)
-        object.__setattr__(verdict, "_exposing", -verdict._exposing)
-        with pytest.raises(RuntimeError, match="exposing direction of vertex 0 fails its re-check"):
-            gauss_bonnet_sum(ps, 1000, seed=1)
-
-    def test_exposing_directions_expose_their_vertices(self):
-        rng = np.random.default_rng(42)
-        for pts in (_sphere_set(3, 48, 3).points, rng.normal(size=(6, 3)), CUBE.points):
-            verdict = convexity.is_convex_position(PointSet(pts))
-            if not verdict.in_convex_position:
-                continue
-            U = verdict._exposing
-            np.testing.assert_allclose(np.linalg.norm(U, axis=1), 1.0, atol=1e-12)
-            for i, u in enumerate(U):
-                assert np.all(np.delete(pts, i, axis=0) @ u < pts[i] @ u)
 
     def test_bad_input_is_still_refused_by_name(self):
         with pytest.raises(OutOfRange, match="need at least 1000 samples"):
