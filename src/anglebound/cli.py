@@ -9,7 +9,9 @@ internal failure.
 
 Library modules are imported inside the handlers and readers that use them,
 so each subcommand loads only what it runs: `bound` and `table` load
-`bounds` and no numpy.
+`bounds` and no numpy. `dispatch` likewise builds only the subparser of the
+subcommand it runs (`build_parser(command)`); the whole parser, with every
+subcommand in its usage, answers --help and every call it cannot route.
 """
 
 from __future__ import annotations
@@ -48,6 +50,16 @@ def _number(text, what: str, kind=float):
     return value
 
 
+def _read_json(path: str):
+    """The JSON document in the file at `path`; OutOfRange naming the path if
+    the file is not JSON text."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise OutOfRange(f"{path}: {err}") from None
+
+
 def read_pointset(path: str):
     from .geometry import PointSet
 
@@ -59,8 +71,7 @@ def read_pointset(path: str):
                 if row:
                     rows.append([_number(x, f"{path}: coordinate") for x in row])
         return PointSet(rows)
-    with open(p) as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if not isinstance(data, dict) or "points" not in data:
         raise OutOfRange(f'{path}: expected a JSON object with a "points" key')
     ps = PointSet(data["points"])
@@ -74,8 +85,7 @@ def read_lines(path: str):
 
     from .constructions import LineArrangement
 
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     try:
         vecs = np.asarray(data.get("lines") if isinstance(data, dict) else data, dtype=float)
     except (TypeError, ValueError) as err:
@@ -99,9 +109,14 @@ def _angle_from(args, name: str) -> float:
     raise OutOfRange(f"--{name} or --{name}-deg is required")
 
 
-def _add_angle_flags(sp, name: str, help_text: str):
-    sp.add_argument(f"--{name}", type=float, help=f"{help_text} (radians)")
-    sp.add_argument(f"--{name}-deg", type=float, help=f"{help_text} (degrees)")
+def _arg(*flags, **kwargs) -> tuple:
+    """One add_argument call's arguments."""
+    return flags, kwargs
+
+
+def _angle_args(name: str, help_text: str) -> list:
+    return [_arg(f"--{name}", type=float, help=f"{help_text} (radians)"),
+            _arg(f"--{name}-deg", type=float, help=f"{help_text} (degrees)")]
 
 
 def _parse_range(text: str, flag: str, kind=float) -> tuple:
@@ -283,7 +298,60 @@ def _cmd_table(args):
 
 # --------------------------------------------------------------- dispatch
 
-def build_parser() -> argparse.ArgumentParser:
+_IN = _arg("--in", dest="infile", required=True)
+_DIM = _arg("--dim", type=int, required=True)
+_OUT = [_arg("--out", help="write output to this file (plus a manifest)")]
+_SEEDED = [*_OUT, _arg("--seed", type=int, default=DEFAULT_SEED)]
+
+# Each subcommand's help line, handler and arguments, in the order of --help.
+SUBCOMMANDS = {
+    "bound": ("cardinality bound for an angle cap", _cmd_bound, [
+        *_angle_args("theta", "maximum angle"),
+        _arg("--dim", type=int, required=True, help="ambient dimension D"), *_OUT]),
+    "angle": ("maximum angle of a point set file", _cmd_angle, [_IN, *_OUT]),
+    "convex-position": ("convex position verdict with witnesses", _cmd_convex_position,
+                        [_IN, *_OUT]),
+    "curvature": ("vertex normal-cone fractions (exact in R^2 and R^3, else Monte Carlo)",
+                  _cmd_curvature, [_IN, _arg("--samples", type=int, default=100_000), *_SEEDED]),
+    "cone-cover": ("per-vertex cone covering certificate", _cmd_cone_cover, [
+        _IN, *_angle_args("eta", "cone half-angle"), *_OUT]),
+    "pack-lines": ("spread m lines maximizing the min pairwise angle", _cmd_pack_lines, [
+        _arg("--m", type=int, required=True), _DIM,
+        _arg("--iters", type=int, default=1500), *_SEEDED]),
+    "cover-lines": ("lines within rho/2 of every direction: exact in the plane, R^3 and R^4; "
+                    "greedy and probe-checked only in D >= 5", _cmd_cover_lines, [
+        *_angle_args("rho", "covering diameter rho"), _DIM,
+        _arg("--probes", type=int, default=100_000), *_SEEDED]),
+    "ef-construct": ("doubling construction: 2^m points under pi - rho", _cmd_ef_construct, [
+        _arg("--lines", required=True, help="line arrangement JSON (from pack-lines)"),
+        *_angle_args("rho", "separation rho"), _arg("--slack", type=float, default=0.05),
+        _arg("--max-doublings", type=int, default=60), *_OUT]),
+    "witness": ("obtuse triple witness from a line covering", _cmd_witness, [
+        _IN, _arg("--lines", required=True), *_angle_args("rho", "covering diameter rho"),
+        *_OUT]),
+    "n-bounds": ("two-sided size bounds from packing/covering constants", _cmd_n_bounds, [
+        *_angle_args("theta", "angle cap"), _DIM,
+        _arg("--c-d", dest="c_d", type=float, help="packing constant (default: calibrated)"),
+        _arg("--C-d", dest="C_d", type=float, help="covering constant (default: calibrated)"),
+        *_SEEDED]),
+    "search-alpha": ("minimize the max angle of n points", _cmd_search_alpha, [
+        _arg("--n", type=int, required=True), _DIM, _arg("--iters", type=int, default=2000),
+        _arg("--restarts", type=int, default=4), *_SEEDED]),
+    "search-max": ("grow the largest set under an angle cap; stops at the theorem's bound and, "
+                   "for caps up to 90 degrees, at 2^dim points (no larger set exists, "
+                   "Danzer-Gruenbaum 1962)", _cmd_search_max, [
+        *_angle_args("theta", "angle cap"), _DIM, _arg("--budget", type=int, default=20_000),
+        *_SEEDED]),
+    "table": ("CSV tables over parameter grids", _cmd_table, [
+        _arg("--bound-grid", action="store_true"),
+        _arg("--dims", default="2..6", help="dimension range, e.g. 2..6"),
+        _arg("--theta-deg", default="91..119", help="degrees, a value or range like 91..119"),
+        _arg("--theta-step", type=float, default=1.0), *_OUT]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser, with every subcommand's subparser, or only `command`'s."""
     parser = argparse.ArgumentParser(
         prog="anglebound",
         description="Angle-bounded point sets: cardinality bounds, convex position, "
@@ -291,105 +359,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, seeded=False):
-        sp.add_argument("--out", help="write output to this file (plus a manifest)")
-        if seeded:
-            sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
-    sp = sub.add_parser("bound", help="cardinality bound for an angle cap")
-    _add_angle_flags(sp, "theta", "maximum angle")
-    sp.add_argument("--dim", type=int, required=True, help="ambient dimension D")
-    common(sp)
-    sp.set_defaults(func=_cmd_bound)
-
-    sp = sub.add_parser("angle", help="maximum angle of a point set file")
-    sp.add_argument("--in", dest="infile", required=True)
-    common(sp)
-    sp.set_defaults(func=_cmd_angle)
-
-    sp = sub.add_parser("convex-position", help="convex position verdict with witnesses")
-    sp.add_argument("--in", dest="infile", required=True)
-    common(sp)
-    sp.set_defaults(func=_cmd_convex_position)
-
-    sp = sub.add_parser("curvature",
-                        help="vertex normal-cone fractions (exact in R^2 and R^3, else Monte Carlo)")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--samples", type=int, default=100_000)
-    common(sp, seeded=True)
-    sp.set_defaults(func=_cmd_curvature)
-
-    sp = sub.add_parser("cone-cover", help="per-vertex cone covering certificate")
-    sp.add_argument("--in", dest="infile", required=True)
-    _add_angle_flags(sp, "eta", "cone half-angle")
-    common(sp)
-    sp.set_defaults(func=_cmd_cone_cover)
-
-    sp = sub.add_parser("pack-lines", help="spread m lines maximizing the min pairwise angle")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--dim", type=int, required=True)
-    sp.add_argument("--iters", type=int, default=1500)
-    common(sp, seeded=True)
-    sp.set_defaults(func=_cmd_pack_lines)
-
-    sp = sub.add_parser("cover-lines", help="lines within rho/2 of every direction: exact in "
-                        "the plane, R^3 and R^4; greedy and probe-checked only in D >= 5")
-    _add_angle_flags(sp, "rho", "covering diameter rho")
-    sp.add_argument("--dim", type=int, required=True)
-    sp.add_argument("--probes", type=int, default=100_000)
-    common(sp, seeded=True)
-    sp.set_defaults(func=_cmd_cover_lines)
-
-    sp = sub.add_parser("ef-construct", help="doubling construction: 2^m points under pi - rho")
-    sp.add_argument("--lines", required=True, help="line arrangement JSON (from pack-lines)")
-    _add_angle_flags(sp, "rho", "separation rho")
-    sp.add_argument("--slack", type=float, default=0.05)
-    sp.add_argument("--max-doublings", type=int, default=60)
-    common(sp)
-    sp.set_defaults(func=_cmd_ef_construct)
-
-    sp = sub.add_parser("witness", help="obtuse triple witness from a line covering")
-    sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--lines", required=True)
-    _add_angle_flags(sp, "rho", "covering diameter rho")
-    common(sp)
-    sp.set_defaults(func=_cmd_witness)
-
-    sp = sub.add_parser("n-bounds", help="two-sided size bounds from packing/covering constants")
-    _add_angle_flags(sp, "theta", "angle cap")
-    sp.add_argument("--dim", type=int, required=True)
-    sp.add_argument("--c-d", dest="c_d", type=float, help="packing constant (default: calibrated)")
-    sp.add_argument("--C-d", dest="C_d", type=float, help="covering constant (default: calibrated)")
-    common(sp, seeded=True)
-    sp.set_defaults(func=_cmd_n_bounds)
-
-    sp = sub.add_parser("search-alpha", help="minimize the max angle of n points")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--dim", type=int, required=True)
-    sp.add_argument("--iters", type=int, default=2000)
-    sp.add_argument("--restarts", type=int, default=4)
-    common(sp, seeded=True)
-    sp.set_defaults(func=_cmd_search_alpha)
-
-    sp = sub.add_parser("search-max", help="grow the largest set under an angle cap; stops at "
-                        "the theorem's bound and, for caps up to 90 degrees, at 2^dim points "
-                        "(no larger set exists, Danzer-Gruenbaum 1962)")
-    _add_angle_flags(sp, "theta", "angle cap")
-    sp.add_argument("--dim", type=int, required=True)
-    sp.add_argument("--budget", type=int, default=20_000)
-    common(sp, seeded=True)
-    sp.set_defaults(func=_cmd_search_max)
-
-    sp = sub.add_parser("table", help="CSV tables over parameter grids")
-    sp.add_argument("--bound-grid", action="store_true")
-    sp.add_argument("--dims", default="2..6", help="dimension range, e.g. 2..6")
-    sp.add_argument("--theta-deg", default="91..119",
-                    help="degrees, a value or range like 91..119")
-    sp.add_argument("--theta-step", type=float, default=1.0)
-    common(sp)
-    sp.set_defaults(func=_cmd_table)
-
+    for name, (help_text, func, arguments) in SUBCOMMANDS.items():
+        if command in (None, name):
+            sp = sub.add_parser(name, help=help_text)
+            for flags, kwargs in arguments:
+                sp.add_argument(*flags, **kwargs)
+            sp.set_defaults(func=func)
     return parser
 
 
@@ -431,9 +406,16 @@ def _write_manifest(args, outputs: list[str]):
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
+    argv = list(argv)
+    # A call names its subcommand first, so only that subparser is built. Any
+    # other call, and arguments the subparser leaves over, go to the whole
+    # parser, whose usage lists every subcommand.
+    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
     try:
-        args = parser.parse_args(list(argv))
+        if command is not None:
+            args, rest = build_parser(command).parse_known_args(argv)
+        if command is None or rest:
+            args = build_parser().parse_args(argv)
     except SystemExit as e:
         code = e.code if isinstance(e.code, int) else 0
         return code
@@ -442,7 +424,7 @@ def dispatch(argv) -> int:
     except PreconditionError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (OSError, UnicodeDecodeError) as e:  # a CSV point file may not be text
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # pragma: no cover - internal failures

@@ -41,6 +41,8 @@ _CANDIDATES, _MAX_ROUNDS = 128, 10_000
 # Slack on a cosine of every covering test: the probe check, the stop test of
 # the deepest-hole insertion and its hull certificate.
 _COVER_TOL = 1e-12
+# Lines in the packing from which calibrate_constants derives c_d.
+_CALIBRATION_PACK = 6
 
 
 @dataclass(frozen=True)
@@ -238,9 +240,11 @@ def cover_lines(rho: float, D: int, seed: int = 0, probes: int = DEFAULT_PROBES)
     Which covers are exact: in the plane, at the coordinate frame, and in R^3
     and R^4 every direction is within rho/2 of a line (up to 1e-12 in the
     cosine). The greedy covers of D >= 5 are checked on the probes only. Every
-    cover is also re-checked against a dense quasi-random probe set (size
-    `probes`, placed by `seed`). In R^3 and R^4 the seed moves only those
-    probes, never the lines.
+    cover is also re-checked against a dense quasi-random probe set of
+    `probes` >= 1 lines (`quasi_uniform_lines`, placed by a shift drawn from
+    random.Random(seed), so the probes load no numpy.random). In R^3 and R^4
+    the seed moves only those probes, never the lines; in D >= 5 it moves the
+    probes, and so the greedy's lines, and seeds its candidate draws.
 
     In the plane the answer is the closed form, with no greedy round: the
     equiangular family of k = ceil(pi/rho - 1e-9) lines, or the next k the
@@ -274,7 +278,10 @@ def cover_lines(rho: float, D: int, seed: int = 0, probes: int = DEFAULT_PROBES)
     if not 0.0 < rho < math.pi:
         raise OutOfRange(f"rho must lie in (0, pi), got {rho}")
     D = check_int(D, "dimension must be an integer >= 2, got {!r}", 2)
-    P = quasi_uniform_lines(D, check_int(probes, "probes must be an integer, got {!r}"), seed)
+    probes = check_int(probes, "probes must be an integer, got {!r}")
+    if probes < 1:
+        raise OutOfRange(f"probes must be at least 1, got {probes}")
+    P = quasi_uniform_lines(D, probes, seed)
     cos_half = math.cos(0.5 * rho)
     if D == 2:
         # The probe check of the lines returned is their certificate.
@@ -575,20 +582,19 @@ def n_bounds(theta: float, d: int, c_d: float, C_d: float) -> NBoundsReport:
     )
 
 
-def calibrate_constants(d: int, rho: float, seed: int = 0,
-                        pack_m: int = 6) -> tuple[float, float]:
+def calibrate_constants(d: int, rho: float, seed: int = 0) -> tuple[float, float]:
     """Empirical (c_d, C_d) from packing and covering runs in R^d at scale rho.
 
-    A packing of pack_m lines achieving separation a gives c_d = a * m^(1/(d-1));
-    a covering at rho with m lines gives C_d = rho * (m + 1)^(1/(d-1)). These
-    are instance-derived values, not proven constants. The covering is
-    cover_lines': exact for d <= 4, so there C_d comes from a set that truly
-    covers and does not depend on `seed`; for d >= 5 it is the greedy cover,
-    checked on probes only. Below about rho = 0.0408 in R^3 and 0.176 in R^4
+    A packing of m = _CALIBRATION_PACK lines achieving separation a gives
+    c_d = a * m^(1/(d-1)); a covering at rho with m lines gives
+    C_d = rho * (m + 1)^(1/(d-1)). These are instance-derived values, not
+    proven constants. The covering is cover_lines': exact for d <= 4, so
+    there C_d comes from a set that truly covers and does not depend on
+    `seed`; for d >= 5 it is the greedy cover, checked on probes only. Below about rho = 0.0408 in R^3 and 0.176 in R^4
     the cover's insertion cap raises CoverageFailed.
     """
-    packed = pack_lines(pack_m, d, seed=seed)
-    c_d = packed.min_pairwise_angle * pack_m ** (1.0 / (d - 1))
+    packed = pack_lines(_CALIBRATION_PACK, d, seed=seed)
+    c_d = packed.min_pairwise_angle * _CALIBRATION_PACK ** (1.0 / (d - 1))
     covered = cover_lines(rho, d, seed=seed)
     C_d = rho * (len(covered) + 1) ** (1.0 / (d - 1))
     return c_d, C_d

@@ -245,7 +245,9 @@ def _defect_fractions(pts: np.ndarray) -> np.ndarray:
     X = np.cross(E, E[b])
     c = int(np.argmax(np.einsum("ij,ij->i", X, X)))
     d = int(np.argmax(np.abs(E @ X[c])))
-    order = np.concatenate([[a, b, c, d], np.setdiff1d(np.arange(n), [a, b, c, d])])
+    rest = np.ones(n, dtype=bool)  # not np.setdiff1d: its np.unique imports numpy.ma
+    rest[[a, b, c, d]] = False
+    order = np.concatenate([[a, b, c, d], np.flatnonzero(rest)])
     V = pts[order] - pts[order[:4]].mean(axis=0)
     tol = 1e-12 * math.sqrt(float(np.max(np.einsum("ij,ij->i", V, V))))
     F = np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])

@@ -373,7 +373,8 @@ def _check_closed(V, F, N, H, tol: float, stage: str, error: type):
     open_ridges = np.count_nonzero(np.unique(_ridges(F, len(V))[1], return_counts=True)[1] != 2)
     if open_ridges:
         raise error(f"{stage}: {open_ridges} ridges do not bound exactly two facets")
-    unused = len(V) - len(np.unique(F))
+    # Not len(np.unique(F)): np.unique without counts imports numpy.ma.
+    unused = len(V) - np.count_nonzero(np.bincount(F.ravel(), minlength=len(V)))
     if unused:
         raise error(f"{stage}: {unused} points are vertices of no facet")
     above = max(float(np.max(V @ N[lo:hi].T - H[lo:hi])) for lo, hi in _row_blocks(len(N), len(V)))

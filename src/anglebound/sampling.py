@@ -3,19 +3,22 @@
 Covering probes are the R_d Kronecker sequence (Roberts, "The unreasonable
 effectiveness of quasirandom sequences", 2018), frac(s + i alpha) in an even
 number k of coordinates, with alpha_j = phi^-(j+1) for phi the positive root
-of x^(k+1) = x + 1 and one Cranley-Patterson shift s drawn from
-SeedSequence(seed). Box-Muller (1958) maps coordinate pairs to normals; the
-rows are normalized (`rd_directions`, which builds them coordinate-major and
-takes the norms of the C-contiguous rows) and given their canonical line
-sign by `canonical_lines`. Unshifted, `rd_directions` gives the fixed
-directions of the convex-position screen, which so needs no generator and
-no numpy.random.
+of x^(k+1) = x + 1 and one Cranley-Patterson shift s of k draws from the
+standard library's random.Random(seed), so the probes need no numpy.random.
+Box-Muller (1958) maps coordinate pairs to normals; the rows are normalized
+(`rd_directions`, which builds them coordinate-major, in place, and takes
+the norms of the C-contiguous rows) and given their canonical line sign
+(`canonical_lines`). Unshifted, `rd_directions` gives the fixed directions
+of the convex-position screen, which so needs no generator either. Seeded
+streams (`rng_stream`) are numpy Generators, loaded only where one is drawn.
 
 Every seeded entry point rejects a negative, non-integer or non-finite seed
 with OutOfRange naming it.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 
@@ -26,17 +29,27 @@ def _check_seed(seed) -> int:
     return check_int(seed, "seed must be a non-negative integer, got {!r}", 0)
 
 
-def canonical_lines(V: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+# A coordinate of at most this magnitude does not decide a line's sign.
+_SIGN_TOL = 1e-12
+
+
+def _line_signs(V: np.ndarray) -> np.ndarray:
+    """+-1 per row of V: the sign of its first coordinate of magnitude above
+    _SIGN_TOL, or 1 for a row with no such coordinate."""
+    lead = np.where(np.abs(V[:, -1]) > _SIGN_TOL, V[:, -1], 0.0)
+    for j in range(V.shape[1] - 2, -1, -1):  # columns right to left: the first big one wins
+        lead = np.where(np.abs(V[:, j]) > _SIGN_TOL, V[:, j], lead)
+    return np.where(lead < 0.0, -1.0, 1.0)
+
+
+def canonical_lines(V: np.ndarray) -> np.ndarray:
     """Fix the sign of antipodally-identified unit vectors, one per row of V.
 
-    Each row's representative has its first coordinate of magnitude > tol
-    positive; a row with no such coordinate is left as it is.
+    Each row's representative has its first coordinate of magnitude above
+    _SIGN_TOL positive; a row with no such coordinate is left as it is.
     """
     V = np.asarray(V, dtype=float)
-    lead = np.where(np.abs(V[:, -1]) > tol, V[:, -1], 0.0)
-    for j in range(V.shape[1] - 2, -1, -1):  # columns right to left: the first big one wins
-        lead = np.where(np.abs(V[:, j]) > tol, V[:, j], lead)
-    return np.where(lead < 0.0, -1.0, 1.0)[:, None] * V
+    return _line_signs(V)[:, None] * V
 
 
 def _rd_alpha(k: int) -> np.ndarray:
@@ -47,27 +60,41 @@ def _rd_alpha(k: int) -> np.ndarray:
     return phi ** -np.arange(1.0, k + 1.0)
 
 
+def _box_muller(k: int, n: int, shift) -> np.ndarray:
+    """The (k, n) normals of rows 0..n-1 of frac(shift + i alpha), coordinate-major,
+    computed in the array of the coordinates: each even row becomes the radius
+    r, each odd row the angle t, then r cos t and r sin t."""
+    z = _rd_alpha(k)[:, None] * np.arange(n, dtype=float)
+    z += np.reshape(shift, (-1, 1))
+    for row in z:  # frac(u), exact for u >= 0 and cheaper than % 1.0; one row of temporaries
+        row -= np.floor(row)
+    r, t = z[0::2], z[1::2]
+    np.negative(r, out=r)
+    np.log1p(r, out=r)  # 1 - u lies in (0, 1]
+    r *= -2.0
+    np.sqrt(r, out=r)
+    t *= 2.0 * np.pi
+    sin = np.sin(t)
+    sin *= r
+    np.cos(t, out=t)
+    r *= t
+    t[...] = sin
+    return z
+
+
 def rd_directions(dim: int, n: int, shift=0.0) -> np.ndarray:
     """Rows 0..n-1 of the R_d sequence frac(shift + i alpha) as unit vectors in R^dim.
 
     Box-Muller maps the 2 ceil(dim/2) coordinates pairwise to normals, which
     are cut to dim and normalized; a row of norm below 1e-12 stays as it is
-    (with no shift, row 0 is the zero vector). The coordinates and normals
-    are built coordinate-major, as (k, n) arrays of long rows, then copied to
-    C-contiguous (n, dim) rows, whose norms are those of the row-major
-    formula bit for bit.
+    (with no shift, row 0 is the zero vector). The normals are built
+    coordinate-major, as one (k, n) array of long rows (`_box_muller`), which
+    is freed once copied to C-contiguous (n, dim) rows. The rows' norms are
+    np.linalg.norm's arithmetic for real rows, without its conjugate copy, so
+    they are those of the row-major formula bit for bit.
     """
-    k = dim + dim % 2
-    u = _rd_alpha(k)[:, None] * np.arange(n, dtype=float)
-    u += np.reshape(shift, (-1, 1))
-    u -= np.floor(u)  # frac(u), exact for u >= 0 and cheaper than % 1.0
-    r = np.sqrt(-2.0 * np.log1p(-u[0::2]))  # 1 - u lies in (0, 1]
-    t = 2.0 * np.pi * u[1::2]
-    z = np.empty((k, n))
-    np.multiply(r, np.cos(t), out=z[0::2])
-    np.multiply(r, np.sin(t), out=z[1::2])
-    rows = np.ascontiguousarray(z[:dim].T)
-    norms = np.linalg.norm(rows, axis=1)
+    rows = np.ascontiguousarray(_box_muller(dim + dim % 2, n, shift)[:dim].T)
+    norms = np.sqrt(np.add.reduce(rows * rows, axis=1))
     norms[norms < 1e-12] = 1.0
     rows /= norms[:, None]
     return rows
@@ -76,17 +103,20 @@ def rd_directions(dim: int, n: int, shift=0.0) -> np.ndarray:
 def quasi_uniform_lines(dim: int, n: int, seed: int) -> np.ndarray:
     """Low-discrepancy set of n lines (canonicalized unit vectors) on S^{dim-1}.
 
-    `rd_directions` under one Cranley-Patterson shift drawn from
-    SeedSequence(seed), canonicalized by `canonical_lines`; suitable as a
-    dense probe set for covering checks. C-contiguous (n, dim) rows.
+    `rd_directions` under one Cranley-Patterson shift, the first dim + dim % 2
+    values of random.Random(seed).random(), with the canonical signs of
+    `canonical_lines` applied to the fresh rows in place; suitable as a dense
+    probe set for covering checks. C-contiguous (n, dim) rows.
     """
     seed = _check_seed(seed)
     dim = check_int(dim, "dimension must be an integer, got {!r}")
     n = check_int(n, "number of lines must be an integer, got {!r}")
     if dim < 2 or n < 1:
         raise OutOfRange(f"need dim >= 2 and n >= 1 lines, got dim={dim}, n={n}")
-    shift = np.random.default_rng(np.random.SeedSequence(seed)).random(dim + dim % 2)
-    return canonical_lines(rd_directions(dim, n, shift))
+    draw = random.Random(seed)
+    rows = rd_directions(dim, n, [draw.random() for _ in range(dim + dim % 2)])
+    rows *= _line_signs(rows)[:, None]
+    return rows
 
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:

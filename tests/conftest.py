@@ -21,6 +21,7 @@ import functools
 import hashlib
 import itertools
 import math
+import random
 
 import numpy as np
 from scipy.optimize import nnls
@@ -220,8 +221,9 @@ def row_major_rd_directions(dim: int, n: int, shift=0.0) -> np.ndarray:
 
 def whole_quasi_uniform_lines(dim: int, n: int, seed: int) -> np.ndarray:
     """quasi_uniform_lines as one expression: row_major_rd_directions under
-    the shift drawn from SeedSequence(seed), canonicalized."""
-    shift = np.random.default_rng(np.random.SeedSequence(seed)).random(dim + dim % 2)
+    the shift of dim + dim % 2 draws from random.Random(seed), canonicalized."""
+    draw = random.Random(seed)
+    shift = np.array([draw.random() for _ in range(dim + dim % 2)])
     return canonical_lines(row_major_rd_directions(dim, n, shift))
 
 

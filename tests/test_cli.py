@@ -272,6 +272,32 @@ class TestFileFormats:
         assert dispatch(["ef-construct", "--lines", str(path), "--rho", "1.4"]) == 2
         assert capsys.readouterr().err == "error: lines must be unit vectors\n"
 
+    @pytest.mark.parametrize("text,message", [
+        ("", "Expecting value: line 1 column 1 (char 0)"),
+        ('{"points": [[0, 0], [1, 0]]', "Expecting ',' delimiter: line 1 column 28 (char 27)"),
+    ], ids=["empty", "truncated"])
+    def test_json_read_errors_name_the_file(self, tmp_path, square_file, capsys, text, message):
+        # With a point file and a line file, the message says which one is not JSON.
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        lines = tmp_path / "lines.json"
+        lines.write_text(json.dumps({"lines": [[1, 0], [0, 1]]}))
+        for argv in (["angle", "--in", str(bad)],
+                     ["witness", "--in", str(bad), "--lines", str(lines), "--rho", "1.6"],
+                     ["witness", "--in", square_file, "--lines", str(bad), "--rho", "1.6"],
+                     ["ef-construct", "--lines", str(bad), "--rho", "1.4"]):
+            assert dispatch(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {bad}: {message}\n"
+
+    def test_undecodable_json_file_is_named(self, tmp_path, capsys):
+        bad = tmp_path / "bytes.json"
+        bad.write_bytes(b"\xff\xfe{")
+        for argv in (["angle", "--in", str(bad)], ["ef-construct", "--lines", str(bad), "--rho", "1"]):
+            assert dispatch(argv) == 2
+            assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
 
 class TestPayloadKeys:
     """The exact top-level keys of every subcommand's output."""
@@ -398,7 +424,7 @@ class TestExitCodes:
         assert dispatch(["cover-lines", "--rho", "1.5", "--dim", "3", "--probes", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: need dim >= 2 and n >= 1 lines, got dim=3, n=0\n"
+        assert captured.err == "error: probes must be at least 1, got 0\n"
 
     @pytest.mark.parametrize("flags,message", [
         (["--theta-step", "0"], "--theta-step must be positive, got 0.0"),

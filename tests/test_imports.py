@@ -6,7 +6,8 @@ calibrating `n-bounds` included, runs in one fresh interpreter (this test
 process has already imported scipy and numpy through other test modules),
 which reports the scipy, numpy and anglebound modules loaded after `import
 anglebound` and after each call. Subcommands are also run alone, so each is
-checked without the others' imports before it.
+checked without the others' imports before it: none loads numpy.ma, and only
+those that draw a seeded stream load numpy.random.
 """
 
 import argparse
@@ -29,6 +30,9 @@ FILES = {
     "pentagon": {"dim": 2, "points": [[1.0, 0.0], [0.309017, 0.951057], [-0.809017, 0.587785],
                                       [-0.809017, -0.587785], [0.309017, -0.951057]]},
     "lines": {"lines": [[1, 0], [0, 1]]},
+    "cube": {"dim": 3, "points": [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)]},
+    "cross4": {"dim": 4, "points": [[s * (i == j) for j in range(4)]
+                                    for i in range(4) for s in (1, -1)]},
 }
 CALLS = [
     ["bound", "--theta-deg", "100", "--dim", "3"],
@@ -116,11 +120,36 @@ def test_subcommand_loads_no_numpy(tmp_path, sub):
     assert loaded(report, "numpy") == {"import": [], sub: [0, []]}, stderr
 
 
-# The convex-position screen's directions come from `sampling` without numpy.random.
-@pytest.mark.parametrize("sub", ["convex-position", "cone-cover"])
-def test_convexity_loads_no_numpy_random(tmp_path, sub):
-    report, stderr = run_probe(tmp_path, [call(sub)])
-    assert [m for m in report[sub][1]["numpy"] if m.startswith("numpy.random")] == [], stderr
+# Every call above, and the R^3 and R^4 inputs that run the hull paths and the
+# Monte Carlo sweep, and the greedy cover of D >= 5.
+CASES = {
+    **{argv[0]: argv for argv in CALLS},
+    "curvature-R3": ["curvature", "--in", "{cube}", "--seed", "5"],
+    "curvature-R4": ["curvature", "--in", "{cross4}", "--samples", "2000", "--seed", "5"],
+    "cover-lines-R4": ["cover-lines", "--rho-deg", "70", "--dim", "4", "--probes", "2000",
+                       "--seed", "3"],
+    "cover-lines-R5": ["cover-lines", "--rho-deg", "90", "--dim", "5", "--probes", "2000",
+                       "--seed", "3"],
+    "pack-lines-R3": ["pack-lines", "--m", "4", "--dim", "3", "--iters", "50", "--seed", "1"],
+    "n-bounds-R3": ["n-bounds", "--theta-deg", "100", "--dim", "3", "--seed", "2"],
+}
+# The cases that draw a seeded stream: the Monte Carlo sweep, the packing
+# search (calibrating n-bounds packs too; planar packings are closed forms),
+# the greedy cover and the searches. The probes' shift and the
+# convex-position screen's directions need no numpy.random, and no case
+# loads numpy.ma.
+DRAW_A_STREAM = {"curvature-R4", "pack-lines-R3", "cover-lines-R5", "n-bounds-R3",
+                 "search-alpha", "search-max"}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_numpy_subpackages_load_only_where_used(tmp_path, case):
+    argv = CASES[case]
+    report, stderr = run_probe(tmp_path, [argv])
+    code, modules = report[argv[0]][0], report[argv[0]][1]["numpy"]
+    assert code == 0, stderr
+    expected = {"numpy.random"} if case in DRAW_A_STREAM else set()
+    assert {m for m in modules if m in ("numpy.ma", "numpy.random")} == expected, stderr
 
 
 # Package modules each subcommand loads, besides the package and `cli` and `errors`.
