@@ -38,8 +38,8 @@ _GRAD_STOP = 1e-14
 # Sampled candidate lines per greedy covering round, and the cap on greedy
 # rounds or deepest-hole insertions.
 _CANDIDATES, _MAX_ROUNDS = 128, 10_000
-# Slack on a cosine of every covering test: the probe check, the stop test of
-# the deepest-hole insertion and its hull certificate.
+# Slack on a cosine of every covering test: the planar family's holes, the
+# frame's threshold, the insertion's stop test and hull, the probe re-check.
 _COVER_TOL = 1e-12
 # Lines in the packing from which calibrate_constants derives c_d.
 _CALIBRATION_PACK = 6
@@ -237,27 +237,25 @@ def _column_counts(hits: np.ndarray) -> np.ndarray:
 def cover_lines(rho: float, D: int, seed: int = 0, probes: int = DEFAULT_PROBES) -> LineArrangement:
     """Set of lines leaving every direction within rho/2 of one of them.
 
-    Which covers are exact: in the plane, at the coordinate frame, and in R^3
-    and R^4 every direction is within rho/2 of a line (up to 1e-12 in the
-    cosine). The greedy covers of D >= 5 are checked on the probes only. Every
-    cover is also re-checked against a dense quasi-random probe set of
-    `probes` >= 1 lines (`quasi_uniform_lines`, placed by a shift drawn from
-    random.Random(seed), so the probes load no numpy.random). In R^3 and R^4
-    the seed moves only those probes, never the lines; in D >= 5 it moves the
-    probes, and so the greedy's lines, and seeds its candidate draws.
+    Each cover returns with one certificate. In the plane, at the coordinate
+    frame, and in R^3 and R^4 it proves every direction within rho/2 of a
+    line (up to _COVER_TOL in the cosine), and no probe is built. Only the
+    greedy covers of D >= 5 build probes, `probes` quasi-random lines
+    (`quasi_uniform_lines`, shifted by random.Random(seed), so they load no
+    numpy.random), and are checked on them only. So `seed` and `probes` act
+    only in D >= 5, where the seed also seeds the greedy's candidate draws;
+    every D refuses a bad seed and `probes` < 1.
 
     In the plane the answer is the closed form, with no greedy round: the
-    equiangular family of k = ceil(pi/rho - 1e-9) lines, or the next k the
-    probes accept (a probe can refuse k only for pi/rho within 1e-9 above an
-    integer). The probes are checked once, against the lines of the
-    arrangement returned. The family leaves every direction within rho/2 of
-    a line, not only the probes, and the round cap does not apply.
+    equiangular family of the least k lines with cos(pi/(2k)) >= cos(rho/2)
+    - _COVER_TOL. The directions midway between its neighbouring lines are
+    its deepest holes, pi/(2k) from every line, so the family leaves every
+    direction within rho/2 of a line, and the round cap does not apply.
 
-    In D >= 3, when cos(rho/2) <= 1/sqrt(D) (up to the probe check's 1e-12),
-    the coordinate frame is returned, with no greedy round, if the probes
-    accept it. Every unit x has max_i |x_i| >= 1/sqrt(D), so the frame covers
-    every direction, and fewer than D lines leave a direction orthogonal to
-    all of them, so D lines is the minimum.
+    In D >= 3, when cos(rho/2) - _COVER_TOL <= 1/sqrt(D), the coordinate
+    frame is returned, with no greedy round. Every unit x has max_i |x_i| >=
+    1/sqrt(D), so the frame covers every direction, and fewer than D lines
+    leave a direction orthogonal to all of them, so D lines is the minimum.
 
     Otherwise, in R^3 and R^4, lines are added by deepest-hole insertion
     from the frame (`_hole_insertion`), at most _MAX_ROUNDS of them, and the
@@ -265,15 +263,15 @@ def cover_lines(rho: float, D: int, seed: int = 0, probes: int = DEFAULT_PROBES)
     names the line count and the radius reached at the cap, or the first
     check that fails. The insertion takes about 16.5 / rho^2 lines in R^3
     and 55 / rho^3 in R^4, so the cap refuses rho below about 0.0408 in R^3
-    (after about 10 s) and 0.176 in R^4 (about 40 s), where the greedy,
-    probe-checked only, returned down to 0.04 and below 0.15.
+    (after about 10 s) and 0.176 in R^4 (about 40 s).
 
     In D >= 5 each greedy round scores a sampled batch of still-uncovered
     probes as candidate lines and keeps the one covering the most probes.
     The uncovered probes are carried compacted, in index order. The
     probe-candidate incidence is filled one block of probes at a time, so the
     float products never exist whole; its width is padded with False columns
-    to a multiple of 8 for `_column_counts`.
+    to a multiple of 8 for `_column_counts`. The lines are then re-checked
+    against every probe.
     """
     if not 0.0 < rho < math.pi:
         raise OutOfRange(f"rho must lie in (0, pi), got {rho}")
@@ -281,27 +279,19 @@ def cover_lines(rho: float, D: int, seed: int = 0, probes: int = DEFAULT_PROBES)
     probes = check_int(probes, "probes must be an integer, got {!r}")
     if probes < 1:
         raise OutOfRange(f"probes must be at least 1, got {probes}")
-    P = quasi_uniform_lines(D, probes, seed)
+    _check_seed(seed)
     cos_half = math.cos(0.5 * rho)
     if D == 2:
-        # The probe check of the lines returned is their certificate.
-        k = math.ceil(math.pi / rho - 1e-9)
-        while True:
-            arrangement = LineArrangement(dim=D, lines=_equiangular(k))
-            if _covers_all(P, arrangement.lines, cos_half):
-                return arrangement
-            k += 1
+        k = math.ceil(0.5 * math.pi / math.acos(cos_half - _COVER_TOL))
+        return LineArrangement(dim=D, lines=_equiangular(k))
     if cos_half - _COVER_TOL <= 1.0 / math.sqrt(D):
-        frame = LineArrangement(dim=D, lines=np.eye(D))
-        if _covers_all(P, frame.lines, cos_half):
-            return frame
+        return LineArrangement(dim=D, lines=np.eye(D))
     if D <= 4:
         V, F = _hole_insertion(D, cos_half, _MAX_ROUNDS)
         _check_hull(V, F, cos_half)
-        arrangement = LineArrangement(dim=D, lines=V[0::2])
-    else:
-        arrangement = LineArrangement(dim=D, lines=_greedy_cover(P, cos_half, seed))
-    # Re-check the certificate against the full probe set.
+        return LineArrangement(dim=D, lines=V[0::2])
+    P = quasi_uniform_lines(D, probes, seed)
+    arrangement = LineArrangement(dim=D, lines=_greedy_cover(P, cos_half, seed))
     if not _covers_all(P, arrangement.lines, cos_half):
         raise CoverageFailed("probe coverage re-check failed")
     return arrangement
@@ -395,11 +385,13 @@ def ef_doubling(L: LineArrangement, rho: float, slack: float = 0.05,
     straight triple. The certificate is the exact maximum-angle scan that
     accepts each doubling: the last one runs on exactly the coordinates
     returned, so nothing is scanned after it, and one line gives two points
-    with no angle to certify.
+    with no angle to certify (max_scale_doublings >= 1 is still needed).
     """
     if not slack > 0.0:
         raise OutOfRange(f"slack must be positive, got {slack}")
     doublings = check_int(max_scale_doublings, "max_scale_doublings must be an integer, got {!r}")
+    if doublings < 1:
+        raise OutOfRange(f"max_scale_doublings must be at least 1, got {doublings}")
     if not 0.0 < rho < math.pi:
         raise OutOfRange(f"rho must lie in (0, pi), got {rho}")
     if rho >= L.min_pairwise_angle:
@@ -590,8 +582,9 @@ def calibrate_constants(d: int, rho: float, seed: int = 0) -> tuple[float, float
     C_d = rho * (m + 1)^(1/(d-1)). These are instance-derived values, not
     proven constants. The covering is cover_lines': exact for d <= 4, so
     there C_d comes from a set that truly covers and does not depend on
-    `seed`; for d >= 5 it is the greedy cover, checked on probes only. Below about rho = 0.0408 in R^3 and 0.176 in R^4
-    the cover's insertion cap raises CoverageFailed.
+    `seed`; for d >= 5 it is the greedy cover, checked on probes only. Below
+    about rho = 0.0408 in R^3 and 0.176 in R^4 the cover's insertion cap
+    raises CoverageFailed.
     """
     packed = pack_lines(_CALIBRATION_PACK, d, seed=seed)
     c_d = packed.min_pairwise_angle * _CALIBRATION_PACK ** (1.0 / (d - 1))

@@ -69,7 +69,7 @@ from .errors import (
     OutOfRange,
     check_int,
 )
-from .geometry import (PointSet, _check_closed, _facet_planes, _hull_join, _others,
+from .geometry import (PointSet, _as_point, _check_closed, _facet_planes, _hull_join, _others,
                        _row_blocks, as_unit)
 from .sampling import _check_seed, rd_directions
 
@@ -89,20 +89,25 @@ def _in_cone(v: np.ndarray, axis: np.ndarray, half_angle: float, tol: float = CO
 
 @dataclass(frozen=True)
 class Cone:
-    """Solid circular cone: apex + directions within half_angle of axis."""
+    """Solid circular cone: apex + directions within half_angle of axis, its
+    apex and the points `contains` tests finite and of the axis's dimension."""
 
     apex: np.ndarray
     axis: np.ndarray
     half_angle: float
 
     def __post_init__(self):
-        as_unit(self.axis)
+        apex, axis = _as_point(self.apex), as_unit(self.axis)
+        if apex.size != axis.size:
+            raise OutOfRange(f"apex has dimension {apex.size}, axis {axis.size}")
         if not 0.0 < self.half_angle < 0.5 * math.pi:
             raise OutOfRange(f"half_angle must lie in (0, pi/2), got {self.half_angle}")
 
     def contains(self, x, tol: float = CONE_FIT_TOL) -> bool:
-        return bool(_in_cone(np.asarray(x, dtype=float) - self.apex, self.axis,
-                             self.half_angle, tol))
+        p = _as_point(x)
+        if p.size != np.size(self.apex):
+            raise OutOfRange(f"point has dimension {p.size}, the cone {np.size(self.apex)}")
+        return bool(_in_cone(p - self.apex, self.axis, self.half_angle, tol))
 
 
 @dataclass(frozen=True)
@@ -332,8 +337,8 @@ def dekster_radius(diam: float, d: int) -> float:
     if not diam >= 0.0:
         raise OutOfRange(f"diameter must be nonnegative, got {diam}")
     s = sin_half_theta_d(d)
-    ratio = math.sin(0.5 * diam) / s
-    if diam > math.pi or ratio > 1.0 + 1e-12:
+    ratio = math.sin(0.5 * diam) / s if diam <= math.pi else math.inf
+    if ratio > 1.0 + 1e-12:
         raise OutOfRange(
             f"diameter {diam:.12g} exceeds the invertible range (max {2.0 * math.asin(s):.12g})"
         )

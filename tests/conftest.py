@@ -134,8 +134,8 @@ def canonical_line(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 def whole_cover_lines(rho: float, D: int, seed: int, probes: int,
                       candidates_per_round: int = 128) -> np.ndarray:
     """cover_lines's lines where they are the closed forms or the greedy. In
-    the plane, the first equiangular family of at least ceil(pi/rho - 1e-9)
-    lines that covers every probe; in D >= 3 the coordinate frame when
+    the plane, the first equiangular family that covers every probe and the
+    directions midway between its lines; in D >= 3 the coordinate frame when
     cos(rho/2) - 1e-12 <= 1/sqrt(D) and it covers every probe; otherwise, in
     D >= 5, the greedy rounds, each round's |P[uncovered] @ cand.T| built
     whole. Below the frame's threshold R^3 and R^4 take the deepest-hole
@@ -148,10 +148,12 @@ def whole_cover_lines(rho: float, D: int, seed: int, probes: int,
     if D in (3, 4):
         raise ValueError("below the frame's threshold, covers in R^3 and R^4 are not greedy")
     if D == 2:
-        for k in itertools.count(math.ceil(math.pi / rho - 1e-9)):
+        for k in itertools.count(1):
             ang = np.arange(k) * math.pi / k
             fam = np.column_stack([np.cos(ang), np.sin(ang)])
-            if np.all(np.max(np.abs(P @ fam.T), axis=1) >= cos_half - 1e-12):
+            mid = ang + 0.5 * math.pi / k
+            mid = np.column_stack([np.cos(mid), np.sin(mid)])
+            if np.all(np.max(np.abs(np.vstack([P, mid]) @ fam.T), axis=1) >= cos_half - 1e-12):
                 return LineArrangement(dim=D, lines=fam).lines
     covered = np.zeros(P.shape[0], dtype=bool)
     chosen = []

@@ -420,6 +420,15 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    def test_empty_doubling_budget_is_refused_by_name(self, tmp_path, capsys):
+        path = tmp_path / "lines.json"
+        path.write_text('{"lines": [[1, 0], [0, 1]]}')
+        assert dispatch(["ef-construct", "--lines", str(path), "--rho", "1.4",
+                         "--max-doublings", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: max_scale_doublings must be at least 1, got 0\n"
+
     def test_empty_probe_set_is_refused_by_name(self, capsys):
         assert dispatch(["cover-lines", "--rho", "1.5", "--dim", "3", "--probes", "0"]) == 2
         captured = capsys.readouterr()

@@ -233,9 +233,13 @@ class TestCoverLines:
                                      math.pi / 4 * (1 + 1e-6), math.pi / 4 * (1 - 1e-6),
                                      1.5703, math.pi / 2, 1.6, 2.0, 3.0])
     def test_planar_cover_is_the_equiangular_family(self, rho):
-        k = math.ceil(math.pi / rho - 1e-9)
+        # At pi/3 (1 - 1e-10), pi/rho lies 3e-10 above 3: three lines leave
+        # the directions midway between them about 5e-11 rad too far.
+        k = math.ceil(math.pi / rho - 1e-9) + (rho == math.pi / 3 * (1 - 1e-10))
         arr = cover_lines(rho, 2, seed=3, probes=2000)
         assert len(arr) == k
+        # k - 1 lines would not do: their midway directions are too far.
+        assert math.cos(0.5 * math.pi / (k - 1)) < math.cos(0.5 * rho) - 1e-12
         angles = np.sort(np.arctan2(arr.lines[:, 1], arr.lines[:, 0]) % math.pi)
         np.testing.assert_allclose(np.diff(np.append(angles, angles[0] + math.pi)), math.pi / k,
                                    atol=1e-12)
@@ -246,18 +250,18 @@ class TestCoverLines:
                                  axis=1).min())
         assert worst <= 0.5 * rho * (1 + 1e-9)
 
-    def test_planar_cover_takes_the_next_family_the_probes_accept(self, monkeypatch):
-        # At pi/rho just above 3, three lines leave the directions halfway
-        # between them about 1e-10 rad too far; a probe there refuses them.
-        from anglebound import constructions
-        rho = math.pi / (3 + 5e-10)
-        assert math.ceil(math.pi / rho - 1e-9) == 3
-        probes = constructions.quasi_uniform_lines(2, 2000, 3)
-        assert len(cover_lines(rho, 2, seed=3, probes=2000)) == 3
-        midway = np.array([[math.cos(math.pi / 6), math.sin(math.pi / 6)]])
-        monkeypatch.setattr(constructions, "quasi_uniform_lines",
-                            lambda D, n, seed: np.vstack([probes, midway]))
-        assert len(cover_lines(rho, 2, seed=3, probes=2000)) == 4
+    def test_planar_cover_is_the_least_family_covering_its_holes(self):
+        # The j-line family's deepest holes, midway between its lines, lie
+        # pi/(2j) from every line. At pi/rho = j + eps they miss rho/2 by
+        # about pi^2 eps / (4 j^3) in the cosine: j lines do while that stays
+        # within the 1e-12 of every covering test, and j + 1 are needed past it.
+        for j, eps, lines in [(3, 5e-12, 3), (3, 1e-10, 4), (4, 1e-11, 4), (4, 1e-10, 5),
+                              (7, 1e-10, 7), (7, 5e-10, 8), (63, 1e-8, 63), (63, 2e-7, 64)]:
+            rho = math.pi / (j + eps)
+            assert len(cover_lines(rho, 2, seed=3, probes=2000)) == lines, (j, eps)
+            hole = math.cos(0.5 * math.pi / lines)
+            assert hole >= math.cos(0.5 * rho) - 1e-12
+            assert math.cos(0.5 * math.pi / (lines - 1)) < math.cos(0.5 * rho) - 1e-12
 
     def test_planar_cover_needs_no_rounds(self, monkeypatch):
         # The closed form runs no greedy round, so no round cap applies.
@@ -288,7 +292,8 @@ class TestCoverLines:
         np.testing.assert_array_equal(arr.lines, whole_cover_lines(rho, D, 1, 5000))
 
     @pytest.mark.parametrize("D, rhos", [(2, (0.3, 0.9, 1.6)), (5, (1.4, 1.8)),
-                                         (6, (1.9, 2.2)), (5, (1.6, 2.0)), (8, (2.0, 2.4))])
+                                         (6, (1.9, 2.2)), (5, (1.6, 2.0)), (8, (2.0, 2.4)),
+                                         (2, (math.pi / (3 + 1e-10), math.pi / (63 + 1e-8)))])
     def test_lines_match_whole_sweep(self, D, rhos):
         for rho in rhos:
             for seed in (0, 1, 7):
@@ -326,6 +331,48 @@ class TestCoverLines:
         finally:
             tracemalloc.stop()
         assert peak < 27e6
+
+
+class ProbesBuilt(Exception):
+    """Raised by a stand-in for the probe builder or the probe check."""
+
+
+class TestOnlyTheGreedyBuildsProbes:
+    """A cover with a proof builds no probes: only the D >= 5 greedy does."""
+
+    @pytest.fixture
+    def no_probes(self, monkeypatch):
+        def refuse(*args):
+            raise ProbesBuilt
+
+        monkeypatch.setattr(constructions, "quasi_uniform_lines", refuse)
+        monkeypatch.setattr(constructions, "_covers_all", refuse)
+
+    def test_proven_covers_build_no_probes(self, no_probes):
+        for rho, lines in ((0.3, 11), (math.pi / 3, 3), (math.pi / (3 + 1e-10), 4), (2.5, 2)):
+            assert len(cover_lines(rho, 2, seed=1, probes=5000)) == lines
+        for D in (3, 4, 5, 6):
+            for above in (0.0, 0.1):
+                rho = 2.0 * math.acos(1.0 / math.sqrt(D)) + above
+                np.testing.assert_array_equal(cover_lines(rho, D, seed=1).lines, np.eye(D))
+        for D, rho in ((3, 0.9), (3, 1.5), (4, 0.8), (4, 1.3)):
+            arr = cover_lines(rho, D, seed=1)
+            np.testing.assert_array_equal(arr.lines[:D], np.eye(D))
+            assert len(arr) > D
+
+    def test_the_greedy_builds_its_probes(self, no_probes):
+        with pytest.raises(ProbesBuilt):
+            cover_lines(1.6, 5, seed=1, probes=2000)
+
+    @pytest.mark.parametrize("D", [2, 3])
+    @pytest.mark.parametrize("seed, probes, message", [
+        (-1, 100, "seed must be a non-negative integer, got -1"),
+        (math.nan, 100, "seed must be a non-negative integer, got nan"),
+        (1, 0, "probes must be at least 1, got 0"),
+    ], ids=["negative-seed", "nan-seed", "no-probes"])
+    def test_bad_arguments_are_still_refused(self, no_probes, D, seed, probes, message):
+        with pytest.raises(OutOfRange, match=f"^{message}$"):
+            cover_lines(1.0, D, seed=seed, probes=probes)
 
 
 def qhull_offsets(lines: np.ndarray) -> np.ndarray:
@@ -406,7 +453,7 @@ class TestHoleInsertion:
 
     @pytest.mark.parametrize("D, rho", [(3, 0.9), (4, 1.3)])
     def test_lines_do_not_depend_on_the_seed(self, D, rho):
-        # The seed moves only the probes of the re-check.
+        # The insertion builds no probes, so the seed moves nothing.
         first = cover_lines(rho, D, seed=0, probes=3000).lines.tobytes()
         for seed in (0, 1, 7, 2**31):
             assert cover_lines(rho, D, seed=seed, probes=3000).lines.tobytes() == first
@@ -469,10 +516,21 @@ class TestEfDoubling:
         with pytest.raises(OutOfRange):
             ef_doubling(PLANAR_TRIPLE, math.pi / 3)
 
-    def test_doubling_budget_exhaustion_reported(self):
+    def test_doubling_budget_exhaustion_reported(self, monkeypatch):
+        # The first scale keeps every new segment within the slack of its
+        # line, which already bounds the max angle, so a scan that certifies
+        # nothing stands in for a budget that runs out.
         from anglebound.errors import ScaleExhausted
-        with pytest.raises(ScaleExhausted, match="^line 1: no translation up to "):
-            ef_doubling(PLANAR_TRIPLE, 1.0, max_scale_doublings=0)
+        monkeypatch.setattr(constructions, "max_angle_triple", lambda points: (math.pi, None))
+        with pytest.raises(ScaleExhausted, match=r"^line 1: no translation up to \S+ certified "
+                                                 r"max angle <= 2\.14159$"):
+            ef_doubling(PLANAR_TRIPLE, 1.0, max_scale_doublings=3)
+
+    @pytest.mark.parametrize("doublings", [0, -3])
+    def test_an_empty_doubling_budget_is_refused_by_name(self, doublings):
+        with pytest.raises(OutOfRange,
+                           match=f"^max_scale_doublings must be at least 1, got {doublings}$"):
+            ef_doubling(PLANAR_TRIPLE, 1.0, max_scale_doublings=doublings)
 
     @pytest.mark.parametrize("eps", [1e-9, 1e-12, 1e-14])
     def test_scale_that_swallows_the_unit_offsets_is_refused_by_name(self, eps):

@@ -675,6 +675,9 @@ class TestDeksterRadius:
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
             dekster_radius(theta_d(2) + 1e-6, 2)
+        for diam, shown in ((4.0, "4"), (math.inf, "inf")):
+            with pytest.raises(OutOfRange, match=f"^diameter {shown} exceeds the invertible range"):
+                dekster_radius(diam, 2)
 
 
 class TestMinEnclosingCap:
@@ -778,6 +781,28 @@ class TestMinEnclosingCap:
         assert cap.radius == pytest.approx(radius, abs=1e-9)
         np.testing.assert_allclose(cap.center, center, atol=1e-9)
         assert np.min(H @ cap.center) >= math.cos(cap.radius) - 1e-12
+
+
+class TestCone:
+    AXIS = np.array([0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("apex, message", [
+        (np.zeros(2), "apex has dimension 2, axis 3"),
+        (np.array([0.0, math.inf, 0.0]), "point has non-finite coordinates"),
+        (np.array([math.nan, 0.0, 0.0]), "point has non-finite coordinates"),
+        (np.zeros((1, 3)), r"point must be a 1-D coordinate vector, got shape \(1, 3\)"),
+    ], ids=["dimension", "inf", "nan", "shape"])
+    def test_bad_apex_is_refused(self, apex, message):
+        with pytest.raises(OutOfRange, match=f"^{message}$"):
+            curvature.Cone(apex=apex, axis=self.AXIS, half_angle=0.5)
+
+    def test_point_of_another_dimension_is_refused(self):
+        cone = curvature.Cone(apex=np.zeros(3), axis=self.AXIS, half_angle=0.5)
+        assert cone.contains([0.0, 0.1, 1.0]) and not cone.contains([0.0, 1.0, 0.1])
+        with pytest.raises(OutOfRange, match="^point has dimension 2, the cone 3$"):
+            cone.contains([0.0, 1.0])
+        with pytest.raises(OutOfRange, match="^point has non-finite coordinates$"):
+            cone.contains([0.0, 0.0, math.inf])
 
 
 class TestConeCover:
