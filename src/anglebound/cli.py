@@ -318,11 +318,11 @@ SUBCOMMANDS = {
     "pack-lines": ("spread m lines maximizing the min pairwise angle", _cmd_pack_lines, [
         _arg("--m", type=int, required=True), _DIM,
         _arg("--iters", type=int, default=1500), *_SEEDED]),
-    "cover-lines": ("lines within rho/2 of every direction: exact in the plane, R^3 and R^4; "
-                    "greedy and probe-checked only in D >= 5", _cmd_cover_lines, [
+    "cover-lines": ("lines within rho/2 of every direction, certified exactly in every "
+                    "dimension", _cmd_cover_lines, [
         *_angle_args("rho", "covering diameter rho"), _DIM,
         _arg("--probes", type=int, default=100_000,
-             help="probe lines for the D >= 5 greedy cover"), *_SEEDED]),
+             help="accepted and echoed; no longer changes the cover"), *_SEEDED]),
     "ef-construct": ("doubling construction: 2^m points under pi - rho", _cmd_ef_construct, [
         _arg("--lines", required=True, help="line arrangement JSON (from pack-lines)"),
         *_angle_args("rho", "separation rho"), _arg("--slack", type=float, default=0.05),

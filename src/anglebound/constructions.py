@@ -30,16 +30,20 @@ from .errors import (
 )
 from .geometry import (PointSet, _check_closed, _facet_planes, _hull_join, _row_blocks,
                        angle_at, max_angle_triple)
-from .sampling import _check_seed, canonical_lines, quasi_uniform_lines, rng_stream
+from .sampling import _check_seed, canonical_lines, rng_stream
 
-DEFAULT_PROBES = 100_000
 # A packing restart stops once its gradient norm falls below this.
 _GRAD_STOP = 1e-14
-# Sampled candidate lines per greedy covering round, and the cap on greedy
-# rounds or deepest-hole insertions.
-_CANDIDATES, _MAX_ROUNDS = 128, 10_000
+# The cap on deepest-hole insertions.
+_MAX_ROUNDS = 10_000
+# No insertion starts from more than this many facet entries, facets x D^2,
+# the size of the stacked vertex rows the certificate solves (24 MB here).
+# It sits above the 119 588 x 4^2 of R^4 at rho = 0.18 and below the first
+# hulls past it in R^13 (18 876 x 13^2) and R^14 (the frame's 2^14 x 14^2),
+# so no hull that joins a point has ridge keys past int64 (geometry._ridges).
+_FACET_BUDGET = 3_000_000
 # Slack on a cosine of every covering test: the planar family's holes, the
-# frame's threshold, the insertion's stop test and hull, the probe re-check.
+# frame's threshold, the insertion's stop test and the hull re-check.
 _COVER_TOL = 1e-12
 # Lines in the packing from which calibrate_constants derives c_d.
 _CALIBRATION_PACK = 6
@@ -201,77 +205,35 @@ def pack_lines(m: int, D: int, iters: int = 1500, seed: int = 0,
     return LineArrangement(dim=D, lines=best)
 
 
-def _covers_all(P: np.ndarray, lines: np.ndarray, cos_half: float) -> bool:
-    """True when every probe row of P is within the covering angle of some line.
-
-    A block of probes at a time, each product is formed line-major, one
-    contiguous row per line, and reduced over the lines: a probe's best |dot|
-    is an elementwise maximum of a few long rows, not a reduction of each
-    short probe row.
-    """
-    return all(np.all(np.abs(lines @ P[lo:hi].T).max(axis=0) >= cos_half - _COVER_TOL)
-               for lo, hi in _row_blocks(P.shape[0], len(lines)))
-
-
-# Rows _column_counts adds per pass: a byte lane holds at most 255.
-_LANE_ROWS = 255
-
-
-def _column_counts(hits: np.ndarray) -> np.ndarray:
-    """np.count_nonzero(hits, axis=0) of a C-contiguous bool matrix whose width
-    is a multiple of 8.
-
-    Each row is read as uint64 words of eight columns, and the words are added
-    at most 255 rows at a time, so no byte lane carries into the next column;
-    the partial sums are then read back as bytes.
-    """
-    m, width = hits.shape
-    words = hits.view(np.uint64)
-    full = m - m % _LANE_ROWS
-    partial = words[:full].reshape(-1, _LANE_ROWS, width // 8).sum(axis=1)
-    counts = partial.view(np.uint8).reshape(-1, width).sum(axis=0, dtype=np.int64)
-    counts += words[full:].sum(axis=0).view(np.uint8)
-    return counts
-
-
-def cover_lines(rho: float, D: int, seed: int = 0, probes: int = DEFAULT_PROBES) -> LineArrangement:
+def cover_lines(rho: float, D: int, seed: int = 0, probes: int = 100_000) -> LineArrangement:
     """Set of lines leaving every direction within rho/2 of one of them.
 
-    Each cover returns with one certificate. In the plane, at the coordinate
-    frame, and in R^3 and R^4 it proves every direction within rho/2 of a
-    line (up to _COVER_TOL in the cosine), and no probe is built. Only the
-    greedy covers of D >= 5 build probes, `probes` quasi-random lines
-    (`quasi_uniform_lines`, shifted by random.Random(seed), so they load no
-    numpy.random), and are checked on them only. So `seed` and `probes` act
-    only in D >= 5, where the seed also seeds the greedy's candidate draws;
-    every D refuses a bad seed and `probes` < 1.
+    Every cover returns with a certificate that every direction lies within
+    rho/2 of a line (up to _COVER_TOL in the cosine); none is built from or
+    checked on samples. `seed` and `probes` no longer change the cover: they
+    are kept for callers and validated as before, so a bad seed and `probes`
+    < 1 are refused in every D.
 
-    In the plane the answer is the closed form, with no greedy round: the
-    equiangular family of the least k lines with cos(pi/(2k)) >= cos(rho/2)
-    - _COVER_TOL. The directions midway between its neighbouring lines are
-    its deepest holes, pi/(2k) from every line, so the family leaves every
-    direction within rho/2 of a line, and the round cap does not apply.
+    In the plane the answer is the closed form: the equiangular family of the
+    least k lines with cos(pi/(2k)) >= cos(rho/2) - _COVER_TOL. The
+    directions midway between its neighbouring lines are its deepest holes,
+    pi/(2k) from every line, so the family leaves every direction within
+    rho/2 of a line, and the insertion caps do not apply.
 
     In D >= 3, when cos(rho/2) - _COVER_TOL <= 1/sqrt(D), the coordinate
-    frame is returned, with no greedy round. Every unit x has max_i |x_i| >=
-    1/sqrt(D), so the frame covers every direction, and fewer than D lines
-    leave a direction orthogonal to all of them, so D lines is the minimum.
+    frame is returned. Every unit x has max_i |x_i| >= 1/sqrt(D), so the
+    frame covers every direction, and fewer than D lines leave a direction
+    orthogonal to all of them, so D lines is the minimum.
 
-    Otherwise, in R^3 and R^4, lines are added by deepest-hole insertion
-    from the frame (`_hole_insertion`), at most _MAX_ROUNDS of them, and the
-    hull of +-l_i is re-checked before returning (`_check_hull`): CoverageFailed
-    names the line count and the radius reached at the cap, or the first
-    check that fails. The insertion takes about 16.5 / rho^2 lines in R^3
-    and 55 / rho^3 in R^4, so the cap refuses rho below about 0.0408 in R^3
-    (after about 10 s) and 0.176 in R^4 (about 40 s).
-
-    In D >= 5 each greedy round scores a sampled batch of still-uncovered
-    probes as candidate lines and keeps the one covering the most probes.
-    The uncovered probes are carried compacted, in index order. The
-    probe-candidate incidence is filled one block of probes at a time, so the
-    float products never exist whole; its width is padded with False columns
-    to a multiple of 8 for `_column_counts`. The lines are then re-checked
-    against every probe.
+    Otherwise lines are added by deepest-hole insertion from the frame
+    (`_hole_insertion`), and the hull of +-l_i is re-checked before returning
+    (`_check_hull`). CoverageFailed names the line count and the radius
+    reached when the insertions pass _MAX_ROUNDS or the hull passes
+    _FACET_BUDGET, or the first check that fails. The round cap refuses rho
+    below about 0.0408 in R^3 (after about 10 s) and 0.176 in R^4 (about
+    40 s); the facet budget refuses rho below about 0.524 in R^5 (about
+    12 s), 1.063 in R^6, 1.618 in R^7 and 1.984 in R^8 (under 2 s each), and
+    every rho below the frame's threshold in R^14 and up.
     """
     if not 0.0 < rho < math.pi:
         raise OutOfRange(f"rho must lie in (0, pi), got {rho}")
@@ -286,15 +248,9 @@ def cover_lines(rho: float, D: int, seed: int = 0, probes: int = DEFAULT_PROBES)
         return LineArrangement(dim=D, lines=_equiangular(k))
     if cos_half - _COVER_TOL <= 1.0 / math.sqrt(D):
         return LineArrangement(dim=D, lines=np.eye(D))
-    if D <= 4:
-        V, F = _hole_insertion(D, cos_half, _MAX_ROUNDS)
-        _check_hull(V, F, cos_half)
-        return LineArrangement(dim=D, lines=V[0::2])
-    P = quasi_uniform_lines(D, probes, seed)
-    arrangement = LineArrangement(dim=D, lines=_greedy_cover(P, cos_half, seed))
-    if not _covers_all(P, arrangement.lines, cos_half):
-        raise CoverageFailed("probe coverage re-check failed")
-    return arrangement
+    V, F = _hole_insertion(D, cos_half, _MAX_ROUNDS)
+    _check_hull(V, F, cos_half)
+    return LineArrangement(dim=D, lines=V[0::2])
 
 
 def _hole_insertion(D: int, cos_half: float, rounds: int):
@@ -309,11 +265,14 @@ def _hole_insertion(D: int, cos_half: float, rounds: int):
     line until every offset is at least cos_half - _COVER_TOL. Both of +-l
     join the hull in one `_hull_join` step, with slack _COVER_TOL: no facet
     sees both, nor a facet made with the other (whose plane holds that point
-    at a positive offset).
+    at a positive offset). A hull of more than _FACET_BUDGET / D^2 facets,
+    the frame's included, joins nothing: CoverageFailed names D, the lines,
+    the facets and the radius reached.
 
     V holds line i as rows 2i and 2i + 1, +l_i then -l_i; F the facets as
     ascending vertex indices, a new vertex being the highest.
     """
+    _within_budget(D, D, 2**D, 1.0 / math.sqrt(D), cos_half)
     V = np.empty((2 * (D + rounds), D))
     V[0:2 * D:2], V[1:2 * D:2] = np.eye(D), -np.eye(D)
     F = 2 * np.arange(D) + np.array(list(itertools.product((0, 1), repeat=D)))
@@ -323,10 +282,21 @@ def _hole_insertion(D: int, cos_half: float, rounds: int):
         f = int(np.argmin(H))
         if H[f] >= cos_half - _COVER_TOL:
             break
+        _within_budget(D, n // 2, len(F), H[f], cos_half)
         V[n], V[n + 1] = N[f], -N[f]
         F, N, H = _hull_join(V, F, N, H, n, n + 2, _COVER_TOL)
         n += 2
     return V[:n], F
+
+
+def _within_budget(D: int, lines: int, facets: int, hole: float, cos_half: float):
+    """Raise CoverageFailed when `facets` facets in R^D pass _FACET_BUDGET;
+    `hole` is the cosine of the radius the `lines` lines reach."""
+    if facets * D * D > _FACET_BUDGET:
+        raise CoverageFailed(f"R^{D}: {lines} lines span {facets} facets, past the budget of "
+                             f"{_FACET_BUDGET // (D * D)}, and leave a direction "
+                             f"{math.acos(hole):.6g} from every line, above rho/2 = "
+                             f"{math.acos(cos_half):.6g}")
 
 
 def _check_hull(V: np.ndarray, F: np.ndarray, cos_half: float):
@@ -341,34 +311,6 @@ def _check_hull(V: np.ndarray, F: np.ndarray, cos_half: float):
                              f"{math.acos(H.min()):.6g} from every line, above rho/2 = "
                              f"{math.acos(cos_half):.6g}")
     _check_closed(V, F, N, H, _COVER_TOL, "hull re-check", CoverageFailed)
-
-
-def _greedy_cover(P: np.ndarray, cos_half: float, seed: int) -> np.ndarray:
-    """cover_lines's greedy rounds over the probe rows P; the chosen lines, in order."""
-    live = P  # the still-uncovered probes, in index order
-    incidence = np.empty(P.shape[0] * -(-_CANDIDATES // 8) * 8, dtype=bool)
-    chosen = []
-    for round_idx in range(_MAX_ROUNDS):
-        if live.shape[0] == 0:
-            break
-        rng = rng_stream(seed, 1000 + round_idx)
-        take = min(_CANDIDATES, live.shape[0])
-        cand = live[rng.choice(live.shape[0], size=take, replace=False)]
-        cand_t = np.ascontiguousarray(cand.T)  # the same products as cand.T, computed faster
-        width = -(-take // 8) * 8
-        hits = incidence[:live.shape[0] * width].reshape(live.shape[0], width)
-        hits[:, take:] = False  # _column_counts adds whole words: padding bytes must be 0
-        for lo, hi in _row_blocks(live.shape[0], take):
-            dots = live[lo:hi] @ cand_t
-            np.greater_equal(np.abs(dots, out=dots), cos_half, out=hits[lo:hi, :take])
-        pick = int(np.argmax(_column_counts(hits)[:take]))  # ties: lowest candidate index
-        chosen.append(cand[pick])
-        live = live.take(np.flatnonzero(~hits[:, pick]), axis=0)
-    if live.shape[0]:
-        raise CoverageFailed(
-            f"{live.shape[0]} of {P.shape[0]} probes uncovered after {_MAX_ROUNDS} rounds"
-        )
-    return np.array(chosen)
 
 
 def ef_doubling(L: LineArrangement, rho: float, slack: float = 0.05,
@@ -580,11 +522,11 @@ def calibrate_constants(d: int, rho: float, seed: int = 0) -> tuple[float, float
     A packing of m = _CALIBRATION_PACK lines achieving separation a gives
     c_d = a * m^(1/(d-1)); a covering at rho with m lines gives
     C_d = rho * (m + 1)^(1/(d-1)). These are instance-derived values, not
-    proven constants. The covering is cover_lines': exact for d <= 4, so
-    there C_d comes from a set that truly covers and does not depend on
-    `seed`; for d >= 5 it is the greedy cover, checked on probes only. Below
-    about rho = 0.0408 in R^3 and 0.176 in R^4 the cover's insertion cap
-    raises CoverageFailed.
+    proven constants. The covering is cover_lines', exact in every d, so
+    C_d comes from a set that truly covers and does not depend on `seed`.
+    Where cover_lines refuses rho, below about 0.0408 in R^3, 0.176 in R^4,
+    0.524 in R^5, 1.063 in R^6, 1.618 in R^7 and 1.984 in R^8, this raises
+    its CoverageFailed.
     """
     packed = pack_lines(_CALIBRATION_PACK, d, seed=seed)
     c_d = packed.min_pairwise_angle * _CALIBRATION_PACK ** (1.0 / (d - 1))

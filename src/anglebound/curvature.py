@@ -7,7 +7,7 @@ plane and in R^3 they have closed forms (discrete Gauss-Bonnet): a polygon
 vertex's fraction is its exterior angle over 2 pi, and a polyhedron
 vertex's is its angular defect over 4 pi (Descartes), 2 pi minus the
 angles there of the triangles of its hull, which grows by the same
-beneath-beyond step as the R^3 and R^4 line covers (`geometry._hull_join`).
+beneath-beyond step as the line covers (`geometry._hull_join`).
 `gauss_bonnet_sum` returns those there, checks that they sum to 1, and
 says so in its `method`. In other dimensions, and in
 `normal_cone_fraction_mc` everywhere, the fractions are estimated by seeded

@@ -58,8 +58,8 @@ class CapTooSmall(PreconditionError):
 
 
 class CoverageFailed(PreconditionError):
-    """A line cover was not built or not certified: the deepest-hole insertions (R^3, R^4)
-    or greedy rounds (D >= 5) hit their cap, or the hull or (D >= 5) probe re-check failed."""
+    """A line cover was not built or not certified: the deepest-hole insertions hit their
+    cap or the facet budget, or the hull re-check failed."""
 
 
 class ScaleExhausted(PreconditionError):

@@ -4,7 +4,7 @@ Angles are radians throughout. Points and vectors are 1-D numpy arrays of
 float64; a PointSet wraps an (n, dim) array and validates it once at
 construction so downstream code can trust the invariants. The one
 incremental convex hull, `_hull_join` and its `_check_closed`, serves the
-exact R^3 normal-cone fractions and the R^3/R^4 line covers.
+exact R^3 normal-cone fractions and the line covers in every D >= 3.
 """
 
 from __future__ import annotations
@@ -329,13 +329,18 @@ def _facet_planes(V: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return x / norm[:, None], 1.0 / norm
 
 
-def _ridges(F: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+def _ridges(F: np.ndarray, base: int, tags: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Each facet's D ridges (its row without one vertex), facet by facet, and
-    a key per ridge: its vertex indices, all below `base`, as digits. Rows in
-    ascending order give ridges in ascending order, so equal ridges share a key."""
+    a key per ridge: `tags` times its vertex indices, all below `base`, read as
+    digits, so a tag below `tags` can be added. Rows in ascending order give
+    ridges in ascending order, so equal ridges share a key. Raises
+    OverflowError where a key could pass int64."""
     D = F.shape[1]
+    if tags * base ** (D - 1) >= 2**63:
+        raise OverflowError(f"ridge keys of {D - 1} digits in base {base} times {tags} tags "
+                            f"pass int64")
     R = F[:, np.nonzero(~np.eye(D, dtype=bool))[1].reshape(D, D - 1)].reshape(-1, D - 1)
-    return R, R @ base ** np.arange(D - 1)
+    return R, tags * (R @ base ** np.arange(D - 1))
 
 
 def _hull_join(V, F, N, H, lo: int, hi: int, tol: float):
@@ -345,14 +350,15 @@ def _hull_join(V, F, N, H, lo: int, hi: int, tol: float):
     it lies more than tol above and is joined to their horizon, the ridges of
     exactly one of its dropped facets. No facet may be seen by two of the
     points; a ridge key tagged with the point that sees its facet keeps their
-    horizons apart. With every old index below lo, the new rows stay ascending.
+    horizons apart. Keys count in base hi, above every vertex index. With
+    every old index below lo, the new rows stay ascending.
     """
     D, tags = F.shape[1], hi - lo
     sees = V[lo:hi] @ N.T > H + tol  # a row per point: any() over the rows is one pass
     drop = sees.any(axis=0)
     gone, keep = np.flatnonzero(drop), np.flatnonzero(~drop)  # take() gathers rows faster
-    R, key = _ridges(F.take(gone, axis=0), len(V))
-    key = tags * key + np.repeat(sees[:, gone].argmax(axis=0), D)
+    R, key = _ridges(F.take(gone, axis=0), hi, tags)
+    key += np.repeat(sees[:, gone].argmax(axis=0), D)
     order = np.argsort(key)
     key = key[order]
     once = np.ones(len(key), dtype=bool)

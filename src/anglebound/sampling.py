@@ -1,16 +1,15 @@
 """Seeded, reproducible sampling on spheres, in numpy alone.
 
-Covering probes are the R_d Kronecker sequence (Roberts, "The unreasonable
-effectiveness of quasirandom sequences", 2018), frac(s + i alpha) in an even
+Fixed directions are the R_d Kronecker sequence (Roberts, "The unreasonable
+effectiveness of quasirandom sequences", 2018), frac(i alpha) in an even
 number k of coordinates, with alpha_j = phi^-(j+1) for phi the positive root
-of x^(k+1) = x + 1 and one Cranley-Patterson shift s of k draws from the
-standard library's random.Random(seed), so the probes need no numpy.random.
-Box-Muller (1958) maps coordinate pairs to normals; the rows are normalized
-(`rd_directions`, which builds them coordinate-major, in place, and takes
-the norms of the C-contiguous rows) and given their canonical line sign
-(`canonical_lines`). Unshifted, `rd_directions` gives the fixed directions
-of the convex-position screen, which so needs no generator either. Seeded
-streams (`rng_stream`) are numpy Generators, loaded only where one is drawn.
+of x^(k+1) = x + 1. Box-Muller (1958) maps coordinate pairs to normals; the
+rows are normalized (`rd_directions`, which builds them coordinate-major, in
+place, and takes the norms of the C-contiguous rows). They are the Monte
+Carlo base directions and those of the convex-position screen, which so
+need no generator. `canonical_lines` gives lines their canonical sign.
+Seeded streams (`rng_stream`) are numpy Generators, loaded only where one
+is drawn.
 
 Every seeded entry point rejects a negative, non-integer or non-finite seed
 with OutOfRange naming it.
@@ -18,11 +17,9 @@ with OutOfRange naming it.
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 
-from .errors import OutOfRange, check_int
+from .errors import check_int
 
 
 def _check_seed(seed) -> int:
@@ -33,15 +30,6 @@ def _check_seed(seed) -> int:
 _SIGN_TOL = 1e-12
 
 
-def _line_signs(V: np.ndarray) -> np.ndarray:
-    """+-1 per row of V: the sign of its first coordinate of magnitude above
-    _SIGN_TOL, or 1 for a row with no such coordinate."""
-    lead = np.where(np.abs(V[:, -1]) > _SIGN_TOL, V[:, -1], 0.0)
-    for j in range(V.shape[1] - 2, -1, -1):  # columns right to left: the first big one wins
-        lead = np.where(np.abs(V[:, j]) > _SIGN_TOL, V[:, j], lead)
-    return np.where(lead < 0.0, -1.0, 1.0)
-
-
 def canonical_lines(V: np.ndarray) -> np.ndarray:
     """Fix the sign of antipodally-identified unit vectors, one per row of V.
 
@@ -49,7 +37,10 @@ def canonical_lines(V: np.ndarray) -> np.ndarray:
     _SIGN_TOL positive; a row with no such coordinate is left as it is.
     """
     V = np.asarray(V, dtype=float)
-    return _line_signs(V)[:, None] * V
+    lead = np.where(np.abs(V[:, -1]) > _SIGN_TOL, V[:, -1], 0.0)
+    for j in range(V.shape[1] - 2, -1, -1):  # columns right to left: the first big one wins
+        lead = np.where(np.abs(V[:, j]) > _SIGN_TOL, V[:, j], lead)
+    return np.where(lead < 0.0, -1.0, 1.0)[:, None] * V
 
 
 def _rd_alpha(k: int) -> np.ndarray:
@@ -60,12 +51,11 @@ def _rd_alpha(k: int) -> np.ndarray:
     return phi ** -np.arange(1.0, k + 1.0)
 
 
-def _box_muller(k: int, n: int, shift) -> np.ndarray:
-    """The (k, n) normals of rows 0..n-1 of frac(shift + i alpha), coordinate-major,
+def _box_muller(k: int, n: int) -> np.ndarray:
+    """The (k, n) normals of rows 0..n-1 of frac(i alpha), coordinate-major,
     computed in the array of the coordinates: each even row becomes the radius
     r, each odd row the angle t, then r cos t and r sin t."""
     z = _rd_alpha(k)[:, None] * np.arange(n, dtype=float)
-    z += np.reshape(shift, (-1, 1))
     for row in z:  # frac(u), exact for u >= 0 and cheaper than % 1.0; one row of temporaries
         row -= np.floor(row)
     r, t = z[0::2], z[1::2]
@@ -82,40 +72,21 @@ def _box_muller(k: int, n: int, shift) -> np.ndarray:
     return z
 
 
-def rd_directions(dim: int, n: int, shift=0.0) -> np.ndarray:
-    """Rows 0..n-1 of the R_d sequence frac(shift + i alpha) as unit vectors in R^dim.
+def rd_directions(dim: int, n: int) -> np.ndarray:
+    """Rows 0..n-1 of the R_d sequence frac(i alpha) as unit vectors in R^dim.
 
     Box-Muller maps the 2 ceil(dim/2) coordinates pairwise to normals, which
     are cut to dim and normalized; a row of norm below 1e-12 stays as it is
-    (with no shift, row 0 is the zero vector). The normals are built
-    coordinate-major, as one (k, n) array of long rows (`_box_muller`), which
-    is freed once copied to C-contiguous (n, dim) rows. The rows' norms are
-    np.linalg.norm's arithmetic for real rows, without its conjugate copy, so
-    they are those of the row-major formula bit for bit.
+    (row 0 is the zero vector). The normals are built coordinate-major, as
+    one (k, n) array of long rows (`_box_muller`), which is freed once copied
+    to C-contiguous (n, dim) rows. The rows' norms are np.linalg.norm's
+    arithmetic for real rows, without its conjugate copy, so they are those
+    of the row-major formula bit for bit.
     """
-    rows = np.ascontiguousarray(_box_muller(dim + dim % 2, n, shift)[:dim].T)
+    rows = np.ascontiguousarray(_box_muller(dim + dim % 2, n)[:dim].T)
     norms = np.sqrt(np.add.reduce(rows * rows, axis=1))
     norms[norms < 1e-12] = 1.0
     rows /= norms[:, None]
-    return rows
-
-
-def quasi_uniform_lines(dim: int, n: int, seed: int) -> np.ndarray:
-    """Low-discrepancy set of n lines (canonicalized unit vectors) on S^{dim-1}.
-
-    `rd_directions` under one Cranley-Patterson shift, the first dim + dim % 2
-    values of random.Random(seed).random(), with the canonical signs of
-    `canonical_lines` applied to the fresh rows in place; suitable as a dense
-    probe set for covering checks. C-contiguous (n, dim) rows.
-    """
-    seed = _check_seed(seed)
-    dim = check_int(dim, "dimension must be an integer, got {!r}")
-    n = check_int(n, "number of lines must be an integer, got {!r}")
-    if dim < 2 or n < 1:
-        raise OutOfRange(f"need dim >= 2 and n >= 1 lines, got dim={dim}, n={n}")
-    draw = random.Random(seed)
-    rows = rd_directions(dim, n, [draw.random() for _ in range(dim + dim % 2)])
-    rows *= _line_signs(rows)[:, None]
     return rows
 
 

@@ -5,15 +5,14 @@ membership is decided by exhaustive subset enumeration with least-squares
 barycentric solves, enclosing caps by scipy's NNLS, angular defects in R^3
 from scipy's (qhull's) convex hull, and maximum angles by a scalar triple
 loop or by the one-vertex-at-a-time scan the blocked ray-Gram kernel
-replaced. The Monte Carlo and greedy covering sweeps are checked against
-whole-matrix sweeps; the Monte Carlo ones run over the paired sample stream
-written out in full, each raw row (a row-major R_d direction under its
-block's `random_rotation`) followed by its negation. Convex position is also
-decided by one nearest-point solve per point, with no direction screen,
-nearest points by Wolfe's algorithm one problem at a time with
-np.linalg.lstsq, the covering probes by the row-major R_d formula, line
-packings by one restart after another, and planar cone axes one vertex at
-a time.
+replaced. The Monte Carlo sweeps are checked against whole-matrix sweeps
+over the paired sample stream written out in full, each raw row (a
+row-major R_d direction under its block's `random_rotation`) followed by its
+negation. Convex position is also decided by one nearest-point solve per
+point, with no direction screen, nearest points by Wolfe's algorithm one
+problem at a time with np.linalg.lstsq, the R_d directions by the row-major
+formula, line packings by one restart after another, and planar cone axes
+one vertex at a time.
 Pinned results are compared by `digest`.
 """
 
@@ -21,7 +20,6 @@ import functools
 import hashlib
 import itertools
 import math
-import random
 
 import numpy as np
 from scipy.optimize import nnls
@@ -33,7 +31,7 @@ from anglebound.convexity import FEAS_TOL
 from anglebound.curvature import BLOCK, CONE_FIT_TOL
 from anglebound.errors import CapTooSmall
 from anglebound.geometry import PointSet, angle_at, max_angle
-from anglebound.sampling import _rd_alpha, canonical_lines, quasi_uniform_lines, rng_stream
+from anglebound.sampling import _rd_alpha, rng_stream
 
 # Seed of the acceptance suite's criterion-7 sets.
 CRITERION_7_SEED = 20241
@@ -131,44 +129,24 @@ def canonical_line(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return v
 
 
-def whole_cover_lines(rho: float, D: int, seed: int, probes: int,
-                      candidates_per_round: int = 128) -> np.ndarray:
-    """cover_lines's lines where they are the closed forms or the greedy. In
-    the plane, the first equiangular family that covers every probe and the
-    directions midway between its lines; in D >= 3 the coordinate frame when
-    cos(rho/2) - 1e-12 <= 1/sqrt(D) and it covers every probe; otherwise, in
-    D >= 5, the greedy rounds, each round's |P[uncovered] @ cand.T| built
-    whole. Below the frame's threshold R^3 and R^4 take the deepest-hole
-    insertion, which this sweep does not model."""
-    P = quasi_uniform_lines(D, probes, seed)
+def whole_cover_lines(rho: float, D: int) -> np.ndarray:
+    """cover_lines's lines where they are closed forms: in the plane, the first
+    equiangular family that covers the directions midway between its lines;
+    in D >= 3 the coordinate frame when cos(rho/2) - 1e-12 <= 1/sqrt(D).
+    Below the frame's threshold covers come from deepest-hole insertion,
+    which this does not model."""
     cos_half = math.cos(0.5 * rho)
-    if (D > 2 and cos_half - 1e-12 <= 1.0 / math.sqrt(D)
-            and np.all(np.max(np.abs(P), axis=1) >= cos_half - 1e-12)):
+    if D > 2 and cos_half - 1e-12 <= 1.0 / math.sqrt(D):
         return np.eye(D)
-    if D in (3, 4):
-        raise ValueError("below the frame's threshold, covers in R^3 and R^4 are not greedy")
-    if D == 2:
-        for k in itertools.count(1):
-            ang = np.arange(k) * math.pi / k
-            fam = np.column_stack([np.cos(ang), np.sin(ang)])
-            mid = ang + 0.5 * math.pi / k
-            mid = np.column_stack([np.cos(mid), np.sin(mid)])
-            if np.all(np.max(np.abs(np.vstack([P, mid]) @ fam.T), axis=1) >= cos_half - 1e-12):
-                return LineArrangement(dim=D, lines=fam).lines
-    covered = np.zeros(P.shape[0], dtype=bool)
-    chosen = []
-    for round_idx in itertools.count():
-        uncovered = np.flatnonzero(~covered)
-        if uncovered.size == 0:
-            break
-        rng = rng_stream(seed, 1000 + round_idx)
-        take = min(candidates_per_round, uncovered.size)
-        cand = P[uncovered[rng.choice(uncovered.size, size=take, replace=False)]]
-        hits = np.abs(P[uncovered] @ cand.T) >= cos_half
-        pick = int(np.argmax(hits.sum(axis=0)))
-        chosen.append(cand[pick])
-        covered[uncovered[hits[:, pick]]] = True
-    return LineArrangement(dim=D, lines=np.array(chosen)).lines
+    if D > 2:
+        raise ValueError("below the frame's threshold, covers come from deepest-hole insertion")
+    for k in itertools.count(1):
+        ang = np.arange(k) * math.pi / k
+        fam = np.column_stack([np.cos(ang), np.sin(ang)])
+        mid = ang + 0.5 * math.pi / k
+        mid = np.column_stack([np.cos(mid), np.sin(mid)])
+        if np.all(np.max(np.abs(mid @ fam.T), axis=1) >= cos_half - 1e-12):
+            return LineArrangement(dim=D, lines=fam).lines
 
 
 def loop_pack_lines(m: int, D: int, iters: int, seed: int, restarts: int,
@@ -208,25 +186,17 @@ def loop_pack_lines(m: int, D: int, iters: int, seed: int, restarts: int,
     return best
 
 
-def row_major_rd_directions(dim: int, n: int, shift=0.0) -> np.ndarray:
+def row_major_rd_directions(dim: int, n: int) -> np.ndarray:
     """rd_directions as (n, k) rows: the R_d rows, Box-Muller pairs stacked
     per row, cut to dim and divided by np.linalg.norm of each row."""
     k = dim + dim % 2
-    u = (shift + np.arange(n, dtype=float)[:, None] * _rd_alpha(k)) % 1.0
+    u = (np.arange(n, dtype=float)[:, None] * _rd_alpha(k)) % 1.0
     r = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
     t = 2.0 * np.pi * u[:, 1::2]
     z = np.stack([r * np.cos(t), r * np.sin(t)], axis=2).reshape(n, k)[:, :dim]
     norms = np.linalg.norm(z, axis=1)
     norms[norms < 1e-12] = 1.0
     return z / norms[:, None]
-
-
-def whole_quasi_uniform_lines(dim: int, n: int, seed: int) -> np.ndarray:
-    """quasi_uniform_lines as one expression: row_major_rd_directions under
-    the shift of dim + dim % 2 draws from random.Random(seed), canonicalized."""
-    draw = random.Random(seed)
-    shift = np.array([draw.random() for _ in range(dim + dim % 2)])
-    return canonical_lines(row_major_rd_directions(dim, n, shift))
 
 
 def solve_every_point(pts) -> convexity.ConvexPositionVerdict:

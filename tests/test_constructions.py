@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from anglebound import constructions
+from anglebound import constructions, geometry
 from anglebound.bounds import (
     asymptotic_envelope,
     cardinality_bound,
@@ -14,7 +14,6 @@ from anglebound.bounds import (
     theta_d,
 )
 from anglebound.constructions import (
-    _column_counts,
     EdgeColoring,
     LineArrangement,
     calibrate_constants,
@@ -198,10 +197,10 @@ class TestCoverLines:
         np.testing.assert_allclose(gaps, math.pi / 3, atol=1e-9)
 
     def test_certificate_holds_on_probes(self):
-        from anglebound.sampling import quasi_uniform_lines
+        from anglebound.sampling import rd_directions
         rho = 1.1
         arr = cover_lines(rho, 3, seed=4, probes=20_000)
-        probes = quasi_uniform_lines(3, 20_000, seed=4)
+        probes = rd_directions(3, 20_001)[1:]  # row 0 is the zero vector
         cover = np.max(np.abs(probes @ arr.lines.T), axis=1)
         assert np.all(cover >= math.cos(rho / 2) - 1e-12)
 
@@ -216,17 +215,17 @@ class TestCoverLines:
         with pytest.raises(OutOfRange):
             cover_lines(math.pi, 2)
 
-    def test_round_cap_reported(self, monkeypatch):
-        monkeypatch.setattr(constructions, "_MAX_ROUNDS", 2)
-        with pytest.raises(CoverageFailed) as err:
-            cover_lines(1.0, 5, seed=1, probes=5000)
-        assert str(err.value).endswith("probes uncovered after 2 rounds")
-
     def test_a_cover_finished_in_the_last_round_is_returned(self, monkeypatch):
+        # The insertion cap counts insertions: exactly enough returns the R^5
+        # cover, and one fewer is refused by name.
         whole = cover_lines(1.6, 5, seed=4, probes=5000)
-        monkeypatch.setattr(constructions, "_MAX_ROUNDS", len(whole))
+        monkeypatch.setattr(constructions, "_MAX_ROUNDS", len(whole) - 5)
         capped = cover_lines(1.6, 5, seed=4, probes=5000)
         np.testing.assert_array_equal(capped.lines, whole.lines)
+        monkeypatch.setattr(constructions, "_MAX_ROUNDS", len(whole) - 6)
+        with pytest.raises(CoverageFailed, match=f"^{len(whole) - 1} lines after "
+                                                 f"{len(whole) - 6} insertions leave"):
+            cover_lines(1.6, 5, seed=4, probes=5000)
 
     @pytest.mark.parametrize("rho", [0.05, 0.3, 0.9, math.pi / 3, math.pi / 4, math.pi / 5,
                                      math.pi / 3 * (1 + 1e-10), math.pi / 3 * (1 - 1e-10),
@@ -238,6 +237,7 @@ class TestCoverLines:
         k = math.ceil(math.pi / rho - 1e-9) + (rho == math.pi / 3 * (1 - 1e-10))
         arr = cover_lines(rho, 2, seed=3, probes=2000)
         assert len(arr) == k
+        np.testing.assert_array_equal(arr.lines, whole_cover_lines(rho, 2))
         # k - 1 lines would not do: their midway directions are too far.
         assert math.cos(0.5 * math.pi / (k - 1)) < math.cos(0.5 * rho) - 1e-12
         angles = np.sort(np.arctan2(arr.lines[:, 1], arr.lines[:, 0]) % math.pi)
@@ -264,7 +264,7 @@ class TestCoverLines:
             assert math.cos(0.5 * math.pi / (lines - 1)) < math.cos(0.5 * rho) - 1e-12
 
     def test_planar_cover_needs_no_rounds(self, monkeypatch):
-        # The closed form runs no greedy round, so no round cap applies.
+        # The closed form runs no insertion, so no round cap applies.
         monkeypatch.setattr(constructions, "_MAX_ROUNDS", 0)
         assert len(cover_lines(0.05, 2, seed=1, probes=5000)) == 63
 
@@ -274,9 +274,9 @@ class TestCoverLines:
         rho = 2.0 * math.acos(1.0 / math.sqrt(D)) + above
         arr = cover_lines(rho, D, seed=1, probes=5000)
         np.testing.assert_array_equal(arr.lines, np.eye(D))
-        np.testing.assert_array_equal(arr.lines, whole_cover_lines(rho, D, 1, 5000))
-        # Every direction is covered, not only the probes: a grid on the cube
-        # [-1, 1]^D, corners (the farthest directions from the frame) included.
+        np.testing.assert_array_equal(arr.lines, whole_cover_lines(rho, D))
+        # Every direction is covered: a grid on the cube [-1, 1]^D, corners
+        # (the farthest directions from the frame) included.
         ticks = np.linspace(-1.0, 1.0, {3: 59, 4: 21, 5: 11, 6: 7}[D])
         grid = np.array(np.meshgrid(*[ticks] * D)).reshape(D, -1).T
         grid = grid[np.any(grid != 0.0, axis=1)]
@@ -284,85 +284,40 @@ class TestCoverLines:
         worst = np.arccos(np.abs(grid @ arr.lines.T).max(axis=1).min())
         assert worst <= 0.5 * rho * (1 + 1e-9)
 
-    @pytest.mark.parametrize("D", [5, 6, 7, 8])
-    def test_greedy_runs_just_below_the_frame_threshold(self, D):
+    @pytest.mark.parametrize("D, lines, radius", [(5, 9, 1.0511732850883002),
+                                                  (6, 22, 0.8410686705679301),
+                                                  (7, 15, 1.0749078686775384),
+                                                  (8, 16, 1.173713776019985)],
+                             ids=["R5", "R6", "R7", "R8"])
+    def test_insertion_runs_just_below_the_frame_threshold(self, D, lines, radius):
         rho = 2.0 * math.acos(1.0 / math.sqrt(D)) - 1e-6
         arr = cover_lines(rho, D, seed=1, probes=5000)
-        assert not np.array_equal(arr.lines, np.eye(len(arr), D))
-        np.testing.assert_array_equal(arr.lines, whole_cover_lines(rho, D, 1, 5000))
-
-    @pytest.mark.parametrize("D, rhos", [(2, (0.3, 0.9, 1.6)), (5, (1.4, 1.8)),
-                                         (6, (1.9, 2.2)), (5, (1.6, 2.0)), (8, (2.0, 2.4)),
-                                         (2, (math.pi / (3 + 1e-10), math.pi / (63 + 1e-8)))])
-    def test_lines_match_whole_sweep(self, D, rhos):
-        for rho in rhos:
-            for seed in (0, 1, 7):
-                np.testing.assert_array_equal(cover_lines(rho, D, seed=seed, probes=7001).lines,
-                                              whole_cover_lines(rho, D, seed, 7001))
-
-    @pytest.mark.parametrize("candidates", [1, 5, 13])
-    def test_unpadded_candidate_counts_match_whole_sweep(self, monkeypatch, candidates):
-        monkeypatch.setattr(constructions, "_CANDIDATES", candidates)
-        for D, rho in ((2, 0.9), (5, 1.6)):
-            np.testing.assert_array_equal(
-                cover_lines(rho, D, seed=2, probes=3001).lines,
-                whole_cover_lines(rho, D, 2, 3001, candidates_per_round=candidates))
-
-    @pytest.mark.parametrize("rows", [1, 254, 255, 256, 511, 20_000])
-    @pytest.mark.parametrize("width", [1, 7, 8, 128])
-    def test_column_counts_match_count_nonzero(self, rows, width):
-        rng = np.random.default_rng(rows + width)
-        for density in (0.0, 0.3, 1.0):
-            hits = np.zeros((rows, -(-width // 8) * 8), dtype=bool)
-            hits[:, :width] = rng.random((rows, width)) < density
-            counts = _column_counts(hits)
-            np.testing.assert_array_equal(counts, np.count_nonzero(hits, axis=0))
-            assert counts.dtype == np.int64
-
-    def test_memory_does_not_grow_with_the_products(self):
-        # One greedy round's float products would take 100 000 x 128 x 8 B =
-        # 102 MB. The peak, 25.5 MB, is the greedy's, with the 4 MB of
-        # five-column probe rows and the 12.8 MB incidence in it; generating
-        # the probes peaks at 8.8 MB.
-        tracemalloc.start()
-        try:
-            cover_lines(1.5, 5, seed=2)  # the default 100 000 probes
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 27e6
+        np.testing.assert_array_equal(arr.lines[:D], np.eye(D))  # grown from the frame
+        assert len(arr) == lines
+        assert math.acos(qhull_offsets(arr.lines).min()) == pytest.approx(radius, rel=1e-12)
 
 
-class ProbesBuilt(Exception):
-    """Raised by a stand-in for the probe builder or the probe check."""
-
-
-class TestOnlyTheGreedyBuildsProbes:
-    """A cover with a proof builds no probes: only the D >= 5 greedy does."""
+class TestCoversBuildNoProbes:
+    """No cover builds probes or draws a seeded stream, in any dimension."""
 
     @pytest.fixture
-    def no_probes(self, monkeypatch):
+    def no_draws(self, monkeypatch):
         def refuse(*args):
-            raise ProbesBuilt
+            raise AssertionError("a cover drew a seeded stream")
 
-        monkeypatch.setattr(constructions, "quasi_uniform_lines", refuse)
-        monkeypatch.setattr(constructions, "_covers_all", refuse)
+        monkeypatch.setattr(constructions, "rng_stream", refuse)
 
-    def test_proven_covers_build_no_probes(self, no_probes):
+    def test_proven_covers_build_no_probes(self, no_draws):
         for rho, lines in ((0.3, 11), (math.pi / 3, 3), (math.pi / (3 + 1e-10), 4), (2.5, 2)):
             assert len(cover_lines(rho, 2, seed=1, probes=5000)) == lines
         for D in (3, 4, 5, 6):
             for above in (0.0, 0.1):
                 rho = 2.0 * math.acos(1.0 / math.sqrt(D)) + above
                 np.testing.assert_array_equal(cover_lines(rho, D, seed=1).lines, np.eye(D))
-        for D, rho in ((3, 0.9), (3, 1.5), (4, 0.8), (4, 1.3)):
+        for D, rho in ((3, 0.9), (3, 1.5), (4, 0.8), (4, 1.3), (5, 1.6), (6, 1.8)):
             arr = cover_lines(rho, D, seed=1)
             np.testing.assert_array_equal(arr.lines[:D], np.eye(D))
             assert len(arr) > D
-
-    def test_the_greedy_builds_its_probes(self, no_probes):
-        with pytest.raises(ProbesBuilt):
-            cover_lines(1.6, 5, seed=1, probes=2000)
 
     @pytest.mark.parametrize("D", [2, 3])
     @pytest.mark.parametrize("seed, probes, message", [
@@ -370,7 +325,7 @@ class TestOnlyTheGreedyBuildsProbes:
         (math.nan, 100, "seed must be a non-negative integer, got nan"),
         (1, 0, "probes must be at least 1, got 0"),
     ], ids=["negative-seed", "nan-seed", "no-probes"])
-    def test_bad_arguments_are_still_refused(self, no_probes, D, seed, probes, message):
+    def test_bad_arguments_are_still_refused(self, no_draws, D, seed, probes, message):
         with pytest.raises(OutOfRange, match=f"^{message}$"):
             cover_lines(1.0, D, seed=seed, probes=probes)
 
@@ -383,19 +338,20 @@ def qhull_offsets(lines: np.ndarray) -> np.ndarray:
 
 
 class TestHoleInsertion:
-    """Covers in R^3 and R^4: deepest-hole insertion on one hull, and its certificate."""
+    """Covers in D >= 3: deepest-hole insertion on one hull, and its certificate."""
 
-    @pytest.mark.parametrize("D", [3, 4])
+    @pytest.mark.parametrize("D", [3, 4, 5, 6])
     def test_every_direction_is_covered(self, D):
         # Caps of radius rho/2 about +-l_i cover the sphere exactly when every
         # facet of conv{+-l_i} lies at least cos(rho/2) from the origin.
         frame = 2.0 * math.acos(1.0 / math.sqrt(D))
-        for rho in [*np.linspace(0.5 if D == 3 else 0.8, frame, 9)[:-1], frame - 1e-6]:
+        for rho in [*np.linspace({3: 0.5, 4: 0.8, 5: 1.4, 6: 1.6}[D], frame, 9)[:-1],
+                    frame - 1e-6]:
             arr = cover_lines(rho, D, seed=1, probes=2000)
             np.testing.assert_array_equal(arr.lines[:D], np.eye(D))  # grown from the frame
             assert qhull_offsets(arr.lines).min() >= math.cos(0.5 * rho) - 1e-12
 
-    @pytest.mark.parametrize("D, rho", [(3, 1.1), (4, 1.2)])
+    @pytest.mark.parametrize("D, rho", [(3, 1.1), (4, 1.2), (5, 1.6), (6, 1.8)])
     def test_stopping_one_insertion_early_is_refused(self, D, rho):
         cos_half = math.cos(0.5 * rho)
         V, F = constructions._hole_insertion(D, cos_half, 10_000)
@@ -407,6 +363,79 @@ class TestHoleInsertion:
                                                  f"leave a direction [0-9.]+ from every line, "
                                                  f"above rho/2 = {0.5 * rho:.6g}$"):
             constructions._check_hull(V, F, cos_half)
+
+    @pytest.mark.parametrize("D, rho, lines, radius", [(5, 1.4, 47, 0.6984232179425077),
+                                                       (5, 1.6, 33, 0.7971439595698366),
+                                                       (5, 1.8, 18, 0.8899586751444921),
+                                                       (6, 1.6, 68, 0.7993447664577829),
+                                                       (6, 1.8, 22, 0.8410686705679301)],
+                             ids=["R5-1.4", "R5-1.6", "R5-1.8", "R6-1.6", "R6-1.8"])
+    def test_covers_in_r5_and_r6_are_pinned(self, D, rho, lines, radius):
+        # The exact radius, arccos of the nearest facet offset, is within rho/2.
+        arr = cover_lines(rho, D, seed=1)
+        assert len(arr) == lines
+        offset = qhull_offsets(arr.lines).min()
+        assert offset >= math.cos(0.5 * rho) - constructions._COVER_TOL
+        assert math.acos(offset) == pytest.approx(radius, rel=1e-12)
+
+    @pytest.mark.parametrize("D, rho, message", [
+        (7, 1.6, "R^7: 102 lines span 61864 facets, past the budget of 61224, and leave a "
+                 "direction 0.808963 from every line, above rho/2 = 0.8"),
+        (8, 1.6, "R^8: 45 lines span 49188 facets, past the budget of 46875, and leave a "
+                 "direction 0.991888 from every line, above rho/2 = 0.8"),
+        (9, 2.0, "R^9: 24 lines span 40956 facets, past the budget of 37037, and leave a "
+                 "direction 1.1832 from every line, above rho/2 = 1"),
+        (10, 2.2, "R^10: 19 lines span 38156 facets, past the budget of 30000, and leave a "
+                  "direction 1.19304 from every line, above rho/2 = 1.1"),
+        (11, 2.4, "R^11: 17 lines span 33444 facets, past the budget of 24793, and leave a "
+                  "direction 1.26452 from every line, above rho/2 = 1.2"),
+        (12, 2.4, "R^12: 15 lines span 27942 facets, past the budget of 20833, and leave a "
+                  "direction 1.27795 from every line, above rho/2 = 1.2"),
+        (13, 2.5, "R^13: 14 lines span 18876 facets, past the budget of 17751, and leave a "
+                  "direction 1.28976 from every line, above rho/2 = 1.25"),
+        (14, 2.5, "R^14: 14 lines span 16384 facets, past the budget of 15306, and leave a "
+                  "direction 1.30025 from every line, above rho/2 = 1.25"),
+    ], ids=["R7", "R8", "R9", "R10", "R11", "R12", "R13", "R14"])
+    def test_facet_budget_refused_by_name(self, D, rho, message):
+        # Unbounded, (8, 1.6) grows to 656 k facets, and (12, 2.4) to 1.5 M before
+        # an unnamed LinAlgError. The insertions do not depend on rho, so these
+        # are the last joins in R^7-R^13, none with a ridge key near int64;
+        # R^14's frame alone passes the budget.
+        tracemalloc.start()
+        try:
+            with pytest.raises(CoverageFailed) as err:
+                cover_lines(rho, D)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == message
+        assert peak < 50e6
+
+    @pytest.mark.parametrize("D, rho", [(6, 1.6), (7, 2.0), (8, 2.1)])
+    def test_ridge_keys_are_distinct_in_high_dimensions(self, monkeypatch, D, rho):
+        # Keyed in base len(V) = 2 (D + 10 000), these ridges' keys pass int64
+        # from D = 6; in base hi, the points joined so far, no join's can.
+        calls, ridges = [], geometry._ridges
+
+        def record(F, base, tags=1):
+            R, key = ridges(F, base, tags)
+            calls.append((R, key.copy()))  # _hull_join adds its tags in place
+            return R, key
+
+        monkeypatch.setattr(geometry, "_ridges", record)
+        cos_half = math.cos(0.5 * rho)
+        V, F = constructions._hole_insertion(D, cos_half, 10_000)
+        constructions._check_hull(V, F, cos_half)  # _check_closed's ridges are recorded too
+        for R, key in calls:
+            order = np.argsort(key, kind="stable")
+            R, key = R[order], key[order]
+            # In key order, neighbours share a key exactly when they are one ridge.
+            assert key[0] >= 0
+            np.testing.assert_array_equal(key[1:] == key[:-1], np.all(R[1:] == R[:-1], axis=1))
+        base = 2 * (D + 10_000)
+        with pytest.raises(OverflowError, match=f"^ridge keys of {D - 1} digits in base {base} "
+                                                f"times 2 tags pass int64$"):
+            ridges(F, base, 2)
 
     def test_an_open_or_dented_hull_is_refused(self):
         cos_half = math.cos(0.55)

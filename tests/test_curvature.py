@@ -24,7 +24,6 @@ from anglebound.errors import (
 from anglebound.geometry import PointSet, geodesic_diameter, max_angle
 from anglebound.sampling import (
     canonical_lines,
-    quasi_uniform_lines,
     rd_directions,
     rng_stream,
 )
@@ -39,7 +38,6 @@ from conftest import (
     whole_gauss_bonnet_counts,
     whole_normal_cone_count,
     whole_raw_rows,
-    whole_quasi_uniform_lines,
     wolfe_nearest_point,
 )
 
@@ -161,47 +159,19 @@ class TestSampling:
             for row, v in zip(got, V):
                 assert row.tobytes() == canonical_line(v).tobytes()
 
-    def test_probe_lines_are_canonical_unit_vectors(self):
-        for dim in (2, 3, 4, 5):
-            P = quasi_uniform_lines(dim, 3000, seed=8)
-            np.testing.assert_allclose(np.linalg.norm(P, axis=1), 1.0, atol=1e-12)
-            np.testing.assert_array_equal(P, canonical_lines(P))
-            np.testing.assert_array_equal(P, quasi_uniform_lines(dim, 3000, seed=8))
-
-    @pytest.mark.parametrize("dim", range(2, 9))
-    def test_probe_lines_are_pinned_to_the_whole_expression(self, dim):
-        for n, seed in ((1, 0), (7, 3), (5000, 8)):
-            expected = whole_quasi_uniform_lines(dim, n, seed)
-            assert quasi_uniform_lines(dim, n, seed).tobytes() == expected.tobytes()
-
     @pytest.mark.parametrize("dim", range(2, 13))
     def test_directions_are_pinned_to_the_row_major_formula(self, dim):
-        shifted = np.random.default_rng(dim).random(dim + dim % 2)
         for n in (1, 2, 5, 20_000):
-            for shift in (0.0, shifted):
-                U = rd_directions(dim, n, shift)
-                assert U.shape == (n, dim) and U.flags.c_contiguous
-                assert U.tobytes() == row_major_rd_directions(dim, n, shift).tobytes()
-
-    def test_probe_memory_stays_near_the_output(self):
-        # The coordinates, radii, angles and normals share one (k, n) array,
-        # freed before the rows are normalized and signed in place: the peak
-        # was 6.0x the 4 MB of rows here when each step had its own array.
-        tracemalloc.start()
-        try:
-            P = quasi_uniform_lines(5, 100_000, seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3 * P.nbytes
+            U = rd_directions(dim, n)
+            assert U.shape == (n, dim) and U.flags.c_contiguous
+            assert U.tobytes() == row_major_rd_directions(dim, n).tobytes()
 
     @pytest.mark.parametrize("terms", [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 300])
     def test_square_sums_add_in_the_order_of_the_row_norm(self, terms):
         # np.linalg.norm's pairwise order of addition changes at 8 and at 128
         # terms; rows built coordinate-major keep the row-major bits across both.
-        shift = np.random.default_rng(terms).random(terms + terms % 2)
-        U = rd_directions(terms, 5000, shift)
-        assert U.tobytes() == row_major_rd_directions(terms, 5000, shift).tobytes()
+        U = rd_directions(terms, 5000)
+        assert U.tobytes() == row_major_rd_directions(terms, 5000).tobytes()
 
     def test_unshifted_directions_are_unit_after_row_0(self):
         for dim in range(1, 9):
@@ -214,7 +184,7 @@ class TestSampling:
         for call in (lambda: normal_cone_fraction_mc(TESSERACT, 0, 2000, seed),
                      lambda: gauss_bonnet_sum(TESSERACT, 2000, seed),
                      lambda: constructions.pack_lines(3, 2, seed=seed),
-                     lambda: rng_stream(seed), lambda: quasi_uniform_lines(3, 10, seed)):
+                     lambda: rng_stream(seed), lambda: constructions.cover_lines(1.0, 3, seed)):
             with pytest.raises(OutOfRange, match=f"seed must be a non-negative integer, "
                                                  f"got {seed!r}"):
                 call()
@@ -237,9 +207,7 @@ class TestSampling:
          r"expected an \(n, dim\) array with n, dim >= 1, got \(10, 0\)"),
         (lambda: normal_cone_fraction_mc(TESSERACT, 0, 999, 1),
          "need at least 1000 samples, an integer, got 999"),
-        (lambda: quasi_uniform_lines(1, 10, 1), "need dim >= 2 and n >= 1 lines, got dim=1, n=10"),
-        (lambda: quasi_uniform_lines(3, 0, 1), "got dim=3, n=0"),
-    ], ids=["dim", "n", "probe-dim", "probe-n"])
+    ], ids=["dim", "n"])
     def test_bad_sizes_raise_out_of_range(self, call, message):
         with pytest.raises(OutOfRange, match=message):
             call()
@@ -247,13 +215,9 @@ class TestSampling:
     @pytest.mark.parametrize("call, message", [
         (lambda: normal_cone_fraction_mc(PointSet([[0, 0], [1, 0], [0, 1]]), 1.5, 2000, 1),
          r"vertex index must be an integer, got 1\.5"),
-        (lambda: quasi_uniform_lines(3, 10.5, 1), r"number of lines must be an integer, got 10\.5"),
-        (lambda: quasi_uniform_lines(2.5, 10, 1), r"dimension must be an integer, got 2\.5"),
-        (lambda: quasi_uniform_lines(3, math.nan, 1), "number of lines must be an integer, got nan"),
-    ], ids=["vertex-index", "probe-n", "probe-dim", "probe-n-nan"])
+    ], ids=["vertex-index"])
     def test_fractional_and_nan_sizes_refused_by_name(self, call, message):
-        # A fractional index used to escape as a raw IndexError, a fractional
-        # size as a TypeError and a nan size as a ValueError from np.arange.
+        # A fractional index used to escape as a raw IndexError.
         with pytest.raises(OutOfRange, match=f"^{message}$"):
             call()
 

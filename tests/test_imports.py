@@ -121,7 +121,7 @@ def test_subcommand_loads_no_numpy(tmp_path, sub):
 
 
 # Every call above, and the R^3 and R^4 inputs that run the hull paths and the
-# Monte Carlo sweep, and the greedy cover of D >= 5.
+# Monte Carlo sweep, and a cover of D >= 5.
 CASES = {
     **{argv[0]: argv for argv in CALLS},
     "curvature-R3": ["curvature", "--in", "{cube}", "--seed", "5"],
@@ -134,12 +134,10 @@ CASES = {
     "n-bounds-R3": ["n-bounds", "--theta-deg", "100", "--dim", "3", "--seed", "2"],
 }
 # The cases that draw a seeded stream: the Monte Carlo sweep, the packing
-# search (calibrating n-bounds packs too; planar packings are closed forms),
-# the greedy cover and the searches. The probes' shift and the
-# convex-position screen's directions need no numpy.random, and no case
-# loads numpy.ma.
-DRAW_A_STREAM = {"curvature-R4", "pack-lines-R3", "cover-lines-R5", "n-bounds-R3",
-                 "search-alpha", "search-max"}
+# search (calibrating n-bounds packs too; planar packings are closed forms)
+# and the searches. No cover and not the convex-position screen's directions
+# need numpy.random, and no case loads numpy.ma.
+DRAW_A_STREAM = {"curvature-R4", "pack-lines-R3", "n-bounds-R3", "search-alpha", "search-max"}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
