@@ -326,7 +326,8 @@ SUBCOMMANDS = {
     "ef-construct": ("doubling construction: 2^m points under pi - rho", _cmd_ef_construct, [
         _arg("--lines", required=True, help="line arrangement JSON (from pack-lines)"),
         *_angle_args("rho", "separation rho"), _arg("--slack", type=float, default=0.05),
-        _arg("--max-doublings", type=int, default=60), *_OUT]),
+        _arg("--max-doublings", type=int, default=60,
+             help="accepted and checked (at least 1); only the first scale is tried"), *_OUT]),
     "witness": ("obtuse triple witness from a line covering", _cmd_witness, [
         _IN, _arg("--lines", required=True), *_angle_args("rho", "covering diameter rho"),
         *_OUT]),

@@ -29,7 +29,7 @@ from .errors import (
     check_int,
 )
 from .geometry import (PointSet, _check_closed, _facet_planes, _hull_join, _row_blocks,
-                       angle_at, max_angle_triple)
+                       angle_at, max_angle_triple, regular_simplex)
 from .sampling import _check_seed, canonical_lines, rng_stream
 
 # A packing restart stops once its gradient norm falls below this.
@@ -45,6 +45,9 @@ _FACET_BUDGET = 3_000_000
 # Slack on a cosine of every covering test: the planar family's holes, the
 # frame's threshold, the insertion's stop test and the hull re-check.
 _COVER_TOL = 1e-12
+# Slack below cos(slack_eff) that ef_doubling's pair check grants each pair's
+# cosine against its level's line (_pairs_certify).
+_PAIR_COS_SLACK = 1e-15
 # Lines in the packing from which calibrate_constants derives c_d.
 _CALIBRATION_PACK = 6
 
@@ -137,18 +140,23 @@ def pack_lines(m: int, D: int, iters: int = 1500, seed: int = 0,
                restarts: int = 8) -> LineArrangement:
     """Spread m lines in R^D to (locally) maximize the minimum pairwise angle.
 
-    Two cases have closed-form optima, returned without any search: m <= D
-    orthogonal lines (the coordinate frame, angle pi/2) and, for D = 2, the m
-    equiangular lines (angle pi/m). Otherwise projected gradient descent on a
-    soft-max of squared pairwise dots with a sharpening schedule, from random
-    restarts. The restarts descend together as one (restarts, m, D) stack,
-    restart r from rng_stream(seed, r), each with the bits of a lone run; one
-    whose gradient norm falls below _GRAD_STOP leaves the stack where it
-    stands. The winner is the first of the most separated lines over each
-    start and its result, restart by restart. The returned arrangement's
-    min_pairwise_angle is recomputed exactly, so it is a valid achieved
-    separation regardless of optimizer quality. Needs iters >= 1 and
-    restarts >= 1, closed forms included.
+    Proven optima are returned in closed form, without any search:
+    - m <= D: orthogonal lines (the coordinate frame, angle pi/2);
+    - D = 2: the m equiangular lines (angle pi/m);
+    - m = D + 1: the lines through a regular simplex's vertices, angle
+      arccos(1/D);
+    - (6, 3): the six diagonals of the icosahedron, angle arccos(1/sqrt 5);
+    - (7, 3): the three axes and the four diagonals of the cube, angle
+      arccos(1/sqrt 3).
+    The last three meet a lower bound on the largest |cos| with equality:
+    the simplex and the icosahedron Welch's (1974), cos^2 >= (m - D) /
+    (D (m - 1)), and the cube's lines the orthoplex bound (Conway, Hardin &
+    Sloane 1996), |cos| >= 1/sqrt D for more than D (D + 1) / 2 lines.
+    Otherwise projected gradient descent on a soft-max of squared pairwise
+    dots with a sharpening schedule, from random restarts (`_descend`). The
+    returned arrangement's min_pairwise_angle is recomputed exactly, so it is
+    a valid achieved separation regardless of optimizer quality. Needs iters
+    >= 1 and restarts >= 1, closed forms included.
     """
     m = check_int(m, "m must be an integer >= 2, got {!r}", 2)
     D = check_int(D, "dimension must be an integer >= 2, got {!r}", 2)
@@ -164,6 +172,28 @@ def pack_lines(m: int, D: int, iters: int = 1500, seed: int = 0,
     if D == 2:
         U = _equiangular(m)
         return LineArrangement(dim=D, lines=U / np.linalg.norm(U, axis=1)[:, None])
+    if m == D + 1:
+        return LineArrangement(dim=D, lines=regular_simplex(D))
+    if (m, D) == (6, 3):
+        phi = 0.5 * (1.0 + math.sqrt(5.0))
+        U = np.array([[0.0, 1.0, phi], [0.0, 1.0, -phi]]) / math.hypot(1.0, phi)
+        return LineArrangement(dim=D, lines=np.vstack([np.roll(U, s, axis=1) for s in range(3)]))
+    if (m, D) == (7, 3):
+        diagonals = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [1.0, -1.0, 1.0],
+                              [-1.0, 1.0, 1.0]]) / math.sqrt(3.0)
+        return LineArrangement(dim=D, lines=np.vstack([np.eye(3), diagonals]))
+    return LineArrangement(dim=D, lines=_descend(m, D, iters, seed, restarts))
+
+
+def _descend(m: int, D: int, iters: int, seed: int, restarts: int) -> np.ndarray:
+    """pack_lines' search: the lines of the best start or result.
+
+    The restarts descend together as one (restarts, m, D) stack, restart r
+    from rng_stream(seed, r), each with the bits of a lone run; one whose
+    gradient norm falls below _GRAD_STOP leaves the stack where it stands.
+    The winner is the first of the most separated lines over each start and
+    its result, restart by restart.
+    """
     U = np.array([rng_stream(seed, r).normal(size=(m, D)) for r in range(restarts)])
     U /= np.linalg.norm(U, axis=2)[:, :, None]
     starts = U.copy()
@@ -202,7 +232,7 @@ def pack_lines(m: int, D: int, iters: int = 1500, seed: int = 0,
             ang = _min_line_angle(lines)
             if ang > best_angle:
                 best, best_angle = lines, ang
-    return LineArrangement(dim=D, lines=best)
+    return best
 
 
 def cover_lines(rho: float, D: int, seed: int = 0, probes: int = 100_000) -> LineArrangement:
@@ -317,17 +347,35 @@ def ef_doubling(L: LineArrangement, rho: float, slack: float = 0.05,
                 max_scale_doublings: int = 60) -> PointSet:
     """Translate-and-double along each line: 2^m points with max angle <= pi - rho.
 
-    Starts from two points spanning the first line; each subsequent line
-    contributes a translated copy of the current set. The translation scale
-    doubles until (a) every original-to-copy vector is within the slack angle
-    of the line, so all segment directions stay clustered near the used
-    lines, and (b) the exact maximum angle of the union is at most pi - rho.
-    Condition (a) is what keeps later doubling steps sound: without it a
-    mixed direction can drift onto a not-yet-used line and produce a nearly
-    straight triple. The certificate is the exact maximum-angle scan that
-    accepts each doubling: the last one runs on exactly the coordinates
-    returned, so nothing is scanned after it, and one line gives two points
-    with no angle to certify (max_scale_doublings >= 1 is still needed).
+    Starts from the two points 0 and l_0. Line k appends a copy of the current
+    set translated by t l_k, where t = diam / sin(s), diam is the current
+    set's diameter (at least 1) and s = slack_eff = min(slack, 0.49 (min
+    angle - rho)). Rows never change once appended, so rows i < j first
+    differ at the highest bit k of i ^ j, the pair's level, and p_j - p_i is
+    t l_k plus a difference of the set before line k, within s of +l_k.
+    Those pair directions certify the angle at every y between x and z:
+    - If (y, x) and (y, z) have different levels a and b, the directions
+      from y lie within s of +-l_a and +-l_b, whose angle lies in [min angle,
+      pi - min angle]. The angle at y is at most pi - min angle + 2 s, below
+      pi - rho because s <= 0.49 (min angle - rho).
+    - If both have level k, x and z both differ from y at bit k, so both
+      directions lie within s of the same one of +-l_k. The angle at y is at
+      most 2 s <= 0.49 pi, below pi - rho because rho < min angle <= pi/2.
+      Since slack_eff is capped, no user slack can break this case.
+    So the certificate is the pair check (`_pairs_certify`), run on the
+    coordinates returned: each pair's cosine against its level's line is at
+    least cos(s) - _PAIR_COS_SLACK, in row blocks, O(n^2 D) in time with
+    memory that does not grow with n^2. It counts only while that slack,
+    plus the rounding of a computed cosine, keeps the bound of the first
+    case below pi - rho. Otherwise, or where a pair fails, the exact scan
+    `max_angle_triple` decides: a set it puts above pi - rho raises
+    ScaleExhausted naming the line that made its widest triple, the angle
+    and pi - rho.
+
+    A scale t above 1e15 is refused (ScaleExhausted) before it is used. Only
+    the first scale is tried: max_scale_doublings is kept for callers and
+    validated as before (it must be at least 1), but no longer changes the
+    result.
     """
     if not slack > 0.0:
         raise OutOfRange(f"slack must be positive, got {slack}")
@@ -342,36 +390,54 @@ def ef_doubling(L: LineArrangement, rho: float, slack: float = 0.05,
             f"min pairwise angle {L.min_pairwise_angle:.6g}"
         )
     target = math.pi - rho
-    # Direction clusters of width slack_eff around the lines give pairwise
-    # angles at most (pi - min_angle) + 2 * slack_eff, which must stay below
-    # the target.
     slack_eff = min(slack, 0.49 * (L.min_pairwise_angle - rho))
     lines = L.lines
     pts = np.vstack([np.zeros(L.dim), lines[0]])
     for k in range(1, len(L)):
-        diffs = (pts[:, None, :] - pts[None, :, :]).reshape(-1, L.dim)
-        diam = math.sqrt(max(float(np.max(np.sum(diffs**2, axis=1))), 1.0))
-        t = diam / math.sin(slack_eff)
-        for _ in range(doublings):
-            # The set's smallest distance is the unit segment on the first
-            # line; past this scale, rounding of the translated copy eats it.
-            if t > 1e15:
-                raise ScaleExhausted(
-                    f"line {k}: translation scale exceeded float geometry before certifying")
-            cross = t * lines[k] + diffs
-            cross_norm = np.linalg.norm(cross, axis=1)
-            cos_dev = (cross @ lines[k]) / cross_norm
-            parallel_ok = bool(np.min(cos_dev) >= math.cos(slack_eff) - 1e-15)
-            doubled = np.vstack([pts, pts + t * lines[k]])
-            if parallel_ok and max_angle_triple(doubled)[0] <= target:
-                pts = doubled
-                break
-            t *= 2.0
-        else:
+        diam_sq = max(float(np.max(np.sum((pts[lo:hi, None, :] - pts[None, :, :]) ** 2, axis=2)))
+                      for lo, hi in _row_blocks(len(pts), len(pts) * L.dim))
+        t = math.sqrt(max(diam_sq, 1.0)) / math.sin(slack_eff)
+        # The set's smallest distance is the unit segment on the first line;
+        # past this scale, rounding of the translated copy eats it.
+        if t > 1e15:
             raise ScaleExhausted(
-                f"line {k}: no translation up to {t:.3g} certified max angle <= {target:.6g}"
-            )
+                f"line {k}: translation scale exceeded float geometry before certifying")
+        pts = np.vstack([pts, pts + t * lines[k]])
+    if not _pairs_certify(pts, L, rho, slack_eff):
+        ang, (x, y, z) = max_angle_triple(pts)
+        if ang > target:
+            raise ScaleExhausted(
+                f"line {max(x ^ y, z ^ y).bit_length() - 1}: the doubled set has an angle "
+                f"{ang:.6g} above pi - rho = {target:.6g}")
     return PointSet(pts)
+
+
+def _pairs_certify(P: np.ndarray, L: LineArrangement, rho: float, s: float) -> bool:
+    """Whether ef_doubling's pair argument at slack s puts every angle of the
+    doubled rows P below pi - rho.
+
+    It does when (p_j - p_i) . l_k > (cos s - _PAIR_COS_SLACK) |p_j - p_i| for
+    every pair of rows i < j, k its level (a zero difference fails), and
+    twice the angle that cosine allows, widened by rounding, stays below min
+    angle - rho. The pairs of level k join the two halves of each aligned
+    run of 2^(k+1) rows, lower to upper; each level is checked a block of
+    lower rows at a time.
+    """
+    cos_min = math.cos(s) - _PAIR_COS_SLACK
+    # Rounding of the difference, its dot with l_k, its norm, |l_k| and the
+    # product moves each computed cosine by less than 4 (D + 2) ulps in all.
+    widest = math.acos(max(-1.0, cos_min - 4 * (L.dim + 2) * 2.0**-53))
+    if not 2.0 * widest < L.min_pairwise_angle - rho:
+        return False
+    n, D = P.shape
+    for k in range(n.bit_length() - 1):
+        half = 1 << k
+        Q = P.reshape(-1, 2, half, D)
+        for lo, hi in _row_blocks(half, len(Q) * half * D):
+            d = Q[:, 1, None, :, :] - Q[:, 0, lo:hi, None, :]
+            if not np.all(d @ L.lines[k] > cos_min * np.sqrt(np.add.reduce(d * d, axis=3))):
+                return False
+    return True
 
 
 def _odd_cycle(adj: np.ndarray) -> list[int] | None:
@@ -522,8 +588,11 @@ def calibrate_constants(d: int, rho: float, seed: int = 0) -> tuple[float, float
     A packing of m = _CALIBRATION_PACK lines achieving separation a gives
     c_d = a * m^(1/(d-1)); a covering at rho with m lines gives
     C_d = rho * (m + 1)^(1/(d-1)). These are instance-derived values, not
-    proven constants. The covering is cover_lines', exact in every d, so
-    C_d comes from a set that truly covers and does not depend on `seed`.
+    proven constants. The packing is pack_lines' proven optimum in closed
+    form for d = 2, 3, 5 and d >= 6, so there c_d does not depend on `seed`;
+    only d = 4 runs the seeded search. The covering is cover_lines', exact in
+    every d, so C_d comes from a set that truly covers and does not depend
+    on `seed`.
     Where cover_lines refuses rho, below about 0.0408 in R^3, 0.176 in R^4,
     0.524 in R^5, 1.063 in R^6, 1.618 in R^7 and 1.984 in R^8, this raises
     its CoverageFailed.

@@ -63,7 +63,7 @@ class CoverageFailed(PreconditionError):
 
 
 class ScaleExhausted(PreconditionError):
-    """Doubling construction ran out of scale doublings before certifying the angle bound."""
+    """Doubling construction could not certify the angle bound within float geometry."""
 
 
 class ColoringFailed(PreconditionError):

@@ -111,6 +111,14 @@ def as_unit(v) -> np.ndarray:
     return u
 
 
+def regular_simplex(dim: int) -> np.ndarray:
+    """dim+1 unit vectors in R^dim with pairwise dot exactly -1/dim."""
+    corners = np.eye(dim + 1) - np.full((dim + 1, dim + 1), 1.0 / (dim + 1))
+    u, s, _ = np.linalg.svd(corners)
+    pts = u[:, :dim] * s[:dim]
+    return pts / np.linalg.norm(pts, axis=1)[:, None]
+
+
 def angle_at(x, y, z) -> float:
     """Angle in [0, pi] at vertex y between rays toward x and z.
 

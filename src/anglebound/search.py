@@ -33,6 +33,7 @@ from .geometry import (
     _max_angle_scan,
     max_angle_triple,
     max_angle_triples,
+    regular_simplex,
 )
 from .sampling import rng_stream
 
@@ -78,14 +79,6 @@ class SearchResult:
     iterations: int
     seed: int
     restarts: int
-
-
-def regular_simplex(dim: int) -> np.ndarray:
-    """dim+1 unit vectors in R^dim with pairwise dot exactly -1/dim."""
-    corners = np.eye(dim + 1) - np.full((dim + 1, dim + 1), 1.0 / (dim + 1))
-    u, s, _ = np.linalg.svd(corners)
-    pts = u[:, :dim] * s[:dim]
-    return pts / np.linalg.norm(pts, axis=1)[:, None]
 
 
 def hypercube_vertices(dim: int, n: int) -> np.ndarray:

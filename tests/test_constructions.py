@@ -30,6 +30,7 @@ from anglebound.errors import (
     CoverageFailed,
     HypothesisViolated,
     OutOfRange,
+    ScaleExhausted,
 )
 from anglebound.geometry import PointSet, angle_at, max_angle, max_angle_triple
 from anglebound.search import max_cardinality_search, minimize_max_angle
@@ -49,6 +50,14 @@ PLANAR_TRIPLE = LineArrangement(
         [math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3)],
     ]),
 )
+
+
+# The packings pack_lines returns in closed form past the frame and the plane,
+# each with the largest |cos| that any m lines in R^D must reach: Welch's
+# bound for the simplexes' m = D + 1 lines and the icosahedron's 6, the
+# orthoplex bound for 7 lines in R^3.
+PROVEN_OPTIMA = [(4, 3, 1 / 3), (5, 4, 1 / 4), (6, 5, 1 / 5), (7, 6, 1 / 6),
+                 (6, 3, 1 / math.sqrt(5)), (7, 3, 1 / math.sqrt(3))]
 
 
 class TestLineArrangement:
@@ -97,8 +106,8 @@ class TestPackLines:
         assert arr.min_pairwise_angle == pytest.approx(math.pi / 2, abs=1e-6)
 
     def test_deterministic_for_fixed_seed(self):
-        a = pack_lines(4, 3, seed=5, iters=400)
-        b = pack_lines(4, 3, seed=5, iters=400)
+        a = pack_lines(5, 3, seed=5, iters=400)
+        b = pack_lines(5, 3, seed=5, iters=400)
         np.testing.assert_array_equal(a.lines, b.lines)
 
     @pytest.mark.parametrize("iters,restarts", [(1500, 8), (50, 1), (1, 1)])
@@ -118,6 +127,23 @@ class TestPackLines:
                 np.testing.assert_array_equal(arr.lines, LineArrangement(dim=2, lines=U).lines)
                 assert arr.min_pairwise_angle == pytest.approx(math.pi / m, rel=1e-12)
 
+    @pytest.mark.parametrize("iters,restarts", [(1500, 8), (300, 2), (1, 1)])
+    def test_proven_optima_whatever_the_seed_and_budget(self, iters, restarts):
+        for m, D, cos in PROVEN_OPTIMA:
+            first = pack_lines(m, D, iters=iters, restarts=restarts, seed=0)
+            assert abs(first.min_pairwise_angle - math.acos(cos)) <= 1e-15
+            for seed in range(1, 4):
+                again = pack_lines(m, D, iters=iters, restarts=restarts, seed=seed)
+                assert again.lines.tobytes() == first.lines.tobytes()
+
+    @pytest.mark.parametrize("m, D, cos", PROVEN_OPTIMA)
+    def test_descent_never_beats_a_proven_optimum(self, m, D, cos):
+        # The search the closed forms replaced, forced at its defaults.
+        proven = pack_lines(m, D).min_pairwise_angle
+        for seed in range(4):
+            lines = constructions._descend(m, D, 1500, seed, 8)
+            assert LineArrangement(dim=D, lines=lines).min_pairwise_angle <= proven + 1e-12
+
     @pytest.mark.parametrize("m, D, iters, restarts, seed, angle, pinned", [
         # The defaults: 1500 iterations, 8 restarts.
         (5, 3, 1500, 8, 0, "0x1.1b5349a1c061ep+0",
@@ -133,12 +159,6 @@ class TestPackLines:
          "17236fb49dc0f4a4e52492c29bfa7b142b4f0ac691eb510510466d7af53d74d7"),
         (5, 3, 300, 2, 3, "0x1.1b148d1a002e8p+0",
          "473f59b9cde9829eb740293b7225f61448800f0575a944bbdccdbad386ffdb6e"),
-        (6, 3, 300, 2, 1, "0x1.1b2baea78bf76p+0",
-         "e801a84fc8d4afd0a06b92494c259929f98b703b2101c015e65e3945a2f1c84d"),
-        (6, 3, 300, 2, 2, "0x1.1b365f4820256p+0",
-         "3c4b1243e81aea354147b5fb57bf0d3dad4fd765747f62b8e10cd609461633b8"),
-        (6, 3, 300, 2, 3, "0x1.1b274a8210028p+0",
-         "71ded6923cd52301dff097efe8baa6bd79e2c9d037c00bd1fceb8c8fc3527cd5"),
         (6, 4, 300, 2, 1, "0x1.3ac3b7c3df3bdp+0",
          "fe2d7def12626a3e3df1675d5f19d90578fd979da2ac6112978902b77b45030e"),
         (6, 4, 300, 2, 2, "0x1.3ac2f4a436edcp+0",
@@ -176,6 +196,9 @@ class TestPackLines:
         (5, 3, 0, 8, "iters must be at least 1, got 0"),
         (3, 3, 1500, -1, "restarts must be at least 1, got -1"),  # the coordinate frame
         (4, 2, -3, 8, "iters must be at least 1, got -3"),  # the equiangular lines
+        (4, 3, 1500, 0, "restarts must be at least 1, got 0"),  # the simplex
+        (6, 3, 0, 8, "iters must be at least 1, got 0"),  # the icosahedron
+        (7, 3, 1500, -2, "restarts must be at least 1, got -2"),  # axes and cube diagonals
     ])
     def test_budgets_are_checked_before_the_closed_forms(self, m, D, iters, restarts, message):
         with pytest.raises(OutOfRange) as err:
@@ -510,19 +533,71 @@ class TestEfDoubling:
         assert scans == []  # two points have no angle to certify
 
     @pytest.mark.parametrize("m, D, seed", [(3, 2, 0), (4, 3, 6), (5, 3, 1), (6, 4, 2)])
-    def test_each_tried_scale_is_scanned_once(self, monkeypatch, m, D, seed):
+    def test_pairs_certify_without_a_scan(self, monkeypatch, m, D, seed):
         arr = pack_lines(m, D, iters=300, restarts=2, seed=seed)
         rho = 0.9 * arr.min_pairwise_angle
         scans = record_scans(monkeypatch)
         ps = ef_doubling(arr, rho)
-        sizes = [len(s) for s in scans]
-        assert sizes == sorted(sizes)
-        assert set(sizes) == {2 ** (k + 1) for k in range(1, m)}
-        # No set is scanned twice, and the last scan is of the set returned:
-        # nothing is scanned after the last accepted doubling.
-        assert len({s.tobytes() for s in scans}) == len(scans)
-        assert scans[-1].tobytes() == ps.points.tobytes()
+        assert scans == []
+        assert len(ps) == 2**m
         assert max_angle_triple(ps.points)[0] <= math.pi - rho
+
+    def test_a_failing_pair_check_leaves_the_verdict_to_the_scan(self, monkeypatch):
+        arr = pack_lines(5, 3, iters=300, restarts=2, seed=1)
+        rho = 0.9 * arr.min_pairwise_angle
+        certified = ef_doubling(arr, rho)
+        monkeypatch.setattr(constructions, "_pairs_certify", lambda *args: False)
+        scans = record_scans(monkeypatch)
+        assert ef_doubling(arr, rho).points.tobytes() == certified.points.tobytes()
+        assert [s.tobytes() for s in scans] == [certified.points.tobytes()]
+        # A scan that finds an angle past pi - rho refuses the set.
+        monkeypatch.setattr(constructions, "max_angle_triple", lambda points: (3.0, (5, 1, 2)))
+        with pytest.raises(ScaleExhausted, match=r"^line 2: the doubled set has an angle 3 "
+                                                 r"above pi - rho = "):
+            ef_doubling(arr, rho)
+
+    def test_rounding_of_far_copies_is_left_to_the_scan(self, monkeypatch):
+        # At 99% of the separation the 7 lines of R^3 put the last copy near
+        # 5e13, whose rounding bends its unit segments past the slack: the
+        # pair check fails and the scan certifies the set.
+        arr = pack_lines(7, 3)
+        rho = 0.99 * arr.min_pairwise_angle
+        scans = record_scans(monkeypatch)
+        ps = ef_doubling(arr, rho)
+        assert not constructions._pairs_certify(ps.points, arr, rho,
+                                                0.49 * (arr.min_pairwise_angle - rho))
+        assert [s.tobytes() for s in scans] == [ps.points.tobytes()]
+        assert max_angle_triple(ps.points)[0] <= math.pi - rho
+
+    @pytest.mark.parametrize("arr", [PLANAR_TRIPLE, pack_lines(4, 3), pack_lines(5, 4)])
+    def test_a_huge_slack_is_capped_and_certified(self, monkeypatch, arr):
+        rho = 0.8 * arr.min_pairwise_angle
+        capped = ef_doubling(arr, rho, slack=0.49 * (arr.min_pairwise_angle - rho))
+        scans = record_scans(monkeypatch)
+        ps = ef_doubling(arr, rho, slack=3.0)
+        assert scans == []
+        assert ps.points.tobytes() == capped.points.tobytes()
+        assert brute_max_angle(ps.points) <= math.pi - rho
+
+    def test_pair_check_accepts_only_sets_under_the_bound(self):
+        # Doublings, jittered more and more, checked at slacks on both sides
+        # of the bound's room: every set the pair check accepts has its
+        # angles below pi - rho by the scalar triple loop.
+        rng = np.random.default_rng(32)
+        verdicts = []
+        for arr in (PLANAR_TRIPLE, pack_lines(3, 3), pack_lines(4, 3), pack_lines(3, 2)):
+            for fraction in (0.5, 0.9):
+                rho = fraction * arr.min_pairwise_angle
+                gap = arr.min_pairwise_angle - rho
+                P = ef_doubling(arr, rho, slack=0.3).points
+                for jitter in (0.0, 0.01, 0.1, 0.3):
+                    Q = P + rng.normal(scale=jitter, size=P.shape)
+                    for s in (0.05, 0.3, 0.49 * gap, 0.6 * gap, 1.0):
+                        ok = constructions._pairs_certify(Q, arr, rho, s)
+                        verdicts.append(ok)
+                        if ok:
+                            assert brute_max_angle(Q) <= math.pi - rho
+        assert 0 < sum(verdicts) < len(verdicts)
 
     def test_two_perpendicular_lines(self):
         arr = LineArrangement(dim=2, lines=np.array([[1.0, 0.0], [0.0, 1.0]]))
@@ -546,14 +621,17 @@ class TestEfDoubling:
             ef_doubling(PLANAR_TRIPLE, math.pi / 3)
 
     def test_doubling_budget_exhaustion_reported(self, monkeypatch):
-        # The first scale keeps every new segment within the slack of its
-        # line, which already bounds the max angle, so a scan that certifies
-        # nothing stands in for a budget that runs out.
-        from anglebound.errors import ScaleExhausted
-        monkeypatch.setattr(constructions, "max_angle_triple", lambda points: (math.pi, None))
-        with pytest.raises(ScaleExhausted, match=r"^line 1: no translation up to \S+ certified "
-                                                 r"max angle <= 2\.14159$"):
-            ef_doubling(PLANAR_TRIPLE, 1.0, max_scale_doublings=3)
+        # At 99.7% of the icosahedron's separation the rounding of the far
+        # copies bends their lowest segments: the pair check fails, and the
+        # scan finds a level-1 triple past pi - rho. The doubling budget
+        # changes nothing: only the first scale is tried.
+        arr = pack_lines(6, 3)
+        scans = record_scans(monkeypatch)
+        for doublings in (1, 60):
+            with pytest.raises(ScaleExhausted, match=r"^line 1: the doubled set has an angle "
+                                                     r"2\.0431 above pi - rho = 2\.03777$"):
+                ef_doubling(arr, 0.997 * arr.min_pairwise_angle, max_scale_doublings=doublings)
+        assert [len(s) for s in scans] == [64, 64]
 
     @pytest.mark.parametrize("doublings", [0, -3])
     def test_an_empty_doubling_budget_is_refused_by_name(self, doublings):
@@ -567,7 +645,6 @@ class TestEfDoubling:
         # scale about 4e18 or more, where the copy's rounding eats the unit
         # segment on the first line: refused before any scan, not left to
         # the scan's coincident-point error.
-        from anglebound.errors import ScaleExhausted
         with pytest.raises(ScaleExhausted, match="^line 2: "):
             ef_doubling(PLANAR_TRIPLE, PLANAR_TRIPLE.min_pairwise_angle - eps)
 

@@ -121,7 +121,8 @@ def test_subcommand_loads_no_numpy(tmp_path, sub):
 
 
 # Every call above, and the R^3 and R^4 inputs that run the hull paths and the
-# Monte Carlo sweep, and a cover of D >= 5.
+# Monte Carlo sweep, a cover of D >= 5, and packings in R^3 and calibrations
+# in R^3 and R^4 with and without a closed form.
 CASES = {
     **{argv[0]: argv for argv in CALLS},
     "curvature-R3": ["curvature", "--in", "{cube}", "--seed", "5"],
@@ -130,14 +131,18 @@ CASES = {
                        "--seed", "3"],
     "cover-lines-R5": ["cover-lines", "--rho-deg", "90", "--dim", "5", "--probes", "2000",
                        "--seed", "3"],
-    "pack-lines-R3": ["pack-lines", "--m", "4", "--dim", "3", "--iters", "50", "--seed", "1"],
+    "pack-lines-R3": ["pack-lines", "--m", "5", "--dim", "3", "--iters", "50", "--seed", "1"],
+    "pack-lines-R3-simplex": ["pack-lines", "--m", "4", "--dim", "3", "--iters", "50",
+                              "--seed", "1"],
     "n-bounds-R3": ["n-bounds", "--theta-deg", "100", "--dim", "3", "--seed", "2"],
+    "n-bounds-R4": ["n-bounds", "--theta-deg", "100", "--dim", "4", "--seed", "2"],
 }
 # The cases that draw a seeded stream: the Monte Carlo sweep, the packing
-# search (calibrating n-bounds packs too; planar packings are closed forms)
-# and the searches. No cover and not the convex-position screen's directions
-# need numpy.random, and no case loads numpy.ma.
-DRAW_A_STREAM = {"curvature-R4", "pack-lines-R3", "n-bounds-R3", "search-alpha", "search-max"}
+# search (calibrating n-bounds packs 6 lines too) and the searches. Planar
+# packings, the simplex's m = D + 1 lines and the icosahedron's 6 in R^3 are
+# closed forms. No cover and not the convex-position screen's directions need
+# numpy.random, and no case loads numpy.ma.
+DRAW_A_STREAM = {"curvature-R4", "pack-lines-R3", "n-bounds-R4", "search-alpha", "search-max"}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
