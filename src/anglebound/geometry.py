@@ -193,10 +193,16 @@ def _max_angle_scan(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     pos = a*(n-1) + b, the rays toward the a-th and b-th other points; angle
     is arccos of that entry, clamped to [-1, 1]. Ties go to the first vertex
     j of a set, then to the first (a, b) in row-major order of its Gram.
-    The angle is the scan's own: the winning triple's angle as
-    _max_angle_recompute returns it can differ from it, through the last
-    bits of the cosine, by up to about 2^-25 sqrt(D + 2) rad near 0 and pi
-    (search._RANK_TIE_TOL derives the bound).
+    The angle is the scan's own, and can differ from the winning triple's
+    angle as _max_angle_recompute returns it through the last bits of the
+    cosine. With u = 2^-53, each half's cosine is within (2D + 4) u of the
+    exact one to first order: the scan through the norms of its rays (a
+    square root of D squares), the unit entries and their dot, the
+    recompute through a.b and the quotient by the product of the two norms.
+    arccos moves two cosines delta = 4 (D + 2) u apart by at most
+    arccos(1 - delta), about sqrt(2 delta), its worst case at +-1 (angles
+    near 0 and pi). So the two angles differ by at most about
+    2^-25 sqrt(D + 2) rad, 6.7e-8 at D = 3, plus an ulp or two of arccos.
     """
     P, n, D = stack.shape
     m = n - 1
@@ -226,7 +232,10 @@ def _max_angle_scan(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
         flat = gram.reshape(hi - lo, m * m)
         flat[:, :: m + 1] = 1.0
         w = flat.argmin(axis=1, out=pos[lo:hi])
-        np.arccos(np.clip(gram.take(w + offsets), -1.0, 1.0), out=ang[lo:hi])
+        # Each row holds its diagonal's 1.0, so its lowest entry is at most
+        # 1: clamping to [-1, 1] only ever raises it to -1.
+        c = gram.take(w + offsets)
+        np.arccos(np.maximum(c, -1.0, out=c), out=ang[lo:hi])
         # Free this Gram before the next block builds its own, so that
         # large-n scans reuse one buffer while it is still in cache.
         del gram, flat
@@ -236,14 +245,20 @@ def _max_angle_scan(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return ang[rows], rows, pos[rows]
 
 
+def _scan_triple(n: int, row: int, pos: int) -> tuple[int, tuple[int, int, int]]:
+    """(p, (i, j, k)): the set and the triple that _max_angle_scan names by
+    its vertex row and Gram position in a stack of n-point sets."""
+    p, j = divmod(row, n)
+    a, b = divmod(pos, n - 1)
+    # The a-th other point of vertex j skips j itself.
+    return p, (a + (a >= j), j, b + (b >= j))
+
+
 def _max_angle_recompute(stack: np.ndarray, row: int, pos: int) -> tuple[float, tuple[int, int, int]]:
     """Recompute half of max_angle_triples: (angle, (i, j, k)) of the triple
     that _max_angle_scan names by its vertex row and Gram position, the angle
     in angle_at's arithmetic."""
-    p, j = divmod(row, stack.shape[1])
-    a, b = divmod(pos, stack.shape[1] - 1)
-    # The a-th other point of vertex j skips j itself.
-    i, k = a + (a >= j), b + (b >= j)
+    p, (i, j, k) = _scan_triple(stack.shape[1], row, pos)
     return _vertex_angle(stack[p, i], stack[p, j], stack[p, k]), (i, j, k)
 
 

@@ -4,13 +4,12 @@ Two complementary searches: minimize the maximum angle of n points (an
 empirical upper bound on the best achievable), and grow the largest set
 whose maximum angle stays under a cap. Each annealing step draws a few
 proposals per start and puts the one of lowest maximum angle to the
-Metropolis test with its exact angle. All starts of a search advance in
-lockstep, so one stacked ray-Gram scan (geometry._max_angle_scan) scores
-every start's proposals of a step. The proposals are ranked by the scan's
-own angles, and only each start's winner has its exact angle recomputed;
-where another proposal's scan angle lies within a rounding guard of the
-lowest, those proposals are ranked by their exact angles instead, so the
-choice is always the one exact angles would make.
+Metropolis test. All starts of a search advance in lockstep, so one
+stacked ray-Gram scan (geometry._max_angle_scan) scores every start's
+proposals of a step, and the anneal goes by the scan's own angles. Exact
+angles, in angle_at's arithmetic, decide what a search returns: the
+winner among every start's best and the starts themselves, and whether a
+repair is taken.
 Structured configurations (simplex, hypercube, cross-polytope, planar
 regular polygons) are included as extra restarts, so results never fall
 below those baselines. All randomness is seeded and restart streams are
@@ -29,8 +28,8 @@ from .bounds import cardinality_bound, theta_d
 from .errors import OutOfRange, check_int
 from .geometry import (
     PointSet,
-    _max_angle_recompute,
     _max_angle_scan,
+    _scan_triple,
     max_angle_triple,
     max_angle_triples,
     regular_simplex,
@@ -44,32 +43,6 @@ _PROPOSALS = 3
 _COOLING = 0.995
 # Relative margin, a few ulps, on the theorem's bound where it caps the set size.
 _BOUND_ULPS = 8 * 2.0**-52
-# Guard, per sqrt(D + 2), within which two proposals' scan angles count as tied
-# and the proposals are ranked by their recomputed angles. Both halves of a
-# max-angle scan form the same rays a = x_i - x_j and b = x_k - x_j (the same
-# subtraction, so the same bits); let c = a.b / (|a| |b|) and u = 2^-53. To
-# first order in u:
-# - the scan normalizes each ray (its norm, a square root of D squares, off by
-#   at most (D/2 + 1) u relatively, each unit entry by (D/2 + 2) u) and takes
-#   the dot of the two unit rays (D u more), so its cosine is within
-#   (2D + 4) u of c;
-# - the recompute (geometry._vertex_angle) divides a.b, within D u |a| |b|, by
-#   the product of the two norms, within (D + 4) u relatively with the product
-#   and the quotient, so its cosine is within (2D + 4) u of c too.
-# The two cosines differ by at most delta = 4 (D + 2) u. Clamping to [-1, 1]
-# cannot widen that, and arccos moves no two cosines delta apart by more than
-# arccos(1 - delta) = 2 asin(sqrt(delta / 2)), about sqrt(2 delta), its worst
-# case at +-1 (angles near 0 and pi). With each arccos within an ulp of pi, the
-# scan angle and the recomputed one differ by at most
-#     g = sqrt(8 (D + 2) u) + 2^-50 = 2^-25 sqrt(D + 2) + 2^-50,
-# 6.7e-8 rad at D = 3. The guard 2^-23 sqrt(D + 2), four times the first term,
-# is 2g with a factor of about 2 to spare for the second-order terms and a few
-# more ulps of arccos. A proposal whose scan angle
-# exceeds the lowest by more than 2g has a recomputed angle strictly above that
-# of the proposal with the lowest scan angle, so it cannot be the first of the
-# lowest recomputed angles: ranking within the guard picks what ranking every
-# proposal by its recomputed angle picks.
-_RANK_TIE_TOL = 2.0**-23
 
 
 @dataclass(frozen=True)
@@ -130,74 +103,69 @@ def _spreads(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(ms, out=ms)
 
 
-def _rank(stack: np.ndarray, guard: float) -> list[tuple[int, float, tuple[int, int, int]]]:
-    """(w, angle, (i, j, k)) per start of an (R * _PROPOSALS, n, D) stack of
-    proposals, start r's being rows r * _PROPOSALS onward, n >= 3: its
-    proposal w of lowest maximum angle, the first on ties, with that angle
-    and triple as geometry.max_angle_triples would give them.
-
-    One scan (geometry._max_angle_scan) ranks the proposals. Those whose
-    scan angles lie within `guard` of their start's lowest (see
-    _RANK_TIE_TOL), usually the winner alone, have their angles recomputed,
-    and the first of the lowest recomputed angles wins.
-    """
-    ang, rows, pos = _max_angle_scan(stack)
-    ang, rows, pos = ang.tolist(), rows.tolist(), pos.tolist()
-    out = []
-    for lo in range(0, len(ang), _PROPOSALS):
-        cut = min(ang[lo:lo + _PROPOSALS]) + guard
-        scored = [(p - lo, *_max_angle_recompute(stack, rows[p], pos[p]))
-                  for p in range(lo, lo + _PROPOSALS) if ang[p] <= cut]
-        # min keeps the first of equal recomputed angles.
-        out.append(min(scored, key=lambda qet: qet[1]))
-    return out
-
-
 def _anneal(starts: np.ndarray, iters: int, rngs: list[np.random.Generator],
-            temperature: float = 0.3) -> list[tuple[np.ndarray, float]]:
-    """Anneal copies of the R sets of an (R, n, D) stack on max angle, in lockstep.
+            temperature: float = 0.3) -> np.ndarray:
+    """Anneal copies of the R sets of an (R, n, D) stack on max angle, in
+    lockstep; return the (R, n, D) stack of each set's best points.
 
-    Needs n >= 3. Set r draws from rngs[r] alone, in the order a lone anneal
-    would. Each step scans the proposals of every set in one
-    (R * _PROPOSALS, n, D) stack and ranks each set's proposals by the scan
-    angles (_rank): it recomputes about R angles, one per set, where ranking
-    by recomputed angles would take R * _PROPOSALS, and picks the same
-    proposals, since scan angles within _RANK_TIE_TOL * sqrt(D + 2) of a
-    set's lowest send those proposals to a recompute. On the bench's seed-1
-    search cells (rounds 0-3) that is 10 268 recomputed angles instead of
-    29 520, with 409 of 9 840 set-steps on the tie path. The spreads that
-    scale the proposal steps are computed for all sets at once, after each
-    step that accepted a move. Returns (best_points, best_angle) per set.
+    Needs n >= 3. Set r draws from rngs[r] alone, two calls per step: one
+    random for 2 * _PROPOSALS + 1 uniforms and one standard_normal for the
+    (_PROPOSALS, D) moves, scaled by the set's sigma. Proposal p moves
+    vertex t[floor(3 u)] of the set's current maximum-angle triple t when
+    its first uniform is below 0.6, else vertex floor(n u), u being its
+    second; the last uniform is the Metropolis test's, drawn whether or not
+    the test needs it. One _max_angle_scan of the (R * _PROPOSALS, n, D)
+    stack scores every proposal of a step, and each set takes its first
+    proposal of lowest scan angle. The Metropolis test and the best so far
+    go by scan angles too, so no angle is recomputed: a scan angle is
+    within about 2^-25 sqrt(D + 2) rad of the exact one, and callers decide
+    by exact angles (max_angle_triples). The spreads that scale the moves
+    are computed for all sets at once, after each step that accepted a
+    move.
     """
     R, n, D = starts.shape
     cur = np.array(starts, dtype=float)
-    scores = max_angle_triples(cur)
-    cur_e = [e for e, _ in scores]
-    cur_triple = [t for _, t in scores]
-    best = [(cur[r].copy(), cur_e[r]) for r in range(R)]
-    guard = _RANK_TIE_TOL * math.sqrt(D + 2)
+    best = cur.copy()
+    ang, rows, pos = _max_angle_scan(cur)
+    cur_e = ang.tolist()
+    best_e = list(cur_e)
+    cur_triple = [_scan_triple(n, row, w)[1] for row, w in zip(rows.tolist(), pos.tolist())]
+    u = np.empty((R, 2 * _PROPOSALS + 1))
+    z = np.empty((R * _PROPOSALS, D))
+    draws = [(rng, u[r], z[r * _PROPOSALS:(r + 1) * _PROPOSALS]) for r, rng in enumerate(rngs)]
     T = temperature
     spread = _spreads(cur).tolist()
     for _ in range(iters):
-        cands = cur[:, None].repeat(_PROPOSALS, axis=1)
-        for r, rng in enumerate(rngs):
-            sigma = max(spread[r], 1e-3) * max(T, 1e-3)
+        for r, (rng, ur, zr) in enumerate(draws):
+            rng.random(out=ur)
+            rng.standard_normal(out=zr)
+            zr *= max(spread[r], 1e-3) * max(T, 1e-3)
+        uniforms = u.tolist()
+        # Row of the moved vertex of each proposal in the flat stack of proposals.
+        moved_rows = []
+        for r, x in enumerate(uniforms):
             for p in range(_PROPOSALS):
-                if rng.random() < 0.6:
-                    k = cur_triple[r][int(rng.integers(3))]
-                else:
-                    k = int(rng.integers(n))
-                cands[r, p, k] += rng.normal(scale=sigma, size=D)
-        ranked = _rank(cands.reshape(R * _PROPOSALS, n, D), guard)
+                c, v = x[2 * p], x[2 * p + 1]
+                k = cur_triple[r][min(int(3 * v), 2)] if c < 0.6 else min(int(n * v), n - 1)
+                moved_rows.append((r * _PROPOSALS + p) * n + k)
+        cands = cur.repeat(_PROPOSALS, axis=0)
+        np.add.at(cands.reshape(-1, D), moved_rows, z)
+        ang, rows, pos = _max_angle_scan(cands)
+        ang = ang.tolist()
         moved = False
-        for r, rng in enumerate(rngs):
-            w, cand_e, cand_triple = ranked[r]
-            if cand_e <= cur_e[r] or rng.random() < math.exp(-(cand_e - cur_e[r]) / max(T, 1e-9)):
-                cur[r] = cands[r, w]
-                cur_e[r], cur_triple[r] = cand_e, cand_triple
+        for r, x in enumerate(uniforms):
+            lo = r * _PROPOSALS
+            mine = ang[lo:lo + _PROPOSALS]
+            cand_e = min(mine)  # the first of equal angles wins
+            if cand_e <= cur_e[r] or x[-1] < math.exp(-(cand_e - cur_e[r]) / max(T, 1e-9)):
+                q = lo + mine.index(cand_e)
+                cur[r] = cands[q]
+                cur_e[r] = cand_e
+                cur_triple[r] = _scan_triple(n, int(rows[q]), int(pos[q]))[1]
                 moved = True
-                if cand_e < best[r][1]:
-                    best[r] = (cur[r].copy(), cand_e)
+                if cand_e < best_e[r]:
+                    best[r] = cur[r]
+                    best_e[r] = cand_e
         if moved:
             spread = _spreads(cur).tolist()
         T *= _COOLING
@@ -208,13 +176,14 @@ def minimize_max_angle(n: int, D: int, iters: int = 2000, restarts: int = 4,
                        seed: int = 0) -> SearchResult:
     """Empirical upper bound on the minimal achievable max angle of n points in R^D.
 
-    Simulated annealing from structured and random starts; the returned
-    angle is recomputed from the final coordinates. Needs iters >= 1,
-    restarts >= 0 and at least one start in all. Start r (the structured
-    ones first, then `restarts` random ones) draws from rng_stream(seed, r);
-    all starts are annealed in lockstep, and the first best result wins.
-    An anneal never returns worse than its start, so a structured start's
-    own angle is counted.
+    Simulated annealing from structured and random starts. Needs
+    iters >= 1, restarts >= 0 and at least one start in all. Start r (the
+    structured ones first, then `restarts` random ones) draws from
+    rng_stream(seed, r); all starts are annealed in lockstep, by scan
+    angles. One max_angle_triples of every start's best and the starts
+    themselves, in that order, recomputes their exact angles, and the first
+    lowest wins: so no result is worse than a structured start, and the
+    returned angle is the winner's exact one.
     """
     n = check_int(n, "n must be an integer >= 3, got {!r}", 3)
     D = check_int(D, "dimension must be an integer >= 2, got {!r}", 2)
@@ -230,12 +199,13 @@ def minimize_max_angle(n: int, D: int, iters: int = 2000, restarts: int = 4,
                          f"n={n} points in D={D}, got {restarts}")
     rngs = [rng_stream(seed, r) for r in range(restarts + len(starts))]
     starts += [rng.normal(size=(n, D)) for rng in rngs[len(starts):]]
-    results = _anneal(np.array(starts), iters, rngs)
-    # min keeps the first of equal angles: ties go to the earliest start.
-    result = PointSet(min(results, key=lambda res: res[1])[0])
+    stack = np.array(starts)
+    finalists = np.concatenate([_anneal(stack, iters, rngs), stack])
+    # min keeps the first of equal angles: ties go to the earliest start's best.
+    angle, w = min((e, w) for w, (e, _) in enumerate(max_angle_triples(finalists)))
     return SearchResult(
-        points=result,
-        achieved_angle=max_angle_triple(result.points)[0],
+        points=PointSet(finalists[w]),
+        achieved_angle=angle,
         iterations=iters * len(rngs),
         seed=seed,
         restarts=len(rngs),
@@ -265,8 +235,9 @@ def max_cardinality_search(theta: float, D: int, budget: int = 20000,
     """Grow a point set in R^D keeping its max angle at most theta.
 
     Greedy insertion of random candidates with short annealing repairs when
-    an insertion overshoots the cap. The returned set always satisfies
-    max_angle <= theta; its size is a lower-bound demonstration, with no
+    an insertion overshoots the cap; a repair is taken only when its exact
+    max angle (max_angle_triple) is at most theta, whatever the anneal's
+    scan angles said. The returned set always satisfies max_angle <= theta; its size is a lower-bound demonstration, with no
     optimality claim. Where the theorem applies (theta < theta_D) the search
     stops once the set reaches floor(cardinality_bound(theta, D).bound). For
     theta <= pi/2 it also stops at 2^D points: no set in R^D with every angle
@@ -308,9 +279,9 @@ def max_cardinality_search(theta: float, D: int, budget: int = 20000,
             cand = pts.mean(axis=0) + rng.normal(scale=scale, size=D)
             trial = np.vstack([pts, cand])
             steps = min(400, budget - used)
-            [(repaired, e)] = _anneal(trial[None], steps, [rng], temperature=0.1)
+            repaired = _anneal(trial[None], steps, [rng], temperature=0.1)[0]
             used += steps
-            if e <= theta:
+            if max_angle_triple(repaired)[0] <= theta:
                 pts = repaired
     result = PointSet(pts)
     achieved = max_angle_triple(result.points)[0]

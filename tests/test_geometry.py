@@ -9,6 +9,8 @@ from anglebound.errors import DegenerateTriple, OutOfRange
 from anglebound.geometry import (
     _BLOCK_ENTRIES,
     PointSet,
+    _max_angle_recompute,
+    _max_angle_scan,
     _row_blocks,
     angle_at,
     geodesic_diameter,
@@ -233,6 +235,28 @@ class TestStackedKernelAgainstLoop:
     def test_rejects_a_stack_that_is_not_three_dimensional(self):
         with pytest.raises(OutOfRange, match="stack"):
             max_angle_triples(np.zeros((4, 3)))
+
+
+class TestScanAngle:
+    @pytest.mark.parametrize("D", [2, 3, 5, 8, 16])
+    def test_scan_and_recompute_differ_by_under_the_documented_bound(self, D):
+        # Near-straight and near-zero angles, where arccos magnifies the
+        # cosines' rounding most, on scaled and translated sets.
+        rng = np.random.default_rng(45 + D)
+        worst = 0.0
+        for t in range(400):
+            e = rng.normal(size=D)
+            e /= np.linalg.norm(e)
+            a, b = rng.uniform(0.1, 10.0, size=2)
+            side = -a if t % 2 else a  # straight (pi) or folded (0) angle at point 0
+            eps = 10.0 ** rng.uniform(-8, -2)
+            pts = np.array([np.zeros(D), side * e + eps * rng.normal(size=D),
+                            b * e + eps * rng.normal(size=D)])
+            pts = pts * 10.0 ** rng.uniform(-3, 3) + rng.normal(size=D) * 10.0 ** rng.uniform(-3, 3)
+            ang, rows, pos = _max_angle_scan(pts[None])
+            recomputed, _ = _max_angle_recompute(pts[None], int(rows[0]), int(pos[0]))
+            worst = max(worst, abs(float(ang[0]) - recomputed))
+        assert worst <= 2.0**-25 * math.sqrt(D + 2)
 
 
 class TestGeodesicDiameter:

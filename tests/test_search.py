@@ -10,9 +10,7 @@ from anglebound import geometry, search
 from anglebound.errors import OutOfRange
 from anglebound.geometry import max_angle, max_angle_triple
 from anglebound.search import (
-    _RANK_TIE_TOL,
     _anneal,
-    _rank,
     _spreads,
     cross_polytope_vertices,
     hypercube_vertices,
@@ -120,6 +118,35 @@ def count_scans(monkeypatch, record):
     monkeypatch.setattr(search, "_max_angle_scan", counted)
 
 
+class RecordingGenerator:
+    """A Generator that records the name and output shape of every draw."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        draw = getattr(self.rng, name)
+
+        def recorded(*args, out=None, **kwargs):
+            self.calls.append((name, None if out is None else out.shape))
+            return draw(*args, out=out, **kwargs)
+
+        return recorded
+
+
+class PlantedGenerator:
+    """Draws the given uniforms, and normals of 1."""
+
+    def __init__(self, uniforms):
+        self.uniforms = uniforms
+
+    def random(self, out):
+        out[:] = self.uniforms
+
+    def standard_normal(self, out):
+        out[:] = 1.0
+
+
 class TestAnneal:
     def test_each_proposal_is_scanned_once(self, monkeypatch):
         stacks = []
@@ -143,35 +170,42 @@ class TestAnneal:
         count_scans(monkeypatch, lambda stack: stacks.append(stack.shape))
         res = minimize_max_angle(n, D, iters=7, restarts=restarts, seed=1)
         # The starts in one stack, then one stack of every start's proposals
-        # per step, then the winner's recomputed angle.
+        # per step, then each start's best stacked with the starts, for the
+        # exact pick.
         assert res.restarts == starts
-        assert stacks == [(starts, n, D)] + [(3 * starts, n, D)] * 7 + [(1, n, D)]
+        assert stacks == [(starts, n, D)] + [(3 * starts, n, D)] * 7 + [(2 * starts, n, D)]
 
     @pytest.mark.parametrize("R", [1, 3])
-    def test_each_step_recomputes_one_angle_per_start(self, monkeypatch, R):
-        recomputed, stacks = [], []
-        vertex_angle, scan = geometry._vertex_angle, geometry._max_angle_scan
-
-        def counted_angle(x, y, z):
-            recomputed.append((x.tobytes(), y.tobytes(), z.tobytes()))
-            return vertex_angle(x, y, z)
-
-        monkeypatch.setattr(geometry, "_vertex_angle", counted_angle)
-        count_scans(monkeypatch, lambda stack: stacks.append(np.array(stack)))
+    def test_no_angle_is_recomputed_inside_a_step(self, monkeypatch, R):
+        recomputed = []
+        vertex_angle = geometry._vertex_angle
+        monkeypatch.setattr(geometry, "_vertex_angle",
+                            lambda x, y, z: recomputed.append(1) or vertex_angle(x, y, z))
         starts = np.random.default_rng(7).normal(size=(R, 6, 3))
         _anneal(starts, 20, [np.random.default_rng(8 + r) for r in range(R)])
-        # R angles for the starts, then per step each start's proposals whose
-        # scan angles lie within the guard of its lowest: one per start, but
-        # for ties (ranking by recomputed angles took 3R). Every proposal is
-        # still scanned exactly once.
-        assert [s.shape for s in stacks] == [(R, 6, 3)] + [(3 * R, 6, 3)] * 20
-        per_step = [scan(s)[0].reshape(R, 3) for s in stacks[1:]]
-        near = [int(np.sum(a <= a.min(axis=1, keepdims=True) + guard(3))) for a in per_step]
-        assert len(recomputed) == R + sum(near)
-        assert min(near) >= R and sum(near) < 3 * R * 20
-        scans = Counter(p.tobytes() for s in stacks for p in s)
-        assert sum(scans.values()) == R + 3 * R * 20
-        assert max(scans.values()) == 1
+        assert recomputed == []
+
+    @pytest.mark.parametrize("R", [1, 3])
+    def test_one_draw_of_each_kind_per_start_per_step(self, R):
+        rngs = [RecordingGenerator(np.random.default_rng(9 + r)) for r in range(R)]
+        starts = np.random.default_rng(10).normal(size=(R, 7, 3))
+        _anneal(starts, 25, rngs)
+        for rng in rngs:
+            assert rng.calls == [("random", (7,)), ("standard_normal", (3, 3))] * 25
+
+    @pytest.mark.parametrize("choice", [0.0, 0.9], ids=["triple-vertex", "any-vertex"])
+    def test_the_highest_uniform_picks_the_last_index(self, monkeypatch, choice):
+        # 1 - 2^-53 is the highest uniform a Generator draws.
+        top = 1.0 - 2.0**-53
+        stacks = []
+        count_scans(monkeypatch, lambda stack: stacks.append(np.array(stack)))
+        for n in (5, 6, 7, 8, 9, 10):
+            x = np.random.default_rng(n).normal(size=(n, 3))
+            triple = max_angle_triple(x)[1]
+            _anneal(x[None], 1, [PlantedGenerator([choice, top] * 3 + [top])])
+            # The last scan is the step's, of its three proposals.
+            moved = {int(k) for p in stacks[-1] for k in np.flatnonzero((p != x).any(axis=1))}
+            assert moved == {triple[2] if choice < 0.6 else n - 1}
 
     def test_stacked_spreads_match_each_set_alone(self):
         rng = np.random.default_rng(46)
@@ -182,133 +216,6 @@ class TestAnneal:
             alone = [float(np.sqrt(np.mean(np.sum((x - x.mean(axis=0)) ** 2, axis=1))))
                      for x in stack]
             assert _spreads(stack).tolist() == alone
-
-    def test_triple_entry_by_integers_draws_the_stream_of_choice(self):
-        # _anneal picks a vertex of the current triple with t[rng.integers(3)],
-        # the cheaper call drawing what rng.choice(list(t)) drew before.
-        t = (4, 0, 7)
-        a, b = np.random.default_rng(3), np.random.default_rng(3)
-        assert ([int(a.choice(list(t))) for _ in range(10_000)]
-                == [t[int(b.integers(3))] for _ in range(10_000)])
-        assert a.random() == b.random()
-
-
-def ranked_by_recomputed_angles(stack):
-    """Per start of a (3R, n, D) stack, the first proposal of lowest recomputed
-    maximum angle, with that angle and triple: (w, angle, (i, j, k))."""
-    scores = geometry.max_angle_triples(stack)
-    out = []
-    for lo in range(0, len(scores), 3):
-        mine = scores[lo:lo + 3]
-        w = min(range(3), key=lambda p: mine[p][0])
-        out.append((w, *mine[w]))
-    return out
-
-
-def guard(D):
-    return _RANK_TIE_TOL * math.sqrt(D + 2)
-
-
-class TestRanking:
-    """_rank picks, per start, the proposal that ranking by recomputed angles picks."""
-
-    @staticmethod
-    def counting(monkeypatch):
-        calls = []
-        vertex_angle = geometry._vertex_angle
-
-        def counted(x, y, z):
-            calls.append(1)
-            return vertex_angle(x, y, z)
-
-        monkeypatch.setattr(geometry, "_vertex_angle", counted)
-        return calls
-
-    def test_random_stacks(self):
-        rng = np.random.default_rng(41)
-        for _ in range(300):
-            R, n, D = int(rng.integers(1, 6)), int(rng.integers(3, 12)), int(rng.integers(1, 7))
-            stack = rng.normal(size=(3 * R, n, D))
-            assert _rank(stack, guard(D)) == ranked_by_recomputed_angles(stack)
-
-    def test_duplicated_proposals_tie_exactly(self):
-        rng = np.random.default_rng(42)
-        patterns = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 1), (2, 1, 0)]
-        for _ in range(200):
-            R, n, D = int(rng.integers(1, 6)), int(rng.integers(3, 10)), int(rng.integers(2, 5))
-            base = rng.normal(size=(R, 3, n, D))
-            picks = [patterns[int(i)] for i in rng.integers(len(patterns), size=R)]
-            stack = np.array([base[r, list(pick)] for r, pick in enumerate(picks)]).reshape(3 * R, n, D)
-            got = _rank(stack, guard(D))
-            assert got == ranked_by_recomputed_angles(stack)
-            # The first copy of the lowest proposal wins.
-            assert all(pick.index(pick[w]) == w for pick, (w, _, _) in zip(picks, got))
-
-    def test_proposals_that_leave_the_winning_triple_untouched(self):
-        rng = np.random.default_rng(43)
-        tied_starts = 0
-        for _ in range(300):
-            n, D = int(rng.integers(5, 11)), int(rng.integers(2, 5))
-            x = rng.normal(size=(n, D))
-            _, triple = max_angle_triple(x)
-            free = [v for v in range(n) if v not in triple]
-            stack = np.repeat(x[None], 3, axis=0)
-            for p in range(3):
-                v = triple[int(rng.integers(3))] if rng.random() < 0.3 else free[int(rng.integers(len(free)))]
-                stack[p, v] += rng.normal(scale=1e-3, size=D)
-            assert _rank(stack, guard(D)) == ranked_by_recomputed_angles(stack)
-            angles = [e for e, _ in geometry.max_angle_triples(stack)]
-            tied_starts += angles.count(min(angles)) > 1
-        assert tied_starts >= 50
-
-    def test_planted_disagreement_inside_the_guard_falls_back_to_recomputed_angles(
-            self, monkeypatch):
-        rng = np.random.default_rng(44)
-        x = rng.normal(size=(7, 3))
-        _, (i, j, k) = max_angle_triple(x)
-        y = x.copy()
-        y[i] += 1e-9 * (x[i] - x[j])  # the same winning triple, a slightly different angle
-        far = x.copy()
-        far[0] = 0.5 * (x[1] + x[2]) + 1e-3  # a near-straight angle at point 0
-        stack = np.array([x, y, far])
-        (e0, t0), (e1, t1), (e2, _) = geometry.max_angle_triples(stack)
-        if e1 < e0:
-            stack[[0, 1]] = stack[[1, 0]]
-            (e0, t0), (e1, t1) = (e1, t1), (e0, t0)
-        assert e0 < e1 < e0 + guard(3) / 10 and e2 > e1 + 0.1
-        true_scan = search._max_angle_scan
-
-        def planted(st):
-            # Scan angles within the guard of the recomputed ones, in the reverse order.
-            ang, rows, pos = true_scan(st)
-            return np.array([e1, e0, ang[2]]), rows, pos
-
-        monkeypatch.setattr(search, "_max_angle_scan", planted)
-        calls = self.counting(monkeypatch)
-        assert _rank(stack, guard(3)) == [(0, e0, t0)] == ranked_by_recomputed_angles(stack)
-        assert len(calls) == 2 + 3  # both tied proposals, then the oracle's three
-        # Without the guard, the planted scan angles alone would pick proposal 1.
-        assert _rank(stack, 0.0) == [(1, e1, t1)]
-
-    @pytest.mark.parametrize("D", [2, 3, 5, 8, 16])
-    def test_scan_and_recompute_differ_by_under_half_the_guard(self, D):
-        # Near-straight and near-zero angles, where arccos magnifies the
-        # cosines' rounding most, on scaled and translated sets.
-        rng = np.random.default_rng(45 + D)
-        worst = 0.0
-        for t in range(400):
-            e = rng.normal(size=D)
-            e /= np.linalg.norm(e)
-            a, b = rng.uniform(0.1, 10.0, size=2)
-            side = -a if t % 2 else a  # straight (pi) or folded (0) angle at point 0
-            eps = 10.0 ** rng.uniform(-8, -2)
-            pts = np.array([np.zeros(D), side * e + eps * rng.normal(size=D),
-                            b * e + eps * rng.normal(size=D)])
-            pts = pts * 10.0 ** rng.uniform(-3, 3) + rng.normal(size=D) * 10.0 ** rng.uniform(-3, 3)
-            ang, rows, pos = geometry._max_angle_scan(pts[None])
-            recomputed, _ = geometry._max_angle_recompute(pts[None], int(rows[0]), int(pos[0]))
-            worst = max(worst, abs(float(ang[0]) - recomputed))
-        assert worst <= guard(D) / 2
 
 
 class TestMinimizeMaxAngle:
@@ -364,6 +271,17 @@ class TestMinimizeMaxAngle:
     def test_budgets_checked_on_entry(self, n, D, kwargs, message):
         with pytest.raises(OutOfRange, match=f"^{message}$"):
             minimize_max_angle(n, D, seed=1, **kwargs)
+
+    @pytest.mark.parametrize("iters", [1, 5])
+    def test_never_worse_than_a_structured_start(self, iters):
+        # The anneal goes by scan angles; the winner is picked by exact ones,
+        # from each start's best and the starts themselves.
+        for n in range(3, 11):
+            for D in (2, 3, 4):
+                starts = search._structured_starts(n, D)
+                for seed in range(4):
+                    res = minimize_max_angle(n, D, iters=iters, seed=seed)
+                    assert all(res.achieved_angle <= max_angle_triple(x)[0] for x in starts)
 
     def test_structured_starts_alone_need_no_restart(self):
         # The cross-polytope, the hypercube prefix and the square.
@@ -423,6 +341,21 @@ class TestMaxCardinalitySearch:
                 if max_cardinality_search(2.6, 3, budget=budget, seed=seed).iterations > budget]
         assert over == []
 
+    def test_a_repair_is_accepted_by_its_exact_angle(self, monkeypatch):
+        # Scan angles of 0 make the repair anneal accept every move and return
+        # its start, the overshooting union, whatever its exact angle.
+        scan = search._max_angle_scan
+        monkeypatch.setattr(search, "_max_angle_scan",
+                            lambda stack: (lambda a, r, p: (0.0 * a, r, p))(*scan(stack)))
+        repairs = []
+        anneal = search._anneal
+        monkeypatch.setattr(search, "_anneal",
+                            lambda *args, **kwargs: repairs.append(anneal(*args, **kwargs)[0])
+                            or repairs[-1][None])
+        res = max_cardinality_search(2.0, 3, budget=300, seed=14)
+        assert any(max_angle_triple(x)[0] > 2.0 for x in repairs)
+        assert res.achieved_angle <= 2.0
+
     def test_right_angle_cube_grows_as_before(self):
         # The bound at (pi/2, D = 3) is 10.9, but no set with every angle at
         # most pi/2 has more than 2^3 points (Danzer-Gruenbaum), so the cube
@@ -444,23 +377,25 @@ class TestMaxCardinalitySearch:
 
 
 class TestPinnedResults:
-    """SearchResults recorded before the anneal step scored its proposals in
-    one stacked scan. The stacked scan and later speedups must return them
-    bit for bit: points (SHA-256 of the little-endian float64 bytes), angle
-    (float.hex), iterations and restarts."""
+    """SearchResults recorded when the anneal came to draw once per stream
+    and kind per step and to go by the scan's own angles; the cells whose
+    structured start wins kept the bytes of the first, unstacked scans.
+    Later speedups must return them bit for bit: points (SHA-256 of the
+    little-endian float64 bytes), angle (float.hex), iterations and
+    restarts."""
 
     @pytest.mark.parametrize("n, D, iters, restarts, seed, size, angle, iterations, pinned", [
-        (9, 3, 60, 1, 11, 9, "0x1.1dc8f2cdb337ap+1", 60,
-         "f21ebeefd3e3b923d8a3e43741784878904be752b6a68537ae288a5f65d92b53"),
-        (10, 3, 60, 1, 12, 10, "0x1.273a0e7a824aep+1", 60,
-         "c146108b4d3993eb684f4acc5968688f5ff7b26c21de890475813bb08eab9b67"),
-        (5, 3, 200, 2, 13, 5, "0x1.7bb9cb3aa6f85p+0", 800,
-         "6592dd3d2ff98d292b185121987f30de04f0f99bd9a62be53bf7c645b598b851"),
-        (18, 4, 40, 1, 13, 18, "0x1.3ebdcc813fcc5p+1", 40,
-         "b2a87c1fb0eaa4fe5ce4c1c89d8e631ceb166032e078f93d43317abad4c50238"),
+        (9, 3, 60, 1, 11, 9, "0x1.3b380b0c4895ap+1", 60,
+         "6c79d75e947890fd0975beedbb23a256126232e38150709dfdb0f07c1b764cf3"),
+        (10, 3, 60, 1, 12, 10, "0x1.2422fd6612c66p+1", 60,
+         "bac79b1bff77b67897045b0946f47b1030d92958f588c8404db9798c42cfedfd"),
+        (5, 3, 200, 2, 13, 5, "0x1.7d3fd8635f10ap+0", 800,
+         "fea825e6ff190522a414d1144e66c1ee20866dd12a57f26b5e05bec3bb30b3d9"),
+        (18, 4, 40, 1, 13, 18, "0x1.444fb0e171de3p+1", 40,
+         "8c7c902d772a39082cb66ffd369c375f55a90949c9a1a7ba4e73c3be23a3d5d0"),
         # 3 proposals x 30 vertices x 29^2 Gram entries span two kernel blocks.
-        (30, 3, 15, 1, 17, 30, "0x1.825a793007ebep+1", 15,
-         "63d6be092e7b5fc079341351edc3a8728cdf24cd939683a54a5f1ed66668be9b"),
+        (30, 3, 15, 1, 17, 30, "0x1.82b894c6b4310p+1", 15,
+         "1e6372cd30986e168cf8ac10ddff34f55a3c39d181cd328d8fb8dbf231935d95"),
         # Three to five starts in lockstep, the structured ones first. The
         # cross-polytope and the hypercube prefix tie at 90 deg in (4, 3), (6, 3),
         # (8, 4) and (7, 4); the earlier start keeps the tie.
@@ -481,8 +416,8 @@ class TestPinnedResults:
         self.check(res, size, angle, iterations, pinned)
 
     @pytest.mark.parametrize("theta, D, budget, seed, size, angle, pinned", [
-        (2.0, 3, 300, 14, 9, "0x1.f79183fb158e8p+0",
-         "50da7663b5d21e01cb31cd9a09efe471af0882a003972d4f92a4c304cf31f4e4"),
+        (2.0, 3, 300, 14, 8, "0x1.921fb54442d18p+0",
+         "e9f28c6bc6e2644a82da4d74358847b9634525c2eafd7f827046303751bac2c5"),
         (2.2, 2, 300, 16, 6, "0x1.0c152382d7366p+1",
          "6ce56e6617d1d8fa8b98323bf48697d54672032cf6e855e2810aed503a713fe2"),
     ])
