@@ -233,7 +233,7 @@ def _cmd_ef_construct(args):
 
     arr = read_lines(args.lines)
     rho = _angle_from(args, "rho")
-    ps = ef_doubling(arr, rho, slack=args.slack, max_scale_doublings=args.max_doublings)
+    ps = ef_doubling(arr, rho, slack=args.slack)
     return {**_fields(ps), "max_angle": max_angle(ps), "certified_below": math.pi - rho}, 0
 
 
@@ -325,9 +325,7 @@ SUBCOMMANDS = {
              help="accepted and echoed; no longer changes the cover"), *_SEEDED]),
     "ef-construct": ("doubling construction: 2^m points under pi - rho", _cmd_ef_construct, [
         _arg("--lines", required=True, help="line arrangement JSON (from pack-lines)"),
-        *_angle_args("rho", "separation rho"), _arg("--slack", type=float, default=0.05),
-        _arg("--max-doublings", type=int, default=60,
-             help="accepted and checked (at least 1); only the first scale is tried"), *_OUT]),
+        *_angle_args("rho", "separation rho"), _arg("--slack", type=float, default=0.05), *_OUT]),
     "witness": ("obtuse triple witness from a line covering", _cmd_witness, [
         _IN, _arg("--lines", required=True), *_angle_args("rho", "covering diameter rho"),
         *_OUT]),

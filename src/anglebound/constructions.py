@@ -28,12 +28,10 @@ from .errors import (
     ScaleExhausted,
     check_int,
 )
-from .geometry import (PointSet, _check_closed, _facet_planes, _hull_join, _row_blocks,
-                       angle_at, max_angle_triple, regular_simplex)
+from .geometry import (PointSet, _check_closed, _facet_planes, _hull_join, _min_upper_pair,
+                       _row_blocks, angle_at, max_angle_triple, regular_simplex)
 from .sampling import _check_seed, canonical_lines, rng_stream
 
-# A packing restart stops once its gradient norm falls below this.
-_GRAD_STOP = 1e-14
 # The cap on deepest-hole insertions.
 _MAX_ROUNDS = 10_000
 # No insertion starts from more than this many facet entries, facets x D^2,
@@ -123,11 +121,8 @@ class NBoundsReport:
 
 
 def _min_line_angle(U: np.ndarray) -> float:
-    """arccos of the largest |u_i . u_j| over i < j, a block of rows at a
-    time, so the Gram of a large cover never exists whole."""
-    top = max(float(np.triu(np.abs(U[lo:hi] @ U.T), lo + 1).max())
-              for lo, hi in _row_blocks(len(U), len(U)))
-    return float(np.arccos(min(1.0, top)))
+    """arccos of the largest |u_i . u_j| over i < j (geometry._min_upper_pair)."""
+    return float(np.arccos(min(1.0, -_min_upper_pair(U, absolute=True)[0])))
 
 
 def _equiangular(k: int) -> np.ndarray:
@@ -161,12 +156,8 @@ def pack_lines(m: int, D: int, iters: int = 1500, seed: int = 0,
     m = check_int(m, "m must be an integer >= 2, got {!r}", 2)
     D = check_int(D, "dimension must be an integer >= 2, got {!r}", 2)
     _check_seed(seed)
-    iters = check_int(iters, "iters must be an integer, got {!r}")
-    if iters < 1:
-        raise OutOfRange(f"iters must be at least 1, got {iters}")
-    restarts = check_int(restarts, "restarts must be an integer, got {!r}")
-    if restarts < 1:
-        raise OutOfRange(f"restarts must be at least 1, got {restarts}")
+    iters = check_int(iters, "iters must be an integer >= 1, got {!r}", 1)
+    restarts = check_int(restarts, "restarts must be an integer >= 1, got {!r}", 1)
     if m <= D:
         return LineArrangement(dim=D, lines=np.eye(D)[:m])
     if D == 2:
@@ -189,21 +180,20 @@ def _descend(m: int, D: int, iters: int, seed: int, restarts: int) -> np.ndarray
     """pack_lines' search: the lines of the best start or result.
 
     The restarts descend together as one (restarts, m, D) stack, restart r
-    from rng_stream(seed, r), each with the bits of a lone run; one whose
-    gradient norm falls below _GRAD_STOP leaves the stack where it stands.
-    The winner is the first of the most separated lines over each start and
-    its result, restart by restart.
+    from rng_stream(seed, r), each with the bits of a lone run, for all
+    `iters` steps. The winner is the first of the most separated lines over
+    each start and its result, restart by restart. Dividing by the gradient
+    norm is safe for m > D: u_i . g_i = 4 sum_j W_ij C_ij^2, and the most
+    coherent pair has W >= 1/(m (m - 1)) and C^2 >= (m - D)/(D (m - 1))
+    (Welch), so |g| >= 4 (m - D)/(D m (m - 1)^2).
     """
     U = np.array([rng_stream(seed, r).normal(size=(m, D)) for r in range(restarts)])
     U /= np.linalg.norm(U, axis=2)[:, :, None]
     starts = U.copy()
-    finals = np.empty_like(U)
-    live = np.arange(restarts)  # the restarts still descending, one per row of U
     beta = 4.0
     growth = (8192.0 / beta) ** (1.0 / iters)
     for it in range(iters):
-        R = len(live)
-        C = (U @ U.transpose(0, 2, 1)).reshape(R, m * m)  # one row per restart
+        C = (U @ U.transpose(0, 2, 1)).reshape(restarts, m * m)  # one row per restart
         C[:, :: m + 1] = 0.0
         S = C * C
         # The largest off-diagonal entry contributes exp(0) = 1, so no row of
@@ -211,24 +201,17 @@ def _descend(m: int, D: int, iters: int, seed: int, restarts: int) -> np.ndarray
         W = np.exp(beta * (S - S.max(axis=1)[:, None]))
         W[:, :: m + 1] = 0.0
         W /= W.sum(axis=1)[:, None]
-        grad = 4.0 * (W * C).reshape(R, m, m) @ U
-        g = grad.reshape(R, 1, m * D)
+        grad = 4.0 * (W * C).reshape(restarts, m, m) @ U
+        g = grad.reshape(restarts, 1, m * D)
         gn = np.sqrt((g @ g.transpose(0, 2, 1)).ravel())  # np.linalg.norm's dot, per restart
-        if gn.min() < _GRAD_STOP:  # those restarts stop where they stand, before dividing
-            stop = gn < _GRAD_STOP
-            finals[live[stop]] = U[stop]
-            live, U, grad, gn = live[~stop], U[~stop], grad[~stop], gn[~stop]
-            if not live.size:
-                break
         step = 0.2 * (1.0 - it / iters) + 0.001
         U = U - step * grad / gn[:, None, None]
         U /= np.sqrt(np.add.reduce(U * U, axis=2))[:, :, None]  # np.linalg.norm's arithmetic
         beta *= growth
-    finals[live] = U
     best = None
     best_angle = -1.0
     for r in range(restarts):
-        for lines in (starts[r], finals[r]):  # the start, then its result
+        for lines in (starts[r], U[r]):  # the start, then its result
             ang = _min_line_angle(lines)
             if ang > best_angle:
                 best, best_angle = lines, ang
@@ -268,9 +251,7 @@ def cover_lines(rho: float, D: int, seed: int = 0, probes: int = 100_000) -> Lin
     if not 0.0 < rho < math.pi:
         raise OutOfRange(f"rho must lie in (0, pi), got {rho}")
     D = check_int(D, "dimension must be an integer >= 2, got {!r}", 2)
-    probes = check_int(probes, "probes must be an integer, got {!r}")
-    if probes < 1:
-        raise OutOfRange(f"probes must be at least 1, got {probes}")
+    check_int(probes, "probes must be an integer >= 1, got {!r}", 1)
     _check_seed(seed)
     cos_half = math.cos(0.5 * rho)
     if D == 2:
@@ -343,8 +324,7 @@ def _check_hull(V: np.ndarray, F: np.ndarray, cos_half: float):
     _check_closed(V, F, N, H, _COVER_TOL, "hull re-check", CoverageFailed)
 
 
-def ef_doubling(L: LineArrangement, rho: float, slack: float = 0.05,
-                max_scale_doublings: int = 60) -> PointSet:
+def ef_doubling(L: LineArrangement, rho: float, slack: float = 0.05) -> PointSet:
     """Translate-and-double along each line: 2^m points with max angle <= pi - rho.
 
     Starts from the two points 0 and l_0. Line k appends a copy of the current
@@ -372,16 +352,11 @@ def ef_doubling(L: LineArrangement, rho: float, slack: float = 0.05,
     ScaleExhausted naming the line that made its widest triple, the angle
     and pi - rho.
 
-    A scale t above 1e15 is refused (ScaleExhausted) before it is used. Only
-    the first scale is tried: max_scale_doublings is kept for callers and
-    validated as before (it must be at least 1), but no longer changes the
-    result.
+    A scale t above 1e15 is refused (ScaleExhausted) before it is used; no
+    other scale is tried.
     """
     if not slack > 0.0:
         raise OutOfRange(f"slack must be positive, got {slack}")
-    doublings = check_int(max_scale_doublings, "max_scale_doublings must be an integer, got {!r}")
-    if doublings < 1:
-        raise OutOfRange(f"max_scale_doublings must be at least 1, got {doublings}")
     if not 0.0 < rho < math.pi:
         raise OutOfRange(f"rho must lie in (0, pi), got {rho}")
     if rho >= L.min_pairwise_angle:

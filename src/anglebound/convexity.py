@@ -80,7 +80,7 @@ def min_pairwise_dot(W) -> float:
         raise OutOfRange("need at least two vectors")
     if not np.isfinite(vecs).all():
         raise OutOfRange("vectors have non-finite coordinates")
-    return _min_upper_pair(vecs @ vecs.T)[0]
+    return _min_upper_pair(vecs)[0]
 
 
 def _others_max(dist: np.ndarray) -> np.ndarray:
@@ -400,6 +400,6 @@ def obtuse_witness(p, simplex) -> ObtuseWitness:
     p = _point_of(p, V)
     _check_interior(p, V)
     rays = rays_from(p, PointSet(V))
-    _, a, b = _min_upper_pair(rays @ rays.T)
+    _, a, b = _min_upper_pair(rays)
     ang = angle_at(V[a], p, V[b])
     return ObtuseWitness(vi=V[a].copy(), v=p.copy(), vj=V[b].copy(), angle=ang)

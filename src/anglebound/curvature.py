@@ -10,10 +10,11 @@ angles there of the triangles of its hull, which grows by the same
 beneath-beyond step as the line covers (`geometry._hull_join`).
 `gauss_bonnet_sum` returns those there, checks that they sum to 1, and
 says so in its `method`. In other dimensions, and in
-`normal_cone_fraction_mc` everywhere, the fractions are estimated by seeded
-Monte Carlo, one cache-sized block of directions at a time
-(`_paired_products`), so memory does not grow with the sample count; the
-convex-position precondition reuses the verdict stored on the PointSet.
+`normal_cone_fraction_mc` everywhere, one seeded Monte Carlo count gives
+each direction to its first maximizing vertex (`_shared_sample_counts`), a
+cache-sized block of directions at a time (`_paired_products`), so memory
+does not grow with the sample count; the convex-position precondition
+reuses the verdict stored on the PointSet.
 Each block's product is formed vertex-major, one contiguous row per vertex
 and one column per direction, and reduced along its columns: a few
 elementwise passes over long rows instead of one short reduction per
@@ -185,12 +186,11 @@ def _first_extreme_counts(PT: np.ndarray, extreme, arg) -> np.ndarray:
 def normal_cone_fraction_mc(V: PointSet, i: int, samples: int, seed: int) -> tuple[float, float]:
     """Monte Carlo normal-cone fraction of vertex i, with binomial std error.
 
-    Draws `samples` uniform directions u on the unit sphere, in antithetic
-    pairs, and counts those satisfying u . (v_j - v_i) <= 0 for every j, one
-    direction block at a time: -u satisfies it when every u . (v_j - v_i) >= 0.
-    A direction counts when its column maximum of the vertex-major product
-    is <= 0 (for -u, its column minimum >= 0), which is np.all on its row of
-    the row-major product.
+    The share of `samples` uniform directions u, in antithetic pairs, whose
+    first maximizing vertex is i: vertex i's entry of `_shared_sample_counts`,
+    the split `gauss_bonnet_sum` makes in D >= 4. A direction with
+    u . v_j = u . v_i for some j < i counts for j only, so the fractions of
+    the n vertices partition the sample.
     """
     seed = _check_seed(seed)
     samples = _check_samples(samples)
@@ -200,12 +200,7 @@ def normal_cone_fraction_mc(V: PointSet, i: int, samples: int, seed: int) -> tup
     if not 0 <= i < len(V):
         raise OutOfRange(f"vertex index {i} out of range")
     _require_convex_position(V)
-    diffs = np.delete(V.points, i, axis=0) - V.points[i]
-    count = 0
-    for PT, paired in _paired_products(diffs, samples, seed):  # a row per other vertex
-        count += int(np.count_nonzero(PT.max(axis=0) <= 0.0))
-        count += int(np.count_nonzero(PT[:, :paired].min(axis=0) >= 0.0))
-    frac = count / samples
+    frac = int(_shared_sample_counts(V.points, samples, seed)[i]) / samples
     se = math.sqrt(max(frac * (1.0 - frac), 0.0) / samples)
     return frac, se
 
@@ -270,10 +265,11 @@ def _defect_fractions(pts: np.ndarray) -> np.ndarray:
 
 
 def _shared_sample_counts(pts: np.ndarray, samples: int, seed: int) -> np.ndarray:
-    """Per vertex, the shared-sample directions u maximizing u . v_i.
+    """Per vertex, the shared-sample directions u maximizing u . v_i, for
+    gauss_bonnet_sum and normal_cone_fraction_mc.
 
-    Ties go to the lowest index. The directions come in antithetic pairs: -u
-    goes to the argmin row of the same product, which breaks ties to the
+    Ties go to the lowest index, so the counts partition the sample. The
+    directions come in antithetic pairs: -u goes to the argmin row of the same product, which breaks ties to the
     lowest index as the argmax of its negation would. The directions are
     counted one block at a time, from the vertex-major product: each vertex
     counts the columns whose maximum (or, for -u, minimum) it attains, and a

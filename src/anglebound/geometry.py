@@ -309,11 +309,23 @@ def max_angle(A: PointSet) -> float:
     return max_angle_triple(A.points)[0]
 
 
-def _min_upper_pair(gram: np.ndarray) -> tuple[float, int, int]:
-    """(value, i, j) of the minimum of gram[i, j] over i < j, first in row-major order."""
-    iu, ju = np.triu_indices(gram.shape[0], k=1)
-    k = int(np.argmin(gram[iu, ju]))
-    return float(gram[iu[k], ju[k]]), int(iu[k]), int(ju[k])
+def _min_upper_pair(U: np.ndarray, absolute: bool = False) -> tuple[float, int, int]:
+    """(value, i, j) of the minimum over i < j of u_i . u_j, or of -|u_i . u_j|
+    when `absolute` is set, first in row-major order on ties; m >= 2 rows.
+    One _row_blocks(m, m) block of rows of U U^T at a time, entries j <= i
+    set to +inf, so memory does not grow with m^2; a later block wins only
+    when strictly smaller."""
+    m = len(U)
+    best = (math.inf, -1, -1)
+    for lo, hi in _row_blocks(m, m):
+        G = U[lo:hi] @ U.T
+        if absolute:
+            np.negative(np.abs(G, out=G), out=G)
+        G[np.arange(lo, hi)[:, None] >= np.arange(m)] = np.inf
+        a, b = divmod(int(np.argmin(G)), m)
+        if G[a, b] < best[0]:
+            best = (float(G[a, b]), lo + a, b)
+    return best
 
 
 def geodesic_diameter(H) -> float:
@@ -324,7 +336,7 @@ def geodesic_diameter(H) -> float:
         raise OutOfRange("need at least one unit vector")
     if m == 1:
         return 0.0
-    c = _min_upper_pair(vecs @ vecs.T)[0]
+    c = _min_upper_pair(vecs)[0]
     return float(np.arccos(min(1.0, max(-1.0, c))))
 
 

@@ -187,12 +187,8 @@ def minimize_max_angle(n: int, D: int, iters: int = 2000, restarts: int = 4,
     """
     n = check_int(n, "n must be an integer >= 3, got {!r}", 3)
     D = check_int(D, "dimension must be an integer >= 2, got {!r}", 2)
-    iters = check_int(iters, "iters must be an integer, got {!r}")
-    if iters < 1:
-        raise OutOfRange(f"iters must be at least 1, got {iters}")
-    restarts = check_int(restarts, "restarts must be an integer, got {!r}")
-    if restarts < 0:
-        raise OutOfRange(f"restarts must be non-negative, got {restarts}")
+    iters = check_int(iters, "iters must be an integer >= 1, got {!r}", 1)
+    restarts = check_int(restarts, "restarts must be an integer >= 0, got {!r}", 0)
     starts = _structured_starts(n, D)
     if restarts + len(starts) < 1:
         raise OutOfRange(f"restarts must be at least 1: no structured start has "
@@ -248,9 +244,7 @@ def max_cardinality_search(theta: float, D: int, budget: int = 20000,
     if not 0.0 < theta < math.pi:
         raise OutOfRange(f"theta must lie in (0, pi), got {theta}")
     D = check_int(D, "dimension must be an integer >= 2, got {!r}", 2)
-    budget = check_int(budget, "budget must be an integer, got {!r}")
-    if budget < 0:
-        raise OutOfRange(f"budget must be non-negative, got {budget}")
+    budget = check_int(budget, "budget must be an integer >= 0, got {!r}", 0)
     pts = _largest_structured_under(theta, D)
     # The theorem allows no set larger than its bound; the margin keeps a bound
     # that rounds just below an integer from stopping the search one point short.

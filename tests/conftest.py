@@ -111,14 +111,6 @@ def whole_gauss_bonnet_counts(points, samples: int, seed: int) -> np.ndarray:
     return np.bincount(np.argmax(S @ V.T, axis=1), minlength=len(V))
 
 
-def whole_normal_cone_count(points, i: int, samples: int, seed: int) -> int:
-    """normal_cone_fraction_mc's count for vertex i from one product over all samples."""
-    V = np.asarray(points, dtype=float)
-    diffs = np.delete(V, i, axis=0) - V[i]
-    S = paired_samples(V.shape[1], samples, seed)
-    return int(np.sum(np.all(S @ diffs.T <= 0.0, axis=1)))
-
-
 def canonical_line(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """canonical_lines for one vector, by a scan of its coordinates: the
     first of magnitude above tol is made positive."""
@@ -150,10 +142,11 @@ def whole_cover_lines(rho: float, D: int) -> np.ndarray:
 
 
 def loop_pack_lines(m: int, D: int, iters: int, seed: int, restarts: int,
-                    grad_stop: float = 1e-14) -> np.ndarray:
-    """pack_lines's search as one restart after another: each runs alone from
-    rng_stream(seed, r) until its gradient norm falls below grad_stop, and the
-    first of the most separated starts and results, in restart order, wins."""
+                    grad_stop: float = 0.0) -> np.ndarray:
+    """pack_lines's search as one restart after another: each takes its
+    `iters` steps alone from rng_stream(seed, r), or stops early once its
+    gradient norm falls below grad_stop, and the first of the most separated
+    starts and results, in restart order, wins."""
     best, best_angle = None, -1.0
 
     def consider(U):

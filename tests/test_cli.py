@@ -398,11 +398,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv,message", [
         (["search-alpha", "--n", "5", "--dim", "2", "--iters", "-3", "--restarts", "1"],
-         "iters must be at least 1, got -3"),
+         "iters must be an integer >= 1, got -3"),
         (["search-alpha", "--n", "5", "--dim", "3", "--iters", "10", "--restarts", "-2"],
-         "restarts must be non-negative, got -2"),
+         "restarts must be an integer >= 0, got -2"),
         (["search-max", "--theta-deg", "90", "--dim", "2", "--budget", "-5"],
-         "budget must be non-negative, got -5"),
+         "budget must be an integer >= 0, got -5"),
     ], ids=["iters", "restarts", "budget"])
     def test_negative_search_budget_is_refused_by_name(self, argv, message, capsys):
         assert dispatch(argv) == 2
@@ -411,8 +411,10 @@ class TestExitCodes:
         assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("argv,message", [
-        (["pack-lines", "--m", "5", "--dim", "3", "--iters", "-3"], "iters must be at least 1, got -3"),
-        (["pack-lines", "--m", "3", "--dim", "2", "--iters", "0"], "iters must be at least 1, got 0"),
+        (["pack-lines", "--m", "5", "--dim", "3", "--iters", "-3"],
+         "iters must be an integer >= 1, got -3"),
+        (["pack-lines", "--m", "3", "--dim", "2", "--iters", "0"],
+         "iters must be an integer >= 1, got 0"),
     ], ids=["search", "closed-form"])
     def test_pack_lines_budget_is_refused_by_name(self, argv, message, capsys):
         assert dispatch(argv) == 2
@@ -420,20 +422,11 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
-    def test_empty_doubling_budget_is_refused_by_name(self, tmp_path, capsys):
-        path = tmp_path / "lines.json"
-        path.write_text('{"lines": [[1, 0], [0, 1]]}')
-        assert dispatch(["ef-construct", "--lines", str(path), "--rho", "1.4",
-                         "--max-doublings", "0"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: max_scale_doublings must be at least 1, got 0\n"
-
     def test_empty_probe_set_is_refused_by_name(self, capsys):
         assert dispatch(["cover-lines", "--rho", "1.5", "--dim", "3", "--probes", "0"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: probes must be at least 1, got 0\n"
+        assert captured.err == "error: probes must be an integer >= 1, got 0\n"
 
     @pytest.mark.parametrize("flags,message", [
         (["--theta-step", "0"], "--theta-step must be positive, got 0.0"),

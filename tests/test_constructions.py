@@ -180,25 +180,30 @@ class TestPackLines:
         assert digest(arr.lines) == pinned
 
     @pytest.mark.parametrize("grad_stop", [10.0, 0.9, 0.5, 0.36, 1e-14])
-    def test_each_restart_stops_on_its_own(self, monkeypatch, grad_stop):
-        # Gradient norms start between 0.83 and 1.57 and fall to about 0.36, so
-        # the raised bars stop the four restarts at different steps, 10 all of
-        # them before their first; 1e-14 stops none. A stopped restart keeps
-        # the lines where it stood and takes no further step.
-        monkeypatch.setattr(constructions, "_GRAD_STOP", grad_stop)
-        arr = pack_lines(5, 3, iters=200, seed=3, restarts=4)
-        expected = LineArrangement(dim=3, lines=loop_pack_lines(5, 3, 200, 3, 4, grad_stop))
+    def test_each_restart_stops_on_its_own(self, grad_stop):
+        # pack_lines has no gradient stop: each restart stops on its own after
+        # its `iters` steps. For m > D the gradient norm never falls below
+        # 4 (m - D) / (D m (m - 1)^2) (Welch), so a reference that stops a
+        # restart under that floor runs every step and must match bit for bit.
+        # Gradient norms fall to about 0.36, so the raised bars stop restarts
+        # early and change the result; 1e-14 lies under the floor and stops none.
+        m, D = 5, 3
+        floor = 4.0 * (m - D) / (D * m * (m - 1) ** 2)
+        arr = pack_lines(m, D, iters=200, seed=3, restarts=4)
+        expected = LineArrangement(dim=D, lines=loop_pack_lines(m, D, 200, 3, 4, floor))
         np.testing.assert_array_equal(arr.lines, expected.lines)
         assert arr.min_pairwise_angle == expected.min_pairwise_angle
+        barred = LineArrangement(dim=D, lines=loop_pack_lines(m, D, 200, 3, 4, grad_stop))
+        assert np.array_equal(arr.lines, barred.lines) == (grad_stop < floor)
 
     @pytest.mark.parametrize("m, D, iters, restarts, message", [
-        (5, 3, 1500, 0, "restarts must be at least 1, got 0"),
-        (5, 3, 0, 8, "iters must be at least 1, got 0"),
-        (3, 3, 1500, -1, "restarts must be at least 1, got -1"),  # the coordinate frame
-        (4, 2, -3, 8, "iters must be at least 1, got -3"),  # the equiangular lines
-        (4, 3, 1500, 0, "restarts must be at least 1, got 0"),  # the simplex
-        (6, 3, 0, 8, "iters must be at least 1, got 0"),  # the icosahedron
-        (7, 3, 1500, -2, "restarts must be at least 1, got -2"),  # axes and cube diagonals
+        (5, 3, 1500, 0, "restarts must be an integer >= 1, got 0"),
+        (5, 3, 0, 8, "iters must be an integer >= 1, got 0"),
+        (3, 3, 1500, -1, "restarts must be an integer >= 1, got -1"),  # the coordinate frame
+        (4, 2, -3, 8, "iters must be an integer >= 1, got -3"),  # the equiangular lines
+        (4, 3, 1500, 0, "restarts must be an integer >= 1, got 0"),  # the simplex
+        (6, 3, 0, 8, "iters must be an integer >= 1, got 0"),  # the icosahedron
+        (7, 3, 1500, -2, "restarts must be an integer >= 1, got -2"),  # axes and cube diagonals
     ])
     def test_budgets_are_checked_before_the_closed_forms(self, m, D, iters, restarts, message):
         with pytest.raises(OutOfRange) as err:
@@ -229,7 +234,7 @@ class TestCoverLines:
 
     @pytest.mark.parametrize("probes", [0, -3])
     def test_empty_probe_set_is_refused_by_name(self, probes):
-        with pytest.raises(OutOfRange, match=f"^probes must be at least 1, got {probes}$"):
+        with pytest.raises(OutOfRange, match=f"^probes must be an integer >= 1, got {probes}$"):
             cover_lines(1.0, 3, probes=probes)
 
     def test_rho_out_of_range(self):
@@ -346,7 +351,7 @@ class TestCoversBuildNoProbes:
     @pytest.mark.parametrize("seed, probes, message", [
         (-1, 100, "seed must be a non-negative integer, got -1"),
         (math.nan, 100, "seed must be a non-negative integer, got nan"),
-        (1, 0, "probes must be at least 1, got 0"),
+        (1, 0, "probes must be an integer >= 1, got 0"),
     ], ids=["negative-seed", "nan-seed", "no-probes"])
     def test_bad_arguments_are_still_refused(self, no_draws, D, seed, probes, message):
         with pytest.raises(OutOfRange, match=f"^{message}$"):
@@ -623,21 +628,13 @@ class TestEfDoubling:
     def test_doubling_budget_exhaustion_reported(self, monkeypatch):
         # At 99.7% of the icosahedron's separation the rounding of the far
         # copies bends their lowest segments: the pair check fails, and the
-        # scan finds a level-1 triple past pi - rho. The doubling budget
-        # changes nothing: only the first scale is tried.
+        # scan finds a level-1 triple past pi - rho.
         arr = pack_lines(6, 3)
         scans = record_scans(monkeypatch)
-        for doublings in (1, 60):
-            with pytest.raises(ScaleExhausted, match=r"^line 1: the doubled set has an angle "
-                                                     r"2\.0431 above pi - rho = 2\.03777$"):
-                ef_doubling(arr, 0.997 * arr.min_pairwise_angle, max_scale_doublings=doublings)
-        assert [len(s) for s in scans] == [64, 64]
-
-    @pytest.mark.parametrize("doublings", [0, -3])
-    def test_an_empty_doubling_budget_is_refused_by_name(self, doublings):
-        with pytest.raises(OutOfRange,
-                           match=f"^max_scale_doublings must be at least 1, got {doublings}$"):
-            ef_doubling(PLANAR_TRIPLE, 1.0, max_scale_doublings=doublings)
+        with pytest.raises(ScaleExhausted, match=r"^line 1: the doubled set has an angle "
+                                                 r"2\.0431 above pi - rho = 2\.03777$"):
+            ef_doubling(arr, 0.997 * arr.min_pairwise_angle)
+        assert [len(s) for s in scans] == [64]
 
     @pytest.mark.parametrize("eps", [1e-9, 1e-12, 1e-14])
     def test_scale_that_swallows_the_unit_offsets_is_refused_by_name(self, eps):
@@ -865,26 +862,27 @@ def test_nan_arguments_refused_by_name(call, message):
                  id="minimize_max_angle-n"),
     pytest.param(lambda: minimize_max_angle(4, 2.5), r"dimension must be an integer >= 2, got 2\.5",
                  id="minimize_max_angle-D"),
-    pytest.param(lambda: minimize_max_angle(4, 2, iters=2.5), r"iters must be an integer, got 2\.5",
+    pytest.param(lambda: minimize_max_angle(4, 2, iters=2.5),
+                 r"iters must be an integer >= 1, got 2\.5",
                  id="minimize_max_angle-iters"),
     pytest.param(lambda: max_cardinality_search(2.0, 2.5),
                  r"dimension must be an integer >= 2, got 2\.5", id="max_cardinality_search-D"),
     pytest.param(lambda: max_cardinality_search(2.0, 2, budget=2.5),
-                 r"budget must be an integer, got 2\.5", id="max_cardinality_search-budget"),
+                 r"budget must be an integer >= 0, got 2\.5", id="max_cardinality_search-budget"),
     pytest.param(lambda: pack_lines(5.5, 3), r"m must be an integer >= 2, got 5\.5",
                  id="pack_lines-m"),
     pytest.param(lambda: pack_lines(5, 3.5), r"dimension must be an integer >= 2, got 3\.5",
                  id="pack_lines-D"),
-    pytest.param(lambda: pack_lines(5, 3, iters=2.5), r"iters must be an integer, got 2\.5",
+    pytest.param(lambda: pack_lines(5, 3, iters=2.5), r"iters must be an integer >= 1, got 2\.5",
                  id="pack_lines-iters"),
-    pytest.param(lambda: pack_lines(5, 3, restarts=2.5), r"restarts must be an integer, got 2\.5",
+    pytest.param(lambda: pack_lines(5, 3, restarts=2.5),
+                 r"restarts must be an integer >= 1, got 2\.5",
                  id="pack_lines-restarts"),
     pytest.param(lambda: cover_lines(1.0, 2.5), r"dimension must be an integer >= 2, got 2\.5",
                  id="cover_lines-D"),
-    pytest.param(lambda: cover_lines(1.0, 3, probes=10.5), r"probes must be an integer, got 10\.5",
+    pytest.param(lambda: cover_lines(1.0, 3, probes=10.5),
+                 r"probes must be an integer >= 1, got 10\.5",
                  id="cover_lines-probes"),
-    pytest.param(lambda: ef_doubling(PLANAR_TRIPLE, 0.5, max_scale_doublings=2.5),
-                 r"max_scale_doublings must be an integer, got 2\.5", id="ef_doubling"),
 ])
 def test_fractional_and_nan_sizes_refused_by_name(call, message):
     # int() would raise a raw ValueError on nan and a TypeError deeper in on

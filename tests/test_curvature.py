@@ -36,7 +36,6 @@ from conftest import (
     row_major_rd_directions,
     sample_cap_points,
     whole_gauss_bonnet_counts,
-    whole_normal_cone_count,
     whole_raw_rows,
     wolfe_nearest_point,
 )
@@ -277,7 +276,7 @@ class TestBlockedSweeps:
         ps = _sphere_set(n + dim, n, dim)
         for i in (0, n - 1):
             f, _ = normal_cone_fraction_mc(ps, i, samples, seed=i + 1)
-            assert f == whole_normal_cone_count(ps.points, i, samples, seed=i + 1) / samples
+            assert f == whole_gauss_bonnet_counts(ps.points, samples, seed=i + 1)[i] / samples
 
     @pytest.fixture(scope="class")
     def big_set(self):
@@ -302,8 +301,8 @@ class TestBlockedSweeps:
 class TestExactTies:
     """Integer directions against the square and the cube meet vertices in
     exact ties and give exact zero products. The vertex-major sweeps must
-    count them as first-index argmax/argmin and np.all(P <= 0) on the
-    row-major product U @ V.T do."""
+    count them as first-index argmax/argmin on the row-major product U @ V.T
+    do, and normal_cone_fraction_mc must read its vertex's count from them."""
 
     @staticmethod
     def blocks(dim: int) -> list:
@@ -333,13 +332,7 @@ class TestExactTies:
             counts = np.rint(est.fractions * samples).astype(int)
         np.testing.assert_array_equal(counts, expected)
         for i in range(len(V)):
-            diffs = np.delete(V, i, axis=0) - V[i]
-            count = 0
-            for U, paired in blocks:
-                P = U @ diffs.T
-                count += int(np.sum(np.all(P <= 0.0, axis=1)))
-                count += int(np.sum(np.all(P[:paired] >= 0.0, axis=1)))
-            assert normal_cone_fraction_mc(ps, i, samples, seed=1)[0] == count / samples
+            assert normal_cone_fraction_mc(ps, i, samples, seed=1)[0] == expected[i] / samples
 
 
 class TestNormalConeFraction:
@@ -355,6 +348,14 @@ class TestNormalConeFraction:
         tri = PointSet([[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]])
         f, se = normal_cone_fraction_mc(tri, 0, 200_000, seed=7)
         assert abs(f - 1.0 / 3.0) <= 4 * se
+
+    def test_vertex_counts_partition_the_sample(self):
+        ps, samples = _sphere_set(4, 12, 4), 20_001
+        fractions = np.array([normal_cone_fraction_mc(ps, i, samples, seed=3)[0]
+                              for i in range(len(ps))])
+        counts = np.rint(fractions * samples).astype(int)
+        np.testing.assert_array_equal(counts / samples, fractions)
+        assert counts.sum() == samples
 
     def test_requires_convex_position(self):
         bad = PointSet([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]])

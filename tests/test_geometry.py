@@ -5,12 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
+from anglebound.convexity import min_pairwise_dot
 from anglebound.errors import DegenerateTriple, OutOfRange
 from anglebound.geometry import (
     _BLOCK_ENTRIES,
     PointSet,
     _max_angle_recompute,
     _max_angle_scan,
+    _min_upper_pair,
     _row_blocks,
     angle_at,
     geodesic_diameter,
@@ -278,6 +280,54 @@ class TestGeodesicDiameter:
             for i in range(6) for j in range(i + 1, 6)
         )
         assert geodesic_diameter(vecs) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("call", [geodesic_diameter, min_pairwise_dot],
+                             ids=["geodesic_diameter", "min_pairwise_dot"])
+    def test_memory_does_not_grow_with_the_gram(self, call):
+        # The whole Gram of 4000 vectors would take 128 MB.
+        vecs = np.random.default_rng(3).normal(size=(4000, 3))
+        vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+        tracemalloc.start()
+        try:
+            call(vecs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+
+class TestMinUpperPair:
+    """The blocked pair kernel against the minimum over the whole Gram's upper
+    triangle, first in row-major order."""
+
+    @staticmethod
+    def whole(U: np.ndarray, absolute: bool) -> tuple[float, int, int]:
+        G = U @ U.T
+        if absolute:
+            G = -np.abs(G)
+        iu, ju = np.triu_indices(len(U), k=1)
+        k = int(np.argmin(G[iu, ju]))
+        return float(G[iu[k], ju[k]]), int(iu[k]), int(ju[k])
+
+    @pytest.mark.parametrize("absolute", [False, True])
+    @pytest.mark.parametrize("m, D", [(2, 2), (3, 2), (17, 3), (59, 8), (300, 3), (1000, 4)])
+    def test_matches_the_whole_gram(self, m, D, absolute):
+        rng = np.random.default_rng(m * D)
+        for U in (rng.normal(size=(m, D)),
+                  rng.integers(-2, 3, size=(m, D)).astype(float),  # exact ties everywhere
+                  np.round(rng.normal(size=(m, D)), 1)):
+            assert _min_upper_pair(U, absolute) == self.whole(U, absolute)
+
+    def test_ties_across_blocks_go_to_the_first_pair(self):
+        rng = np.random.default_rng(5)
+        U = rng.normal(size=(1000, 3))
+        U /= np.linalg.norm(U, axis=1)[:, None]
+        U[[300, 650]] = U[650]
+        U[[700, 800, 950]] = -U[650]
+        assert any(300 < lo <= 650 for lo, _ in _row_blocks(1000, 1000))  # a tie across blocks
+        assert _min_upper_pair(U) == self.whole(U, False)
+        assert _min_upper_pair(U)[1:] == (300, 700)
+        assert _min_upper_pair(U, absolute=True)[1:] == (300, 650)
 
 
 class TestRaysFrom:

@@ -262,9 +262,9 @@ class TestMinimizeMaxAngle:
             minimize_max_angle(2, 2)
 
     @pytest.mark.parametrize("n, D, kwargs, message", [
-        (5, 2, {"iters": 0}, "iters must be at least 1, got 0"),
-        (5, 2, {"iters": -3}, "iters must be at least 1, got -3"),
-        (5, 3, {"restarts": -2}, "restarts must be non-negative, got -2"),
+        (5, 2, {"iters": 0}, "iters must be an integer >= 1, got 0"),
+        (5, 2, {"iters": -3}, "iters must be an integer >= 1, got -3"),
+        (5, 3, {"restarts": -2}, "restarts must be an integer >= 0, got -2"),
         (10, 3, {"restarts": 0},
          "restarts must be at least 1: no structured start has n=10 points in D=3, got 0"),
     ])
@@ -318,7 +318,7 @@ class TestMaxCardinalitySearch:
             max_cardinality_search(math.pi, 2)
 
     def test_budget_checked_on_entry(self):
-        with pytest.raises(OutOfRange, match="^budget must be non-negative, got -5$"):
+        with pytest.raises(OutOfRange, match="^budget must be an integer >= 0, got -5$"):
             max_cardinality_search(math.pi / 2, 2, budget=-5)
         res = max_cardinality_search(math.pi / 2, 2, budget=0)
         assert res.iterations == 0 and len(res.points) == 4
