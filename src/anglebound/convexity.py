@@ -25,6 +25,7 @@ order, and verdicts and witnesses are those of one solve per point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -342,6 +343,16 @@ def is_convex_position(A: PointSet) -> ConvexPositionVerdict:
     return A._convex_verdict
 
 
+@functools.lru_cache(maxsize=64)
+def _screen_directions(dim: int, count: int) -> np.ndarray:
+    """Rows 1..count of the R_d directions in R^dim (row 0 is the zero
+    vector), built once per (dim, count) and read-only, so every screen of
+    that size shares one array."""
+    U = rd_directions(dim, count + 1)[1:]
+    U.setflags(write=False)
+    return U
+
+
 def _screen(pts: np.ndarray) -> np.ndarray:
     """Mask of the points a fixed direction proves vertices.
 
@@ -359,7 +370,7 @@ def _screen(pts: np.ndarray) -> np.ndarray:
     C = pts - pts.mean(axis=0)
     norms = np.sqrt(np.einsum("ij,ij->i", C, C))
     margin = 2.0 * FEAS_TOL * (norms + np.max(norms))
-    U = rd_directions(D, max(256, 8 * n) + 1)[1:]  # row 0 is the zero vector
+    U = _screen_directions(D, max(256, 8 * n))
     certified = np.zeros(n, dtype=bool)
     for lo, hi in _row_blocks(len(U), n):
         Y = U[lo:hi] @ C.T

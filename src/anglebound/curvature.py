@@ -174,10 +174,12 @@ def _first_extreme_counts(PT: np.ndarray, extreme, arg) -> np.ndarray:
     """Per row of PT, the number of columns whose extreme (np.max or np.min)
     is first attained in that row: np.bincount(arg(PT, axis=0)).
 
-    Each row's matches are counted along its length; only a block with an
-    exact tie, where the matches outnumber the columns, pays for `arg`.
+    Each row's matches are counted along its length, as the set bits of the
+    row packed eight to a byte; only a block with an exact tie, where the
+    matches outnumber the columns, pays for `arg`.
     """
-    counts = np.count_nonzero(PT == extreme(PT, axis=0), axis=1)
+    counts = np.add.reduce(np.bitwise_count(np.packbits(PT == extreme(PT, axis=0), axis=1)),
+                           axis=1, dtype=np.intp)
     if counts.sum() > PT.shape[1]:
         counts = np.bincount(arg(PT, axis=0), minlength=PT.shape[0])
     return counts

@@ -77,9 +77,13 @@ class HypothesisViolated(PreconditionError):
 def check_int(value, message: str, least=None) -> int:
     """int(value) for a whole number (an integral float counts) of at least
     `least`, if given; anything else, nan, inf, 2.5 or a string, raises
-    OutOfRange(message.format(value)) where int() would truncate or fail."""
+    OutOfRange(message.format(value)) where int() would truncate or fail. A
+    numpy scalar is formatted as the Python number it holds, so
+    np.int64(0) reads 0, not np.int64(0)."""
     whole = isinstance(value, numbers.Integral) or (
         isinstance(value, numbers.Real) and float(value).is_integer())
     if not whole or least is not None and value < least:
+        if isinstance(value, numbers.Number) and hasattr(value, "item"):
+            value = value.item()  # a numpy scalar: the Python number it holds
         raise OutOfRange(message.format(value))
     return int(value)

@@ -153,46 +153,79 @@ def _vertex_angle(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> float:
     return float(np.arccos(min(1.0, max(-1.0, c))))
 
 
-@lru_cache(maxsize=32)
 def _others(P: int, n: int) -> np.ndarray:
     """(P*n, n-1) array for a stack of P sets of n points, rows numbered p*n + j:
     row p*n + j lists the rows of the other points of set p, ascending."""
     cols = np.arange(n - 1)
     others = cols + (cols >= np.arange(n)[:, None])
-    others = (others + n * np.arange(P)[:, None, None]).reshape(P * n, n - 1)
-    others.setflags(write=False)
-    return others
+    return (others + n * np.arange(P)[:, None, None]).reshape(P * n, n - 1)
 
 
 @lru_cache(maxsize=32)
 def _scan_index(P: int, n: int):
     """The index arrays of a max-angle scan of a (P, n, D) stack, built once
-    per shape like _others: the kernel blocks (lo, hi, offsets), offsets[b]
-    being where Gram row lo+b starts in its block's flat buffer, and the row
-    p*n of the first vertex of every set."""
+    per shape: the kernel blocks (lo, hi, cols, offsets), cols being
+    _others(P, n)[lo:hi] transposed to (n - 1, hi - lo) and offsets[b]
+    where Gram row lo+b starts in its block's flat buffer, and the row p*n
+    of the first vertex of every set."""
     m2 = (n - 1) ** 2
-    blocks = tuple((lo, hi, np.arange(hi - lo) * m2) for lo, hi in _row_blocks(P * n, m2))
+    others = _others(P, n)
+    blocks = tuple((lo, hi, np.ascontiguousarray(others[lo:hi].T), np.arange(hi - lo) * m2)
+                   for lo, hi in _row_blocks(P * n, m2))
     return blocks, n * np.arange(P)
 
 
-def _max_angle_scan(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scan half of max_angle_triples: (angle, row, pos), one entry per set
-    of a finite float (P, n, D) stack with n >= 3.
+def _coordinate_sum(sq: np.ndarray) -> np.ndarray:
+    """np.add.reduce(x, axis=-1) of the row-major x whose coordinate-major
+    copy is sq, (D, ...), bit for bit: numpy's pairwise order for a
+    contiguous axis. Below 8 terms that is one running sum, in order; up to
+    128, eight running sums over the blocks of 8, paired as
+    ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)), then the rest in order; above
+    that, the halves split at a multiple of 8 and added."""
+    D = len(sq)
+    if D < 8:
+        return np.add.reduce(sq, axis=0)
+    if D > 128:
+        h = D // 2 - D // 2 % 8
+        return _coordinate_sum(sq[:h]) + _coordinate_sum(sq[h:])
+    r = sq[:8].copy()
+    full = D - D % 8
+    for i in range(8, full, 8):
+        r += sq[i:i + 8]
+    total = (r[0] + r[1]) + (r[2] + r[3])
+    total += (r[4] + r[5]) + (r[6] + r[7])
+    for k in range(full, D):
+        total += sq[k]
+    return total
+
+
+def _max_angle_scan(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Scan half of max_angle_triples: (angle, row, pos, sumsq), one entry
+    per set of a finite float (P, n, D) stack with n >= 3.
 
     The one ray-Gram kernel behind every max-angle scan. Row p*n + j is
     vertex j of set p, and its Gram is that of the unit rays toward the other
     points of its set, _others(P, n)[p*n + j]. The rows go in _scan_index's
     blocks of at most _BLOCK_ENTRIES Gram entries, or one vertex's Gram where
     that alone is larger, so working memory does not grow with the number of
-    blocks, and a block may span several sets. Each vertex's Gram equals, bit
-    for bit, the one a per-vertex scan of its set alone would build. Raises
-    DegenerateTriple when two points of a set lie within DISTINCTNESS_TOL of
-    each other, before any division by their distance.
+    blocks, and a block may span several sets. The rays are built
+    coordinate-major, (D, n - 1, rows), so that their differences, norms and
+    quotients run along the block's rows, not along D; the norms sum the
+    coordinates in numpy's order for a row-major ray (_coordinate_sum), and
+    the Gram multiplies the same contiguous (rows, n - 1, D) and
+    (rows, D, n - 1) operands as a row-major build would. So each vertex's
+    Gram equals, bit for bit, the one a per-vertex scan of its set alone
+    would build. Raises DegenerateTriple
+    when two points of a set lie within DISTINCTNESS_TOL of each other,
+    before any division by their distance.
 
     Set p's winning vertex is row = p*n + j and its winning Gram entry is
     pos = a*(n-1) + b, the rays toward the a-th and b-th other points; angle
     is arccos of that entry, clamped to [-1, 1]. Ties go to the first vertex
     j of a set, then to the first (a, b) in row-major order of its Gram.
+    sumsq is the sum over ordered pairs i != j of the set of |x_i - x_j|^2,
+    the squared ray lengths the norms are built from: sqrt(sumsq / (2 n^2))
+    is the root-mean-square distance of the set's points from its centroid.
     The angle is the scan's own, and can differ from the winning triple's
     angle as _max_angle_recompute returns it through the last bits of the
     cosine. With u = 2^-53, each half's cosine is within (2D + 4) u of the
@@ -206,29 +239,31 @@ def _max_angle_scan(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """
     P, n, D = stack.shape
     m = n - 1
-    pts = stack.reshape(P * n, D)
-    others = _others(P, n)
+    pts = np.ascontiguousarray(stack.reshape(P * n, D).T)
     blocks, firsts = _scan_index(P, n)
     ang = np.empty(P * n)
     pos = np.empty(P * n, dtype=np.intp)
-    for lo, hi, offsets in blocks:
-        rays = pts.take(others[lo:hi], axis=0)
-        rays -= pts[lo:hi, None]
-        norms = np.add.reduce(rays * rays, axis=2)
+    sumsq = np.empty(P * n)
+    for lo, hi, cols, offsets in blocks:
+        rays = pts.take(cols, axis=1)
+        rays -= pts[:, None, lo:hi]
+        norms = _coordinate_sum(rays * rays)
+        np.add.reduce(norms, axis=0, out=sumsq[lo:hi])
         np.sqrt(norms, out=norms)  # np.linalg.norm's arithmetic
         if np.minimum.reduce(norms, axis=None) <= DISTINCTNESS_TOL:
-            b, a = map(int, np.argwhere(norms <= DISTINCTNESS_TOL)[0])
+            b, a = map(int, np.argwhere(norms.T <= DISTINCTNESS_TOL)[0])
             p, j = divmod(lo + b, n)
-            i = int(others[lo + b, a]) - p * n
+            i = int(cols[a, b]) - p * n
             where = f"set {p}: " if P > 1 else ""
             raise DegenerateTriple(
                 f"{where}points {j} and {i} are closer than "
                 f"{DISTINCTNESS_TOL}: no angle at vertex {j}"
             )
-        rays /= norms[:, :, None]
-        # A contiguous transpose makes numpy multiply with gemm; the transposed
-        # view would send it to syrk, which is slower at these sizes.
-        gram = rays @ np.ascontiguousarray(rays.transpose(0, 2, 1))
+        rays /= norms
+        # Contiguous operands make numpy multiply with gemm; a transposed view
+        # would send it to syrk, which is slower at these sizes.
+        gram = np.ascontiguousarray(rays.transpose(2, 1, 0)) @ np.ascontiguousarray(
+            rays.transpose(2, 0, 1))
         flat = gram.reshape(hi - lo, m * m)
         flat[:, :: m + 1] = 1.0
         w = flat.argmin(axis=1, out=pos[lo:hi])
@@ -236,13 +271,13 @@ def _max_angle_scan(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
         # 1: clamping to [-1, 1] only ever raises it to -1.
         c = gram.take(w + offsets)
         np.arccos(np.maximum(c, -1.0, out=c), out=ang[lo:hi])
-        # Free this Gram before the next block builds its own, so that
-        # large-n scans reuse one buffer while it is still in cache.
-        del gram, flat
+        # Free this block's arrays before the next block builds its own, so
+        # that large-n scans reuse their buffers while they are in cache.
+        del rays, norms, gram, flat
     # argmax keeps the first vertex of each set among equal angles: the
     # later vertex wins only when strictly greater.
     rows = ang.reshape(P, n).argmax(axis=1) + firsts
-    return ang[rows], rows, pos[rows]
+    return ang[rows], rows, pos[rows], np.add.reduce(sumsq.reshape(P, n), axis=1)
 
 
 def _scan_triple(n: int, row: int, pos: int) -> tuple[int, tuple[int, int, int]]:
@@ -285,7 +320,7 @@ def max_angle_triples(stack) -> list[tuple[float, tuple[int, int, int]]]:
         return [(0.0, (-1, -1, -1))] * P
     if not np.isfinite(stack).all():
         raise OutOfRange("point set has non-finite coordinates")
-    _, rows, pos = _max_angle_scan(stack)
+    _, rows, pos, _ = _max_angle_scan(stack)
     return [_max_angle_recompute(stack, r, w) for r, w in zip(rows.tolist(), pos.tolist())]
 
 
@@ -329,8 +364,20 @@ def _min_upper_pair(U: np.ndarray, absolute: bool = False) -> tuple[float, int, 
 
 
 def geodesic_diameter(H) -> float:
-    """Max pairwise angular distance arccos(u . v) over unit vectors H; 0 for a singleton."""
-    vecs = np.asarray([as_unit(h) for h in np.asarray(H, dtype=float)])
+    """Max pairwise angular distance arccos(u . v) over unit vectors H; 0 for a singleton.
+
+    Each row is checked as as_unit checks it, the first bad row named. One
+    vectorized pass clears every row whose norm lies within half of
+    UNIT_NORM_TOL of 1, which as_unit would pass; only the other rows, none
+    in valid input, go through as_unit, in order, for its message.
+    """
+    vecs = np.asarray(H, dtype=float)
+    if vecs.ndim == 2:
+        norms = np.sqrt(np.einsum("ij,ij->i", vecs, vecs))
+        for h in vecs[~(np.abs(norms - 1.0) <= 0.5 * UNIT_NORM_TOL)]:
+            as_unit(h)
+    else:  # no rows, or rows that are not vectors, which as_unit names
+        vecs = np.asarray([as_unit(h) for h in vecs])
     m = vecs.shape[0]
     if m < 1:
         raise OutOfRange("need at least one unit vector")

@@ -39,6 +39,9 @@ from .sampling import rng_stream
 # Proposals per anneal step, scored together by one stacked maximum-angle scan.
 # Two searched worse on the bench's grid; four better but about 28% slower.
 _PROPOSALS = 3
+# Steps per draw: each stream draws the uniforms and normals of this many
+# steps at once, and memory holds one chunk whatever iters is.
+_CHUNK = 64
 # Per-step factor of the annealing temperature.
 _COOLING = 0.995
 # Relative margin, a few ulps, on the theorem's bound where it caps the set size.
@@ -108,67 +111,79 @@ def _anneal(starts: np.ndarray, iters: int, rngs: list[np.random.Generator],
     """Anneal copies of the R sets of an (R, n, D) stack on max angle, in
     lockstep; return the (R, n, D) stack of each set's best points.
 
-    Needs n >= 3. Set r draws from rngs[r] alone, two calls per step: one
-    random for 2 * _PROPOSALS + 1 uniforms and one standard_normal for the
-    (_PROPOSALS, D) moves, scaled by the set's sigma. Proposal p moves
-    vertex t[floor(3 u)] of the set's current maximum-angle triple t when
-    its first uniform is below 0.6, else vertex floor(n u), u being its
+    Needs n >= 3. Set r draws from rngs[r] alone, two calls per chunk of
+    _CHUNK steps (fewer in the last): one random for the chunk's
+    2 * _PROPOSALS + 1 uniforms per step and one standard_normal for its
+    (_PROPOSALS, D) moves per step, so memory does not grow with iters. Each
+    step scales every set's moves by its sigma in one multiply. Proposal p
+    moves vertex t[floor(3 u)] of the set's current maximum-angle triple t
+    when its first uniform is below 0.6, else vertex floor(n u), u being its
     second; the last uniform is the Metropolis test's, drawn whether or not
     the test needs it. One _max_angle_scan of the (R * _PROPOSALS, n, D)
     stack scores every proposal of a step, and each set takes its first
     proposal of lowest scan angle. The Metropolis test and the best so far
     go by scan angles too, so no angle is recomputed: a scan angle is
     within about 2^-25 sqrt(D + 2) rad of the exact one, and callers decide
-    by exact angles (max_angle_triples). The spreads that scale the moves
-    are computed for all sets at once, after each step that accepted a
-    move.
+    by exact angles (max_angle_triples). A set's spread, which scales its
+    moves, comes from the scan of the proposal it took: the root-mean-square
+    distance from the centroid, sqrt(sumsq / (2 n^2)).
     """
     R, n, D = starts.shape
     cur = np.array(starts, dtype=float)
     best = cur.copy()
-    ang, rows, pos = _max_angle_scan(cur)
+    ang, rows, pos, sumsq = _max_angle_scan(cur)
     cur_e = ang.tolist()
     best_e = list(cur_e)
     cur_triple = [_scan_triple(n, row, w)[1] for row, w in zip(rows.tolist(), pos.tolist())]
-    u = np.empty((R, 2 * _PROPOSALS + 1))
-    z = np.empty((R * _PROPOSALS, D))
-    draws = [(rng, u[r], z[r * _PROPOSALS:(r + 1) * _PROPOSALS]) for r, rng in enumerate(rngs)]
+    # Each set's max(spread, 1e-3), shaped to scale its (_PROPOSALS, D) moves.
+    sigma = np.maximum(np.sqrt(sumsq / (2 * n * n)), 1e-3).reshape(R, 1, 1)
+    u = np.empty((R, _CHUNK, 2 * _PROPOSALS + 1))
+    z = np.empty((R, _CHUNK, _PROPOSALS, D))
+    moves = np.empty((R * _PROPOSALS, D))
+    cands = np.empty((R * _PROPOSALS, n, D))
+    # Per set, the row of vertex 0 of each of its proposals in the flat stack.
+    firsts = [[(r * _PROPOSALS + p) * n for p in range(_PROPOSALS)] for r in range(R)]
     T = temperature
-    spread = _spreads(cur).tolist()
-    for _ in range(iters):
-        for r, (rng, ur, zr) in enumerate(draws):
-            rng.random(out=ur)
-            rng.standard_normal(out=zr)
-            zr *= max(spread[r], 1e-3) * max(T, 1e-3)
-        uniforms = u.tolist()
-        # Row of the moved vertex of each proposal in the flat stack of proposals.
-        moved_rows = []
-        for r, x in enumerate(uniforms):
-            for p in range(_PROPOSALS):
-                c, v = x[2 * p], x[2 * p + 1]
-                k = cur_triple[r][min(int(3 * v), 2)] if c < 0.6 else min(int(n * v), n - 1)
-                moved_rows.append((r * _PROPOSALS + p) * n + k)
-        cands = cur.repeat(_PROPOSALS, axis=0)
-        np.add.at(cands.reshape(-1, D), moved_rows, z)
-        ang, rows, pos = _max_angle_scan(cands)
-        ang = ang.tolist()
-        moved = False
-        for r, x in enumerate(uniforms):
-            lo = r * _PROPOSALS
-            mine = ang[lo:lo + _PROPOSALS]
-            cand_e = min(mine)  # the first of equal angles wins
-            if cand_e <= cur_e[r] or x[-1] < math.exp(-(cand_e - cur_e[r]) / max(T, 1e-9)):
-                q = lo + mine.index(cand_e)
-                cur[r] = cands[q]
-                cur_e[r] = cand_e
-                cur_triple[r] = _scan_triple(n, int(rows[q]), int(pos[q]))[1]
-                moved = True
-                if cand_e < best_e[r]:
-                    best[r] = cur[r]
-                    best_e[r] = cand_e
-        if moved:
-            spread = _spreads(cur).tolist()
-        T *= _COOLING
+    for done in range(0, iters, _CHUNK):
+        steps = min(_CHUNK, iters - done)
+        for r, rng in enumerate(rngs):
+            rng.random(out=u[r, :steps])
+            rng.standard_normal(out=z[r, :steps])
+        temps = []
+        for _ in range(steps):
+            temps.append(T)
+            T *= _COOLING
+        z[:, :steps] *= np.maximum(temps, 1e-3)[:, None, None]
+        # Per proposal, the vertex it moves: k >= 0 itself, k < 0 corner
+        # -1 - k of the set's current triple.
+        v = u[:, :steps, 1:-1:2]
+        picks = np.where(u[:, :steps, :-1:2] < 0.6, -1 - np.minimum((3 * v).astype(np.intp), 2),
+                         np.minimum((n * v).astype(np.intp), n - 1)).tolist()
+        metropolis = u[:, :steps, -1].tolist()
+        for step, T_step in enumerate(temps):
+            np.multiply(z[:, step], sigma, out=moves.reshape(R, _PROPOSALS, D))
+            moved_rows = []
+            for r, triple in enumerate(cur_triple):
+                moved_rows += [f + (k if k >= 0 else triple[-1 - k])
+                               for f, k in zip(firsts[r], picks[r][step])]
+            cands.reshape(R, _PROPOSALS, n, D)[...] = cur[:, None]
+            np.add.at(cands.reshape(-1, D), moved_rows, moves)
+            ang, rows, pos, sumsq = _max_angle_scan(cands)
+            ang = ang.tolist()
+            for r in range(R):
+                lo = r * _PROPOSALS
+                mine = ang[lo:lo + _PROPOSALS]
+                cand_e = min(mine)  # the first of equal angles wins
+                if (cand_e <= cur_e[r] or metropolis[r][step]
+                        < math.exp(-(cand_e - cur_e[r]) / max(T_step, 1e-9))):
+                    q = lo + mine.index(cand_e)
+                    cur[r] = cands[q]
+                    cur_e[r] = cand_e
+                    cur_triple[r] = _scan_triple(n, int(rows[q]), int(pos[q]))[1]
+                    sigma[r] = max(math.sqrt(float(sumsq[q]) / (2 * n * n)), 1e-3)
+                    if cand_e < best_e[r]:
+                        best[r] = cur[r]
+                        best_e[r] = cand_e
     return best
 
 

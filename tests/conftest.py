@@ -4,8 +4,9 @@ Oracles here deliberately avoid the library's vectorized code paths: hull
 membership is decided by exhaustive subset enumeration with least-squares
 barycentric solves, enclosing caps by scipy's NNLS, angular defects in R^3
 from scipy's (qhull's) convex hull, and maximum angles by a scalar triple
-loop or by the one-vertex-at-a-time scan the blocked ray-Gram kernel
-replaced. The Monte Carlo sweeps are checked against whole-matrix sweeps
+loop, by the one-vertex-at-a-time scan the blocked ray-Gram kernel
+replaced, or by that kernel's row-major build, which the coordinate-major
+one replaced. The Monte Carlo sweeps are checked against whole-matrix sweeps
 over the paired sample stream written out in full, each raw row (a
 row-major R_d direction under its block's `random_rotation`) followed by its
 negation. Convex position is also decided by one nearest-point solve per
@@ -82,6 +83,29 @@ def loop_max_angle_triple(points):
             best_triple = (int(others[a]), j, int(others[b]))
     i, j, k = best_triple
     return angle_at(pts[i], pts[j], pts[k]), best_triple
+
+
+def row_major_max_angle_scan(stack):
+    """geometry._max_angle_scan's (angle, row, pos) as the row-major kernel
+    built it: the rays of every vertex as one (P*n, n-1, D) array, their
+    norms summed along the trailing axis of length D, and the Gram of the
+    unit rays times its contiguous transpose; the diagonal set to 1, each
+    row's first minimum, and per set the first vertex of largest angle."""
+    stack = np.asarray(stack, dtype=float)
+    P, n, D = stack.shape
+    m = n - 1
+    cols = np.arange(m)
+    others = ((cols + (cols >= np.arange(n)[:, None])) + n * np.arange(P)[:, None, None])
+    pts = stack.reshape(P * n, D)
+    rays = pts[others.reshape(P * n, m)] - pts[:, None]
+    norms = np.sqrt(np.add.reduce(rays * rays, axis=2))
+    rays /= norms[:, :, None]
+    flat = (rays @ np.ascontiguousarray(rays.transpose(0, 2, 1))).reshape(P * n, m * m)
+    flat[:, :: m + 1] = 1.0
+    pos = flat.argmin(axis=1)
+    ang = np.arccos(np.maximum(flat[np.arange(P * n), pos], -1.0))
+    rows = ang.reshape(P, n).argmax(axis=1) + n * np.arange(P)
+    return ang[rows], rows, pos[rows]
 
 
 def whole_raw_rows(dim: int, n: int, seed: int) -> np.ndarray:

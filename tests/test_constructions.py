@@ -210,6 +210,22 @@ class TestPackLines:
             pack_lines(m, D, iters=iters, restarts=restarts)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8, np.float64],
+                             ids=["int64", "int32", "uint8", "float64"])
+    def test_numpy_budgets_are_named_as_plain_numbers(self, kind):
+        # A numpy scalar reads as the number it holds, not as its repr.
+        with pytest.raises(OutOfRange) as err:
+            pack_lines(5, 3, iters=kind(0))
+        shown = "0.0" if kind is np.float64 else "0"
+        assert str(err.value) == f"iters must be an integer >= 1, got {shown}"
+        with pytest.raises(OutOfRange) as err:
+            pack_lines(5, 3, restarts=np.float64(2.5))
+        assert str(err.value) == "restarts must be an integer >= 1, got 2.5"
+        with pytest.raises(OutOfRange) as err:
+            pack_lines(kind(1), 3)
+        shown = "1.0" if kind is np.float64 else "1"
+        assert str(err.value) == f"m must be an integer >= 2, got {shown}"
+
 
 class TestCoverLines:
     def test_barely_obtuse_planar_cover_needs_two(self):

@@ -383,6 +383,25 @@ class TestDirectionScreen:
         assert solves == ["hull membership of point 4"]
 
 
+    def test_directions_are_built_once_per_size_and_read_only(self, monkeypatch):
+        built = []
+        rd = convexity.rd_directions
+        monkeypatch.setattr(convexity, "rd_directions",
+                            lambda dim, n: built.append((dim, n)) or rd(dim, n))
+        convexity._screen_directions.cache_clear()
+        try:
+            rng = np.random.default_rng(34)
+            verdicts = [convexity._screen(rng.normal(size=(n, D)))
+                        for _ in range(3) for D in (2, 5) for n in (8, 40)]
+            assert sorted(built) == [(2, 257), (2, 321), (5, 257), (5, 321)]
+            assert all(v.dtype == bool for v in verdicts)
+            U = convexity._screen_directions(5, 320)
+            assert not U.flags.writeable
+            assert U.tobytes() == rd_directions(5, 321)[1:].tobytes()
+        finally:
+            convexity._screen_directions.cache_clear()
+
+
 class TestSolverAnswersAreRechecked:
     SQUARE_PLUS = PointSet([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]])
 

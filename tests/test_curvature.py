@@ -278,6 +278,22 @@ class TestBlockedSweeps:
             f, _ = normal_cone_fraction_mc(ps, i, samples, seed=i + 1)
             assert f == whole_gauss_bonnet_counts(ps.points, samples, seed=i + 1)[i] / samples
 
+    @pytest.mark.parametrize("extreme, arg", [(np.max, np.argmax), (np.min, np.argmin)],
+                             ids=["max", "min"])
+    def test_packed_bit_counts_equal_counting_the_matches(self, extreme, arg):
+        rng = np.random.default_rng(53)
+        for _ in range(200):
+            n, cols = int(rng.integers(1, 50)), int(rng.integers(1, 700))
+            PT = rng.normal(size=(n, cols))
+            if rng.random() < 0.3:  # exact ties between rows
+                PT = np.round(PT)
+            want = np.bincount(arg(PT, axis=0), minlength=n)
+            got = curvature._first_extreme_counts(PT, extreme, arg)
+            assert got.tolist() == want.tolist()
+            if int(np.count_nonzero(PT == extreme(PT, axis=0))) == cols:  # no tie
+                assert got.tolist() == np.count_nonzero(PT == extreme(PT, axis=0),
+                                                        axis=1).tolist()
+
     @pytest.fixture(scope="class")
     def big_set(self):
         ps = _sphere_set(300, 300, 3)

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -10,6 +11,7 @@ from anglebound.errors import DegenerateTriple, OutOfRange
 from anglebound.geometry import (
     _BLOCK_ENTRIES,
     PointSet,
+    _coordinate_sum,
     _max_angle_recompute,
     _max_angle_scan,
     _min_upper_pair,
@@ -22,7 +24,13 @@ from anglebound.geometry import (
     rays_from,
 )
 from anglebound.search import _structured_starts
-from conftest import brute_max_angle, loop_max_angle_triple, random_rotation, unit_simplex
+from conftest import (
+    brute_max_angle,
+    loop_max_angle_triple,
+    random_rotation,
+    row_major_max_angle_scan,
+    unit_simplex,
+)
 
 
 class TestAngleAt:
@@ -239,6 +247,79 @@ class TestStackedKernelAgainstLoop:
             max_angle_triples(np.zeros((4, 3)))
 
 
+class TestCoordinateMajorScan:
+    """The coordinate-major kernel returns the row-major kernel's bits."""
+
+    @staticmethod
+    def random_stack(rng, P, n, D):
+        return (rng.normal(size=(P, n, D)) * 10.0 ** rng.uniform(-3, 3, size=(P, 1, 1))
+                + rng.normal(size=(P, 1, D)) * 10.0 ** rng.uniform(-3, 3))
+
+    def test_matches_the_row_major_scan_bit_for_bit(self):
+        rng = np.random.default_rng(47)
+        for _ in range(400):
+            P, n, D = int(rng.integers(1, 16)), int(rng.integers(3, 14)), int(rng.integers(2, 8))
+            stack = self.random_stack(rng, P, n, D)
+            got = _max_angle_scan(stack)[:3]
+            want = row_major_max_angle_scan(stack)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (P, n, D)
+
+    def test_matches_the_row_major_scan_on_lattice_ties(self):
+        rng = np.random.default_rng(48)
+        for _ in range(100):
+            P, n, D = int(rng.integers(1, 6)), int(rng.integers(3, 10)), int(rng.integers(2, 5))
+            stack = []
+            while len(stack) < P:
+                pts = rng.integers(-2, 3, size=(n, D)).astype(float)
+                if len(np.unique(pts, axis=0)) == n:
+                    stack.append(pts)
+            stack = np.array(stack)
+            got = _max_angle_scan(stack)[:3]
+            want = row_major_max_angle_scan(stack)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @pytest.mark.parametrize("D", [8, 9, 10])
+    def test_high_dimensions_give_the_row_major_answers(self, D):
+        # From D = 8 numpy sums a contiguous row with eight running sums,
+        # which _coordinate_sum follows.
+        rng = np.random.default_rng(49 + D)
+        for _ in range(60):
+            P, n = int(rng.integers(1, 8)), int(rng.integers(3, 12))
+            stack = self.random_stack(rng, P, n, D)
+            _, rows, pos = row_major_max_angle_scan(stack)
+            want = [_max_angle_recompute(stack, r, w)
+                    for r, w in zip(rows.tolist(), pos.tolist())]
+            assert max_angle_triples(stack) == want
+            got = _max_angle_scan(stack)[:3]
+            assert [a.tobytes() for a in got] == [
+                a.tobytes() for a in row_major_max_angle_scan(stack)]
+
+    def test_a_stack_spanning_several_blocks_matches(self):
+        stack = np.random.default_rng(50).normal(size=(3, 60, 4))
+        assert len(list(_row_blocks(3 * 60, 59 ** 2))) > 2
+        got = _max_angle_scan(stack)[:3]
+        assert [a.tobytes() for a in got] == [
+            a.tobytes() for a in row_major_max_angle_scan(stack)]
+
+    @pytest.mark.parametrize("D", list(range(1, 26)) + [127, 128, 129, 136, 137, 300])
+    def test_coordinate_sum_is_numpys_order_for_a_row(self, D):
+        rng = np.random.default_rng(D)
+        x = rng.normal(size=(7, 5, D)) * 10.0 ** rng.uniform(-8, 8, size=(7, 5, D))
+        sq = x * x
+        want = np.add.reduce(sq, axis=2)
+        got = _coordinate_sum(np.ascontiguousarray(sq.transpose(2, 0, 1)))
+        assert got.tobytes() == want.tobytes()
+
+    def test_sumsq_is_the_sum_over_ordered_pairs(self):
+        rng = np.random.default_rng(51)
+        for _ in range(50):
+            P, n, D = int(rng.integers(1, 8)), int(rng.integers(3, 12)), int(rng.integers(2, 6))
+            stack = rng.normal(size=(P, n, D))
+            want = [sum(float(np.sum((x[i] - x[j]) ** 2)) for i in range(n) for j in range(n))
+                    for x in stack]
+            np.testing.assert_allclose(_max_angle_scan(stack)[3], want, rtol=1e-13)
+
+
 class TestScanAngle:
     @pytest.mark.parametrize("D", [2, 3, 5, 8, 16])
     def test_scan_and_recompute_differ_by_under_the_documented_bound(self, D):
@@ -255,7 +336,7 @@ class TestScanAngle:
             pts = np.array([np.zeros(D), side * e + eps * rng.normal(size=D),
                             b * e + eps * rng.normal(size=D)])
             pts = pts * 10.0 ** rng.uniform(-3, 3) + rng.normal(size=D) * 10.0 ** rng.uniform(-3, 3)
-            ang, rows, pos = _max_angle_scan(pts[None])
+            ang, rows, pos, _ = _max_angle_scan(pts[None])
             recomputed, _ = _max_angle_recompute(pts[None], int(rows[0]), int(pos[0]))
             worst = max(worst, abs(float(ang[0]) - recomputed))
         assert worst <= 2.0**-25 * math.sqrt(D + 2)
@@ -294,6 +375,41 @@ class TestGeodesicDiameter:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+
+class TestGeodesicDiameterChecks:
+    """One vectorized norm check, with as_unit's messages for the first bad row."""
+
+    @pytest.mark.parametrize("H, message", [
+        ([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [np.nan, 0.0, 0.0]],
+         "vector has norm 2, expected 1"),
+        ([[1.0, 0.0, 0.0], [np.nan, 0.0, 0.0], [0.0, 2.0, 0.0]],
+         "point has non-finite coordinates"),
+        ([[1.0, 0.0], [np.inf, 0.0]], "point has non-finite coordinates"),
+        ([[1.0, 0.0], [0.0, 1.0 + 2e-12]], "vector has norm 1, expected 1"),
+        ([1.0, 0.0, 0.0], "point must be a 1-D coordinate vector, got shape ()"),
+        ([[[1.0, 0.0]]], "point must be a 1-D coordinate vector, got shape (1, 2)"),
+        (np.zeros((2, 0)), "point must be a 1-D coordinate vector, got shape (0,)"),
+        ([], "need at least one unit vector"),
+        (np.zeros((0, 3)), "need at least one unit vector"),
+    ], ids=["norm-before-nan", "nan-before-norm", "inf", "just-outside-tolerance",
+            "flat", "nested", "no-columns", "empty", "no-rows"])
+    def test_messages_name_the_first_bad_row_as_as_unit_does(self, H, message):
+        with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
+            geodesic_diameter(H)
+
+    def test_rows_inside_the_tolerance_pass(self):
+        H = np.array([[1.0, 0.0], [0.0, 1.0 + 0.9e-12], [-1.0 + 0.9e-12, 0.0]])
+        assert geodesic_diameter(H) == pytest.approx(math.pi)
+
+    def test_no_row_is_checked_one_at_a_time_in_valid_input(self, monkeypatch):
+        from anglebound import geometry
+        calls = []
+        monkeypatch.setattr(geometry, "as_unit", lambda h: calls.append(h))
+        vecs = np.random.default_rng(52).normal(size=(500, 3))
+        vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+        geodesic_diameter(vecs)
+        assert calls == []
 
 
 class TestMinUpperPair:

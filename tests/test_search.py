@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -186,12 +187,59 @@ class TestAnneal:
         assert recomputed == []
 
     @pytest.mark.parametrize("R", [1, 3])
-    def test_one_draw_of_each_kind_per_start_per_step(self, R):
+    def test_one_draw_of_each_kind_per_start_per_chunk(self, R):
         rngs = [RecordingGenerator(np.random.default_rng(9 + r)) for r in range(R)]
         starts = np.random.default_rng(10).normal(size=(R, 7, 3))
-        _anneal(starts, 25, rngs)
+        C = search._CHUNK
+        _anneal(starts, 2 * C + 5, rngs)
         for rng in rngs:
-            assert rng.calls == [("random", (7,)), ("standard_normal", (3, 3))] * 25
+            assert rng.calls == ([("random", (C, 7)), ("standard_normal", (C, 3, 3))] * 2
+                                 + [("random", (5, 7)), ("standard_normal", (5, 3, 3))])
+
+    def test_memory_does_not_grow_with_iters(self):
+        # An anneal of 100_000 steps, traced until its streams draw a fourth
+        # chunk: arrays sized by iters would be allocated before the first.
+        class Enough(Exception):
+            pass
+
+        class ThreeChunks:
+            def __init__(self, rng):
+                self.rng, self.draws = rng, 0
+
+            def random(self, out):
+                self.draws += 1
+                if self.draws > 3:
+                    raise Enough
+                self.rng.random(out=out)
+
+            def standard_normal(self, out):
+                self.rng.standard_normal(out=out)
+
+        starts = np.random.default_rng(11).normal(size=(2, 5, 4))
+        rngs = [ThreeChunks(np.random.default_rng(12 + r)) for r in range(2)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(Enough):
+                _anneal(starts, 100_000, rngs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rngs[0].draws == 4
+        # Drawing every step at once would take 100_000 * (7 + 3 * 4) * 8 B = 15 MB per start.
+        assert peak < 200_000
+
+    def test_the_scans_spread_matches_the_centroid_spread(self):
+        # The anneal scales its moves by sqrt(sumsq / (2 n^2)) from the scan.
+        rng = np.random.default_rng(47)
+        worst = 0.0
+        for _ in range(300):
+            R, n, D = int(rng.integers(1, 7)), int(rng.integers(3, 14)), int(rng.integers(2, 8))
+            stack = rng.normal(size=(R, n, D)) * 10.0 ** rng.uniform(-3, 3, size=(R, 1, 1))
+            stack += rng.normal(size=(R, 1, D)) * 10.0 ** rng.uniform(-3, 3, size=(R, 1, 1))
+            want = _spreads(stack)
+            got = np.sqrt(geometry._max_angle_scan(stack)[3] / (2 * n * n))
+            worst = max(worst, float(np.max(np.abs(got - want) / (want * 2.0**-52))))
+        assert worst <= 4.0
 
     @pytest.mark.parametrize("choice", [0.0, 0.9], ids=["triple-vertex", "any-vertex"])
     def test_the_highest_uniform_picks_the_last_index(self, monkeypatch, choice):
@@ -346,7 +394,7 @@ class TestMaxCardinalitySearch:
         # its start, the overshooting union, whatever its exact angle.
         scan = search._max_angle_scan
         monkeypatch.setattr(search, "_max_angle_scan",
-                            lambda stack: (lambda a, r, p: (0.0 * a, r, p))(*scan(stack)))
+                            lambda stack: (lambda a, r, p, s: (0.0 * a, r, p, s))(*scan(stack)))
         repairs = []
         anneal = search._anneal
         monkeypatch.setattr(search, "_anneal",
@@ -378,24 +426,25 @@ class TestMaxCardinalitySearch:
 
 class TestPinnedResults:
     """SearchResults recorded when the anneal came to draw once per stream
-    and kind per step and to go by the scan's own angles; the cells whose
-    structured start wins kept the bytes of the first, unstacked scans.
+    and kind per chunk of steps and to take its spreads from the scan; the
+    cells whose structured start wins kept the bytes of the first, unstacked
+    scans.
     Later speedups must return them bit for bit: points (SHA-256 of the
     little-endian float64 bytes), angle (float.hex), iterations and
     restarts."""
 
     @pytest.mark.parametrize("n, D, iters, restarts, seed, size, angle, iterations, pinned", [
-        (9, 3, 60, 1, 11, 9, "0x1.3b380b0c4895ap+1", 60,
-         "6c79d75e947890fd0975beedbb23a256126232e38150709dfdb0f07c1b764cf3"),
-        (10, 3, 60, 1, 12, 10, "0x1.2422fd6612c66p+1", 60,
-         "bac79b1bff77b67897045b0946f47b1030d92958f588c8404db9798c42cfedfd"),
-        (5, 3, 200, 2, 13, 5, "0x1.7d3fd8635f10ap+0", 800,
-         "fea825e6ff190522a414d1144e66c1ee20866dd12a57f26b5e05bec3bb30b3d9"),
-        (18, 4, 40, 1, 13, 18, "0x1.444fb0e171de3p+1", 40,
-         "8c7c902d772a39082cb66ffd369c375f55a90949c9a1a7ba4e73c3be23a3d5d0"),
+        (9, 3, 60, 1, 11, 9, "0x1.11dd3373c1952p+1", 60,
+         "76ef181d213af9f3b742a39b73a5e5cc6f9119a891332c5b3b9d71c4cb9c620a"),
+        (10, 3, 60, 1, 12, 10, "0x1.2a1a4663c2311p+1", 60,
+         "8360b4c00947d81c8f9a3115508a17b061fbbe2720cb9b130df564c2a54101a9"),
+        (5, 3, 200, 2, 13, 5, "0x1.8572a6af949a8p+0", 800,
+         "9751e271ca71aca1986c1b0611ddbe86a6be6fc71f438060721ba3b759526a78"),
+        (18, 4, 40, 1, 13, 18, "0x1.3957ac351e984p+1", 40,
+         "f96a59371c0b224e5fb32d443f3b7901990f782cc279d0582556b441e970c750"),
         # 3 proposals x 30 vertices x 29^2 Gram entries span two kernel blocks.
-        (30, 3, 15, 1, 17, 30, "0x1.82b894c6b4310p+1", 15,
-         "1e6372cd30986e168cf8ac10ddff34f55a3c39d181cd328d8fb8dbf231935d95"),
+        (30, 3, 15, 1, 17, 30, "0x1.8272ce56c7c13p+1", 15,
+         "67e8b05031e48b08c635914590142d3bb28c7e0a0c9f39f44905f5131fbeb86e"),
         # Three to five starts in lockstep, the structured ones first. The
         # cross-polytope and the hypercube prefix tie at 90 deg in (4, 3), (6, 3),
         # (8, 4) and (7, 4); the earlier start keeps the tie.
@@ -416,8 +465,8 @@ class TestPinnedResults:
         self.check(res, size, angle, iterations, pinned)
 
     @pytest.mark.parametrize("theta, D, budget, seed, size, angle, pinned", [
-        (2.0, 3, 300, 14, 8, "0x1.921fb54442d18p+0",
-         "e9f28c6bc6e2644a82da4d74358847b9634525c2eafd7f827046303751bac2c5"),
+        (2.0, 3, 300, 14, 9, "0x1.f54096bd6aa52p+0",
+         "a3c0fd8ddc7786337cb6174b9fe591905fa81d123842f0a4b9fb995d913566cc"),
         (2.2, 2, 300, 16, 6, "0x1.0c152382d7366p+1",
          "6ce56e6617d1d8fa8b98323bf48697d54672032cf6e855e2810aed503a713fe2"),
     ])
