@@ -183,30 +183,45 @@ def _descend(m: int, D: int, iters: int, seed: int, restarts: int) -> np.ndarray
     from rng_stream(seed, r), each with the bits of a lone run, for all
     `iters` steps. The winner is the first of the most separated lines over
     each start and its result, restart by restart. Dividing by the gradient
-    norm is safe for m > D: u_i . g_i = 4 sum_j W_ij C_ij^2, and the most
-    coherent pair has W >= 1/(m (m - 1)) and C^2 >= (m - D)/(D (m - 1))
-    (Welch), so |g| >= 4 (m - D)/(D m (m - 1)^2).
+    norm is safe for m > D: u_i . g_i = sum_j W_ij C_ij^2 for the gradient
+    g without its factor 4, and the most coherent pair has W >= 1/(m (m - 1))
+    and C^2 >= (m - D)/(D (m - 1)) (Welch), so |g| >= (m - D)/(D m (m - 1)^2).
     """
     U = np.array([rng_stream(seed, r).normal(size=(m, D)) for r in range(restarts)])
     U /= np.linalg.norm(U, axis=2)[:, :, None]
     starts = U.copy()
     beta = 4.0
     growth = (8192.0 / beta) ** (1.0 / iters)
+    # One buffer per intermediate, reused by every step, and the views each
+    # step reads them through: C and W one row per restart, the gradient and
+    # its squared norm, the lines' squared row norms.
+    C, W = np.empty((restarts, m * m)), np.empty((restarts, m * m))
+    C3, W3, UT = C.reshape(restarts, m, m), W.reshape(restarts, m, m), U.transpose(0, 2, 1)
+    grad, gg = np.empty_like(U), np.empty((restarts, 1, 1))
+    g = grad.reshape(restarts, 1, m * D)
+    gT = g.transpose(0, 2, 1)
+    top, total, norms = np.empty(restarts), np.empty(restarts), np.empty((restarts, m))
     for it in range(iters):
-        C = (U @ U.transpose(0, 2, 1)).reshape(restarts, m * m)  # one row per restart
+        np.matmul(U, UT, out=C3)
         C[:, :: m + 1] = 0.0
-        S = C * C
+        np.multiply(C, C, out=W)
         # The largest off-diagonal entry contributes exp(0) = 1, so no row of
         # W sums to 0.
-        W = np.exp(beta * (S - S.max(axis=1)[:, None]))
+        W -= np.maximum.reduce(W, axis=1, out=top)[:, None]
+        W *= beta
+        np.exp(W, out=W)
         W[:, :: m + 1] = 0.0
-        W /= W.sum(axis=1)[:, None]
-        grad = 4.0 * (W * C).reshape(restarts, m, m) @ U
-        g = grad.reshape(restarts, 1, m * D)
-        gn = np.sqrt((g @ g.transpose(0, 2, 1)).ravel())  # np.linalg.norm's dot, per restart
-        step = 0.2 * (1.0 - it / iters) + 0.001
-        U = U - step * grad / gn[:, None, None]
-        U /= np.sqrt(np.add.reduce(U * U, axis=2))[:, :, None]  # np.linalg.norm's arithmetic
+        W /= np.add.reduce(W, axis=1, out=total)[:, None]
+        # The gradient 4 (W * C) U without its factor 4, which cancels in
+        # grad / |grad| to the bit.
+        W *= C
+        np.matmul(W3, U, out=grad)
+        np.sqrt(np.matmul(g, gT, out=gg), out=gg)  # np.linalg.norm's dot, per restart
+        grad *= 0.2 * (1.0 - it / iters) + 0.001
+        grad /= gg
+        U -= grad
+        np.add.reduce(np.multiply(U, U, out=grad), axis=2, out=norms)  # np.linalg.norm's arithmetic
+        U /= np.sqrt(norms, out=norms)[:, :, None]
         beta *= growth
     best = None
     best_angle = -1.0
@@ -290,7 +305,7 @@ def _hole_insertion(D: int, cos_half: float, rounds: int):
     N, H = _facet_planes(V, F)
     n = 2 * D
     for _ in range(rounds):
-        f = int(np.argmin(H))
+        f = int(H.argmin())
         if H[f] >= cos_half - _COVER_TOL:
             break
         _within_budget(D, n // 2, len(F), H[f], cos_half)

@@ -37,8 +37,9 @@ from .geometry import PointSet, _as_point, _min_upper_pair, _row_blocks, angle_a
 from .sampling import rd_directions
 
 # Barycentric/convex coefficients above -1e-10 count as nonnegative; strict
-# interiority requires them above +1e-10, or a pull c_j |v_j - p| above the
-# FEAS_TOL distance bar of the other vertices (see _barycentric).
+# interiority requires them above +1e-10, or a pull c_j |v_j - p| above
+# PULL_MARGIN times the FEAS_TOL distance bar of the other vertices (see
+# _barycentric).
 COEFF_TOL = 1e-10
 # p is in conv(S), or on a simplex's affine hull, when its distance or residual
 # is at most this times the radius max_j |v_j - p| of the points that decide.
@@ -48,6 +49,13 @@ FEAS_TOL = 1e-9
 NEAREST_GAP_TOL = 1e-12
 # Major plus minor cycles allowed per row of P before the solver gives up.
 NEAREST_STEPS_PER_POINT = 50
+# _nearest_points keeps a light corral point whose pull w_j |P_j| exceeds
+# FEAS_TOL times the others' largest |P_i|; the re-check (_barycentric)
+# counts such a pull as interior above PULL_MARGIN times that bar. Weights
+# near 10 ulps, as a point 1e6 support radii away gets, come out of the two
+# solves up to about 2x apart, so one shared bar could keep a point that
+# the re-check then refuses.
+PULL_MARGIN = 0.1
 
 
 @dataclass(frozen=True)
@@ -91,10 +99,10 @@ def _others_max(dist: np.ndarray) -> np.ndarray:
 
 
 def _affine_min_norm(E: np.ndarray, v0: np.ndarray, free: np.ndarray):
-    """(c, y) per row of an (L, K, D) stack of edge rows E from points v0:
+    """(v, y) per row of an (L, K, D) stack of edge rows E from points v0:
     c minimizes |y| for y = v0 + E^T c, the least-squares solution lstsq
-    gives, and y is that affine min-norm point. Edges marked `free` are zero
-    and get c = 0.
+    gives, y is that affine min-norm point and v = (1 - sum c, c) its
+    weights on the K + 1 points. Edges marked `free` are zero and get c = 0.
 
     Solved from the normal equations (E E^T) c = -E v0 by stacked LU, and
     refined by one step: v0 + E^T c cancels down to |y| with rounding of
@@ -103,21 +111,25 @@ def _affine_min_norm(E: np.ndarray, v0: np.ndarray, free: np.ndarray):
     same t corrects c. A row whose t exceeds FEAS_TOL (1 + |c|), where
     squaring the edges' condition number in E E^T costs the digits that
     matter, is solved again by SVD with lstsq's cutoff for small singular
-    values, as is every row when a Gram matrix is exactly singular.
+    values, as is every row when a Gram matrix is exactly singular. The rows
+    are tested only when some |t| exceeds FEAS_TOL, which that bar implies.
     """
-    K = E.shape[1]
+    L, K, _ = E.shape
     G = E @ E.transpose(0, 2, 1)
-    G.reshape(len(E), K * K)[:, ::K + 1] += free  # the diagonals
+    np.copyto(G.reshape(L, K * K)[:, ::K + 1], 1.0, where=free)  # a free edge's diagonal is 0
+    v = np.empty((L, K + 1))
+    c = v[:, 1:]
     try:
-        c = -np.linalg.solve(G, E @ v0[:, :, None])[:, :, 0]
+        np.negative(np.linalg.solve(G, E @ v0[:, :, None])[:, :, 0], out=c)
         y = v0 + np.einsum("li,lid->ld", c, E)
         t = np.linalg.solve(G, E @ y[:, :, None])[:, :, 0]
         c -= t
         y -= np.einsum("li,lid->ld", t, E)
-        ill = (np.abs(t) > FEAS_TOL * (1.0 + np.abs(c))).any(axis=1)
+        ill = None if np.abs(t).max(initial=0.0) <= FEAS_TOL else (
+            np.abs(t) > FEAS_TOL * (1.0 + np.abs(c))).any(axis=1)
     except np.linalg.LinAlgError:
-        c, y, ill = np.zeros(E.shape[:2]), v0.copy(), np.ones(len(E), dtype=bool)
-    if ill.any():
+        c[:], y, ill = 0.0, v0.copy(), np.ones(L, dtype=bool)
+    if ill is not None and ill.any():
         Ei, vi = E[ill], v0[ill]
         u, s, vt = np.linalg.svd(Ei, full_matrices=False)
         kept = s > max(K, E.shape[2]) * np.finfo(float).eps * s[:, :1]
@@ -125,8 +137,9 @@ def _affine_min_norm(E: np.ndarray, v0: np.ndarray, free: np.ndarray):
                         * np.einsum("lkd,ld->lk", vt, vi))
         yi = vi + np.einsum("li,lid->ld", ci, Ei)
         yi -= np.einsum("lk,lkd->ld", kept * np.einsum("lkd,ld->lk", vt, yi), vt)
-        c[ill], y[ill] = ci, yi
-    return c, y
+        c[ill], y[ill] = ci * ~free[ill], yi
+    np.subtract(1.0, np.add.reduce(c, axis=1), out=v[:, 0])
+    return v, y
 
 
 def _nearest_points(P: np.ndarray, stage: str):
@@ -146,84 +159,101 @@ def _nearest_points(P: np.ndarray, stage: str):
     the corral, or |z| did not shrink (as when the corral has no free slot
     for the point).
 
-    A corral is a row of D + 2 slots (at most m), its points in the order
-    they came; a free slot repeats the first point, so its edge is zero. A
-    minor cycle is one stacked solve (_affine_min_norm) for every running
-    corral's edges from its first point: the affine min-norm weights and x,
-    refined once, as lstsq gave them one problem at a time. Hitting the step
-    cap raises RuntimeError naming `stage` and the first problem still
-    running; callers re-check every answer, so a stalled solve cannot pass.
+    A corral is a row of D + 2 slots (at most m) holding flat row numbers
+    s m + j of P, its points in the order they came, the occupied slots a
+    prefix; a free slot repeats the first point, so its edge is zero. A
+    minor cycle gathers every running corral's points from the flat rows in
+    one take and makes one stacked solve (_affine_min_norm) of their edges
+    from the first point: the affine min-norm weights and x, refined once,
+    as lstsq gave them one problem at a time. A stopped problem's x, r,
+    weights and corral are set aside, and its support is formed with the
+    others' after the loop. Hitting the step cap raises RuntimeError naming
+    `stage` and the first problem still running; callers re-check every
+    answer, so a stalled solve cannot pass.
     """
     S, m, D = P.shape
     cap = NEAREST_STEPS_PER_POINT * m
     W = min(m, D + 2)
-    slot = np.arange(W)
-    sq = np.einsum("sij,sij->si", P, P)
-    z, r_out, support = np.empty((S, D)), np.empty(S), np.zeros((S, m), dtype=bool)
-    # The running problems: ids in the stack, points, corrals and weights.
+    flat = P.reshape(S * m, D)
+    sq = np.einsum("ij,ij->i", flat, flat)
+    retired = []  # (ids, x, r, w, corral) of the problems that stopped, a batch per stop
+    # The running problems: ids in the stack, their first flat row, points,
+    # corrals, weights and x.
     ids = rows = np.arange(S)
+    base = ids * m
     Q = P
-    corral = sq.argmin(axis=1)[:, None].repeat(W, axis=1)
+    corral = (sq.reshape(S, m).argmin(axis=1) + base)[:, None].repeat(W, axis=1)
     valid = np.zeros((S, W), dtype=bool)
     valid[:, 0] = True
-    w = valid * 1.0
-    x = P[rows, corral[:, 0]]
-    major, last = np.ones(S, dtype=bool), np.full(S, math.inf)
+    w = valid.astype(float)
+    x = flat.take(corral[:, 0], axis=0)
+    major, last = np.ones(S, dtype=bool), math.inf
     for _ in range(cap):
         if major.any():  # add the point most opposed to x, unless x is optimal
             nx = np.sqrt(np.einsum("ld,ld->l", x, x))
             dots = (Q @ x[:, :, None])[:, :, 0]
             j = dots.argmin(axis=1)
             gap = nx * nx - dots[rows, j]
-            stuck = (corral == j[:, None]).any(axis=1) | (nx >= last)
+            j += base
+            stuck = np.logical_or.reduce(corral == j[:, None], axis=1) | (nx >= last)
             last = nx  # a row past its last major step still has that step's x
-            dist = np.sqrt(sq[ids[:, None], corral]) * valid
-            heavy = w > COEFF_TOL
-            r = (dist * heavy).max(axis=1)
+            r = np.sqrt(np.maximum.reduce(np.where(w > COEFF_TOL, sq.take(corral), 0.0), axis=1))
             done = major & (stuck | (nx <= FEAS_TOL * r) | (gap <= NEAREST_GAP_TOL * nx * r))
-            if done.any():
+            stop = done.any()
+            if stop:  # set the stopped problems aside; their weights are positive on valid slots
+                if done.all():
+                    retired.append((ids, x, r, w, corral))
+                    break
                 d = done.nonzero()[0]
-                keep = heavy[d]
-                if (valid[d] & ~keep).any():  # a light point stays if its pull is too large
-                    keep |= w[d] * dist[d] > FEAS_TOL * _others_max(dist[d])
-                z[ids[d]], r_out[ids[d]] = x[d], r[d]
-                hit, at = np.nonzero(keep)
-                support[ids[d[hit]], corral[d[hit], at]] = True
-                if d.size == len(ids):
-                    return z, support, r_out
-                run = ~done
-                ids, Q, corral, valid, w, x, major, last, j = (
-                    a[run] for a in (ids, Q, corral, valid, w, x, major, last, j))
-                rows = np.arange(len(ids))
-            new = major[:, None] & (slot == valid.sum(axis=1)[:, None])  # the first free slot
-            corral = np.where(new, j[:, None], corral)
-            valid |= new
+                retired.append((ids[d], x[d], r[d], w[d], corral[d]))
+            new = (valid[:, :-1] > valid[:, 1:]) & major[:, None]  # the first free slot
+            np.copyto(corral[:, 1:], j[:, None], where=new)
+            valid[:, 1:] |= new
+            if stop:
+                run = (~done).nonzero()[0]
+                ids, Q, corral, valid, w, x, last = (
+                    a[run] for a in (ids, Q, corral, valid, w, x, last))
+                rows, base = np.arange(len(ids)), ids * m
         # Minor cycle: weights of the min-norm point of each corral's affine hull.
-        V = Q[rows[:, None], corral]
-        E = V[:, 1:] - V[:, :1]
-        c, y = _affine_min_norm(E, V[:, 0], ~valid[:, 1:])
-        c *= valid[:, 1:]
-        v = np.concatenate([1.0 - c.sum(axis=1, keepdims=True), c], axis=1)
-        major = ((v > 0) | ~valid).all(axis=1)
-        if major.any():
-            x = np.where(major[:, None], y, x)
-            w = np.where(major[:, None], v, w)
-        if not major.all():
-            # Step from w toward v until the first weight reaches zero; drop it.
-            neg = valid & (v <= 0)
-            ratios = np.where(neg, 0.0, math.inf)
-            np.divide(w, w - v, out=ratios, where=neg & (w > 0))
-            k = ratios.argmin(axis=1)
-            w = w + np.where(major, 0.0, ratios[rows, k])[:, None] * (v - w)
-            w[rows, k] *= major
-            order = rows[:, None], (w <= 0).argsort(axis=1, kind="stable")
-            w = np.maximum(w[order], 0.0)
-            valid = w > 0
-            corral = corral[order]
-            corral = np.where(valid, corral, corral[:, :1])
-    raise RuntimeError(f"{stage}: nearest-point solver hit its cap of {cap} steps on problem "
-                       f"{ids[0]} of {S} (m={m}, D={D}, |x|={math.sqrt(x[0] @ x[0]):.6g}, "
-                       f"scale={math.sqrt(sq[ids[0]].max()):.6g})")
+        V = flat.take(corral, axis=0)
+        v, y = _affine_min_norm(V[:, 1:] - V[:, :1], V[:, 0], ~valid[:, 1:])
+        major = np.logical_and.reduce((v > 0) == valid, axis=1)  # a free slot's weight is 0
+        if major.all():
+            x, w = y, v
+            continue
+        x = np.where(major[:, None], y, x)
+        w = np.where(major[:, None], v, w)
+        # Step from w toward v until the first weight reaches zero; drop it.
+        neg = valid & (v <= 0)
+        ratios = np.where(neg, 0.0, math.inf)
+        np.divide(w, w - v, out=ratios, where=neg & (w > 0))
+        k = ratios.argmin(axis=1)
+        w = w + np.where(major, 0.0, ratios[rows, k])[:, None] * (v - w)
+        w[rows, k] *= major
+        # Flat indices into the (L, W) slots, each row's kept slots first.
+        order = (w <= 0).argsort(axis=1, kind="stable") + rows[:, None] * W
+        w = np.maximum(w.take(order), 0.0)
+        valid = w > 0
+        corral = corral.take(order)
+        corral = np.where(valid, corral, corral[:, :1])
+    else:
+        raise RuntimeError(f"{stage}: nearest-point solver hit its cap of {cap} steps on problem "
+                           f"{ids[0]} of {S} (m={m}, D={D}, |x|={math.sqrt(x[0] @ x[0]):.6g}, "
+                           f"scale={math.sqrt(sq[base[0]:base[0] + m].max()):.6g})")
+    if len(retired) == 1:
+        _, z, r, w, corral = retired[0]
+    else:  # back in stack order
+        order = np.concatenate([batch[0] for batch in retired]).argsort()
+        z, r, w, corral = (np.concatenate([batch[a] for batch in retired])[order]
+                           for a in range(1, 5))
+    keep = w > COEFF_TOL
+    valid = w > 0
+    if (valid & ~keep).any():  # a light point stays if its pull is too large
+        dist = np.sqrt(sq.take(corral)) * valid
+        keep |= w * dist > FEAS_TOL * _others_max(dist)
+    support = np.zeros(S * m, dtype=bool)
+    support[corral[keep]] = True
+    return z, support.reshape(S, m), r
 
 
 def _barycentric(p: np.ndarray, V: np.ndarray):
@@ -237,10 +267,11 @@ def _barycentric(p: np.ndarray, V: np.ndarray):
     FEAS_TOL r: a relative, Euclidean bar with no floor, unchanged by scaling
     or moving V and p together. p is strictly inside (`interior`) when it is
     on the hull and every coordinate c_j is above COEFF_TOL or, for a far
-    vertex, positive with a pull c_j |v_j - p| above FEAS_TOL times the
-    largest |v_i - p| of the other vertices: the bar by which _nearest_points
-    keeps a light support point. Raises DegenerateSimplex unless V's rows are
-    affinely independent (more than D + 1 rows never are).
+    vertex, positive with a pull c_j |v_j - p| above PULL_MARGIN FEAS_TOL
+    times the largest |v_i - p| of the other vertices: PULL_MARGIN times the
+    bar by which _nearest_points keeps a light support point. Raises
+    DegenerateSimplex unless V's rows are affinely independent (more than
+    D + 1 rows never are).
     """
     R = (V - p).T
     dist = np.linalg.norm(R, axis=0)
@@ -252,7 +283,7 @@ def _barycentric(p: np.ndarray, V: np.ndarray):
         raise DegenerateSimplex(f"simplex vertices are affinely dependent (rank {rank})")
     residual = float(np.linalg.norm(A @ coords - b))
     on_hull = residual <= FEAS_TOL * r
-    pulls = (coords > COEFF_TOL) | (coords * dist > FEAS_TOL * _others_max(dist))
+    pulls = (coords > COEFF_TOL) | (coords * dist > PULL_MARGIN * FEAS_TOL * _others_max(dist))
     return coords, residual, on_hull, on_hull and bool(np.all(pulls))
 
 

@@ -52,7 +52,7 @@ def _as_point(x) -> np.ndarray:
     p = np.asarray(x, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise OutOfRange(f"point must be a 1-D coordinate vector, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise OutOfRange("point has non-finite coordinates")
     return p
 
@@ -106,8 +106,9 @@ class PointSet:
 def as_unit(v) -> np.ndarray:
     """Validate that v is a unit vector (norm within tolerance of 1)."""
     u = _as_point(v)
-    if abs(np.linalg.norm(u) - 1.0) > UNIT_NORM_TOL:
-        raise OutOfRange(f"vector has norm {np.linalg.norm(u):.12g}, expected 1")
+    norm = math.sqrt(u.dot(u))  # np.linalg.norm's arithmetic
+    if abs(norm - 1.0) > UNIT_NORM_TOL:
+        raise OutOfRange(f"vector has norm {norm:.12g}, expected 1")
     return u
 
 
@@ -161,13 +162,16 @@ def _others(P: int, n: int) -> np.ndarray:
     return (others + n * np.arange(P)[:, None, None]).reshape(P * n, n - 1)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=64)
 def _scan_index(P: int, n: int):
     """The index arrays of a max-angle scan of a (P, n, D) stack, built once
     per shape: the kernel blocks (lo, hi, cols, offsets), cols being
     _others(P, n)[lo:hi] transposed to (n - 1, hi - lo) and offsets[b]
     where Gram row lo+b starts in its block's flat buffer, and the row p*n
-    of the first vertex of every set."""
+    of the first vertex of every set. An entry holds P n (n - 1) indices;
+    the 64 entries hold the 50 shapes a round of the bench's `library`
+    workload scans (0.27 MB of indices in all), where 32 missed 188 times
+    in 4670 scans of seed 2's rounds 0-3."""
     m2 = (n - 1) ** 2
     others = _others(P, n)
     blocks = tuple((lo, hi, np.ascontiguousarray(others[lo:hi].T), np.arange(hi - lo) * m2)
@@ -402,11 +406,24 @@ def rays_from(apex, A: PointSet) -> np.ndarray:
     return diffs / norms[:, None]
 
 
+@lru_cache(maxsize=None)
+def _hull_index(D: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index arrays of a simplicial hull in R^D, built once per D:
+    the (D, D - 1) columns of a facet row that make its D ridges (the row
+    without one vertex each) and the (D, 1) right-hand side of ones that
+    _facet_planes solves against."""
+    cols = np.nonzero(~np.eye(D, dtype=bool))[1].reshape(D, D - 1)
+    ones = np.ones((D, 1))
+    cols.setflags(write=False)
+    ones.setflags(write=False)
+    return cols, ones
+
+
 def _facet_planes(V: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit normals N and offsets H of the facets F (rows of vertex indices
     into V) of a hull about the origin: one stacked solve of V_f x = 1 gives
     x = N / H."""
-    x = np.linalg.solve(V[F], np.ones((len(F), F.shape[1], 1)))[:, :, 0]
+    x = np.linalg.solve(V[F], _hull_index(F.shape[1])[1])[:, :, 0]
     norm = np.sqrt(np.einsum("ij,ij->i", x, x))
     return x / norm[:, None], 1.0 / norm
 
@@ -421,8 +438,8 @@ def _ridges(F: np.ndarray, base: int, tags: int = 1) -> tuple[np.ndarray, np.nda
     if tags * base ** (D - 1) >= 2**63:
         raise OverflowError(f"ridge keys of {D - 1} digits in base {base} times {tags} tags "
                             f"pass int64")
-    R = F[:, np.nonzero(~np.eye(D, dtype=bool))[1].reshape(D, D - 1)].reshape(-1, D - 1)
-    return R, tags * (R @ base ** np.arange(D - 1))
+    R = F[:, _hull_index(D)[0]].reshape(-1, D - 1)
+    return R, R @ (tags * base ** np.arange(D - 1))
 
 
 def _hull_join(V, F, N, H, lo: int, hi: int, tol: float):
@@ -438,15 +455,15 @@ def _hull_join(V, F, N, H, lo: int, hi: int, tol: float):
     D, tags = F.shape[1], hi - lo
     sees = V[lo:hi] @ N.T > H + tol  # a row per point: any() over the rows is one pass
     drop = sees.any(axis=0)
-    gone, keep = np.flatnonzero(drop), np.flatnonzero(~drop)  # take() gathers rows faster
+    gone, keep = drop.nonzero()[0], (~drop).nonzero()[0]  # take() gathers rows faster
     R, key = _ridges(F.take(gone, axis=0), hi, tags)
-    key += np.repeat(sees[:, gone].argmax(axis=0), D)
-    order = np.argsort(key)
-    key = key[order]
-    once = np.ones(len(key), dtype=bool)
-    once[1:] = key[1:] != key[:-1]
-    once[:-1] &= key[:-1] != key[1:]
-    rows = np.column_stack([R[order[once]], lo + key[once] % tags])
+    key += sees[:, gone].argmax(axis=0).repeat(D)
+    order = key.argsort()
+    key = np.concatenate(([-1], key[order], [-1]))  # keys are >= 0
+    once = (key[1:-1] != key[:-2]) & (key[1:-1] != key[2:])
+    rows = np.empty((np.count_nonzero(once), D), dtype=F.dtype)
+    rows[:, :-1] = R[order[once]]
+    rows[:, -1] = lo + key[1:-1][once] % tags
     N_new, H_new = _facet_planes(V, rows)
     return (np.concatenate([F.take(keep, axis=0), rows]),
             np.concatenate([N.take(keep, axis=0), N_new]),

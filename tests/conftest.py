@@ -31,7 +31,7 @@ from anglebound.constructions import LineArrangement
 from anglebound.convexity import FEAS_TOL
 from anglebound.curvature import BLOCK, CONE_FIT_TOL
 from anglebound.errors import CapTooSmall
-from anglebound.geometry import PointSet, angle_at, max_angle
+from anglebound.geometry import angle_at, max_angle_triples
 from anglebound.sampling import _rd_alpha, rng_stream
 
 # Seed of the acceptance suite's criterion-7 sets.
@@ -284,11 +284,20 @@ def wolfe_nearest_point(P, stage: str):
 
 def rejection_sample_below(rng, n, D, cap):
     """Gaussian (n, D) sets drawn until max_angle and the brute-force oracle
-    both put them below cap."""
+    both put them below cap.
+
+    Candidates are drawn and scored 16 at a time by one max_angle_triples
+    call, whose angle of each set is max_angle's of that set alone. At the
+    first candidate both put below cap, the generator is rewound to the
+    block's start and advanced past that candidate only, so the set returned
+    and the draws consumed are those of one max_angle call per candidate."""
     while True:
-        pts = rng.normal(size=(n, D))
-        if max_angle(PointSet(pts)) < cap and brute_max_angle(pts) < cap:
-            return pts
+        state = rng.bit_generator.state
+        stack = rng.normal(size=(16, n, D))
+        for i, (angle, _) in enumerate(max_angle_triples(stack)):
+            if angle < cap and brute_max_angle(stack[i]) < cap:
+                rng.bit_generator.state = state
+                return rng.normal(size=(i + 1, n, D))[i]
 
 
 @functools.cache

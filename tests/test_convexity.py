@@ -22,6 +22,7 @@ from anglebound.geometry import PointSet, rays_from
 from anglebound.sampling import rd_directions
 from conftest import (
     criterion_7_sets,
+    digest,
     oracle_convex_position,
     oracle_in_hull,
     random_rotation,
@@ -269,12 +270,13 @@ def _sphere_points(rng, n, D, min_sep):
     return np.array(pts)
 
 
-def _near_boundary_case(k, far=False):
+def _near_boundary_case(k, far=False, centroid_of_all=False):
     """(p, pts): p lies 1e-14..1e-2 off the hyperplane through D of the n
     standard-normal points of R^D, on either side, above a random convex
     combination of them; p and the points are then scaled by 1e-3..1e3.
     With far=True the first point off that face is first moved 1e6 from the
-    other points' centroid, on the side away from p."""
+    other points' centroid (from all the points' with centroid_of_all), on
+    the side away from p."""
     rng = np.random.default_rng([41, k])
     D = int(rng.integers(2, 9))
     pts = rng.normal(size=(int(rng.integers(D + 2, 3 * D + 6)), D))
@@ -285,7 +287,7 @@ def _near_boundary_case(k, far=False):
     p = (w / w.sum()) @ face + 10.0 ** rng.uniform(-14, -2) * rng.choice([-1.0, 1.0]) * normal
     if far:
         j = int(np.setdiff1d(np.arange(len(pts)), on_face)[0])
-        centroid = np.delete(pts, j, axis=0).mean(axis=0)
+        centroid = (pts if centroid_of_all else np.delete(pts, j, axis=0)).mean(axis=0)
         pts[j] = centroid + 1e6 * (centroid - p) / np.linalg.norm(centroid - p)
     scale = 10.0 ** rng.uniform(-3, 3)
     return p * scale, pts * scale
@@ -315,6 +317,17 @@ def _count_solves(monkeypatch):
 class TestDirectionScreen:
     """The screen certifies vertices by exposing directions before any solve;
     outcomes must be those of one solve per point."""
+
+    def test_criterion_7_sets_are_pinned(self):
+        # conftest scores the rejection sampler's candidates a block at a time
+        # and rewinds the generator past the accepted one: the sets, and their
+        # order, are those of one max_angle call per candidate.
+        sets = criterion_7_sets()
+        assert [(kind, idx) for kind, idx, _ in sets] == (
+            [("below", i) for _ in range(3) for i in range(1000)]
+            + [("interior", i) for i in range(1000)])
+        assert digest(np.concatenate([pts.ravel() for _, _, pts in sets])) == (
+            "a4c65caf4f960d49a47f1b4d3ad2df412467e0346f8e16cf89f55882f69b54ba")
 
     def test_matches_solving_every_point_on_criterion_7_sets(self):
         for _, _, pts in criterion_7_sets():
@@ -487,6 +500,20 @@ class TestSolverAnswersAreRechecked:
                 assert obtuse_witness(p, simplex).angle > math.pi / 2, k
                 verdicts["inside"] += 1
         assert min(verdicts.values()) >= 100, verdicts
+
+    def test_far_point_past_both_bars_passes_the_recheck(self):
+        # With the far point moved from the centroid of all the points, case
+        # 1076's kernel weight on it is 5.9e-15, a pull 1.31 times the bar at
+        # which the support keeps it; the re-check's coordinate is 2.7e-15,
+        # 0.59 times that bar. Above PULL_MARGIN times the bar it counts.
+        p, pts = _near_boundary_case(1076, far=True, centroid_of_all=True)
+        simplex, _ = convexity._hull_simplex(p, pts, "case 1076")
+        assert simplex is not None and len(simplex) == 8
+        assert obtuse_witness(p, simplex).angle > math.pi / 2
+        coords, _, _, _ = convexity._barycentric(p, simplex)
+        dist = np.linalg.norm(simplex - p, axis=1)
+        pull = coords * dist / (convexity.FEAS_TOL * convexity._others_max(dist))
+        assert convexity.PULL_MARGIN < pull.min() < 1.0
 
 
 class TestNearestPoints:
