@@ -323,7 +323,10 @@ SUBCOMMANDS = {
         *_angle_args("rho", "covering diameter rho"), _DIM,
         _arg("--probes", type=int, default=100_000,
              help="accepted and echoed; no longer changes the cover"), *_SEEDED]),
-    "ef-construct": ("doubling construction: 2^m points under pi - rho", _cmd_ef_construct, [
+    "ef-construct": ("doubling construction: 2^m points under pi - rho, certified by the "
+                     "pair argument in O(n^2 D); the max_angle field is an exact O(n^3 D) "
+                     "rescan that the certificate does not need, and on large sets it takes "
+                     "most of the time", _cmd_ef_construct, [
         _arg("--lines", required=True, help="line arrangement JSON (from pack-lines)"),
         *_angle_args("rho", "separation rho"), _arg("--slack", type=float, default=0.05), *_OUT]),
     "witness": ("obtuse triple witness from a line covering", _cmd_witness, [
@@ -361,7 +364,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, func, arguments) in SUBCOMMANDS.items():
         if command in (None, name):
-            sp = sub.add_parser(name, help=help_text)
+            sp = sub.add_parser(name, help=help_text, description=help_text)
             for flags, kwargs in arguments:
                 sp.add_argument(*flags, **kwargs)
             sp.set_defaults(func=func)

@@ -179,33 +179,10 @@ def _scan_index(P: int, n: int):
     return blocks, n * np.arange(P)
 
 
-def _coordinate_sum(sq: np.ndarray) -> np.ndarray:
-    """np.add.reduce(x, axis=-1) of the row-major x whose coordinate-major
-    copy is sq, (D, ...), bit for bit: numpy's pairwise order for a
-    contiguous axis. Below 8 terms that is one running sum, in order; up to
-    128, eight running sums over the blocks of 8, paired as
-    ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)), then the rest in order; above
-    that, the halves split at a multiple of 8 and added."""
-    D = len(sq)
-    if D < 8:
-        return np.add.reduce(sq, axis=0)
-    if D > 128:
-        h = D // 2 - D // 2 % 8
-        return _coordinate_sum(sq[:h]) + _coordinate_sum(sq[h:])
-    r = sq[:8].copy()
-    full = D - D % 8
-    for i in range(8, full, 8):
-        r += sq[i:i + 8]
-    total = (r[0] + r[1]) + (r[2] + r[3])
-    total += (r[4] + r[5]) + (r[6] + r[7])
-    for k in range(full, D):
-        total += sq[k]
-    return total
-
-
 def _max_angle_scan(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Scan half of max_angle_triples: (angle, row, pos, sumsq), one entry
-    per set of a finite float (P, n, D) stack with n >= 3.
+    per set of a finite float (P, n, D) stack with n >= 3 (or n = 2, where
+    only sumsq means anything).
 
     The one ray-Gram kernel behind every max-angle scan. Row p*n + j is
     vertex j of set p, and its Gram is that of the unit rays toward the other
@@ -214,12 +191,13 @@ def _max_angle_scan(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     that alone is larger, so working memory does not grow with the number of
     blocks, and a block may span several sets. The rays are built
     coordinate-major, (D, n - 1, rows), so that their differences, norms and
-    quotients run along the block's rows, not along D; the norms sum the
-    coordinates in numpy's order for a row-major ray (_coordinate_sum), and
-    the Gram multiplies the same contiguous (rows, n - 1, D) and
-    (rows, D, n - 1) operands as a row-major build would. So each vertex's
-    Gram equals, bit for bit, the one a per-vertex scan of its set alone
-    would build. Raises DegenerateTriple
+    quotients run along the block's rows, not along D; the squared norms are
+    one reduce over the coordinate axis, and the Gram multiplies contiguous
+    (rows, n - 1, D) and (rows, D, n - 1) operands. So each vertex's Gram
+    equals, bit for bit, the one a scan of its set alone would build. For
+    D <= 7 it also equals a row-major build's, whose norms numpy sums in the
+    same order; from D = 8 numpy sums a contiguous row pairwise, and the
+    two differ in the last bits. Raises DegenerateTriple
     when two points of a set lie within DISTINCTNESS_TOL of each other,
     before any division by their distance.
 
@@ -251,9 +229,9 @@ def _max_angle_scan(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     for lo, hi, cols, offsets in blocks:
         rays = pts.take(cols, axis=1)
         rays -= pts[:, None, lo:hi]
-        norms = _coordinate_sum(rays * rays)
+        norms = np.add.reduce(rays * rays, axis=0)
         np.add.reduce(norms, axis=0, out=sumsq[lo:hi])
-        np.sqrt(norms, out=norms)  # np.linalg.norm's arithmetic
+        np.sqrt(norms, out=norms)
         if np.minimum.reduce(norms, axis=None) <= DISTINCTNESS_TOL:
             b, a = map(int, np.argwhere(norms.T <= DISTINCTNESS_TOL)[0])
             p, j = divmod(lo + b, n)

@@ -87,25 +87,6 @@ def _polygon(n: int) -> np.ndarray:
     return np.column_stack([np.cos(ang), np.sin(ang)])
 
 
-def _spreads(stack: np.ndarray) -> np.ndarray:
-    """Root-mean-square distance of each set's points from its centroid, for
-    an (R, n, D) stack.
-
-    Per set, np.sqrt(np.mean(np.sum((x - x.mean(axis=0)) ** 2, axis=1))) in
-    the same arithmetic, without the wrappers of mean and sum, for all sets
-    in one pass: the anneal recomputes it after every step that accepted a
-    move.
-    """
-    n = stack.shape[1]
-    centroid = np.add.reduce(stack, axis=1)
-    centroid /= n
-    d = stack - centroid[:, None]
-    d *= d
-    ms = np.add.reduce(np.add.reduce(d, axis=2), axis=1)
-    ms /= n
-    return np.sqrt(ms, out=ms)
-
-
 def _anneal(starts: np.ndarray, iters: int, rngs: list[np.random.Generator],
             temperature: float = 0.3) -> np.ndarray:
     """Anneal copies of the R sets of an (R, n, D) stack on max angle, in
@@ -273,7 +254,9 @@ def max_cardinality_search(theta: float, D: int, budget: int = 20000,
     rng = rng_stream(seed, 0)
     used = 0
     while used < budget and len(pts) + 1 <= limit:
-        scale = max(float(_spreads(pts[None])[0]), 1.0)
+        # The root-mean-square distance from the centroid, as _anneal takes it.
+        sumsq = float(_max_angle_scan(pts[None])[3][0])
+        scale = max(math.sqrt(sumsq / (2 * len(pts) ** 2)), 1.0)
         inserted = False
         for _ in range(min(30, budget - used)):
             used += 1

@@ -119,6 +119,11 @@ class TestBasicCommands:
         # 4 points < 2^2 + 1: hypothesis violated -> exit 2
         assert code == 2
 
+    def test_ef_construct_help_says_max_angle_is_a_rescan(self, capsys):
+        code, out = run(["ef-construct", "--help"], capsys)
+        assert code == 0
+        assert "max_angle field is an exact O(n^3 D) rescan" in " ".join(out.split())
+
     def test_n_bounds_explicit_constants(self, capsys):
         code, out = run(["n-bounds", "--theta", str(math.pi - 1.0), "--dim", "3",
                          "--c-d", "1.0", "--C-d", "4.0"], capsys)
