@@ -315,6 +315,21 @@ class TestCoordinateMajorScan:
         assert [a.tobytes() for a in got] == [
             a.tobytes() for a in row_major_max_angle_scan(stack)]
 
+    @pytest.mark.parametrize("D", list(range(1, 26)) + [127, 128, 129, 136, 137, 300])
+    def test_sumsq_is_accurate_in_every_dimension(self, D):
+        # Each squared ray norm is one reduce over D coordinates, the sum of
+        # its n - 1 norms another: all terms are positive, so the scan's
+        # sumsq is within (D + n) u of the correctly rounded sum of the same
+        # rounded squares, whatever the coordinates' magnitudes.
+        rng = np.random.default_rng(D)
+        P, n = 7, 5
+        x = rng.normal(size=(P, n, D)) * 10.0 ** rng.uniform(-8, 8, size=(P, n, D))
+        got = _max_angle_scan(x)[3]
+        for p in range(P):
+            d = x[p][:, None, :] - x[p][None, :, :]
+            want = math.fsum((d * d).ravel().tolist())
+            assert abs(got[p] - want) <= (D + n) * 2.0**-53 * want, (p, got[p], want)
+
     def test_sumsq_is_the_sum_over_ordered_pairs(self):
         rng = np.random.default_rng(51)
         for _ in range(50):

@@ -241,6 +241,19 @@ class TestAnneal:
             worst = max(worst, float(np.max(np.abs(got - want) / (want * 2.0**-52))))
         assert worst <= 4.0
 
+    def test_stacked_spreads_match_each_set_alone(self):
+        # The anneal takes its spreads from a scan of its stack of starts,
+        # max_cardinality_search from a scan of one set: the two must agree.
+        rng = np.random.default_rng(46)
+        for _ in range(300):
+            R, n, D = int(rng.integers(1, 7)), int(rng.integers(2, 40)), int(rng.integers(1, 13))
+            stack = (rng.normal(size=(R, n, D)) * 10.0 ** rng.uniform(-3, 3, size=(R, 1, 1))
+                     + rng.normal(size=(R, 1, D)) * 10.0 ** rng.uniform(-3, 6))
+            stacked = np.sqrt(geometry._max_angle_scan(stack)[3] / (2 * n * n))
+            alone = [math.sqrt(float(geometry._max_angle_scan(x[None])[3][0]) / (2 * n * n))
+                     for x in stack]
+            assert stacked.tolist() == alone
+
     @pytest.mark.parametrize("choice", [0.0, 0.9], ids=["triple-vertex", "any-vertex"])
     def test_the_highest_uniform_picks_the_last_index(self, monkeypatch, choice):
         # 1 - 2^-53 is the highest uniform a Generator draws.
