@@ -28,8 +28,8 @@ from .errors import (
     ScaleExhausted,
     check_int,
 )
-from .geometry import (PointSet, _check_closed, _facet_planes, _hull_join, _min_upper_pair,
-                       _row_blocks, angle_at, max_angle_triple, regular_simplex)
+from .geometry import (LOOSE_UNIT_NORM_TOL, PointSet, _check_closed, _facet_planes, _hull_join,
+                       _min_upper_pair, _row_blocks, angle_at, max_angle_triple, regular_simplex)
 from .sampling import _check_seed, canonical_lines, rng_stream
 
 # The cap on deepest-hole insertions.
@@ -67,7 +67,7 @@ class LineArrangement:
         if vecs.ndim != 2 or vecs.shape[0] < 1 or vecs.shape[1] != self.dim:
             raise OutOfRange(f"expected an (m, {self.dim}) array of lines")
         norms = np.linalg.norm(vecs, axis=1)
-        if not np.all(np.abs(norms - 1.0) <= 1e-9):
+        if not np.all(np.abs(norms - 1.0) <= LOOSE_UNIT_NORM_TOL):
             raise OutOfRange("lines must be unit vectors")
         vecs = canonical_lines(vecs / norms[:, None])
         vecs.setflags(write=False)

@@ -25,7 +25,6 @@ order, and verdicts and witnesses are those of one solve per point.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -34,7 +33,7 @@ import numpy as np
 
 from .errors import DegenerateSimplex, NotInHull, NotInterior, OutOfRange
 from .geometry import PointSet, _as_point, _min_upper_pair, _row_blocks, angle_at, rays_from
-from .sampling import rd_directions
+from .sampling import fixed_directions
 
 # Barycentric/convex coefficients above -1e-10 count as nonnegative; strict
 # interiority requires them above +1e-10, or a pull c_j |v_j - p| above
@@ -374,16 +373,6 @@ def is_convex_position(A: PointSet) -> ConvexPositionVerdict:
     return A._convex_verdict
 
 
-@functools.lru_cache(maxsize=64)
-def _screen_directions(dim: int, count: int) -> np.ndarray:
-    """Rows 1..count of the R_d directions in R^dim (row 0 is the zero
-    vector), built once per (dim, count) and read-only, so every screen of
-    that size shares one array."""
-    U = rd_directions(dim, count + 1)[1:]
-    U.setflags(write=False)
-    return U
-
-
 def _screen(pts: np.ndarray) -> np.ndarray:
     """Mask of the points a fixed direction proves vertices.
 
@@ -401,7 +390,7 @@ def _screen(pts: np.ndarray) -> np.ndarray:
     C = pts - pts.mean(axis=0)
     norms = np.sqrt(np.einsum("ij,ij->i", C, C))
     margin = 2.0 * FEAS_TOL * (norms + np.max(norms))
-    U = _screen_directions(D, max(256, 8 * n))
+    U = fixed_directions(D, max(256, 8 * n))
     certified = np.zeros(n, dtype=bool)
     for lo, hi in _row_blocks(len(U), n):
         Y = U[lo:hi] @ C.T

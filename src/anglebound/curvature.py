@@ -30,16 +30,16 @@ one such stack, one set of rays per vertex, refused or not.
 
 Monte Carlo directions are one fixed set under random rotations, with no
 per-sample draw: raw row i is row i % BLOCK of the unshifted R_d directions
-1..BLOCK (`sampling.rd_directions`, cached per dimension) under the
-(i // BLOCK)-th rotation from default_rng(seed), the Q of a standard normal
-matrix's QR with R's diagonal signs moved into it, so Haar on O(dim)
-(Mezzadri 2007). Each row is so uniform on the sphere and every Monte Carlo
-fraction unbiased. Rows of one rotation are dependent, their covariance set
-by the angle between their base rows; over the evenly spread base these sum
-below zero, so the variance stays under the binomial p(1 - p)/N (0.1-0.6 of
-it in D = 4, 5, 8). The rows are never built: since x . (Q b) = (x Q) . b,
-`_paired_products` turns its points by each Q once, then multiplies them by
-the base rows.
+1..BLOCK (`sampling.fixed_directions`, shared with the convex-position
+screen) under the (i // BLOCK)-th rotation from default_rng(seed), the Q of
+a standard normal matrix's QR with R's diagonal signs moved into it, so
+Haar on O(dim) (Mezzadri 2007). Each row is so uniform on the sphere and
+every Monte Carlo fraction unbiased. Rows of one rotation are dependent,
+their covariance set by the angle between their base rows; over the evenly
+spread base these sum below zero, so the variance stays under the binomial
+p(1 - p)/N (0.1-0.6 of it in D = 4, 5, 8). The rows are never built: since
+x . (Q b) = (x Q) . b, `_paired_products` turns its points by each Q once,
+then multiplies them by the base rows.
 
 The directions come in antithetic pairs (Hammersley & Morton 1956). N
 samples take ceil(N/2) raw rows u_k; sample 2k is u_k and 2k + 1 is -u_k,
@@ -54,7 +54,6 @@ bound.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -70,9 +69,9 @@ from .errors import (
     OutOfRange,
     check_int,
 )
-from .geometry import (PointSet, _as_point, _check_closed, _facet_planes, _hull_join, _others,
-                       _row_blocks, as_unit)
-from .sampling import _check_seed, rd_directions
+from .geometry import (LOOSE_UNIT_NORM_TOL, UNIT_NORM_TOL, PointSet, _as_point, _check_closed,
+                       _facet_planes, _hull_join, _others, _row_blocks, as_unit)
+from .sampling import _check_seed, fixed_directions
 
 CONE_FIT_TOL = 1e-9
 # Closed-form fractions must sum to 1 within this (Gauss-Bonnet); each
@@ -143,13 +142,6 @@ def _rotations(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return q * np.copysign(1.0, np.diagonal(r, axis1=1, axis2=2))[:, None, :]
 
 
-@functools.cache
-def _base_directions(dim: int) -> np.ndarray:
-    U = rd_directions(dim, BLOCK + 1)[1:]  # row 0 is the zero vector
-    U.setflags(write=False)  # one cached array serves every call
-    return U
-
-
 def _check_samples(samples) -> int:
     return check_int(samples, "need at least 1000 samples, an integer, got {!r}", 1000)
 
@@ -163,7 +155,7 @@ def _paired_products(P: np.ndarray, samples: int, seed: int):
     `paired` columns have their partner within the sample count.
     """
     half, D = -(-samples // 2), P.shape[1]
-    base, rng = _base_directions(D), np.random.default_rng(seed)
+    base, rng = fixed_directions(D, BLOCK), np.random.default_rng(seed)
     for lo, Q in zip(range(0, half, BLOCK), _rotations(rng, -(-half // BLOCK), D)):
         PQ = P @ Q
         for a, b in _row_blocks(min(BLOCK, half - lo), max(D, len(P))):
@@ -408,7 +400,7 @@ def min_enclosing_cap(H) -> SphericalCap:
     if vecs.ndim != 2 or vecs.shape[0] < 1:
         raise OutOfRange("need a nonempty list of unit vectors")
     norms = np.linalg.norm(vecs, axis=1)
-    if not np.all(np.abs(norms - 1.0) <= 1e-9):
+    if not np.all(np.abs(norms - 1.0) <= LOOSE_UNIT_NORM_TOL):
         raise OutOfRange("inputs must be unit vectors")
     centers, radii = _enclosing_caps(vecs[None])
     if math.isnan(radii[0]):
@@ -440,8 +432,12 @@ def cone_cover_certificate(V: PointSet, eta: float) -> list[Cone]:
     if refused.size:
         i = int(refused[0])
         raise CapTooSmall(i, 0.5 * math.pi if math.isnan(radii[i]) else float(radii[i]), eta)
-    cones = [Cone(apex=V.points[i].copy(), axis=axis, half_angle=eta)
-             for i, axis in enumerate(axes)]
+    norms = np.sqrt(np.einsum("ij,ij->i", axes, axes))  # as geodesic_diameter checks rows
+    for axis in axes[~(np.abs(norms - 1.0) <= 0.5 * UNIT_NORM_TOL)]:
+        as_unit(axis)
+    cones = [object.__new__(Cone) for _ in range(n)]  # PointSet rows need no Cone checks
+    for cone, apex, axis in zip(cones, V.points.copy(), axes):
+        cone.__dict__.update(apex=apex, axis=axis, half_angle=eta)
     # Every vertex j in every cone i, by Cone.contains's test on all pairs at once.
     outside = np.argwhere(~_in_cone(V.points[None, :, :] - V.points[:, None, :],
                                     axes[:, None, :], eta))

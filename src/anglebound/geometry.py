@@ -22,6 +22,9 @@ from .errors import DegenerateTriple, OutOfRange
 DISTINCTNESS_TOL = 1e-9
 
 UNIT_NORM_TOL = 1e-12
+# The bar for unit rows not kept as given: a LineArrangement renormalizes
+# its lines, and an enclosing cap is re-checked against the caller's rays.
+LOOSE_UNIT_NORM_TOL = 1e-9
 
 # Entries per block of the pairwise scans (ray Grams, PointSet distances): a
 # block holds a few arrays of about this many float64s, whatever n is.

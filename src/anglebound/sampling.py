@@ -3,11 +3,11 @@
 Fixed directions are the R_d Kronecker sequence (Roberts, "The unreasonable
 effectiveness of quasirandom sequences", 2018), frac(i alpha) in an even
 number k of coordinates, with alpha_j = phi^-(j+1) for phi the positive root
-of x^(k+1) = x + 1. Box-Muller (1958) maps coordinate pairs to normals; the
-rows are normalized (`rd_directions`, which builds them coordinate-major, in
-place, and takes the norms of the C-contiguous rows). They are the Monte
+of x^(k+1) = x + 1. Box-Muller (1958) maps each row's coordinate pairs to
+normals, and the row is normalized (`rd_directions`). They are the Monte
 Carlo base directions and those of the convex-position screen, which so
-need no generator. `canonical_lines` gives lines their canonical sign.
+need no generator; both read prefixes of one read-only array per dimension
+(`fixed_directions`). `canonical_lines` gives lines their canonical sign.
 Seeded streams (`rng_stream`) are numpy Generators, loaded only where one
 is drawn.
 
@@ -51,43 +51,37 @@ def _rd_alpha(k: int) -> np.ndarray:
     return phi ** -np.arange(1.0, k + 1.0)
 
 
-def _box_muller(k: int, n: int) -> np.ndarray:
-    """The (k, n) normals of rows 0..n-1 of frac(i alpha), coordinate-major,
-    computed in the array of the coordinates: each even row becomes the radius
-    r, each odd row the angle t, then r cos t and r sin t."""
-    z = _rd_alpha(k)[:, None] * np.arange(n, dtype=float)
-    for row in z:  # frac(u), exact for u >= 0 and cheaper than % 1.0; one row of temporaries
-        row -= np.floor(row)
-    r, t = z[0::2], z[1::2]
-    np.negative(r, out=r)
-    np.log1p(r, out=r)  # 1 - u lies in (0, 1]
-    r *= -2.0
-    np.sqrt(r, out=r)
-    t *= 2.0 * np.pi
-    sin = np.sin(t)
-    sin *= r
-    np.cos(t, out=t)
-    r *= t
-    t[...] = sin
-    return z
-
-
 def rd_directions(dim: int, n: int) -> np.ndarray:
     """Rows 0..n-1 of the R_d sequence frac(i alpha) as unit vectors in R^dim.
 
-    Box-Muller maps the 2 ceil(dim/2) coordinates pairwise to normals, which
-    are cut to dim and normalized; a row of norm below 1e-12 stays as it is
-    (row 0 is the zero vector). The normals are built coordinate-major, as
-    one (k, n) array of long rows (`_box_muller`), which is freed once copied
-    to C-contiguous (n, dim) rows. The rows' norms are np.linalg.norm's
-    arithmetic for real rows, without its conjugate copy, so they are those
-    of the row-major formula bit for bit.
+    Box-Muller maps each row's 2 ceil(dim/2) coordinates pairwise to
+    normals, which are cut to dim and divided by the row's np.linalg.norm; a
+    row of norm below 1e-12 stays as it is (row 0 is the zero vector). Row i
+    depends on i alone, so a shorter build is a prefix of a longer one.
     """
-    rows = np.ascontiguousarray(_box_muller(dim + dim % 2, n)[:dim].T)
-    norms = np.sqrt(np.add.reduce(rows * rows, axis=1))
+    k = dim + dim % 2
+    u = (np.arange(n, dtype=float)[:, None] * _rd_alpha(k)) % 1.0
+    r = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))  # 1 - u lies in (0, 1]
+    t = 2.0 * np.pi * u[:, 1::2]
+    z = np.stack([r * np.cos(t), r * np.sin(t)], axis=2).reshape(n, k)[:, :dim]
+    norms = np.linalg.norm(z, axis=1)
     norms[norms < 1e-12] = 1.0
-    rows /= norms[:, None]
-    return rows
+    return z / norms[:, None]
+
+
+_FIXED: dict[int, np.ndarray] = {}  # per dimension, rows 1.. of rd_directions, read-only
+
+
+def fixed_directions(dim: int, count: int) -> np.ndarray:
+    """Rows 1..count of rd_directions(dim, count + 1) (row 0 is the zero
+    vector), a read-only prefix of the one array cached for dim, which is
+    rebuilt longer when asked for more rows than it holds."""
+    U = _FIXED.get(dim)
+    if U is None or len(U) < count:
+        U = rd_directions(dim, count + 1)[1:]
+        U.setflags(write=False)
+        _FIXED[dim] = U
+    return U[:count]
 
 
 def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:

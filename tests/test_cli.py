@@ -171,6 +171,19 @@ class TestTable:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert rows[0]["theta_deg"] == "91.0" and rows[-1]["theta_deg"] == last
 
+    def test_cells_past_theta_d_minus_1_are_not_applicable(self, capsys):
+        # 115 and 120 degrees lie between theta_3 and theta_2 = 120 degrees;
+        # 125 lies past theta_2, where the bound is not evaluated.
+        code, out = run(["table", "--bound-grid", "--dims", "3",
+                         "--theta-deg", "115..125", "--theta-step", "5"], capsys)
+        assert code == 0
+        assert out == (
+            "dim,theta_rad,theta_deg,eta,f_value,bound,theorem_applicable,status\n"
+            "3,2.007128639793479,115.0,1.3416671615716231,0.013067721727702698,"
+            "76.52443332031373,False,formula-only\n"
+            "3,2.0943951023931953,120.0,1.5707963267948966,0.0,inf,False,formula-only\n"
+            "3,2.181661564992912,125.0,,,,,not-applicable\n")
+
     def test_module_level_function_matches(self):
         text = table_bound_grid([2], [90.0])
         row = next(csv.DictReader(io.StringIO(text)))
@@ -422,6 +435,16 @@ class TestExitCodes:
          "iters must be an integer >= 1, got 0"),
     ], ids=["search", "closed-form"])
     def test_pack_lines_budget_is_refused_by_name(self, argv, message, capsys):
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["bound", "--dim", "2"], "--theta or --theta-deg is required"),
+        (["table", "--dims", "2"], "table currently supports --bound-grid only"),
+    ], ids=["bound-no-angle", "table-no-grid"])
+    def test_missing_required_choice_is_refused_by_name(self, argv, message, capsys):
         assert dispatch(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

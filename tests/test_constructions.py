@@ -858,6 +858,28 @@ def test_nan_arguments_refused_by_name(call, message):
 
 
 @pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: LineArrangement(dim=3, lines=np.eye(2)),
+                 r"expected an \(m, 3\) array of lines$", id="LineArrangement-shape"),
+    pytest.param(lambda: EdgeColoring(n=1, m=1, color={}),
+                 "need n >= 2 vertices and m >= 1 colors$", id="EdgeColoring-n"),
+    pytest.param(lambda: EdgeColoring(n=2, m=0, color={(0, 1): 0}),
+                 "need n >= 2 vertices and m >= 1 colors$", id="EdgeColoring-m"),
+    pytest.param(lambda: ef_doubling(PLANAR_TRIPLE, 0.0),
+                 r"rho must lie in \(0, pi\), got 0\.0$", id="ef_doubling-rho"),
+    pytest.param(lambda: obtuse_triple_witness(PointSet([[0, 0], [1, 0], [0, 1]]),
+                                               PLANAR_TRIPLE, math.pi),
+                 r"rho must lie in \(0, pi\), got 3\.141592653589793$",
+                 id="obtuse_triple_witness-rho"),
+    pytest.param(lambda: n_bounds(2.0, 2, 4.0, 1.0),
+                 r"constants c_d=4\.0, C_d=1\.0 are inconsistent: lower 5\.672075702880992 "
+                 r">= upper 4\.670481159771903$", id="n_bounds-order"),
+])
+def test_out_of_range_arguments_refused_by_name(call, message):
+    with pytest.raises(OutOfRange, match=f"^{message}"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
     pytest.param(lambda: theta_d(math.nan), "d must be a positive integer, got nan",
                  id="theta_d"),
     pytest.param(lambda: sin_half_theta_d(math.nan), "d must be a positive integer, got nan",

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from anglebound import convexity
+from anglebound import convexity, sampling
 from anglebound.convexity import (
     caratheodory_decompose,
     is_convex_position,
@@ -150,6 +150,12 @@ TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
                  "point has dimension 3 but the set 2", id="caratheodory-3d"),
     pytest.param(lambda: obtuse_witness([0.2, 0.2, 0.2], TRIANGLE),
                  "point has dimension 3 but the set 2", id="witness-3d"),
+    pytest.param(lambda: rays_from([0.2, 0.2, 0.2], PointSet(TRIANGLE)),
+                 "apex dimension does not match point set", id="rays-3d"),
+    pytest.param(lambda: min_pairwise_dot([[1.0, 0.0]]), "need at least two vectors",
+                 id="min-dot-one-row"),
+    pytest.param(lambda: simplex_contains_origin([[1.0, 0.0]]),
+                 "simplex needs at least two vertices", id="simplex-one-row"),
 ])
 def test_bad_points_refused_before_any_solve(capfd, call, message):
     # NaN used to reach LAPACK, which printed "On entry to DLASCL parameter
@@ -397,22 +403,24 @@ class TestDirectionScreen:
 
 
     def test_directions_are_built_once_per_size_and_read_only(self, monkeypatch):
-        built = []
-        rd = convexity.rd_directions
-        monkeypatch.setattr(convexity, "rd_directions",
+        # The screen reads the shared cache, which builds a longer array only
+        # when a screen needs more rows than it holds.
+        built, asked = [], []
+        rd, fixed = sampling.rd_directions, sampling.fixed_directions
+        monkeypatch.setattr(sampling, "_FIXED", {})
+        monkeypatch.setattr(sampling, "rd_directions",
                             lambda dim, n: built.append((dim, n)) or rd(dim, n))
-        convexity._screen_directions.cache_clear()
-        try:
-            rng = np.random.default_rng(34)
-            verdicts = [convexity._screen(rng.normal(size=(n, D)))
-                        for _ in range(3) for D in (2, 5) for n in (8, 40)]
-            assert sorted(built) == [(2, 257), (2, 321), (5, 257), (5, 321)]
-            assert all(v.dtype == bool for v in verdicts)
-            U = convexity._screen_directions(5, 320)
-            assert not U.flags.writeable
-            assert U.tobytes() == rd_directions(5, 321)[1:].tobytes()
-        finally:
-            convexity._screen_directions.cache_clear()
+        monkeypatch.setattr(convexity, "fixed_directions",
+                            lambda dim, count: asked.append((dim, count)) or fixed(dim, count))
+        rng = np.random.default_rng(34)
+        verdicts = [convexity._screen(rng.normal(size=(n, D)))
+                    for _ in range(3) for D in (2, 5) for n in (8, 40)]
+        assert built == [(2, 257), (2, 321), (5, 257), (5, 321)]
+        assert asked == [(2, 256), (2, 320), (5, 256), (5, 320)] * 3
+        assert all(v.dtype == bool for v in verdicts)
+        U = fixed(5, 256)
+        assert not U.flags.writeable and np.shares_memory(U, sampling._FIXED[5])
+        assert U.tobytes() == rd_directions(5, 257)[1:].tobytes()
 
 
 class TestSolverAnswersAreRechecked:
@@ -627,3 +635,5 @@ class TestObtuseWitness:
     def test_degenerate_simplex_rejected(self):
         with pytest.raises(DegenerateSimplex):
             obtuse_witness([0.5, 0.1], np.array([[0, 0], [1, 0], [2, 0]], dtype=float))
+        with pytest.raises(DegenerateSimplex, match="^simplex needs at least two vertices$"):
+            obtuse_witness([0.5, 0.1], [[0.5, 0.1]])

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from anglebound import constructions, convexity, curvature, geometry
+from anglebound import constructions, convexity, curvature, geometry, sampling
 from anglebound.bounds import eta_of_theta, f_fraction, theta_d
 from anglebound.curvature import (
     BLOCK,
@@ -111,11 +111,17 @@ class TestSampling:
         np.testing.assert_allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-12)
         assert np.linalg.norm(z.mean(axis=0)) < 0.02
 
-    def test_base_set_is_the_cached_unshifted_rd_set(self):
+    def test_base_set_is_the_cached_unshifted_rd_set(self, monkeypatch):
+        asked = []
+        fixed = curvature.fixed_directions
+        monkeypatch.setattr(curvature, "fixed_directions",
+                            lambda dim, count: asked.append((dim, count)) or fixed(dim, count))
         for dim in (1, 2, 5, 8):
-            base = curvature._base_directions(dim)
-            assert base is curvature._base_directions(dim) and not base.flags.writeable
+            list(curvature._paired_products(np.eye(dim), 2000, 0))
+            base = fixed(dim, BLOCK)
+            assert np.shares_memory(base, fixed(dim, BLOCK)) and not base.flags.writeable
             assert base.tobytes() == rd_directions(dim, BLOCK + 1)[1:].tobytes()
+        assert asked == [(1, BLOCK), (2, BLOCK), (5, BLOCK), (8, BLOCK)]
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8, 12])
     def test_rotations_are_orthogonal(self, dim):
@@ -165,6 +171,21 @@ class TestSampling:
             assert U.shape == (n, dim) and U.flags.c_contiguous
             assert U.tobytes() == row_major_rd_directions(dim, n).tobytes()
 
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_builds_are_prefixes_and_the_cache_grows_only_when_asked(self, dim, monkeypatch):
+        full = rd_directions(dim, 20_001)
+        for n in (1, 2, 257, 4097, 20_000):
+            assert rd_directions(dim, n).tobytes() == full[:n].tobytes()
+        built, rd = [], sampling.rd_directions
+        monkeypatch.setattr(sampling, "_FIXED", {})
+        monkeypatch.setattr(sampling, "rd_directions",
+                            lambda d, n: built.append(n) or rd(d, n))
+        for count in (256, 100, BLOCK, 320, BLOCK, 5000, 256):
+            U = sampling.fixed_directions(dim, count)
+            assert U.shape == (count, dim) and U.flags.c_contiguous and not U.flags.writeable
+            assert U.tobytes() == full[1:count + 1].tobytes()
+        assert built == [257, BLOCK + 1, 5001]
+
     @pytest.mark.parametrize("terms", [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 300])
     def test_square_sums_add_in_the_order_of_the_row_norm(self, terms):
         # np.linalg.norm's pairwise order of addition changes at 8 and at 128
@@ -206,7 +227,19 @@ class TestSampling:
          r"expected an \(n, dim\) array with n, dim >= 1, got \(10, 0\)"),
         (lambda: normal_cone_fraction_mc(TESSERACT, 0, 999, 1),
          "need at least 1000 samples, an integer, got 999"),
-    ], ids=["dim", "n"])
+        (lambda: cone_cover_certificate(SQUARE, 0.0),
+         r"^eta must lie in \(0, pi/2\), got 0\.0$"),
+        (lambda: cone_cover_certificate(SQUARE, math.pi / 2),
+         r"^eta must lie in \(0, pi/2\), got 1\.5707963267948966$"),
+        (lambda: cone_cover_certificate(PointSet([[0.0, 1.0]]), 0.5),
+         "^need at least two points$"),
+        (lambda: min_enclosing_cap([]), "^need a nonempty list of unit vectors$"),
+        (lambda: curvature.Cone(apex=np.zeros(2), axis=[0.0, 1.0], half_angle=math.pi / 2),
+         r"^half_angle must lie in \(0, pi/2\), got 1\.5707963267948966$"),
+        (lambda: curvature.SphericalCap(center=[0.0, 1.0], radius=4.0),
+         r"^cap radius must lie in \[0, pi\], got 4\.0$"),
+    ], ids=["dim", "n", "eta-zero", "eta-right-angle", "cover-one-point", "cap-empty",
+            "cone-half-angle", "cap-radius"])
     def test_bad_sizes_raise_out_of_range(self, call, message):
         with pytest.raises(OutOfRange, match=message):
             call()
@@ -214,7 +247,8 @@ class TestSampling:
     @pytest.mark.parametrize("call, message", [
         (lambda: normal_cone_fraction_mc(PointSet([[0, 0], [1, 0], [0, 1]]), 1.5, 2000, 1),
          r"vertex index must be an integer, got 1\.5"),
-    ], ids=["vertex-index"])
+        (lambda: normal_cone_fraction_mc(TESSERACT, 16, 2000, 1), "vertex index 16 out of range"),
+    ], ids=["vertex-index", "vertex-index-range"])
     def test_fractional_and_nan_sizes_refused_by_name(self, call, message):
         # A fractional index used to escape as a raw IndexError.
         with pytest.raises(OutOfRange, match=f"^{message}$"):
@@ -954,6 +988,31 @@ class TestConeCover:
                     assert want is None
                 assert calls == [(12, 11, D)]
         assert len(set(refused_at)) >= 3 and len(refused_at) < 36
+
+    @pytest.mark.parametrize("ps, eta", [(SQUARE, 1.0), (CUBE, 1.2), (TESSERACT, 1.3)],
+                             ids=["square", "cube", "tesseract"])
+    def test_axes_are_checked_once_as_cone_checks_them(self, monkeypatch, ps, eta):
+        # The cones skip Cone's per-cone checks, so they must equal the checked
+        # construction, and an axis off the unit sphere is refused by as_unit.
+        cones = cone_cover_certificate(ps, eta)
+        for cone, p in zip(cones, ps.points):
+            want = curvature.Cone(apex=p.copy(), axis=cone.axis, half_angle=eta)
+            assert cone.apex.tobytes() == want.apex.tobytes() == p.tobytes()
+            assert cone.half_angle == eta and cone.apex.flags.writeable
+        stacked = curvature._enclosing_caps
+        for scale, message in ((1.0 + 0.8e-12, None), (1.0 + 1e-9, "1.000000001")):
+            def scaled(rays):
+                axes, radii = stacked(rays)
+                axes[2] *= scale
+                return axes, radii
+
+            monkeypatch.setattr(curvature, "_enclosing_caps", scaled)
+            if message is None:
+                assert cone_cover_certificate(ps, eta)[2].axis.tobytes() == (
+                    cones[2].axis * scale).tobytes()
+            else:
+                with pytest.raises(OutOfRange, match=f"^vector has norm {message}, expected 1$"):
+                    cone_cover_certificate(ps, eta)
 
     def test_two_planar_points_take_their_rays_as_axes(self):
         ps = PointSet([[0.0, 0.0], [3.0, 4.0]])
