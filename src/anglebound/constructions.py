@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,8 @@ from .sampling import _check_seed, canonical_lines, rng_stream
 
 # The cap on deepest-hole insertions.
 _MAX_ROUNDS = 10_000
+# The cap on the planar family's lines, fixed here: D + _MAX_ROUNDS at D = 2.
+_MAX_PLANAR_LINES = 2 + _MAX_ROUNDS
 # No insertion starts from more than this many facet entries, facets x D^2,
 # the size of the stacked vertex rows the certificate solves (24 MB here).
 # It sits above the 119 588 x 4^2 of R^4 at rho = 0.18 and below the first
@@ -246,7 +249,10 @@ def cover_lines(rho: float, D: int, seed: int = 0, probes: int = 100_000) -> Lin
     least k lines with cos(pi/(2k)) >= cos(rho/2) - _COVER_TOL. The
     directions midway between its neighbouring lines are its deepest holes,
     pi/(2k) from every line, so the family leaves every direction within
-    rho/2 of a line, and the insertion caps do not apply.
+    rho/2 of a line. No insertion runs, but a family of more than
+    _MAX_PLANAR_LINES lines, the most an insertion reaches in D = 2, is
+    refused before it is built (rho below about 3.14e-4): CoverageFailed
+    names k and rho/2.
 
     In D >= 3, when cos(rho/2) - _COVER_TOL <= 1/sqrt(D), the coordinate
     frame is returned. Every unit x has max_i |x_i| >= 1/sqrt(D), so the
@@ -255,13 +261,18 @@ def cover_lines(rho: float, D: int, seed: int = 0, probes: int = 100_000) -> Lin
 
     Otherwise lines are added by deepest-hole insertion from the frame
     (`_hole_insertion`), and the hull of +-l_i is re-checked before returning
-    (`_check_hull`). CoverageFailed names the line count and the radius
-    reached when the insertions pass _MAX_ROUNDS or the hull passes
-    _FACET_BUDGET, or the first check that fails. The round cap refuses rho
-    below about 0.0408 in R^3 (after about 10 s) and 0.176 in R^4 (about
-    40 s); the facet budget refuses rho below about 0.524 in R^5 (about
-    12 s), 1.063 in R^6, 1.618 in R^7 and 1.984 in R^8 (under 2 s each), and
-    every rho below the frame's threshold in R^14 and up.
+    (`_check_hull`). The insertion does not depend on rho, which only decides
+    where it stops, so each dimension's is recorded for the life of the
+    process and grown only past its end: a cover in a dimension already
+    grown as far costs its re-check alone, which still runs on every cover
+    returned. CoverageFailed, which also drops the dimension's record, names
+    the line count and the radius reached when the insertions pass
+    _MAX_ROUNDS or the hull passes _FACET_BUDGET, or the first check that
+    fails. The round cap refuses rho below about 0.0408 in R^3 (after about
+    10 s) and 0.176 in R^4 (about 40 s); the facet budget refuses rho below
+    about 0.524 in R^5 (about 12 s), 1.063 in R^6, 1.618 in R^7 and 1.984 in
+    R^8 (under 2 s each), and every rho below the frame's threshold in R^14
+    and up.
     """
     if not 0.0 < rho < math.pi:
         raise OutOfRange(f"rho must lie in (0, pi), got {rho}")
@@ -271,17 +282,116 @@ def cover_lines(rho: float, D: int, seed: int = 0, probes: int = 100_000) -> Lin
     cos_half = math.cos(0.5 * rho)
     if D == 2:
         k = math.ceil(0.5 * math.pi / math.acos(cos_half - _COVER_TOL))
+        if k > _MAX_PLANAR_LINES:
+            raise CoverageFailed(f"R^2: leaving every direction within rho/2 = {0.5 * rho:.6g} "
+                                 f"of a line takes {k} lines, past the cap of {_MAX_PLANAR_LINES}")
         return LineArrangement(dim=D, lines=_equiangular(k))
     if cos_half - _COVER_TOL <= 1.0 / math.sqrt(D):
         return LineArrangement(dim=D, lines=np.eye(D))
     V, F = _hole_insertion(D, cos_half, _MAX_ROUNDS)
-    _check_hull(V, F, cos_half)
+    try:
+        _check_hull(V, F, cos_half)
+    except CoverageFailed:
+        with _INSERTIONS_LOCK:
+            _INSERTIONS.pop(D, None)
+        raise
     return LineArrangement(dim=D, lines=V[0::2])
+
+
+def _grown(a: np.ndarray, rows: int) -> np.ndarray:
+    """a, or a copy of it with room for at least `rows` rows, at least twice
+    as many, when it has fewer."""
+    if rows <= len(a):
+        return a
+    b = np.empty((max(rows, 2 * len(a)),) + a.shape[1:], dtype=a.dtype)
+    b[:len(a)] = a
+    return b
+
+
+# The `died` of a facet still in the live hull.
+_ALIVE = np.iinfo(np.int64).max
+
+
+class _Insertion:
+    """One dimension's deepest-hole insertion from the frame (`_hole_insertion`),
+    `steps` insertions so far, kept for every later cover in that dimension.
+
+    V[:2 (D + steps)] holds the points and F, N, H the live hull as
+    `_hull_join` leaves it; `nearest` is its first facet of least offset and
+    depth[s] the least offset after s insertions, the stop test's. Every
+    facet ever made is a row of `rows`, in creation order: the frame and the
+    first s insertions made the first made[s]. died[i] is the insertion that
+    dropped facet i, _ALIVE while it lives. The last len(dropped) insertions'
+    deaths wait in `dropped`, each as the rows it dropped from the hull
+    before it, until a prefix below the end writes them (`prefix`): ids
+    holds the creation index of each facet of the hull before those
+    insertions. So a step costs no pass over the hull beyond its join. The
+    buffers grow by doubling; their rows past the committed ones are unset.
+    """
+
+    def __init__(self, D: int):
+        self.D, self.steps = D, 0
+        self.V = np.empty((4 * D, D))
+        self.V[0:2 * D:2], self.V[1:2 * D:2] = np.eye(D), -np.eye(D)
+        self.F = 2 * np.arange(D) + np.array(list(itertools.product((0, 1), repeat=D)))
+        self.F.setflags(write=False)
+        self.N, self.H = _facet_planes(self.V, self.F)
+        self.nearest = int(self.H.argmin())
+        self.depth = np.empty(64)
+        self.depth[0] = self.H[self.nearest]
+        self.rows, self.made = self.F.copy(), [len(self.F)]
+        self.died = np.full(len(self.F), _ALIVE)
+        self.ids, self.dropped = np.arange(len(self.F)), []
+
+    def grow(self, cos_half: float):
+        """One insertion: the normal of the first nearest facet joins as +-l,
+        committed once the join is done. The budget check runs first."""
+        D, n, f = self.D, 2 * (self.D + self.steps), self.nearest
+        _within_budget(D, n // 2, len(self.F), self.H[f], cos_half)
+        self.V = V = _grown(self.V, n + 2)  # the rows from n on are not yet committed
+        V[n], V[n + 1] = self.N[f], -self.N[f]
+        F, N, H, gone = _hull_join(V, self.F, self.N, self.H, n, n + 2, _COVER_TOL)
+        total, new = self.made[-1], len(F) - len(self.F) + len(gone)
+        self.rows = _grown(self.rows, total + new)
+        self.rows[total:total + new] = F[len(F) - new:]
+        self.died = _grown(self.died, total + new)
+        self.died[total:total + new] = _ALIVE
+        self.made.append(total + new)
+        self.dropped.append(gone)
+        f = int(H.argmin())
+        self.depth = _grown(self.depth, self.steps + 2)
+        self.depth[self.steps + 1] = H[f]
+        F.setflags(write=False)
+        self.F, self.N, self.H, self.nearest = F, N, H, f
+        self.steps += 1
+
+    def prefix(self, s: int):
+        """(V, F) after s insertions, read-only: the facets alive then, in
+        creation order, the order the compacting joins left them in."""
+        V = self.V[:2 * (self.D + s)]
+        V.setflags(write=False)
+        if s == self.steps:
+            return V, self.F
+        for t, gone in enumerate(self.dropped, self.steps - len(self.dropped) + 1):
+            self.died[self.ids.take(gone)] = t
+            self.ids = np.concatenate([np.delete(self.ids, gone),
+                                       np.arange(self.made[t - 1], self.made[t])])
+        self.dropped = []
+        m = self.made[s]
+        F = self.rows[:m][self.died[:m] > s]
+        F.setflags(write=False)
+        return V, F
+
+
+# Per dimension, the insertion grown so far (`_hole_insertion`), and the lock
+# that makes each call's walk, growth and drop one step to other threads.
+_INSERTIONS: dict[int, _Insertion] = {}
+_INSERTIONS_LOCK = threading.Lock()
 
 
 def _hole_insertion(D: int, cos_half: float, rounds: int):
     """conv{+-l_i} grown by deepest-hole insertion (Gonzalez 1985), at most
-    `rounds` insertions: (V, F).
+    `rounds` insertions: (V, F), read-only.
 
     Caps of radius r about the points +-l_i cover the sphere exactly when
     every facet plane of their hull lies at least cos r from the origin, and
@@ -295,24 +405,36 @@ def _hole_insertion(D: int, cos_half: float, rounds: int):
     the frame's included, joins nothing: CoverageFailed names D, the lines,
     the facets and the radius reached.
 
+    The order of insertions does not depend on cos_half, which only decides
+    where they stop, so each dimension's insertion is recorded once
+    (`_Insertion`, in _INSERTIONS) and every call returns a prefix of it: the
+    first step whose depth reaches cos_half - _COVER_TOL, capped at
+    `rounds`, grown past the record's end only when no recorded step does,
+    with the same budget check. The record retains the points, the live
+    hull and every facet row ever made, for the life of the process: 0.16
+    MB for the 69 lines of R^4 at rho = 1.05, 1.7-1.9 MB for the 1694 of R^3
+    at rho = 0.1. A refusal, here or in cover_lines' re-check, drops it.
+
     V holds line i as rows 2i and 2i + 1, +l_i then -l_i; F the facets as
     ascending vertex indices, a new vertex being the highest.
     """
-    _within_budget(D, D, 2**D, 1.0 / math.sqrt(D), cos_half)
-    V = np.empty((2 * (D + rounds), D))
-    V[0:2 * D:2], V[1:2 * D:2] = np.eye(D), -np.eye(D)
-    F = 2 * np.arange(D) + np.array(list(itertools.product((0, 1), repeat=D)))
-    N, H = _facet_planes(V, F)
-    n = 2 * D
-    for _ in range(rounds):
-        f = int(H.argmin())
-        if H[f] >= cos_half - _COVER_TOL:
-            break
-        _within_budget(D, n // 2, len(F), H[f], cos_half)
-        V[n], V[n + 1] = N[f], -N[f]
-        F, N, H = _hull_join(V, F, N, H, n, n + 2, _COVER_TOL)
-        n += 2
-    return V[:n], F
+    with _INSERTIONS_LOCK:
+        record = _INSERTIONS.get(D)
+        if record is None:
+            _within_budget(D, D, 2**D, 1.0 / math.sqrt(D), cos_half)
+            record = _INSERTIONS[D] = _Insertion(D)
+        stop = cos_half - _COVER_TOL
+        s = min(rounds, record.steps)
+        reached = np.flatnonzero(record.depth[:s + 1] >= stop)
+        if reached.size:
+            return record.prefix(int(reached[0]))
+        try:
+            while record.steps < rounds and record.depth[record.steps] < stop:
+                record.grow(cos_half)
+        except CoverageFailed:
+            del _INSERTIONS[D]
+            raise
+        return record.prefix(min(rounds, record.steps))
 
 
 def _within_budget(D: int, lines: int, facets: int, hole: float, cos_half: float):

@@ -247,7 +247,7 @@ def _defect_fractions(pts: np.ndarray) -> np.ndarray:
     F = np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
     N, H = _facet_planes(V, F)
     for i in range(4, n):
-        F, N, H = _hull_join(V, F, N, H, i, i + 1, tol)
+        F, N, H, _ = _hull_join(V, F, N, H, i, i + 1, tol)
     _check_closed(V, F, *_facet_planes(V, F), tol,
                   "exact normal-cone fractions in R^3: hull re-check", RuntimeError)
     T = np.concatenate([F, np.roll(F, -1, axis=1), np.roll(F, -2, axis=1)])  # each corner first

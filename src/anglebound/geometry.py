@@ -424,14 +424,16 @@ def _ridges(F: np.ndarray, base: int, tags: int = 1) -> tuple[np.ndarray, np.nda
 
 
 def _hull_join(V, F, N, H, lo: int, hi: int, tol: float):
-    """(F, N, H) of the simplicial hull about the origin with facets F (rows of
-    ascending vertex indices into V), unit normals N and offsets H, after the
-    points V[lo:hi] join it, beneath-beyond: each drops the facets whose planes
-    it lies more than tol above and is joined to their horizon, the ridges of
-    exactly one of its dropped facets. No facet may be seen by two of the
-    points; a ridge key tagged with the point that sees its facet keeps their
-    horizons apart. Keys count in base hi, above every vertex index. With
-    every old index below lo, the new rows stay ascending.
+    """(F, N, H, gone) of the simplicial hull about the origin with facets F
+    (rows of ascending vertex indices into V), unit normals N and offsets H,
+    after the points V[lo:hi] join it, beneath-beyond: each drops the facets
+    whose planes it lies more than tol above and is joined to their horizon,
+    the ridges of exactly one of its dropped facets. No facet may be seen by
+    two of the points; a ridge key tagged with the point that sees its facet
+    keeps their horizons apart. Keys count in base hi, above every vertex
+    index. With every old index below lo, the new rows stay ascending. The
+    facets kept come first, in their old order, and the new ones after them;
+    `gone` lists the old rows dropped, ascending.
     """
     D, tags = F.shape[1], hi - lo
     sees = V[lo:hi] @ N.T > H + tol  # a row per point: any() over the rows is one pass
@@ -448,7 +450,7 @@ def _hull_join(V, F, N, H, lo: int, hi: int, tol: float):
     N_new, H_new = _facet_planes(V, rows)
     return (np.concatenate([F.take(keep, axis=0), rows]),
             np.concatenate([N.take(keep, axis=0), N_new]),
-            np.concatenate([H.take(keep), H_new]))
+            np.concatenate([H.take(keep), H_new]), gone)
 
 
 def _check_closed(V, F, N, H, tol: float, stage: str, error: type):
@@ -463,6 +465,13 @@ def _check_closed(V, F, N, H, tol: float, stage: str, error: type):
     unused = len(V) - np.count_nonzero(np.bincount(F.ravel(), minlength=len(V)))
     if unused:
         raise error(f"{stage}: {unused} points are vertices of no facet")
-    above = max(float(np.max(V @ N[lo:hi].T - H[lo:hi])) for lo, hi in _row_blocks(len(N), len(V)))
+    # A block of normals times V's transpose makes long rows of products even
+    # where a block holds a few facets; V times a few normals ran 5x slower
+    # (the 13 220 points and 26 436 facets of R^3 at rho = 0.05). Rounding
+    # is monotone, so each facet's largest product less its offset is its
+    # largest difference, with one subtraction per facet.
+    VT = V.T.copy()
+    above = max(float(np.max((N[lo:hi] @ VT).max(axis=1) - H[lo:hi]))
+                for lo, hi in _row_blocks(len(N), len(V)))
     if above > tol:
         raise error(f"{stage}: a vertex lies {above:.3g} above a facet plane")

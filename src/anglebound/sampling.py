@@ -60,7 +60,7 @@ def rd_directions(dim: int, n: int) -> np.ndarray:
     depends on i alone, so a shorter build is a prefix of a longer one.
     """
     k = dim + dim % 2
-    u = (np.arange(n, dtype=float)[:, None] * _rd_alpha(k)) % 1.0
+    u = np.modf(np.arange(n, dtype=float)[:, None] * _rd_alpha(k))[0]  # % 1.0's bits, faster
     r = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))  # 1 - u lies in (0, 1]
     t = 2.0 * np.pi * u[:, 1::2]
     z = np.stack([r * np.cos(t), r * np.sin(t)], axis=2).reshape(n, k)[:, :dim]

@@ -7,13 +7,13 @@ from scipy's (qhull's) convex hull, and maximum angles by a scalar triple
 loop, by the one-vertex-at-a-time scan the blocked ray-Gram kernel
 replaced, or by that kernel's row-major build, which the coordinate-major
 one replaced. The Monte Carlo sweeps are checked against whole-matrix sweeps
-over the paired sample stream written out in full, each raw row (a
-row-major R_d direction under its block's `random_rotation`) followed by its
-negation. Convex position is also decided by one nearest-point solve per
-point, with no direction screen, nearest points by Wolfe's algorithm one
-problem at a time with np.linalg.lstsq, the R_d directions by the row-major
-formula, line packings by one restart after another, and planar cone axes
-one vertex at a time.
+over the paired sample stream written out in full, each raw row (an R_d
+direction under its block's `random_rotation`) followed by its negation.
+Convex position is also decided by one nearest-point solve per point, with
+no direction screen, nearest points by Wolfe's algorithm one problem at a
+time with np.linalg.lstsq, line packings by one restart after another,
+planar cone axes one vertex at a time, and covers by deepest-hole
+insertion grown afresh, with no record of earlier insertions.
 Pinned results are compared by `digest`.
 """
 
@@ -23,16 +23,17 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 from scipy.optimize import nnls
 
-from anglebound import convexity
+from anglebound import constructions, convexity
 from anglebound.bounds import theta_d
 from anglebound.constructions import LineArrangement
 from anglebound.convexity import FEAS_TOL
 from anglebound.curvature import BLOCK, CONE_FIT_TOL
 from anglebound.errors import CapTooSmall
-from anglebound.geometry import angle_at, max_angle_triples
-from anglebound.sampling import _rd_alpha, rng_stream
+from anglebound.geometry import _facet_planes, _hull_join, angle_at, max_angle_triples
+from anglebound.sampling import rd_directions, rng_stream
 
 # Seed of the acceptance suite's criterion-7 sets.
 CRITERION_7_SEED = 20241
@@ -109,10 +110,11 @@ def row_major_max_angle_scan(stack):
 
 
 def whole_raw_rows(dim: int, n: int, seed: int) -> np.ndarray:
-    """The first n raw Monte Carlo rows: row_major_rd_directions rows 1..BLOCK
-    under one random_rotation per BLOCK rows, the rotations drawn in turn from
-    one default_rng(seed); a short last block rotates the first rows only."""
-    base = row_major_rd_directions(dim, BLOCK + 1)[1:]
+    """The first n raw Monte Carlo rows: rd_directions rows 1..BLOCK (pinned
+    by digest in test_curvature) under one random_rotation per BLOCK rows,
+    the rotations drawn in turn from one default_rng(seed); a short last
+    block rotates the first rows only."""
+    base = rd_directions(dim, BLOCK + 1)[1:]
     rng = np.random.default_rng(seed)
     return np.concatenate([base[:n - lo] @ random_rotation(rng, dim).T
                            for lo in range(0, n, BLOCK)])
@@ -165,6 +167,32 @@ def whole_cover_lines(rho: float, D: int) -> np.ndarray:
             return LineArrangement(dim=D, lines=fam).lines
 
 
+@pytest.fixture
+def fresh_insertions(monkeypatch):
+    """An empty record of deepest-hole insertions (constructions._INSERTIONS)
+    for one test, so every cover it asks for grows its hull from the frame;
+    the record the test found is back afterwards."""
+    monkeypatch.setattr(constructions, "_INSERTIONS", {})
+
+
+def loop_hole_insertion(D: int, cos_half: float, rounds: int):
+    """constructions._hole_insertion as one loop of joins from the frame, with
+    no record and no facet budget: (V, F) after at most `rounds` insertions."""
+    V = np.empty((2 * (D + rounds), D))
+    V[0:2 * D:2], V[1:2 * D:2] = np.eye(D), -np.eye(D)
+    F = 2 * np.arange(D) + np.array(list(itertools.product((0, 1), repeat=D)))
+    N, H = _facet_planes(V, F)
+    n = 2 * D
+    for _ in range(rounds):
+        f = int(H.argmin())
+        if H[f] >= cos_half - 1e-12:
+            break
+        V[n], V[n + 1] = N[f], -N[f]
+        F, N, H, _ = _hull_join(V, F, N, H, n, n + 2, 1e-12)
+        n += 2
+    return V[:n], F
+
+
 def loop_pack_lines(m: int, D: int, iters: int, seed: int, restarts: int,
                     grad_stop: float = 0.0) -> np.ndarray:
     """pack_lines's search as one restart after another: each takes its
@@ -201,19 +229,6 @@ def loop_pack_lines(m: int, D: int, iters: int, seed: int, restarts: int,
             beta *= growth
         consider(U)
     return best
-
-
-def row_major_rd_directions(dim: int, n: int) -> np.ndarray:
-    """rd_directions as (n, k) rows: the R_d rows, Box-Muller pairs stacked
-    per row, cut to dim and divided by np.linalg.norm of each row."""
-    k = dim + dim % 2
-    u = (np.arange(n, dtype=float)[:, None] * _rd_alpha(k)) % 1.0
-    r = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
-    t = 2.0 * np.pi * u[:, 1::2]
-    z = np.stack([r * np.cos(t), r * np.sin(t)], axis=2).reshape(n, k)[:, :dim]
-    norms = np.linalg.norm(z, axis=1)
-    norms[norms < 1e-12] = 1.0
-    return z / norms[:, None]
 
 
 def solve_every_point(pts) -> convexity.ConvexPositionVerdict:

@@ -456,6 +456,14 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: probes must be an integer >= 1, got 0\n"
 
+    def test_planar_family_past_the_cap_is_refused_by_name(self, capsys):
+        # 1 110 056 lines would take the separation check about an hour.
+        assert dispatch(["cover-lines", "--rho", "1e-7", "--dim", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: R^2: leaving every direction within rho/2 = 5e-08 of a "
+                                "line takes 1110056 lines, past the cap of 10002\n")
+
     @pytest.mark.parametrize("flags,message", [
         (["--theta-step", "0"], "--theta-step must be positive, got 0.0"),
         (["--theta-step", "-1"], "--theta-step must be positive, got -1.0"),

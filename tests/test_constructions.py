@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -37,6 +39,7 @@ from anglebound.search import max_cardinality_search, minimize_max_angle
 from conftest import (
     brute_max_angle,
     digest,
+    loop_hole_insertion,
     loop_pack_lines,
     random_rotation,
     whole_cover_lines,
@@ -259,7 +262,7 @@ class TestCoverLines:
         with pytest.raises(OutOfRange):
             cover_lines(math.pi, 2)
 
-    def test_a_cover_finished_in_the_last_round_is_returned(self, monkeypatch):
+    def test_a_cover_finished_in_the_last_round_is_returned(self, monkeypatch, fresh_insertions):
         # The insertion cap counts insertions: exactly enough returns the R^5
         # cover, and one fewer is refused by name.
         whole = cover_lines(1.6, 5, seed=4, probes=5000)
@@ -307,10 +310,24 @@ class TestCoverLines:
             assert hole >= math.cos(0.5 * rho) - 1e-12
             assert math.cos(0.5 * math.pi / (lines - 1)) < math.cos(0.5 * rho) - 1e-12
 
-    def test_planar_cover_needs_no_rounds(self, monkeypatch):
+    def test_planar_cover_needs_no_rounds(self, monkeypatch, fresh_insertions):
         # The closed form runs no insertion, so no round cap applies.
         monkeypatch.setattr(constructions, "_MAX_ROUNDS", 0)
         assert len(cover_lines(0.05, 2, seed=1, probes=5000)) == 63
+
+    @pytest.mark.parametrize("rho, lines", [(math.pi / 10_002.5, 10_003), (1e-4, 31_404),
+                                            (1e-7, 1_110_056)])
+    def test_planar_family_past_the_cap_is_refused_by_name(self, monkeypatch, rho, lines):
+        # Refused before the family is built: the separation check of more
+        # than a million lines would run for about an hour.
+        monkeypatch.setattr(constructions, "_equiangular", None)
+        with pytest.raises(CoverageFailed) as err:
+            cover_lines(rho, 2)
+        assert str(err.value) == (f"R^2: leaving every direction within rho/2 = {0.5 * rho:.6g} "
+                                  f"of a line takes {lines} lines, past the cap of 10002")
+
+    def test_planar_family_at_the_cap_is_built(self):
+        assert len(cover_lines(math.pi / 10_001.5, 2)) == 10_002
 
     @pytest.mark.parametrize("D", [3, 4, 5, 6])
     @pytest.mark.parametrize("above", [0.0, 1e-9, 0.1])
@@ -440,7 +457,7 @@ class TestHoleInsertion:
         (14, 2.5, "R^14: 14 lines span 16384 facets, past the budget of 15306, and leave a "
                   "direction 1.30025 from every line, above rho/2 = 1.25"),
     ], ids=["R7", "R8", "R9", "R10", "R11", "R12", "R13", "R14"])
-    def test_facet_budget_refused_by_name(self, D, rho, message):
+    def test_facet_budget_refused_by_name(self, fresh_insertions, D, rho, message):
         # Unbounded, (8, 1.6) grows to 656 k facets, and (12, 2.4) to 1.5 M before
         # an unnamed LinAlgError. The insertions do not depend on rho, so these
         # are the last joins in R^7-R^13, none with a ridge key near int64;
@@ -456,7 +473,8 @@ class TestHoleInsertion:
         assert peak < 50e6
 
     @pytest.mark.parametrize("D, rho", [(6, 1.6), (7, 2.0), (8, 2.1)])
-    def test_ridge_keys_are_distinct_in_high_dimensions(self, monkeypatch, D, rho):
+    def test_ridge_keys_are_distinct_in_high_dimensions(self, monkeypatch, fresh_insertions, D,
+                                                        rho):
         # Keyed in base len(V) = 2 (D + 10 000), these ridges' keys pass int64
         # from D = 6; in base hi, the points joined so far, no join's can.
         calls, ridges = [], geometry._ridges
@@ -469,6 +487,7 @@ class TestHoleInsertion:
         monkeypatch.setattr(geometry, "_ridges", record)
         cos_half = math.cos(0.5 * rho)
         V, F = constructions._hole_insertion(D, cos_half, 10_000)
+        assert len(calls) == len(V) // 2 - D  # one call per join
         constructions._check_hull(V, F, cos_half)  # _check_closed's ridges are recorded too
         for R, key in calls:
             order = np.argsort(key, kind="stable")
@@ -496,7 +515,7 @@ class TestHoleInsertion:
             constructions._check_hull(pushed, F, math.cos(1.0))
 
     @pytest.mark.parametrize("D, radius", [(3, "0.955317"), (4, "1.0472")])
-    def test_insertion_cap_reported(self, monkeypatch, D, radius):
+    def test_insertion_cap_reported(self, monkeypatch, fresh_insertions, D, radius):
         # From the frame, the holes at the cross-polytope's 2^D facets remain.
         monkeypatch.setattr(constructions, "_MAX_ROUNDS", 2)
         with pytest.raises(CoverageFailed) as err:
@@ -505,13 +524,14 @@ class TestHoleInsertion:
                                   f"from every line, above rho/2 = 0.025")
 
     @pytest.mark.parametrize("D, rho", [(3, 1.1), (4, 1.2)])
-    def test_a_cover_finished_in_the_last_insertion_is_returned(self, monkeypatch, D, rho):
+    def test_a_cover_finished_in_the_last_insertion_is_returned(self, monkeypatch,
+                                                                 fresh_insertions, D, rho):
         whole = cover_lines(rho, D, seed=4, probes=5000)
         monkeypatch.setattr(constructions, "_MAX_ROUNDS", len(whole) - D)
         np.testing.assert_array_equal(cover_lines(rho, D, seed=4, probes=5000).lines, whole.lines)
 
     @pytest.mark.parametrize("D, rho, lines", [(3, 0.1, 1694), (4, 0.4, 886)])
-    def test_memory_does_not_grow_with_the_products(self, D, rho, lines):
+    def test_memory_does_not_grow_with_the_products(self, fresh_insertions, D, rho, lines):
         # Whole, the certificate's (vertex, facet) products would take 183 MB
         # here in R^3 (3388 x 6772 x 8 B) and 158 MB in R^4 (1772 x 11178),
         # and the Gram of the lines 23 MB and 6 MB.
@@ -530,6 +550,117 @@ class TestHoleInsertion:
         first = cover_lines(rho, D, seed=0, probes=3000).lines.tobytes()
         for seed in (0, 1, 7, 2**31):
             assert cover_lines(rho, D, seed=seed, probes=3000).lines.tobytes() == first
+
+
+# Covers in R^3-R^5, each with a neighbour of fewer and one of more lines.
+RECORD_COVERS = [(3, 1.3), (3, 0.9), (3, 0.6), (4, 1.4), (4, 1.1), (4, 0.9), (5, 1.8), (5, 1.7),
+                 (5, 1.6)]
+
+
+@pytest.mark.usefixtures("fresh_insertions")
+class TestInsertionRecord:
+    """Covers served from the record of each dimension's insertion
+    (constructions._INSERTIONS) are those of an insertion grown afresh."""
+
+    @staticmethod
+    def assert_fresh(D, rho, rounds=10_000):
+        cos_half = math.cos(0.5 * rho)
+        V, F = constructions._hole_insertion(D, cos_half, rounds)
+        V0, F0 = loop_hole_insertion(D, cos_half, rounds)
+        assert V.tobytes() == V0.tobytes() and F.tobytes() == F0.tobytes()
+        if rounds == 10_000:
+            lines = cover_lines(rho, D).lines
+            assert lines.tobytes() == LineArrangement(dim=D, lines=V0[0::2]).lines.tobytes()
+
+    @pytest.mark.parametrize("order", [
+        RECORD_COVERS,  # falling rho: each grows the record further
+        RECORD_COVERS[::-1],  # rising rho: each is a prefix of the first
+        RECORD_COVERS[::3] + RECORD_COVERS[1::3] + RECORD_COVERS[2::3],  # dimensions interleaved
+    ], ids=["falling", "rising", "interleaved"])
+    def test_covers_are_those_of_a_fresh_insertion(self, order):
+        for D, rho in order + order[::-1]:
+            self.assert_fresh(D, rho)
+
+    def test_few_rounds_give_the_fresh_prefix(self):
+        for D, rho in RECORD_COVERS[::-1]:
+            for rounds in (0, 1, 3):
+                self.assert_fresh(D, rho, rounds)
+            self.assert_fresh(D, rho)
+            for rounds in (0, 2, 5):
+                self.assert_fresh(D, rho, rounds)
+
+    def test_arrays_are_read_only(self):
+        for rounds in (10_000, 2):  # the live hull, then one rebuilt from the facet rows
+            V, F = constructions._hole_insertion(4, math.cos(0.5), rounds)
+            for a in (V, F):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0
+
+    def test_budget_refusal_drops_the_record(self, monkeypatch):
+        self.assert_fresh(4, 1.1)
+        monkeypatch.setattr(constructions, "_FACET_BUDGET", 16 * 500)
+        with pytest.raises(CoverageFailed, match="past the budget of 500"):
+            cover_lines(0.7, 4)
+        assert 4 not in constructions._INSERTIONS
+        monkeypatch.undo()
+        for D, rho in RECORD_COVERS:
+            self.assert_fresh(D, rho)
+
+    def test_round_cap_refusal_drops_the_record(self, monkeypatch):
+        self.assert_fresh(3, 0.6)
+        monkeypatch.setattr(constructions, "_MAX_ROUNDS", 3)
+        with pytest.raises(CoverageFailed, match="^6 lines after 3 insertions leave"):
+            cover_lines(0.9, 3)
+        assert 3 not in constructions._INSERTIONS
+        monkeypatch.undo()
+        for D, rho in RECORD_COVERS:
+            self.assert_fresh(D, rho)
+
+    def test_failed_recheck_drops_the_record(self, monkeypatch):
+        self.assert_fresh(5, 1.7)
+
+        def fail(*args):
+            raise CoverageFailed("hull re-check: refused")
+
+        monkeypatch.setattr(constructions, "_check_closed", fail)
+        with pytest.raises(CoverageFailed, match="^hull re-check: refused$"):
+            cover_lines(1.8, 5)
+        assert 5 not in constructions._INSERTIONS
+        monkeypatch.undo()
+        self.assert_fresh(5, 1.8)
+
+    def test_threads_share_the_record(self):
+        # Four threads ask for the covers in different orders, switching
+        # every microsecond; each cover is still the fresh one.
+        want = {(D, rho): LineArrangement(dim=D, lines=loop_hole_insertion(
+            D, math.cos(0.5 * rho), 10_000)[0][0::2]).lines for D, rho in RECORD_COVERS}
+        mixed = RECORD_COVERS[::3] + RECORD_COVERS[1::3] + RECORD_COVERS[2::3]
+        orders = [RECORD_COVERS, RECORD_COVERS[::-1], mixed, mixed[::-1]]
+        got = [[] for _ in orders]
+
+        def work(order, out):
+            out.extend((D, rho, cover_lines(rho, D).lines) for D, rho in order)
+
+        threads = [threading.Thread(target=work, args=a) for a in zip(orders, got)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for order, out in zip(orders, got):
+            assert [(D, rho) for D, rho, _ in out] == order
+            for D, rho, lines in out:
+                assert lines.tobytes() == want[D, rho].tobytes()
+
+    def test_a_frame_past_the_budget_leaves_no_record(self):
+        with pytest.raises(CoverageFailed, match="^R\\^14: 14 lines span 16384 facets"):
+            cover_lines(2.5, 14)
+        assert constructions._INSERTIONS == {}
 
 
 def record_scans(monkeypatch) -> list:
