@@ -29,8 +29,8 @@ from .errors import (
     ScaleExhausted,
     check_int,
 )
-from .geometry import (LOOSE_UNIT_NORM_TOL, PointSet, _check_closed, _facet_planes, _hull_join,
-                       _min_upper_pair, _row_blocks, angle_at, max_angle_triple, regular_simplex)
+from .geometry import (LOOSE_UNIT_NORM_TOL, PointSet, _check_closed, _grown, _Hull, _min_upper_pair,
+                       _row_blocks, angle_at, max_angle_triple, regular_simplex)
 from .sampling import _check_seed, canonical_lines, rng_stream
 
 # The cap on deepest-hole insertions.
@@ -164,8 +164,7 @@ def pack_lines(m: int, D: int, iters: int = 1500, seed: int = 0,
     if m <= D:
         return LineArrangement(dim=D, lines=np.eye(D)[:m])
     if D == 2:
-        U = _equiangular(m)
-        return LineArrangement(dim=D, lines=U / np.linalg.norm(U, axis=1)[:, None])
+        return LineArrangement(dim=D, lines=_equiangular(m))
     if m == D + 1:
         return LineArrangement(dim=D, lines=regular_simplex(D))
     if (m, D) == (6, 3):
@@ -269,9 +268,9 @@ def cover_lines(rho: float, D: int, seed: int = 0, probes: int = 100_000) -> Lin
     the line count and the radius reached when the insertions pass
     _MAX_ROUNDS or the hull passes _FACET_BUDGET, or the first check that
     fails. The round cap refuses rho below about 0.0408 in R^3 (after about
-    10 s) and 0.176 in R^4 (about 40 s); the facet budget refuses rho below
-    about 0.524 in R^5 (about 12 s), 1.063 in R^6, 1.618 in R^7 and 1.984 in
-    R^8 (under 2 s each), and every rho below the frame's threshold in R^14
+    4 s) and 0.176 in R^4 (about 12 s); the facet budget refuses rho below
+    about 0.524 in R^5 (about 3 s), 1.063 in R^6, 1.618 in R^7 and 1.984 in
+    R^8 (under 1 s each), and every rho below the frame's threshold in R^14
     and up.
     """
     if not 0.0 < rho < math.pi:
@@ -288,8 +287,8 @@ def cover_lines(rho: float, D: int, seed: int = 0, probes: int = 100_000) -> Lin
         return LineArrangement(dim=D, lines=_equiangular(k))
     if cos_half - _COVER_TOL <= 1.0 / math.sqrt(D):
         return LineArrangement(dim=D, lines=np.eye(D))
-    V, F = _hole_insertion(D, cos_half, _MAX_ROUNDS)
     try:
+        V, F = _hole_insertion(D, cos_half, _MAX_ROUNDS)
         _check_hull(V, F, cos_half)
     except CoverageFailed:
         with _INSERTIONS_LOCK:
@@ -298,93 +297,58 @@ def cover_lines(rho: float, D: int, seed: int = 0, probes: int = 100_000) -> Lin
     return LineArrangement(dim=D, lines=V[0::2])
 
 
-def _grown(a: np.ndarray, rows: int) -> np.ndarray:
-    """a, or a copy of it with room for at least `rows` rows, at least twice
-    as many, when it has fewer."""
-    if rows <= len(a):
-        return a
-    b = np.empty((max(rows, 2 * len(a)),) + a.shape[1:], dtype=a.dtype)
-    b[:len(a)] = a
-    return b
-
-
-# The `died` of a facet still in the live hull.
-_ALIVE = np.iinfo(np.int64).max
-
-
 class _Insertion:
     """One dimension's deepest-hole insertion from the frame (`_hole_insertion`),
     `steps` insertions so far, kept for every later cover in that dimension.
 
-    V[:2 (D + steps)] holds the points and F, N, H the live hull as
-    `_hull_join` leaves it; `nearest` is its first facet of least offset and
-    depth[s] the least offset after s insertions, the stop test's. Every
-    facet ever made is a row of `rows`, in creation order: the frame and the
-    first s insertions made the first made[s]. died[i] is the insertion that
-    dropped facet i, _ALIVE while it lives. The last len(dropped) insertions'
-    deaths wait in `dropped`, each as the rows it dropped from the hull
-    before it, until a prefix below the end writes them (`prefix`): ids
-    holds the creation index of each facet of the hull before those
-    insertions. So a step costs no pass over the hull beyond its join. The
-    buffers grow by doubling; their rows past the committed ones are unset.
+    V[:2 (D + steps)] holds the points and `hull` their hull
+    (geometry._Hull), whose table holds every facet ever made: the frame and
+    the first s insertions made the first made[s]. died[i] is the insertion
+    that dropped facet i, inf while it lives, and depth[s] the least
+    offset after s insertions, the stop test's. The buffers grow by
+    doubling; their rows past the committed ones are unset.
     """
 
     def __init__(self, D: int):
         self.D, self.steps = D, 0
         self.V = np.empty((4 * D, D))
         self.V[0:2 * D:2], self.V[1:2 * D:2] = np.eye(D), -np.eye(D)
-        self.F = 2 * np.arange(D) + np.array(list(itertools.product((0, 1), repeat=D)))
-        self.F.setflags(write=False)
-        self.N, self.H = _facet_planes(self.V, self.F)
-        self.nearest = int(self.H.argmin())
+        frame = 2 * np.arange(D) + np.array(list(itertools.product((0, 1), repeat=D)))
+        self.hull = _Hull(self.V, frame)
+        self.made, self.died = [self.hull.made], np.full(self.hull.made, np.inf)
         self.depth = np.empty(64)
-        self.depth[0] = self.H[self.nearest]
-        self.rows, self.made = self.F.copy(), [len(self.F)]
-        self.died = np.full(len(self.F), _ALIVE)
-        self.ids, self.dropped = np.arange(len(self.F)), []
+        self.depth[0] = self.hull.H.min()
 
     def grow(self, cos_half: float):
-        """One insertion: the normal of the first nearest facet joins as +-l,
-        committed once the join is done. The budget check runs first."""
-        D, n, f = self.D, 2 * (self.D + self.steps), self.nearest
-        _within_budget(D, n // 2, len(self.F), self.H[f], cos_half)
+        """One insertion: the normal of the first nearest facet joins as +-l.
+        The budget check runs first."""
+        D, n, hull = self.D, 2 * (self.D + self.steps), self.hull
+        f = int(hull.H.argmin())
+        _within_budget(D, n // 2, len(hull.ids), hull.H[f], cos_half)
         self.V = V = _grown(self.V, n + 2)  # the rows from n on are not yet committed
-        V[n], V[n + 1] = self.N[f], -self.N[f]
-        F, N, H, gone = _hull_join(V, self.F, self.N, self.H, n, n + 2, _COVER_TOL)
-        total, new = self.made[-1], len(F) - len(self.F) + len(gone)
-        self.rows = _grown(self.rows, total + new)
-        self.rows[total:total + new] = F[len(F) - new:]
-        self.died = _grown(self.died, total + new)
-        self.died[total:total + new] = _ALIVE
-        self.made.append(total + new)
-        self.dropped.append(gone)
-        f = int(H.argmin())
-        self.depth = _grown(self.depth, self.steps + 2)
-        self.depth[self.steps + 1] = H[f]
-        F.setflags(write=False)
-        self.F, self.N, self.H, self.nearest = F, N, H, f
+        V[n], V[n + 1] = hull.N[f], -hull.N[f]
+        dead = hull.join(V, n, n + 2, _COVER_TOL)
         self.steps += 1
+        self.died = _grown(self.died, hull.made)
+        self.died[self.made[-1]:hull.made] = np.inf
+        self.died[dead] = self.steps
+        self.made.append(hull.made)
+        self.depth = _grown(self.depth, self.steps + 1)
+        self.depth[self.steps] = hull.H.min()
 
     def prefix(self, s: int):
         """(V, F) after s insertions, read-only: the facets alive then, in
         creation order, the order the compacting joins left them in."""
         V = self.V[:2 * (self.D + s)]
         V.setflags(write=False)
-        if s == self.steps:
-            return V, self.F
-        for t, gone in enumerate(self.dropped, self.steps - len(self.dropped) + 1):
-            self.died[self.ids.take(gone)] = t
-            self.ids = np.concatenate([np.delete(self.ids, gone),
-                                       np.arange(self.made[t - 1], self.made[t])])
-        self.dropped = []
         m = self.made[s]
-        F = self.rows[:m][self.died[:m] > s]
+        F = self.hull.F if s == self.steps else self.hull.rows[:m][self.died[:m] > s]
         F.setflags(write=False)
         return V, F
 
 
 # Per dimension, the insertion grown so far (`_hole_insertion`), and the lock
-# that makes each call's walk, growth and drop one step to other threads.
+# that makes each call's walk and growth, and each drop, one step to others.
 _INSERTIONS: dict[int, _Insertion] = {}
 _INSERTIONS_LOCK = threading.Lock()
 
@@ -399,7 +363,7 @@ def _hole_insertion(D: int, cos_half: float, rounds: int):
     line (Brown 1979). So from the frame, whose cross-polytope has the 2^D
     facets of sign vectors, the normal of the first nearest facet becomes a
     line until every offset is at least cos_half - _COVER_TOL. Both of +-l
-    join the hull in one `_hull_join` step, with slack _COVER_TOL: no facet
+    join the hull in one `_Hull.join`, with slack _COVER_TOL: no facet
     sees both, nor a facet made with the other (whose plane holds that point
     at a positive offset). A hull of more than _FACET_BUDGET / D^2 facets,
     the frame's included, joins nothing: CoverageFailed names D, the lines,
@@ -411,9 +375,9 @@ def _hole_insertion(D: int, cos_half: float, rounds: int):
     first step whose depth reaches cos_half - _COVER_TOL, capped at
     `rounds`, grown past the record's end only when no recorded step does,
     with the same budget check. The record retains the points, the live
-    hull and every facet row ever made, for the life of the process: 0.16
-    MB for the 69 lines of R^4 at rho = 1.05, 1.7-1.9 MB for the 1694 of R^3
-    at rho = 0.1. A refusal, here or in cover_lines' re-check, drops it.
+    hull's ids and planes and every facet row ever made, for the life of the
+    process: 0.14 MB for the 69 lines of R^4 at rho = 1.05, 1.5 MB for the
+    1694 of R^3 at rho = 0.1. cover_lines drops it on any refusal.
 
     V holds line i as rows 2i and 2i + 1, +l_i then -l_i; F the facets as
     ascending vertex indices, a new vertex being the highest.
@@ -428,12 +392,8 @@ def _hole_insertion(D: int, cos_half: float, rounds: int):
         reached = np.flatnonzero(record.depth[:s + 1] >= stop)
         if reached.size:
             return record.prefix(int(reached[0]))
-        try:
-            while record.steps < rounds and record.depth[record.steps] < stop:
-                record.grow(cos_half)
-        except CoverageFailed:
-            del _INSERTIONS[D]
-            raise
+        while record.steps < rounds and record.depth[record.steps] < stop:
+            record.grow(cos_half)
         return record.prefix(min(rounds, record.steps))
 
 
@@ -448,17 +408,16 @@ def _within_budget(D: int, lines: int, facets: int, hole: float, cos_half: float
 
 
 def _check_hull(V: np.ndarray, F: np.ndarray, cos_half: float):
-    """Raise CoverageFailed unless every offset of the facets F, solved afresh,
-    is at least cos_half within _COVER_TOL and `_check_closed` holds. The
-    offset test, also the insertion cap's, runs first: its message names the
-    lines, the insertions and the deepest hole."""
-    N, H = _facet_planes(V, F)
+    """Raise CoverageFailed unless `_check_closed` holds for the facets F and
+    every offset it solves is at least cos_half within _COVER_TOL. The
+    offset test is also the insertion cap's: its message names the lines,
+    the insertions and the deepest hole."""
+    H = _check_closed(V, F, _COVER_TOL, "hull re-check", CoverageFailed)
     if H.min() < cos_half - _COVER_TOL:
         lines, D = len(V) // 2, V.shape[1]
         raise CoverageFailed(f"{lines} lines after {lines - D} insertions leave a direction "
                              f"{math.acos(H.min()):.6g} from every line, above rho/2 = "
                              f"{math.acos(cos_half):.6g}")
-    _check_closed(V, F, N, H, _COVER_TOL, "hull re-check", CoverageFailed)
 
 
 def ef_doubling(L: LineArrangement, rho: float, slack: float = 0.05) -> PointSet:

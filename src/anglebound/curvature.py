@@ -7,7 +7,7 @@ plane and in R^3 they have closed forms (discrete Gauss-Bonnet): a polygon
 vertex's fraction is its exterior angle over 2 pi, and a polyhedron
 vertex's is its angular defect over 4 pi (Descartes), 2 pi minus the
 angles there of the triangles of its hull, which grows by the same
-beneath-beyond step as the line covers (`geometry._hull_join`).
+beneath-beyond steps as the line covers (`geometry._Hull`).
 `gauss_bonnet_sum` returns those there, checks that they sum to 1, and
 says so in its `method`. In other dimensions, and in
 `normal_cone_fraction_mc` everywhere, one seeded Monte Carlo count gives
@@ -70,7 +70,7 @@ from .errors import (
     check_int,
 )
 from .geometry import (LOOSE_UNIT_NORM_TOL, UNIT_NORM_TOL, PointSet, _as_point, _check_closed,
-                       _facet_planes, _hull_join, _others, _row_blocks, as_unit)
+                       _Hull, _others, _row_blocks, as_unit)
 from .sampling import _check_seed, fixed_directions
 
 CONE_FIT_TOL = 1e-9
@@ -226,7 +226,7 @@ def _defect_fractions(pts: np.ndarray) -> np.ndarray:
     The hull grows from a fat tetrahedron (the point of largest x, the point
     farthest from it, then the points farthest from their line and from
     their plane), centred on its centroid, by joining the other points in
-    index order (geometry._hull_join). The four come first, so each later
+    index order (geometry._Hull). The four come first, so each later
     point is the highest vertex so far. A point sees a facet when it lies
     more than 1e-12 times the points' radius above its plane, so coplanar
     points, as on the cube's faces, split a face into triangles. The hull is
@@ -244,12 +244,11 @@ def _defect_fractions(pts: np.ndarray) -> np.ndarray:
     order = np.concatenate([[a, b, c, d], np.flatnonzero(rest)])
     V = pts[order] - pts[order[:4]].mean(axis=0)
     tol = 1e-12 * math.sqrt(float(np.max(np.einsum("ij,ij->i", V, V))))
-    F = np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
-    N, H = _facet_planes(V, F)
+    hull = _Hull(V, np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]))
     for i in range(4, n):
-        F, N, H, _ = _hull_join(V, F, N, H, i, i + 1, tol)
-    _check_closed(V, F, *_facet_planes(V, F), tol,
-                  "exact normal-cone fractions in R^3: hull re-check", RuntimeError)
+        hull.join(V, i, i + 1, tol)
+    F = hull.F
+    _check_closed(V, F, tol, "exact normal-cone fractions in R^3: hull re-check", RuntimeError)
     T = np.concatenate([F, np.roll(F, -1, axis=1), np.roll(F, -2, axis=1)])  # each corner first
     A, B = V[T[:, 1]] - V[T[:, 0]], V[T[:, 2]] - V[T[:, 0]]
     X = np.cross(A, B)

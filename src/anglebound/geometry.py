@@ -3,8 +3,9 @@
 Angles are radians throughout. Points and vectors are 1-D numpy arrays of
 float64; a PointSet wraps an (n, dim) array and validates it once at
 construction so downstream code can trust the invariants. The one
-incremental convex hull, `_hull_join` and its `_check_closed`, serves the
-exact R^3 normal-cone fractions and the line covers in every D >= 3.
+incremental convex hull, `_Hull` and its `_check_closed`, serves the
+exact R^3 normal-cone fractions and the line covers in every D >= 3: one
+append-only table of every facet it made, the live facets as creation ids.
 """
 
 from __future__ import annotations
@@ -82,9 +83,10 @@ class PointSet:
             raise OutOfRange("point set has non-finite coordinates")
         n = pts.shape[0]
         # Closest pair, first in row-major order on ties, over one block of
-        # rows of the squared-distance matrix at a time.
+        # rows of the squared-distance matrix at a time, sized by the (rows, n,
+        # D) differences each block builds.
         best_d2, best_pair = math.inf, (-1, -1)
-        for lo, hi in _row_blocks(n, n):
+        for lo, hi in _row_blocks(n, n * pts.shape[1]):
             d2 = np.sum((pts[lo:hi, None, :] - pts[None, :, :]) ** 2, axis=-1)
             d2.reshape(-1)[lo :: n + 1] = np.inf  # entries (i, i) of these rows
             a, b = divmod(int(np.argmin(d2)), n)
@@ -423,41 +425,73 @@ def _ridges(F: np.ndarray, base: int, tags: int = 1) -> tuple[np.ndarray, np.nda
     return R, R @ (tags * base ** np.arange(D - 1))
 
 
-def _hull_join(V, F, N, H, lo: int, hi: int, tol: float):
-    """(F, N, H, gone) of the simplicial hull about the origin with facets F
-    (rows of ascending vertex indices into V), unit normals N and offsets H,
-    after the points V[lo:hi] join it, beneath-beyond: each drops the facets
-    whose planes it lies more than tol above and is joined to their horizon,
-    the ridges of exactly one of its dropped facets. No facet may be seen by
-    two of the points; a ridge key tagged with the point that sees its facet
-    keeps their horizons apart. Keys count in base hi, above every vertex
-    index. With every old index below lo, the new rows stay ascending. The
-    facets kept come first, in their old order, and the new ones after them;
-    `gone` lists the old rows dropped, ascending.
+def _grown(a: np.ndarray, rows: int) -> np.ndarray:
+    """a, or a copy of it with room for at least `rows` rows, at least twice
+    as many, when it has fewer."""
+    if rows <= len(a):
+        return a
+    b = np.empty((max(rows, 2 * len(a)),) + a.shape[1:], dtype=a.dtype)
+    b[:len(a)] = a
+    return b
+
+
+class _Hull:
+    """A simplicial hull about the origin, grown beneath-beyond (`join`).
+
+    Every facet ever made is a row of ascending vertex indices into V in
+    `rows`, in creation order: the first `made` rows, the rest unset room to
+    grow by doubling. The live hull is `ids`, the creation ids of its
+    facets, ascending, with their unit normals N and offsets H.
     """
-    D, tags = F.shape[1], hi - lo
-    sees = V[lo:hi] @ N.T > H + tol  # a row per point: any() over the rows is one pass
-    drop = sees.any(axis=0)
-    gone, keep = drop.nonzero()[0], (~drop).nonzero()[0]  # take() gathers rows faster
-    R, key = _ridges(F.take(gone, axis=0), hi, tags)
-    key += sees[:, gone].argmax(axis=0).repeat(D)
-    order = key.argsort()
-    key = np.concatenate(([-1], key[order], [-1]))  # keys are >= 0
-    once = (key[1:-1] != key[:-2]) & (key[1:-1] != key[2:])
-    rows = np.empty((np.count_nonzero(once), D), dtype=F.dtype)
-    rows[:, :-1] = R[order[once]]
-    rows[:, -1] = lo + key[1:-1][once] % tags
-    N_new, H_new = _facet_planes(V, rows)
-    return (np.concatenate([F.take(keep, axis=0), rows]),
-            np.concatenate([N.take(keep, axis=0), N_new]),
-            np.concatenate([H.take(keep), H_new]), gone)
+
+    def __init__(self, V: np.ndarray, F: np.ndarray):
+        self.rows, self.made, self.ids = F.copy(), len(F), np.arange(len(F))
+        self.N, self.H = _facet_planes(V, F)
+
+    @property
+    def F(self) -> np.ndarray:
+        """The live facets' rows, in creation order."""
+        return self.rows.take(self.ids, axis=0)
+
+    def join(self, V: np.ndarray, lo: int, hi: int, tol: float) -> np.ndarray:
+        """Join the points V[lo:hi] and return the creation ids of the facets
+        dropped, ascending. Each point drops the facets whose planes it lies
+        more than tol above and is joined to their horizon, the ridges of
+        exactly one of its dropped facets. No facet may be seen by two of the
+        points; a ridge key tagged with the point that sees its facet keeps
+        their horizons apart. Keys count in base hi, above every vertex
+        index. With every old index below lo, the new rows stay ascending.
+        The facets kept stay in their order and the new ones follow them.
+        """
+        D, tags = self.rows.shape[1], hi - lo
+        sees = V[lo:hi] @ self.N.T > self.H + tol  # a row per point: any() over rows is one pass
+        drop = sees.any(axis=0)
+        gone, keep = drop.nonzero()[0], (~drop).nonzero()[0]  # take() gathers rows faster
+        dead = self.ids.take(gone)
+        R, key = _ridges(self.rows.take(dead, axis=0), hi, tags)
+        key += sees[:, gone].argmax(axis=0).repeat(D)
+        order = key.argsort()
+        key = np.concatenate(([-1], key[order], [-1]))  # keys are >= 0
+        once = (key[1:-1] != key[:-2]) & (key[1:-1] != key[2:])
+        m, new = self.made, np.count_nonzero(once)
+        self.rows = _grown(self.rows, m + new)
+        rows = self.rows[m:m + new]
+        rows[:, :-1] = R[order[once]]
+        rows[:, -1] = lo + key[1:-1][once] % tags
+        N, H = _facet_planes(V, rows)
+        self.ids = np.concatenate([self.ids.take(keep), np.arange(m, m + new)])
+        self.N = np.concatenate([self.N.take(keep, axis=0), N])
+        self.H = np.concatenate([self.H.take(keep), H])
+        self.made = m + new
+        return dead
 
 
-def _check_closed(V, F, N, H, tol: float, stage: str, error: type):
-    """Raise error naming `stage` unless the facets F, with planes (N, H), close
-    up around the vertices V, in O(F V): every ridge bounds exactly two facets,
-    every point of V is a vertex of some facet, and every point lies at most
-    tol above every facet plane, a block of facets at a time."""
+def _check_closed(V, F, tol: float, stage: str, error: type) -> np.ndarray:
+    """Raise error naming `stage` unless the facets F close up around the
+    vertices V, in O(F V): every ridge bounds exactly two facets, every point
+    of V is a vertex of some facet, and every point lies at most tol above
+    every facet plane, solved afresh, a block of facets at a time. Returns
+    those planes' offsets."""
     open_ridges = np.count_nonzero(np.unique(_ridges(F, len(V))[1], return_counts=True)[1] != 2)
     if open_ridges:
         raise error(f"{stage}: {open_ridges} ridges do not bound exactly two facets")
@@ -465,6 +499,7 @@ def _check_closed(V, F, N, H, tol: float, stage: str, error: type):
     unused = len(V) - np.count_nonzero(np.bincount(F.ravel(), minlength=len(V)))
     if unused:
         raise error(f"{stage}: {unused} points are vertices of no facet")
+    N, H = _facet_planes(V, F)
     # A block of normals times V's transpose makes long rows of products even
     # where a block holds a few facets; V times a few normals ran 5x slower
     # (the 13 220 points and 26 436 facets of R^3 at rho = 0.05). Rounding
@@ -475,3 +510,4 @@ def _check_closed(V, F, N, H, tol: float, stage: str, error: type):
                 for lo, hi in _row_blocks(len(N), len(V)))
     if above > tol:
         raise error(f"{stage}: a vertex lies {above:.3g} above a facet plane")
+    return H

@@ -12,15 +12,20 @@ direction under its block's `random_rotation`) followed by its negation.
 Convex position is also decided by one nearest-point solve per point, with
 no direction screen, nearest points by Wolfe's algorithm one problem at a
 time with np.linalg.lstsq, line packings by one restart after another,
-planar cone axes one vertex at a time, and covers by deepest-hole
-insertion grown afresh, with no record of earlier insertions.
+planar cone axes one vertex at a time, covers by deepest-hole
+insertion grown afresh, with no record of earlier insertions, and hull
+joins by a loop over the facets that compacts the hull at every step.
 Pinned results are compared by `digest`.
 """
 
+import collections
+import contextlib
 import functools
 import hashlib
 import itertools
 import math
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -32,7 +37,7 @@ from anglebound.constructions import LineArrangement
 from anglebound.convexity import FEAS_TOL
 from anglebound.curvature import BLOCK, CONE_FIT_TOL
 from anglebound.errors import CapTooSmall
-from anglebound.geometry import _facet_planes, _hull_join, angle_at, max_angle_triples
+from anglebound.geometry import _facet_planes, _Hull, angle_at, max_angle_triples
 from anglebound.sampling import rd_directions, rng_stream
 
 # Seed of the acceptance suite's criterion-7 sets.
@@ -42,6 +47,20 @@ CRITERION_7_SEED = 20241
 def digest(a) -> str:
     """SHA-256 of an array's little-endian float64 bytes: the form of every pinned result."""
     return hashlib.sha256(np.asarray(a).astype("<f8").tobytes()).hexdigest()
+
+
+@contextlib.contextmanager
+def traced_peak():
+    """Trace allocations (tracemalloc) for the with block; the object it yields
+    holds the traced peak in bytes as `.bytes` once the block has ended, and
+    so also after it raised."""
+    peak = types.SimpleNamespace(bytes=None)
+    tracemalloc.start()
+    try:
+        yield peak
+    finally:
+        peak.bytes = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
 
 
 def brute_max_angle(points) -> float:
@@ -180,17 +199,40 @@ def loop_hole_insertion(D: int, cos_half: float, rounds: int):
     no record and no facet budget: (V, F) after at most `rounds` insertions."""
     V = np.empty((2 * (D + rounds), D))
     V[0:2 * D:2], V[1:2 * D:2] = np.eye(D), -np.eye(D)
-    F = 2 * np.arange(D) + np.array(list(itertools.product((0, 1), repeat=D)))
-    N, H = _facet_planes(V, F)
+    hull = _Hull(V, 2 * np.arange(D) + np.array(list(itertools.product((0, 1), repeat=D))))
     n = 2 * D
     for _ in range(rounds):
-        f = int(H.argmin())
-        if H[f] >= cos_half - 1e-12:
+        f = int(hull.H.argmin())
+        if hull.H[f] >= cos_half - 1e-12:
             break
-        V[n], V[n + 1] = N[f], -N[f]
-        F, N, H, _ = _hull_join(V, F, N, H, n, n + 2, 1e-12)
+        V[n], V[n + 1] = hull.N[f], -hull.N[f]
+        hull.join(V, n, n + 2, 1e-12)
         n += 2
-    return V[:n], F
+    return V[:n], hull.F
+
+
+def compacting_join(V, F, N, H, lo: int, hi: int, tol: float):
+    """One beneath-beyond join as a loop over the facets that compacts the
+    hull: (F, N, H, gone) after the points V[lo:hi] join the hull of facets F
+    with planes (N, H), `gone` being the rows dropped. Each point's horizon is
+    the ridges of exactly one of the facets it sees, counted in a dict; the
+    kept rows stay in order and the new ones follow, ordered by their ridges
+    read from the last vertex, then by their points."""
+    D = F.shape[1]
+    sees = V[lo:hi] @ N.T > H + tol
+    gone = np.flatnonzero(sees.any(axis=0))
+    count = collections.Counter()
+    for f in gone.tolist():
+        t = int(np.flatnonzero(sees[:, f])[0])
+        for j in range(D):
+            count[tuple(np.delete(F[f], j)[::-1].tolist()), t] += 1
+    new = [[*ridge[::-1], lo + t] for ridge, t in sorted(k for k, c in count.items() if c == 1)]
+    new = np.array(new, dtype=F.dtype).reshape(-1, D)
+    N_new, H_new = _facet_planes(V, new)
+    keep = np.ones(len(F), dtype=bool)
+    keep[gone] = False
+    return (np.concatenate([F[keep], new]), np.concatenate([N[keep], N_new]),
+            np.concatenate([H[keep], H_new]), gone)
 
 
 def loop_pack_lines(m: int, D: int, iters: int, seed: int, restarts: int,

@@ -1,7 +1,6 @@
 import math
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +41,7 @@ from conftest import (
     loop_hole_insertion,
     loop_pack_lines,
     random_rotation,
+    traced_peak,
     whole_cover_lines,
 )
 
@@ -122,12 +122,14 @@ class TestPackLines:
                     np.testing.assert_array_equal(
                         arr.lines, LineArrangement(dim=D, lines=np.eye(D)[:m]).lines)
                     assert arr.min_pairwise_angle == math.pi / 2
-            for m in range(3, 13):  # the planar equiangular lines
+            # The planar equiangular lines, divided by their row norms before
+            # LineArrangement renormalizes them, as pack_lines once did.
+            for m in range(3, 201):
                 ang = np.arange(m) * math.pi / m
                 U = np.column_stack([np.cos(ang), np.sin(ang)])
                 U /= np.linalg.norm(U, axis=1)[:, None]
                 arr = pack_lines(m, 2, iters=iters, seed=seed, restarts=restarts)
-                np.testing.assert_array_equal(arr.lines, LineArrangement(dim=2, lines=U).lines)
+                assert arr.lines.tobytes() == LineArrangement(dim=2, lines=U).lines.tobytes()
                 assert arr.min_pairwise_angle == pytest.approx(math.pi / m, rel=1e-12)
 
     @pytest.mark.parametrize("iters,restarts", [(1500, 8), (300, 2), (1, 1)])
@@ -462,15 +464,10 @@ class TestHoleInsertion:
         # an unnamed LinAlgError. The insertions do not depend on rho, so these
         # are the last joins in R^7-R^13, none with a ridge key near int64;
         # R^14's frame alone passes the budget.
-        tracemalloc.start()
-        try:
-            with pytest.raises(CoverageFailed) as err:
-                cover_lines(rho, D)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with traced_peak() as peak, pytest.raises(CoverageFailed) as err:
+            cover_lines(rho, D)
         assert str(err.value) == message
-        assert peak < 50e6
+        assert peak.bytes < 50e6
 
     @pytest.mark.parametrize("D, rho", [(6, 1.6), (7, 2.0), (8, 2.1)])
     def test_ridge_keys_are_distinct_in_high_dimensions(self, monkeypatch, fresh_insertions, D,
@@ -481,7 +478,7 @@ class TestHoleInsertion:
 
         def record(F, base, tags=1):
             R, key = ridges(F, base, tags)
-            calls.append((R, key.copy()))  # _hull_join adds its tags in place
+            calls.append((R, key.copy()))  # _Hull.join adds its tags in place
             return R, key
 
         monkeypatch.setattr(geometry, "_ridges", record)
@@ -535,14 +532,10 @@ class TestHoleInsertion:
         # Whole, the certificate's (vertex, facet) products would take 183 MB
         # here in R^3 (3388 x 6772 x 8 B) and 158 MB in R^4 (1772 x 11178),
         # and the Gram of the lines 23 MB and 6 MB.
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             arr = cover_lines(rho, D, seed=2, probes=2000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert len(arr) == lines
-        assert peak < 8e6
+        assert peak.bytes < 8e6
 
     @pytest.mark.parametrize("D, rho", [(3, 0.9), (4, 1.3)])
     def test_lines_do_not_depend_on_the_seed(self, D, rho):
@@ -555,6 +548,12 @@ class TestHoleInsertion:
 # Covers in R^3-R^5, each with a neighbour of fewer and one of more lines.
 RECORD_COVERS = [(3, 1.3), (3, 0.9), (3, 0.6), (4, 1.4), (4, 1.1), (4, 0.9), (5, 1.8), (5, 1.7),
                  (5, 1.6)]
+# Covers in R^3-R^8 and the digest of their lines, in this order, pinned
+# while the record still kept a live copy of the hull's facet rows.
+DIGEST_COVERS = [(3, 1.3), (3, 0.9), (3, 0.6), (3, 0.4), (4, 1.4), (4, 1.1), (4, 0.9), (4, 0.7),
+                 (5, 1.8), (5, 1.7), (5, 1.6), (5, 1.4), (6, 1.9), (6, 1.8), (6, 1.6),
+                 (7, 2.1), (7, 2.0), (7, 1.9), (7, 1.8), (8, 2.3), (8, 2.2), (8, 2.1), (8, 2.0)]
+COVERS_DIGEST = "2fdb8abad2a03945b623ec09760fc124efe826b8b38c9e02ba23e8bec66c575f"
 
 
 @pytest.mark.usefixtures("fresh_insertions")
@@ -580,6 +579,18 @@ class TestInsertionRecord:
     def test_covers_are_those_of_a_fresh_insertion(self, order):
         for D, rho in order + order[::-1]:
             self.assert_fresh(D, rho)
+
+    @pytest.mark.parametrize("order", [
+        DIGEST_COVERS,
+        DIGEST_COVERS[::-1],
+        DIGEST_COVERS[::3] + DIGEST_COVERS[1::3] + DIGEST_COVERS[2::3],
+    ], ids=["falling", "rising", "interleaved"])
+    def test_covers_keep_their_bytes(self, order):
+        got = {}
+        for D, rho in order + order[::-1]:
+            lines = cover_lines(rho, D).lines
+            assert got.setdefault((D, rho), lines).tobytes() == lines.tobytes()
+        assert digest(np.concatenate([got[c].ravel() for c in DIGEST_COVERS])) == COVERS_DIGEST
 
     def test_few_rounds_give_the_fresh_prefix(self):
         for D, rho in RECORD_COVERS[::-1]:

@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +34,7 @@ from conftest import (
     nnls_min_enclosing_cap,
     planar_interior_angles,
     sample_cap_points,
+    traced_peak,
     whole_gauss_bonnet_counts,
     whole_raw_rows,
     wolfe_nearest_point,
@@ -364,13 +364,9 @@ class TestBlockedSweeps:
         lambda ps: normal_cone_fraction_mc(ps, 0, 100_000, seed=1),
     ], ids=["gauss_bonnet_sum", "normal_cone_fraction_mc"])
     def test_sweep_memory_does_not_grow_with_samples(self, big_set, sweep):
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             sweep(big_set)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 20e6
+        assert peak.bytes < 20e6
 
 
 class TestExactTies:
@@ -676,14 +672,24 @@ class TestExactFractions:
     def test_a_broken_hull_fails_its_certificate(self, monkeypatch, plant, message):
         check = curvature._check_closed
 
-        def planted(V, F, N, H, *rest):
+        def planted(V, F, *rest):
             V, F = plant(V, F)
-            return check(V, F, *geometry._facet_planes(V, F), *rest)
+            return check(V, F, *rest)
 
         monkeypatch.setattr(curvature, "_check_closed", planted)
         with pytest.raises(RuntimeError, match=f"^exact normal-cone fractions in R\\^3: hull "
                                                f"re-check: {message}$"):
             gauss_bonnet_sum(_sphere_set(9, 24, 3), 1000, seed=1)
+
+    def test_fractions_keep_their_bytes(self):
+        # 25 sets of 5-96 points on spheres and ellipsoids; the digest was
+        # pinned while the hull's joins returned compacted facet arrays.
+        fractions = []
+        for i, n in enumerate(np.linspace(5, 96, 25).astype(int).tolist()):
+            pts = _sphere_set(100 + i, n, 3).points * ((1.0, 2.0, 0.5) if i % 2 else 1.0)
+            fractions.append(gauss_bonnet_sum(PointSet(pts), 1000, seed=1).fractions)
+        assert digest(np.concatenate(fractions)) == (
+            "e3e8886b373a8dd2c4824cc7dbf36fba3a696d9eda4a34b30267e5d3359fc0fa")
 
     def test_wrong_fractions_fail_the_sum_check(self, monkeypatch):
         defects = curvature._defect_fractions

@@ -1,6 +1,6 @@
+import itertools
 import math
 import re
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +11,9 @@ from anglebound.errors import DegenerateTriple, OutOfRange
 from anglebound.geometry import (
     _BLOCK_ENTRIES,
     PointSet,
+    _check_closed,
+    _facet_planes,
+    _Hull,
     _max_angle_recompute,
     _max_angle_scan,
     _min_upper_pair,
@@ -21,13 +24,16 @@ from anglebound.geometry import (
     max_angle_triple,
     max_angle_triples,
     rays_from,
+    regular_simplex,
 )
 from anglebound.search import _structured_starts
 from conftest import (
     brute_max_angle,
+    compacting_join,
     loop_max_angle_triple,
     random_rotation,
     row_major_max_angle_scan,
+    traced_peak,
     unit_simplex,
 )
 
@@ -388,13 +394,9 @@ class TestGeodesicDiameter:
         # The whole Gram of 4000 vectors would take 128 MB.
         vecs = np.random.default_rng(3).normal(size=(4000, 3))
         vecs /= np.linalg.norm(vecs, axis=1)[:, None]
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             call(vecs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16e6
+        assert peak.bytes < 16e6
 
 
 class TestGeodesicDiameterChecks:
@@ -514,15 +516,68 @@ class TestPointSet:
 
     def test_distinctness_check_memory_is_not_quadratic(self):
         pts = np.random.default_rng(32).normal(size=(3000, 3))
-        tracemalloc.start()
-        try:
+        with traced_peak() as peak:
             PointSet(pts)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 20e6
+        assert peak.bytes < 20e6
+
+    @pytest.mark.parametrize("n, D", [(300, 500), (100, 2000), (40, 20_000)])
+    def test_distinctness_check_memory_stays_near_the_points(self, n, D):
+        # Blocks sized by n x n distances alone build (rows, n, D) differences,
+        # which peaked at 262, 160 and 256 MB here, for sets of 1.2-6.4 MB.
+        pts = np.random.default_rng(33).normal(size=(n, D))
+        with traced_peak() as peak:
+            PointSet(pts)
+        assert peak.bytes < 16e6
 
     def test_points_are_immutable(self):
         ps = PointSet([[0, 0], [1, 0]])
         with pytest.raises(ValueError):
             ps.points[0, 0] = 5.0
+
+
+class TestHull:
+    """_Hull keeps every facet it made in one append-only table: each join
+    returns the creation ids of the facets it dropped and leaves the live
+    hull a loop that compacts the facets at every step leaves."""
+
+    @staticmethod
+    def grow(V, F, joins):
+        hull = _Hull(V, F)
+        ref, ids = (F, *_facet_planes(V, F)), np.arange(len(F))
+        for lo, hi in joins(hull):
+            table = hull.rows[:hull.made].copy()
+            dead = hull.join(V, lo, hi, 1e-12)
+            *ref, gone = compacting_join(V, *ref, lo, hi, 1e-12)
+            np.testing.assert_array_equal(dead, ids[gone])
+            kept = np.delete(ids, gone)
+            ids = np.concatenate([kept, len(table) + np.arange(len(ref[0]) - len(kept))])
+            assert hull.made == len(table) + len(ref[0]) - len(kept)
+            assert hull.rows[:len(table)].tobytes() == table.tobytes()  # committed rows stay
+            np.testing.assert_array_equal(hull.ids, ids)
+            for got, want in zip((hull.F, hull.N, hull.H), ref):
+                assert got.tobytes() == want.tobytes()
+        _check_closed(V[:hi], hull.F, 1e-12, "hull", AssertionError)
+        return hull
+
+    def test_one_point_joins_in_r3(self):
+        V = np.random.default_rng(41).normal(size=(80, 3))
+        V /= np.linalg.norm(V, axis=1)[:, None]
+        V[:4] = regular_simplex(3)
+        hull = self.grow(V, np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]),
+                         lambda hull: ((i, i + 1) for i in range(4, len(V))))
+        assert len(hull.ids) == 2 * len(V) - 4
+
+    def test_two_point_joins_in_r4(self):
+        # +-l for the deepest hole, then for a random direction, in turn.
+        rng = np.random.default_rng(42)
+        V = np.empty((88, 4))
+        V[0:8:2], V[1:8:2] = np.eye(4), -np.eye(4)
+
+        def joins(hull):
+            for n in range(8, len(V), 2):
+                l = hull.N[hull.H.argmin()] if n % 4 else rng.normal(size=4)
+                V[n], V[n + 1] = l / np.linalg.norm(l), -l / np.linalg.norm(l)
+                yield n, n + 2
+
+        self.grow(V, 2 * np.arange(4) + np.array(list(itertools.product((0, 1), repeat=4))),
+                  joins)

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -18,7 +17,7 @@ from anglebound.search import (
     minimize_max_angle,
     regular_simplex,
 )
-from conftest import digest
+from conftest import digest, traced_peak
 
 
 class TestStructuredConfigurations:
@@ -216,16 +215,11 @@ class TestAnneal:
 
         starts = np.random.default_rng(11).normal(size=(2, 5, 4))
         rngs = [ThreeChunks(np.random.default_rng(12 + r)) for r in range(2)]
-        tracemalloc.start()
-        try:
-            with pytest.raises(Enough):
-                _anneal(starts, 100_000, rngs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with traced_peak() as peak, pytest.raises(Enough):
+            _anneal(starts, 100_000, rngs)
         assert rngs[0].draws == 4
         # Drawing every step at once would take 100_000 * (7 + 3 * 4) * 8 B = 15 MB per start.
-        assert peak < 200_000
+        assert peak.bytes < 200_000
 
     def test_the_scans_spread_matches_the_centroid_spread(self):
         # The anneal scales its moves by sqrt(sumsq / (2 n^2)) from the scan.
