@@ -49,6 +49,8 @@ _COVER_TOL = 1e-12
 # Slack below cos(slack_eff) that ef_doubling's pair check grants each pair's
 # cosine against its level's line (_pairs_certify).
 _PAIR_COS_SLACK = 1e-15
+# The most points ef_doubling builds, 14 lines' worth; its docstring gives the cost.
+_MAX_DOUBLED_POINTS = 2**14
 # Lines in the packing from which calibrate_constants derives c_d.
 _CALIBRATION_PACK = 6
 
@@ -342,7 +344,7 @@ class _Insertion:
         V = self.V[:2 * (self.D + s)]
         V.setflags(write=False)
         m = self.made[s]
-        F = self.hull.F if s == self.steps else self.hull.rows[:m][self.died[:m] > s]
+        F = self.hull.rows[:m][self.died[:m] > s]
         F.setflags(write=False)
         return V, F
 
@@ -449,7 +451,12 @@ def ef_doubling(L: LineArrangement, rho: float, slack: float = 0.05) -> PointSet
     and pi - rho.
 
     A scale t above 1e15 is refused (ScaleExhausted) before it is used; no
-    other scale is tried.
+    other scale is tried. At a large slack that guard comes late: on the
+    frame of R^m at rho = 0.2 with slack 1, the coordinates grow about 1.9x
+    a line and the time 4x, so it would first fire near m = 57. So m lines
+    are refused (OutOfRange) before any row is built when 2^m passes
+    _MAX_DOUBLED_POINTS. At that cap, 2^14 points, the frame took 25.5 s
+    (1.35 s at m = 12; 2 vCPUs, one BLAS thread).
     """
     if not slack > 0.0:
         raise OutOfRange(f"slack must be positive, got {slack}")
@@ -460,6 +467,9 @@ def ef_doubling(L: LineArrangement, rho: float, slack: float = 0.05) -> PointSet
             f"rho={rho:.6g} must be strictly below the arrangement's "
             f"min pairwise angle {L.min_pairwise_angle:.6g}"
         )
+    if 2 ** len(L) > _MAX_DOUBLED_POINTS:
+        raise OutOfRange(f"{len(L)} lines double to 2^{len(L)} = {2 ** len(L)} points, "
+                         f"past the cap of {_MAX_DOUBLED_POINTS}")
     target = math.pi - rho
     slack_eff = min(slack, 0.49 * (L.min_pairwise_angle - rho))
     lines = L.lines

@@ -165,17 +165,18 @@ def _nearest_points(P: np.ndarray, stage: str):
     one take and makes one stacked solve (_affine_min_norm) of their edges
     from the first point: the affine min-norm weights and x, refined once,
     as lstsq gave them one problem at a time. A stopped problem's x, r,
-    weights and corral are set aside, and its support is formed with the
-    others' after the loop. Hitting the step cap raises RuntimeError naming
-    `stage` and the first problem still running; callers re-check every
-    answer, so a stalled solve cannot pass.
+    weights and corral are written to its row, and its support is formed
+    with the others' after the last stop. Hitting the step cap raises
+    RuntimeError naming `stage` and the first problem still running;
+    callers re-check every answer, so a stalled solve cannot pass.
     """
     S, m, D = P.shape
     cap = NEAREST_STEPS_PER_POINT * m
     W = min(m, D + 2)
     flat = P.reshape(S * m, D)
     sq = np.einsum("ij,ij->i", flat, flat)
-    retired = []  # (ids, x, r, w, corral) of the problems that stopped, a batch per stop
+    z, radius = np.empty((S, D)), np.empty(S)  # x, r, weights and corral by stack row
+    weights, corrals = np.empty((S, W)), np.empty((S, W), dtype=np.intp)
     # The running problems: ids in the stack, their first flat row, points,
     # corrals, weights and x.
     ids = rows = np.arange(S)
@@ -199,12 +200,12 @@ def _nearest_points(P: np.ndarray, stage: str):
             r = np.sqrt(np.maximum.reduce(np.where(w > COEFF_TOL, sq.take(corral), 0.0), axis=1))
             done = major & (stuck | (nx <= FEAS_TOL * r) | (gap <= NEAREST_GAP_TOL * nx * r))
             stop = done.any()
-            if stop:  # set the stopped problems aside; their weights are positive on valid slots
-                if done.all():
-                    retired.append((ids, x, r, w, corral))
-                    break
+            if stop:  # write the stopped problems out; their weights are positive on valid slots
                 d = done.nonzero()[0]
-                retired.append((ids[d], x[d], r[d], w[d], corral[d]))
+                s = ids[d]
+                z[s], radius[s], weights[s], corrals[s] = x[d], r[d], w[d], corral[d]
+                if len(d) == len(ids):
+                    break
             new = (valid[:, :-1] > valid[:, 1:]) & major[:, None]  # the first free slot
             np.copyto(corral[:, 1:], j[:, None], where=new)
             valid[:, 1:] |= new
@@ -239,20 +240,14 @@ def _nearest_points(P: np.ndarray, stage: str):
         raise RuntimeError(f"{stage}: nearest-point solver hit its cap of {cap} steps on problem "
                            f"{ids[0]} of {S} (m={m}, D={D}, |x|={math.sqrt(x[0] @ x[0]):.6g}, "
                            f"scale={math.sqrt(sq[base[0]:base[0] + m].max()):.6g})")
-    if len(retired) == 1:
-        _, z, r, w, corral = retired[0]
-    else:  # back in stack order
-        order = np.concatenate([batch[0] for batch in retired]).argsort()
-        z, r, w, corral = (np.concatenate([batch[a] for batch in retired])[order]
-                           for a in range(1, 5))
-    keep = w > COEFF_TOL
-    valid = w > 0
+    keep = weights > COEFF_TOL
+    valid = weights > 0
     if (valid & ~keep).any():  # a light point stays if its pull is too large
-        dist = np.sqrt(sq.take(corral)) * valid
-        keep |= w * dist > FEAS_TOL * _others_max(dist)
+        dist = np.sqrt(sq.take(corrals)) * valid
+        keep |= weights * dist > FEAS_TOL * _others_max(dist)
     support = np.zeros(S * m, dtype=bool)
-    support[corral[keep]] = True
-    return z, support.reshape(S, m), r
+    support[corrals[keep]] = True
+    return z, support.reshape(S, m), radius
 
 
 def _barycentric(p: np.ndarray, V: np.ndarray):

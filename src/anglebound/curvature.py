@@ -437,10 +437,9 @@ def cone_cover_certificate(V: PointSet, eta: float) -> list[Cone]:
     cones = [object.__new__(Cone) for _ in range(n)]  # PointSet rows need no Cone checks
     for cone, apex, axis in zip(cones, V.points.copy(), axes):
         cone.__dict__.update(apex=apex, axis=axis, half_angle=eta)
-    # Every vertex j in every cone i, by Cone.contains's test on all pairs at once.
-    outside = np.argwhere(~_in_cone(V.points[None, :, :] - V.points[:, None, :],
-                                    axes[:, None, :], eta))
+    # Every vertex in every cone, by Cone.contains's test: diffs[i, k] is vertex k + (k >= i).
+    outside = np.argwhere(~_in_cone(diffs, axes[:, None, :], eta))
     if outside.size:
-        i, j = outside[0]
-        raise RuntimeError(f"cap fit passed but vertex {j} is outside cone {i}")
+        i, k = outside[0]
+        raise RuntimeError(f"cap fit passed but vertex {k + (k >= i)} is outside cone {i}")
     return cones

@@ -204,21 +204,29 @@ def minimize_max_angle(n: int, D: int, iters: int = 2000, restarts: int = 4,
     )
 
 
-def _largest_structured_under(theta: float, D: int) -> np.ndarray:
-    """Largest known structured configuration with max angle <= theta < pi, the
-    first on ties; else two points of the simplex. Each candidate is scanned
-    only when it is larger than the best so far, the polygons largest first."""
+def _largest_structured_under(theta: float, D: int) -> tuple[np.ndarray, float]:
+    """(points, exact max angle) of the largest known structured configuration
+    with max angle <= theta < pi, the first on ties; else two points of the
+    simplex, at 0. Each candidate is scanned only when it is larger than the
+    best so far, the polygons largest first; the cross-polytope and the
+    hypercube never are. Their angle is 0.5 * math.pi exactly, as a scan
+    gives it: their rays' integer dot products are >= 0 at every vertex and
+    0 for some pair, a positive one has cosine >= 1/(2D), so the scan picks
+    a dot of 0, and angle_at's arithmetic returns np.arccos(0.0) for it."""
     simplex = regular_simplex(D)
-    candidates = [simplex]
-    if theta >= 0.5 * math.pi - 1e-12:
-        candidates += [cross_polytope_vertices(D, 2 * D), hypercube_vertices(D, 2**D)]
+    candidates = [(simplex, None)]
+    if theta >= 0.5 * math.pi:
+        candidates += [(cross_polytope_vertices(D, 2 * D), 0.5 * math.pi),
+                       (hypercube_vertices(D, 2**D), 0.5 * math.pi)]
     if D == 2:
         m = int(2.0 * math.pi / (math.pi - theta))  # the n-gon's pi - 2 pi / n > theta past m
-        candidates = itertools.chain(candidates, map(_polygon, range(m, 2, -1)))
-    best = simplex[:2]
-    for c in candidates:
-        if len(c) > len(best) and max_angle_triple(c)[0] <= theta:
-            best = c
+        candidates = itertools.chain(candidates, ((_polygon(n), None) for n in range(m, 2, -1)))
+    best = simplex[:2], 0.0
+    for c, closed in candidates:
+        if len(c) > len(best[0]):
+            angle = max_angle_triple(c)[0] if closed is None else closed
+            if angle <= theta:
+                best = c, angle
     return best
 
 
@@ -227,21 +235,22 @@ def max_cardinality_search(theta: float, D: int, budget: int = 20000,
     """Grow a point set in R^D keeping its max angle at most theta.
 
     Greedy insertion of random candidates with short annealing repairs when
-    an insertion overshoots the cap; a repair is taken only when its exact
-    max angle (max_angle_triple) is at most theta, whatever the anneal's
-    scan angles said. The returned set always satisfies max_angle <= theta; its size is a lower-bound demonstration, with no
-    optimality claim. Where the theorem applies (theta < theta_D) the search
-    stops once the set reaches floor(cardinality_bound(theta, D).bound). For
-    theta <= pi/2 it also stops at 2^D points: no set in R^D with every angle
-    at most pi/2 has more (Danzer & Gruenbaum 1962); at pi/2 the hypercube,
-    a structured start, has that many. `iterations` counts the steps
-    actually used.
+    an insertion overshoots the cap; an insertion or a repair is taken only
+    when its exact max angle (max_angle_triple) is at most theta, whatever
+    the anneal's scan angles said. `achieved_angle` is the exact angle kept
+    from the last set taken, or the structured start's; a set's scan does
+    not depend on its stack, so none is rescanned. The size is a lower
+    bound, with no optimality claim. The search stops at
+    floor(cardinality_bound(theta, D).bound) points where the theorem
+    applies (theta < theta_D), and for theta <= pi/2 at 2^D: no set in R^D
+    with every angle at most pi/2 has more (Danzer & Gruenbaum 1962), and at
+    pi/2 the hypercube start has that many. `iterations` counts steps used.
     """
     if not 0.0 < theta < math.pi:
         raise OutOfRange(f"theta must lie in (0, pi), got {theta}")
     D = check_int(D, "dimension must be an integer >= 2, got {!r}", 2)
     budget = check_int(budget, "budget must be an integer >= 0, got {!r}", 0)
-    pts = _largest_structured_under(theta, D)
+    pts, achieved = _largest_structured_under(theta, D)
     # The theorem allows no set larger than its bound; the margin keeps a bound
     # that rounds just below an integer from stopping the search one point short.
     limit = math.inf
@@ -262,9 +271,9 @@ def max_cardinality_search(theta: float, D: int, budget: int = 20000,
             used += 1
             cand = pts.mean(axis=0) + rng.normal(scale=scale, size=D)
             trial = np.vstack([pts, cand])
-            if max_angle_triple(trial)[0] <= theta:
-                pts = trial
-                inserted = True
+            angle = max_angle_triple(trial)[0]
+            if angle <= theta:
+                pts, achieved, inserted = trial, angle, True
                 break
         if not inserted and used < budget:
             # Repair pass: anneal the overshooting union toward the cap.
@@ -273,14 +282,11 @@ def max_cardinality_search(theta: float, D: int, budget: int = 20000,
             steps = min(400, budget - used)
             repaired = _anneal(trial[None], steps, [rng], temperature=0.1)[0]
             used += steps
-            if max_angle_triple(repaired)[0] <= theta:
-                pts = repaired
-    result = PointSet(pts)
-    achieved = max_angle_triple(result.points)[0]
-    if achieved > theta:
-        raise RuntimeError("constructed set violates the angle cap")
+            angle = max_angle_triple(repaired)[0]
+            if angle <= theta:
+                pts, achieved = repaired, angle
     return SearchResult(
-        points=result,
+        points=PointSet(pts),
         achieved_angle=achieved,
         iterations=used,
         seed=seed,

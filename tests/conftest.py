@@ -20,10 +20,13 @@ Pinned results are compared by `digest`.
 
 import collections
 import contextlib
+import ctypes
 import functools
+import glob
 import hashlib
 import itertools
 import math
+import os
 import tracemalloc
 import types
 
@@ -42,6 +45,44 @@ from anglebound.sampling import rd_directions, rng_stream
 
 # Seed of the acceptance suite's criterion-7 sets.
 CRITERION_7_SEED = 20241
+
+
+def pytest_report_header(config):
+    """The vector path that the byte pins were recorded on: numpy's version
+    and its enabled CPU dispatch targets, the kernel numpy's OpenBLAS picked,
+    and the environment switches that force either down, where set.
+    pytest -q prints no header, so there pytest_terminal_summary prints it."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        targets = " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t)) or "none"
+    except ImportError:
+        targets = "unknown"
+    lines = [f"numpy {np.__version__}, CPU dispatch targets: {targets}",
+             f"OpenBLAS core: {openblas_corename()}"]
+    return lines + [f"{name}={os.environ[name]}"
+                    for name in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+                    if name in os.environ]
+
+
+def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    if config.get_verbosity() < 0:
+        terminalreporter.write_sep("=", "vector path")
+        for line in pytest_report_header(config):
+            terminalreporter.write_line(line)
+
+
+def openblas_corename() -> str:
+    """The core name of numpy's bundled libscipy_openblas, read through
+    ctypes (scipy_openblas_get_corename64_), or "unknown"."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
 
 
 def digest(a) -> str:

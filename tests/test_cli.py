@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from anglebound import cli, geometry
+from anglebound import cli, constructions, geometry
 from anglebound.bounds import cardinality_bound
 from anglebound.cli import dispatch, read_pointset, table_bound_grid
 from anglebound.geometry import PointSet
@@ -395,6 +395,15 @@ class TestExitCodes:
         assert dispatch(["bound", "--theta", "5.0", "--dim", "2"]) == 2
         err = capsys.readouterr().err
         assert "error:" in err
+
+    def test_a_doubling_past_the_size_cap_exits_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(constructions, "_MAX_DOUBLED_POINTS", 8)
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps({"lines": np.eye(4).tolist()}))
+        assert dispatch(["ef-construct", "--lines", str(path), "--rho", "1", "--slack", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 4 lines double to 2^4 = 16 points, past the cap of 8\n"
 
     def test_missing_file_exits_two(self, capsys):
         assert dispatch(["angle", "--in", "/nonexistent/pts.json"]) == 2

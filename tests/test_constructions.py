@@ -803,6 +803,20 @@ class TestEfDoubling:
         with pytest.raises(ScaleExhausted, match="^line 2: "):
             ef_doubling(PLANAR_TRIPLE, PLANAR_TRIPLE.min_pairwise_angle - eps)
 
+    def test_doublings_past_the_size_cap_are_refused_before_any_row(self, monkeypatch):
+        # 2^4 points pass a cap of 8: refused before the first vstack builds a row.
+        monkeypatch.setattr(constructions, "_MAX_DOUBLED_POINTS", 8)
+        frame = LineArrangement(dim=4, lines=np.eye(4))
+        assert len(ef_doubling(LineArrangement(dim=3, lines=np.eye(3)), 1.0)) == 8
+        stacked = []
+        vstack = np.vstack
+        monkeypatch.setattr(np, "vstack", lambda *args, **kwargs: stacked.append(args)
+                            or vstack(*args, **kwargs))
+        with pytest.raises(OutOfRange, match=r"^4 lines double to 2\^4 = 16 points, past the "
+                                             r"cap of 8$"):
+            ef_doubling(frame, 1.0, slack=1.0)
+        assert stacked == []
+
     def test_demonstrates_size_against_calibrated_lower_bound(self):
         # A 2^m-point construction at cap pi - rho is consistent with the
         # packing-derived lower bound evaluated at the same instance.

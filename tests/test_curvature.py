@@ -1052,17 +1052,20 @@ class TestConeCover:
         np.testing.assert_array_equal(cones[1].axis, [-0.6, -0.8])
 
     def test_planar_cones_are_still_rechecked_on_all_pairs(self, monkeypatch):
-        # A wrong axis from the stacked caps is caught by the all-pairs check.
+        # A wrong axis from the stacked caps is caught by the all-pairs check,
+        # which names the first vertex outside, as the (n, n) test did.
         stacked = curvature._enclosing_caps
+        for cone, vertex in ((2, 0), (0, 1)):
 
-        def tilted(rays):
-            centers, radii = stacked(rays)
-            centers[2] = -centers[2]
-            return centers, radii
+            def tilted(rays, cone=cone):
+                centers, radii = stacked(rays)
+                centers[cone] = -centers[cone]
+                return centers, radii
 
-        monkeypatch.setattr(curvature, "_enclosing_caps", tilted)
-        with pytest.raises(RuntimeError, match="outside cone 2"):
-            cone_cover_certificate(SQUARE, math.pi / 4 + 0.01)
+            monkeypatch.setattr(curvature, "_enclosing_caps", tilted)
+            with pytest.raises(RuntimeError, match=f"^cap fit passed but vertex {vertex} is "
+                                                   f"outside cone {cone}$"):
+                cone_cover_certificate(SQUARE, math.pi / 4 + 0.01)
 
     def test_links_to_quadrature_fraction(self):
         # Cone-like polytope: apex at the origin plus a dense ring of unit

@@ -84,7 +84,8 @@ class TestLargestStructured:
             for theta in CAPS:
                 got = search._largest_structured_under(theta, D)
                 want = largest_passing_candidate(theta, D)
-                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (D, theta)
+                assert got[0].shape == want.shape and got[0].tobytes() == want.tobytes(), (D, theta)
+                assert got[1] == max_angle_triple(got[0])[0], (D, theta)
 
     def test_no_candidate_is_scanned_twice(self, monkeypatch):
         scanned = []
@@ -97,11 +98,18 @@ class TestLargestStructured:
                 search._largest_structured_under(theta, D)
                 keys = [points.tobytes() for points in scanned]
                 assert len(keys) == len(set(keys)), (D, theta)
-        # The triangle, the square and the 9-gon: a candidate no larger than
-        # the best so far is not scanned.
+        # The triangle and the 9-gon: the square (the 2-D cross-polytope) is
+        # taken by its closed form, and a candidate no larger than the best
+        # so far is not scanned.
         scanned.clear()
-        assert len(search._largest_structured_under(2.5, 2)) == 9
-        assert [len(points) for points in scanned] == [3, 4, 9]
+        assert len(search._largest_structured_under(2.5, 2)[0]) == 9
+        assert [len(points) for points in scanned] == [3, 9]
+
+    @pytest.mark.parametrize("D", range(2, 11))
+    def test_the_polytopes_closed_form_is_the_scans_angle(self, D):
+        # The angle _largest_structured_under takes for them unscanned.
+        for points in (cross_polytope_vertices(D, 2 * D), hypercube_vertices(D, 2**D)):
+            assert max_angle_triple(points)[0] == 0.5 * math.pi
 
 
 def count_scans(monkeypatch, record):
@@ -410,6 +418,25 @@ class TestMaxCardinalitySearch:
         TestPinnedResults.check(
             res, 8, "0x1.921fb54442d18p+0", 0,
             "e9f28c6bc6e2644a82da4d74358847b9634525c2eafd7f827046303751bac2c5")
+
+    def test_right_angle_hypercube_is_not_scanned(self, monkeypatch):
+        # At pi/2 in R^8 the 256-point cube is the start and the Danzer-Gruenbaum
+        # limit, so nothing larger than the 9-point simplex is scanned.
+        sizes = []
+        scan = search.max_angle_triple
+        monkeypatch.setattr(search, "max_angle_triple",
+                            lambda points: sizes.append(len(points)) or scan(points))
+        res = max_cardinality_search(math.pi / 2, 8, budget=300, seed=0)
+        assert len(res.points) == 256 and res.achieved_angle == 0.5 * math.pi
+        assert sizes and max(sizes) <= 8 + 1
+
+    @pytest.mark.parametrize("theta", [1.2, math.pi / 2, 1.85, 2.0, 2.2, 2.4])
+    def test_achieved_angle_is_the_scan_of_the_result(self, theta):
+        # The angle kept from each acceptance is that of the set returned.
+        for D in (2, 3, 4):
+            for seed in (0, 1):
+                res = max_cardinality_search(theta, D, budget=300, seed=seed)
+                assert res.achieved_angle == max_angle_triple(res.points.points)[0], (D, seed)
 
     @pytest.mark.parametrize("D", [2, 3, 4])
     def test_right_angle_caps_stop_at_the_hypercube(self, D):
