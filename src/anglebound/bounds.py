@@ -25,6 +25,10 @@ CF_MAX_TERMS = 1000
 _TINY = 1e-300
 # a = d/2 from which log Gamma(a + 1/2)/Gamma(a) comes from its expansion.
 _LGAMMA_SWITCH = 25.0
+# Rounding slack at the end of a domain: theta up to this past pi, eta past
+# [0, pi/2] and sin(theta/2) / sin(theta_d/2) past 1 count as that end, and
+# theta within this below theta_D counts as theta_D, outside the theorem.
+EDGE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -58,14 +62,22 @@ def eta_of_theta(theta: float, d: int) -> float:
     s = sin_half_theta_d(d)
     if not theta > 0.0:
         raise OutOfRange(f"theta must be positive, got {theta}")
-    if theta > math.pi + 1e-12:
+    if theta > math.pi + EDGE_TOL:
         raise OutOfRange(f"theta must lie in (0, pi], got {theta}")
-    ratio = math.sin(0.5 * theta) / s
-    if ratio > 1.0 + 1e-12:
+    eta = _cap_radius(theta, s)
+    if eta is None:
         raise OutOfRange(
             f"theta={theta:.12g} exceeds theta_d={2.0 * math.asin(s):.12g} for d={d}"
         )
-    return math.asin(min(ratio, 1.0))
+    return eta
+
+
+def _cap_radius(x: float, s: float) -> float | None:
+    """asin(sin(x/2) / s) for s = sin(theta_d/2): eta_d(x), which is also
+    Dekster's cap radius for geodesic diameter x; None where the ratio
+    passes 1 by more than EDGE_TOL."""
+    ratio = math.sin(0.5 * x) / s
+    return None if ratio > 1.0 + EDGE_TOL else math.asin(min(ratio, 1.0))
 
 
 def _beta_cf(a: float, b: float, x: float, xc: float, d: int, eta: float) -> float:
@@ -125,7 +137,7 @@ def f_fraction(d: int, eta: float) -> float:
     on the complement I_{sin^2 eta}(1/2, a), with sin^2 eta computed directly.
     """
     d = check_int(d, "d must be a positive integer, got {!r}", 1)
-    if not -1e-12 <= eta <= 0.5 * math.pi + 1e-12:
+    if not -EDGE_TOL <= eta <= 0.5 * math.pi + EDGE_TOL:
         raise OutOfRange(f"eta must lie in [0, pi/2], got {eta}")
     eta = min(max(eta, 0.0), 0.5 * math.pi)
     if eta == 0.0:
@@ -157,7 +169,7 @@ def cardinality_bound(theta: float, ambient_dim: int) -> BoundReport:
     eta = eta_of_theta(theta, d)
     f = f_fraction(d, eta)
     bound = 1.0 / f if f > 0.0 else math.inf
-    # Strict hypothesis theta < theta_D; values within 1e-12 of the threshold
+    # Strict hypothesis theta < theta_D; values within EDGE_TOL of the threshold
     # count as the boundary so that e.g. theta = 2*pi/3 at D = 2 is flagged.
     return BoundReport(
         theta=float(theta),
@@ -165,7 +177,7 @@ def cardinality_bound(theta: float, ambient_dim: int) -> BoundReport:
         eta=eta,
         f_value=f,
         bound=bound,
-        theorem_applicable=bool(theta < theta_d(D) - 1e-12),
+        theorem_applicable=bool(theta < theta_d(D) - EDGE_TOL),
     )
 
 

@@ -8,10 +8,11 @@ byte-for-byte. Exit codes: 0 success, 2 precondition/usage errors, 1
 internal failure.
 
 Library modules are imported inside the handlers and readers that use them,
-so each subcommand loads only what it runs: `bound` and `table` load
-`bounds` and no numpy. `dispatch` likewise builds only the subparser of the
-subcommand it runs (`build_parser(command)`); the whole parser, with every
-subcommand in its usage, answers --help and every call it cannot route.
+so each subcommand loads only what it runs: `bound`, `table` and `n-bounds`
+without constants load `bounds` and no numpy. `dispatch` likewise builds
+only the subparser of the subcommand it runs (`build_parser(command)`); the
+whole parser, with every subcommand in its usage, answers --help and every
+call it cannot route.
 """
 
 from __future__ import annotations
@@ -224,7 +225,7 @@ def _cmd_cover_lines(args):
 
     rho = _angle_from(args, "rho")
     arr = cover_lines(rho, args.dim, seed=args.seed, probes=args.probes)
-    return {**_fields(arr), "probes": args.probes, "rho": rho}, 0
+    return {**_fields(arr), "rho": rho}, 0
 
 
 def _cmd_ef_construct(args):
@@ -248,18 +249,29 @@ def _cmd_witness(args):
 
 
 def _cmd_n_bounds(args):
-    from .constructions import calibrate_constants, n_bounds
+    theta, D = _angle_from(args, "theta"), args.dim
+    if args.c_d is not None or args.C_d is not None:
+        from .constructions import n_bounds
 
-    theta = _angle_from(args, "theta")
-    c_d, C_d = args.c_d, args.C_d
-    calibrated = False
-    if c_d is None or C_d is None:
-        cal_c, cal_C = calibrate_constants(args.dim, math.pi - theta, seed=args.seed)
-        c_d = c_d if c_d is not None else cal_c
-        C_d = C_d if C_d is not None else cal_C
-        calibrated = True
-    rep = n_bounds(theta, args.dim, c_d, C_d)
-    return {**_fields(rep), "calibrated": calibrated}, 0
+        if args.c_d is None or args.C_d is None:
+            raise OutOfRange("pass both --c-d and --C-d, or neither")
+        return n_bounds(theta, D, args.c_d, args.C_d), 0
+    from .bounds import cardinality_bound, theta_d
+
+    if not 0.5 * math.pi < theta < math.pi:
+        raise OutOfRange(f"theta must lie in (pi/2, pi), got {theta}")
+    if not 2 <= D < sys.float_info.max_exp:  # from there on 2^D is past every float
+        raise OutOfRange(f"d must be an integer in [2, {sys.float_info.max_exp}), got {D}")
+    upper, reason = None, f"theta is not below theta_{D} = {theta_d(D):.12g}"
+    try:
+        rep = cardinality_bound(theta, D)
+        if rep.theorem_applicable:
+            upper, reason = rep.bound, None
+    except OutOfRange:  # eta_(D-1)(theta) is not defined past theta_(D-1)
+        reason = f"theta is past theta_{D - 1} = {theta_d(D - 1):.12g}"
+    # The cube's 2^D vertices: integer rays, every angle at most pi/2 < theta.
+    return {"theta": theta, "d": D, "lower": 2**D, "lower_certificate": "cube", "upper": upper,
+            "upper_certificate": None if upper is None else "theorem", "reason": reason}, 0
 
 
 def _cmd_search_alpha(args):
@@ -322,7 +334,7 @@ SUBCOMMANDS = {
                     "dimension", _cmd_cover_lines, [
         *_angle_args("rho", "covering diameter rho"), _DIM,
         _arg("--probes", type=int, default=100_000,
-             help="accepted and echoed; no longer changes the cover"), *_SEEDED]),
+             help="accepted; no longer changes the cover"), *_SEEDED]),
     "ef-construct": ("doubling construction: 2^m points under pi - rho, certified by the "
                      "pair argument in O(n^2 D); the max_angle field is an exact O(n^3 D) "
                      "rescan that the certificate does not need, and on large sets it takes "
@@ -332,11 +344,11 @@ SUBCOMMANDS = {
     "witness": ("obtuse triple witness from a line covering", _cmd_witness, [
         _IN, _arg("--lines", required=True), *_angle_args("rho", "covering diameter rho"),
         *_OUT]),
-    "n-bounds": ("two-sided size bounds from packing/covering constants", _cmd_n_bounds, [
+    "n-bounds": ("size bounds: 2^dim (the cube) below, the theorem's bound above or null with "
+                 "a reason; the packing/covering formula given --c-d and --C-d", _cmd_n_bounds, [
         *_angle_args("theta", "angle cap"), _DIM,
-        _arg("--c-d", dest="c_d", type=float, help="packing constant (default: calibrated)"),
-        _arg("--C-d", dest="C_d", type=float, help="covering constant (default: calibrated)"),
-        *_SEEDED]),
+        _arg("--c-d", dest="c_d", type=float, help="packing constant (needs --C-d)"),
+        _arg("--C-d", dest="C_d", type=float, help="covering constant (needs --c-d)"), *_OUT]),
     "search-alpha": ("minimize the max angle of n points", _cmd_search_alpha, [
         _arg("--n", type=int, required=True), _DIM, _arg("--iters", type=int, default=2000),
         _arg("--restarts", type=int, default=4), *_SEEDED]),

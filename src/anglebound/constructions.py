@@ -51,8 +51,8 @@ _COVER_TOL = 1e-12
 _PAIR_COS_SLACK = 1e-15
 # The most points ef_doubling builds, 14 lines' worth; its docstring gives the cost.
 _MAX_DOUBLED_POINTS = 2**14
-# Lines in the packing from which calibrate_constants derives c_d.
-_CALIBRATION_PACK = 6
+# How far below pi - rho a witness angle may round before the coloring is inconsistent.
+_WITNESS_ANGLE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -625,7 +625,7 @@ def obtuse_triple_witness(A: PointSet, L: LineArrangement, rho: float) -> Obtuse
     pivot = int(np.argmax(up == np.roll(up, -1)))
     x, y, z = np.roll(P, -pivot, axis=0)[:3]
     ang = angle_at(x, y, z)
-    if ang < math.pi - rho - 1e-9:
+    if ang < math.pi - rho - _WITNESS_ANGLE_TOL:
         raise RuntimeError("witness angle fell below pi - rho; coloring inconsistent")
     return ObtuseWitness(vi=x, v=y, vj=z, angle=ang)
 
@@ -662,24 +662,3 @@ def n_bounds(theta: float, d: int, c_d: float, C_d: float) -> NBoundsReport:
         lower_valid_above_n=valid_above,
     )
 
-
-def calibrate_constants(d: int, rho: float, seed: int = 0) -> tuple[float, float]:
-    """Empirical (c_d, C_d) from packing and covering runs in R^d at scale rho.
-
-    A packing of m = _CALIBRATION_PACK lines achieving separation a gives
-    c_d = a * m^(1/(d-1)); a covering at rho with m lines gives
-    C_d = rho * (m + 1)^(1/(d-1)). These are instance-derived values, not
-    proven constants. The packing is pack_lines' proven optimum in closed
-    form for d = 2, 3, 5 and d >= 6, so there c_d does not depend on `seed`;
-    only d = 4 runs the seeded search. The covering is cover_lines', exact in
-    every d, so C_d comes from a set that truly covers and does not depend
-    on `seed`.
-    Where cover_lines refuses rho, below about 0.0408 in R^3, 0.176 in R^4,
-    0.524 in R^5, 1.063 in R^6, 1.618 in R^7 and 1.984 in R^8, this raises
-    its CoverageFailed.
-    """
-    packed = pack_lines(_CALIBRATION_PACK, d, seed=seed)
-    c_d = packed.min_pairwise_angle * _CALIBRATION_PACK ** (1.0 / (d - 1))
-    covered = cover_lines(rho, d, seed=seed)
-    C_d = rho * (len(covered) + 1) ** (1.0 / (d - 1))
-    return c_d, C_d

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import sin_half_theta_d
+from .bounds import _cap_radius, sin_half_theta_d
 from .convexity import FEAS_TOL, _nearest_points, is_convex_position
 from .errors import (
     CapTooSmall,
@@ -73,11 +73,16 @@ from .geometry import (LOOSE_UNIT_NORM_TOL, UNIT_NORM_TOL, PointSet, _as_point, 
                        _Hull, _others, _row_blocks, as_unit)
 from .sampling import _check_seed, fixed_directions
 
+# Slack on the cosine, and on the radius, with which a ray fits a cone or a cap.
 CONE_FIT_TOL = 1e-9
 # Closed-form fractions must sum to 1 within this (Gauss-Bonnet); each
 # fraction is a sum of at most n angles, so its rounding is near n * 1e-16.
 GAUSS_BONNET_TOL = 1e-9
 BLOCK = 1 << 12  # raw Monte Carlo rows per rotation
+# Height over a facet's plane, relative to the points' radius, that sees it.
+_HULL_REL_TOL = 1e-12
+# Singular values under this times max(1, |coordinate|) are 0 in the hull's rank.
+_RANK_TOL = 1e-9
 
 
 def _in_cone(v: np.ndarray, axis: np.ndarray, half_angle: float, tol: float = CONE_FIT_TOL):
@@ -228,7 +233,7 @@ def _defect_fractions(pts: np.ndarray) -> np.ndarray:
     their plane), centred on its centroid, by joining the other points in
     index order (geometry._Hull). The four come first, so each later
     point is the highest vertex so far. A point sees a facet when it lies
-    more than 1e-12 times the points' radius above its plane, so coplanar
+    more than _HULL_REL_TOL times the points' radius above its plane, so coplanar
     points, as on the cube's faces, split a face into triangles. The hull is
     re-checked (geometry._check_closed) before any angle is summed.
     """
@@ -243,7 +248,7 @@ def _defect_fractions(pts: np.ndarray) -> np.ndarray:
     rest[[a, b, c, d]] = False
     order = np.concatenate([[a, b, c, d], np.flatnonzero(rest)])
     V = pts[order] - pts[order[:4]].mean(axis=0)
-    tol = 1e-12 * math.sqrt(float(np.max(np.einsum("ij,ij->i", V, V))))
+    tol = _HULL_REL_TOL * math.sqrt(float(np.max(np.einsum("ij,ij->i", V, V))))
     hull = _Hull(V, np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]))
     for i in range(4, n):
         hull.join(V, i, i + 1, tol)
@@ -292,7 +297,7 @@ def gauss_bonnet_sum(V: PointSet, samples: int, seed: int) -> CurvatureEstimate:
     samples = _check_samples(samples)
     _require_convex_position(V)
     centered = V.points - V.points.mean(axis=0)
-    if np.linalg.matrix_rank(centered, tol=1e-9 * max(1.0, np.abs(centered).max())) < V.dim:
+    if np.linalg.matrix_rank(centered, tol=_RANK_TOL * max(1.0, np.abs(centered).max())) < V.dim:
         raise DegenerateHull("hull is not full-dimensional")
     n = len(V)
     if V.dim in (2, 3):
@@ -326,12 +331,12 @@ def dekster_radius(diam: float, d: int) -> float:
     if not diam >= 0.0:
         raise OutOfRange(f"diameter must be nonnegative, got {diam}")
     s = sin_half_theta_d(d)
-    ratio = math.sin(0.5 * diam) / s if diam <= math.pi else math.inf
-    if ratio > 1.0 + 1e-12:
+    radius = _cap_radius(diam, s) if diam <= math.pi else None
+    if radius is None:
         raise OutOfRange(
             f"diameter {diam:.12g} exceeds the invertible range (max {2.0 * math.asin(s):.12g})"
         )
-    return math.asin(min(ratio, 1.0))
+    return radius
 
 
 def _largest_gaps(rays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -383,7 +388,7 @@ def _enclosing_caps(rays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     radii = []
     for fit, chord, w in zip(fits.tolist(), chords.tolist(), worst.tolist()):
         radius = 2.0 * math.asin(min(1.0, 0.5 * chord))
-        radii.append(radius if fit and w >= math.cos(radius) - 1e-9 else math.nan)
+        radii.append(radius if fit and w >= math.cos(radius) - CONE_FIT_TOL else math.nan)
     return centers, np.array(radii)
 
 

@@ -18,7 +18,6 @@ independent; ties go to the earliest restart.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -46,6 +45,10 @@ _CHUNK = 64
 _COOLING = 0.995
 # Relative margin, a few ulps, on the theorem's bound where it caps the set size.
 _BOUND_ULPS = 8 * 2.0**-52
+# The largest structured starts, each certified in about 1 s (2-vCPU x86, one
+# BLAS thread): a full scan of the 1000-gon took 1.25 s, the 2^12 cube 0.74 s.
+_MAX_POLYGON = 1000
+_MAX_CUBE_DIM = 12
 
 
 @dataclass(frozen=True)
@@ -207,20 +210,27 @@ def minimize_max_angle(n: int, D: int, iters: int = 2000, restarts: int = 4,
 def _largest_structured_under(theta: float, D: int) -> tuple[np.ndarray, float]:
     """(points, exact max angle) of the largest known structured configuration
     with max angle <= theta < pi, the first on ties; else two points of the
-    simplex, at 0. Each candidate is scanned only when it is larger than the
-    best so far, the polygons largest first; the cross-polytope and the
-    hypercube never are. Their angle is 0.5 * math.pi exactly, as a scan
+    simplex, at 0. A polygon past _MAX_POLYGON points or a hypercube past
+    R^_MAX_CUBE_DIM raises OutOfRange before it is built. Each candidate is
+    scanned only when it is larger than the best so far, the polygons
+    largest first; the cross-polytope and the hypercube never are. Their angle is 0.5 * math.pi exactly, as a scan
     gives it: their rays' integer dot products are >= 0 at every vertex and
     0 for some pair, a positive one has cosine >= 1/(2D), so the scan picks
     a dot of 0, and angle_at's arithmetic returns np.arccos(0.0) for it."""
     simplex = regular_simplex(D)
     candidates = [(simplex, None)]
     if theta >= 0.5 * math.pi:
+        if D > _MAX_CUBE_DIM:
+            raise OutOfRange(f"the hypercube start has 2^{D} points, past the cap of "
+                             f"2^{_MAX_CUBE_DIM}")
         candidates += [(cross_polytope_vertices(D, 2 * D), 0.5 * math.pi),
                        (hypercube_vertices(D, 2**D), 0.5 * math.pi)]
     if D == 2:
         m = int(2.0 * math.pi / (math.pi - theta))  # the n-gon's pi - 2 pi / n > theta past m
-        candidates = itertools.chain(candidates, ((_polygon(n), None) for n in range(m, 2, -1)))
+        if m > _MAX_POLYGON:
+            raise OutOfRange(f"the {m}-gon start has {m} points, past the cap of {_MAX_POLYGON}")
+        # The (m - 1)-gon is 2 pi / (m (m - 1)) under theta, far past rounding: none smaller wins.
+        candidates += [(_polygon(n), None) for n in range(m, max(m - 2, 2), -1)]
     best = simplex[:2], 0.0
     for c, closed in candidates:
         if len(c) > len(best[0]):

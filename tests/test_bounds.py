@@ -157,6 +157,20 @@ class TestCardinalityBound:
         for D in range(2, 11):
             assert cardinality_bound(math.pi / 2, D).bound >= 2**D - 1e-6
 
+    def test_bound_exceeds_the_cube_wherever_the_theorem_applies(self):
+        # The cube's 2^D vertices have every angle at most pi/2 < theta, so the
+        # theorem's bound must exceed 2^D: a cross-check of f_fraction against
+        # a construction. The closest ratio is about 1.0017, at D = 2, 90.15 deg.
+        ratios = []
+        for D in range(2, 40):
+            for k in range(1, 201):
+                theta = math.pi / 2 + (theta_d(D) - math.pi / 2) * k / 201
+                rep = cardinality_bound(theta, D)
+                assert rep.theorem_applicable, (D, theta)
+                ratios.append(rep.bound / 2**D)
+        assert min(ratios) > 1.0
+        assert min(ratios) == pytest.approx(1.0017, abs=1e-4)
+
     def test_invariants_of_report(self):
         rep = cardinality_bound(1.2, 4)
         assert rep.bound == 1.0 / rep.f_value

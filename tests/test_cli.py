@@ -1,19 +1,26 @@
 import csv
+import dataclasses
 import errno
 import hashlib
 import io
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import anglebound
 from anglebound import cli, constructions, geometry
 from anglebound.bounds import cardinality_bound
 from anglebound.cli import dispatch, read_pointset, table_bound_grid
+from anglebound.constructions import n_bounds
 from anglebound.geometry import PointSet
 
+SRC = str(Path(anglebound.__file__).resolve().parent.parent)
 SQUARE = {"dim": 2, "points": [[0, 0], [1, 0], [1, 1], [0, 1]]}
 
 
@@ -130,7 +137,49 @@ class TestBasicCommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["upper"] == pytest.approx(1 + 2**17)
-        assert payload["calibrated"] is False
+        assert payload == dataclasses.asdict(n_bounds(math.pi - 1.0, 3, 1.0, 4.0))
+
+    # Nine cells in d = 3-8: the cube's 2^d below, and the theorem's bound
+    # above where theta < theta_d, else null with the reason.
+    @pytest.mark.parametrize("dim,deg,upper,reason", [
+        (3, 100, 17.3238064131, None),
+        (3, 109, 33.3664925916, None),
+        (3, 120, None, "theta is not below theta_3 = 1.91063323625"),
+        (4, 100, 109.490166955, None),
+        (4, 120, None, "theta is past theta_3 = 1.91063323625"),
+        (5, 100, 1399.96113130, None),
+        (6, 95, 2097.64941816, None),
+        (7, 95, 19693.1741547, None),
+        (8, 96, 981727.096930, None),
+    ])
+    def test_n_bounds_reports_the_cube_and_the_theorem(self, dim, deg, upper, reason, capsys):
+        code, out = run(["n-bounds", "--theta-deg", str(deg), "--dim", str(dim)], capsys)
+        assert code == 0
+        want = None if upper is None else cardinality_bound(math.radians(deg), dim).bound
+        assert json.loads(out) == {"theta": math.radians(deg), "d": dim,
+                                   "lower": 2**dim, "lower_certificate": "cube", "upper": want,
+                                   "upper_certificate": None if upper is None else "theorem",
+                                   "reason": reason}
+        if upper is not None:
+            assert want == pytest.approx(upper, rel=1e-11)
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--theta-deg", "90", "--dim", "3"], "theta must lie in (pi/2, pi), got "
+                                              "1.5707963267948966"),
+        (["--theta-deg", "100", "--dim", "1"], "d must be an integer in [2, 1024), got 1"),
+        (["--theta-deg", "100", "--dim", "1024"], "d must be an integer in [2, 1024), got 1024"),
+        (["--theta-deg", "100", "--dim", "3", "--c-d", "1"],
+         "pass both --c-d and --C-d, or neither"),
+    ], ids=["theta", "dim", "dim-past-floats", "one-constant"])
+    def test_n_bounds_refuses_by_name(self, flags, message, capsys):
+        assert dispatch(["n-bounds", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_n_bounds_takes_no_seed(self, capsys):
+        assert dispatch(["n-bounds", "--theta-deg", "100", "--dim", "3", "--seed", "2"]) == 2
+        assert "unrecognized arguments: --seed 2" in capsys.readouterr().err
 
     def test_search_alpha(self, capsys):
         code, out = run(["search-alpha", "--n", "3", "--dim", "2", "--iters", "200",
@@ -351,14 +400,17 @@ class TestPayloadKeys:
         "pack-lines": (["pack-lines", "--m", "3", "--dim", "2", "--iters", "50"], 0,
                        {"dim", "lines", "min_pairwise_angle"}),
         "cover-lines": (["cover-lines", "--rho-deg", "90", "--dim", "2", "--probes", "2000"], 0,
-                        {"dim", "lines", "min_pairwise_angle", "probes", "rho"}),
+                        {"dim", "lines", "min_pairwise_angle", "rho"}),
         "ef-construct": (["ef-construct", "--lines", "{lines}", "--rho", "1.4"], 0,
                          {"dim", "points", "max_angle", "certified_below"}),
         "witness": (["witness", "--in", "{pentagon}", "--lines", "{lines}", "--rho", "1.6"], 0,
                     {"vi", "v", "vj", "angle", "threshold"}),
         "n-bounds": (["n-bounds", "--theta", "2.0", "--dim", "3", "--c-d", "1", "--C-d", "4"], 0,
                      {"theta", "d", "c_d", "C_d", "lower", "upper", "overflow",
-                      "lower_valid_above_n", "calibrated"}),
+                      "lower_valid_above_n"}),
+        "n-bounds-certified": (["n-bounds", "--theta-deg", "100", "--dim", "3"], 0,
+                               {"theta", "d", "lower", "lower_certificate", "upper",
+                                "upper_certificate", "reason"}),
         "search-alpha": (["search-alpha", "--n", "4", "--dim", "2", "--iters", "20",
                           "--restarts", "1"], 0,
                          {"points", "dim", "achieved_angle", "iterations", "seed", "restarts"}),
@@ -413,7 +465,6 @@ class TestExitCodes:
         ["curvature", "--in", "{square}", "--samples", "2000"],
         ["pack-lines", "--m", "4", "--dim", "3", "--iters", "20"],
         ["cover-lines", "--rho-deg", "70", "--dim", "3", "--probes", "2000"],
-        ["n-bounds", "--theta-deg", "100", "--dim", "3"],  # calibrates
         ["search-alpha", "--n", "4", "--dim", "2", "--iters", "20", "--restarts", "1"],
         ["search-max", "--theta-deg", "90", "--dim", "2", "--budget", "50"],
     ], ids=lambda argv: argv[0])
@@ -490,6 +541,24 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    # Each in a child whose address space is capped at 1 GiB, so that a start
+    # built before its check (the 36 000-gon's (36 000, 35 999) scan index, or
+    # 2^40 hypercube rows) would exit 1 with a MemoryError, not 2.
+    @pytest.mark.parametrize("flags,message", [
+        (["--theta-deg", "179.99", "--dim", "2"],
+         "the 36000-gon start has 36000 points, past the cap of 1000"),
+        (["--theta-deg", "95", "--dim", "40"],
+         "the hypercube start has 2^40 points, past the cap of 2^12"),
+    ], ids=["polygon", "hypercube"])
+    def test_search_max_past_a_start_cap_exits_two(self, flags, message):
+        child = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                 "from anglebound.cli import main; main()")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+            SRC, os.environ.get("PYTHONPATH")])), "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", child, "search-max", *flags, "--budget", "0"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
     def test_value_error_inside_the_library_is_internal(self, square_file, capsys, monkeypatch):
         def broken(ps):

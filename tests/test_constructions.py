@@ -17,7 +17,6 @@ from anglebound.bounds import (
 from anglebound.constructions import (
     EdgeColoring,
     LineArrangement,
-    calibrate_constants,
     cover_lines,
     ef_doubling,
     find_mono_odd_cycle,
@@ -1145,10 +1144,3 @@ class TestCrossModule:
             Q = random_rotation(rng, D)
             moved = ps.points @ Q.T + rng.normal(size=D)
             assert brute_max_angle(moved) <= math.pi - rho + 1e-9
-
-    def test_calibrated_constants_are_sane(self):
-        c2, C2 = calibrate_constants(2, 0.5, seed=1)
-        assert 0.0 < c2
-        assert C2 >= 0.5  # at least one covering line
-        rep = n_bounds(math.pi - 0.45, 2, c2, C2)
-        assert rep.lower < rep.upper

@@ -1,8 +1,8 @@
 """Start-up cost: each subcommand loads only the modules it runs.
 
-The package is numpy-only at run time; scipy is a test oracle, and `bound`
-and `table` need no numpy at all. Every subcommand the parser knows,
-calibrating `n-bounds` included, runs in one fresh interpreter (this test
+The package is numpy-only at run time; scipy is a test oracle, and `bound`,
+`table` and `n-bounds` need no numpy at all. Every subcommand the parser
+knows runs in one fresh interpreter (this test
 process has already imported scipy and numpy through other test modules),
 which reports the scipy, numpy and anglebound modules loaded after `import
 anglebound` and after each call. Subcommands are also run alone, so each is
@@ -45,7 +45,7 @@ CALLS = [
     ["cover-lines", "--rho-deg", "70", "--dim", "3", "--probes", "2000", "--seed", "3"],
     ["ef-construct", "--lines", "{lines}", "--rho", "1.4"],
     ["witness", "--in", "{pentagon}", "--lines", "{lines}", "--rho", "1.6"],
-    ["n-bounds", "--theta-deg", "100", "--dim", "2", "--seed", "2"],  # calibrates
+    ["n-bounds", "--theta-deg", "100", "--dim", "2"],
     ["search-alpha", "--n", "4", "--dim", "2", "--iters", "20", "--restarts", "1", "--seed", "1"],
     ["search-max", "--theta-deg", "90", "--dim", "2", "--budget", "50", "--seed", "1"],
 ]
@@ -114,15 +114,15 @@ def test_import_loads_no_numpy_and_no_module(tmp_path):
     assert report == {"import": {"scipy": [], "numpy": [], "anglebound": ["anglebound"]}}, stderr
 
 
-@pytest.mark.parametrize("sub", ["bound", "table"])
+@pytest.mark.parametrize("sub", ["bound", "table", "n-bounds"])
 def test_subcommand_loads_no_numpy(tmp_path, sub):
     report, stderr = run_probe(tmp_path, [call(sub)])
     assert loaded(report, "numpy") == {"import": [], sub: [0, []]}, stderr
 
 
 # Every call above, and the R^3 and R^4 inputs that run the hull paths and the
-# Monte Carlo sweep, a cover of D >= 5, and packings in R^3 and calibrations
-# in R^3 and R^4 with and without a closed form.
+# Monte Carlo sweep, a cover of D >= 5, packings in R^3 with and without a
+# closed form, and n-bounds in R^3 and R^4.
 CASES = {
     **{argv[0]: argv for argv in CALLS},
     "curvature-R3": ["curvature", "--in", "{cube}", "--seed", "5"],
@@ -134,15 +134,15 @@ CASES = {
     "pack-lines-R3": ["pack-lines", "--m", "5", "--dim", "3", "--iters", "50", "--seed", "1"],
     "pack-lines-R3-simplex": ["pack-lines", "--m", "4", "--dim", "3", "--iters", "50",
                               "--seed", "1"],
-    "n-bounds-R3": ["n-bounds", "--theta-deg", "100", "--dim", "3", "--seed", "2"],
-    "n-bounds-R4": ["n-bounds", "--theta-deg", "100", "--dim", "4", "--seed", "2"],
+    "n-bounds-R3": ["n-bounds", "--theta-deg", "100", "--dim", "3"],
+    "n-bounds-R4": ["n-bounds", "--theta-deg", "100", "--dim", "4"],
 }
 # The cases that draw a seeded stream: the Monte Carlo sweep, the packing
-# search (calibrating n-bounds packs 6 lines too) and the searches. Planar
-# packings, the simplex's m = D + 1 lines and the icosahedron's 6 in R^3 are
-# closed forms. No cover and not the convex-position screen's directions need
-# numpy.random, and no case loads numpy.ma.
-DRAW_A_STREAM = {"curvature-R4", "pack-lines-R3", "n-bounds-R4", "search-alpha", "search-max"}
+# search and the searches. Planar packings, the simplex's m = D + 1 lines and
+# the icosahedron's 6 in R^3 are closed forms. No cover and not the
+# convex-position screen's directions need numpy.random, and no case loads
+# numpy.ma.
+DRAW_A_STREAM = {"curvature-R4", "pack-lines-R3", "search-alpha", "search-max"}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -167,7 +167,7 @@ MODULES = {
     "cover-lines": ["constructions", "geometry", "sampling"],
     "ef-construct": ["constructions", "geometry", "sampling"],
     "witness": ["constructions", "convexity", "geometry", "sampling"],
-    "n-bounds": ["constructions", "geometry", "sampling"],
+    "n-bounds": ["bounds"],
     "search-alpha": ["bounds", "geometry", "sampling", "search"],
     "search-max": ["bounds", "geometry", "sampling", "search"],
 }

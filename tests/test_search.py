@@ -105,6 +105,35 @@ class TestLargestStructured:
         assert len(search._largest_structured_under(2.5, 2)[0]) == 9
         assert [len(points) for points in scanned] == [3, 9]
 
+    def test_only_the_two_largest_polygons_under_the_cap_are_built(self, monkeypatch):
+        built = []
+        polygon = search._polygon
+        monkeypatch.setattr(search, "_polygon", lambda n: built.append(n) or polygon(n))
+        for theta in CAPS:
+            built.clear()
+            search._largest_structured_under(theta, 2)
+            m = int(2.0 * math.pi / (math.pi - theta))
+            assert built == [n for n in (m, m - 1) if n >= 3], theta
+
+    def test_a_start_past_its_cap_is_refused_before_it_is_built(self, monkeypatch):
+        monkeypatch.setattr(search, "_MAX_POLYGON", 8)
+        monkeypatch.setattr(search, "_MAX_CUBE_DIM", 3)
+        monkeypatch.setattr(search, "_polygon", None)  # building any polygon would fail
+        with pytest.raises(OutOfRange, match=r"^the 9-gon start has 9 points, past the cap of 8$"):
+            max_cardinality_search(2.5, 2, budget=0)
+        monkeypatch.setattr(search, "hypercube_vertices", None)
+        with pytest.raises(OutOfRange, match=r"^the hypercube start has 2\^4 points, past the "
+                                             r"cap of 2\^3$"):
+            max_cardinality_search(0.5 * math.pi, 4, budget=0)
+        # Below pi/2 the hypercube is no candidate, so R^4 still searches.
+        assert len(max_cardinality_search(1.5, 4, budget=0).points) == 5
+
+    def test_starts_at_their_caps_are_built(self, monkeypatch):
+        monkeypatch.setattr(search, "_MAX_POLYGON", 9)
+        monkeypatch.setattr(search, "_MAX_CUBE_DIM", 4)
+        assert len(max_cardinality_search(2.5, 2, budget=0).points) == 9
+        assert len(max_cardinality_search(0.5 * math.pi, 4, budget=0).points) == 16
+
     @pytest.mark.parametrize("D", range(2, 11))
     def test_the_polytopes_closed_form_is_the_scans_angle(self, D):
         # The angle _largest_structured_under takes for them unscanned.
