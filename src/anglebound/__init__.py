@@ -26,14 +26,15 @@ _EXPORTS = {
     "constructions": ["EdgeColoring", "LineArrangement", "NBoundsReport", "cover_lines",
                       "ef_doubling", "find_mono_odd_cycle", "n_bounds",
                       "obtuse_triple_witness", "pack_lines"],
-    "convexity": ["ConvexPositionVerdict", "ObtuseWitness", "caratheodory_decompose",
+    "convexity": ["ConvexPositionVerdict", "caratheodory_decompose",
                   "is_convex_position", "min_pairwise_dot", "obtuse_witness",
                   "simplex_contains_origin"],
     "curvature": ["Cone", "CurvatureEstimate", "SphericalCap", "cone_cover_certificate",
                   "dekster_radius", "gauss_bonnet_sum", "min_enclosing_cap",
                   "normal_cone_fraction_mc"],
     "errors": ["PreconditionError"],
-    "geometry": ["PointSet", "angle_at", "geodesic_diameter", "max_angle", "rays_from"],
+    "geometry": ["ObtuseWitness", "PointSet", "angle_at", "geodesic_diameter", "max_angle",
+                 "rays_from"],
     "search": ["SearchResult", "max_cardinality_search", "minimize_max_angle"],
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

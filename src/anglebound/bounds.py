@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import OutOfRange, check_int
+from .errors import OutOfRange, check_int, check_real
 
 # Continued-fraction stop test |step - 1| and term cap. With the switch to
 # the complement below, no d <= 10^8 needs more than 320 terms at any eta.
@@ -60,10 +60,7 @@ def eta_of_theta(theta: float, d: int) -> float:
     theta = theta_d.
     """
     s = sin_half_theta_d(d)
-    if not theta > 0.0:
-        raise OutOfRange(f"theta must be positive, got {theta}")
-    if theta > math.pi + EDGE_TOL:
-        raise OutOfRange(f"theta must lie in (0, pi], got {theta}")
+    theta = check_real(theta, "theta must lie in (0, pi], got {!r}", gt=0.0, le=math.pi + EDGE_TOL)
     eta = _cap_radius(theta, s)
     if eta is None:
         raise OutOfRange(
@@ -137,8 +134,8 @@ def f_fraction(d: int, eta: float) -> float:
     on the complement I_{sin^2 eta}(1/2, a), with sin^2 eta computed directly.
     """
     d = check_int(d, "d must be a positive integer, got {!r}", 1)
-    if not -EDGE_TOL <= eta <= 0.5 * math.pi + EDGE_TOL:
-        raise OutOfRange(f"eta must lie in [0, pi/2], got {eta}")
+    eta = check_real(eta, "eta must lie in [0, pi/2], got {!r}", ge=-EDGE_TOL,
+                     le=0.5 * math.pi + EDGE_TOL)
     eta = min(max(eta, 0.0), 0.5 * math.pi)
     if eta == 0.0:
         return 0.5

@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import OutOfRange, PreconditionError
+from .errors import OutOfRange, PreconditionError, check_real
 
 DEFAULT_SEED = 20240
 # Rows `table` may print: a larger grid is refused before any row is built.
@@ -82,15 +82,11 @@ def read_pointset(path: str):
 
 
 def read_lines(path: str):
-    import numpy as np
-
     from .constructions import LineArrangement
+    from .geometry import _float_rows
 
     data = _read_json(path)
-    try:
-        vecs = np.asarray(data.get("lines") if isinstance(data, dict) else data, dtype=float)
-    except (TypeError, ValueError) as err:
-        raise OutOfRange(f"lines must form an (m, dim) array of numbers: {err}") from None
+    vecs = _float_rows(data.get("lines") if isinstance(data, dict) else data, "line", None)
     if vecs.ndim != 2:
         raise OutOfRange(f"lines must form an (m, dim) array, got shape {vecs.shape}")
     return LineArrangement(dim=vecs.shape[1], lines=vecs)
@@ -258,8 +254,7 @@ def _cmd_n_bounds(args):
         return n_bounds(theta, D, args.c_d, args.C_d), 0
     from .bounds import cardinality_bound, theta_d
 
-    if not 0.5 * math.pi < theta < math.pi:
-        raise OutOfRange(f"theta must lie in (pi/2, pi), got {theta}")
+    check_real(theta, "theta must lie in (pi/2, pi), got {!r}", gt=0.5 * math.pi, lt=math.pi)
     if not 2 <= D < sys.float_info.max_exp:  # from there on 2^D is past every float
         raise OutOfRange(f"d must be an integer in [2, {sys.float_info.max_exp}), got {D}")
     upper, reason = None, f"theta is not below theta_{D} = {theta_d(D):.12g}"
@@ -295,9 +290,7 @@ def _cmd_table(args):
         raise OutOfRange("table currently supports --bound-grid only")
     d_lo, d_hi = _parse_range(args.dims, "--dims", int)
     lo, hi = _parse_range(args.theta_deg, "--theta-deg")
-    step = args.theta_step
-    if not step > 0:
-        raise OutOfRange(f"--theta-step must be positive, got {step!r}")
+    step = check_real(args.theta_step, "--theta-step must be positive, got {!r}", gt=0.0)
     if not math.isfinite(step):
         raise OutOfRange(f"--theta-step must be a finite number, got {step!r}")
     rows = (d_hi - d_lo + 1) * ((hi - lo) / step + 1)
@@ -334,7 +327,7 @@ SUBCOMMANDS = {
                     "dimension", _cmd_cover_lines, [
         *_angle_args("rho", "covering diameter rho"), _DIM,
         _arg("--probes", type=int, default=100_000,
-             help="accepted; no longer changes the cover"), *_SEEDED]),
+             help="accepted and validated; does not change the cover"), *_SEEDED]),
     "ef-construct": ("doubling construction: 2^m points under pi - rho, certified by the "
                      "pair argument in O(n^2 D); the max_angle field is an exact O(n^3 D) "
                      "rescan that the certificate does not need, and on large sets it takes "

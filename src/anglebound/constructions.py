@@ -28,9 +28,11 @@ from .errors import (
     OutOfRange,
     ScaleExhausted,
     check_int,
+    check_real,
 )
-from .geometry import (LOOSE_UNIT_NORM_TOL, PointSet, _check_closed, _grown, _Hull, _min_upper_pair,
-                       _row_blocks, angle_at, max_angle_triple, regular_simplex)
+from .geometry import (LOOSE_UNIT_NORM_TOL, ObtuseWitness, PointSet, _check_closed,
+                       _check_unit_rows, _float_rows, _grown, _Hull, _min_upper_pair, _row_blocks,
+                       angle_at, max_angle_triple, regular_simplex)
 from .sampling import _check_seed, canonical_lines, rng_stream
 
 # The cap on deepest-hole insertions.
@@ -68,12 +70,10 @@ class LineArrangement:
     min_pairwise_angle: float = field(init=False)
 
     def __post_init__(self):
-        vecs = np.asarray(self.lines, dtype=float)
+        vecs = _float_rows(self.lines, "line", None)
         if vecs.ndim != 2 or vecs.shape[0] < 1 or vecs.shape[1] != self.dim:
             raise OutOfRange(f"expected an (m, {self.dim}) array of lines")
-        norms = np.linalg.norm(vecs, axis=1)
-        if not np.all(np.abs(norms - 1.0) <= LOOSE_UNIT_NORM_TOL):
-            raise OutOfRange("lines must be unit vectors")
+        norms = _check_unit_rows(vecs, LOOSE_UNIT_NORM_TOL, "lines must be unit vectors")
         vecs = canonical_lines(vecs / norms[:, None])
         vecs.setflags(write=False)
         object.__setattr__(self, "lines", vecs)
@@ -97,8 +97,9 @@ class EdgeColoring:
     color: dict
 
     def __post_init__(self):
-        if self.n < 2 or self.m < 1:
-            raise OutOfRange("need n >= 2 vertices and m >= 1 colors")
+        for name, least in (("n", 2), ("m", 1)):
+            object.__setattr__(self, name, check_int(
+                getattr(self, name), "need n >= 2 vertices and m >= 1 colors", least))
         got = list(map(self.color.get, itertools.combinations(range(self.n), 2)))
         colors = np.array(got)  # an integer dtype unless a color is missing or not an integer
         if colors.dtype.kind not in "biu" or not np.all((colors >= 0) & (colors < self.m)):
@@ -242,9 +243,9 @@ def cover_lines(rho: float, D: int, seed: int = 0, probes: int = 100_000) -> Lin
 
     Every cover returns with a certificate that every direction lies within
     rho/2 of a line (up to _COVER_TOL in the cosine); none is built from or
-    checked on samples. `seed` and `probes` no longer change the cover: they
-    are kept for callers and validated as before, so a bad seed and `probes`
-    < 1 are refused in every D.
+    checked on samples. `seed` and `probes` are accepted and validated, so a
+    bad seed and `probes` < 1 are refused in every D; they do not change the
+    cover.
 
     In the plane the answer is the closed form: the equiangular family of the
     least k lines with cos(pi/(2k)) >= cos(rho/2) - _COVER_TOL. The
@@ -275,8 +276,7 @@ def cover_lines(rho: float, D: int, seed: int = 0, probes: int = 100_000) -> Lin
     R^8 (under 1 s each), and every rho below the frame's threshold in R^14
     and up.
     """
-    if not 0.0 < rho < math.pi:
-        raise OutOfRange(f"rho must lie in (0, pi), got {rho}")
+    rho = check_real(rho, "rho must lie in (0, pi), got {!r}", gt=0.0, lt=math.pi)
     D = check_int(D, "dimension must be an integer >= 2, got {!r}", 2)
     check_int(probes, "probes must be an integer >= 1, got {!r}", 1)
     _check_seed(seed)
@@ -458,10 +458,8 @@ def ef_doubling(L: LineArrangement, rho: float, slack: float = 0.05) -> PointSet
     _MAX_DOUBLED_POINTS. At that cap, 2^14 points, the frame took 25.5 s
     (1.35 s at m = 12; 2 vCPUs, one BLAS thread).
     """
-    if not slack > 0.0:
-        raise OutOfRange(f"slack must be positive, got {slack}")
-    if not 0.0 < rho < math.pi:
-        raise OutOfRange(f"rho must lie in (0, pi), got {rho}")
+    slack = check_real(slack, "slack must be positive, got {!r}", gt=0.0)
+    rho = check_real(rho, "rho must lie in (0, pi), got {!r}", gt=0.0, lt=math.pi)
     if rho >= L.min_pairwise_angle:
         raise OutOfRange(
             f"rho={rho:.6g} must be strictly below the arrangement's "
@@ -608,10 +606,7 @@ def obtuse_triple_witness(A: PointSet, L: LineArrangement, rho: float) -> Obtuse
     its line with the same sign, and their shared vertex sees its neighbors at
     angle >= pi - rho.
     """
-    from .convexity import ObtuseWitness  # only here: cover-lines need not load convexity
-
-    if not 0.0 < rho < math.pi:
-        raise OutOfRange(f"rho must lie in (0, pi), got {rho}")
+    rho = check_real(rho, "rho must lie in (0, pi), got {!r}", gt=0.0, lt=math.pi)
     if len(A) < 2 ** len(L) + 1:
         raise HypothesisViolated(
             f"need at least 2^{len(L)} + 1 = {2 ** len(L) + 1} points, got {len(A)}"
@@ -639,11 +634,10 @@ def n_bounds(theta: float, d: int, c_d: float, C_d: float) -> NBoundsReport:
     only meaningful for sets larger than (d-1) log2(c_d/(pi-theta)), which is
     surfaced as lower_valid_above_n.
     """
-    if not 0.5 * math.pi < theta < math.pi:
-        raise OutOfRange(f"theta must lie in (pi/2, pi), got {theta}")
+    theta = check_real(theta, "theta must lie in (pi/2, pi), got {!r}", gt=math.pi / 2, lt=math.pi)
     d = check_int(d, "d must be an integer >= 2, got {!r}", 2)
-    if not (c_d > 0.0 and C_d > 0.0):
-        raise OutOfRange(f"constants must be positive, got c_d={c_d}, C_d={C_d}")
+    c_d = check_real(c_d, f"constants must be positive, got c_d={{!r}}, C_d={C_d!r}", gt=0.0)
+    C_d = check_real(C_d, f"constants must be positive, got c_d={c_d!r}, C_d={{!r}}", gt=0.0)
     gap = math.pi - theta
     exp_lower = (c_d / gap) ** (d - 1) - 1.0
     exp_upper = (C_d / gap) ** (d - 1) + 1.0
@@ -657,7 +651,7 @@ def n_bounds(theta: float, d: int, c_d: float, C_d: float) -> NBoundsReport:
         )
     valid_above = (d - 1) * math.log2(max(c_d / gap, 1e-300))
     return NBoundsReport(
-        theta=float(theta), d=d, c_d=float(c_d), C_d=float(C_d),
+        theta=theta, d=d, c_d=c_d, C_d=C_d,
         lower=lower, upper=upper, overflow=overflow,
         lower_valid_above_n=valid_above,
     )

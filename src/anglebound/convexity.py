@@ -32,7 +32,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateSimplex, NotInHull, NotInterior, OutOfRange
-from .geometry import PointSet, _as_point, _min_upper_pair, _row_blocks, angle_at, rays_from
+from .geometry import (ObtuseWitness, PointSet, _as_point, _float_rows, _min_upper_pair,
+                       _row_blocks, angle_at, rays_from)
 from .sampling import fixed_directions
 
 # Barycentric/convex coefficients above -1e-10 count as nonnegative; strict
@@ -64,30 +65,11 @@ class ConvexPositionVerdict:
     witness_simplex: Optional[np.ndarray] = None
 
 
-@dataclass(frozen=True)
-class ObtuseWitness:
-    vi: np.ndarray
-    v: np.ndarray
-    vj: np.ndarray
-    angle: float
-
-
-def _float_rows(V, what: str) -> np.ndarray:
-    """np.asarray(V, dtype=float), or OutOfRange naming `what` where rows are
-    ragged or an entry is not a number."""
-    try:
-        return np.asarray(V, dtype=float)
-    except (TypeError, ValueError):
-        raise OutOfRange(f"{what} must be rows of numbers of one length") from None
-
-
 def min_pairwise_dot(W) -> float:
     """Minimum of w_i . w_j over unordered pairs of the given unit vectors."""
-    vecs = _float_rows(W, "vectors")
-    if vecs.ndim != 2 or vecs.shape[0] < 2:
+    vecs = _float_rows(W, "vector")
+    if vecs.shape[0] < 2:
         raise OutOfRange("need at least two vectors")
-    if not np.isfinite(vecs).all():
-        raise OutOfRange("vectors have non-finite coordinates")
     return _min_upper_pair(vecs)[0]
 
 
@@ -282,10 +264,8 @@ def _barycentric(p: np.ndarray, V: np.ndarray):
 
 
 def _point_of(p, V: np.ndarray) -> np.ndarray:
-    """p as a finite point of the finite (k, D) set V's dimension, else OutOfRange
+    """p as a finite point of the (k, D) set V's dimension, else OutOfRange
     before any solve: NaN reaches LAPACK, which prints to stdout."""
-    if not np.isfinite(V).all():
-        raise OutOfRange("point set has non-finite coordinates")
     p = _as_point(p)
     if p.shape[0] != V.shape[1]:
         raise OutOfRange(f"point has dimension {p.shape[0]} but the set {V.shape[1]}")
@@ -300,10 +280,10 @@ def simplex_contains_origin(V, strict: bool = False) -> bool:
     coordinate above tolerance, or a far vertex's pull above the distance
     bar); otherwise boundary points count as contained.
     """
-    V = _float_rows(V, "simplex vertices")
-    if V.ndim != 2 or V.shape[0] < 2:
+    V = _float_rows(V, "point")
+    if V.shape[0] < 2:
         raise OutOfRange("simplex needs at least two vertices")
-    coords, _, on_hull, interior = _barycentric(_point_of(np.zeros(V.shape[1]), V), V)
+    coords, _, on_hull, interior = _barycentric(np.zeros(V.shape[1]), V)
     return interior if strict else on_hull and bool(np.all(coords >= -COEFF_TOL))
 
 
@@ -420,8 +400,8 @@ def obtuse_witness(p, simplex) -> ObtuseWitness:
     dot product at most -1/k, with equality exactly for the regular
     configuration.
     """
-    V = np.asarray(simplex, dtype=float)
-    if V.ndim != 2 or V.shape[0] < 2:
+    V = _float_rows(simplex, "point")
+    if V.shape[0] < 2:
         raise DegenerateSimplex("simplex needs at least two vertices")
     p = _point_of(p, V)
     _check_interior(p, V)

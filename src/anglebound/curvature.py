@@ -68,9 +68,10 @@ from .errors import (
     NotHemispherical,
     OutOfRange,
     check_int,
+    check_real,
 )
 from .geometry import (LOOSE_UNIT_NORM_TOL, UNIT_NORM_TOL, PointSet, _as_point, _check_closed,
-                       _Hull, _others, _row_blocks, as_unit)
+                       _check_unit_rows, _float_rows, _Hull, _others, _row_blocks, as_unit)
 from .sampling import _check_seed, fixed_directions
 
 # Slack on the cosine, and on the radius, with which a ray fits a cone or a cap.
@@ -105,8 +106,8 @@ class Cone:
         apex, axis = _as_point(self.apex), as_unit(self.axis)
         if apex.size != axis.size:
             raise OutOfRange(f"apex has dimension {apex.size}, axis {axis.size}")
-        if not 0.0 < self.half_angle < 0.5 * math.pi:
-            raise OutOfRange(f"half_angle must lie in (0, pi/2), got {self.half_angle}")
+        check_real(self.half_angle, "half_angle must lie in (0, pi/2), got {!r}", gt=0.0,
+                   lt=0.5 * math.pi)
 
     def contains(self, x, tol: float = CONE_FIT_TOL) -> bool:
         p = _as_point(x)
@@ -122,8 +123,7 @@ class SphericalCap:
 
     def __post_init__(self):
         as_unit(self.center)
-        if not 0.0 <= self.radius <= math.pi:
-            raise OutOfRange(f"cap radius must lie in [0, pi], got {self.radius}")
+        check_real(self.radius, "cap radius must lie in [0, pi], got {!r}", ge=0.0, le=math.pi)
 
 
 @dataclass(frozen=True)
@@ -328,8 +328,7 @@ def dekster_radius(diam: float, d: int) -> float:
     A subset of the sphere S^d with geodesic diameter `diam` fits in a closed
     cap of this radius. Defined for 0 <= diam <= theta_d.
     """
-    if not diam >= 0.0:
-        raise OutOfRange(f"diameter must be nonnegative, got {diam}")
+    diam = check_real(diam, "diameter must be nonnegative, got {!r}", ge=0.0)
     s = sin_half_theta_d(d)
     radius = _cap_radius(diam, s) if diam <= math.pi else None
     if radius is None:
@@ -400,12 +399,10 @@ def min_enclosing_cap(H) -> SphericalCap:
     gap between the vectors' angles. Raises NotHemispherical unless the
     vectors fit in an open hemisphere and the cap passes its re-check.
     """
-    vecs = np.asarray(H, dtype=float)
+    vecs = _float_rows(H, "vector", None)
     if vecs.ndim != 2 or vecs.shape[0] < 1:
         raise OutOfRange("need a nonempty list of unit vectors")
-    norms = np.linalg.norm(vecs, axis=1)
-    if not np.all(np.abs(norms - 1.0) <= LOOSE_UNIT_NORM_TOL):
-        raise OutOfRange("inputs must be unit vectors")
+    _check_unit_rows(vecs, LOOSE_UNIT_NORM_TOL, "inputs must be unit vectors")
     centers, radii = _enclosing_caps(vecs[None])
     if math.isnan(radii[0]):
         raise NotHemispherical("no cap smaller than a hemisphere holds the vectors")
@@ -422,8 +419,7 @@ def cone_cover_certificate(V: PointSet, eta: float) -> list[Cone]:
     pi/2). Membership of every vertex in every cone is re-checked, which
     certifies hull coverage because cones are convex.
     """
-    if not 0.0 < eta < 0.5 * math.pi:
-        raise OutOfRange(f"eta must lie in (0, pi/2), got {eta}")
+    eta = check_real(eta, "eta must lie in (0, pi/2), got {!r}", gt=0.0, lt=0.5 * math.pi)
     _require_convex_position(V)
     n = len(V)
     if n < 2:
@@ -436,9 +432,7 @@ def cone_cover_certificate(V: PointSet, eta: float) -> list[Cone]:
     if refused.size:
         i = int(refused[0])
         raise CapTooSmall(i, 0.5 * math.pi if math.isnan(radii[i]) else float(radii[i]), eta)
-    norms = np.sqrt(np.einsum("ij,ij->i", axes, axes))  # as geodesic_diameter checks rows
-    for axis in axes[~(np.abs(norms - 1.0) <= 0.5 * UNIT_NORM_TOL)]:
-        as_unit(axis)
+    _check_unit_rows(axes, UNIT_NORM_TOL)
     cones = [object.__new__(Cone) for _ in range(n)]  # PointSet rows need no Cone checks
     for cone, apex, axis in zip(cones, V.points.copy(), axes):
         cone.__dict__.update(apex=apex, axis=axis, half_angle=eta)

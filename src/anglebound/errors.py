@@ -1,10 +1,13 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the checkers of arguments.
 
 Every exception below signals a violated precondition or an input outside
 the supported regime; the CLI maps them to exit code 2. Anything else that
-escapes is an internal failure (exit code 1).
+escapes is an internal failure (exit code 1). Each kind of argument has one
+checker: `check_int` for whole numbers, `check_real` for reals, and
+`geometry._float_rows` and `geometry._check_unit_rows` for arrays and unit rows.
 """
 
+import math
 import numbers
 
 
@@ -78,12 +81,26 @@ def check_int(value, message: str, least=None) -> int:
     """int(value) for a whole number (an integral float counts) of at least
     `least`, if given; anything else, nan, inf, 2.5 or a string, raises
     OutOfRange(message.format(value)) where int() would truncate or fail. A
-    numpy scalar is formatted as the Python number it holds, so
-    np.int64(0) reads 0, not np.int64(0)."""
+    numpy scalar is formatted as the Python number it holds (_shown)."""
     whole = isinstance(value, numbers.Integral) or (
         isinstance(value, numbers.Real) and float(value).is_integer())
     if not whole or least is not None and value < least:
-        if isinstance(value, numbers.Number) and hasattr(value, "item"):
-            value = value.item()  # a numpy scalar: the Python number it holds
-        raise OutOfRange(message.format(value))
+        raise OutOfRange(message.format(_shown(value)))
     return int(value)
+
+
+def check_real(value, message: str, gt=None, lt=None, ge=-math.inf, le=math.inf) -> float:
+    """float(value) for a real number x with ge <= x <= le, and gt < x and x <
+    lt where given; anything else, nan, a string or None, raises
+    OutOfRange(message.format(value)) as check_int does."""
+    try:
+        x = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an int past the float range
+        x = math.nan
+    if not ge <= x <= le or gt is not None and x <= gt or lt is not None and x >= lt:
+        raise OutOfRange(message.format(_shown(value)))
+    return x
+
+
+def _shown(value):  # a numpy scalar as the Python number it holds: np.int64(0) reads 0
+    return value.item() if isinstance(value, numbers.Number) and hasattr(value, "item") else value

@@ -52,13 +52,48 @@ def _row_blocks(n: int, width: int):
         lo = hi
 
 
+_AXES = {1: "{} must be a 1-D coordinate vector", 2: "expected an (n, dim) array of {}s",
+         3: "expected a (P, n, dim) stack of {} sets"}
+
+
+def _float_rows(V, what: str, axes: int | None = 2) -> np.ndarray:
+    """np.asarray(V, dtype=float) with `axes` axes and finite entries, else
+    OutOfRange naming `what` ("point", "line"): ragged rows by their lengths,
+    entries that are not numbers, then the shape and non-finite entries,
+    which axes None leaves to the caller's _check_unit_rows."""
+    try:
+        A = np.asarray(V, dtype=float)
+    except (TypeError, ValueError) as err:  # ragged rows, or entries that are not numbers
+        rows = V if isinstance(V, (list, tuple, np.ndarray)) else ()
+        lengths = sorted({len(row) if hasattr(row, "__len__") else 1 for row in rows})
+        if len(lengths) > 1:
+            raise OutOfRange(f"{what} rows have different lengths {lengths}") from None
+        raise OutOfRange(f"{what} coordinates must be numbers: {err}") from None
+    if axes is not None and A.ndim != axes:
+        raise OutOfRange(f"{_AXES[axes].format(what)}, got shape {A.shape}")
+    if axes is not None and not np.isfinite(A).all():
+        raise OutOfRange(f"{what}{' set' if axes > 1 else ''} has non-finite coordinates")
+    return A
+
+
 def _as_point(x) -> np.ndarray:
-    p = np.asarray(x, dtype=float)
-    if p.ndim != 1 or p.size < 1:
+    p = _float_rows(x, "point", 1)
+    if p.size < 1:
         raise OutOfRange(f"point must be a 1-D coordinate vector, got shape {p.shape}")
-    if not np.isfinite(p).all():
-        raise OutOfRange("point has non-finite coordinates")
     return p
+
+
+def _check_unit_rows(U: np.ndarray, tol: float, message: str | None = None) -> np.ndarray:
+    """np.linalg.norm(U, axis=1), each within tol of 1 (no non-finite row's is), else
+    OutOfRange: `message`, or the first bad row's fault as as_unit words it."""
+    norms = np.sqrt(np.add.reduce(U * U, axis=1))
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= tol))
+    if bad.size:
+        if message is None:
+            _as_point(U[bad[0]])
+            message = f"vector has norm {norms[bad[0]]:.12g}, expected 1"
+        raise OutOfRange(message)
+    return norms
 
 
 @dataclass(frozen=True)
@@ -69,18 +104,9 @@ class PointSet:
     dim: int = field(init=False)
 
     def __post_init__(self):
-        try:
-            pts = np.asarray(self.points, dtype=float)
-        except (TypeError, ValueError) as err:  # ragged rows, or entries that are not numbers
-            rows = self.points if isinstance(self.points, (list, tuple, np.ndarray)) else ()
-            lengths = sorted({len(row) if hasattr(row, "__len__") else 1 for row in rows})
-            if len(lengths) > 1:
-                raise OutOfRange(f"point rows have different lengths {lengths}") from None
-            raise OutOfRange(f"point coordinates must be numbers: {err}") from None
-        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
+        pts = _float_rows(self.points, "point")
+        if 0 in pts.shape:
             raise OutOfRange(f"expected an (n, dim) array with n, dim >= 1, got {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise OutOfRange("point set has non-finite coordinates")
         n = pts.shape[0]
         # Closest pair, first in row-major order on ties, over one block of
         # rows of the squared-distance matrix at a time, sized by the (rows, n,
@@ -109,12 +135,18 @@ class PointSet:
 
 
 def as_unit(v) -> np.ndarray:
-    """Validate that v is a unit vector (norm within tolerance of 1)."""
+    """Validate that v is a unit vector (norm within UNIT_NORM_TOL of 1)."""
     u = _as_point(v)
-    norm = math.sqrt(u.dot(u))  # np.linalg.norm's arithmetic
-    if abs(norm - 1.0) > UNIT_NORM_TOL:
-        raise OutOfRange(f"vector has norm {norm:.12g}, expected 1")
+    _check_unit_rows(u[None], UNIT_NORM_TOL)
     return u
+
+
+@dataclass(frozen=True)
+class ObtuseWitness:
+    vi: np.ndarray
+    v: np.ndarray
+    vj: np.ndarray
+    angle: float
 
 
 def regular_simplex(dim: int) -> np.ndarray:
@@ -134,15 +166,13 @@ def angle_at(x, y, z) -> float:
     # One array and one finiteness check for the whole triple: brute-force
     # scans call this once per triple, so validation must stay cheap.
     try:
-        p = np.array((x, y, z), dtype=float)
-    except ValueError:  # ragged: name a point that is not a vector, else the mismatch
+        p = _float_rows((x, y, z), "point")
+    except OutOfRange:  # name a point that is not a finite vector, else the mismatch
         for q in (x, y, z):
             _as_point(q)
         raise OutOfRange("the three points have different dimensions") from None
-    if p.ndim != 2 or p.shape[1] < 1:
-        raise OutOfRange(f"point must be a 1-D coordinate vector, got shape {p.shape[1:]}")
-    if not np.isfinite(p).all():
-        raise OutOfRange("point has non-finite coordinates")
+    if p.shape[1] < 1:
+        raise OutOfRange("point must be a 1-D coordinate vector, got shape (0,)")
     return _vertex_angle(p[0], p[1], p[2])
 
 
@@ -297,16 +327,12 @@ def max_angle_triples(stack) -> list[tuple[float, tuple[int, int, int]]]:
     of n <= 2 points has no triple: (0.0, (-1, -1, -1)). Raises
     DegenerateTriple naming the set and the two points when two points of a
     set are closer than DISTINCTNESS_TOL, OutOfRange if a coordinate is not
-    finite.
+    finite, whatever n is.
     """
-    stack = np.asarray(stack, dtype=float)
-    if stack.ndim != 3:
-        raise OutOfRange(f"expected a (P, n, dim) stack of point sets, got shape {stack.shape}")
+    stack = _float_rows(stack, "point", 3)
     P, n, _ = stack.shape
     if n <= 2:
         return [(0.0, (-1, -1, -1))] * P
-    if not np.isfinite(stack).all():
-        raise OutOfRange("point set has non-finite coordinates")
     _, rows, pos, _ = _max_angle_scan(stack)
     return [_max_angle_recompute(stack, r, w) for r, w in zip(rows.tolist(), pos.tolist())]
 
@@ -320,10 +346,7 @@ def max_angle_triple(points: np.ndarray) -> tuple[float, tuple[int, int, int]]:
     (0.0, (-1, -1, -1)). Raises DegenerateTriple if two points are closer
     than DISTINCTNESS_TOL, OutOfRange if a coordinate is not finite.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise OutOfRange(f"expected an (n, dim) array of points, got shape {pts.shape}")
-    return max_angle_triples(pts[None])[0]
+    return max_angle_triples(_float_rows(points, "point")[None])[0]
 
 
 def max_angle(A: PointSet) -> float:
@@ -353,22 +376,17 @@ def _min_upper_pair(U: np.ndarray, absolute: bool = False) -> tuple[float, int, 
 def geodesic_diameter(H) -> float:
     """Max pairwise angular distance arccos(u . v) over unit vectors H; 0 for a singleton.
 
-    Each row is checked as as_unit checks it, the first bad row named. One
-    vectorized pass clears every row whose norm lies within half of
-    UNIT_NORM_TOL of 1, which as_unit would pass; only the other rows, none
-    in valid input, go through as_unit, in order, for its message.
+    Each row is checked as as_unit checks it, the first bad row named, in
+    one vectorized pass (_check_unit_rows).
     """
-    vecs = np.asarray(H, dtype=float)
-    if vecs.ndim == 2:
-        norms = np.sqrt(np.einsum("ij,ij->i", vecs, vecs))
-        for h in vecs[~(np.abs(norms - 1.0) <= 0.5 * UNIT_NORM_TOL)]:
+    vecs = _float_rows(H, "vector", None)
+    if vecs.ndim != 2:  # rows that are not vectors, which as_unit names
+        for h in np.atleast_1d(vecs):
             as_unit(h)
-    else:  # no rows, or rows that are not vectors, which as_unit names
-        vecs = np.asarray([as_unit(h) for h in vecs])
-    m = vecs.shape[0]
-    if m < 1:
+    if vecs.ndim != 2 or len(vecs) < 1:
         raise OutOfRange("need at least one unit vector")
-    if m == 1:
+    _check_unit_rows(vecs, UNIT_NORM_TOL)
+    if len(vecs) == 1:
         return 0.0
     c = _min_upper_pair(vecs)[0]
     return float(np.arccos(min(1.0, max(-1.0, c))))

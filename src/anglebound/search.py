@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import cardinality_bound, theta_d
-from .errors import OutOfRange, check_int
+from .errors import OutOfRange, check_int, check_real
 from .geometry import (
     PointSet,
     _max_angle_scan,
@@ -46,9 +46,11 @@ _COOLING = 0.995
 # Relative margin, a few ulps, on the theorem's bound where it caps the set size.
 _BOUND_ULPS = 8 * 2.0**-52
 # The largest structured starts, each certified in about 1 s (2-vCPU x86, one
-# BLAS thread): a full scan of the 1000-gon took 1.25 s, the 2^12 cube 0.74 s.
+# BLAS thread): a full scan of the 1000-gon took 1.25 s, the 2^12 cube 0.74 s,
+# the simplex of R^350 0.88 s (0.52 s in R^300).
 _MAX_POLYGON = 1000
 _MAX_CUBE_DIM = 12
+_MAX_SIMPLEX_DIM = 350
 
 
 @dataclass(frozen=True)
@@ -210,13 +212,17 @@ def minimize_max_angle(n: int, D: int, iters: int = 2000, restarts: int = 4,
 def _largest_structured_under(theta: float, D: int) -> tuple[np.ndarray, float]:
     """(points, exact max angle) of the largest known structured configuration
     with max angle <= theta < pi, the first on ties; else two points of the
-    simplex, at 0. A polygon past _MAX_POLYGON points or a hypercube past
-    R^_MAX_CUBE_DIM raises OutOfRange before it is built. Each candidate is
-    scanned only when it is larger than the best so far, the polygons
-    largest first; the cross-polytope and the hypercube never are. Their angle is 0.5 * math.pi exactly, as a scan
-    gives it: their rays' integer dot products are >= 0 at every vertex and
-    0 for some pair, a positive one has cosine >= 1/(2D), so the scan picks
-    a dot of 0, and angle_at's arithmetic returns np.arccos(0.0) for it."""
+    simplex, at 0. A simplex past R^_MAX_SIMPLEX_DIM, a polygon past
+    _MAX_POLYGON points or a hypercube past R^_MAX_CUBE_DIM raises OutOfRange
+    before it is built. Each candidate is scanned only when it is larger than
+    the best so far, the polygons largest first; the cross-polytope and the
+    hypercube never are. Their angle is 0.5 * math.pi exactly, as a scan gives
+    it: their rays' integer dot products are >= 0 at every vertex and 0 for
+    some pair, a positive one has cosine >= 1/(2D), so the scan picks a dot of
+    0, and angle_at's arithmetic returns np.arccos(0.0) for it."""
+    if D > _MAX_SIMPLEX_DIM:
+        raise OutOfRange(f"the simplex start has {D + 1} points, past the cap of "
+                         f"{_MAX_SIMPLEX_DIM + 1}")
     simplex = regular_simplex(D)
     candidates = [(simplex, None)]
     if theta >= 0.5 * math.pi:
@@ -256,8 +262,7 @@ def max_cardinality_search(theta: float, D: int, budget: int = 20000,
     with every angle at most pi/2 has more (Danzer & Gruenbaum 1962), and at
     pi/2 the hypercube start has that many. `iterations` counts steps used.
     """
-    if not 0.0 < theta < math.pi:
-        raise OutOfRange(f"theta must lie in (0, pi), got {theta}")
+    theta = check_real(theta, "theta must lie in (0, pi), got {!r}", gt=0.0, lt=math.pi)
     D = check_int(D, "dimension must be an integer >= 2, got {!r}", 2)
     budget = check_int(budget, "budget must be an integer >= 0, got {!r}", 0)
     pts, achieved = _largest_structured_under(theta, D)

@@ -330,8 +330,8 @@ class TestFileFormats:
         path = tmp_path / "lines.json"
         path.write_text(json.dumps({"lines": [["a", 0], [0, 1]]}))
         assert dispatch(["ef-construct", "--lines", str(path), "--rho", "1.4"]) == 2
-        assert capsys.readouterr().err == ("error: lines must form an (m, dim) array of "
-                                           "numbers: could not convert string to float: 'a'\n")
+        assert capsys.readouterr().err == ("error: line coordinates must be numbers: could not "
+                                           "convert string to float: 'a'\n")
 
     def test_nan_line_file_rejected(self, tmp_path, capsys):
         path = tmp_path / "lines.json"
@@ -543,14 +543,17 @@ class TestExitCodes:
         assert captured.err == f"error: {message}\n"
 
     # Each in a child whose address space is capped at 1 GiB, so that a start
-    # built before its check (the 36 000-gon's (36 000, 35 999) scan index, or
-    # 2^40 hypercube rows) would exit 1 with a MemoryError, not 2.
+    # built before its check (the 36 000-gon's (36 000, 35 999) scan index,
+    # 2^40 hypercube rows, or the 20 001 x 20 001 corners of the simplex of
+    # R^20000) would exit 1 with a MemoryError, not 2.
     @pytest.mark.parametrize("flags,message", [
         (["--theta-deg", "179.99", "--dim", "2"],
          "the 36000-gon start has 36000 points, past the cap of 1000"),
         (["--theta-deg", "95", "--dim", "40"],
          "the hypercube start has 2^40 points, past the cap of 2^12"),
-    ], ids=["polygon", "hypercube"])
+        (["--theta-deg", "50", "--dim", "20000"],
+         "the simplex start has 20001 points, past the cap of 351"),
+    ], ids=["polygon", "hypercube", "simplex"])
     def test_search_max_past_a_start_cap_exits_two(self, flags, message):
         child = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
                  "from anglebound.cli import main; main()")

@@ -24,7 +24,8 @@ from anglebound.constructions import (
     obtuse_triple_witness,
     pack_lines,
 )
-from anglebound.curvature import dekster_radius, min_enclosing_cap
+from anglebound import curvature
+from anglebound.curvature import cone_cover_certificate, dekster_radius, min_enclosing_cap
 from anglebound.errors import (
     ColoringFailed,
     CoverageFailed,
@@ -1005,6 +1006,18 @@ class TestColorEdgesByLines:
                  "slack must be positive, got nan", id="ef_doubling"),
     pytest.param(lambda: n_bounds(2.0, 2, math.nan, 4.0),
                  "constants must be positive, got c_d=nan", id="n_bounds"),
+    pytest.param(lambda: n_bounds(2.0, 2, 1.0, math.nan),
+                 r"constants must be positive, got c_d=1\.0, C_d=nan$", id="n_bounds-C_d"),
+    pytest.param(lambda: eta_of_theta(math.nan, 2), r"theta must lie in \(0, pi\], got nan$",
+                 id="eta_of_theta"),
+    pytest.param(lambda: cover_lines(math.nan, 3), r"rho must lie in \(0, pi\), got nan$",
+                 id="cover_lines"),
+    pytest.param(lambda: max_cardinality_search(math.nan, 2),
+                 r"theta must lie in \(0, pi\), got nan$", id="max_cardinality_search"),
+    pytest.param(lambda: curvature.Cone(apex=np.zeros(2), axis=[0.0, 1.0], half_angle=math.nan),
+                 r"half_angle must lie in \(0, pi/2\), got nan$", id="Cone"),
+    pytest.param(lambda: curvature.SphericalCap(center=[0.0, 1.0], radius=math.nan),
+                 r"cap radius must lie in \[0, pi\], got nan$", id="SphericalCap"),
 ])
 def test_nan_arguments_refused_by_name(call, message):
     # Each check is written so that NaN fails it, not passes it.
@@ -1028,6 +1041,44 @@ def test_nan_arguments_refused_by_name(call, message):
     pytest.param(lambda: n_bounds(2.0, 2, 4.0, 1.0),
                  r"constants c_d=4\.0, C_d=1\.0 are inconsistent: lower 5\.672075702880992 "
                  r">= upper 4\.670481159771903$", id="n_bounds-order"),
+    # A string or None for a real: each used to raise a TypeError.
+    pytest.param(lambda: cardinality_bound("2", 3), r"theta must lie in \(0, pi\], got '2'$",
+                 id="cardinality_bound-str"),
+    pytest.param(lambda: eta_of_theta(None, 2), r"theta must lie in \(0, pi\], got None$",
+                 id="eta_of_theta-none"),
+    pytest.param(lambda: f_fraction(2, "0.5"), r"eta must lie in \[0, pi/2\], got '0\.5'$",
+                 id="f_fraction-str"),
+    pytest.param(lambda: dekster_radius(None, 2), "diameter must be nonnegative, got None$",
+                 id="dekster_radius-none"),
+    pytest.param(lambda: cover_lines("1", 3), r"rho must lie in \(0, pi\), got '1'$",
+                 id="cover_lines-str"),
+    pytest.param(lambda: ef_doubling(PLANAR_TRIPLE, 0.5, slack=None),
+                 "slack must be positive, got None$", id="ef_doubling-slack-none"),
+    pytest.param(lambda: n_bounds(None, 2, 1.0, 4.0),
+                 r"theta must lie in \(pi/2, pi\), got None$", id="n_bounds-theta-none"),
+    pytest.param(lambda: n_bounds(2.0, 2, "1", 4.0),
+                 r"constants must be positive, got c_d='1', C_d=4\.0$", id="n_bounds-c_d-str"),
+    pytest.param(lambda: cone_cover_certificate(PointSet([[0, 0], [1, 0], [0, 1]]), "0.5"),
+                 r"eta must lie in \(0, pi/2\), got '0\.5'$", id="cone_cover_certificate-str"),
+    pytest.param(lambda: max_cardinality_search(None, 2),
+                 r"theta must lie in \(0, pi\), got None$", id="max_cardinality_search-none"),
+    pytest.param(lambda: curvature.Cone(apex=np.zeros(2), axis=[0.0, 1.0], half_angle=None),
+                 r"half_angle must lie in \(0, pi/2\), got None$", id="Cone-half_angle-none"),
+    pytest.param(lambda: curvature.SphericalCap(center=[0.0, 1.0], radius="1"),
+                 r"cap radius must lie in \[0, pi\], got '1'$", id="SphericalCap-radius-str"),
+    pytest.param(lambda: obtuse_triple_witness(PointSet([[0, 0], [1, 0], [0, 1]]),
+                                               PLANAR_TRIPLE, None),
+                 r"rho must lie in \(0, pi\), got None$", id="obtuse_triple_witness-rho-none"),
+    # Ragged rows: each used to raise numpy's ValueError.
+    pytest.param(lambda: LineArrangement(dim=2, lines=[[1.0, 0.0], [1.0]]),
+                 r"line rows have different lengths \[1, 2\]$", id="LineArrangement-ragged"),
+    pytest.param(lambda: min_enclosing_cap([[1.0, 0.0], [0.0]]),
+                 r"vector rows have different lengths \[1, 2\]$", id="min_enclosing_cap-ragged"),
+    pytest.param(lambda: curvature.Cone(apex=np.zeros(2), axis=[0.0, 1.0],
+                                        half_angle=0.5).contains([[0.0], [0.0, 1.0]]),
+                 r"point rows have different lengths \[1, 2\]$", id="Cone.contains-ragged"),
+    pytest.param(lambda: curvature.SphericalCap(center=[[0.0], [0.0, 1.0]], radius=0.5),
+                 r"point rows have different lengths \[1, 2\]$", id="SphericalCap-center-ragged"),
 ])
 def test_out_of_range_arguments_refused_by_name(call, message):
     with pytest.raises(OutOfRange, match=f"^{message}"):

@@ -143,9 +143,27 @@ TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
     pytest.param(lambda: obtuse_witness([0.2, 0.2], [[math.inf, 0], [1, 0], [0, 1]]),
                  "point set has non-finite coordinates", id="witness-inf-vertex"),
     pytest.param(lambda: min_pairwise_dot([[math.nan, 0], [1, 0]]),
-                 "vectors have non-finite coordinates", id="min-dot-nan"),
+                 "vector set has non-finite coordinates", id="min-dot-nan"),
     pytest.param(lambda: simplex_contains_origin([[1, 0], [1]]),
-                 "simplex vertices must be rows of numbers of one length", id="simplex-ragged"),
+                 r"point rows have different lengths \[1, 2\]", id="simplex-ragged"),
+    pytest.param(lambda: simplex_contains_origin([["a", 0], [1, 1]]),
+                 "point coordinates must be numbers: could not convert string to float: 'a'",
+                 id="simplex-string"),
+    pytest.param(lambda: min_pairwise_dot([[1, 0], [1]]),
+                 r"vector rows have different lengths \[1, 2\]", id="min-dot-ragged"),
+    pytest.param(lambda: obtuse_witness([[0.2], [0.2, 0.1]], TRIANGLE),
+                 r"point rows have different lengths \[1, 2\]", id="witness-ragged-point"),
+    pytest.param(lambda: obtuse_witness([0.2, 0.2], [[0.0, 0.0], [1.0, 0.0], [0.0]]),
+                 r"point rows have different lengths \[1, 2\]", id="witness-ragged-simplex"),
+    pytest.param(lambda: obtuse_witness("ab", TRIANGLE),
+                 "point coordinates must be numbers: could not convert string to float: 'ab'",
+                 id="witness-string"),
+    pytest.param(lambda: caratheodory_decompose([[0.5], [0.5, 0.5]], SQUARE),
+                 r"point rows have different lengths \[1, 2\]", id="caratheodory-ragged"),
+    pytest.param(lambda: caratheodory_decompose(None, SQUARE),
+                 r"point must be a 1-D coordinate vector, got shape \(\)", id="caratheodory-none"),
+    pytest.param(lambda: rays_from([[0.2], [0.2, 0.1]], PointSet(TRIANGLE)),
+                 r"point rows have different lengths \[1, 2\]", id="rays-ragged"),
     pytest.param(lambda: caratheodory_decompose([0.5, 0.5, 0.5], SQUARE),
                  "point has dimension 3 but the set 2", id="caratheodory-3d"),
     pytest.param(lambda: obtuse_witness([0.2, 0.2, 0.2], TRIANGLE),

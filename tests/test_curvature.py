@@ -837,7 +837,8 @@ class TestCone:
         (np.array([0.0, math.inf, 0.0]), "point has non-finite coordinates"),
         (np.array([math.nan, 0.0, 0.0]), "point has non-finite coordinates"),
         (np.zeros((1, 3)), r"point must be a 1-D coordinate vector, got shape \(1, 3\)"),
-    ], ids=["dimension", "inf", "nan", "shape"])
+        ([[0.0], [0.0, 0.0]], r"point rows have different lengths \[1, 2\]"),
+    ], ids=["dimension", "inf", "nan", "shape", "ragged"])
     def test_bad_apex_is_refused(self, apex, message):
         with pytest.raises(OutOfRange, match=f"^{message}$"):
             curvature.Cone(apex=apex, axis=self.AXIS, half_angle=0.5)

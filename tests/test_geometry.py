@@ -158,6 +158,13 @@ class TestMaxAngle:
                 max_angle_triple([[0.0, 0.0], [math.inf, 0.0], [1.0, 1.0]])
             with pytest.raises(OutOfRange, match=r"^expected an \(n, dim\) array"):
                 max_angle_triple([0.0, 1.0, 2.0])
+            # Non-finite coordinates are refused before the shortcut for n <= 2.
+            with pytest.raises(OutOfRange, match="^point set has non-finite coordinates$"):
+                max_angle_triple([[math.nan, 0.0], [1.0, 1.0]])
+            with pytest.raises(OutOfRange, match="^point set has non-finite coordinates$"):
+                max_angle_triples([[[math.inf, 0.0], [1.0, 1.0]]])
+            with pytest.raises(OutOfRange, match=r"^point rows have different lengths \[2, 3\]$"):
+                max_angle_triple([[0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0]])
 
 
 class TestMaxAngleKernelAgainstLoop:
@@ -414,8 +421,12 @@ class TestGeodesicDiameterChecks:
         (np.zeros((2, 0)), "point must be a 1-D coordinate vector, got shape (0,)"),
         ([], "need at least one unit vector"),
         (np.zeros((0, 3)), "need at least one unit vector"),
+        ([[1.0, 0.0], [1.0]], "vector rows have different lengths [1, 2]"),
+        ([["a", 0.0], [0.0, 1.0]],
+         "vector coordinates must be numbers: could not convert string to float: 'a'"),
+        (None, "point must be a 1-D coordinate vector, got shape ()"),
     ], ids=["norm-before-nan", "nan-before-norm", "inf", "just-outside-tolerance",
-            "flat", "nested", "no-columns", "empty", "no-rows"])
+            "flat", "nested", "no-columns", "empty", "no-rows", "ragged", "string", "none"])
     def test_messages_name_the_first_bad_row_as_as_unit_does(self, H, message):
         with pytest.raises(OutOfRange, match=f"^{re.escape(message)}$"):
             geodesic_diameter(H)

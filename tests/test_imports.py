@@ -14,6 +14,7 @@ import argparse
 import ast
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -166,7 +167,7 @@ MODULES = {
     "pack-lines": ["constructions", "geometry", "sampling"],
     "cover-lines": ["constructions", "geometry", "sampling"],
     "ef-construct": ["constructions", "geometry", "sampling"],
-    "witness": ["constructions", "convexity", "geometry", "sampling"],
+    "witness": ["constructions", "geometry", "sampling"],
     "n-bounds": ["bounds"],
     "search-alpha": ["bounds", "geometry", "sampling", "search"],
     "search-max": ["bounds", "geometry", "sampling", "search"],
@@ -243,3 +244,112 @@ def test_every_top_level_name_is_used():
             unused += [f"{module}.{name}" for name in names
                        if name not in used and not (name.startswith("__") and name.endswith("__"))]
     assert unused == []
+
+
+# Every exported function and input dataclass, with calls it must refuse with a
+# PreconditionError (bad numbers, ragged, non-numeric or non-finite rows, None
+# and strings for reals), never a ValueError or TypeError from numpy or Python.
+# A name that takes a PointSet is refused where its malformed points are built.
+# Result types and the error class are built by the library, not from input.
+NOT_INPUTS = {"BoundReport", "ConvexPositionVerdict", "CurvatureEstimate", "NBoundsReport",
+              "ObtuseWitness", "PreconditionError", "SearchResult"}
+RAGGED, NAN_ROWS = [[0.0, 0.0], [1.0]], [[math.nan, 0.0], [1.0, 1.0]]
+ab = anglebound
+
+
+def square():
+    return ab.PointSet([[0, 0], [1, 0], [1, 1], [0, 1]])
+
+
+def frame():
+    return ab.LineArrangement(dim=2, lines=[[1.0, 0.0], [0.0, 1.0]])
+
+
+MALFORMED = {
+    "Cone": [lambda: ab.Cone(apex=RAGGED, axis=[0.0, 1.0], half_angle=0.5),
+             lambda: ab.Cone(apex=[0.0, 0.0], axis=[0.0, 2.0], half_angle=0.5),
+             lambda: ab.Cone(apex=[0.0, 0.0], axis=[0.0, 1.0], half_angle="0.5"),
+             lambda: ab.Cone(apex=[0.0, 0.0], axis=[0.0, 1.0], half_angle=0.5).contains(RAGGED)],
+    "EdgeColoring": [lambda: ab.EdgeColoring(n="3", m=1, color={}),
+                     lambda: ab.EdgeColoring(n=2, m=None, color={(0, 1): 0}),
+                     lambda: ab.EdgeColoring(n=3, m=1, color={(0, 1): 0})],
+    "LineArrangement": [lambda: ab.LineArrangement(dim=2, lines=RAGGED),
+                        lambda: ab.LineArrangement(dim=2, lines=NAN_ROWS),
+                        lambda: ab.LineArrangement(dim=2, lines="ab")],
+    "PointSet": [lambda: ab.PointSet(RAGGED), lambda: ab.PointSet(NAN_ROWS),
+                 lambda: ab.PointSet(None), lambda: ab.PointSet([["a", 0.0]])],
+    "SphericalCap": [lambda: ab.SphericalCap(center=RAGGED, radius=0.5),
+                     lambda: ab.SphericalCap(center=[0.0, 1.0], radius=None)],
+    "angle_at": [lambda: ab.angle_at([0, 0], [1], [1, 1]), lambda: ab.angle_at("a", [0, 0], [1, 1]),
+                 lambda: ab.angle_at([0, 0], [math.nan, 0], [1, 1])],
+    "asymptotic_envelope": [lambda: ab.asymptotic_envelope("3"), lambda: ab.asymptotic_envelope(1)],
+    "caratheodory_decompose": [lambda: ab.caratheodory_decompose(RAGGED, square()),
+                               lambda: ab.caratheodory_decompose(None, square()),
+                               lambda: ab.caratheodory_decompose([math.nan, 0.0], square())],
+    "cardinality_bound": [lambda: ab.cardinality_bound("2", 3), lambda: ab.cardinality_bound(None, 3),
+                          lambda: ab.cardinality_bound(2.0, 2.5)],
+    "cone_cover_certificate": [lambda: ab.cone_cover_certificate(square(), "0.5"),
+                               lambda: ab.cone_cover_certificate(square(), None),
+                               lambda: ab.cone_cover_certificate(square(), math.nan)],
+    "cover_lines": [lambda: ab.cover_lines("1", 3), lambda: ab.cover_lines(None, 3),
+                    lambda: ab.cover_lines(1.0, 3, seed=-1), lambda: ab.cover_lines(1.0, 3, probes=0)],
+    "dekster_radius": [lambda: ab.dekster_radius(None, 2), lambda: ab.dekster_radius("1", 2),
+                       lambda: ab.dekster_radius(1.0, None)],
+    "ef_doubling": [lambda: ab.ef_doubling(frame(), 0.5, slack=None),
+                    lambda: ab.ef_doubling(frame(), "0.5"), lambda: ab.ef_doubling(frame(), math.nan)],
+    "eta_of_theta": [lambda: ab.eta_of_theta(None, 2), lambda: ab.eta_of_theta("1", 2),
+                     lambda: ab.eta_of_theta(1.0, "2")],
+    "f_fraction": [lambda: ab.f_fraction(2, "0.5"), lambda: ab.f_fraction(2, None),
+                   lambda: ab.f_fraction(None, 0.5)],
+    "find_mono_odd_cycle": [
+        lambda: ab.find_mono_odd_cycle(ab.EdgeColoring(n=2, m=1, color={(0, 1): 0}))],
+    "gauss_bonnet_sum": [lambda: ab.gauss_bonnet_sum(square(), 10, 0),
+                         lambda: ab.gauss_bonnet_sum(square(), None, 0),
+                         lambda: ab.gauss_bonnet_sum(square(), 2000, "1")],
+    "geodesic_diameter": [lambda: ab.geodesic_diameter(RAGGED), lambda: ab.geodesic_diameter(None),
+                          lambda: ab.geodesic_diameter(NAN_ROWS), lambda: ab.geodesic_diameter("ab")],
+    "is_convex_position": [lambda: ab.is_convex_position(ab.PointSet(RAGGED))],
+    "max_angle": [lambda: ab.max_angle(ab.PointSet(NAN_ROWS))],
+    "max_cardinality_search": [lambda: ab.max_cardinality_search(None, 2),
+                               lambda: ab.max_cardinality_search("2", 2),
+                               lambda: ab.max_cardinality_search(2.0, 2, budget=None)],
+    "min_enclosing_cap": [lambda: ab.min_enclosing_cap(RAGGED), lambda: ab.min_enclosing_cap(None),
+                          lambda: ab.min_enclosing_cap(NAN_ROWS)],
+    "min_pairwise_dot": [lambda: ab.min_pairwise_dot(RAGGED), lambda: ab.min_pairwise_dot(None),
+                         lambda: ab.min_pairwise_dot(NAN_ROWS)],
+    "minimize_max_angle": [lambda: ab.minimize_max_angle("4", 2), lambda: ab.minimize_max_angle(2, 2),
+                           lambda: ab.minimize_max_angle(4, 2, iters=5, seed=None)],
+    "n_bounds": [lambda: ab.n_bounds(None, 3, 1.0, 4.0), lambda: ab.n_bounds(2.0, 3, "1", 4.0),
+                 lambda: ab.n_bounds(2.0, 3, 1.0, None), lambda: ab.n_bounds(2.0, "3", 1.0, 4.0)],
+    "normal_cone_fraction_mc": [lambda: ab.normal_cone_fraction_mc(square(), 1.5, 2000, 1),
+                                lambda: ab.normal_cone_fraction_mc(square(), 1, None, 1)],
+    "obtuse_triple_witness": [
+        lambda: ab.obtuse_triple_witness(square(), frame(), None),
+        lambda: ab.obtuse_triple_witness(square(), frame(), "1")],
+    "obtuse_witness": [lambda: ab.obtuse_witness(RAGGED, [[0, 0], [1, 0], [0, 1]]),
+                       lambda: ab.obtuse_witness([0.2, 0.2], RAGGED),
+                       lambda: ab.obtuse_witness([0.2, 0.2], [[0, 0], [1, math.nan], [0, 1]])],
+    "pack_lines": [lambda: ab.pack_lines("5", 3), lambda: ab.pack_lines(5, None),
+                   lambda: ab.pack_lines(5, 3, seed=-1)],
+    "rays_from": [lambda: ab.rays_from(RAGGED, square()), lambda: ab.rays_from(None, square()),
+                  lambda: ab.rays_from([math.nan, 0.0], square())],
+    "simplex_contains_origin": [lambda: ab.simplex_contains_origin(RAGGED),
+                                lambda: ab.simplex_contains_origin(None),
+                                lambda: ab.simplex_contains_origin(NAN_ROWS)],
+    "theta_d": [lambda: ab.theta_d(None), lambda: ab.theta_d("2"), lambda: ab.theta_d(0)],
+}
+
+
+def test_every_exported_callable_refuses_malformed_input():
+    assert set(MALFORMED) == set(anglebound.__all__) - NOT_INPUTS
+    leaks = []
+    for name, calls in MALFORMED.items():
+        for k, call in enumerate(calls):
+            try:
+                call()
+                leaks.append(f"{name}[{k}]: accepted")
+            except anglebound.PreconditionError:
+                pass
+            except Exception as err:
+                leaks.append(f"{name}[{k}]: {type(err).__name__}: {err}")
+    assert leaks == []

@@ -127,6 +127,11 @@ class TestLargestStructured:
             max_cardinality_search(0.5 * math.pi, 4, budget=0)
         # Below pi/2 the hypercube is no candidate, so R^4 still searches.
         assert len(max_cardinality_search(1.5, 4, budget=0).points) == 5
+        # The simplex is a candidate at every cap, below pi/3 only to be refused.
+        monkeypatch.setattr(search, "_MAX_SIMPLEX_DIM", 3)
+        monkeypatch.setattr(search, "regular_simplex", None)
+        with pytest.raises(OutOfRange, match=r"^the simplex start has 5 points, past the cap of 4$"):
+            max_cardinality_search(1.0, 4, budget=0)
 
     def test_starts_at_their_caps_are_built(self, monkeypatch):
         monkeypatch.setattr(search, "_MAX_POLYGON", 9)
